@@ -346,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "cusp_data", None) and args.newform_g not in (None, args.newform):
+        ap.error("--cusp-data pairs each expansion with itself, so --newform-g must be unset "
+                 "or equal to --newform")
     try:
         return args.func(args)
     except Exception as exc:  # deterministic machine-readable failure

@@ -22,10 +22,14 @@ Evaluators
                  e^{w^2/(2 c^2)} dw / w
   on a fixed vertical contour; both sum lengths adapt until the weights are
   negligible.  Level 1 only (the root number i^k is the level-1 one).
+  The contour matrix exp(-w log x) does not depend on s: ``_mellin_weights``
+  keeps one read-only copy per (x scale, c, h, sigma0), grown by doubling,
+  and each call reads its first ``length`` columns.
 * ``sym2_L`` -- same machinery with the three-factor gamma of the symmetric
   square; powers the accurate self-dual Rankin-Selberg values
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and the residue /
-  finite-part constants needed near s = 1.
+  finite-part constants needed near s = 1.  Its coefficients are cached
+  read-only per (k, digest of the whole a array, length).
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
   factorisation of the twisted series
       zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} conj(coeff(m)) m^{-s},
@@ -34,6 +38,7 @@ Evaluators
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,6 +55,7 @@ from .specfun import (
     ValueWithError,
     riemann_zeta,
     EULER_GAMMA,
+    _stieltjes_constants,
 )
 
 __all__ = [
@@ -98,7 +104,11 @@ class InsufficientCoefficientsError(RuntimeError):
 
 @dataclass
 class NewformData:
-    """A holomorphic newform: level N, even weight k >= 4, coefficients a(1..M)."""
+    """A holomorphic newform: level N, even weight k >= 4, coefficients a(1..M).
+
+    ``a`` is a private read-only copy of the input, and ``digest`` a SHA-256
+    of its bytes that keys the data derived from it.
+    """
 
     N: int
     k: int
@@ -107,7 +117,8 @@ class NewformData:
     label: str = ""
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
+        self.a = np.array(self.a, dtype=float)
+        self.a.flags.writeable = False
         if self.k < 4 or self.k % 2:
             raise InvariantViolation("weight must be an even integer >= 4")
         if self.a.size < 1 or abs(self.a[0] - 1.0) > 1e-12:
@@ -117,6 +128,7 @@ class NewformData:
         bad = np.nonzero(np.abs(self.a) > bound * (1.0 + 1e-9))[0]
         if bad.size:
             raise InvariantViolation(f"coefficient bound violated at n={bad[0] + 1}")
+        self.digest = hashlib.sha256(self.a.tobytes()).hexdigest()
 
     @property
     def M(self) -> int:
@@ -481,21 +493,41 @@ def residue_at_1(f: NewformData, m_max: int | None = None) -> tuple:
 # smoothed approximate functional equations
 
 
-def _mellin_weights(log_ratio, x, c: float = 3.0, h: float = 0.4, sigma0: float = 2.0):
-    """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w.
+# (x scale, c, h, sigma0) -> (w, E): the contour and E = exp(-w (x) log x)
+# at x = scale * (1..cap), both read-only
+_CONTOURS: dict = {}
+
+
+def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: float = 0.4,
+                    sigma0: float = 2.0):
+    """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
 
     ``log_ratio(w)`` must accept a numpy array of contour points
-    w = sigma0 + i v and return log of the gamma-factor ratio; ``x`` is a
-    positive array.  The trapezoid cut must outlast not just the Gaussian
-    but also the transient e^{pi |v|/2} growth of the gamma ratio while
-    |v| < |Im z|, so it solves v^2/(2c^2) - pi v/2 >= 42.
+    w = sigma0 + i v and return log of the gamma-factor ratio.  The
+    trapezoid cut must outlast not just the Gaussian but also the transient
+    e^{pi |v|/2} growth of the gamma ratio while |v| < |Im z|, so it solves
+    v^2/(2c^2) - pi v/2 >= 42.
+
+    Neither w nor E = exp(-w (x) log x) depends on s, so both are cached in
+    ``_CONTOURS`` under (scale, c, h, sigma0), read-only.  E's column count
+    doubles until it covers ``length``, and a call uses the first ``length``
+    columns, so the weights are those of a fresh E bit for bit.
     """
-    vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
-    v = np.arange(-vmax, vmax + h, h)
-    w = sigma0 + 1j * v
+    key = (scale, c, h, sigma0)
+    w, E = _CONTOURS.get(key, (None, None))
+    if E is None or E.shape[1] < length:
+        if w is None:
+            vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
+            w = sigma0 + 1j * np.arange(-vmax, vmax + h, h)
+            w.flags.writeable = False
+        cap = length if E is None else E.shape[1]
+        while cap < length:
+            cap *= 2
+        E = np.exp(-np.outer(w, np.log(scale * np.arange(1, cap + 1, dtype=float))))
+        E.flags.writeable = False
+        _CONTOURS[key] = (w, E)
     kern = np.exp(log_ratio(w) + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
-    lx = np.log(np.asarray(x, dtype=float))
-    return kern @ np.exp(-np.outer(w, lx))
+    return kern @ E[:, :length]
 
 
 def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> complex:
@@ -538,9 +570,8 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
     if length > f.M:
         raise InsufficientCoefficientsError(length)
     n = np.arange(1, length + 1, dtype=float)
-    x = 2.0 * math.pi * n
-    w1 = _mellin_weights(ratio1, x)
-    w2 = _mellin_weights(ratio2, x)
+    w1 = _mellin_weights(ratio1, 2.0 * math.pi, length)
+    w2 = _mellin_weights(ratio2, 2.0 * math.pi, length)
     A = f.A(length)
     first = np.sum(A * np.exp(-s * np.log(n)) * w1)
     gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
@@ -553,16 +584,34 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
     return complex(first + second)
 
 
-@lru_cache(maxsize=64)
-def _sym2_coeffs(f_key, m_max: int):
-    """Symmetric-square coefficients c(n) for the cached newform key.
+# (k, digest of a, length) -> read-only c(1..length), least recently used first
+_SYM2_CACHE: dict = {}
+
+
+def _sym2_coeffs(f: NewformData, m_max: int):
+    """Symmetric-square coefficients c(1..m_max) of f, cached read-only.
+
+    The key is (k, f.digest, m_max), so forms that differ in any coefficient
+    never share an entry; the 64 most recently used entries are kept.
+    """
+    key = (f.k, f.digest, m_max)
+    out = _SYM2_CACHE.pop(key, None)
+    if out is None:
+        out = _sym2_table(f, m_max)
+        out.flags.writeable = False
+    _SYM2_CACHE[key] = out
+    if len(_SYM2_CACHE) > 64:
+        del _SYM2_CACHE[next(iter(_SYM2_CACHE))]
+    return out
+
+
+def _sym2_table(f: NewformData, ln: int):
+    """c(1..ln), computed afresh.
 
     c is multiplicative; at p the Satake parameters of f are {alpha, 1/alpha}
     with alpha + 1/alpha = A(p), and c(p^e) = sum_{i+j+l=e} alpha^{2i}
     alpha^{-2l} (complete homogeneous in {alpha^2, 1, alpha^-2}).
     """
-    f = _FORM_REGISTRY[f_key]
-    ln = int(m_max)
     if f.M < min(ln, 2):
         raise InsufficientCoefficientsError(ln)
     vals = {1: 1.0}
@@ -589,15 +638,6 @@ def _sym2_coeffs(f_key, m_max: int):
         pe = p ** ord_p(n, p)
         out[n - 1] = vals[pe] * out[n // pe - 1]
     return out
-
-
-_FORM_REGISTRY: dict = {}
-
-
-def _form_key(f: NewformData):
-    key = (f.label, f.N, f.k, f.M, f.a[: min(16, f.M)].tobytes())
-    _FORM_REGISTRY[key] = f
-    return key
 
 
 def sym2_L(s, f: NewformData, deriv: int = 0) -> complex:
@@ -641,10 +681,10 @@ def sym2_L(s, f: NewformData, deriv: int = 0) -> complex:
         return log_gamma_factor(1.0 - s + w) - base2
 
     length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
-    c = _sym2_coeffs(_form_key(f), length)
+    c = _sym2_coeffs(f, length)
     n = np.arange(1, length + 1, dtype=float)
-    w1 = _mellin_weights(ratio1, n, c=4.0, h=0.35)
-    w2 = _mellin_weights(ratio2, n, c=4.0, h=0.35)
+    w1 = _mellin_weights(ratio1, 1.0, length, c=4.0, h=0.35)
+    w2 = _mellin_weights(ratio2, 1.0, length, c=4.0, h=0.35)
     gr = complex(np.exp(base2 - base1))
     first = np.sum(c * np.exp(-s * np.log(n)) * w1)
     second = gr * np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
@@ -654,13 +694,6 @@ def sym2_L(s, f: NewformData, deriv: int = 0) -> complex:
 def selfdual_rs_L(w, f: NewformData) -> complex:
     """Accurate L(w, f x f~) = zeta(w) L(w, sym^2 f) for level 1."""
     return riemann_zeta(w) * sym2_L(w, f)
-
-
-@lru_cache(maxsize=16)
-def _stieltjes_gamma1() -> float:
-    import mpmath as mp
-
-    return float(mp.stieltjes(1))
 
 
 def selfdual_rs_constants(f: NewformData) -> dict:
@@ -673,7 +706,7 @@ def selfdual_rs_constants(f: NewformData) -> dict:
     L1 = sym2_L(1.0, f)
     L1p = sym2_L(1.0, f, deriv=1)
     L1pp = sym2_L(1.0, f, deriv=2)
-    g1 = _stieltjes_gamma1()
+    g1 = _stieltjes_constants()[1]
     return {
         "residue": complex(L1).real,
         "finite_part": complex(EULER_GAMMA * L1 + L1p).real,

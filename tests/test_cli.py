@@ -76,6 +76,19 @@ class TestErrors:
         payload = json.loads(err)
         assert "error" in payload and "message" in payload
 
+    def test_cusp_data_with_other_newform_g_rejected(self, capsys, tmp_path):
+        # each ingested expansion stands for both f and g, so a different g
+        # would be computed with f's cusp data
+        form = tmp_path / "g.txt"
+        form.write_text("4 12 2\n1 1\n2 -24\n")
+        cusp = tmp_path / "cusp.txt"
+        cusp.write_text("4 2 1 3\n1 1.0 0.0\n2 -0.5 0.25\n3 0.125 0.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["main-term", "--T", "40", "--alpha", "0.5", "--N", "4",
+                      "--newform-g", str(form), "--cusp-data", str(cusp)])
+        assert exc.value.code == 2
+        assert "--cusp-data" in capsys.readouterr().err
+
 
 class TestZSeriesCommand:
     def test_smoke(self, capsys):

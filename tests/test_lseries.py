@@ -15,6 +15,71 @@ def delta():
     return ls.delta_newform(20000)
 
 
+def _fresh_weights(scale, c, h, sigma0=2.0):
+    """``_mellin_weights`` without the contour cache: E built on every call."""
+
+    def weights(log_ratio, length):
+        vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
+        v = np.arange(-vmax, vmax + h, h)
+        w = sigma0 + 1j * v
+        kern = np.exp(log_ratio(w) + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
+        x = scale * np.arange(1, length + 1, dtype=float)
+        return kern @ np.exp(-np.outer(w, np.log(x)))
+
+    return weights
+
+
+def _cached_weights(scale, c, h):
+    return lambda log_ratio, length: ls._mellin_weights(log_ratio, scale, length, c=c, h=h)
+
+
+def _holo_afe(s, f, weights):
+    """The AFE assembly of ``holo_L`` with the weights ``weights(log_ratio, length)``."""
+    s = complex(s)
+    a0 = (f.k - 1) / 2.0
+    length = int(math.ceil((abs(s.imag) + f.k + 60.0) * 1.6))
+    n = np.arange(1, length + 1, dtype=float)
+    w1 = weights(lambda w: _loggamma(s + a0 + w) - _loggamma(s + a0), length)
+    w2 = weights(lambda w: _loggamma(1.0 - s + a0 + w) - _loggamma(1.0 - s + a0), length)
+    A = f.A(length)
+    first = np.sum(A * np.exp(-s * np.log(n)) * w1)
+    gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
+    second = (
+        (1j) ** f.k
+        * np.exp((2.0 * s - 1.0) * math.log(2.0 * math.pi))
+        * gr
+        * np.sum(A * np.exp((s - 1.0) * np.log(n)) * w2)
+    )
+    return complex(first + second)
+
+
+def _sym2_afe(s, f, weights):
+    """The AFE assembly of ``sym2_L`` with the weights ``weights(log_ratio, length)``."""
+    s = complex(s)
+    k = f.k
+
+    def log_gamma_factor(u):
+        u = np.asarray(u, dtype=complex)
+        return (
+            -1.5 * u * math.log(math.pi)
+            + _loggamma((u + 1.0) / 2.0)
+            + _loggamma((u + k - 1.0) / 2.0)
+            + _loggamma((u + k) / 2.0)
+        )
+
+    base1 = complex(log_gamma_factor(s))
+    base2 = complex(log_gamma_factor(1.0 - s))
+    length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
+    c = ls._sym2_coeffs(f, length)
+    n = np.arange(1, length + 1, dtype=float)
+    w1 = weights(lambda w: log_gamma_factor(s + w) - base1, length)
+    w2 = weights(lambda w: log_gamma_factor(1.0 - s + w) - base2, length)
+    gr = complex(np.exp(base2 - base1))
+    first = np.sum(c * np.exp(-s * np.log(n)) * w1)
+    second = gr * np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
+    return complex(first + second)
+
+
 class TestDeltaGenerator:
     def test_small_coefficients(self, delta):
         a = delta.a_exact
@@ -96,6 +161,22 @@ class TestLoaders:
         assert ce.coeffs[1] == complex(-0.5, 0.25)
 
 
+class TestReadOnlyCaches:
+    def test_cached_arrays_reject_writes(self, delta):
+        a = delta.a_exact[:40]
+        src = np.array(a, dtype=float)
+        f = ls.NewformData(N=1, k=12, a=src)
+        src[1] = 0.0  # the form holds its own copy
+        assert f.a[1] == -24.0
+        ls.holo_L(0.5 + 3j, delta)
+        arrays = [f.a, ls.delta_newform(20000).a, ls._sym2_coeffs(delta, 200)]
+        for w, E in ls._CONTOURS.values():
+            arrays += [w, E]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestRankinSelberg:
     def test_positive_real_and_truncation_consistency(self, delta):
         v1, t1 = ls.rankin_selberg_L(2.0, delta, delta, m_max=10_000)
@@ -151,6 +232,16 @@ class TestHoloL:
             l2 = (1j) ** delta.k * lam(0.5 - 1j * tau)
             assert abs(l1 - l2) < 1e-7 * max(abs(l1), 1e-30)
 
+    @pytest.mark.parametrize("taus", [(160.0, 0.5), (0.5, 160.0)])
+    def test_cached_contours_match_fresh(self, delta, taus):
+        # the cache grows (or is only sliced) between the two points, with
+        # the sym^2 contour filled in between; values match a fresh E exactly
+        ls._CONTOURS.clear()
+        for tau in taus:
+            s = 0.5 + 1j * tau
+            assert ls.holo_L(s, delta) == _holo_afe(s, delta, _fresh_weights(2.0 * math.pi, 3.0, 0.4))
+            assert ls.sym2_L(s, delta) == _sym2_afe(s, delta, _fresh_weights(1.0, 4.0, 0.35))
+
     def test_insufficient_coefficients_reports_horizon(self):
         small = ls.delta_newform(256)
         with pytest.raises(ls.InsufficientCoefficientsError) as err:
@@ -172,13 +263,27 @@ class TestSym2:
         assert abs(val - ref) < 1e-9 * ref
 
     def test_parameter_stability(self, delta):
-        # independent smoothing parameters must agree
-        v1 = ls.sym2_L(1.37, delta)
-        from rsmoments.lseries import _form_key, _mellin_weights, _sym2_coeffs
+        # independent smoothing parameters (c, h) must agree with sym2_L's
+        # (4, 0.35); this also shows the contour cache keys on (c, h)
+        for s in (1.37, 1.0, 0.5 + 2j, 0.5 + 0.3j, 1.1 - 3.5j):
+            v = ls.sym2_L(s, delta)
+            assert ls.sym2_L(s, delta) == v  # deterministic
+            for c, h in ((3.5, 0.3), (3.0, 0.25)):
+                other = _sym2_afe(s, delta, _cached_weights(1.0, c, h))
+                assert abs(other - v) < 1e-12 * abs(v), (s, c, h)
 
-        assert abs(ls.sym2_L(1.37, delta) - v1) == 0.0  # deterministic
-        v2 = ls.selfdual_rs_L(1.37, delta) / riemann_zeta(1.37)
-        assert abs(v1 - v2) < 1e-12 * abs(v1)
+    def test_coefficients_keyed_on_whole_array(self, delta):
+        # agrees with delta in label, level, weight, length and the first 16
+        # coefficients; a(17) differs (halved: sym^2 sees only a(p)^2)
+        a = delta.a.copy()
+        a[16] *= 0.5
+        other = ls.NewformData(N=1, k=12, a=a, label=delta.label)
+        v_delta = ls.sym2_L(1.37, delta)
+        v_other = ls.sym2_L(1.37, other)
+        assert v_other != v_delta
+        ls._SYM2_CACHE.clear()
+        assert ls.sym2_L(1.37, other) == v_other
+        assert ls.sym2_L(1.37, delta) == v_delta
 
     def test_laurent_constants(self, delta):
         c = ls.selfdual_rs_constants(delta)
