@@ -262,7 +262,45 @@ def _valid_rows(N: int, a: int, c: int, max_height: int):
     return tuple(rows)
 
 
-def _bessel_row_weights(s, y: float, kmax: int = 80):
+def _ramanujan_sums(q, m) -> np.ndarray:
+    """c_q(m) = sum_{d mod q, gcd(d, q) = 1} e(m d / q), q and m broadcast.
+
+    Von Sterneck's closed form mu(q/g) phi(q) / phi(q/g), g = gcd(q, m), in
+    exact integers.
+    """
+    q, m = np.broadcast_arrays(np.asarray(q, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    qg = q // np.gcd(q, m)
+    top = int(q.max())
+    mu = np.array([0] + [mobius(j) for j in range(1, top + 1)], dtype=np.int64)
+    phi = np.array([0] + [euler_phi(j) for j in range(1, top + 1)], dtype=np.int64)
+    return mu[qg] * (phi[q] // phi[qg])
+
+
+_PHASE_KMAX = 80  # the default kmax of _bessel_row_weights
+
+
+@lru_cache(maxsize=32)
+def _row_phase_sums(N: int, a: int, c: int, max_height: int):
+    """(ct, row size, S) over the rows of ``_valid_rows``, read-only.
+
+    S[i, m - 1] = sum_{d0} e(m d0 / ct_i) for m = 1.._PHASE_KMAX.  A row with
+    no congruence on d0 (gcd(ct, N/a) = 1) runs over every unit mod ct, so
+    its sum is the Ramanujan sum c_ct(m); the other rows are summed directly.
+    """
+    rows = _valid_rows(N, a, c, max_height)
+    cts = np.array([ct for ct, _ in rows], dtype=np.int64)
+    sizes = np.array([len(d0s) for _, d0s in rows], dtype=float)
+    mvec = np.arange(1, _PHASE_KMAX + 1)
+    ph = _ramanujan_sums(cts[:, None], mvec[None, :]).astype(complex)
+    for i, (ct, d0s) in enumerate(rows):
+        if math.gcd(ct, N // a) > 1:
+            ph[i] = np.exp(2j * math.pi * np.outer(mvec, d0s / ct)).sum(axis=1)
+    for arr in (cts, sizes, ph):
+        arr.flags.writeable = False
+    return cts, sizes, ph
+
+
+def _bessel_row_weights(s, y: float, kmax: int = _PHASE_KMAX):
     """m^{s-1/2} K_{s-1/2}(2 pi m y) for m = 1.. until negligible."""
     nu = complex(s) - 0.5
     vals = []
@@ -291,23 +329,17 @@ def _eisenstein_x_profile(cusp: CuspLabel, y: float, s, trunc: LatticeTruncation
     N, a = cusp.N, cusp.a
     w = cusp.width
     P = trunc.fourier_points
-    rows = _valid_rows(N, a, cusp.c, trunc.max_height)
+    cts, sizes, ph = _row_phase_sums(N, a, cusp.c, trunc.max_height)
 
     gam_s = complex_gamma(s)
     const_a = math.sqrt(math.pi) * complex_gamma(s - 0.5) / gam_s * y ** (1.0 - 2.0 * s)
     kw = _bessel_row_weights(s, y)
     n_freq = len(kw)
-    coeff_pos = np.zeros(n_freq, dtype=complex)
-    coeff_neg = np.zeros(n_freq, dtype=complex)
-    const_sum = 0.0 + 0.0j
-    mvec = np.arange(1, n_freq + 1)
-    for ct, d0s in rows:
-        ctp = ct ** (-2.0 * s)
-        const_sum += ctp * len(d0s) * const_a
-        # exp(2 pi i m d0 / ct) summed over d0, all m at once
-        ph = np.exp(2j * math.pi * np.outer(mvec, d0s / ct)).sum(axis=1)
-        coeff_pos += 0.5 * ctp * ph
-        coeff_neg += 0.5 * ctp * np.conj(ph)
+    ctp = cts.astype(float) ** (-2.0 * s)
+    const_sum = complex(ctp @ sizes) * const_a
+    # the row phase sums sum_{d0} exp(2 pi i m d0 / ct), weighted by ct^{-2s}
+    coeff_pos = 0.5 * (ctp @ ph[:, :n_freq])
+    coeff_neg = 0.5 * (ctp @ np.conj(ph[:, :n_freq]))
     b_fac = 4.0 * np.pi**s / gam_s * y ** (0.5 - s)
 
     x = np.arange(P) / P

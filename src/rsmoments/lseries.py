@@ -145,7 +145,10 @@ class NewformData:
 
 @dataclass
 class MaassFormData:
-    """A Maass form of level N lifted from a newform of inner level L | N."""
+    """A Maass form of level N lifted from a newform of inner level L | N.
+
+    ``lam`` is a private read-only copy of the input.
+    """
 
     N: int
     L: int
@@ -156,7 +159,8 @@ class MaassFormData:
     lifts: dict  # d | N/L -> c_L(r; d)
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
+        self.lam = np.array(self.lam, dtype=float)
+        self.lam.flags.writeable = False
         if self.N % self.L:
             raise InvariantViolation("inner level must divide the level")
         if self.parity not in (0, 1):
@@ -183,13 +187,17 @@ class MaassFormData:
 
 @dataclass
 class CuspExpansionData:
-    """Ingested Fourier coefficients of f | sigma_a at the cusp 1/(c a)."""
+    """Ingested Fourier coefficients of f | sigma_a at the cusp 1/(c a).
+
+    ``coeffs`` is a private read-only copy of the input.
+    """
 
     cusp: CuspLabel
     coeffs: np.ndarray  # complex, index n-1
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        self.coeffs = np.array(self.coeffs, dtype=complex)
+        self.coeffs.flags.writeable = False
         if self.coeffs.size < 1:
             raise InvariantViolation("cusp expansion needs at least one coefficient")
 

@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_V_BLOCK = 32  # v-nodes per block of the L^+ inner sum: 512 bytes of exp per m
 
 
 class MissingCuspDataError(RuntimeError):
@@ -734,8 +735,7 @@ def continuous_part(
     err = 0.0
     from .specfun import _gk15
 
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        v, e = _gk15(integrand, aa, bb)
+    for v, e in _gk15(integrand, *edges):
         total += v
         err += e
     if half_line:
@@ -856,13 +856,17 @@ def first_moment_pieces(
 
         # the v-integrand decays like exp(-pi(|Im v| - |t|)) here
         rv_max = abs(t) + 50.0 / math.pi
-
-        def inner_minus(v):
-            # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}, v an array
-            base = np.exp(
-                np.multiply.outer(-v + it - k / 2.0, np.log(n - ms).astype(float))
-            )
-            return base @ (am * sig_nm)
+        nodes_m, wts_m = _panel_nodes(np.linspace(-rv_max, rv_max, int(inner_panels) + 1))
+        v_m = sigma_0 + 1j * nodes_m
+        # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
+        inner_minus = np.exp(
+            np.multiply.outer(-v_m + it - k / 2.0, np.log(n - ms).astype(float))
+        ) @ (am * sig_nm)
+        core_m = (
+            np.exp(_loggamma(k / 2.0 - it + v_m) + _loggamma(k / 2.0 + it + v_m))
+            * np.exp(v_m * math.log(n))
+            * inner_minus
+        )
 
         def outer_minus(gam):
             u = sigma_u + 1j * gam
@@ -873,21 +877,13 @@ def first_moment_pieces(
                 * _tan_pi_stable(u)
                 * np.exp(-_loggamma(u + it + k / 2.0) - _loggamma(-u + it + k / 2.0))
             )
-            edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
-            nodes, wts = _panel_nodes(edges)
-            v = sigma_0 + 1j * nodes
             gm = (
                 np.exp(
-                    _loggamma(np.subtract.outer(u, v))
-                    + _loggamma(np.subtract.outer(-u, v) + 0.0)
+                    _loggamma(np.subtract.outer(u, v_m))
+                    + _loggamma(np.subtract.outer(-u, v_m) + 0.0)
                 )
             )
-            core = (
-                np.exp(_loggamma(k / 2.0 - it + v) + _loggamma(k / 2.0 + it + v))
-                * np.exp(v * math.log(n))
-                * inner_minus(v)
-            )
-            inner_vals = (gm * core[None, :]) @ wts / (2.0 * math.pi)
+            inner_vals = (gm * core_m[None, :]) @ wts_m / (2.0 * math.pi)
             return pref * inner_vals
 
         quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
@@ -912,9 +908,19 @@ def first_moment_pieces(
     edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
     nodes, wts = _panel_nodes(edges)
     v_nodes = sigma_v + 1j * nodes
-    inner_plus_vals = np.exp(
-        np.multiply.outer(-v_nodes + it, np.log(ms).astype(float))
-    ) @ (sig_m * anm)
+    # sum_m sigma(m; N) a(n+m) m^{-v+it}, over blocks of v-nodes to bound
+    # the memory; each node's m-sum stays one dot product over every m
+    weights = sig_m * anm
+    log_m = np.log(ms).astype(float)
+    inner_plus_vals = np.concatenate([
+        np.exp(np.multiply.outer(-v_nodes[i : i + _V_BLOCK] + it, log_m)) @ weights
+        for i in range(0, len(v_nodes), _V_BLOCK)
+    ])
+    core_p = (
+        np.exp(_loggamma(v_nodes - it) + _loggamma(v_nodes + it))
+        * np.exp((v_nodes - k / 2.0) * math.log(n))
+        * inner_plus_vals
+    )
 
     def outer_plus(gam):
         u = sigma_u + 1j * gam
@@ -932,12 +938,7 @@ def first_moment_pieces(
             _loggamma(np.add.outer(u, -v_nodes) + k / 2.0)
             - _loggamma(np.add.outer(u, v_nodes) + 1.0 - k / 2.0)
         )
-        core = (
-            np.exp(_loggamma(v_nodes - it) + _loggamma(v_nodes + it))
-            * np.exp((v_nodes - k / 2.0) * math.log(n))
-            * inner_plus_vals
-        )
-        return pref * ((gm * core[None, :]) @ wts) / (2.0 * math.pi)
+        return pref * ((gm * core_p[None, :]) @ wts) / (2.0 * math.pi)
 
     quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
     from .specfun import integrate_line

@@ -225,15 +225,15 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
         raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
     sig = _sigma_weights(N, t, M_outer)
+    # n^{-w-k+1} for n = 1..M_outer+M_inner; row m reads n = m+1..m+M_inner
+    n_pow = np.exp((-w - k + 1.0) * np.log(np.arange(1, M_outer + M_inner + 1, dtype=float)))
     total = 0.0 + 0.0j
     outer_abs = np.zeros(M_outer)
     for m in range(1, M_outer + 1):
         if sig[m - 1] == 0:
             continue
-        n = np.arange(m + 1, m + M_inner + 1, dtype=float)
         term = sig[m - 1] * m ** (-(s + (k - 1) / 2.0)) * np.dot(
-            f.a[:M_inner] * np.conj(g.a[m : m + M_inner]),
-            np.exp((-w - k + 1.0) * np.log(n)),
+            f.a[:M_inner] * np.conj(g.a[m : m + M_inner]), n_pow[m : m + M_inner]
         )
         total += term
         outer_abs[m - 1] = abs(term)

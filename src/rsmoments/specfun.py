@@ -24,6 +24,7 @@ nodes) are built once at import time and never mutated.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -538,26 +539,40 @@ _WG = np.array(
     ]
 )
 
+_EPS = float(np.finfo(float).eps)
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _W15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _W7 = np.zeros(15)
 _W7[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod 7-15 panel; returns (I15, |I15 - I7|).
+def _gk15(f, *edges: float):
+    """Gauss-Kronrod 7-15 on each panel between consecutive ``edges``.
 
-    Non-finite integrand values propagate into a non-finite error estimate,
-    which the adaptive driver treats as "not converged".
+    ``f`` is called once, on the nodes of every panel in order.  Returns one
+    (I15, |I15 - I7|) per panel.  Non-finite integrand values propagate into
+    a non-finite error estimate, which the adaptive driver treats as "not
+    converged".
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    y = np.asarray(f(x), dtype=complex)
+    lo = np.asarray(edges[:-1], dtype=float)
+    hi = np.asarray(edges[1:], dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    out = []
     with np.errstate(invalid="ignore"):
-        i15 = half * complex(np.sum(_W15 * y))
-        i7 = half * complex(np.sum(_W7 * y))
-    return i15, abs(i15 - i7)
+        for h, row in zip(half.tolist(), y):
+            i15 = h * complex(np.sum(_W15 * row))
+            i7 = h * complex(np.sum(_W7 * row))
+            out.append((i15, abs(i15 - i7)))
+    return out
+
+
+def _split_key(err: float, a: float, seq: int):
+    """Heap key: the worst error first (an error that is not a number counts
+    as the worst), then the smaller left end, then the older panel."""
+    return (-err if err == err else -math.inf, a, seq)
 
 
 def integrate_line(
@@ -573,7 +588,14 @@ def integrate_line(
     [-cutoff_radius, cutoff_radius]; ``tail_bound``, if given, is called with
     the cutoff radius and must return a certified bound on the discarded
     tails, which is added to the reported error.  Subdivision is
-    worst-interval-first with a deterministic tie-break.
+    worst-interval-first with a deterministic tie-break, from a heap; both
+    halves of a split panel come from one call of ``f``.
+
+    The value and error are running totals between steps.  The convergence
+    test runs on exact re-sums over the panels in creation order, made
+    whenever the running error (with a bound on its rounding) is within
+    twice the tolerance or a running total is not finite, and before
+    returning or raising.
 
     Raises :class:`NonConvergenceError` when ``max_subdivisions`` panels do
     not reach max(abs_tol, rel_tol * |value|).
@@ -584,22 +606,34 @@ def integrate_line(
         a, b = interval
     tail = float(tail_bound(spec.cutoff_radius)) if tail_bound is not None else 0.0
 
-    val, err = _gk15(f, a, b)
-    panels = [(err, a, b, val)]
-    for _ in range(spec.max_subdivisions):
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return ValueWithError(total, total_err + tail)
-        worst = max(range(len(panels)), key=lambda i: (panels[i][0], -panels[i][1]))
-        _, pa, pb, _ = panels.pop(worst)
+    [(val, err)] = _gk15(f, a, b)
+    panels = {0: (a, b, val, err)}  # live panels by creation number
+
+    def resum():
+        return sum(p[2] for p in panels.values()), sum(p[3] for p in panels.values())
+
+    heap = [_split_key(err, a, 0)]
+    total, total_err, slack = val, err, 0.0
+    for step in range(spec.max_subdivisions):
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if not (math.isfinite(total_err) and np.isfinite(total)) or total_err <= 2.0 * tol + slack:
+            total, total_err = resum()
+            slack = 0.0
+            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return ValueWithError(total, total_err + tail)
+        i = heapq.heappop(heap)[2]
+        pa, pb, pval, perr = panels.pop(i)
         pm = 0.5 * (pa + pb)
-        v1, e1 = _gk15(f, pa, pm)
-        v2, e2 = _gk15(f, pm, pb)
-        panels.append((e1, pa, pm, v1))
-        panels.append((e2, pm, pb, v2))
-    total = sum(p[3] for p in panels)
-    total_err = sum(p[0] for p in panels)
+        (v1, e1), (v2, e2) = _gk15(f, pa, pm, pb)
+        panels[2 * step + 1] = (pa, pm, v1, e1)
+        panels[2 * step + 2] = (pm, pb, v2, e2)
+        heapq.heappush(heap, _split_key(e1, pa, 2 * step + 1))
+        heapq.heappush(heap, _split_key(e2, pm, 2 * step + 2))
+        total += v1 + v2 - pval
+        # three roundings, each at most eps/2 of a partial sum below this bound
+        slack += 2.0 * _EPS * (total_err + e1 + e2 + perr)
+        total_err += e1 + e2 - perr
+    total, total_err = resum()
     raise NonConvergenceError(
         "integrate_line exhausted max_subdivisions", total, total_err + tail
     )

@@ -1,7 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmoments import arith as ar
 from rsmoments import eisenstein as eis
@@ -135,6 +138,65 @@ class TestOracle:
             eis.eisenstein_oracle(LEVEL1, 1j, 0.9, self.TR)
         with pytest.raises(DomainError):
             eis.eisenstein_oracle(LEVEL1, 0.3 - 1j, 1.5, self.TR)
+
+
+class TestRowPhaseSums:
+    def test_closed_form_matches_row_sums(self):
+        # the brute-force row sum over the residues d0 is the test oracle
+        m = np.arange(1, eis._PHASE_KMAX + 1)
+        for N in range(1, 13):
+            for cusp in ar.enumerate_cusps(N):
+                rows = eis._valid_rows(N, cusp.a, cusp.c, 200)
+                cts, sizes, ph = eis._row_phase_sums(N, cusp.a, cusp.c, 200)
+                assert list(cts) == [ct for ct, _ in rows]
+                assert list(sizes) == [len(d0s) for _, d0s in rows]
+                for i, (ct, d0s) in enumerate(rows):
+                    brute = np.exp(2j * math.pi * np.outer(m, d0s / ct)).sum(axis=1)
+                    assert np.max(np.abs(ph[i] - brute)) < 1e-9
+
+    def test_cached_arrays_reject_writes(self):
+        for arr in eis._row_phase_sums(6, 2, 1, 200):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.integers(1, 200))
+    def test_von_sterneck_property(self, q, m):
+        closed = int(eis._ramanujan_sums(q, m))
+        divisor_sum = sum(ar.mobius(q // d) * d for d in ar.divisors(math.gcd(q, m)))
+        units = np.array([d for d in range(1, q + 1) if math.gcd(d, q) == 1])
+        brute = np.exp(2j * math.pi * m * units / q).sum()
+        assert closed == divisor_sum
+        assert abs(brute - closed) < 1e-9
+
+    def test_oracle_independent_of_character_formula(self):
+        # follow, by name, every module function the oracle entry points reach
+        forbidden = {"characters_mod", "_inner_pairs", "lambda_chi", "tau_cusp",
+                     "tau_cusp_array", "_chi_prefactor"}
+
+        def code_names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if inspect.iscode(const):
+                    out |= code_names(const)
+            return out
+
+        def own_function(name):
+            fn = getattr(eis, name, None)
+            fn = getattr(fn, "__wrapped__", fn)
+            return fn if inspect.isfunction(fn) and fn.__module__ == eis.__name__ else None
+
+        todo = ["tau_oracle", "eisenstein_oracle", "eisenstein_constant_term"]
+        reached, used = set(), set()
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                names = code_names(own_function(name).__code__)
+                used |= names
+                todo += [n for n in names if own_function(n)]
+        assert {"_row_phase_sums", "_ramanujan_sums", "_valid_rows"} <= reached
+        assert not used & forbidden
 
 
 class TestScrP:

@@ -176,6 +176,19 @@ class TestReadOnlyCaches:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_form_data_holds_private_read_only_copies(self):
+        lam = np.array([1.0, -0.5, 0.25, 0.75])
+        u = ls.MaassFormData(N=1, L=1, r=9.53, parity=0, lam=lam, rho1=1.0, lifts={1: 1.0})
+        coeffs = np.array([1.0, -0.5 + 0.25j, 0.125])
+        ce = ls.CuspExpansionData(CuspLabel(4, 2, 1), coeffs)
+        lam[1] = 5.0  # the caller's later writes do not reach the forms
+        coeffs[1] = 5.0
+        assert u.lam[1] == -0.5
+        assert ce.coeffs[1] == -0.5 + 0.25j
+        for arr in (u.lam, ce.coeffs):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 class TestRankinSelberg:
     def test_positive_real_and_truncation_consistency(self, delta):

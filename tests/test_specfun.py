@@ -250,6 +250,69 @@ class TestIntegrateLine:
         with pytest.raises(sf.NonConvergenceError):
             sf.integrate_line(lambda r: 1.0 / (r - 0.37), spec, interval=(0.0, 1.0))
 
+    @staticmethod
+    def _linear_scan(f, spec, a, b):
+        """The adaptive loop as a linear scan with full re-sums every step."""
+
+        def gk15(pa, pb):
+            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+            y = np.asarray(f(mid + half * sf._NODES), dtype=complex)
+            i15 = half * complex(np.sum(sf._W15 * y))
+            i7 = half * complex(np.sum(sf._W7 * y))
+            return i15, abs(i15 - i7)
+
+        val, err = gk15(a, b)
+        panels = [(err, a, b, val)]
+        for _ in range(spec.max_subdivisions):
+            total = sum(p[3] for p in panels)
+            total_err = sum(p[0] for p in panels)
+            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return total, total_err
+            worst = max(range(len(panels)), key=lambda i: (panels[i][0], -panels[i][1]))
+            _, pa, pb, _ = panels.pop(worst)
+            pm = 0.5 * (pa + pb)
+            v1, e1 = gk15(pa, pm)
+            v2, e2 = gk15(pm, pb)
+            panels.append((e1, pa, pm, v1))
+            panels.append((e2, pm, pb, v2))
+        raise AssertionError("the reference loop did not converge")
+
+    def test_heap_loop_matches_linear_scan(self):
+        # the symmetric Lorentzian gives mirror panels with equal errors, so
+        # the tie-break order shows in the order of the panels evaluated
+        cases = [
+            (lambda r: 1.0 / (r * r + 1e-4), (-4.0, 4.0)),  # Lorentzian
+            (lambda r: np.exp(-r * r / 8.0 + 7j * r), (-20.0, 20.0)),  # oscillatory Gaussian
+            (lambda r: np.abs(r - 0.3137) + 0j, (-1.0, 2.0)),  # kink
+        ]
+        spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=2000)
+        for f, (a, b) in cases:
+            first_nodes = []  # one per 15-node panel, in evaluation order
+
+            def recorded(x, f=f):
+                first_nodes.extend(x[::15])
+                return f(x)
+
+            ref_val, ref_err = self._linear_scan(recorded, spec, a, b)
+            ref_nodes = list(first_nodes)
+            first_nodes.clear()
+            val, err = sf.integrate_line(recorded, spec, interval=(a, b))
+            assert first_nodes == ref_nodes and len(ref_nodes) > 20
+            assert abs(val - ref_val) <= 1e-13 * abs(ref_val)
+            assert abs(err - ref_err) <= 1e-13 * ref_err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_first_panel_converges(self):
+        # the centre node of the first panel hits the singular point; once
+        # the panel is split no node does
+        def f(r):
+            return np.where(r == 0.0, np.inf, np.exp(-r * r)) + 0j
+
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
+        val, err = sf.integrate_line(f, spec, interval=(-6.0, 6.0))
+        assert abs(val - math.sqrt(math.pi)) < 1e-12
+        assert math.isfinite(err) and err < 1e-10
+
     def test_tail_bound_added(self):
         spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12, cutoff_radius=6.0)
         val, err = sf.integrate_line(
