@@ -173,6 +173,11 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
+def _pp(p: int, expo) -> complex:
+    """p**expo for complex expo."""
+    return complex(np.exp(complex(expo) * math.log(p)))
+
+
 def divisor_count_upper(n) -> float:
     """Rigorous bound d(n) <= n^(1.5379 log 2 / log log n) for n >= 3."""
     n = np.asarray(n, dtype=float)

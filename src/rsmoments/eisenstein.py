@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import kv as _kv_real
 
 from . import arith
-from .arith import CuspLabel, divisors, euler_phi, mobius, ord_p, prime_divisors
+from .arith import CuspLabel, _pp, divisors, euler_phi, mobius, ord_p, prime_divisors
 from .specfun import (
     DirichletCharacter,
     DomainError,
@@ -240,7 +240,6 @@ def tau_level_one(s, n: int) -> complex:
 # the lattice-sum oracle
 
 
-@lru_cache(maxsize=512)
 def _valid_rows(N: int, a: int, c: int, max_height: int):
     """Valid bottom rows of sigma_a^{-1} Gamma_0(N): list of (ct, array-of-d0).
 
@@ -447,11 +446,6 @@ def eisenstein_constant_term(cusp: CuspLabel, y: float, s, trunc: LatticeTruncat
 
 # ---------------------------------------------------------------------------
 # the Euler polynomial euler_poly of the factored twisted series
-
-
-def _pp(p: int, expo) -> complex:
-    """p**expo for complex expo."""
-    return complex(np.exp(complex(expo) * math.log(p)))
 
 
 def _sigma_power(p: int, z, e: int) -> complex:

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import arith, eisenstein
-from .arith import CuspLabel, divisor_count_upper, divisors, ord_p, prime_divisors
+from .arith import CuspLabel, _pp, divisor_count_upper, divisors, ord_p, prime_divisors
 from .specfun import (
     DomainError,
     NonConvergenceError,
@@ -797,40 +797,8 @@ def _lam_at(u: MaassFormData, idx: int) -> float:
     return float(u.lam[idx - 1])
 
 
-def _lift_local_factor_display(u: MaassFormData, d: int, s, t) -> complex:
-    """An earlier closed form of the Maass local factors that drops the
-    p-power correction terms whenever ord_p(N/d) = 1 for p not dividing the
-    inner level.  Kept so the mismatch stays pinned by a test; see
-    :func:`_lift_local_factor` for the corrected factors."""
-    s = complex(s)
-    it = 1j * t
-    N, L = u.N, u.L
-    Nd = N // d
-    out = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        ep = ord_p(Nd, p)
-        lp = math.log(p)
-
-        def pw(expo):
-            return complex(np.exp(complex(expo) * lp))
-
-        if L % p == 0:
-            out *= _lam_at(u, p ** (ep - 1)) * (-pw(-1.0 + s - it) + _lam_at(u, p))
-        elif Nd % p == 0:
-            big = (
-                p
-                - _lam_at(u, p) * pw(-s - it)
-                - ((p - 1.0) * (1.0 + pw(-2.0 * it)) - pw(-4.0 * it))
-                + pw(1.0 - 2.0 * s)
-            )
-            out *= big / p * _lam_at(u, p ** (ep - 2)) + _lam_at(u, p**ep)
-        else:
-            out *= (_lam_at(u, p) * pw(-s - it) - (1.0 + pw(-2.0 * it)) * pw(-2.0 * s)) / p
-    return out
-
-
 def _lift_local_factor(u: MaassFormData, d: int, s, t) -> complex:
-    """Corrected local factor euler_poly_d(s, it; u) of the Maass twisted series.
+    """Local factor euler_poly_d(s, it; u) of the Maass twisted series.
 
     Derived by carrying out the Euler-product factorisation of
     zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} rho(m) m^{-s} with the lift
@@ -852,16 +820,11 @@ def _lift_local_factor(u: MaassFormData, d: int, s, t) -> complex:
     for p in prime_divisors(N):
         E = ord_p(N, p)
         delta = ord_p(d, p)
-        lp = math.log(p)
-
-        def pw(expo):
-            return complex(np.exp(complex(expo) * lp))
-
-        uu = pw(-2.0 * it)
+        uu = _pp(p, -2.0 * it)
         if abs(1.0 - uu) < 1e-13:
             raise PoleError("Maass local factor needs t != 0 at composite level")
-        yp = pw(-s - it)
-        ym = pw(-s + it)
+        yp = _pp(p, -s - it)
+        ym = _pp(p, -s + it)
         lam_p = _lam_at(u, p)
         if L % p == 0:
             lam_loc_p = lambda y: 1.0 / (1.0 - lam_p * y)
@@ -874,7 +837,7 @@ def _lift_local_factor(u: MaassFormData, d: int, s, t) -> complex:
             return lam_loc_p(y) - head
 
         s_tilde = (
-            pw(it * delta)
+            _pp(p, it * delta)
             / (1.0 - uu)
             * (
                 (uu ** (delta + 2 - E) - p * uu ** (delta + 1 - E)) * tail(yp)
@@ -882,8 +845,8 @@ def _lift_local_factor(u: MaassFormData, d: int, s, t) -> complex:
             )
         )
         out *= (
-            pw(E * (s - it) - 1.0)
-            * pw(delta * (it - s))
+            _pp(p, E * (s - it) - 1.0)
+            * _pp(p, delta * (it - s))
             * s_tilde
             / (lam_loc_p(yp) * lam_loc_p(ym))
         )

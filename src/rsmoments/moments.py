@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import arith, eisenstein, lseries
-from .arith import CuspLabel, divisors, enumerate_cusps, euler_phi, prime_divisors
+from .arith import CuspLabel, _pp, divisors, enumerate_cusps, euler_phi, prime_divisors
 from .kernels import H0, H0_derivative, KernelContext, h_eval
 from .lseries import (
     CuspExpansionData,
@@ -149,10 +149,6 @@ class MainTermBreakdown:
     @property
     def assembled(self) -> complex:
         return self.M1 + self.M_Omega_plus + self.M_Omega_minus
-
-
-def _pp(p: int, expo) -> complex:
-    return complex(np.exp(complex(expo) * math.log(p)))
 
 
 def _pole_guard(ctx: MomentContext, s: complex, guard: float):
@@ -429,26 +425,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
             arg_cusp = None if a == N else cusp
             cusp_sum += term * ctx.rs_L(arg_cusp, 1.0)
         t2 = zp * zm * h0_0 / N * cusp_sum / z2
-        t3 = (
-            two_pi_4it
-            * zm
-            * zm
-            * ctx.H0(-2.0 * it)
-            * complex(np.exp(-2 * it * math.log(N)))
-            * _prod_fneq(N, it, -1)
-            * ctx.rs_L(None, 1.0 - 2.0 * it)
-            / riemann_zeta(2.0 - 4.0 * it)
-        )
-        t4 = (
-            complex(np.exp(-4.0 * it * math.log(TWO_PI)))
-            * zp
-            * zp
-            * ctx.H0(2.0 * it)
-            * complex(np.exp(2 * it * math.log(N)))
-            * _prod_fneq(N, it, +1)
-            * ctx.rs_L(None, 1.0 + 2.0 * it)
-            / riemann_zeta(2.0 + 4.0 * it)
-        )
+        t3, t4 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4)
 
     if which == "fneq_plus":
@@ -463,15 +440,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
             * ctx.rs_L(None, 1.0)
             / z2
         )
-        u2 = (
-            zp
-            * zp
-            * ctx.H0(0.0)
-            * _prod_u2(N, it)
-            * ctx.rs_L(None, 1.0 + 2.0 * it)
-            / riemann_zeta(2.0 + 4.0 * it)
-        )
-        u3 = _fneq_plus_cusp_term(ctx, it)
+        u2, u3 = _plus_tail_terms(ctx, it, zp, zm)
         return complex(u1 + u2 + u3)
 
     consts = _selfdual_constants(ctx)
@@ -511,26 +480,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
         )
         t3 = zz * h0_0 * prod_sym() * brace * res
         t4 = 2.0 * zz * h0_0 * prod_sym() * lder
-        t5 = (
-            two_pi_4it
-            * zm
-            * zm
-            * ctx.H0(-2.0 * it)
-            * complex(np.exp(-2 * it * math.log(N)))
-            * _prod_fneq(N, it, -1)
-            * ctx.rs_L(None, 1.0 - 2.0 * it)
-            / riemann_zeta(2.0 - 4.0 * it)
-        )
-        t6 = (
-            complex(np.exp(-4.0 * it * math.log(TWO_PI)))
-            * zp
-            * zp
-            * ctx.H0(2.0 * it)
-            * complex(np.exp(2 * it * math.log(N)))
-            * _prod_fneq(N, it, +1)
-            * ctx.rs_L(None, 1.0 + 2.0 * it)
-            / riemann_zeta(2.0 + 4.0 * it)
-        )
+        t5, t6 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4 + t5 + t6)
 
     if which == "feq_plus":
@@ -559,18 +509,76 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
         h0m = ctx.H0(-2.0 * it)
         v2 = two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * brace * res
         v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * lder
-        v4 = (
-            zp
-            * zp
-            * ctx.H0(0.0)
-            * _prod_u2(N, it)
-            * ctx.rs_L(None, 1.0 + 2.0 * it)
-            / riemann_zeta(2.0 + 4.0 * it)
-        )
-        v5 = _fneq_plus_cusp_term(ctx, it)
+        v4, v5 = _plus_tail_terms(ctx, it, zp, zm)
         return complex(v1 + v2 + v3 + v4 + v5)
 
     raise DomainError(f"unknown specialisation {which!r}")
+
+
+def _minus_shift_terms(ctx: MomentContext, it: complex, zp, zm, two_pi_4it):
+    """The -2it and +2it shifted terms shared by the s = 1/2 - it displays.
+
+    Returned as a pair so that each display sums its terms in written order.
+    """
+    N = ctx.N
+    shifted_m = (
+        two_pi_4it
+        * zm
+        * zm
+        * ctx.H0(-2.0 * it)
+        * complex(np.exp(-2 * it * math.log(N)))
+        * _prod_fneq(N, it, -1)
+        * ctx.rs_L(None, 1.0 - 2.0 * it)
+        / riemann_zeta(2.0 - 4.0 * it)
+    )
+    shifted_p = (
+        complex(np.exp(-4.0 * it * math.log(TWO_PI)))
+        * zp
+        * zp
+        * ctx.H0(2.0 * it)
+        * complex(np.exp(2 * it * math.log(N)))
+        * _prod_fneq(N, it, +1)
+        * ctx.rs_L(None, 1.0 + 2.0 * it)
+        / riemann_zeta(2.0 + 4.0 * it)
+    )
+    return shifted_m, shifted_p
+
+
+def _plus_tail_terms(ctx: MomentContext, it: complex, zp, zm):
+    """The +2it term and the -4it cusp sum shared by the s = 1/2 + it displays.
+
+    Returned as a pair so that each display sums its terms in written order.
+    """
+    N = ctx.N
+    shifted = (
+        zp
+        * zp
+        * ctx.H0(0.0)
+        * _prod_u2(N, it)
+        * ctx.rs_L(None, 1.0 + 2.0 * it)
+        / riemann_zeta(2.0 + 4.0 * it)
+    )
+    cusp_sum = 0.0 + 0.0j
+    for cusp in enumerate_cusps(N):
+        a, g = cusp.a, cusp.gcd_a
+        term = complex(np.exp((1.0 - 2.0 * it) * math.log(a / g))) if a != g else 1.0
+        for p in prime_divisors(N // a):
+            term *= (1 - _pp(p, -2 * it)) ** 2 / (1 - _pp(p, -2 + 4 * it))
+        for p in prime_divisors(a):
+            if (N // a) % p:
+                term *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -2 + 4 * it))
+        arg_cusp = None if a == N else cusp
+        cusp_sum += term * ctx.rs_L(arg_cusp, 1.0 - 2.0 * it)
+    cusp_term = complex(
+        np.exp(8.0 * it * math.log(TWO_PI))
+        * zm
+        * zm
+        * ctx.H0(-4.0 * it)
+        * complex(np.exp((-1.0 - 2.0 * it) * math.log(N)))
+        * cusp_sum
+        / riemann_zeta(2.0 - 4.0 * it)
+    )
+    return shifted, cusp_term
 
 
 def _prod_fneq(N: int, it: complex, sign: int) -> complex:
@@ -599,31 +607,6 @@ def _prod_u2(N: int, it: complex) -> complex:
     for p in prime_divisors(N):
         out *= (1 - _pp(p, -1 - 2 * it)) ** 2 / (1 - _pp(p, -2 - 4 * it))
     return out
-
-
-def _fneq_plus_cusp_term(ctx: MomentContext, it: complex) -> complex:
-    N = ctx.N
-    zm = riemann_zeta(1.0 - 2.0 * it)
-    cusp_sum = 0.0 + 0.0j
-    for cusp in enumerate_cusps(N):
-        a, g = cusp.a, cusp.gcd_a
-        term = complex(np.exp((1.0 - 2.0 * it) * math.log(a / g))) if a != g else 1.0
-        for p in prime_divisors(N // a):
-            term *= (1 - _pp(p, -2 * it)) ** 2 / (1 - _pp(p, -2 + 4 * it))
-        for p in prime_divisors(a):
-            if (N // a) % p:
-                term *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -2 + 4 * it))
-        arg_cusp = None if a == N else cusp
-        cusp_sum += term * ctx.rs_L(arg_cusp, 1.0 - 2.0 * it)
-    return complex(
-        np.exp(8.0 * it * math.log(TWO_PI))
-        * zm
-        * zm
-        * ctx.H0(-4.0 * it)
-        * complex(np.exp((-1.0 - 2.0 * it) * math.log(N)))
-        * cusp_sum
-        / riemann_zeta(2.0 - 4.0 * it)
-    )
 
 
 def main_term_t0_limit(

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import arith
-from .lseries import InsufficientCoefficientsError, NewformData
+from .lseries import InsufficientCoefficientsError, NewformData, rankin_selberg_tail
 from .specfun import DomainError, ValueWithError
 
 __all__ = [
@@ -69,16 +69,6 @@ class ShiftedSeriesRequest:
                 "outside the absolute-convergence region: need "
                 "Re(s) > Re(v)+1 and Re(v) > 1 + k/2"
             )
-
-
-def _pair_tail(sig_n: float, n_from: int, extra: float = 1.0) -> float:
-    """Bound on sum_{n > n_from} d(n)^2 n^{-sig_n} (divisor-bound certificate)."""
-    if n_from < 8:
-        n_from = 8
-    eps = 2.0 * 1.5379 * math.log(2.0) / math.log(math.log(n_from))
-    if sig_n - eps <= 1.0:
-        return math.inf
-    return extra * n_from ** (1.0 + eps - sig_n) / (sig_n - eps - 1.0)
 
 
 def _envelope_tail(abs_terms: np.ndarray) -> float:
@@ -132,7 +122,7 @@ def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWit
     )
     val = complex(np.sum(terms))
     bulge = (1.0 + m / n_max) ** ((k - 1) / 2.0)
-    tail = min(bulge * _pair_tail(w.real, n_max), _envelope_tail(np.abs(terms)))
+    tail = min(bulge * rankin_selberg_tail(w.real, n_max), _envelope_tail(np.abs(terms)))
     return ValueWithError(val, tail)
 
 
@@ -149,7 +139,7 @@ def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -
         (-w - k + 1.0) * np.log(n)
     )
     val = complex(np.sum(terms))
-    tail = min(_pair_tail(w.real, n_max + m), _envelope_tail(np.abs(terms)))
+    tail = min(rankin_selberg_tail(w.real, n_max + m), _envelope_tail(np.abs(terms)))
     return ValueWithError(val, tail)
 
 
@@ -180,7 +170,7 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     zN = arith.zeta_depleted(2.0 * s, N)
     k_half = (k - 1) / 2.0
     tail = abs(zN) * (
-        _pair_tail(s.real - v.real - 0.5 + k - k_half, Mi)
+        rankin_selberg_tail(s.real - v.real - 0.5 + k - k_half, Mi)
         + _envelope_tail(outer_abs)
     )
     return ValueWithError(complex(zN * total), tail)
@@ -240,7 +230,7 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     pref = np.exp(
         _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
     ) * arith.zeta_depleted(2.0 * sp, N)
-    tail = abs(pref) * (_pair_tail(w.real, M_inner) + _envelope_tail(outer_abs))
+    tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + _envelope_tail(outer_abs))
     return ValueWithError(complex(pref * total), tail)
 
 

@@ -3,9 +3,9 @@
 Everything downstream (Eisenstein coefficients, moment kernels, shifted
 series) is built on the functions in this module:
 
-* ``log_gamma`` / ``complex_gamma`` -- Stirling series after an argument
-  shift, branch-continuous along vertical lines, so that ratios of gamma
-  functions with large imaginary parts can be formed in log space.
+* ``log_gamma`` / ``complex_gamma`` -- scipy's principal-branch log Gamma
+  with a pole check, so that ratios of gamma functions with large imaginary
+  parts can be formed in log space.
 * ``digamma_family`` -- psi and its first three derivatives for complex
   arguments (scipy only covers the complex case for order 0).
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import bernoulli as _bernoulli_table
+from scipy.special import loggamma as _scipy_loggamma
 
 __all__ = [
     "PoleError",
@@ -155,53 +156,18 @@ def _cot_pi(z):
     return np.where(upper, val, np.conj(val))
 
 
-def _stirling_log_gamma(w):
-    inv2 = 1.0 / (w * w)
-    corr = np.zeros_like(w)
-    inv_pow = 1.0 / w
-    for j in range(1, 11):
-        corr = corr + _B2N[j - 1] / (2 * j * (2 * j - 1)) * inv_pow
-        inv_pow = inv_pow * inv2
-    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + corr
-
-
 def log_gamma(z):
-    """Principal-branch log Gamma(z), continuous along vertical lines.
+    """Principal-branch log Gamma(z), continuous along vertical lines in Re z > 0.
 
-    Stirling's series with 10 correction terms is applied after shifting the
-    argument so that Re z >= 10 (no shift once |Im z| >= 25).  Arguments with
-    Re z < 0.5 go through the reflection formula, with the sine logarithm
-    taken continuously in each half plane.  Accepts scalars or numpy arrays.
+    ``scipy.special.loggamma`` (branch cut on the negative real axis), with a
+    :class:`PoleError` at the non-positive integers.  Returns a ``complex``
+    for a scalar and an array for an array.
     """
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf = np.atleast_1d(z_arr).astype(complex).ravel()
-    if np.any(_near_nonpositive_integer(zf)):
+    if np.any(_near_nonpositive_integer(z_arr)):
         raise PoleError("log_gamma pole at non-positive integer argument")
-
-    out = np.empty_like(zf)
-    refl = zf.real < 0.5
-    if np.any(refl):
-        zr = zf[refl]
-        out[refl] = (
-            math.log(math.pi) - _log_sin_pi(zr) - _log_gamma_right(1.0 - zr)
-        )
-    if np.any(~refl):
-        out[~refl] = _log_gamma_right(zf[~refl])
-    res = out.reshape(np.atleast_1d(z_arr).shape)
-    return complex(res.ravel()[0]) if scalar else res.reshape(z_arr.shape)
-
-
-def _log_gamma_right(w):
-    """log Gamma on Re w >= 0.5 via shift + Stirling (array in, array out)."""
-    w = w.copy()
-    shift_acc = np.zeros_like(w)
-    needs = (w.real < 10.0) & (np.abs(w.imag) < 25.0)
-    while np.any(needs):
-        shift_acc[needs] += np.log(w[needs])
-        w[needs] += 1.0
-        needs = (w.real < 10.0) & (np.abs(w.imag) < 25.0)
-    return _stirling_log_gamma(w) - shift_acc
+    out = _scipy_loggamma(z_arr)
+    return complex(out) if z_arr.ndim == 0 else out
 
 
 def complex_gamma(z):
