@@ -51,7 +51,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "EisensteinCoefficientRequest",
     "LatticeTruncation",
     "IllConditionedError",
     "LSeriesZeroError",
@@ -72,30 +71,6 @@ class IllConditionedError(RuntimeError):
 
 class LSeriesZeroError(RuntimeError):
     """A character L-value in a denominator is numerically zero."""
-
-
-@dataclass(frozen=True)
-class EisensteinCoefficientRequest:
-    """A coefficient request: cusp, complex argument s, nonzero index n.
-
-    The character-sum formula is valid wherever its L-denominators are
-    finite; oracle comparisons additionally need Re s > 1 for the lattice
-    sum to converge.
-    """
-
-    cusp: CuspLabel
-    s: complex
-    n: int
-
-    def __post_init__(self):
-        if self.n == 0:
-            raise ValueError("coefficient index n must be nonzero")
-
-    def evaluate(self) -> complex:
-        return tau_cusp(self.cusp, self.s, self.n)
-
-    def evaluate_oracle(self, trunc: "LatticeTruncation") -> complex:
-        return tau_oracle(self.cusp, self.s, self.n, trunc)
 
 
 @dataclass(frozen=True)

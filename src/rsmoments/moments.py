@@ -52,7 +52,10 @@ from .specfun import (
     PoleError,
     QuadratureSpec,
     ValueWithError,
+    _gk15,
     extrapolate_to_zero,
+    gk15_panel_nodes,
+    integrate_line,
     log_zeta_derivative,
     riemann_zeta,
 )
@@ -391,8 +394,11 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
     f = g displays, ``l_slot`` selects which Laurent coefficient of
     L(s, f x f~) at 1 feeds the derivative slot: the finite part c0 of
     R/x + c0 + c1 x (default; this is what the generic-path limit
-    reproduces) or "linear" for c1.
+    reproduces) or "linear" for c1.  Any other ``l_slot`` raises
+    :class:`DomainError`.
     """
+    if l_slot not in ("finite_part", "linear"):
+        raise DomainError(f"l_slot must be 'finite_part' or 'linear', not {l_slot!r}")
     t = ctx.t
     it = 1j * t
     N = ctx.N
@@ -445,7 +451,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
 
     consts = _selfdual_constants(ctx)
     res = consts["residue"]
-    lder = consts[l_slot if l_slot in ("finite_part", "linear") else "finite_part"]
+    lder = consts[l_slot]
 
     if which == "feq_minus":
         h0_0 = ctx.H0(0.0)
@@ -716,8 +722,6 @@ def continuous_part(
         edges = np.concatenate([-half_edges[::-1], half_edges[1:]])
     total = 0.0 + 0.0j
     err = 0.0
-    from .specfun import _gk15
-
     for v, e in _gk15(integrand, *edges):
         total += v
         err += e
@@ -794,9 +798,15 @@ def first_moment_pieces(
     """(M, L^-, L^+) of the first-moment identity at argument n.
 
     M is the two-kernel closed form; L^-+ are the double contour quadratures
-    over Re u = sigma_u and the stated v-lines, with the inner m-series
-    truncated at ``m_inner``.  Contour placement is validated:
-    1 < sigma_u < 3/2 and -k/2 < sigma_0 < -sigma_u.
+    over Re u = sigma_u and the v-lines Re v = sigma_0 (L^-) and
+    Re v = sigma_v = 1 + k/2 + 0.1 (L^+), with fixed composite GK15 panels in
+    v, the inner m-series truncated at ``m_inner``, and the adaptive
+    ``integrate_line`` in u.  In L^+ every v-node's factor
+    Gamma(u - v + k/2) has a pole sigma_u - 1.1 off the u-line; its pole
+    part is subtracted from the outer integrand and integrated in closed
+    form, so the adaptive loop sees a smooth integrand.  Contour placement
+    is validated: sigma_v - k/2 = 1.1 < sigma_u < 3/2 (left of 1.1 the
+    u-line has crossed those poles) and -k/2 < sigma_0 < -sigma_u.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -804,8 +814,10 @@ def first_moment_pieces(
     t = ctx.t
     it = 1j * t
     N = ctx.N
-    if not 1.0 < sigma_u < 1.5:
-        raise DomainError("contour violation: need 1 < sigma_u < 3/2")
+    # the L^+ v-line; Gamma(u - v + k/2) has its poles at Re u = sigma_v - k/2
+    sigma_v = 1.0 + k / 2.0 + 0.1
+    if not sigma_v - k / 2.0 < sigma_u < 1.5:
+        raise DomainError(f"contour violation: need {sigma_v - k / 2.0:g} < sigma_u < 3/2")
     if sigma_0 is None:
         sigma_0 = -k / 2.0 + 0.25
     if not -k / 2.0 < sigma_0 < -sigma_u:
@@ -839,7 +851,7 @@ def first_moment_pieces(
 
         # the v-integrand decays like exp(-pi(|Im v| - |t|)) here
         rv_max = abs(t) + 50.0 / math.pi
-        nodes_m, wts_m = _panel_nodes(np.linspace(-rv_max, rv_max, int(inner_panels) + 1))
+        nodes_m, wts_m = gk15_panel_nodes(np.linspace(-rv_max, rv_max, int(inner_panels) + 1))
         v_m = sigma_0 + 1j * nodes_m
         # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
         inner_minus = np.exp(
@@ -870,8 +882,6 @@ def first_moment_pieces(
             return pref * inner_vals
 
         quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
-        from .specfun import integrate_line
-
         val, _ = integrate_line(outer_minus, quad, interval=(glo, ghi))
         l_minus = complex(
             -np.exp(2.0 * it * math.log(TWO_PI)) * np.cos(math.pi * it) / math.pi
@@ -879,8 +889,7 @@ def first_moment_pieces(
             * val
         )
 
-    # ----- L^+: infinite inner sum over m, v on Re v = 1 + k/2 + eps
-    sigma_v = 1.0 + k / 2.0 + 0.1
+    # ----- L^+: infinite inner sum over m, v on Re v = sigma_v
     if n + m_inner > ctx.f.M:
         m_inner = ctx.f.M - n
     ms = np.arange(1, m_inner + 1)
@@ -889,7 +898,7 @@ def first_moment_pieces(
     # only polynomial decay until |Im v| passes the h-window top
     rv_max = ghi + 40.0 / math.pi
     edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
-    nodes, wts = _panel_nodes(edges)
+    nodes, wts = gk15_panel_nodes(edges)
     v_nodes = sigma_v + 1j * nodes
     # sum_m sigma(m; N) a(n+m) m^{-v+it}, over blocks of v-nodes to bound
     # the memory; each node's m-sum stays one dot product over every m
@@ -899,52 +908,58 @@ def first_moment_pieces(
         np.exp(np.multiply.outer(-v_nodes[i : i + _V_BLOCK] + it, log_m)) @ weights
         for i in range(0, len(v_nodes), _V_BLOCK)
     ])
-    core_p = (
-        np.exp(_loggamma(v_nodes - it) + _loggamma(v_nodes + it))
-        * np.exp((v_nodes - k / 2.0) * math.log(n))
-        * inner_plus_vals
-    )
+    log_gamma_v = _loggamma(v_nodes - it) + _loggamma(v_nodes + it)
+    log_n_pow = (v_nodes - k / 2.0) * math.log(n)
+    core_p = np.exp(log_gamma_v) * np.exp(log_n_pow) * inner_plus_vals
+
+    def log_pref(u):
+        # the outer factor h(gam - i sigma_u) u e^{log_pref(u)}, Gamma part in logs
+        return -_log_cos_pi(u) - _loggamma(-u + it + k / 2.0) - _loggamma(u + it + k / 2.0)
+
+    # Singularity subtraction (Davis & Rabinowitz, Methods of Numerical
+    # Integration, 2nd ed., sec. 2.12): Gamma(u - v_j + k/2) = Gamma(z + 1)/z
+    # with z = a + i(gam - y_j), so every v-node puts a pole a off the u-line.
+    # Its part R_j/z leaves the outer integrand and comes back integrated in
+    # closed form; R_j is the rest of the node's term at z = 0 (gam = y_j + ia),
+    # formed in logs since 1/Gamma alone overflows at large |y_j|.
+    a = sigma_u - sigma_v + k / 2.0
+    gam_r = nodes + 1j * a
+    u_r = sigma_u + 1j * gam_r
+    with np.errstate(divide="ignore"):  # h underflows to 0 far from its bumps
+        log_h_u = np.log(h_eval(gam_r - 1j * sigma_u, p, enforce_strip=False) * u_r)
+        residues = np.exp(
+            np.log(wts / TWO_PI)
+            + log_gamma_v
+            + log_n_pow
+            + np.log(inner_plus_vals)
+            + log_h_u
+            + log_pref(u_r)
+            - _loggamma(u_r + v_nodes + 1.0 - k / 2.0)
+        )
+    # int dgam / (a + i(gam - y)) = -i log(gam - y - ia): Im(gam - y - ia) = -a
+    # keeps one sign on the window, so the principal log has no jump there.
+    # Added as a constant density over the window, it keeps integrate_line's
+    # rel_tol relative to L^+ itself.
+    pole_density = residues @ (
+        -1j * (np.log(ghi - nodes - 1j * a) - np.log(glo - nodes - 1j * a))
+    ) / (ghi - glo)
 
     def outer_plus(gam):
         u = sigma_u + 1j * gam
-        hval = h_eval(gam - 1j * sigma_u, p, enforce_strip=False)
-        pref = (
-            hval
-            * u
-            * np.exp(
-                -_log_cos_pi(u)
-                - _loggamma(-u + it + k / 2.0)
-                - _loggamma(u + it + k / 2.0)
-            )
-        )
+        pref = h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u * np.exp(log_pref(u))
         gm = np.exp(
             _loggamma(np.add.outer(u, -v_nodes) + k / 2.0)
             - _loggamma(np.add.outer(u, v_nodes) + 1.0 - k / 2.0)
         )
-        return pref * ((gm * core_p[None, :]) @ wts) / (2.0 * math.pi)
+        poles = (1.0 / (a + 1j * np.subtract.outer(gam, nodes))) @ residues
+        return pref * ((gm * core_p[None, :]) @ wts) / (2.0 * math.pi) - poles + pole_density
 
     quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
-    from .specfun import integrate_line
-
     val_p, _ = integrate_line(outer_plus, quad, interval=(glo, ghi))
     l_plus = complex(
         (1j) ** k * np.exp(2.0 * it * math.log(TWO_PI)) * (2.0 / math.pi) * val_p
     )
     return complex(m_piece), l_minus, l_plus
-
-
-def _panel_nodes(edges):
-    """Composite GK15 nodes and weights on the given panel edges."""
-    from .specfun import _NODES, _W15
-
-    nodes = []
-    wts = []
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (aa + bb)
-        half = 0.5 * (bb - aa)
-        nodes.append(mid + half * _NODES)
-        wts.append(half * _W15)
-    return np.concatenate(nodes), np.concatenate(wts)
 
 
 def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int, delta=None):

@@ -54,6 +54,7 @@ __all__ = [
     "gauss_sum",
     "bessel_K",
     "integrate_line",
+    "gk15_panel_nodes",
     "extrapolate_to_zero",
 ]
 
@@ -533,6 +534,20 @@ def _gk15(f, *edges: float):
             i7 = h * complex(np.sum(_W7 * row))
             out.append((i15, abs(i15 - i7)))
     return out
+
+
+def gk15_panel_nodes(edges):
+    """Composite GK15 nodes and weights on the given panel edges: the same
+    15-point rule as :func:`integrate_line`, for callers that apply it with
+    fixed panels."""
+    nodes = []
+    wts = []
+    for aa, bb in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (aa + bb)
+        half = 0.5 * (bb - aa)
+        nodes.append(mid + half * _NODES)
+        wts.append(half * _W15)
+    return np.concatenate(nodes), np.concatenate(wts)
 
 
 def _split_key(err: float, a: float, seq: int):

@@ -126,8 +126,15 @@ class TestZetaDepleted:
 
 
 def _cusp_equivalent(p1, q1, p2, q2, N):
-    """Gamma_0(N)-equivalence of cusps p1/q1 ~ p2/q2 by orbit search."""
-    # act with generators T, and the Gamma_0(N) lower-triangular L = [[1,0],[N,1]]
+    """Gamma_0(N)-equivalence of cusps p1/q1 ~ p2/q2 by orbit search.
+
+    True when p2/q2 is within 14 generator steps of p1/q1.  The generators
+    (T^{+-1} and the Gamma_0(N) lower-triangular [[1, 0], [+-N, 1]]) are
+    closed under inverses, so that holds exactly when the radius-7 balls
+    around the two cusps meet.
+    """
+    gens = ((1, 1, 0, 1), (1, -1, 0, 1), (1, 0, N, 1), (1, 0, -N, 1))
+
     def norm(p, q):
         g = math.gcd(abs(p), abs(q)) or 1
         p, q = p // g, q // g
@@ -135,22 +142,21 @@ def _cusp_equivalent(p1, q1, p2, q2, N):
             p, q = -p, -q
         return (p, q)
 
-    start = norm(p1, q1)
-    target = norm(p2, q2)
-    seen = {start}
-    frontier = [start]
-    for _ in range(14):
-        new = []
-        for (p, q) in frontier:
-            for (a, b, c, d) in ((1, 1, 0, 1), (1, -1, 0, 1), (1, 0, N, 1), (1, 0, -N, 1)):
-                img = norm(a * p + b * q, c * p + d * q)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-        if target in seen:
-            return True
-    return target in seen
+    def ball(p, q):
+        seen = {norm(p, q)}
+        frontier = list(seen)
+        for _ in range(7):
+            new = []
+            for (p, q) in frontier:
+                for (a, b, c, d) in gens:
+                    img = norm(a * p + b * q, c * p + d * q)
+                    if img not in seen:
+                        seen.add(img)
+                        new.append(img)
+            frontier = new
+        return seen
+
+    return not ball(p1, q1).isdisjoint(ball(p2, q2))
 
 
 class TestCusps:

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from rsmoments import arith as ar
 from rsmoments import lseries as ls
 from rsmoments import moments as mo
-from rsmoments.kernels import KernelContext, TestFunctionParams
-from rsmoments.specfun import DomainError, PoleError, extrapolate_to_zero
+from rsmoments.kernels import KernelContext, TestFunctionParams, h_eval
+from rsmoments.specfun import (
+    DomainError,
+    PoleError,
+    QuadratureSpec,
+    extrapolate_to_zero,
+    gk15_panel_nodes,
+    integrate_line,
+)
 
 NU, MU = 0.52, 1.13
 KP = TestFunctionParams(T=50.0, alpha=0.5, R=1.0)
@@ -164,6 +172,11 @@ class TestSpecialized:
         bad = mo.main_term_specialized(ctx0, "feq_minus", l_slot="linear")
         assert abs(good - bad) > 1e-1 * abs(good)
 
+    def test_misspelt_laurent_slot_rejected(self, delta):
+        ctx0 = delta_ctx(None, 0.7, delta_form=delta)
+        with pytest.raises(DomainError):
+            mo.main_term_specialized(ctx0, "feq_minus", l_slot="linaer")
+
     def test_t_zero_rejected(self, delta):
         with pytest.raises(PoleError):
             mo.main_term_specialized(delta_ctx(None, 0.0, delta_form=delta), "feq_minus")
@@ -270,6 +283,43 @@ class TestDiscreteMoment:
         assert far < 1e-10 * peak
 
 
+_FM_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
+
+
+def _summed_spike_l_plus(n, ctx, sigma_u, m_inner, inner_panels, quad=integrate_line):
+    """L^+ of the first-moment identity with its outer integrand taken as it
+    stands: the v-node sum of Gamma(u - v + k/2)/Gamma(u + v + 1 - k/2),
+    which spikes a = sigma_u - 1.1 off the u-line over every inner node.
+    Returns (L^+, the raw outer integral)."""
+    k, t, p = ctx.k, ctx.t, ctx.kernel.params
+    it = 1j * t
+    ghi = p.T + 12.0 * p.bump_width
+    sigma_v = 1.0 + k / 2.0 + 0.1
+    m_inner = min(m_inner, ctx.f.M - n)
+    ms = np.arange(1, m_inner + 1)
+    weights = ar.sigma_twisted_array(ctx.N, t, m_inner) * ctx.f.a[n : n + m_inner]
+    rv_max = ghi + 40.0 / math.pi
+    nodes, wts = gk15_panel_nodes(np.linspace(-rv_max, rv_max, inner_panels + 1))
+    v = sigma_v + 1j * nodes
+    inner = np.exp(np.multiply.outer(-v + it, np.log(ms))) @ weights
+    core = np.exp(loggamma(v - it) + loggamma(v + it) + (v - k / 2.0) * math.log(n)) * inner
+
+    def outer_plus(gam):
+        u = sigma_u + 1j * gam
+        pref = (
+            h_eval(gam - 1j * sigma_u, p, enforce_strip=False)
+            * u
+            * np.exp(-mo._log_cos_pi(u) - loggamma(-u + it + k / 2.0) - loggamma(u + it + k / 2.0))
+        )
+        gm = np.exp(
+            loggamma(np.add.outer(u, -v) + k / 2.0) - loggamma(np.add.outer(u, v) + 1.0 - k / 2.0)
+        )
+        return pref * ((gm * core) @ wts) / (2.0 * math.pi)
+
+    raw = quad(outer_plus, _FM_QUAD, interval=(-ghi, ghi)).value
+    return (1j) ** k * np.exp(2.0 * it * math.log(2.0 * math.pi)) * (2.0 / math.pi) * raw, raw
+
+
 class TestFirstMoment:
     def test_n1_lminus_empty(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
@@ -290,6 +340,58 @@ class TestFirstMoment:
             mo.first_moment_pieces(2, ctx, sigma_u=1.7)
         with pytest.raises(DomainError):
             mo.first_moment_pieces(2, ctx, sigma_0=-0.5)
+
+    def test_sigma_u_left_of_the_gamma_poles_rejected(self, delta):
+        # Gamma(u - v + k/2) has poles at Re u = sigma_v - k/2 = 1.1, so a
+        # u-line at 1.05 is on the wrong side of them (at 24 inner panels it
+        # returned L^+ = 46244 - 45277i; 1.3 and 1.45 agree on 0.4316 - 0.1227i)
+        ctx = delta_ctx(2.5 + 0j, 0.5, T=12.0, delta_form=delta)
+        with pytest.raises(DomainError):
+            mo.first_moment_pieces(4, ctx, sigma_u=1.05)
+
+    @pytest.mark.parametrize("n, sigma_u", [(2, 1.25), (8, 1.25), (4, 1.45)])
+    def test_l_plus_matches_summed_spike_integrand(self, delta, n, sigma_u):
+        ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
+        _, _, lp = mo.first_moment_pieces(n, ctx, sigma_u=sigma_u, m_inner=400, inner_panels=6)
+        ref, raw = _summed_spike_l_plus(n, ctx, sigma_u, 400, 6)
+        tol = max(_FM_QUAD.abs_tol, _FM_QUAD.rel_tol * abs(raw)) * 2.0 / math.pi
+        assert abs(lp - ref) <= tol
+
+    def test_l_plus_pole_subtraction_cuts_evaluations(self, delta, monkeypatch):
+        # any residue gives the same value (the subtracted part comes back in
+        # closed form); only the right one leaves a smooth outer integrand
+        evals = []
+
+        def counting(f, spec, interval=None):
+            def g(x):
+                evals[-1] += len(x)
+                return f(x)
+
+            evals.append(0)
+            return integrate_line(g, spec, interval=interval)
+
+        monkeypatch.setattr(mo, "integrate_line", counting)
+        ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
+        mo.first_moment_pieces(2, ctx, m_inner=400, inner_panels=6)
+        _summed_spike_l_plus(2, ctx, 1.25, 400, 6, quad=counting)
+        _, l_plus, summed_spike = evals
+        assert 2 * l_plus < summed_spike
+
+    def test_l_plus_contour_independence(self, delta):
+        # no pole lies between Re u = 1.3 and 1.45, so moving the u-line
+        # changes only the quadrature error
+        ctx = delta_ctx(2.5 + 0j, 0.5, T=12.0, delta_form=delta)
+        _, _, lp1 = mo.first_moment_pieces(4, ctx, sigma_u=1.3, m_inner=400, inner_panels=12)
+        _, _, lp2 = mo.first_moment_pieces(4, ctx, sigma_u=1.45, m_inner=400, inner_panels=12)
+        assert abs(lp1 - lp2) <= 2.0 * _FM_QUAD.rel_tol * abs(lp1)
+
+    def test_l_plus_finite_at_large_T(self, delta):
+        # at T = 100 the inner nodes reach |Im v| = 233, where 1/Gamma in a
+        # pole residue overflows unless it is formed in logs
+        ctx = delta_ctx(2.5 + 0j, 0.37, T=100.0, delta_form=delta)
+        with np.errstate(over="raise", invalid="raise"):
+            _, _, lp = mo.first_moment_pieces(1, ctx, m_inner=200, inner_panels=8)
+        assert np.isfinite(lp)
 
     @pytest.mark.slow
     def test_quadrature_consistency(self, delta):
