@@ -346,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "horizon", 1) < 1:
+        ap.error("--horizon must be at least 1")
     if getattr(args, "cusp_data", None) and args.newform_g not in (None, args.newform):
         ap.error("--cusp-data pairs each expansion with itself, so --newform-g must be unset "
                  "or equal to --newform")

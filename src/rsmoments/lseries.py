@@ -102,10 +102,11 @@ class InsufficientCoefficientsError(RuntimeError):
 # data types and loaders
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewformData:
     """A holomorphic newform: level N, even weight k >= 4, coefficients a(1..M).
 
+    Frozen, since ``delta_newform`` hands every caller the same instance.
     ``a`` is a private read-only copy of the input, and ``digest`` a SHA-256
     of its bytes that keys the data derived from it.
     """
@@ -117,8 +118,9 @@ class NewformData:
     label: str = ""
 
     def __post_init__(self):
-        self.a = np.array(self.a, dtype=float)
-        self.a.flags.writeable = False
+        a = np.array(self.a, dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
         if self.k < 4 or self.k % 2:
             raise InvariantViolation("weight must be an even integer >= 4")
         if self.a.size < 1 or abs(self.a[0] - 1.0) > 1e-12:
@@ -128,7 +130,7 @@ class NewformData:
         bad = np.nonzero(np.abs(self.a) > bound * (1.0 + 1e-9))[0]
         if bad.size:
             raise InvariantViolation(f"coefficient bound violated at n={bad[0] + 1}")
-        self.digest = hashlib.sha256(self.a.tobytes()).hexdigest()
+        object.__setattr__(self, "digest", hashlib.sha256(a.tobytes()).hexdigest())
 
     @property
     def M(self) -> int:
@@ -264,56 +266,50 @@ def load_cusp_expansion(path) -> CuspExpansionData:
 # built-in generators
 
 
-def _kronecker_square(coeffs: list) -> list:
-    """Exact square of an integer polynomial via Kronecker substitution."""
-    n = len(coeffs)
-    bound = max(1, max(abs(c) for c in coeffs))
-    # coefficient of the square bounded by n * bound^2; pad to whole bytes
-    bits = (n * bound * bound).bit_length() + 2
-    nbytes = (bits + 7) // 8
-
-    def pack(cs):
-        buf = bytearray(nbytes * len(cs))
-        for i, c in enumerate(cs):
-            buf[i * nbytes : i * nbytes + nbytes] = int(c).to_bytes(nbytes, "little")
-        return int.from_bytes(bytes(buf), "little")
-
-    def unpack(val, length):
-        raw = val.to_bytes(nbytes * length + nbytes, "little")
-        return [
-            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-            for i in range(length)
-        ]
-
-    pos = [c if c > 0 else 0 for c in coeffs]
-    neg = [-c if c < 0 else 0 for c in coeffs]
-    out_len = 2 * n - 1
-    pp = unpack(pack(pos) ** 2, out_len)
-    nn = unpack(pack(neg) ** 2, out_len)
-    pn = unpack(pack(pos) * pack(neg), out_len)
-    return [pp[i] + nn[i] - 2 * pn[i] for i in range(out_len)]
-
-
-@lru_cache(maxsize=8)
-def _eta24(m_max: int) -> tuple:
-    """Exact coefficients of prod (1 - x^n)^24 up to degree m_max."""
-    # eta^3 is lacunary: sum (-1)^j (2j+1) x^{j(j+1)/2}
-    e3 = [0] * (m_max + 1)
-    j = 0
-    while j * (j + 1) // 2 <= m_max:
-        e3[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
-        j += 1
-    e6 = _kronecker_square(e3)[: m_max + 1]
-    e12 = _kronecker_square(e6)[: m_max + 1]
-    e24 = _kronecker_square(e12)[: m_max + 1]
-    return tuple(e24)
-
-
 @lru_cache(maxsize=8)
 def delta_newform(m_max: int = 20000) -> NewformData:
-    """The level-1 weight-12 discriminant form, a(n) from q prod (1-q^n)^24."""
-    e24 = _eta24(m_max - 1)
-    exact = tuple(e24[: m_max])
+    """The level-1 weight-12 discriminant form, a(n) from q prod (1-q^n)^24.
+
+    prod (1 - x^n)^24 is the 8th power of Jacobi's lacunary series
+    eta^3 = sum_j (-1)^j (2j+1) x^{j(j+1)/2}.  Seven sparse products, one
+    shifted multiply-add per term of eta^3, run modulo primes below 2^31, and
+    Garner's CRT lifts the residues to exact integers.  Deligne's bound with
+    d(n) <= 2 sqrt(n) gives |a(n)| <= 2 n^6, so the primes multiply past
+    4 m_max^6.
+    """
+    if m_max < 1:
+        raise DomainError("delta_newform needs m_max >= 1")
+    primes, p = [], 2**31 - 1
+    while math.prod(primes) <= 4 * int(m_max) ** 6:
+        if arith.is_prime(p):
+            primes.append(p)
+        p -= 2
+    j = np.arange(math.isqrt(2 * m_max) + 1)
+    j = j[j * (j + 1) // 2 < m_max]
+    shifts, eta3 = j * (j + 1) // 2, (1 - 2 * (j % 2)) * (2 * j + 1)
+    # a partial sum below is at most (terms of eta^3) max(2j+1) (p - 1)
+    if j.size * int(2 * j[-1] + 1) * (primes[0] - 1) >= 2**63:
+        raise DomainError("delta_newform horizon too large for int64 partial sums")
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    power = np.zeros((len(primes), m_max), dtype=np.int64)
+    power[:, shifts] = eta3 % mods
+    for _ in range(7):
+        acc = np.zeros_like(power)
+        for e, c in zip(shifts, eta3):
+            acc[:, e:] += c * power[:, : m_max - e]
+        power = acc % mods
+    # Garner: mixed-radix digits v_i with a = v_0 + p_0 (v_1 + p_1 (v_2 + ...))
+    digits = []
+    for i, p in enumerate(primes):
+        v = power[i]
+        for d, q in zip(digits, primes):
+            v = (v - d) % p * pow(q, -1, p) % p
+        digits.append(v)
+    value = digits[-1].astype(object)
+    for d, q in zip(digits[-2::-1], primes[-2::-1]):
+        value = value * q + d.astype(object)
+    modulus = math.prod(primes)
+    exact = tuple(int(v) - modulus if 2 * v > modulus else int(v) for v in value)
     return NewformData(
         N=1, k=12, a=np.array(exact, dtype=float), a_exact=exact, label="delta"
     )

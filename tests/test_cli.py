@@ -90,6 +90,18 @@ class TestErrors:
         assert "--cusp-data" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [["main-term", "--T", "40", "--alpha", "0.5"], ["breakdown", "--T", "40", "--alpha", "0.5"],
+         ["continuous", "--T", "11", "--alpha", "0.5"], ["z-series"], ["moment-table"]],
+    )
+    def test_horizon_below_one_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--horizon", "0"])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err
+
+
 class TestZSeriesCommand:
     def test_smoke(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -96,8 +98,8 @@ class TestDeltaGenerator:
         assert a[11] == a[2] * a[3]  # a(12) = a(3) a(4)
 
     def test_against_naive_eta_expansion(self, delta):
-        # independent O(M^2) expansion of q prod (1 - q^n)^24 up to q^13
-        M = 13
+        # independent O(M^2) expansion of q prod (1 - q^n)^24 up to q^300
+        M = 300
         poly = [1] + [0] * M
         for nn in range(1, M + 1):
             for _ in range(24):
@@ -105,8 +107,56 @@ class TestDeltaGenerator:
                 for i in range(M, nn - 1, -1):
                     new[i] -= poly[i - nn]
                 poly = new
-        for n in range(1, M):
+        for n in range(1, M + 1):
             assert delta.a_exact[n - 1] == poly[n - 1]
+
+    def test_ramanujan_congruence(self, delta):
+        # tau(n) = sigma_11(n) mod 691 for every n <= 20000
+        M = 20000
+        sigma = np.zeros(M + 1, dtype=np.int64)
+        for d in range(1, M + 1):
+            sigma[d::d] += pow(d, 11, 691)
+        tau = np.array([a % 691 for a in delta.a_exact[:M]], dtype=np.int64)
+        assert np.array_equal(tau, sigma[1:] % 691)
+
+    def test_exact_hecke_relations(self, delta):
+        # n = p^e r with p the least prime factor: tau(n) = tau(p^e) tau(r)
+        # for r > 1, else tau(p^e) = tau(p) tau(p^{e-1}) - p^11 tau(p^{e-2})
+        tau = (0,) + delta.a_exact
+        M = 20000
+        lpf = list(range(M + 1))
+        for p in range(2, math.isqrt(M) + 1):
+            if lpf[p] == p:
+                for m in range(p * p, M + 1, p):
+                    lpf[m] = min(lpf[m], p)
+        for n in range(2, M + 1):
+            p, pe = lpf[n], lpf[n]
+            while n % (pe * p) == 0:
+                pe *= p
+            if pe < n:
+                assert tau[n] == tau[pe] * tau[n // pe], n
+            elif pe > p:
+                assert tau[n] == tau[p] * tau[n // p] - p**11 * tau[n // p // p], n
+
+    def test_coefficients_match_recorded_fingerprints(self, delta):
+        # SHA-256 values recorded from the Kronecker-substitution generator
+        text = ",".join(map(str, delta.a_exact)).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "fbfceb942d3b137c0329cec07ff42528f14aa052a46c390c2bf2fcbcb679254f"
+        )
+        assert delta.digest == "a48943899bc9cfafa041f02701f72cdd7c951f87d442cb09d4db655a88c993b9"
+
+    def test_horizon_below_one_rejected(self):
+        assert ls.delta_newform(1).a_exact == (1,)
+        for m_max in (0, -3):
+            with pytest.raises(DomainError):
+                ls.delta_newform(m_max)
+
+    def test_fields_are_frozen(self, delta):
+        for name, value in (("a", np.zeros(3)), ("label", "other"), ("N", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(delta, name, value)
+        assert delta.N == 1 and delta.label == "delta" and delta.a[1] == -24.0
 
     def test_deligne_bound_normalized(self, delta):
         A = delta.A(20000)

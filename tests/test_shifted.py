@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ from rsmoments.specfun import DomainError
 @pytest.fixture(scope="module")
 def delta():
     return ls.delta_newform(44000)
+
+
+def test_delta_fixture_matches_recorded_fingerprint(delta):
+    # SHA-256 recorded from the Kronecker-substitution generator
+    text = ",".join(map(str, delta.a_exact)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "d939d8192fee59b96a1a041bd52e4d83395808344e8890d483cb061e233145e1"
+    )
 
 
 class TestShiftedD:
