@@ -1,9 +1,14 @@
 """Integer and multiplicative arithmetic.
 
-Factorisation, twisted divisor sums, the local Euler polynomials attached to
-a modulus, depleted zeta, the cusps of Gamma_0(N) in the 1/(c*a)
-parameterisation, and Dirichlet character enumeration from the unit-group
-structure.
+Factorisation, the one smallest-prime-factor sieve of the package (every
+prime listing and least-prime-factor lookup reads it; p is prime iff its
+entry is p), twisted divisor sums, the local Euler polynomials attached to
+a modulus, depleted zeta and depleted Dirichlet L-values, the cusps of
+Gamma_0(N) in the 1/(c*a) parameterisation, and Dirichlet character
+enumeration from the unit-group structure.
+
+``factorize`` (trial division with a Pollard rho fallback) and the sieve are
+independent routes to the same primes; the tests hold one against the other.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DirichletCharacter, PoleError, riemann_zeta
+from .specfun import DirichletCharacter, PoleError, dirichlet_L, riemann_zeta
 
 __all__ = [
     "PrimeFactorization",
     "CuspLabel",
     "factorize",
     "is_prime",
+    "smallest_prime_factors",
     "divisors",
     "prime_divisors",
     "euler_phi",
@@ -29,9 +35,9 @@ __all__ = [
     "sigma_complex",
     "sigma_complex_coprime",
     "P_M",
-    "P_M_conversion_factor",
     "sigma_twisted_N",
     "zeta_depleted",
+    "dirichlet_L_depleted",
     "enumerate_cusps",
     "characters_mod",
     "divisor_count_upper",
@@ -135,6 +141,35 @@ def factorize(n: int) -> PrimeFactorization:
         d = _pollard_rho(v)
         stack.extend([d, v // d])
     return PrimeFactorization(tuple(sorted(fac.items())))
+
+
+# smallest prime factor of m at index m (0 at m = 0, 1), read-only; grown
+# by doubling when a caller asks past its end
+_SPF = np.zeros(2, dtype=np.int64)
+_SPF.flags.writeable = False
+
+
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """Read-only table of the smallest prime factor of m at index m = 0..n.
+
+    Entries 0 and 1 are 0.  One sieve serves every caller: it is rebuilt at
+    least twice as large when a request runs past its end, and each call
+    returns a view of its first n + 1 entries.
+    """
+    global _SPF
+    if n >= _SPF.size:
+        size = max(n + 1, 2 * _SPF.size)
+        spf = np.zeros(size, dtype=np.int64)
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if spf[p] == 0:
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        unmarked = spf == 0
+        unmarked[:2] = False
+        spf[unmarked] = np.flatnonzero(unmarked)
+        spf.flags.writeable = False
+        _SPF = spf
+    return _SPF[: n + 1]
 
 
 def prime_divisors(n: int) -> tuple:
@@ -250,15 +285,6 @@ def P_M(s, n: int, M: int) -> complex:
     return complex(out)
 
 
-def P_M_conversion_factor(s, M: int) -> complex:
-    """M^(1-2s) / prod_{p|M} p, relating P_M to its first-moment variant."""
-    s = complex(s)
-    rad = 1
-    for p in prime_divisors(M):
-        rad *= p
-    return M ** (1.0 - 2.0 * s) / rad
-
-
 def _P_local_limit(p: int, ord_n: int, ord_M: int) -> float:
     """t -> 0 limit of the local P factor: the zero of 1 - p^{-2it} is
     removable, with value A(p-1) - p for A = ord_n + 2 - ord_M."""
@@ -275,9 +301,7 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     """
     if m < 1 or N < 1:
         raise ValueError("sigma_twisted_N requires m, N >= 1")
-    rad = 1
-    for p in prime_divisors(N):
-        rad *= p
+    rad = math.prod(prime_divisors(N))
     if m % (N // rad) != 0:
         return 0.0 + 0.0j
     pref = np.exp(-2j * t * math.log(N)) / rad if N > 1 else 1.0
@@ -293,9 +317,7 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
 def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     """sigma_{-2it}(m; N) for m = 1..m_max (index m-1), sieve-based."""
     m = np.arange(1, m_max + 1)
-    rad = 1
-    for p in prime_divisors(N):
-        rad *= p
+    rad = math.prod(prime_divisors(N))
     # coprime-to-N twisted divisor sums via a sieve over d
     cop = np.zeros(m_max, dtype=complex)
     for d in range(1, m_max + 1):
@@ -340,6 +362,14 @@ def zeta_depleted(s, N: int) -> complex:
     for p in prime_divisors(N):
         out *= 1.0 - np.exp(-s * math.log(p))
     return complex(out)
+
+
+def dirichlet_L_depleted(s, chi: DirichletCharacter, N: int):
+    """L^(N)(s, chi): the Euler factors at primes p | N removed."""
+    val = dirichlet_L(s, chi)
+    for p in prime_divisors(N):
+        val *= 1.0 - chi(p) * p ** (-complex(s))
+    return val
 
 
 # ---------------------------------------------------------------------------

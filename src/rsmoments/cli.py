@@ -27,10 +27,6 @@ from .kernels import H0, KernelContext, TestFunctionParams
 from .shifted import ShiftedSeriesRequest, Z_series, Z_series_double
 
 
-class CliError(Exception):
-    pass
-
-
 def _resolve(path: str) -> str:
     if os.path.isabs(path) or os.path.exists(path):
         return path
@@ -134,8 +130,7 @@ def _moment_ctx(args, s=None) -> moments.MomentContext:
             cusp_data.setdefault((ce.cusp.a, ce.cusp.c), (ce, ce))
     ker = _kernel_ctx(args)
     return moments.MomentContext(
-        t=args.t, f=f, g=g, N=args.N, kernel=ker, s=s,
-        tprime_sign=args.tprime_sign, cusp_data=cusp_data,
+        t=args.t, f=f, g=g, N=args.N, kernel=ker, s=s, cusp_data=cusp_data
     )
 
 

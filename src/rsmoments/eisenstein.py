@@ -20,6 +20,10 @@ inv(dt) * (-ct/a) * inv(c) = 1 holds modulo gcd(ct, N/a).  The inner sum
 over a residue class d = d0 (mod ct) is evaluated in closed form through
 its own Fourier expansion (a one-dimensional Poisson summation), which is
 exact in d; only the row height ct is truncated, with a reported tail bound.
+Each row enters only through its phase sums sum_{d0} e(m d0 / ct), so one
+evaluator, ``_eisenstein_x_profile``, gives E_a(x + i y) at any set of x:
+the trapezoid grid for ``tau_oracle`` and ``eisenstein_constant_term``, the
+single point x = Re z for ``eisenstein_oracle``.
 
 This module also houses the Euler polynomial euler_poly attached to the
 factorisation of the twisted Dirichlet series over tau_a (consumed by
@@ -36,7 +40,16 @@ import numpy as np
 from scipy.special import kv as _kv_real
 
 from . import arith
-from .arith import CuspLabel, _pp, divisors, euler_phi, mobius, ord_p, prime_divisors
+from .arith import (
+    CuspLabel,
+    _pp,
+    dirichlet_L_depleted,
+    divisors,
+    euler_phi,
+    mobius,
+    ord_p,
+    prime_divisors,
+)
 from .specfun import (
     DirichletCharacter,
     DomainError,
@@ -45,7 +58,6 @@ from .specfun import (
     ValueWithError,
     bessel_K,
     complex_gamma,
-    dirichlet_L_depleted,
     gauss_sum,
     riemann_zeta,
 )
@@ -274,35 +286,36 @@ def _row_phase_sums(N: int, a: int, c: int, max_height: int):
     return cts, sizes, ph
 
 
+def _bessel_k(nu: complex, y: float) -> complex:
+    """K_nu(y): scipy's ``kv`` for real order, ``bessel_K`` otherwise."""
+    if abs(nu.imag) < 1e-14:
+        return complex(_kv_real(nu.real, y))
+    return bessel_K(nu, y)
+
+
 def _bessel_row_weights(s, y: float, kmax: int = _PHASE_KMAX):
     """m^{s-1/2} K_{s-1/2}(2 pi m y) for m = 1.. until negligible."""
     nu = complex(s) - 0.5
     vals = []
     for m in range(1, kmax + 1):
-        arg = 2.0 * math.pi * m * y
-        if abs(nu.imag) < 1e-14:
-            kval = complex(_kv_real(nu.real, arg))
-        else:
-            kval = bessel_K(nu, arg)
+        kval = _bessel_k(nu, 2.0 * math.pi * m * y)
         vals.append(m**complex(s - 0.5) * kval)
         if abs(vals[-1]) < 1e-19 * (1.0 + abs(vals[0])):
             break
     return np.asarray(vals)
 
 
-def _eisenstein_x_profile(cusp: CuspLabel, y: float, s, trunc: LatticeTruncation):
-    """(E(x_j + i y) on the trapezoid grid, tail bound) via exact row sums.
+def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncation):
+    """(E(x_j + i y) at every x_j of the array ``x``, tail bound) via exact row sums.
 
-    x_j = j / P, j = 0..P-1.  Rows ct <= max_height enter exactly (the d-sum
-    is done by its 1-d Fourier expansion); rows beyond carry the reported
-    tail bound.
+    Rows ct <= max_height enter exactly (the d-sum is done by its 1-d
+    Fourier expansion); rows beyond carry the reported tail bound.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("lattice sum needs Re s > 1")
     N, a = cusp.N, cusp.a
     w = cusp.width
-    P = trunc.fourier_points
     cts, sizes, ph = _row_phase_sums(N, a, cusp.c, trunc.max_height)
 
     gam_s = complex_gamma(s)
@@ -316,8 +329,7 @@ def _eisenstein_x_profile(cusp: CuspLabel, y: float, s, trunc: LatticeTruncation
     coeff_neg = 0.5 * (ctp @ np.conj(ph[:, :n_freq]))
     b_fac = 4.0 * np.pi**s / gam_s * y ** (0.5 - s)
 
-    x = np.arange(P) / P
-    osc = np.zeros(P, dtype=complex)
+    osc = np.zeros(len(x), dtype=complex)
     for midx in range(n_freq):
         m = midx + 1
         e_pos = np.exp(2j * math.pi * m * x)
@@ -346,41 +358,14 @@ def eisenstein_oracle(cusp: CuspLabel, z: complex, s, trunc: LatticeTruncation) 
     residue-class d-sums are exact.  Raises on non-convergence when the tail
     bound exceeds the value scale.
     """
-    s = complex(s)
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("z must lie in the upper half plane")
-    if s.real <= 1.0:
-        raise DomainError("eisenstein_oracle needs Re s > 1")
-    N, a = cusp.N, cusp.a
-    w = cusp.width
-    y = z.imag
-    x = z.real
-    rows = _valid_rows(N, a, cusp.c, trunc.max_height)
-    gam_s = complex_gamma(s)
-    const_a = math.sqrt(math.pi) * complex_gamma(s - 0.5) / gam_s * y ** (1.0 - 2.0 * s)
-    kw = _bessel_row_weights(s, y)
-    b_fac = 4.0 * np.pi**s / gam_s * y ** (0.5 - s)
-    total = 1.0 + 0.0j if a == N else 0.0 + 0.0j
-    mvec = np.arange(1, len(kw) + 1)
-    for ct, d0s in rows:
-        d0a = np.asarray(d0s, dtype=float)
-        u = x + d0a[:, None] / ct  # (d0, 1)
-        osc = np.cos(2.0 * math.pi * mvec[None, :] * u)  # (d0, m)
-        row = len(d0s) * const_a + b_fac * complex((osc @ kw).sum())
-        total += ct ** (-2.0 * s) * row
-    total *= (y / w) ** s
-    sig = s.real
-    H = trunc.max_height
-    tail = (
-        abs((y / w) ** s)
-        * (abs(const_a) + abs(b_fac) * float(np.sum(np.abs(kw))))
-        * H ** (2.0 - 2.0 * sig)
-        / (2.0 * sig - 2.0)
-    )
+    values, tail = _eisenstein_x_profile(cusp, np.array([z.real]), z.imag, s, trunc)
+    total = complex(values[0])
     if tail > 0.5 * abs(total) + 1.0:
         raise NonConvergenceError("lattice tail bound too large", total, tail)
-    return ValueWithError(complex(total), tail)
+    return ValueWithError(total, tail)
 
 
 def tau_oracle(cusp: CuspLabel, s, n: int, trunc: LatticeTruncation) -> complex:
@@ -394,25 +379,22 @@ def tau_oracle(cusp: CuspLabel, s, n: int, trunc: LatticeTruncation) -> complex:
         raise DomainError("tau_oracle needs n != 0")
     s = complex(s)
     y = trunc.fourier_y
-    nu = s - 0.5
-    if abs(nu.imag) < 1e-14:
-        kdiv = complex(_kv_real(nu.real, 2.0 * math.pi * abs(n) * y))
-    else:
-        kdiv = bessel_K(nu, 2.0 * math.pi * abs(n) * y)
+    kdiv = _bessel_k(s - 0.5, 2.0 * math.pi * abs(n) * y)
     if abs(kdiv) < 1e-8:
         raise IllConditionedError(
             f"K_(s-1/2)(2 pi |n| y) = {abs(kdiv):.2e} underflows the 1e-8 floor"
         )
-    values, _tail = _eisenstein_x_profile(cusp, y, s, trunc)
     P = trunc.fourier_points
     j = np.arange(P)
+    values, _tail = _eisenstein_x_profile(cusp, j / P, y, s, trunc)
     coeff = complex(np.sum(values * np.exp(-2j * math.pi * (n % P) * j / P)) / P)
     return coeff / (math.sqrt(y) * kdiv)
 
 
 def eisenstein_constant_term(cusp: CuspLabel, y: float, s, trunc: LatticeTruncation) -> complex:
     """int_0^1 E_a(x + i y, s) dx - delta_{a,N} y^s (the tau_a(s,0) y^{1-s} piece)."""
-    values, _ = _eisenstein_x_profile(cusp, y, s, trunc)
+    P = trunc.fourier_points
+    values, _ = _eisenstein_x_profile(cusp, np.arange(P) / P, y, s, trunc)
     c0 = complex(np.mean(values))
     if cusp.a == cusp.N:
         c0 -= y ** complex(s)
@@ -524,9 +506,7 @@ def euler_poly(N: int, a: int, s, t, z) -> complex:
     s = complex(s)
     z = complex(z)
     g = math.gcd(a, N // a)
-    rad = 1
-    for p in prime_divisors(N):
-        rad *= p
+    rad = math.prod(prime_divisors(N))
     pref = (
         2.0
         * complex(np.exp(-2j * t * math.log(N))) / rad

@@ -80,27 +80,17 @@ class TestFunctionParams:
 
 @dataclass
 class KernelContext:
-    """Everything H0-type integrals need: bump params, t, weight k, tolerances.
-
-    ``h_fn`` plugs in a different even test function (same support window);
-    only the default bump pair is exercised by the acceptance runs.
-    """
+    """Everything H0-type integrals need: bump params, t, weight k, tolerances."""
 
     params: TestFunctionParams
     t: float
     k: int
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(rel_tol=1e-11))
-    h_fn: object = None
 
     def __post_init__(self):
         if self.k < 4 or self.k % 2:
             raise ValueError("weight k must be an even integer >= 4")
         self._h0_cache = {}
-
-    def h(self, r):
-        if self.h_fn is not None:
-            return self.h_fn(r)
-        return h_eval(r, self.params)
 
     def cached_H0(self, ix) -> complex:
         key = (round(complex(ix).real, 14), round(complex(ix).imag, 14))
@@ -130,6 +120,11 @@ def tanh_pi(r):
     return np.tanh(math.pi * np.asarray(r, dtype=float))
 
 
+def _spectral_weight(r, ctx: KernelContext):
+    """h(r) r tanh(pi r), the weight every H0-type integrand carries."""
+    return h_eval(r, ctx.params) * r * tanh_pi(r)
+
+
 def _gamma_ratio_pole_check(ix: complex, ctx: KernelContext, lo: float, hi: float):
     """Reject gamma-argument poles ir+ix+it+k/2 crossing the window."""
     a = ctx.k / 2.0 + complex(ix).real
@@ -155,7 +150,7 @@ def _h0_integrand_factory(ix: complex, ctx: KernelContext):
             - _loggamma(1j * r + a)
             - _loggamma(-1j * r + a)
         )
-        return ctx.h(r) * r * tanh_pi(r) * ratio
+        return _spectral_weight(r, ctx) * ratio
 
     return f
 
@@ -177,20 +172,10 @@ def H0(ix, ctx: KernelContext) -> complex:
     return 2.0 * val / math.pi**2
 
 
-def _psi_sum(r, shift, k):
-    """psi(ir + shift + k/2) + psi(-ir + shift + k/2) on a real grid r."""
+def _psi_sum(r, shift, k, order: int = 0):
+    """psi^(order)(ir + shift + k/2) + psi^(order)(-ir + shift + k/2) on a real grid r."""
     a = k / 2.0 + shift
-    return digamma_family(1j * r + a, 0) + digamma_family(-1j * r + a, 0)
-
-
-def _psi1_sum(r, shift, k):
-    a = k / 2.0 + shift
-    return digamma_family(1j * r + a, 1) + digamma_family(-1j * r + a, 1)
-
-
-def _psi2_sum(r, shift, k):
-    a = k / 2.0 + shift
-    return digamma_family(1j * r + a, 2) + digamma_family(-1j * r + a, 2)
+    return digamma_family(1j * r + a, order) + digamma_family(-1j * r + a, order)
 
 
 def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
@@ -217,7 +202,7 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
         if variant == "minus":
 
             def f(r):
-                return ctx.h(r) * r * tanh_pi(r) * _psi_sum(r, 1j * t, k)
+                return _spectral_weight(r, ctx) * _psi_sum(r, 1j * t, k)
 
         else:
 
@@ -230,22 +215,22 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
                     - _loggamma(1j * r + a_den)
                     - _loggamma(-1j * r + a_den)
                 )
-                return ctx.h(r) * r * tanh_pi(r) * _psi_sum(r, -1j * t, k) * ratio
+                return _spectral_weight(r, ctx) * _psi_sum(r, -1j * t, k) * ratio
 
         scale = -2.0 / math.pi**2
     elif order == 2:
         if variant == "minus":
 
             def f(r):
-                return ctx.h(r) * r * tanh_pi(r) * _psi_sum(r, 0.0, k) ** 2
+                return _spectral_weight(r, ctx) * _psi_sum(r, 0.0, k) ** 2
 
             scale = -4.0 / math.pi**2
         else:
 
             def f(r):
                 psi = _psi_sum(r, 0.0, k)
-                return ctx.h(r) * r * tanh_pi(r) * (
-                    psi * psi + 2.0 * _psi1_sum(r, 0.0, k)
+                return _spectral_weight(r, ctx) * (
+                    psi * psi + 2.0 * _psi_sum(r, 0.0, k, 1)
                 )
 
             scale = -4.0 / math.pi**2
@@ -257,17 +242,17 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
             def f(r):
                 psi = _psi_sum(r, 0.0, k)
                 return (
-                    ctx.h(r) * r * tanh_pi(r) * (8j * psi**3 + 2j * _psi2_sum(r, 0.0, k))
+                    _spectral_weight(r, ctx) * (8j * psi**3 + 2j * _psi_sum(r, 0.0, k, 2))
                 )
 
         else:
 
             def f(r):
                 psi = _psi_sum(r, 0.0, k)
-                return ctx.h(r) * r * tanh_pi(r) * (
+                return _spectral_weight(r, ctx) * (
                     -8j * psi**3
-                    - 48j * psi * _psi1_sum(r, 0.0, k)
-                    - 26j * _psi2_sum(r, 0.0, k)
+                    - 48j * psi * _psi_sum(r, 0.0, k, 1)
+                    - 26j * _psi_sum(r, 0.0, k, 2)
                 )
 
         scale = 1.0 / math.pi**2

@@ -47,7 +47,15 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import arith, eisenstein
-from .arith import CuspLabel, _pp, divisor_count_upper, divisors, ord_p, prime_divisors
+from .arith import (
+    CuspLabel,
+    _pp,
+    divisor_count_upper,
+    divisors,
+    ord_p,
+    prime_divisors,
+    smallest_prime_factors,
+)
 from .specfun import (
     DomainError,
     NonConvergenceError,
@@ -56,6 +64,7 @@ from .specfun import (
     riemann_zeta,
     EULER_GAMMA,
     _stieltjes_constants,
+    central_difference,
 )
 
 __all__ = [
@@ -356,8 +365,9 @@ def synthetic_maass_form(
 ) -> MaassFormData:
     """Hecke-consistent synthetic Maass data from deterministic Satake angles."""
     rng = np.random.default_rng(seed)
+    spf = smallest_prime_factors(m_max).tolist()
     lam_p = {}
-    for p in _primes_up_to(m_max):
+    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
         theta = 2.0 * math.pi * rng.random()
         if L % p == 0:
             lam_p[p] = (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(p)
@@ -365,7 +375,7 @@ def synthetic_maass_form(
             lam_p[p] = 2.0 * math.cos(theta)
     vals = np.ones(m_max + 1)
     for n in range(2, m_max + 1):
-        p = _least_prime_factor(n)
+        p = spf[n]
         e = ord_p(n, p)
         pe = p**e
         if pe == n:
@@ -381,23 +391,6 @@ def synthetic_maass_form(
     return MaassFormData(
         N=N, L=L, r=r, parity=parity, lam=vals[1:], rho1=1.37, lifts=lifts
     )
-
-
-@lru_cache(maxsize=64)
-def _primes_up_to(n: int) -> tuple:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.nonzero(sieve)[0])
-
-
-def _least_prime_factor(n: int) -> int:
-    for p in _primes_up_to(int(n**0.5) + 1):
-        if n % p == 0:
-            return p
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +535,14 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
     insufficient-coefficients error reports the horizon it would take.  The
     AFE path is the level-1 functional equation with root number i^k; for
     N > 1 in the strip an error is raised rather than guessing the
-    Atkin-Lehner sign.  ``method`` forces a branch ("direct" / "afe").
+    Atkin-Lehner sign.  ``method`` forces a branch ("direct" / "afe");
+    "direct" raises :class:`DomainError` for Re s <= 1.2.
     """
     s = complex(s)
     if method not in ("auto", "direct", "afe"):
         raise DomainError("method must be auto, direct or afe")
+    if method == "direct" and s.real <= 1.2:
+        raise DomainError("holo_L direct summation needs Re s > 1.2")
     if method != "afe" and s.real > 1.2:
         sig = s.real
         tail_est = f.M ** (0.5 - sig) * 3.0
@@ -618,8 +614,9 @@ def _sym2_table(f: NewformData, ln: int):
     """
     if f.M < min(ln, 2):
         raise InsufficientCoefficientsError(ln)
+    spf = smallest_prime_factors(ln).tolist()
     vals = {1: 1.0}
-    for p in _primes_up_to(ln):
+    for p in [q for q in range(2, ln + 1) if spf[q] == q]:
         if p > f.M:
             raise InsufficientCoefficientsError(p)
         ap = float(f.a[p - 1]) * p ** (-(f.k - 1) / 2.0)
@@ -638,31 +635,16 @@ def _sym2_table(f: NewformData, ln: int):
             e += 1
     out = np.ones(ln)
     for n in range(2, ln + 1):
-        p = _least_prime_factor(n)
+        p = spf[n]
         pe = p ** ord_p(n, p)
         out[n - 1] = vals[pe] * out[n // pe - 1]
     return out
 
 
-def sym2_L(s, f: NewformData, deriv: int = 0) -> complex:
-    """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1).
-
-    ``deriv`` = 1 or 2 returns d/ds or d^2/ds^2 by central differences of the
-    AFE values (step 1e-3).
-    """
+def sym2_L(s, f: NewformData) -> complex:
+    """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1)."""
     if f.N != 1:
         raise DomainError("sym2_L implemented for level 1")
-    if deriv:
-        h = 1e-3
-        if deriv == 1:
-            vs = [sym2_L(s + k * h, f) for k in (-2, -1, 1, 2)]
-            return (vs[0] - 8 * vs[1] + 8 * vs[2] - vs[3]) / (12 * h)
-        if deriv == 2:
-            vs = [sym2_L(s + k * h, f) for k in (-2, -1, 0, 1, 2)]
-            return (-vs[0] + 16 * vs[1] - 30 * vs[2] + 16 * vs[3] - vs[4]) / (
-                12 * h * h
-            )
-        raise DomainError("deriv must be 0, 1 or 2")
     s = complex(s)
     k = f.k
 
@@ -705,11 +687,12 @@ def selfdual_rs_constants(f: NewformData) -> dict:
 
     Returns {"residue": R, "finite_part": c0, "linear": c1} in
     L(1 + x) = R/x + c0 + c1 x + O(x^2), computed from
-    zeta(1+x) = 1/x + gamma - gamma_1 x + ... and the entire sym^2 factor.
+    zeta(1+x) = 1/x + gamma - gamma_1 x + ... and the entire sym^2 factor,
+    whose derivatives are central differences of its AFE values.
     """
     L1 = sym2_L(1.0, f)
-    L1p = sym2_L(1.0, f, deriv=1)
-    L1pp = sym2_L(1.0, f, deriv=2)
+    L1p = central_difference(lambda w: sym2_L(w, f), 1.0, 1)
+    L1pp = central_difference(lambda w: sym2_L(w, f), 1.0, 2)
     g1 = _stieltjes_constants()[1]
     return {
         "residue": complex(L1).real,

@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+RS_M_MAX = 100_000  # cap on the terms of a truncated Rankin-Selberg sum
 _V_BLOCK = 32  # v-nodes per block of the L^+ inner sum: 512 bytes of exp per m
 
 
@@ -101,18 +102,14 @@ class MomentContext:
     N: int
     kernel: KernelContext
     s: complex | None = None
-    tprime_sign: int = 1
     cusp_data: dict | None = None  # (a, c) -> (CuspExpansionData f, ... g)
     rs_provider: Callable | None = None
-    rs_m_max: int = 100_000
 
     def __post_init__(self):
         if self.f.N != self.N or self.g.N != self.N:
             raise ValueError("forms must live at the context level")
         if self.f.k != self.g.k:
             raise ValueError("forms must share a weight")
-        if self.tprime_sign not in (1, -1):
-            raise ValueError("tprime_sign must be +-1")
 
     @property
     def k(self) -> int:
@@ -125,14 +122,14 @@ class MomentContext:
         if cusp is None or cusp.a == self.N:
             if self.f is self.g and self.N == 1:
                 return selfdual_rs_L(w, self.f)
-            m_max = min(self.rs_m_max, self.f.M, self.g.M)
+            m_max = min(RS_M_MAX, self.f.M, self.g.M)
             return rankin_selberg_L(w, self.f, self.g, m_max=m_max).value
         if not self.cusp_data or (cusp.a, cusp.c) not in self.cusp_data:
             raise MissingCuspDataError(
                 f"no expansion data for cusp a={cusp.a}, c={cusp.c} at level {self.N}"
             )
         fc, gc = self.cusp_data[(cusp.a, cusp.c)]
-        m_max = min(self.rs_m_max, fc.coeffs.size, gc.coeffs.size)
+        m_max = min(RS_M_MAX, fc.coeffs.size, gc.coeffs.size)
         return rankin_selberg_L(
             w, self.f, self.g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=m_max
         ).value
@@ -386,6 +383,9 @@ def _selfdual_constants(ctx: MomentContext) -> dict:
     return selfdual_rs_constants(ctx.f)
 
 
+_DISPLAYS = ("fneq_minus", "fneq_plus", "feq_minus", "feq_plus")
+
+
 def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_part") -> complex:
     """The closed-form value of the main term at s = 1/2 -+ t'.
 
@@ -397,6 +397,8 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
     reproduces) or "linear" for c1.  Any other ``l_slot`` raises
     :class:`DomainError`.
     """
+    if which not in _DISPLAYS:
+        raise DomainError(f"unknown specialisation {which!r}")
     if l_slot not in ("finite_part", "linear"):
         raise DomainError(f"l_slot must be 'finite_part' or 'linear', not {l_slot!r}")
     t = ctx.t
@@ -489,36 +491,34 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
         t5, t6 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4 + t5 + t6)
 
-    if which == "feq_plus":
-        zz = zp * zm / z2
-        pr = _prod_u1(N, it)
-        v1 = (
-            -two_pi_4it
-            * zz
-            * H0_derivative("plus", 1, ctx.kernel)
-            * complex(np.exp(-2 * it * math.log(N)))
-            * pr
-            * res
+    # which == "feq_plus"
+    zz = zp * zm / z2
+    pr = _prod_u1(N, it)
+    v1 = (
+        -two_pi_4it
+        * zz
+        * H0_derivative("plus", 1, ctx.kernel)
+        * complex(np.exp(-2 * it * math.log(N)))
+        * pr
+        * res
+    )
+    brace = (
+        2.0 * log_zeta_derivative(1.0 + 2.0 * it)
+        + 2.0 * log_zeta_derivative(1.0 - 2.0 * it)
+        - 4.0 * log_zeta_derivative(2.0)
+        - 4.0 * math.log(TWO_PI)
+        + 2.0 * math.log(N)
+        + 2.0
+        * sum(
+            math.log(p) * _pp(p, -1 - 2 * it) / (1 - _pp(p, -1 - 2 * it))
+            for p in prime_divisors(N)
         )
-        brace = (
-            2.0 * log_zeta_derivative(1.0 + 2.0 * it)
-            + 2.0 * log_zeta_derivative(1.0 - 2.0 * it)
-            - 4.0 * log_zeta_derivative(2.0)
-            - 4.0 * math.log(TWO_PI)
-            + 2.0 * math.log(N)
-            + 2.0
-            * sum(
-                math.log(p) * _pp(p, -1 - 2 * it) / (1 - _pp(p, -1 - 2 * it))
-                for p in prime_divisors(N)
-            )
-        )
-        h0m = ctx.H0(-2.0 * it)
-        v2 = two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * brace * res
-        v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * lder
-        v4, v5 = _plus_tail_terms(ctx, it, zp, zm)
-        return complex(v1 + v2 + v3 + v4 + v5)
-
-    raise DomainError(f"unknown specialisation {which!r}")
+    )
+    h0m = ctx.H0(-2.0 * it)
+    v2 = two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * brace * res
+    v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * lder
+    v4, v5 = _plus_tail_terms(ctx, it, zp, zm)
+    return complex(v1 + v2 + v3 + v4 + v5)
 
 
 def _minus_shift_terms(ctx: MomentContext, it: complex, zp, zm, two_pi_4it):

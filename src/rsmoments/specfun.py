@@ -10,6 +10,9 @@ series) is built on the functions in this module:
   arguments (scipy only covers the complex case for order 0).
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
   functional-equation fallback on the left half plane.
+* ``central_difference`` -- the fourth-order 4- and 5-point stencils, the
+  one route to numerical first and second derivatives (zeta here, the
+  symmetric-square L-function in ``lseries``).
 * ``dirichlet_L`` / ``gauss_sum`` -- character L-values via Hurwitz zeta.
 * ``bessel_K`` -- K-Bessel of complex (notably purely imaginary) order
   through the integral 1/2 * int_0^oo exp(-y/2 (t+1/t)) t^nu dt/t, computed
@@ -19,7 +22,9 @@ series) is built on the functions in this module:
   estimate.
 
 All functions are pure.  Cached tables (Bernoulli numbers, Gauss-Kronrod
-nodes) are built once at import time and never mutated.
+nodes) are built once at import time and never mutated.  Nothing here knows
+about primes or divisors: integer arithmetic, and every L-value with Euler
+factors removed, lives in ``arith``, which imports this module.
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ __all__ = [
     "riemann_zeta",
     "hurwitz_zeta",
     "zeta_laurent",
+    "central_difference",
     "zeta_derivative",
     "log_zeta_derivative",
     "dirichlet_L",
-    "dirichlet_L_depleted",
     "gauss_sum",
     "bessel_K",
     "integrate_line",
@@ -107,20 +112,6 @@ class QuadratureSpec:
 _B2N = _bernoulli_table(28)[2::2].copy()
 
 EULER_GAMMA = 0.5772156649015328606
-
-
-def _small_prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +328,26 @@ def riemann_zeta(s):
     return hurwitz_zeta(s, 1.0)
 
 
+def central_difference(f: Callable, x, order: int):
+    """f^(m)(x) for m = 1 or 2 by the fourth-order central stencils of step 1e-3."""
+    h = 1e-3
+    if order == 1:
+        vals = [f(x + k * h) for k in (-2, -1, 1, 2)]
+        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+    if order == 2:
+        vals = [f(x + k * h) for k in (-2, -1, 0, 1, 2)]
+        return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (
+            12 * h * h
+        )
+    raise DomainError("central differences support orders 1 and 2")
+
+
 def zeta_derivative(s, order: int = 1):
     """zeta^(m)(s) by high-order central differences (m = 1 or 2)."""
     s = complex(s)
     if order == 1 and abs(s - 1.0) < 0.2:
         return zeta_laurent(s - 1.0, 1)
-    h = 1e-3
-    if order == 1:
-        vals = [riemann_zeta(s + k * h) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    if order == 2:
-        vals = [riemann_zeta(s + k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (
-            12 * h * h
-        )
-    raise DomainError("zeta_derivative supports orders 1 and 2")
+    return central_difference(riemann_zeta, s, order)
 
 
 def log_zeta_derivative(s):
@@ -413,14 +409,6 @@ def dirichlet_L(s, chi: DirichletCharacter):
         if v != 0:
             acc += v * hurwitz_zeta(s, a / q)
     return q ** (-s) * acc
-
-
-def dirichlet_L_depleted(s, chi: DirichletCharacter, N: int):
-    """L^(N)(s, chi): the Euler factors at primes p | N removed."""
-    val = dirichlet_L(s, chi)
-    for p in _small_prime_divisors(N):
-        val *= 1.0 - chi(p) * p ** (-complex(s))
-    return val
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmoments import arith as ar
 from rsmoments.specfun import PoleError
@@ -32,6 +34,25 @@ class TestFactorize:
             ar.factorize(2**63)
 
 
+class TestSieve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 200_000))
+    def test_least_prime_factor_against_factorize(self, n):
+        factors = ar.factorize(n).factors
+        spf = ar.smallest_prime_factors(n)
+        assert spf[n] == factors[0][0]
+        assert (spf[n] == n) == (factors == ((n, 1),)) == ar.is_prime(n)
+
+    def test_table_grows_and_rejects_writes(self):
+        small = ar.smallest_prime_factors(10)
+        big = ar.smallest_prime_factors(3 * ar._SPF.size)
+        assert list(small) == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+        assert np.array_equal(big[: small.size], small)
+        for arr in (small, big, ar._SPF):
+            with pytest.raises(ValueError):
+                arr[4] = 3
+
+
 class TestSigma:
     def test_examples(self):
         assert abs(ar.sigma_complex(6, 0) - 4) < 1e-14
@@ -39,16 +60,18 @@ class TestSigma:
         expect = 1 + 2 ** (-2j) + 4 ** (-2j)
         assert abs(ar.sigma_complex(4, -2j) - expect) < 1e-14
 
-    def test_multiplicativity(self):
-        for _ in range(80):
-            m = int(RNG.integers(1, 500))
-            n = int(RNG.integers(1, 500))
-            if math.gcd(m, n) != 1:
-                continue
-            z = complex(RNG.uniform(-2, 2), RNG.uniform(-2, 2))
-            lhs = ar.sigma_complex(m * n, z)
-            rhs = ar.sigma_complex(m, z) * ar.sigma_complex(n, z)
-            assert abs(lhs - rhs) < 1e-11 * (1 + abs(rhs))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 2000),
+        st.integers(1, 2000),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_multiplicativity(self, m, n, z):
+        while math.gcd(m, n) > 1:
+            n //= math.gcd(m, n)
+        lhs = ar.sigma_complex(m * n, z)
+        rhs = ar.sigma_complex(m, z) * ar.sigma_complex(n, z)
+        assert abs(lhs - rhs) < 1e-11 * (1 + abs(rhs))
 
     def test_coprime_filter(self):
         # only divisors coprime to N survive

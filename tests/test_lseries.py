@@ -305,6 +305,11 @@ class TestHoloL:
             assert ls.holo_L(s, delta) == _holo_afe(s, delta, _fresh_weights(2.0 * math.pi, 3.0, 0.4))
             assert ls.sym2_L(s, delta) == _sym2_afe(s, delta, _fresh_weights(1.0, 4.0, 0.35))
 
+    def test_direct_rejected_in_strip(self, delta):
+        for s in (1.1 + 3j, 0.5 + 10j, 1.2):
+            with pytest.raises(DomainError):
+                ls.holo_L(s, delta, method="direct")
+
     def test_insufficient_coefficients_reports_horizon(self):
         small = ls.delta_newform(256)
         with pytest.raises(ls.InsufficientCoefficientsError) as err:

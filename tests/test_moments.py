@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from rsmoments import arith as ar
@@ -172,10 +174,21 @@ class TestSpecialized:
         bad = mo.main_term_specialized(ctx0, "feq_minus", l_slot="linear")
         assert abs(good - bad) > 1e-1 * abs(good)
 
-    def test_misspelt_laurent_slot_rejected(self, delta):
+    def test_misspelt_laurent_slot_rejected(self, delta, monkeypatch):
         ctx0 = delta_ctx(None, 0.7, delta_form=delta)
         with pytest.raises(DomainError):
             mo.main_term_specialized(ctx0, "feq_minus", l_slot="linaer")
+
+        # a misspelt display is rejected as such, before the level check
+        # and before any H0 or sym^2 AFE work
+        def no_work(*args):
+            pytest.fail("work started before `which` was checked")
+
+        monkeypatch.setattr(mo, "selfdual_rs_constants", no_work)
+        for ctx in (ctx0, synthetic_ctx(2, None, 0.7)):
+            monkeypatch.setattr(ctx, "H0", no_work)
+            with pytest.raises(DomainError, match="unknown specialisation 'feq_minsu'"):
+                mo.main_term_specialized(ctx, "feq_minsu")
 
     def test_t_zero_rejected(self, delta):
         with pytest.raises(PoleError):
@@ -200,6 +213,13 @@ class TestEulerIdentity:
                 lhs = mo.euler_identity_lhs(N, t)
                 rhs = mo.euler_identity_rhs(N, t)
                 assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.floats(-20.0, 20.0))
+    def test_random_levels(self, N, t):
+        lhs = mo.euler_identity_lhs(N, t)
+        rhs = mo.euler_identity_rhs(N, t)
+        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
 class TestLeadingCoeff:

@@ -169,8 +169,13 @@ class TestDirichletL:
 
     def test_depleted(self):
         chi = ar.characters_mod(1)[0]
-        v = sf.dirichlet_L_depleted(2.0, chi, 6)
+        v = ar.dirichlet_L_depleted(2.0, chi, 6)
         assert abs(v - (1 - 0.25) * (1 - 1 / 9) * math.pi**2 / 6) < 1e-13
+        # chi mod 4 vanishes at 2, so only the factor at 3 comes off Catalan's constant
+        chi4 = [c for c in ar.characters_mod(4) if not c.is_trivial][0]
+        catalan = 0.915965594177219015054603514932
+        v = ar.dirichlet_L_depleted(2.0, chi4, 6)
+        assert abs(v - (1 + 1 / 9) * catalan) < 1e-13
 
 
 class TestGaussSum:
