@@ -314,15 +314,42 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     return complex(pref * ploc * sigma_complex_coprime(m, -2j * t, N))
 
 
+_SIEVE_PAIRS = 1 << 16  # (multiple, d) pairs per block of the twisted sieve: 2 MB
+
+
+def _coprime_divisor_phases(N: int, t: float, m_max: int) -> np.ndarray:
+    """sum_{d | m, (d, N) = 1} d^{-2it} for m = 1..m_max (index m-1).
+
+    Each multiple j*d of a coprime d gets d^{-2it}.  The (multiple, d) pairs
+    go to ``np.add.at`` in increasing d, in blocks of about _SIEVE_PAIRS
+    pairs, so every sum adds its terms in increasing d.
+    """
+    ds = np.arange(1, m_max + 1)
+    ds = ds[np.gcd(ds, N) == 1]
+    ends = np.cumsum(m_max // ds)  # pairs up to and including each d
+    out = np.zeros(m_max, dtype=complex)
+    lo = 0
+    while lo < ds.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _SIEVE_PAIRS, "right")))
+        d = ds[lo:hi]
+        c = m_max // d
+        # index j*d - 1 for j = 1..c, d by d
+        idx = np.arange(1, ends[hi - 1] - base + 1)
+        idx -= np.repeat(ends[lo:hi] - c - base, c)
+        idx *= np.repeat(d, c)
+        idx -= 1
+        log_d = np.fromiter(map(math.log, d.tolist()), dtype=float, count=d.size)
+        np.add.at(out, idx, np.repeat(np.exp(-2j * t * log_d), c))
+        lo = hi
+    return out
+
+
 def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     """sigma_{-2it}(m; N) for m = 1..m_max (index m-1), sieve-based."""
     m = np.arange(1, m_max + 1)
     rad = math.prod(prime_divisors(N))
-    # coprime-to-N twisted divisor sums via a sieve over d
-    cop = np.zeros(m_max, dtype=complex)
-    for d in range(1, m_max + 1):
-        if math.gcd(d, N) == 1:
-            cop[d - 1 :: d] += np.exp(-2j * t * math.log(d)) if d > 1 else 1.0
+    cop = _coprime_divisor_phases(N, t, m_max)
     if N == 1:
         return cop
     out = np.zeros(m_max, dtype=complex)

@@ -42,6 +42,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
@@ -586,23 +587,34 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
 
 # (k, digest of a, length) -> read-only c(1..length), least recently used first
 _SYM2_CACHE: dict = {}
+# (N, k, digest of a) -> read-only Laurent data of L(s, f x f~) at 1, the same order
+_RS_CONSTANTS_CACHE: dict = {}
+
+
+def _lru_get(cache: dict, key, build):
+    """cache[key], from ``build()`` on a miss; the 64 most recently used stay."""
+    out = cache.pop(key, None)
+    if out is None:
+        out = build()
+    cache[key] = out
+    if len(cache) > 64:
+        del cache[next(iter(cache))]
+    return out
 
 
 def _sym2_coeffs(f: NewformData, m_max: int):
     """Symmetric-square coefficients c(1..m_max) of f, cached read-only.
 
     The key is (k, f.digest, m_max), so forms that differ in any coefficient
-    never share an entry; the 64 most recently used entries are kept.
+    never share an entry.
     """
-    key = (f.k, f.digest, m_max)
-    out = _SYM2_CACHE.pop(key, None)
-    if out is None:
+
+    def build():
         out = _sym2_table(f, m_max)
         out.flags.writeable = False
-    _SYM2_CACHE[key] = out
-    if len(_SYM2_CACHE) > 64:
-        del _SYM2_CACHE[next(iter(_SYM2_CACHE))]
-    return out
+        return out
+
+    return _lru_get(_SYM2_CACHE, (f.k, f.digest, m_max), build)
 
 
 def _sym2_table(f: NewformData, ln: int):
@@ -682,23 +694,30 @@ def selfdual_rs_L(w, f: NewformData) -> complex:
     return riemann_zeta(w) * sym2_L(w, f)
 
 
-def selfdual_rs_constants(f: NewformData) -> dict:
+def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
     """Laurent data of L(s, f x f~) at s = 1 for a level-1 form.
 
     Returns {"residue": R, "finite_part": c0, "linear": c1} in
     L(1 + x) = R/x + c0 + c1 x + O(x^2), computed from
     zeta(1+x) = 1/x + gamma - gamma_1 x + ... and the entire sym^2 factor,
-    whose derivatives are central differences of its AFE values.
+    whose derivatives are central differences of its AFE values.  The
+    mapping is read-only and cached under (N, k, f.digest), so a form of
+    another level with the same coefficients still reaches sym2_L's level
+    check.
     """
-    L1 = sym2_L(1.0, f)
-    L1p = central_difference(lambda w: sym2_L(w, f), 1.0, 1)
-    L1pp = central_difference(lambda w: sym2_L(w, f), 1.0, 2)
-    g1 = _stieltjes_constants()[1]
-    return {
-        "residue": complex(L1).real,
-        "finite_part": complex(EULER_GAMMA * L1 + L1p).real,
-        "linear": complex(-g1 * L1 + EULER_GAMMA * L1p + 0.5 * L1pp).real,
-    }
+
+    def build():
+        L1 = sym2_L(1.0, f)
+        L1p = central_difference(lambda w: sym2_L(w, f), 1.0, 1)
+        L1pp = central_difference(lambda w: sym2_L(w, f), 1.0, 2)
+        g1 = _stieltjes_constants()[1]
+        return MappingProxyType({
+            "residue": complex(L1).real,
+            "finite_part": complex(EULER_GAMMA * L1 + L1p).real,
+            "linear": complex(-g1 * L1 + EULER_GAMMA * L1p + 0.5 * L1pp).real,
+        })
+
+    return _lru_get(_RS_CONSTANTS_CACHE, (f.N, f.k, f.digest), build)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ Poincare series, not the same series as D).  At matched truncations the
 two paths traverse the same index set, so agreement tests the
 rearrangement bookkeeping at floating precision.
 
+The rearranged paths are evaluated a block of shifts at a time: one power
+table per call, each block of rows formed from sliding windows onto it and
+the coefficients and summed row by row, one envelope fit for all rows, and
+the weighted outer sum accumulated over m in order.  ``shifted_D`` and
+``shifted_inner_lower`` are the one-row case of the same evaluation.
+
 The spectral expansions of Z and M3 need triple-product data that is out
 of scope here; the region flags on :class:`ShiftedSeriesRequest` record
 where the direct sums are valid so a spectral backend can slot in later.
@@ -28,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import loggamma as _loggamma
 
 from . import arith
@@ -43,6 +50,8 @@ __all__ = [
     "M3_series",
     "M3_series_rearranged",
 ]
+
+_BLOCK_TERMS = 1 << 16  # terms per block of shifts: 1 MB of complex terms
 
 
 @dataclass(frozen=True)
@@ -71,36 +80,95 @@ class ShiftedSeriesRequest:
             )
 
 
-def _envelope_tail(abs_terms: np.ndarray) -> float:
-    """Tail estimate from the decay envelope of the computed outer terms.
+def _envelope_edges(M: int) -> np.ndarray:
+    """Edges of geometric blocks over [M/8, M]; none when M < 32.
 
-    Fits |term(m)| <~ A m^{-c} to the running maximum over the last half of
-    the range and extends geometrically; recorded with a safety factor of 3.
-    This is an estimate (the fully rigorous divisor-function bound is often
-    infinite at desk exponents), and it shrinks like M^{1-c} in the cutoff.
+    Wide enough in log-scale to see the trend through divisor-type
+    fluctuations, robust to isolated spikes.
     """
-    M = len(abs_terms)
     if M < 32:
-        return math.inf
-    # geometric block maxima over [M/8, M]: wide enough in log-scale to see
-    # the trend through divisor-type fluctuations, robust to isolated spikes
-    edges = np.unique(
-        np.geomspace(max(8, M // 8), M, 13).astype(int)
-    )
-    xs, ys = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        chunk = abs_terms[lo:hi]
-        if chunk.size and chunk.max() > 0:
-            xs.append(math.sqrt(lo * hi))
-            ys.append(chunk.max())
-    if len(xs) < 4:
-        return 0.0
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    c = -slope
-    if c <= 1.05:
-        return math.inf
-    a = math.exp(intercept)
-    return 3.0 * a * M ** (1.0 - c) / (c - 1.0)
+        return np.zeros(0, dtype=int)
+    return np.unique(np.geomspace(max(8, M // 8), M, 13).astype(int))
+
+
+def _block_maxima(rows: np.ndarray) -> np.ndarray:
+    """The maximum of each row of |terms| over each envelope block."""
+    edges = _envelope_edges(rows.shape[1])
+    if not edges.size:
+        return np.zeros((len(rows), 0))
+    return np.maximum.reduceat(rows, edges[:-1], axis=1)
+
+
+def _envelope_fit(peaks: np.ndarray, M: int) -> np.ndarray:
+    """Envelope tails of rows of M terms from their block maxima, one per row.
+
+    Fits |term(m)| <~ A m^{-c} to the block maxima and extends
+    geometrically; recorded with a safety factor of 3.  This is an estimate
+    (the fully rigorous divisor-function bound is often infinite at desk
+    exponents), and it shrinks like M^{1-c} in the cutoff.  With fewer than
+    four nonzero block maxima, or c <= 1.05, there is no envelope to extend
+    and the estimate is infinite.
+    """
+    edges = _envelope_edges(M)
+    log_x = np.log(np.sqrt(edges[:-1] * edges[1:]))
+    tails = np.full(len(peaks), math.inf)
+    pos = peaks > 0
+    fit = pos.sum(axis=1) >= 4
+    # one least-squares fit per pattern of nonzero blocks, a column per row
+    for pattern in np.unique(pos[fit], axis=0):
+        sel = np.flatnonzero(fit & (pos == pattern).all(axis=1))
+        slope, intercept = np.polyfit(log_x[pattern], np.log(peaks[sel][:, pattern].T), 1)
+        c = -slope
+        ok = c > 1.05
+        tails[sel[ok]] = 3.0 * np.exp(intercept[ok]) * M ** (1.0 - c[ok]) / (c[ok] - 1.0)
+    return tails
+
+
+def _envelope_tail(abs_terms: np.ndarray) -> float:
+    """Tail estimate from the decay envelope of the computed outer terms."""
+    return float(_envelope_fit(_block_maxima(abs_terms[None, :]), len(abs_terms))[0])
+
+
+def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_max: int, lower: bool):
+    """Values and tail bounds of the shifted series at the increasing shifts ``ms``.
+
+    Upper (D):  row m is sum_{n <= n_max} a(n+m) conj(b(n)) n^{-w-k+1};
+    lower:      row m is sum_{n = m+1}^{m+n_max} a(n-m) conj(b(n)) n^{-w-k+1}.
+    The power table is built once, and each block of at most
+    ``_BLOCK_TERMS // n_max`` rows is formed from sliding windows onto it and
+    the coefficients and summed row by row.  The caller checks w, ms and the
+    coefficient lengths.
+    """
+    k = f.k
+    if not len(ms):
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    first, last = int(ms[0]), int(ms[-1])
+    if lower:
+        # n^{-w-k+1} for n = first+1..last+n_max; row m reads n = m+1..m+n_max
+        n = np.arange(first + 1, last + n_max + 1, dtype=float)
+        pow_rows = sliding_window_view(np.exp((-w - k + 1.0) * np.log(n)), n_max)
+        slid = sliding_window_view(np.conj(g.a[first : last + n_max]), n_max)
+        fixed = f.a[:n_max]
+    else:
+        n = np.arange(1, n_max + 1, dtype=float)
+        n_pow = np.exp((-w - k + 1.0) * np.log(n))
+        slid = sliding_window_view(f.a[first : last + n_max], n_max)
+        fixed = np.conj(g.a[:n_max])
+        rs = rankin_selberg_tail(w.real, n_max)
+    values, bounds, peaks = [], [], []
+    step = max(1, _BLOCK_TERMS // n_max)
+    for lo in range(0, len(ms), step):
+        block = ms[lo : lo + step]
+        rows = block - first
+        if lower:
+            terms = fixed * slid[rows] * pow_rows[rows]
+            bounds += [rankin_selberg_tail(w.real, n_max + m) for m in block.tolist()]
+        else:
+            terms = slid[rows] * fixed * n_pow
+            bounds += [(1.0 + m / n_max) ** ((k - 1) / 2.0) * rs for m in block.tolist()]
+        values.append(np.sum(terms, axis=1))
+        peaks.append(_block_maxima(np.abs(terms)))
+    return np.concatenate(values), np.minimum(bounds, _envelope_fit(np.concatenate(peaks), n_max))
 
 
 def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
@@ -113,17 +181,10 @@ def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWit
         raise DomainError("shifted_D needs Re w > 1")
     if m < 1:
         raise DomainError("shift m must be >= 1")
-    k = f.k
     if n_max + m > f.M or n_max > g.M:
         raise InsufficientCoefficientsError(n_max + m)
-    n = np.arange(1, n_max + 1, dtype=float)
-    terms = f.a[m : m + n_max] * np.conj(g.a[:n_max]) * np.exp(
-        (-w - k + 1.0) * np.log(n)
-    )
-    val = complex(np.sum(terms))
-    bulge = (1.0 + m / n_max) ** ((k - 1) / 2.0)
-    tail = min(bulge * rankin_selberg_tail(w.real, n_max), _envelope_tail(np.abs(terms)))
-    return ValueWithError(val, tail)
+    values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=False)
+    return ValueWithError(complex(values[0]), float(tails[0]))
 
 
 def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
@@ -131,16 +192,10 @@ def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -
     w = complex(w)
     if w.real <= 1.0:
         raise DomainError("shifted_inner_lower needs Re w > 1")
-    k = f.k
     if n_max > f.M or n_max + m > g.M:
         raise InsufficientCoefficientsError(n_max + m)
-    n = np.arange(m + 1, m + n_max + 1, dtype=float)
-    terms = f.a[:n_max] * np.conj(g.a[m : m + n_max]) * np.exp(
-        (-w - k + 1.0) * np.log(n)
-    )
-    val = complex(np.sum(terms))
-    tail = min(rankin_selberg_tail(w.real, n_max + m), _envelope_tail(np.abs(terms)))
-    return ValueWithError(val, tail)
+    values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=True)
+    return ValueWithError(complex(values[0]), float(tails[0]))
 
 
 def _sigma_weights(N: int, t: float, m_max: int) -> np.ndarray:
@@ -188,18 +243,19 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
     s, v, t, N = complex(req.s), complex(req.v), req.t, req.N
     w = s - v + 0.5
     Mo, Mi = req.M_outer, req.M_inner
+    if Mi + Mo > f.M or Mi > g.M:
+        raise InsufficientCoefficientsError(Mi + Mo)
     sig = _sigma_weights(N, t, Mo)
+    ms = np.flatnonzero(sig) + 1
+    d_vals, d_errs = _shift_rows(w, ms, f, g, Mi, lower=False)
     total = 0.0 + 0.0j
     inner_tail_total = 0.0
     outer_abs = np.zeros(Mo)
-    for m in range(1, Mo + 1):
-        if sig[m - 1] == 0:
-            continue
-        d_val = shifted_D(w, m, f, g, Mi)
+    for m, d_val, d_err in zip(ms.tolist(), d_vals.tolist(), d_errs.tolist()):
         weight = sig[m - 1] * m ** (-complex(v))
-        total += weight * d_val.value
-        outer_abs[m - 1] = abs(weight * d_val.value)
-        inner_tail_total += abs(weight) * d_val.error
+        total += weight * d_val
+        outer_abs[m - 1] = abs(weight * d_val)
+        inner_tail_total += abs(weight) * d_err
     zN = arith.zeta_depleted(2.0 * s, N)
     tail = abs(zN) * (inner_tail_total + _envelope_tail(outer_abs))
     return ValueWithError(complex(zN * total), tail)
@@ -235,24 +291,25 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
 
 
 def M3_series_rearranged(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
-    """M3 through the inner lower-shifted series, term by term in m."""
+    """M3 through the inner lower-shifted series, summed over m in order."""
     s, w = complex(s), complex(w)
     if s.real <= 1.0 or w.real <= 1.0:
         raise DomainError("M3_series needs Re s > 1 and Re w > 1")
     k = f.k
+    if M_inner > f.M or M_outer + M_inner > g.M:
+        raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
     sig = _sigma_weights(N, t, M_outer)
+    ms = np.flatnonzero(sig) + 1
+    inner_vals, inner_errs = _shift_rows(w, ms, f, g, M_inner, lower=True)
     total = 0.0 + 0.0j
     inner_tail_total = 0.0
     outer_abs = np.zeros(M_outer)
-    for m in range(1, M_outer + 1):
-        if sig[m - 1] == 0:
-            continue
-        inner = shifted_inner_lower(w, m, f, g, M_inner)
+    for m, inner, inner_err in zip(ms.tolist(), inner_vals.tolist(), inner_errs.tolist()):
         weight = sig[m - 1] * m ** (-(s + (k - 1) / 2.0))
-        total += weight * inner.value
-        outer_abs[m - 1] = abs(weight * inner.value)
-        inner_tail_total += abs(weight) * inner.error
+        total += weight * inner
+        outer_abs[m - 1] = abs(weight * inner)
+        inner_tail_total += abs(weight) * inner_err
     pref = np.exp(
         _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
     ) * arith.zeta_depleted(2.0 * sp, N)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -135,6 +136,42 @@ class TestSigmaTwisted:
             for m in (1, 2, 3, 8, 60, 300):
                 v = ar.sigma_twisted_N(m, N, 0.7)
                 assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v))
+
+# SHA-256 of sigma_twisted_array(N, t, 10**5).tobytes(), recorded from the
+# sieve that added d^{-2it} to the multiples of one d at a time (numpy 2.4,
+# x86-64); the pair sieve adds the same phases in the same order
+SIGMA_TWISTED_SHA256 = {
+    (1, 0.0): "d367f9ff035b83ec3c2008d06ac52eb71fe5f193cf92d003f926bc4ef46db94c",
+    (1, 0.7): "192693c15a6e2b1fb27b36e00d86b6b445bc9e898f8167c1ccf505f7f938ff7d",
+    (2, 0.0): "9156ae37f020245a3c8b4bb9e03972902449f886b72e92511150de28f1a5871c",
+    (2, 0.7): "d1dd60903e4f6cb9834d1256f80d7aeeaec991ed6e3e57a3811b1c85866165ec",
+    (3, 0.0): "ac64592dde30d8e0dcf2051253b556ea1eb0a3365120a0d67228ed52e7c81e9a",
+    (3, 0.7): "3b6e04e4c98559768a7b5ba092d9a94ca2abdcf07bd35e69132d725739df86dd",
+    (4, 0.0): "528de0c83d3fff2b7b225e92d24d57f9fccb297dec9643809ff47a0a7c7879ee",
+    (4, 0.7): "98f67f8769154bb0b852626e83cd71d1814072355072966aa5a299442853ecb3",
+    (5, 0.0): "bb1644a62387ab8aec85f2d4326cd9313df531545d07ce2e7bd5d86db9c9507c",
+    (5, 0.7): "e0c4e1714b24a175814f6fa328ddb1914ca18098930fa5a824b0d8a08eb245e0",
+    (6, 0.0): "91aa220ac5be7dd2f686bcd9a42ebc6c067c60b686f86b89f2c3650e6f69a0c7",
+    (6, 0.7): "127179a587cf318d89dcd4b4eb94a600412127239cc981e795b599e77c4a66e6",
+    (7, 0.0): "361d86edc26df5c709e375896417ed9c9e6ad970c5dcc9d2beb7e4d689e05bcc",
+    (7, 0.7): "8e4a3a99a941df34c3265770b9b2cccdbeec97670c77cbb1fd0d2b7de1739891",
+    (8, 0.0): "61b922305a2ebd1c721be4761beb580a90d381f4aaaebc227f017b7d32c9be42",
+    (8, 0.7): "22ebee8fd3fe9dc001e792abe7ca6e148601bdedf761d7de807bb5e20609b44f",
+    (9, 0.0): "4c66ecb4bdbca2a37a0dd188ef44d0c708d3ca6488ba16f1b76884d9729b0d06",
+    (9, 0.7): "45b3a18f5bf48f120b70b101ac36aec934dbcb66d187ce02bb85eb57acf82de8",
+    (10, 0.0): "f8ee49a62114819802b50976c2b02f2df3ffc3e71b9cfe2d5bf7df1e2b460a2b",
+    (10, 0.7): "c3351cfb81aa7fc4bc025f499d6cbace21b60b8f6857c0fcf79b8614d055a8e3",
+    (11, 0.0): "9b38746d2ad5ef221c948f361f8151acb4469913440af1bae04b8fa25720e265",
+    (11, 0.7): "dc907dd07905acd643cf86403c78d9cdfcaa8ab947be9c97076a7db6abbdbf32",
+    (12, 0.0): "51f8a2ebf442c1a5290d56804bf415660b5798851c9a6f51c54bfa04789111f2",
+    (12, 0.7): "8c73d35a0ce61cf19e3cf5051dace36802878c8987ce418ec8c8ef181af76e70",
+}
+
+
+@pytest.mark.parametrize("N, t", sorted(SIGMA_TWISTED_SHA256))
+def test_sigma_twisted_array_bits_pinned(N, t):
+    arr = ar.sigma_twisted_array(N, t, 100_000)
+    assert hashlib.sha256(arr.tobytes()).hexdigest() == SIGMA_TWISTED_SHA256[N, t]
 
 
 class TestZetaDepleted:

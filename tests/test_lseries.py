@@ -353,6 +353,24 @@ class TestSym2:
         assert ls.sym2_L(1.37, other) == v_other
         assert ls.sym2_L(1.37, delta) == v_delta
 
+    def test_laurent_constants_cached_read_only(self, delta, monkeypatch):
+        ls._RS_CONSTANTS_CACHE.clear()
+        first = ls.selfdual_rs_constants(delta)
+
+        def no_afe(*args):
+            pytest.fail("sym2_L called on a cached form")
+
+        monkeypatch.setattr(ls, "sym2_L", no_afe)
+        again = ls.selfdual_rs_constants(delta)
+        assert again is first
+        with pytest.raises(TypeError):
+            again["residue"] = 0.0
+        monkeypatch.undo()
+        ls._RS_CONSTANTS_CACHE.clear()
+        fresh = ls.selfdual_rs_constants(delta)
+        for key in ("residue", "finite_part", "linear"):
+            assert fresh[key].hex() == first[key].hex()
+
     def test_laurent_constants(self, delta):
         c = ls.selfdual_rs_constants(delta)
         # L(1 + x) ~ R/x + c0 + c1 x reproduced by actual values

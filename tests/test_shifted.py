@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -97,3 +98,128 @@ class TestM3:
     def test_region_check(self, delta):
         with pytest.raises(DomainError):
             sh.M3_series(0.9, 2.7, 0.7, delta, delta, 1, 10, 10)
+
+
+# Values at criterion 11's points as hex floats (value re, value im, tail),
+# recorded from the term-by-term evaluation that preceded the blocked one
+# (numpy 2.4, x86-64).  Values must match bit for bit; tails, which come from
+# a least-squares fit, within 1e-13 relative.
+CRIT11_Z = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=1500, M_inner=1500)
+PINNED = {
+    "Z": ("-0x1.689a6319ce256p+4", "0x1.48e6e72e1c2eep-1", "0x1.75bc4b9b17414p+1"),
+    "M3": ("-0x1.a83c7fe4ad963p-26", "-0x1.486672a805415p-90", "0x1.770bb4cc02c67p-40"),
+    "D1": ("-0x1.94ed5f740397bp+4", "0x1.560578142b879p-1", "0x1.18ea205751a89p-4"),
+    "D1500": ("0x1.6964000587ea4p+58", "-0x1.3fef845093797p+47", "0x1.3954a4d7087b9p-2"),
+    "L1": ("-0x1.43d6da2b5c7b0p-7", "0x0.0p+0", "0x1.1a04eae433bf4p-21"),
+    "L1000": ("-0x1.d9e73d8ab453dp-31", "0x0.0p+0", "0x1.11e8778bab65cp-17"),
+}
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_criterion_11_points(self, delta, name):
+        w_z = CRIT11_Z.s - CRIT11_Z.v + 0.5
+        r = {
+            "Z": lambda: sh.Z_series(CRIT11_Z, delta, delta),
+            "M3": lambda: sh.M3_series_rearranged(2.2, 2.7, 0.7, delta, delta, 1, 1000, 15000),
+            "D1": lambda: sh.shifted_D(w_z, 1, delta, delta, 1500),
+            "D1500": lambda: sh.shifted_D(w_z, 1500, delta, delta, 1500),
+            "L1": lambda: sh.shifted_inner_lower(2.7, 1, delta, delta, 15000),
+            "L1000": lambda: sh.shifted_inner_lower(2.7, 1000, delta, delta, 15000),
+        }[name]()
+        re, im, tail = (float.fromhex(x) for x in PINNED[name])
+        assert r.value == complex(re, im)
+        assert abs(r.error - tail) <= 1e-13 * tail
+
+
+def _envelope_reference(abs_terms):
+    """The envelope tail of one row, block by block."""
+    M = len(abs_terms)
+    if M < 32:
+        return math.inf
+    edges = np.unique(np.geomspace(max(8, M // 8), M, 13).astype(int))
+    xs, ys = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        chunk = abs_terms[lo:hi]
+        if chunk.max() > 0:
+            xs.append(math.sqrt(lo * hi))
+            ys.append(chunk.max())
+    if len(xs) < 4:
+        return math.inf
+    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+    c = -slope
+    if c <= 1.05:
+        return math.inf
+    return 3.0 * math.exp(intercept) * M ** (1.0 - c) / (c - 1.0)
+
+
+class TestEnvelopeTail:
+    def _check_rows(self, rows):
+        got = sh._envelope_fit(sh._block_maxima(rows), rows.shape[1])
+        assert got.shape == (len(rows),)
+        for row, tail in zip(rows, got):
+            ref = _envelope_reference(row)
+            if math.isinf(ref):
+                assert tail == sh._envelope_tail(row) == math.inf
+            else:
+                assert abs(tail - ref) <= 1e-13 * ref
+                assert abs(sh._envelope_tail(row) - ref) <= 1e-13 * ref
+        return got
+
+    def test_rows_against_per_row_reference(self):
+        rng = np.random.default_rng(11)
+        m = np.arange(1, 1501, dtype=float)
+        noise = rng.uniform(0.2, 1.0, (8, 1500))
+        rows = noise * m ** -np.array([2.0, 3.5, 1.02, 1.0, 0.5, 2.0, 2.0, 2.0])[:, None]
+        rows[5, 400:700] = 0.0  # some zero blocks: fitted over the rest
+        rows[6, 187:1200] = 0.0  # three nonzero blocks left: no fit
+        rows[7, 150:] = 0.0  # supported on the first 150 terms only
+        got = self._check_rows(rows)
+        assert np.all(np.isfinite(got[[0, 1, 5]]))
+        assert np.all(np.isinf(got[2:5]))  # c <= 1.05
+        assert np.all(np.isinf(got[6:]))
+
+    def test_short_rows(self):
+        rows = np.arange(1, 21, dtype=float)[None, :] ** -np.array([[2.0], [3.0]])
+        assert np.all(np.isinf(self._check_rows(rows)))
+
+    def test_unsupported_tail_is_infinite_not_zero(self):
+        row = np.zeros(1500)
+        row[:150] = np.arange(1, 151, dtype=float) ** -2.0
+        assert sh._envelope_tail(row) == math.inf
+
+    def test_shifted_D_falls_back_to_rankin_selberg(self, delta):
+        # b(n) = 0 beyond n = 150: every envelope block is zero, so the tail
+        # is the Rankin-Selberg bound, not zero
+        a = np.zeros(1500)
+        a[:150] = delta.a[:150]
+        g = ls.NewformData(N=1, k=12, a=a)
+        w, m, n_max = 2.5, 3, 1500
+        d = sh.shifted_D(w, m, delta, g, n_max)
+        bulge = (1.0 + m / n_max) ** ((12 - 1) / 2.0)
+        assert d.error == bulge * ls.rankin_selberg_tail(w, n_max) > 0.0
+
+
+class TestCoefficientsCheckedFirst:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("work started before the coefficient check")
+
+        monkeypatch.setattr(sh, "_sigma_weights", fail)
+        monkeypatch.setattr(sh, "_shift_rows", fail)
+
+    @pytest.mark.parametrize("short", ["f", "g"])
+    def test_Z_series(self, delta, short):
+        req = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=300, M_inner=500)
+        cut = ls.NewformData(N=1, k=12, a=delta.a[: 799 if short == "f" else 499])
+        f, g = (cut, delta) if short == "f" else (delta, cut)
+        with pytest.raises(ls.InsufficientCoefficientsError):
+            sh.Z_series(req, f, g)
+
+    @pytest.mark.parametrize("short", ["f", "g"])
+    def test_M3_series_rearranged(self, delta, short):
+        cut = ls.NewformData(N=1, k=12, a=delta.a[: 499 if short == "f" else 799])
+        f, g = (cut, delta) if short == "f" else (delta, cut)
+        with pytest.raises(ls.InsufficientCoefficientsError):
+            sh.M3_series_rearranged(2.2, 2.7, 0.7, f, g, 1, 300, 500)
