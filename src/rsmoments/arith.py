@@ -314,18 +314,19 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     return complex(pref * ploc * sigma_complex_coprime(m, -2j * t, N))
 
 
-_SIEVE_PAIRS = 1 << 16  # (multiple, d) pairs per block of the twisted sieve: 2 MB
+_SIEVE_PAIRS = 1 << 16  # (multiple, d) pairs per block of the divisor-sum sieve: 2 MB
 
 
-def _coprime_divisor_phases(N: int, t: float, m_max: int) -> np.ndarray:
-    """sum_{d | m, (d, N) = 1} d^{-2it} for m = 1..m_max (index m-1).
+def divisor_sum_array(coeffs) -> np.ndarray:
+    """sum_{d | m} c_d for m = 1..len(coeffs) (index m-1), with c_d = coeffs[d-1].
 
-    Each multiple j*d of a coprime d gets d^{-2it}.  The (multiple, d) pairs
+    Each multiple j*d of a d with c_d != 0 gets c_d.  The (multiple, d) pairs
     go to ``np.add.at`` in increasing d, in blocks of about _SIEVE_PAIRS
     pairs, so every sum adds its terms in increasing d.
     """
-    ds = np.arange(1, m_max + 1)
-    ds = ds[np.gcd(ds, N) == 1]
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m_max = coeffs.size
+    ds = np.flatnonzero(coeffs) + 1
     ends = np.cumsum(m_max // ds)  # pairs up to and including each d
     out = np.zeros(m_max, dtype=complex)
     lo = 0
@@ -339,44 +340,61 @@ def _coprime_divisor_phases(N: int, t: float, m_max: int) -> np.ndarray:
         idx -= np.repeat(ends[lo:hi] - c - base, c)
         idx *= np.repeat(d, c)
         idx -= 1
-        log_d = np.fromiter(map(math.log, d.tolist()), dtype=float, count=d.size)
-        np.add.at(out, idx, np.repeat(np.exp(-2j * t * log_d), c))
+        np.add.at(out, idx, np.repeat(coeffs[d - 1], c))
         lo = hi
     return out
 
 
 def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     """sigma_{-2it}(m; N) for m = 1..m_max (index m-1), sieve-based."""
-    m = np.arange(1, m_max + 1)
-    rad = math.prod(prime_divisors(N))
-    cop = _coprime_divisor_phases(N, t, m_max)
+    # c_d = [(d, N) = 1] d^{-2it}
+    ds = np.arange(1, m_max + 1)
+    if N > 1:
+        ds = ds[np.gcd(ds, N) == 1]
+    phases = np.fromiter(map(math.log, ds.tolist()), dtype=complex, count=ds.size)
+    phases *= -2j * t
+    np.exp(phases, out=phases)
+    coeffs = np.zeros(m_max, dtype=complex)
+    coeffs[ds - 1] = phases
+    del ds, phases
+    out = divisor_sum_array(coeffs)
+    del coeffs
     if N == 1:
-        return cop
-    out = np.zeros(m_max, dtype=complex)
-    support = m % (N // rad) == 0
-    # P_N(1/2+it, m) from the prime-local formula, vectorised over ord_p(m);
-    # at t = 0 the removable local limit takes over
+        return out
+    # P_N(1/2+it, m) from the prime-local formula.  It depends on m only
+    # through the orders ord_p(m) <= log_p(m_max), p | N, so it is tabulated
+    # over those few order tuples and read off per m through a mixed-radix
+    # index; at t = 0 the removable local limit takes over.  m is in the
+    # support, (N / rad N) | m, iff ord_p(m) >= e_p - 1 for every p^e_p || N.
     s_half = 0.5 + 1j * t
-    pn = np.ones(m_max, dtype=complex)
+    pn = np.ones(1, dtype=complex)
+    support = np.ones(1, dtype=bool)
+    combo = np.zeros(m_max, dtype=np.int32)
     for p, eM in factorize(N).factors:
-        lp = math.log(p)
-        ords = np.zeros(m_max, dtype=np.int64)
+        top = 0
         q = p
         while q <= m_max:
-            ords[q - 1 :: q] += 1
+            combo[q - 1 :: q] += pn.size  # ord_p(m) times the radix of p
+            top += 1
             q *= p
+        ords = np.arange(top + 1)
         if abs(t) < 1e-9:
-            pn *= (ords + 2.0 - eM) * (p - 1.0) - p
+            local = (ords + 2.0 - eM) * (p - 1.0) - p
         else:
+            lp = math.log(p)
             x = np.exp((1.0 - 2.0 * s_half) * lp)
             num = (
                 x ** (ords + 1) * x ** (-(eM - 1)) * (1.0 - np.exp(2.0 * s_half * lp))
                 + p
                 - 1.0
             )
-            pn *= num / (1.0 - x)
-    pref = np.exp(-2j * t * math.log(N)) / rad
-    out[support] = (pref * pn * cop)[support]
+            local = num / (1.0 - x)
+        # entry o_p * radix + (index over the earlier primes)
+        pn = np.ravel(pn[None, :] * local[:, None])
+        support = np.ravel(support[None, :] & (ords >= eM - 1)[:, None])
+    pref = np.exp(-2j * t * math.log(N)) / math.prod(prime_divisors(N))
+    np.multiply((pref * pn)[combo], out, out=out)
+    out[~support[combo]] = 0.0
     return out
 
 

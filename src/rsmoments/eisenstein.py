@@ -183,7 +183,7 @@ def tau_cusp(cusp: CuspLabel, s, n: int) -> complex:
 def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
     """tau_{1/(c a)}(s, m) for m = 1..m_max as a vector (index m-1).
 
-    Sieve-based: one divisor-sum pass per character, then scatter over the
+    Sieve-based: one divisor-sum sieve per character, then scatter over the
     arithmetic progressions e | m.
     """
     s = complex(s)
@@ -197,13 +197,14 @@ def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
             if not chi.is_primitive:
                 continue
             pref = np.conj(chi(-c)) * _chi_prefactor(s, chi, N)
-            # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max
-            divsum = np.zeros(m_max, dtype=complex)
-            chi_sq = chi.squared()
-            for d in range(1, m_max + 1):
-                cd = chi_sq(d)
-                if cd != 0:
-                    divsum[d - 1 :: d] += cd * d ** (1.0 - 2.0 * s)
+            # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max;
+            # d^{1-2s} is Python's complex power, as in lambda_chi: numpy's
+            # differs from it in the last bits
+            divsum = chi.squared().value_array(m)
+            powers = np.fromiter(map((1.0 - 2.0 * s).__rpow__, range(1, m_max + 1)), complex, m_max)
+            np.multiply(divsum, powers, out=divsum, where=divsum != 0)
+            del powers
+            divsum = arith.divisor_sum_array(divsum)
             lam = chi.value_array(m).conj() * m ** (s - 0.5) * divsum
             for ell, b, mu, e in _inner_pairs(a, Na, q):
                 w = pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e)

@@ -40,6 +40,7 @@ from .arith import CuspLabel, _pp, divisors, enumerate_cusps, euler_phi, prime_d
 from .kernels import H0, H0_derivative, KernelContext, h_eval
 from .lseries import (
     CuspExpansionData,
+    InsufficientCoefficientsError,
     NewformData,
     holo_L,
     rankin_selberg_L,
@@ -52,6 +53,7 @@ from .specfun import (
     PoleError,
     QuadratureSpec,
     ValueWithError,
+    _NODES,
     _gk15,
     extrapolate_to_zero,
     gk15_panel_nodes,
@@ -79,7 +81,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 RS_M_MAX = 100_000  # cap on the terms of a truncated Rankin-Selberg sum
-_V_BLOCK = 32  # v-nodes per block of the L^+ inner sum: 512 bytes of exp per m
 
 
 class MissingCuspDataError(RuntimeError):
@@ -787,6 +788,27 @@ def _log_cos_pi(u):
     return np.where(y >= 0, val, np.conj(val))
 
 
+def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
+    """sum_m weights[m-1] m^{-v+it} at the GK15 nodes v = sigma_v + iy of the
+    equal panels ``edges``, in :func:`gk15_panel_nodes`' panel-major order.
+
+    Node (p, j) is y = mid_p + h x_j, so m^{-v+it} = m^{-i mid_p} times
+    m^{-sigma_v + it - i h x_j}: a panels x m factor P (weights folded in)
+    and a 15 x m factor Q, and the sums are the product P Q^T.  That is
+    panels + 15 complex exp per m instead of 15 * panels, and P, the
+    largest array, takes panels x m x 16 bytes.
+    """
+    log_m = np.log(np.arange(1, len(weights) + 1))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1] - edges[0])
+    P = np.multiply.outer(-1j * mids, log_m)
+    np.exp(P, out=P)
+    P *= weights
+    Q = np.multiply.outer(-sigma_v + 1j * (t - h * _NODES), log_m)
+    np.exp(Q, out=Q)
+    return (P @ Q.T).ravel()
+
+
 def first_moment_pieces(
     n: int,
     ctx: MomentContext,
@@ -810,6 +832,10 @@ def first_moment_pieces(
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
+    if m_inner < 1:
+        raise DomainError("m_inner must be a positive integer")
+    if n >= ctx.f.M:  # the L^+ inner series needs a(n + 1) at least
+        raise InsufficientCoefficientsError(n + 1)
     k = ctx.k
     t = ctx.t
     it = 1j * t
@@ -890,24 +916,14 @@ def first_moment_pieces(
         )
 
     # ----- L^+: infinite inner sum over m, v on Re v = sigma_v
-    if n + m_inner > ctx.f.M:
-        m_inner = ctx.f.M - n
-    ms = np.arange(1, m_inner + 1)
-    sig_m = arith.sigma_twisted_array(N, t, m_inner)
-    anm = ctx.f.a[n : n + m_inner]
+    m_inner = min(m_inner, ctx.f.M - n)
+    weights = arith.sigma_twisted_array(N, t, m_inner) * ctx.f.a[n : n + m_inner]
     # only polynomial decay until |Im v| passes the h-window top
     rv_max = ghi + 40.0 / math.pi
     edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
     nodes, wts = gk15_panel_nodes(edges)
     v_nodes = sigma_v + 1j * nodes
-    # sum_m sigma(m; N) a(n+m) m^{-v+it}, over blocks of v-nodes to bound
-    # the memory; each node's m-sum stays one dot product over every m
-    weights = sig_m * anm
-    log_m = np.log(ms).astype(float)
-    inner_plus_vals = np.concatenate([
-        np.exp(np.multiply.outer(-v_nodes[i : i + _V_BLOCK] + it, log_m)) @ weights
-        for i in range(0, len(v_nodes), _V_BLOCK)
-    ])
+    inner_plus_vals = _lplus_inner_sums(edges, sigma_v, t, weights)
     log_gamma_v = _loggamma(v_nodes - it) + _loggamma(v_nodes + it)
     log_n_pow = (v_nodes - k / 2.0) * math.log(n)
     core_p = np.exp(log_gamma_v) * np.exp(log_n_pow) * inner_plus_vals

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,44 @@ SIGMA_TWISTED_SHA256 = {
 def test_sigma_twisted_array_bits_pinned(N, t):
     arr = ar.sigma_twisted_array(N, t, 100_000)
     assert hashlib.sha256(arr.tobytes()).hexdigest() == SIGMA_TWISTED_SHA256[N, t]
+
+
+class TestDivisorSumArray:
+    @staticmethod
+    def naive(coeffs):
+        out = np.zeros(len(coeffs), dtype=complex)
+        for d in range(1, len(coeffs) + 1):
+            if coeffs[d - 1] != 0:
+                out[d - 1 :: d] += coeffs[d - 1]
+        return out
+
+    def test_matches_per_d_loop_across_blocks(self):
+        rng = np.random.default_rng(11)
+        m_max = 20_000  # about 2e5 (multiple, d) pairs: several sieve blocks
+        assert sum(m_max // d for d in range(1, m_max + 1)) > 2 * ar._SIEVE_PAIRS
+        coeffs = rng.normal(size=m_max) + 1j * rng.normal(size=m_max)
+        coeffs[rng.random(m_max) < 0.3] = 0.0
+        # both add each m's terms in increasing d, so the bits agree
+        assert np.array_equal(ar.divisor_sum_array(coeffs), self.naive(coeffs))
+
+    def test_smallest_and_empty(self):
+        assert np.array_equal(ar.divisor_sum_array([2.5 - 1j]), [2.5 - 1j])
+        assert np.array_equal(ar.divisor_sum_array([0.0]), [0.0])
+        assert ar.divisor_sum_array([]).size == 0
+
+    def test_sigma_twisted_temporaries_do_not_grow_with_level(self):
+        # P_N is a table over the few values of ord_p(m), not a full-length
+        # complex array per prime
+        def peak(N):
+            ar.sigma_twisted_array(N, 0.7, 1000)
+            tracemalloc.start()
+            try:
+                ar.sigma_twisted_array(N, 0.7, 100_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2) <= 1.5 * peak(1)
 
 
 class TestZetaDepleted:

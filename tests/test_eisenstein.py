@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -77,6 +78,49 @@ class TestTauCusp:
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
             eis.tau_cusp(LEVEL1, 1.3, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(lambda N: st.sampled_from(ar.enumerate_cusps(N))),
+        st.integers(1, 200),
+        st.data(),
+        st.floats(1.1, 1.6),
+        st.floats(-3.0, 3.0),
+    )
+    def test_array_matches_scalar_property(self, cusp, m_max, data, re_s, im_s):
+        s = complex(re_s, im_s)
+        arr = eis.tau_cusp_array(cusp, s, m_max)
+        for m in data.draw(st.lists(st.integers(1, m_max), min_size=1, max_size=4)):
+            v = eis.tau_cusp(cusp, s, m)
+            assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v))
+
+
+# SHA-256 of tau_cusp_array(CuspLabel(N, a, c), 1/2 + 0.37i, 10**5), recorded
+# from the per-d divisor-sum loop that the shared sieve replaced
+TAU_CUSP_SHA256 = {
+    (1, 1, 1): "5812ee48ec4fdb3f8b06128227d27f4bd25b2a585c1d62aa0eaff44c4398dcab",
+    (2, 1, 1): "8c4514baa01c36c0c2b1cab4baac732bdfd47adcea42da5b3e276d4cde054e7a",
+    (2, 2, 1): "d925f998398175042db95e79b41510975b08abc53dfd8ac22ddf8a02aa119966",
+    (4, 1, 1): "0f6c671dbcb4168518b75fb50e7f7996962988fd6866c05827273771ec2e8f96",
+    (4, 2, 1): "291420d36f04cdb4ae369940ad5d55c100c9ad0b0f0d8ce6b578248b75f95620",
+    (4, 4, 1): "ebe17da96f0963821319c3ee7e49a4d2de2f7ceeef531e2a47a636897ddfe4eb",
+    (6, 1, 1): "5a13bccaf4506966e94da1f5db3a317548b135c0b07af83bde587873f8edb605",
+    (6, 2, 1): "5064e4b432d63452c0dffd63042ddc8cf6f535ef4d30340122e2f5468500edd3",
+    (6, 3, 1): "d3fe3e8a94433ac81507cf22268154405322b08cd6c1dd2327301ed39da43c0e",
+    (6, 6, 1): "5197664206366b1110a3aeaccc4b9d543fc8f4200a8c6c30198d439045bea649",
+    (12, 1, 1): "78b6ad925a77f177b83df7bc1a992b012f17160c18f0cf4ae9276868336eae1e",
+    (12, 2, 1): "3ca7d7f1d1b9985f8691ec63c0afa83c5134fd592d1b10de79ae3c58540bb138",
+    (12, 3, 1): "4d7b99ee4742ceaa5f7b9bb51bcf3e71d0d5ea98b16f65c67fc2a91fc87c3f82",
+    (12, 4, 1): "0b58a29818302dce0ad5701fd90953599bbb82b496362df0c60ecf5a15c9191b",
+    (12, 6, 1): "7c4bbea8953c2092c34c2c038df1388b7aa66fe398f86716aa0e7c1c4644da70",
+    (12, 12, 1): "05ed7027e154ecf9b0a2fa0e99d9cf214ced52394f4da0984c21a7cecaed66fa",
+}
+
+
+@pytest.mark.parametrize("N, a, c", sorted(TAU_CUSP_SHA256))
+def test_tau_cusp_array_bits_pinned(N, a, c):
+    arr = eis.tau_cusp_array(CuspLabel(N, a, c), 0.5 + 0.37j, 100_000)
+    assert hashlib.sha256(arr.tobytes()).hexdigest() == TAU_CUSP_SHA256[N, a, c]
 
 
 class TestOracle:

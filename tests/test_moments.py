@@ -413,6 +413,42 @@ class TestFirstMoment:
             _, _, lp = mo.first_moment_pieces(1, ctx, m_inner=200, inner_panels=8)
         assert np.isfinite(lp)
 
+    def test_l_plus_needs_a_coefficient_past_n(self):
+        # at n = M, or with m_inner = 0, the inner series
+        # sum_m a(n + m) ... has no terms and L^+ would read 0
+        f = ls.divisor_model_newform(NU, 12, 1, 400)
+        ctx = delta_ctx(2.5 + 0j, 0.5, T=12.0, delta_form=f)
+        for n in (400, 401):
+            with pytest.raises(ls.InsufficientCoefficientsError):
+                mo.first_moment_pieces(n, ctx)
+        with pytest.raises(DomainError):
+            mo.first_moment_pieces(2, ctx, m_inner=0)
+        mo.first_moment_pieces(399, ctx, m_inner=1, inner_panels=4)
+
+    @pytest.mark.parametrize("panels", [24, 72])
+    @pytest.mark.parametrize("t", [0.4, -0.4])
+    def test_factored_inner_sums_match_direct_exp(self, panels, t):
+        # the L^+ inner sums at the bench's T, against one exp per (node, m);
+        # the bound is float64 rounding of the sum's absolute terms
+        n, m_inner = 2, 20_000
+        delta = ls.delta_newform(n + m_inner)
+        k = delta.k
+        sigma_v = 1.0 + k / 2.0 + 0.1
+        kp = TestFunctionParams(T=14.8, alpha=0.5, R=1.0)
+        rv_max = kp.T + 12.0 * kp.bump_width + 40.0 / math.pi
+        edges = np.linspace(-rv_max, rv_max, panels + 1)
+        nodes, _ = gk15_panel_nodes(edges)
+        w = ar.sigma_twisted_array(1, t, m_inner) * delta.a[n : n + m_inner]
+        log_m = np.log(np.arange(1, m_inner + 1))
+        direct = np.concatenate([  # 60 nodes at a time: 19 MB of exp
+            np.exp(np.multiply.outer(-(sigma_v + 1j * y - 1j * t), log_m)) @ w
+            for y in np.split(nodes, len(nodes) // 60)
+        ])
+        got = mo._lplus_inner_sums(edges, sigma_v, t, w)
+        scale = np.abs(w) @ np.exp(-sigma_v * log_m)
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct)) <= 64.0 * np.finfo(float).eps * scale
+
     @pytest.mark.slow
     def test_quadrature_consistency(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
