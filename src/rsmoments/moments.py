@@ -57,7 +57,7 @@ from .specfun import (
     _gk15,
     extrapolate_to_zero,
     gk15_panel_nodes,
-    integrate_line,
+    integrate_aligned_lattice,
     log_zeta_derivative,
     riemann_zeta,
 )
@@ -809,6 +809,10 @@ def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
     return (P @ Q.T).ravel()
 
 
+# the first-moment outer quadratures' tolerances
+_FM_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
+
+
 def first_moment_pieces(
     n: int,
     ctx: MomentContext,
@@ -821,14 +825,12 @@ def first_moment_pieces(
 
     M is the two-kernel closed form; L^-+ are the double contour quadratures
     over Re u = sigma_u and the v-lines Re v = sigma_0 (L^-) and
-    Re v = sigma_v = 1 + k/2 + 0.1 (L^+), with fixed composite GK15 panels in
-    v, the inner m-series truncated at ``m_inner``, and the adaptive
-    ``integrate_line`` in u.  In L^+ every v-node's factor
-    Gamma(u - v + k/2) has a pole sigma_u - 1.1 off the u-line; its pole
-    part is subtracted from the outer integrand and integrated in closed
-    form, so the adaptive loop sees a smooth integrand.  Contour placement
-    is validated: sigma_v - k/2 = 1.1 < sigma_u < 3/2 (left of 1.1 the
-    u-line has crossed those poles) and -k/2 < sigma_0 < -sigma_u.
+    Re v = sigma_v = 1 + k/2 + 0.1 (L^+), with ``inner_panels`` fixed
+    composite GK15 panels in v, the inner m-series truncated at ``m_inner``,
+    and u on the aligned lattice of :func:`integrate_aligned_lattice`.
+    Contour placement is validated: sigma_v - k/2 = 1.1 < sigma_u < 3/2
+    (left of 1.1 the u-line has crossed the poles of Gamma(u - v + k/2))
+    and -k/2 < sigma_0 < -sigma_u.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -862,120 +864,120 @@ def first_moment_pieces(
         * n ** (-0.5 + it)
         * ctx.H0(-2.0 * it)
     )
-
     p = ctx.kernel.params
     wwin = 12.0 * p.bump_width
-    glo, ghi = -(p.T + wwin), p.T + wwin
+    window = (-(p.T + wwin), p.T + wwin)
+    l_minus = _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window)
+    l_plus = _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window)
+    return complex(m_piece), l_minus, l_plus
 
-    # ----- L^-: finite inner coefficient sum over m < n
+
+def _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window) -> complex:
+    """L^-: the finite inner sum over m < n, v on Re v = sigma_0."""
     if n == 1:
-        l_minus = 0.0 + 0.0j
-    else:
-        ms = np.arange(1, n)
-        sig_nm = np.array([arith.sigma_twisted_N(int(n - m), N, t) for m in ms])
-        am = ctx.f.a[: n - 1]
-
-        # the v-integrand decays like exp(-pi(|Im v| - |t|)) here
-        rv_max = abs(t) + 50.0 / math.pi
-        nodes_m, wts_m = gk15_panel_nodes(np.linspace(-rv_max, rv_max, int(inner_panels) + 1))
-        v_m = sigma_0 + 1j * nodes_m
-        # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
-        inner_minus = np.exp(
-            np.multiply.outer(-v_m + it - k / 2.0, np.log(n - ms).astype(float))
-        ) @ (am * sig_nm)
-        core_m = (
-            np.exp(_loggamma(k / 2.0 - it + v_m) + _loggamma(k / 2.0 + it + v_m))
-            * np.exp(v_m * math.log(n))
-            * inner_minus
-        )
-
-        def outer_minus(gam):
-            u = sigma_u + 1j * gam
-            hval = h_eval(gam - 1j * sigma_u, p, enforce_strip=False)
-            pref = (
-                hval
-                * u
-                * _tan_pi_stable(u)
-                * np.exp(-_loggamma(u + it + k / 2.0) - _loggamma(-u + it + k / 2.0))
-            )
-            gm = (
-                np.exp(
-                    _loggamma(np.subtract.outer(u, v_m))
-                    + _loggamma(np.subtract.outer(-u, v_m) + 0.0)
-                )
-            )
-            inner_vals = (gm * core_m[None, :]) @ wts_m / (2.0 * math.pi)
-            return pref * inner_vals
-
-        quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
-        val, _ = integrate_line(outer_minus, quad, interval=(glo, ghi))
-        l_minus = complex(
-            -np.exp(2.0 * it * math.log(TWO_PI)) * np.cos(math.pi * it) / math.pi
-            * (2.0 / math.pi)
-            * val
-        )
-
-    # ----- L^+: infinite inner sum over m, v on Re v = sigma_v
-    m_inner = min(m_inner, ctx.f.M - n)
-    weights = arith.sigma_twisted_array(N, t, m_inner) * ctx.f.a[n : n + m_inner]
-    # only polynomial decay until |Im v| passes the h-window top
-    rv_max = ghi + 40.0 / math.pi
+        return 0.0 + 0.0j
+    k, t, p = ctx.k, ctx.t, ctx.kernel.params
+    it = 1j * t
+    ms = np.arange(1, n)
+    sig_nm = np.array([arith.sigma_twisted_N(int(n - m), ctx.N, t) for m in ms])
+    am = ctx.f.a[: n - 1]
+    # the v-integrand decays like exp(-pi(|Im v| - |t|)) here
+    rv_max = abs(t) + 50.0 / math.pi
     edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
     nodes, wts = gk15_panel_nodes(edges)
-    v_nodes = sigma_v + 1j * nodes
-    inner_plus_vals = _lplus_inner_sums(edges, sigma_v, t, weights)
-    log_gamma_v = _loggamma(v_nodes - it) + _loggamma(v_nodes + it)
-    log_n_pow = (v_nodes - k / 2.0) * math.log(n)
-    core_p = np.exp(log_gamma_v) * np.exp(log_n_pow) * inner_plus_vals
-
-    def log_pref(u):
-        # the outer factor h(gam - i sigma_u) u e^{log_pref(u)}, Gamma part in logs
-        return -_log_cos_pi(u) - _loggamma(-u + it + k / 2.0) - _loggamma(u + it + k / 2.0)
-
-    # Singularity subtraction (Davis & Rabinowitz, Methods of Numerical
-    # Integration, 2nd ed., sec. 2.12): Gamma(u - v_j + k/2) = Gamma(z + 1)/z
-    # with z = a + i(gam - y_j), so every v-node puts a pole a off the u-line.
-    # Its part R_j/z leaves the outer integrand and comes back integrated in
-    # closed form; R_j is the rest of the node's term at z = 0 (gam = y_j + ia),
-    # formed in logs since 1/Gamma alone overflows at large |y_j|.
-    a = sigma_u - sigma_v + k / 2.0
-    gam_r = nodes + 1j * a
-    u_r = sigma_u + 1j * gam_r
-    with np.errstate(divide="ignore"):  # h underflows to 0 far from its bumps
-        log_h_u = np.log(h_eval(gam_r - 1j * sigma_u, p, enforce_strip=False) * u_r)
-        residues = np.exp(
-            np.log(wts / TWO_PI)
-            + log_gamma_v
-            + log_n_pow
-            + np.log(inner_plus_vals)
-            + log_h_u
-            + log_pref(u_r)
-            - _loggamma(u_r + v_nodes + 1.0 - k / 2.0)
-        )
-    # int dgam / (a + i(gam - y)) = -i log(gam - y - ia): Im(gam - y - ia) = -a
-    # keeps one sign on the window, so the principal log has no jump there.
-    # Added as a constant density over the window, it keeps integrate_line's
-    # rel_tol relative to L^+ itself.
-    pole_density = residues @ (
-        -1j * (np.log(ghi - nodes - 1j * a) - np.log(glo - nodes - 1j * a))
-    ) / (ghi - glo)
-
-    def outer_plus(gam):
-        u = sigma_u + 1j * gam
-        pref = h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u * np.exp(log_pref(u))
-        gm = np.exp(
-            _loggamma(np.add.outer(u, -v_nodes) + k / 2.0)
-            - _loggamma(np.add.outer(u, v_nodes) + 1.0 - k / 2.0)
-        )
-        poles = (1.0 / (a + 1j * np.subtract.outer(gam, nodes))) @ residues
-        return pref * ((gm * core_p[None, :]) @ wts) / (2.0 * math.pi) - poles + pole_density
-
-    quad = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
-    val_p, _ = integrate_line(outer_plus, quad, interval=(glo, ghi))
-    l_plus = complex(
-        (1j) ** k * np.exp(2.0 * it * math.log(TWO_PI)) * (2.0 / math.pi) * val_p
+    v = sigma_0 + 1j * nodes
+    # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
+    inner = np.exp(np.multiply.outer(-v + it - k / 2.0, np.log(n - ms).astype(float))) @ (
+        am * sig_nm
     )
-    return complex(m_piece), l_minus, l_plus
+    with np.errstate(divide="ignore"):
+        log_c = (
+            np.log(wts / TWO_PI)
+            + _loggamma(k / 2.0 - it + v)
+            + _loggamma(k / 2.0 + it + v)
+            + v * math.log(n)
+            + np.log(inner)
+        )
+
+    def log_pref(gam):
+        u = sigma_u + 1j * gam
+        return (
+            np.log(h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u * _tan_pi_stable(u))
+            - _loggamma(u + it + k / 2.0)
+            - _loggamma(-u + it + k / 2.0)
+        )
+
+    # Gamma(u - v) Gamma(-u - v) with u - v = sigma_u - sigma_0 + i(gam - y)
+    val = integrate_aligned_lattice(
+        log_pref,
+        log_c,
+        lambda x: _loggamma(sigma_u - sigma_0 + 1j * x),
+        lambda y: _loggamma(-sigma_u - sigma_0 - 1j * y),
+        edges,
+        window,
+        _FM_QUAD,
+    ).value
+    return complex(
+        -np.exp(2.0 * it * math.log(TWO_PI)) * np.cos(math.pi * it) / math.pi
+        * (2.0 / math.pi)
+        * val
+    )
+
+
+def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
+    """L^+: the inner series over all m, v on Re v = sigma_v."""
+    k, t, p = ctx.k, ctx.t, ctx.kernel.params
+    it = 1j * t
+    m_inner = min(m_inner, ctx.f.M - n)
+    weights = arith.sigma_twisted_array(ctx.N, t, m_inner) * ctx.f.a[n : n + m_inner]
+    # only polynomial decay until |Im v| passes the h-window top
+    rv_max = window[1] + 40.0 / math.pi
+    edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
+    nodes, wts = gk15_panel_nodes(edges)
+    v = sigma_v + 1j * nodes
+    log_c = (
+        np.log(wts / TWO_PI)
+        + _loggamma(v - it)
+        + _loggamma(v + it)
+        + (v - k / 2.0) * math.log(n)
+        + np.log(_lplus_inner_sums(edges, sigma_v, t, weights))
+    )
+
+    def log_pref(gam):
+        u = sigma_u + 1j * gam
+        with np.errstate(divide="ignore"):  # h underflows to 0 far from its bumps
+            log_h_u = np.log(h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u)
+        return (
+            log_h_u - _log_cos_pi(u) - _loggamma(-u + it + k / 2.0) - _loggamma(u + it + k / 2.0)
+        )
+
+    # Gamma(u - v + k/2) / Gamma(u + v + 1 - k/2) = Gamma(a + i(gam - y)) /
+    # Gamma(b + i(gam + y)).  Singularity subtraction (Davis & Rabinowitz,
+    # Methods of Numerical Integration, 2nd ed., sec. 2.12): Gamma(z) =
+    # Gamma(z + 1)/z with z = a + i(gam - y_j), so every v-node puts a pole a
+    # off the u-line.  Its part r_j/z leaves the outer integrand and comes
+    # back integrated in closed form; r_j is the rest of the node's term at
+    # z = 0 (gam = y_j + ia), formed in logs since 1/Gamma alone overflows at
+    # large |y_j|.
+    a = sigma_u - sigma_v + k / 2.0
+    b = sigma_u + sigma_v + 1.0 - k / 2.0
+
+    def log_k_plus(y):
+        return -_loggamma(b + 1j * y)
+
+    gam_r = nodes + 1j * a
+    residues = np.exp(log_pref(gam_r) + log_c + log_k_plus(gam_r + nodes))
+    val = integrate_aligned_lattice(
+        log_pref,
+        log_c,
+        lambda x: _loggamma(a + 1j * x),
+        log_k_plus,
+        edges,
+        window,
+        _FM_QUAD,
+        pole=(a, residues),
+    ).value
+    return complex((1j) ** k * np.exp(2.0 * it * math.log(TWO_PI)) * (2.0 / math.pi) * val)
 
 
 def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int, delta=None):

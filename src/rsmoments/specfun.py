@@ -20,6 +20,9 @@ series) is built on the functions in this module:
 * ``integrate_line`` -- adaptive Gauss-Kronrod for complex integrands on a
   finite or truncated line, returning a value together with an error
   estimate.
+* ``integrate_aligned_lattice`` -- the same GK15 rule on equal u-panels
+  aligned with fixed v-panels, for double integrals whose kernels depend on
+  g - y and g + y only (tabulated once per lattice).
 
 All functions are pure.  Cached tables (Bernoulli numbers, Gauss-Kronrod
 nodes) are built once at import time and never mutated.  Nothing here knows
@@ -60,6 +63,7 @@ __all__ = [
     "bessel_K",
     "integrate_line",
     "gk15_panel_nodes",
+    "integrate_aligned_lattice",
     "extrapolate_to_zero",
 ]
 
@@ -536,6 +540,118 @@ def gk15_panel_nodes(edges):
         nodes.append(mid + half * _NODES)
         wts.append(half * _W15)
     return np.concatenate(nodes), np.concatenate(wts)
+
+
+# u-panel width the aligned lattice starts from (it halves it until accepted)
+_LATTICE_START_WIDTH = 0.25
+
+
+def _row_scaled(logs):
+    """exp(logs) as (rows scaled to modulus <= 1, log row scales): no row
+    overflows, and a row of -inf logs is zeros with a -inf scale."""
+    scale = np.max(logs.real.reshape(len(logs), -1), axis=1)
+    shift = np.where(np.isfinite(scale), scale, 0.0)
+    return np.exp(logs - shift.reshape((-1,) + (1,) * (logs.ndim - 1))), scale
+
+
+def integrate_aligned_lattice(
+    log_pref: Callable,
+    log_c,
+    log_k_minus: Callable,
+    log_k_plus: Callable,
+    v_edges,
+    window: tuple,
+    spec: QuadratureSpec,
+    pole: tuple | None = None,
+) -> ValueWithError:
+    """int pref(g) sum_{q,j} c_qj K-(g - y_qj) K+(g + y_qj) dg over ``window``.
+
+    The y_qj are the GK15 nodes of the equal v-panels ``v_edges``
+    (:func:`gk15_panel_nodes` order, which ``log_c`` follows).  The g-rule
+    is GK15 on u-panels of width H = H_v / m with edges on the v-panels'
+    grid, covering ``window``.  On that lattice g - y depends only on
+    (p - m q, i, j) and g + y only on (p + m q, i, j) for u-panel p, v-panel
+    q and nodes i, j, so K- and K+ are tabulated once over those rows, and
+    v-panel q contracts a contiguous slice of each table.  ``log_pref``,
+    ``log_c``, ``log_k_minus`` and ``log_k_plus`` give logs: every table is
+    scaled per row, and only the P_u x P_v matrix of combined row scales is
+    exponentiated, so no factor overflows on its own.
+
+    ``pole = (a, r)`` subtracts sum_qj r_qj / (a + i(g - y_qj)) from the
+    integrand and adds its integral over the lattice window back in closed
+    form.
+
+    m starts at ceil(H_v / 0.25) and doubles until the u-panels' summed
+    |I15 - I7| is within max(abs_tol, rel_tol |I|).  Raises
+    :class:`NonConvergenceError` once the u-panel count would pass
+    ``spec.max_subdivisions``.
+    """
+    v_edges = np.asarray(v_edges, dtype=float)
+    n_v = len(v_edges) - 1
+    e0 = float(v_edges[0])
+    h_v = (float(v_edges[-1]) - e0) / n_v
+    # positions are kept as c + h * (a multiple of 1/2) + node offsets, with
+    # c the grid centre, so mirror nodes of a symmetric grid are exact negatives
+    c = 0.5 * (e0 + float(v_edges[-1]))
+    lo, hi = window
+    c_t, c_scale = _row_scaled(np.asarray(log_c).reshape(n_v, 15))
+    if pole is not None:
+        a, r = pole
+        r = np.asarray(r, dtype=complex).reshape(n_v, 15)
+    m = max(1, math.ceil(h_v / _LATTICE_START_WIDTH - 1e-9))
+    val = err = None
+    while True:
+        h = h_v / m
+        p_lo = math.floor((lo - e0) / h + 1e-9)
+        p_hi = math.ceil((hi - e0) / h - 1e-9)
+        n_u = p_hi - p_lo
+        if n_u > spec.max_subdivisions:
+            raise NonConvergenceError(
+                "integrate_aligned_lattice exceeded max_subdivisions u-panels", val, err
+            )
+        k_lo = p_lo - 0.5 * m * n_v  # the first u-panel's left edge is c + h k_lo
+        gam = c + h * ((np.arange(n_u) + k_lo + 0.5)[:, None] + 0.5 * _NODES)
+        pref_t, pref_scale = _row_scaled(np.asarray(log_pref(gam.ravel())).reshape(n_u, 15))
+        # with p, q counted from the first v-edge, g - y sits on row
+        # d - d_min for d = p - m q and g + y on row e - p_lo for e = p + m q;
+        # across a row the node pair (i, j) adds `pair`
+        rows = np.arange(n_u + m * (n_v - 1))
+        pair = 0.5 * h * np.subtract.outer(_NODES, m * _NODES)
+        x_minus = ((rows + p_lo - m * (n_v - 1) + 0.5 * (1 - m)) * h)[:, None, None] + pair
+        pair = 0.5 * h * np.add.outer(_NODES, m * _NODES)
+        x_plus = ((rows + k_lo + 0.5 * (1 - m * (n_v - 1))) * h + 2.0 * c)[:, None, None] + pair
+        km_t, km_scale = _row_scaled(log_k_minus(x_minus))
+        kp_t, kp_scale = _row_scaled(log_k_plus(x_plus))
+        p_idx = np.arange(n_u)[:, None]
+        q_off = m * np.arange(n_v)[None, :]
+        with np.errstate(invalid="ignore"):
+            scales = (pref_scale[:, None] + c_scale[None, :]
+                      + km_scale[p_idx + m * (n_v - 1) - q_off] + kp_scale[p_idx + q_off])
+        scales = np.exp(np.where(np.isnan(scales), -np.inf, scales))  # -inf + inf: a zero row
+        f = np.zeros((n_u, 15), dtype=complex)
+        sub = np.zeros((n_u, 15), dtype=complex)
+        if pole is not None:
+            poles = 1.0 / (a + 1j * x_minus)
+        for q in range(n_v):
+            dq, eq = m * (n_v - 1 - q), m * q
+            f += scales[:, q, None] * ((km_t[dq:dq + n_u] * kp_t[eq:eq + n_u]) @ c_t[q])
+            if pole is not None:
+                sub += poles[dq:dq + n_u] @ r[q]
+        f = f * pref_t - sub
+        closed = 0.0
+        if pole is not None:
+            y = gk15_panel_nodes(v_edges)[0]
+            g_lo, g_hi = c + h * k_lo, c + h * (k_lo + n_u)
+            # Im(g - y - ia) = -a on the whole window: no branch cut crossed
+            closed = complex(np.sum(r.ravel() * -1j * (
+                np.log(g_hi - y - 1j * a) - np.log(g_lo - y - 1j * a)
+            )))
+        with np.errstate(invalid="ignore"):
+            val = complex(0.5 * h * np.sum(f @ _W15)) + closed
+            err = float(0.5 * h * np.sum(np.abs(f @ (_W15 - _W7))))
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
+            return ValueWithError(val, err)
+        m *= 2
 
 
 def _split_key(err: float, a: float, seq: int):

@@ -11,11 +11,16 @@ from rsmoments import lseries as ls
 from rsmoments import moments as mo
 from rsmoments.kernels import KernelContext, TestFunctionParams, h_eval
 from rsmoments.specfun import (
+    _W7,
+    _W15,
     DomainError,
+    NonConvergenceError,
     PoleError,
     QuadratureSpec,
+    ValueWithError,
     extrapolate_to_zero,
     gk15_panel_nodes,
+    integrate_aligned_lattice,
     integrate_line,
 )
 
@@ -340,6 +345,23 @@ def _summed_spike_l_plus(n, ctx, sigma_u, m_inner, inner_panels, quad=integrate_
     return (1j) ** k * np.exp(2.0 * it * math.log(2.0 * math.pi)) * (2.0 / math.pi) * raw, raw
 
 
+def _uniform_gk15(f, spec, interval):
+    """Composite GK15 on equal panels no wider than 0.25, halved until the
+    panels' summed |I15 - I7| is within max(abs_tol, rel_tol |I|)."""
+    lo, hi = interval
+    panels = math.ceil((hi - lo) / 0.25)
+    while panels <= spec.max_subdivisions:
+        x, _ = gk15_panel_nodes(np.linspace(lo, hi, panels + 1))
+        rows = np.asarray(f(x)).reshape(panels, 15)
+        half = 0.5 * (hi - lo) / panels
+        val = half * np.sum(rows @ _W15)
+        err = half * np.sum(np.abs(rows @ (_W15 - _W7)))
+        if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
+            return ValueWithError(val, err)
+        panels *= 2
+    raise NonConvergenceError("_uniform_gk15 exhausted max_subdivisions")
+
+
 class TestFirstMoment:
     def test_n1_lminus_empty(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
@@ -379,23 +401,31 @@ class TestFirstMoment:
 
     def test_l_plus_pole_subtraction_cuts_evaluations(self, delta, monkeypatch):
         # any residue gives the same value (the subtracted part comes back in
-        # closed form); only the right one leaves a smooth outer integrand
-        evals = []
+        # closed form); only the right one leaves a smooth outer integrand.
+        # Counted in u-panels of the accepted uniform rule: the lattice's for
+        # the subtracted integrand, _uniform_gk15's for the summed spikes
+        panels = {"lattice": 0, "summed_spike": 0}
 
-        def counting(f, spec, interval=None):
+        def counting(key, f):
             def g(x):
-                evals[-1] += len(x)
+                panels[key] = x.size // 15
                 return f(x)
 
-            evals.append(0)
-            return integrate_line(g, spec, interval=interval)
+            return g
 
-        monkeypatch.setattr(mo, "integrate_line", counting)
+        def counting_lattice(log_pref, *args, **kwargs):
+            if "pole" not in kwargs:  # the L^- call
+                return integrate_aligned_lattice(log_pref, *args, **kwargs)
+            return integrate_aligned_lattice(counting("lattice", log_pref), *args, **kwargs)
+
+        def counting_uniform(f, spec, interval):
+            return _uniform_gk15(counting("summed_spike", f), spec, interval)
+
+        monkeypatch.setattr(mo, "integrate_aligned_lattice", counting_lattice)
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
         mo.first_moment_pieces(2, ctx, m_inner=400, inner_panels=6)
-        _summed_spike_l_plus(2, ctx, 1.25, 400, 6, quad=counting)
-        _, l_plus, summed_spike = evals
-        assert 2 * l_plus < summed_spike
+        _summed_spike_l_plus(2, ctx, 1.25, 400, 6, quad=counting_uniform)
+        assert 2 * panels["lattice"] < panels["summed_spike"]
 
     def test_l_plus_contour_independence(self, delta):
         # no pole lies between Re u = 1.3 and 1.45, so moving the u-line
@@ -412,6 +442,79 @@ class TestFirstMoment:
         with np.errstate(over="raise", invalid="raise"):
             _, _, lp = mo.first_moment_pieces(1, ctx, m_inner=200, inner_panels=8)
         assert np.isfinite(lp)
+
+    def test_l_plus_finite_at_T_110(self, delta):
+        # Gamma(u - v + k/2) / Gamma(u + v + 1 - k/2) alone overflows here;
+        # the lattice forms it in logs and scales it with the other factors
+        pieces = []
+        for t in (0.37, -0.37):
+            ctx = delta_ctx(2.5 + 0j, t, T=110.0, delta_form=delta)
+            with np.errstate(over="raise", invalid="raise"):
+                pieces.append(mo.first_moment_pieces(1, ctx, m_inner=200, inner_panels=8))
+        lp, lp_conj = pieces[0][2], np.conj(pieces[1][2])
+        assert np.isfinite(lp)
+        assert abs(lp - lp_conj) <= _FM_QUAD.abs_tol
+
+    @pytest.mark.parametrize("panels", [24, 72])
+    def test_lattice_matches_integrate_line(self, delta, monkeypatch, panels):
+        # the L^- and L^+ outer integrals against the adaptive loop at
+        # rel_tol 1e-12 on the same integrand and window (the lattice's
+        # overhangs it by less than a u-panel, where h is below e^-140),
+        # with L^+'s subtracted poles integrated in closed form on both sides
+        calls = []
+
+        def recording(*args, **kwargs):
+            out = integrate_aligned_lattice(*args, **kwargs)
+            calls.append((args, kwargs.get("pole"), out.value))
+            return out
+
+        monkeypatch.setattr(mo, "integrate_aligned_lattice", recording)
+        ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
+        mo.first_moment_pieces(2, ctx, m_inner=400, inner_panels=panels)
+        assert [pole is None for _, pole, _ in calls] == [True, False]
+        # abs_tol 1e-3 of the pieces' own: L^- at n = 2 sits near it
+        fine = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=20000)
+        for (log_pref, log_c, log_km, log_kp, edges, (lo, hi), spec), pole, value in calls:
+            y, _ = gk15_panel_nodes(edges)
+
+            def outer(g):
+                terms = log_c + log_km(np.subtract.outer(g, y)) + log_kp(np.add.outer(g, y))
+                out = np.exp(log_pref(g)) * np.exp(terms).sum(axis=1)
+                if pole is not None:
+                    out -= (1.0 / (pole[0] + 1j * np.subtract.outer(g, y))) @ pole[1]
+                return out
+
+            ref = integrate_line(outer, fine, interval=(lo, hi)).value
+            if pole is not None:
+                a, r = pole
+                ref += np.sum(r * -1j * np.log((a + 1j * (hi - y)) / (a + 1j * (lo - y))))
+            assert abs(value - ref) <= max(spec.abs_tol, spec.rel_tol * abs(ref))
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.floats(10.5, 16.0),
+        st.floats(0.3, 1.0),
+        st.integers(6, 12),
+    )
+    def test_pieces_at_minus_t_are_conjugates(self, delta, n, T, t, panels):
+        # real coefficients: every piece at -t is the conjugate of the piece
+        # at t, to the benchmark's bounds (1e-10 for M, 1e-8 for L^-+).  With
+        # few v-panels at n = 8, L^+'s outer integral can sit on a roundoff
+        # floor above its rel_tol; the mirror-image lattice then stops there
+        # at both signs
+        pieces = []
+        for tt in (t, -t):
+            ctx = delta_ctx(2.5 + 0j, tt, T=T, delta_form=delta)
+            try:
+                pieces.append(mo.first_moment_pieces(n, ctx, m_inner=400, inner_panels=panels))
+            except NonConvergenceError:
+                pieces.append(None)
+        if None in pieces:
+            assert pieces == [None, None]
+            return
+        for a, b, tol in zip(*pieces, (1e-10, 1e-8, 1e-8)):
+            assert abs(a - np.conj(b)) <= tol * abs(b)
 
     def test_l_plus_needs_a_coefficient_past_n(self):
         # at n = M, or with m_inner = 0, the inner series

@@ -327,6 +327,59 @@ class TestIntegrateLine:
         assert err >= math.exp(-36.0)
 
 
+class TestIntegrateAlignedLattice:
+    # int sum_qj c_qj exp(-(g - y)^2 / al - (g + y)^2 / be) dg over the line
+    # is sum_qj c_qj sqrt(pi al be / (al + be)) exp(-4 y^2 / (al + be))
+    @staticmethod
+    def _gaussian_case(al, be, v_edges):
+        rng = np.random.default_rng(7)
+        y, _ = sf.gk15_panel_nodes(v_edges)
+        c = rng.normal(size=y.size) + 1j * rng.normal(size=y.size)
+        exact = np.sum(c * np.sqrt(math.pi * al * be / (al + be)) * np.exp(-4.0 * y * y / (al + be)))
+        calls = []
+
+        def log_pref(g):
+            calls.append(g.size // 15)  # u-panels of this attempt
+            return np.zeros(g.shape, dtype=complex)
+
+        args = (log_pref, np.log(c), lambda x: -x * x / al + 0j, lambda x: -x * x / be + 0j, v_edges)
+        return args, exact, calls
+
+    def test_gaussian_closed_form(self):
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
+        args, exact, calls = self._gaussian_case(2.0, 3.0, np.linspace(-3.0, 3.0, 7))
+        val, err = sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec)
+        assert calls == [96]  # H_v = 1 gives m = 4: accepted at width 0.25
+        assert abs(val - exact) <= 1e-12 * abs(exact)
+        assert err <= 1e-12 * abs(val)
+
+    def test_halves_the_u_panels_until_accepted(self):
+        # width ~0.07 Gaussians: GK15 on 0.25-wide panels misses them
+        spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=2000)
+        args, exact, calls = self._gaussian_case(0.01, 0.01, np.linspace(-0.75, 0.75, 4))
+        val, err = sf.integrate_aligned_lattice(*args, (-2.0, 2.0), spec)
+        assert len(calls) >= 2
+        assert calls == [16 * 2**i for i in range(len(calls))]
+        assert abs(val - exact) <= 1e-10 * abs(exact)
+
+    def test_raises_past_max_subdivisions(self):
+        spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=20)
+        args, exact, calls = self._gaussian_case(0.01, 0.01, np.linspace(-0.75, 0.75, 4))
+        with pytest.raises(sf.NonConvergenceError) as info:
+            sf.integrate_aligned_lattice(*args, (-2.0, 2.0), spec)
+        assert calls == [16]
+        assert info.value.error > 1e-10 * abs(info.value.value)
+
+    def test_subtracted_pole_comes_back_in_closed_form(self):
+        # any residues leave the value alone: what the integrand loses the
+        # closed form returns over the same lattice window
+        spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=2000)
+        args, exact, _ = self._gaussian_case(2.0, 3.0, np.linspace(-3.0, 3.0, 7))
+        r = np.linspace(0.5, 1.5, 90) * np.exp(1j * np.linspace(0.0, 3.0, 90))
+        val, _ = sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec, pole=(0.6, r))
+        assert abs(val - exact) <= 1e-10 * abs(exact)
+
+
 def test_extrapolate_to_zero():
     h = [0.4, 0.2, 0.1, 0.05]
     vals = [1.0 + 3 * x + 2 * x**2 - x**3 for x in h]
