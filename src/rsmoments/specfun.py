@@ -544,6 +544,9 @@ def gk15_panel_nodes(edges):
 
 # u-panel width the aligned lattice starts from (it halves it until accepted)
 _LATTICE_START_WIDTH = 0.25
+# table rows, and u-panels, the aligned lattice works on at once: its
+# temporaries stay this small, so its memory is the two tables at any width
+_LATTICE_BLOCK = 128
 
 
 def _row_scaled(logs):
@@ -552,6 +555,17 @@ def _row_scaled(logs):
     scale = np.max(logs.real.reshape(len(logs), -1), axis=1)
     shift = np.where(np.isfinite(scale), scale, 0.0)
     return np.exp(logs - shift.reshape((-1,) + (1,) * (logs.ndim - 1))), scale
+
+
+def _scaled_table(log_k, x_of_rows, n_rows):
+    """:func:`_row_scaled` of ``log_k(x_of_rows(r0, r1))`` over rows
+    0..n_rows, filled ``_LATTICE_BLOCK`` rows at a time."""
+    tab = np.empty((n_rows, 15, 15), dtype=complex)
+    scale = np.empty(n_rows)
+    for r0 in range(0, n_rows, _LATTICE_BLOCK):
+        r1 = min(r0 + _LATTICE_BLOCK, n_rows)
+        tab[r0:r1], scale[r0:r1] = _row_scaled(log_k(x_of_rows(r0, r1)))
+    return tab, scale
 
 
 def integrate_aligned_lattice(
@@ -584,7 +598,13 @@ def integrate_aligned_lattice(
     m starts at ceil(H_v / 0.25) and doubles until the u-panels' summed
     |I15 - I7| is within max(abs_tol, rel_tol |I|).  Raises
     :class:`NonConvergenceError` once the u-panel count would pass
-    ``spec.max_subdivisions``.
+    ``spec.max_subdivisions``.  A doubling that does not halve that sum has
+    met the integrand's roundoff floor, which finer lattices sit on too.  The
+    integral then goes to :func:`integrate_line` on the same integrand at the
+    same ``spec``: its adaptive loop splits only the worst panels, and can
+    end below a floor that a uniform rule stays on.  Any pole's closed form
+    is spread evenly over ``window`` there, so that rel_tol stays relative to
+    the whole value.
     """
     v_edges = np.asarray(v_edges, dtype=float)
     n_v = len(v_edges) - 1
@@ -594,10 +614,34 @@ def integrate_aligned_lattice(
     # c the grid centre, so mirror nodes of a symmetric grid are exact negatives
     c = 0.5 * (e0 + float(v_edges[-1]))
     lo, hi = window
-    c_t, c_scale = _row_scaled(np.asarray(log_c).reshape(n_v, 15))
+    log_c = np.asarray(log_c).ravel()
+    c_t, c_scale = _row_scaled(log_c.reshape(n_v, 15))
     if pole is not None:
         a, r = pole
         r = np.asarray(r, dtype=complex).reshape(n_v, 15)
+    y = gk15_panel_nodes(v_edges)[0]
+
+    def closed_form(g_lo, g_hi):
+        if pole is None:
+            return 0.0
+        # Im(g - y - ia) = -a on the whole window: no branch cut crossed
+        return complex(np.sum(r.ravel() * -1j * (
+            np.log(g_hi - y - 1j * a) - np.log(g_lo - y - 1j * a)
+        )))
+
+    density = closed_form(lo, hi) / (hi - lo)
+
+    def integrand(g):
+        """The integrand at any abscissae g, for integrate_line."""
+        with np.errstate(invalid="ignore"):
+            logs = (np.asarray(log_pref(g))[:, None] + log_c
+                    + log_k_minus(np.subtract.outer(g, y)) + log_k_plus(np.add.outer(g, y)))
+        tab, scale = _row_scaled(np.where(np.isnan(logs), -np.inf, logs))
+        out = np.exp(scale) * tab.sum(axis=1)
+        if pole is not None:
+            out = out - (1.0 / (a + 1j * np.subtract.outer(g, y))) @ r.ravel() + density
+        return out
+
     m = max(1, math.ceil(h_v / _LATTICE_START_WIDTH - 1e-9))
     val = err = None
     while True:
@@ -614,43 +658,62 @@ def integrate_aligned_lattice(
         pref_t, pref_scale = _row_scaled(np.asarray(log_pref(gam.ravel())).reshape(n_u, 15))
         # with p, q counted from the first v-edge, g - y sits on row
         # d - d_min for d = p - m q and g + y on row e - p_lo for e = p + m q;
-        # across a row the node pair (i, j) adds `pair`
-        rows = np.arange(n_u + m * (n_v - 1))
-        pair = 0.5 * h * np.subtract.outer(_NODES, m * _NODES)
-        x_minus = ((rows + p_lo - m * (n_v - 1) + 0.5 * (1 - m)) * h)[:, None, None] + pair
-        pair = 0.5 * h * np.add.outer(_NODES, m * _NODES)
-        x_plus = ((rows + k_lo + 0.5 * (1 - m * (n_v - 1))) * h + 2.0 * c)[:, None, None] + pair
-        km_t, km_scale = _row_scaled(log_k_minus(x_minus))
-        kp_t, kp_scale = _row_scaled(log_k_plus(x_plus))
+        # across a row the node pair (i, j) adds `pair_*`
+        n_rows = n_u + m * (n_v - 1)
+        pair_minus = 0.5 * h * np.subtract.outer(_NODES, m * _NODES)
+        pair_plus = 0.5 * h * np.add.outer(_NODES, m * _NODES)
+        off_minus = p_lo - m * (n_v - 1) + 0.5 * (1 - m)
+        off_plus = k_lo + 0.5 * (1 - m * (n_v - 1))
+
+        def x_minus(r0, r1):
+            return ((np.arange(r0, r1) + off_minus) * h)[:, None, None] + pair_minus
+
+        def x_plus(r0, r1):
+            return ((np.arange(r0, r1) + off_plus) * h + 2.0 * c)[:, None, None] + pair_plus
+
+        km_t, km_scale = _scaled_table(log_k_minus, x_minus, n_rows)
+        kp_t, kp_scale = _scaled_table(log_k_plus, x_plus, n_rows)
         p_idx = np.arange(n_u)[:, None]
         q_off = m * np.arange(n_v)[None, :]
         with np.errstate(invalid="ignore"):
             scales = (pref_scale[:, None] + c_scale[None, :]
                       + km_scale[p_idx + m * (n_v - 1) - q_off] + kp_scale[p_idx + q_off])
         scales = np.exp(np.where(np.isnan(scales), -np.inf, scales))  # -inf + inf: a zero row
+        # v-panel q reads rows p + m (n_v - 1 - q) of K- and p + m q of K+;
+        # every sum below runs over q in ascending order
         f = np.zeros((n_u, 15), dtype=complex)
-        sub = np.zeros((n_u, 15), dtype=complex)
+        prod = np.empty((min(_LATTICE_BLOCK, n_u), 15, 15), dtype=complex)
+        for p0 in range(0, n_u, _LATTICE_BLOCK):
+            p1 = min(p0 + _LATTICE_BLOCK, n_u)
+            w = prod[:p1 - p0]
+            for q in range(n_v):
+                dq, eq = m * (n_v - 1 - q), m * q
+                np.multiply(km_t[p0 + dq:p1 + dq], kp_t[p0 + eq:p1 + eq], out=w)
+                f[p0:p1] += scales[p0:p1, q, None] * (w @ c_t[q])
+        del km_t, kp_t
+        f *= pref_t
         if pole is not None:
-            poles = 1.0 / (a + 1j * x_minus)
-        for q in range(n_v):
-            dq, eq = m * (n_v - 1 - q), m * q
-            f += scales[:, q, None] * ((km_t[dq:dq + n_u] * kp_t[eq:eq + n_u]) @ c_t[q])
-            if pole is not None:
-                sub += poles[dq:dq + n_u] @ r[q]
-        f = f * pref_t - sub
-        closed = 0.0
-        if pole is not None:
-            y = gk15_panel_nodes(v_edges)[0]
-            g_lo, g_hi = c + h * k_lo, c + h * (k_lo + n_u)
-            # Im(g - y - ia) = -a on the whole window: no branch cut crossed
-            closed = complex(np.sum(r.ravel() * -1j * (
-                np.log(g_hi - y - 1j * a) - np.log(g_lo - y - 1j * a)
-            )))
+            # the pole rows are made a block at a time from the top down, so
+            # each u-panel still meets its v-panels in ascending order
+            sub = np.zeros((n_u, 15), dtype=complex)
+            for r1 in range(n_rows, 0, -_LATTICE_BLOCK):
+                r0 = max(0, r1 - _LATTICE_BLOCK)
+                poles = 1.0 / (a + 1j * x_minus(r0, r1))
+                for q in range(n_v):
+                    dq = m * (n_v - 1 - q)
+                    s0, s1 = max(0, r0 - dq), min(n_u, r1 - dq)
+                    if s0 < s1:
+                        sub[s0:s1] += poles[s0 + dq - r0:s1 + dq - r0] @ r[q]
+            f -= sub
+        closed = closed_form(c + h * k_lo, c + h * (k_lo + n_u))
+        last_err = err
         with np.errstate(invalid="ignore"):
             val = complex(0.5 * h * np.sum(f @ _W15)) + closed
             err = float(0.5 * h * np.sum(np.abs(f @ (_W15 - _W7))))
         if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
             return ValueWithError(val, err)
+        if last_err is not None and err > 0.5 * last_err:
+            return integrate_line(integrand, spec, interval=window)
         m *= 2
 
 

@@ -501,8 +501,8 @@ class TestFirstMoment:
         # real coefficients: every piece at -t is the conjugate of the piece
         # at t, to the benchmark's bounds (1e-10 for M, 1e-8 for L^-+).  With
         # few v-panels at n = 8, L^+'s outer integral can sit on a roundoff
-        # floor above its rel_tol; the mirror-image lattice then stops there
-        # at both signs
+        # floor above its rel_tol, which the lattice hands to integrate_line;
+        # where that cannot get under it either, both signs stop there
         pieces = []
         for tt in (t, -t):
             ctx = delta_ctx(2.5 + 0j, tt, T=T, delta_form=delta)

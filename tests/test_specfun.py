@@ -379,6 +379,55 @@ class TestIntegrateAlignedLattice:
         val, _ = sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec, pole=(0.6, r))
         assert abs(val - exact) <= 1e-10 * abs(exact)
 
+    @staticmethod
+    def _noisy_case(monkeypatch):
+        # a phase noise of 1e-9 in the prefactor puts the estimate on a floor
+        # far above rel_tol 1e-12: the second width does not halve it
+        args, exact, calls = TestIntegrateAlignedLattice._gaussian_case(
+            2.0, 3.0, np.linspace(-3.0, 3.0, 7))
+        log_pref = args[0]
+
+        def noisy(g):
+            return log_pref(g) + 1e-9j * np.sin(1e8 * g)
+
+        handed = []
+
+        def line(f, spec, interval=None):
+            handed.append((f, spec, interval))
+            return sf.ValueWithError(0.25 + 0.5j, 1e-9)
+
+        monkeypatch.setattr(sf, "integrate_line", line)
+        return (noisy,) + args[1:], exact, calls, handed
+
+    def test_roundoff_floor_goes_to_integrate_line(self, monkeypatch):
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
+        args, _, calls, handed = self._noisy_case(monkeypatch)
+        out = sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec)
+        assert calls == [96, 192]
+        assert out == (0.25 + 0.5j, 1e-9)
+        [(f, spec_line, interval)] = handed
+        assert spec_line is spec and interval == (-12.0, 12.0)
+        # the adaptive loop gets the lattice's integrand, at any abscissae
+        log_pref, log_c, log_km, log_kp, v_edges = args
+        y, _ = sf.gk15_panel_nodes(v_edges)
+        g = np.linspace(-4.0, 4.0, 9)
+        direct = np.exp(log_pref(g)) * (
+            np.exp(log_c + log_km(np.subtract.outer(g, y)) + log_kp(np.add.outer(g, y))).sum(axis=1))
+        assert np.allclose(f(g), direct, rtol=1e-12, atol=0.0)
+
+    def test_roundoff_floor_spreads_the_pole_closed_form(self, monkeypatch):
+        # what the handed integrand loses to the subtracted poles comes back
+        # as a constant density over the window: its integral is the value
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
+        args, exact, _, handed = self._noisy_case(monkeypatch)
+        r = np.linspace(0.5, 1.5, 90) * np.exp(1j * np.linspace(0.0, 3.0, 90))
+        sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec, pole=(0.6, r))
+        [(f, _, interval)] = handed
+        monkeypatch.undo()
+        coarse = sf.QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=2000)
+        val, _ = sf.integrate_line(f, coarse, interval=interval)
+        assert abs(val - exact) <= 1e-8 * abs(exact)
+
 
 def test_extrapolate_to_zero():
     h = [0.4, 0.2, 0.1, 0.05]
