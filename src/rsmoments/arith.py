@@ -1,11 +1,11 @@
 """Integer and multiplicative arithmetic.
 
 Factorisation, the one smallest-prime-factor sieve of the package (every
-prime listing and least-prime-factor lookup reads it; p is prime iff its
-entry is p), twisted divisor sums, the local Euler polynomials attached to
-a modulus, depleted zeta and depleted Dirichlet L-values, the cusps of
-Gamma_0(N) in the 1/(c*a) parameterisation, and Dirichlet character
-enumeration from the unit-group structure.
+prime listing, least-prime-factor lookup and mu / phi table reads it; p is
+prime iff its entry is p), twisted divisor sums, the local Euler
+polynomials attached to a modulus, depleted zeta and depleted Dirichlet
+L-values, the cusps of Gamma_0(N) in the 1/(c*a) parameterisation, and
+Dirichlet character enumeration from the unit-group structure.
 
 ``factorize`` (trial division with a Pollard rho fallback) and the sieve are
 independent routes to the same primes; the tests hold one against the other.
@@ -27,6 +27,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "smallest_prime_factors",
+    "mobius_phi_arrays",
     "divisors",
     "prime_divisors",
     "euler_phi",
@@ -170,6 +171,34 @@ def smallest_prime_factors(n: int) -> np.ndarray:
         spf.flags.writeable = False
         _SPF = spf
     return _SPF[: n + 1]
+
+
+def mobius_phi_arrays(n: int):
+    """(mu, phi) as int64 arrays over m = 0..n at index m, entry 0 being 0.
+
+    Built from the shared sieve: every m is divided by its smallest prime
+    factor until 1 is left, all m at once, in at most log2(n) steps.  A prime
+    met twice in a row is a square factor and zeroes mu; a new prime p
+    multiplies mu by -1 and phi by (p - 1) / p.
+    """
+    spf = smallest_prime_factors(n)
+    rest = np.arange(n + 1)
+    mu = np.ones(n + 1, dtype=np.int64)
+    phi = rest.copy()
+    mu[0] = 0
+    last = np.zeros(n + 1, dtype=np.int64)
+    live = np.flatnonzero(rest > 1)
+    while live.size:
+        p = spf[rest[live]]
+        again = p == last[live]
+        mu[live[again]] = 0
+        new, p_new = live[~again], p[~again]
+        mu[new] = -mu[new]
+        phi[new] = phi[new] // p_new * (p_new - 1)
+        last[live] = p
+        rest[live] //= p
+        live = live[rest[live] > 1]
+    return mu, phi
 
 
 def prime_divisors(n: int) -> tuple:

@@ -25,6 +25,20 @@ evaluator, ``_eisenstein_x_profile``, gives E_a(x + i y) at any set of x:
 the trapezoid grid for ``tau_oracle`` and ``eisenstein_constant_term``, the
 single point x = Re z for ``eisenstein_oracle``.
 
+The phase sums are exact closed forms, not sums over residues.  With
+G = gcd(ct, N/a), a row's d0 are the units mod ct with d0 = d1 (mod G) for
+the unit d1 = -c inv(ct/a) mod G (no row when gcd(ct/a, G) > 1), and
+
+    sum_{d0} e(m d0 / ct) = sum_e mu(e) L e(m r_e / ct),   L = ct / (e G),
+
+over squarefree e | ct with gcd(e, G) = 1 and L | m, r_e = 0 (mod e),
+r_e = d1 (mod G) (von Sterneck's Ramanujan-sum argument, Hardy & Wright
+section 16.6, when G = 1):
+
+* [gcd(d0, ct) = 1] = sum_{e | gcd(d0, ct)} mu(e); no prime of G divides d0;
+* for e prime to G the d0 left are r_e + e G Z mod ct, by the CRT;
+* their geometric sum is L [L | m] e(m r_e / ct).
+
 This module also houses the Euler polynomial euler_poly attached to the
 factorisation of the twisted Dirichlet series over tau_a (consumed by
 ``lseries.curly_L_eisenstein``).
@@ -228,60 +242,64 @@ def tau_level_one(s, n: int) -> complex:
 # the lattice-sum oracle
 
 
-def _valid_rows(N: int, a: int, c: int, max_height: int):
-    """Valid bottom rows of sigma_a^{-1} Gamma_0(N): list of (ct, array-of-d0).
-
-    For ct > 0, d0 ranges over residues mod ct with gcd(d0, ct) = 1 such that
-    alpha = inv(d0) mod ct is compatible with alpha = -(ct/a) inv(c) mod N/a.
-    """
-    Na = N // a
-    rows = []
-    for ct in range(a, max_height + 1, a):
-        gmod = math.gcd(ct, Na)
-        alpha1 = (-(ct // a) * pow(c, -1, Na)) % Na if Na > 1 else 0
-        d0 = np.arange(ct)
-        keep = np.gcd(d0, ct) == 1
-        if gmod > 1:
-            keep &= (alpha1 * d0 - 1) % gmod == 0
-        good = d0[keep]
-        if good.size:
-            rows.append((ct, good))
-    return tuple(rows)
+_PHASE_KMAX = 80  # frequencies m of the row phase sums and of the Bessel row weights
 
 
-def _ramanujan_sums(q, m) -> np.ndarray:
-    """c_q(m) = sum_{d mod q, gcd(d, q) = 1} e(m d / q), q and m broadcast.
-
-    Von Sterneck's closed form mu(q/g) phi(q) / phi(q/g), g = gcd(q, m), in
-    exact integers.
-    """
-    q, m = np.broadcast_arrays(np.asarray(q, dtype=np.int64), np.asarray(m, dtype=np.int64))
-    qg = q // np.gcd(q, m)
-    top = int(q.max())
-    mu = np.array([0] + [mobius(j) for j in range(1, top + 1)], dtype=np.int64)
-    phi = np.array([0] + [euler_phi(j) for j in range(1, top + 1)], dtype=np.int64)
-    return mu[qg] * (phi[q] // phi[qg])
-
-
-_PHASE_KMAX = 80  # the default kmax of _bessel_row_weights
+def _unit_inverse(u, g, order: int):
+    """u^(order - 1) mod g elementwise: the inverse of each unit u mod g when phi(g) | order."""
+    out = np.ones_like(u)
+    base = u % g
+    n = order - 1
+    while n:
+        if n & 1:
+            out = out * base % g
+        base = base * base % g
+        n >>= 1
+    return out % g
 
 
 @lru_cache(maxsize=32)
 def _row_phase_sums(N: int, a: int, c: int, max_height: int):
-    """(ct, row size, S) over the rows of ``_valid_rows``, read-only.
+    """(ct, row size, S) over the coset rows 0 < ct <= max_height, read-only.
 
-    S[i, m - 1] = sum_{d0} e(m d0 / ct_i) for m = 1.._PHASE_KMAX.  A row with
-    no congruence on d0 (gcd(ct, N/a) = 1) runs over every unit mod ct, so
-    its sum is the Ramanujan sum c_ct(m); the other rows are summed directly.
+    A row ct = a k with G = gcd(ct, N/a) runs over the units d0 mod ct with
+    d0 = d1 (mod G), d1 = -c inv(k) mod G; it is absent when gcd(k, G) > 1
+    (no unit d1), and otherwise holds phi(ct) / phi(G) residues.  Its phase
+    sums S[i, m - 1] = sum_{d0} e(m d0 / ct_i), m = 1.._PHASE_KMAX, are
+
+        S(ct, m) = sum_e mu(e) L e(m r_e / ct),   L = ct / (e G),
+
+    over squarefree e | ct with gcd(e, G) = 1 and L | m, where r_e = 0 (mod e)
+    and r_e = d1 (mod G):
+
+    * [gcd(d0, ct) = 1] = sum_{e | gcd(d0, ct)} mu(e), and no prime of G
+      divides d0 because d1 is a unit mod G;
+    * for e prime to G the d0 left are r_e + e G Z mod ct (CRT);
+    * their geometric sum is L [L | m] e(m r_e / ct).
+
+    With m = L j the phase is e(j x_e / G), x_e = r_e / e = d1 inv(e) mod G.
+    Only L <= _PHASE_KMAX contributes, so one pass per L builds every row.
     """
-    rows = _valid_rows(N, a, c, max_height)
-    cts = np.array([ct for ct, _ in rows], dtype=np.int64)
-    sizes = np.array([len(d0s) for _, d0s in rows], dtype=float)
-    mvec = np.arange(1, _PHASE_KMAX + 1)
-    ph = _ramanujan_sums(cts[:, None], mvec[None, :]).astype(complex)
-    for i, (ct, d0s) in enumerate(rows):
-        if math.gcd(ct, N // a) > 1:
-            ph[i] = np.exp(2j * math.pi * np.outer(mvec, d0s / ct)).sum(axis=1)
+    Na = N // a
+    k = np.arange(1, max_height // a + 1)
+    G = np.gcd(a * k, Na)
+    present = np.gcd(k, G) == 1
+    k, G = k[present], G[present]
+    cts = a * k
+    mu, phi = arith.mobius_phi_arrays(max_height)
+    sizes = (phi[cts] // phi[G]).astype(float)
+    ph = np.zeros((cts.size, _PHASE_KMAX), dtype=complex)
+    order = euler_phi(Na)  # a multiple of phi(G) for every G | N/a
+    for L in range(1, _PHASE_KMAX + 1):
+        rows = np.flatnonzero(cts % (L * G) == 0)
+        g = G[rows]
+        e = cts[rows] // (L * g)
+        keep = (mu[e] != 0) & (np.gcd(e, g) == 1)
+        rows, g, e = rows[keep], g[keep], e[keep]
+        x = -c * _unit_inverse(k[rows] * e, g, order) % g
+        j = np.arange(1, _PHASE_KMAX // L + 1)
+        phase = np.exp(2j * math.pi * (np.outer(x, j) % g[:, None]) / g[:, None])
+        ph[rows, L - 1 :: L] += (mu[e] * L)[:, None] * phase
     for arr in (cts, sizes, ph):
         arr.flags.writeable = False
     return cts, sizes, ph
@@ -294,11 +312,11 @@ def _bessel_k(nu: complex, y: float) -> complex:
     return bessel_K(nu, y)
 
 
-def _bessel_row_weights(s, y: float, kmax: int = _PHASE_KMAX):
-    """m^{s-1/2} K_{s-1/2}(2 pi m y) for m = 1.. until negligible."""
+def _bessel_row_weights(s, y: float):
+    """m^{s-1/2} K_{s-1/2}(2 pi m y) for m = 1.._PHASE_KMAX, until negligible."""
     nu = complex(s) - 0.5
     vals = []
-    for m in range(1, kmax + 1):
+    for m in range(1, _PHASE_KMAX + 1):
         kval = _bessel_k(nu, 2.0 * math.pi * m * y)
         vals.append(m**complex(s - 0.5) * kval)
         if abs(vals[-1]) < 1e-19 * (1.0 + abs(vals[0])):

@@ -54,6 +54,12 @@ class TestSieve:
             with pytest.raises(ValueError):
                 arr[4] = 3
 
+    def test_mobius_phi_arrays_against_factorize(self):
+        mu, phi = ar.mobius_phi_arrays(5000)
+        assert mu[0] == phi[0] == 0
+        assert list(mu[1:]) == [ar.mobius(m) for m in range(1, 5001)]
+        assert list(phi[1:]) == [ar.euler_phi(m) for m in range(1, 5001)]
+
 
 class TestSigma:
     def test_examples(self):

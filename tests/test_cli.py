@@ -58,6 +58,18 @@ class TestTauCommand:
         idx = header.split(",").index("rel_diff")
         assert all(float(r.split(",")[idx]) < 1e-3 for r in rows)
 
+    def test_oracle_with_no_row_below_max_height(self, capsys):
+        # Gamma_0(12)'s rows at a = 12 start at ct = 12: only the identity coset is left
+        code, out, _ = run_cli(
+            ["tau", "--N", "12", "--a", "12", "--s-re", "1.4", "--n", "1",
+             "--oracle", "--max-height", "10"],
+            capsys,
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert abs(complex(float(cols["oracle_re"]), float(cols["oracle_im"]))) < 1e-14
+
 
 class TestDeterminism:
     def test_bit_identical_output(self, capsys, tmp_path):

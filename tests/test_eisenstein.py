@@ -10,9 +10,43 @@ from hypothesis import strategies as st
 from rsmoments import arith as ar
 from rsmoments import eisenstein as eis
 from rsmoments.arith import CuspLabel
-from rsmoments.specfun import DomainError, complex_gamma, riemann_zeta
+from rsmoments.specfun import DomainError, NonConvergenceError, complex_gamma, riemann_zeta
 
 LEVEL1 = CuspLabel(1, 1, 1)
+
+
+def _valid_rows(N: int, a: int, c: int, max_height: int):
+    """Valid bottom rows of sigma_a^{-1} Gamma_0(N): list of (ct, array-of-d0).
+
+    For ct > 0, d0 ranges over residues mod ct with gcd(d0, ct) = 1 such that
+    alpha = inv(d0) mod ct is compatible with alpha = -(ct/a) inv(c) mod N/a.
+    """
+    Na = N // a
+    rows = []
+    for ct in range(a, max_height + 1, a):
+        gmod = math.gcd(ct, Na)
+        alpha1 = (-(ct // a) * pow(c, -1, Na)) % Na if Na > 1 else 0
+        d0 = np.arange(ct)
+        keep = np.gcd(d0, ct) == 1
+        if gmod > 1:
+            keep &= (alpha1 * d0 - 1) % gmod == 0
+        good = d0[keep]
+        if good.size:
+            rows.append((ct, good))
+    return tuple(rows)
+
+
+def _assert_rows_match_enumeration(N, a, c, max_height):
+    """``_row_phase_sums`` against the residues of ``_valid_rows``, summed directly."""
+    m = np.arange(1, eis._PHASE_KMAX + 1)
+    rows = _valid_rows(N, a, c, max_height)
+    cts, sizes, ph = eis._row_phase_sums(N, a, c, max_height)
+    assert list(cts) == [ct for ct, _ in rows]
+    assert list(sizes) == [len(d0s) for _, d0s in rows]
+    for i, (ct, d0s) in enumerate(rows):
+        brute = np.exp(2j * math.pi * np.outer(m, d0s / ct)).sum(axis=1)
+        assert np.max(np.abs(ph[i] - brute)) < 1e-9
+    return cts
 
 
 class TestLambdaChi:
@@ -177,6 +211,23 @@ class TestOracle:
         with pytest.raises(eis.IllConditionedError):
             eis.tau_oracle(LEVEL1, 1.2, 9, trunc)
 
+    def test_no_row_below_max_height(self):
+        # rows start at ct = a: no row fits, only the identity coset (a = N)
+        # and the tail bound are left
+        trunc = eis.LatticeTruncation(max_height=10)
+        for N, a in ((12, 12), (30, 15)):
+            cts, sizes, ph = eis._row_phase_sums(N, a, 1, 10)
+            assert cts.shape == sizes.shape == (0,) and ph.shape == (0, eis._PHASE_KMAX)
+        top = CuspLabel(12, 12, 1)
+        values, tail = eis._eisenstein_x_profile(top, np.array([0.1, 0.6]), 0.5, 1.4, trunc)
+        assert np.all(np.abs(values - 0.5 ** 1.4) < 1e-15) and tail > 0
+        assert abs(eis.tau_oracle(top, 1.4, 1, trunc)) < 1e-14
+        mid = CuspLabel(30, 15, 1)
+        _, tail = eis._eisenstein_x_profile(mid, np.array([0.3]), 1.0, 1.5, trunc)
+        assert eis.eisenstein_oracle(mid, 0.3 + 1j, 1.5, trunc) == (0.0, tail)
+        with pytest.raises(NonConvergenceError):
+            eis.eisenstein_oracle(mid, 0.3 + 0.01j, 1.5, trunc)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             eis.eisenstein_oracle(LEVEL1, 1j, 0.9, self.TR)
@@ -187,16 +238,20 @@ class TestOracle:
 class TestRowPhaseSums:
     def test_closed_form_matches_row_sums(self):
         # the brute-force row sum over the residues d0 is the test oracle
-        m = np.arange(1, eis._PHASE_KMAX + 1)
         for N in range(1, 13):
             for cusp in ar.enumerate_cusps(N):
-                rows = eis._valid_rows(N, cusp.a, cusp.c, 200)
-                cts, sizes, ph = eis._row_phase_sums(N, cusp.a, cusp.c, 200)
-                assert list(cts) == [ct for ct, _ in rows]
-                assert list(sizes) == [len(d0s) for _, d0s in rows]
-                for i, (ct, d0s) in enumerate(rows):
-                    brute = np.exp(2j * math.pi * np.outer(m, d0s / ct)).sum(axis=1)
-                    assert np.max(np.abs(ph[i] - brute)) < 1e-9
+                _assert_rows_match_enumeration(N, cusp.a, cusp.c, 200)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 100), st.integers(10, 400), st.data())
+    def test_closed_form_property(self, N, max_height, data):
+        # reaches moduli G = gcd(ct, N/a) above 12 and prime powers (N = 64, 81)
+        cusp = data.draw(st.sampled_from(ar.enumerate_cusps(N)))
+        a, Na = cusp.a, N // cusp.a
+        cts = _assert_rows_match_enumeration(N, a, cusp.c, max_height)
+        present = [ct for ct in range(a, max_height + 1, a)
+                   if math.gcd(ct // a, math.gcd(ct, Na)) == 1]
+        assert list(cts) == present
 
     def test_cached_arrays_reject_writes(self):
         for arr in eis._row_phase_sums(6, 2, 1, 200):
@@ -204,9 +259,12 @@ class TestRowPhaseSums:
                 arr[0] = 0
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 500), st.integers(1, 200))
+    @given(st.integers(1, 500), st.integers(1, eis._PHASE_KMAX))
     def test_von_sterneck_property(self, q, m):
-        closed = int(eis._ramanujan_sums(q, m))
+        # at level one row q runs over every unit mod q: its sums are c_q(m)
+        cts, _, ph = eis._row_phase_sums(1, 1, 1, 500)
+        assert cts[q - 1] == q
+        closed = ph[q - 1, m - 1]
         divisor_sum = sum(ar.mobius(q // d) * d for d in ar.divisors(math.gcd(q, m)))
         units = np.array([d for d in range(1, q + 1) if math.gcd(d, q) == 1])
         brute = np.exp(2j * math.pi * m * units / q).sum()
@@ -239,7 +297,7 @@ class TestRowPhaseSums:
                 names = code_names(own_function(name).__code__)
                 used |= names
                 todo += [n for n in names if own_function(n)]
-        assert {"_row_phase_sums", "_ramanujan_sums", "_valid_rows"} <= reached
+        assert "_row_phase_sums" in reached
         assert not used & forbidden
 
 
