@@ -24,9 +24,11 @@ Evaluators
   negligible.  Level 1 only (the root number i^k is the level-1 one).
   The contour matrix exp(-w log x) does not depend on s: ``_mellin_weights``
   keeps one read-only copy per (x scale, c, h, sigma0), grown by doubling,
-  and each call reads its first ``length`` columns.
+  and each call reads its first ``length`` columns.  A 1-D array of s is one
+  batch: its weights are a (rows x contour) @ E product per block of rows.
 * ``sym2_L`` -- same machinery with the three-factor gamma of the symmetric
-  square; powers the accurate self-dual Rankin-Selberg values
+  square (two log-gammas after Legendre's duplication), for -3 < Re s < 4;
+  powers the accurate self-dual Rankin-Selberg values
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and the residue /
   finite-part constants needed near s = 1.  Its coefficients are cached
   read-only per (k, digest of the whole a array, length).
@@ -64,7 +66,7 @@ from .specfun import (
     ValueWithError,
     riemann_zeta,
     EULER_GAMMA,
-    _stieltjes_constants,
+    _STIELTJES,
     central_difference,
 )
 
@@ -501,7 +503,9 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: flo
     """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
 
     ``log_ratio(w)`` must accept a numpy array of contour points
-    w = sigma0 + i v and return log of the gamma-factor ratio.  The
+    w = sigma0 + i v and return log of the gamma-factor ratio: one value per
+    w, or a (rows x |w|) array for a batch of s, which gives one row of
+    weights per s.  The
     trapezoid cut must outlast not just the Gaussian but also the transient
     e^{pi |v|/2} growth of the gamma ratio while |v| < |Im z|, so it solves
     v^2/(2c^2) - pi v/2 >= 42.
@@ -528,7 +532,12 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: flo
     return kern @ E[:, :length]
 
 
-def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> complex:
+# rows of s that the batched AFE works on at once: its (rows x contour) and
+# (rows x length) temporaries stay near 1 MB each
+_AFE_BLOCK = 256
+
+
+def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto"):
     """L(s, f) = sum A(n) n^{-s}: direct for Re s > 1.2, else smoothed AFE.
 
     The direct tail is sized by square-root cancellation of the coefficient
@@ -538,10 +547,22 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
     N > 1 in the strip an error is raised rather than guessing the
     Atkin-Lehner sign.  ``method`` forces a branch ("direct" / "afe");
     "direct" raises :class:`DomainError` for Re s <= 1.2.
+
+    A 1-D array of s runs on the AFE route as one batch and gives an array;
+    "direct", or any Re s > 1.2 under "auto", raises :class:`DomainError`.
+    A scalar s on the AFE route is the batch of one, so it gets the same
+    bits whether it comes alone or not.
     """
-    s = complex(s)
     if method not in ("auto", "direct", "afe"):
         raise DomainError("method must be auto, direct or afe")
+    if np.ndim(s):
+        s = np.asarray(s, dtype=complex)
+        if s.ndim != 1:
+            raise DomainError("holo_L takes a scalar or a 1-D array of s")
+        if method == "direct" or (method == "auto" and np.any(s.real > 1.2)):
+            raise DomainError("an array of s runs on the AFE route only, at Re s <= 1.2 under auto")
+        return _holo_afe(s, f)
+    s = complex(s)
     if method == "direct" and s.real <= 1.2:
         raise DomainError("holo_L direct summation needs Re s > 1.2")
     if method != "afe" and s.real > 1.2:
@@ -556,33 +577,50 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto") -> comple
         else:
             n = np.arange(1, f.M + 1, dtype=float)
             return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
+    return complex(_holo_afe(np.array([s]), f)[0])
+
+
+def _holo_afe(s, f: NewformData):
+    """holo_L's smoothed AFE at a 1-D array of s, ``_AFE_BLOCK`` rows at a time.
+
+    The batch shares one sum length, the one its largest |Im s| needs.  Each
+    row's weights are one row of a (rows x contour) @ E product, and its two
+    Dirichlet sums are row-wise sums, which add in the order a single row's
+    sum does.
+    """
     if f.N != 1:
         raise DomainError("holo_L inside the strip is implemented for level 1")
+    out = np.empty(s.shape, dtype=complex)
+    if not s.size:
+        return out
     a0 = (f.k - 1) / 2.0
     root = (1j) ** f.k  # (-1)^{k/2} for even k
-
-    def ratio1(w):
-        return _loggamma(s + a0 + w) - _loggamma(s + a0)
-
-    def ratio2(w):
-        return _loggamma(1.0 - s + a0 + w) - _loggamma(1.0 - s + a0)
-
-    length = int(math.ceil((abs(s.imag) + f.k + 60.0) * 1.6))
+    length = int(math.ceil((np.max(np.abs(s.imag)) + f.k + 60.0) * 1.6))
     if length > f.M:
         raise InsufficientCoefficientsError(length)
-    n = np.arange(1, length + 1, dtype=float)
-    w1 = _mellin_weights(ratio1, 2.0 * math.pi, length)
-    w2 = _mellin_weights(ratio2, 2.0 * math.pi, length)
+    log_n = np.log(np.arange(1, length + 1, dtype=float))
     A = f.A(length)
-    first = np.sum(A * np.exp(-s * np.log(n)) * w1)
-    gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
-    second = (
-        root
-        * np.exp((2.0 * s - 1.0) * math.log(2.0 * math.pi))
-        * gr
-        * np.sum(A * np.exp((s - 1.0) * np.log(n)) * w2)
-    )
-    return complex(first + second)
+    for b0 in range(0, s.size, _AFE_BLOCK):
+        sb = s[b0:b0 + _AFE_BLOCK]
+        col = sb[:, None]
+
+        def ratio1(w):
+            return _loggamma(col + a0 + w) - _loggamma(col + a0)
+
+        def ratio2(w):
+            return _loggamma(1.0 - col + a0 + w) - _loggamma(1.0 - col + a0)
+
+        w1 = _mellin_weights(ratio1, 2.0 * math.pi, length)
+        w2 = _mellin_weights(ratio2, 2.0 * math.pi, length)
+        first = np.sum(A * np.exp(-col * log_n) * w1, axis=1)
+        gr = np.exp(_loggamma(1.0 - sb + a0) - _loggamma(sb + a0))
+        scale = np.exp((2.0 * sb - 1.0) * math.log(2.0 * math.pi))
+        dual = np.sum(A * np.exp((col - 1.0) * log_n) * w2, axis=1)
+        # these products run on numpy scalars, as for a lone s: numpy's
+        # complex array loop may fuse a multiply-add that its scalars do not
+        second = [root * e * g * d for e, g, d in zip(scale, gr, dual)]
+        out[b0:b0 + _AFE_BLOCK] = first + np.array(second)
+    return out
 
 
 # (k, digest of a, length) -> read-only c(1..length), least recently used first
@@ -654,38 +692,54 @@ def _sym2_table(f: NewformData, ln: int):
 
 
 def sym2_L(s, f: NewformData) -> complex:
-    """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1)."""
+    """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1).
+
+    Both Dirichlet series of the AFE converge absolutely on the contour
+    Re w = sigma0 only for sigma0 > max(Re s, 1 - Re s).  sigma0 is 2 for
+    -1 < Re s < 2 and the next integer above max(Re s, 1 - Re s) outside
+    that strip: main_term_breakdown at Re s = 5/2 evaluates L at Re s = 3
+    and -1.  The trapezoid's roundoff grows about tenfold per unit of
+    sigma0, so the domain is -3 < Re s < 4 (within 5e-12 of the direct
+    series at Re s = 3.99); outside it a :class:`DomainError` is raised.
+    Both sums' weights are taken relative to the gamma factor at s: the
+    ratio of the factors at 1 - s and s is infinite at s = 2.
+    """
     if f.N != 1:
         raise DomainError("sym2_L implemented for level 1")
     s = complex(s)
+    if not -3.0 < s.real < 4.0:
+        raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
+    sigma0 = max(2.0, math.floor(max(s.real, 1.0 - s.real)) + 1.0)
     k = f.k
 
     def log_gamma_factor(u):
+        """log of pi^{-3u/2} G((u+1)/2) G((u+k-1)/2) G((u+k)/2) up to a constant:
+        Legendre's duplication folds the last two factors into
+        2^{2-u-k} sqrt(pi) G(u+k-1), and every use is a difference."""
         u = np.asarray(u, dtype=complex)
         return (
-            -1.5 * u * math.log(math.pi)
+            -u * (1.5 * math.log(math.pi) + math.log(2.0))
             + _loggamma((u + 1.0) / 2.0)
-            + _loggamma((u + k - 1.0) / 2.0)
-            + _loggamma((u + k) / 2.0)
+            + _loggamma(u + (k - 1.0))
         )
 
-    base1 = complex(log_gamma_factor(s))
-    base2 = complex(log_gamma_factor(1.0 - s))
+    base = complex(log_gamma_factor(s))
+    if not np.isfinite(base):
+        return 0j  # the gamma factor's pole at s = -1: a trivial zero of L
 
     def ratio1(w):
-        return log_gamma_factor(s + w) - base1
+        return log_gamma_factor(s + w) - base
 
     def ratio2(w):
-        return log_gamma_factor(1.0 - s + w) - base2
+        return log_gamma_factor(1.0 - s + w) - base
 
     length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
     c = _sym2_coeffs(f, length)
     n = np.arange(1, length + 1, dtype=float)
-    w1 = _mellin_weights(ratio1, 1.0, length, c=4.0, h=0.35)
-    w2 = _mellin_weights(ratio2, 1.0, length, c=4.0, h=0.35)
-    gr = complex(np.exp(base2 - base1))
+    w1 = _mellin_weights(ratio1, 1.0, length, c=4.0, h=0.35, sigma0=sigma0)
+    w2 = _mellin_weights(ratio2, 1.0, length, c=4.0, h=0.35, sigma0=sigma0)
     first = np.sum(c * np.exp(-s * np.log(n)) * w1)
-    second = gr * np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
+    second = np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
     return complex(first + second)
 
 
@@ -710,7 +764,7 @@ def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
         L1 = sym2_L(1.0, f)
         L1p = central_difference(lambda w: sym2_L(w, f), 1.0, 1)
         L1pp = central_difference(lambda w: sym2_L(w, f), 1.0, 2)
-        g1 = _stieltjes_constants()[1]
+        g1 = _STIELTJES[1]
         return MappingProxyType({
             "residue": complex(L1).real,
             "finite_part": complex(EULER_GAMMA * L1 + L1p).real,

@@ -687,28 +687,18 @@ def continuous_part(
     t = ctx.t
     p = ctx.kernel.params
 
-    f_cache: dict = {}
-    g_cache: dict = {}
-
-    def L_at(w, form, cache) -> complex:
-        key = (round(w.real, 13), round(w.imag, 13))
-        if key not in cache:
-            cache[key] = holo_L(w, form)
-        return cache[key]
-
     def integrand(r_arr):
-        out = np.empty(len(r_arr), dtype=complex)
-        for i, r in enumerate(r_arr):
-            if abs(r) < 1e-12:
-                out[i] = 0.0  # 1/(zeta(1+2ir) zeta(1-2ir)) vanishes like 4r^2
-                continue
-            ir = 1j * r
-            lf1 = L_at(0.5 + 1j * t + ir, ctx.f, f_cache)
-            lf2 = L_at(0.5 + 1j * t - ir, ctx.f, f_cache)
-            lg1 = L_at(s + ir, ctx.g, g_cache)
-            lg2 = L_at(s - ir, ctx.g, g_cache)
-            zz = riemann_zeta(1.0 + 2.0 * ir) * riemann_zeta(1.0 - 2.0 * ir)
-            out[i] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
+        # 1/(zeta(1+2ir) zeta(1-2ir)) vanishes like 4r^2: the node r = 0 stays 0
+        out = np.zeros(len(r_arr), dtype=complex)
+        live = np.abs(r_arr) >= 1e-12
+        r = r_arr[live]
+        ir = 1j * r
+        # the f- and the g-side are separate batches: at s = 1/2 - it the
+        # g-side values are the f-side's conjugates only up to roundoff
+        lf1, lf2 = _distinct_holo_L(np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir]), ctx.f)
+        lg1, lg2 = _distinct_holo_L(np.concatenate([s + ir, s - ir]), ctx.g)
+        zz = np.array([riemann_zeta(1.0 + 2.0 * x) * riemann_zeta(1.0 - 2.0 * x) for x in ir.tolist()])
+        out[live] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
         return out
 
     w = 12.0 * p.bump_width
@@ -731,6 +721,13 @@ def continuous_part(
         err *= 2.0
     tail = math.exp(-140.0) * (abs(hi) + 1.0) ** 3
     return ValueWithError(complex(total), err + tail)
+
+
+def _distinct_holo_L(w, form):
+    """holo_L at each entry of w, as two halves: one batched AFE (valid at any
+    s on level 1) over the distinct values of w."""
+    u, inv = np.unique(w, return_inverse=True)
+    return holo_L(u, form, method="afe")[inv].reshape(2, -1)
 
 
 def _weight_over_cosh(r: float, p) -> float:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -114,6 +113,25 @@ class QuadratureSpec:
 
 # Bernoulli numbers B_2, B_4, ..., B_28 (B_0 and odd indices dropped).
 _B2N = _bernoulli_table(28)[2::2].copy()
+# B_2j / (2j)! for j = 1..12 as Python floats, so that the Euler-Maclaurin
+# tail of a scalar zeta runs on Python complex arithmetic throughout
+_B2N_OVER_FACT = tuple(float(_B2N[j - 1] / math.factorial(2 * j)) for j in range(1, 13))
+
+# Stieltjes constants gamma_0..gamma_11 (mpmath.stieltjes, rounded to double)
+_STIELTJES = (
+    0.5772156649015329,
+    -0.07281584548367673,
+    -0.00969036319287232,
+    0.002053834420303346,
+    0.0023253700654673,
+    0.0007933238173010627,
+    -0.0002387693454301996,
+    -0.000527289567057751,
+    -0.0003521233538030395,
+    -3.439477441808805e-05,
+    0.0002053328149090648,
+    0.0002701844395439035,
+)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -271,18 +289,11 @@ def hurwitz_zeta(s, a: float):
     val = head + big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
     poch = s  # (s)_{2j-1} for j = 1
     binv = big ** (-s - 1.0)  # big^{-s-2j+1} for j = 1
-    for j in range(1, 13):
-        val += _B2N[j - 1] / math.factorial(2 * j) * poch * binv
+    for j, b in enumerate(_B2N_OVER_FACT, 1):
+        val += b * poch * binv
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         binv /= big * big
     return val
-
-
-@lru_cache(maxsize=1)
-def _stieltjes_constants():
-    import mpmath as mp
-
-    return tuple(float(mp.stieltjes(n)) for n in range(12))
 
 
 def zeta_laurent(x, order: int = 0) -> complex:
@@ -293,7 +304,7 @@ def zeta_laurent(x, order: int = 0) -> complex:
     x = complex(x)
     if abs(x) < 1e-14:
         raise PoleError("zeta pole at s = 1")
-    g = _stieltjes_constants()
+    g = _STIELTJES
     if order == 0:
         out = 1.0 / x
         for n in range(len(g)):
@@ -519,13 +530,12 @@ def _gk15(f, *edges: float):
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    out = []
     with np.errstate(invalid="ignore"):
-        for h, row in zip(half.tolist(), y):
-            i15 = h * complex(np.sum(_W15 * row))
-            i7 = h * complex(np.sum(_W7 * row))
-            out.append((i15, abs(i15 - i7)))
-    return out
+        # row-wise sums add each panel's terms in the same order as a 1-D sum
+        i15 = (half * np.sum(_W15 * y, axis=1)).tolist()
+        i7 = (half * np.sum(_W7 * y, axis=1)).tolist()
+    # Python's abs: numpy's complex abs can differ from it in the last bit
+    return [(a, abs(a - b)) for a, b in zip(i15, i7)]
 
 
 def gk15_panel_nodes(edges):

@@ -71,6 +71,21 @@ class TestTauCommand:
         assert abs(complex(float(cols["oracle_re"]), float(cols["oracle_im"]))) < 1e-14
 
 
+    def test_vanishing_coefficient_reports_absolute_difference(self, capsys):
+        # tau vanishes identically at Gamma_0(12)'s cusp a = 12: the column is
+        # |oracle - tau|, as criterion 3 judges it, not roundoff over 1e-300
+        code, out, _ = run_cli(
+            ["tau", "--N", "12", "--a", "12", "--s-re", "1.4", "--n", "1", "--oracle"],
+            capsys,
+        )
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["tau_re"]) == float(cols["tau_im"]) == 0.0
+        oracle = complex(float(cols["oracle_re"]), float(cols["oracle_im"]))
+        assert float(cols["rel_diff"]) == abs(oracle) < 1e-10
+
+
 class TestDeterminism:
     def test_bit_identical_output(self, capsys, tmp_path):
         args = ["breakdown", "--T", "40", "--alpha", "0.5", "--t", "0.7",

@@ -31,6 +31,21 @@ class TestTestFunction:
         expect = (1.0 + math.exp(-4 * 50.0)) * (50.0**2 + 0.25) / (50.0**2 + 1.0)
         assert abs(kn.h_eval(50.0, p) - expect) < 1e-13
 
+    def test_real_route_matches_complex_route(self):
+        # real r skips the complex arithmetic and returns a real value; both
+        # routes carry the conditioning of exp(-x^2) at the window's edge
+        rng = np.random.default_rng(8)
+        for T, alpha, R in ((12.0, 0.4, 1.0), (80.0, 0.5, 3.0), (300.0, 0.65, 40.0)):
+            p = kn.TestFunctionParams(T=T, alpha=alpha, R=R)
+            lo, hi = p.window()
+            r = rng.uniform(lo, hi, 200)
+            real = kn.h_eval(r, p)
+            cplx = kn.h_eval(r.astype(complex), p)
+            assert real.dtype == np.float64
+            assert np.all(np.abs(real - cplx) <= 6e-14 * np.abs(cplx))
+        assert isinstance(kn.h_eval(50.0, PARAMS), float)
+        assert isinstance(kn.h_eval(50.0 + 0.1j, PARAMS), complex)
+
     def test_strip_violation(self):
         with pytest.raises(kn.StripViolationError):
             kn.h_eval(1.0j, PARAMS)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,30 +56,40 @@ def _holo_afe(s, f, weights):
     return complex(first + second)
 
 
-def _sym2_afe(s, f, weights):
-    """The AFE assembly of ``sym2_L`` with the weights ``weights(log_ratio, length)``."""
+def _sym2_log_gamma_two(u, k):
+    """log of sym2_L's gamma factor in its two-factor (duplication) form, up to a constant."""
+    u = np.asarray(u, dtype=complex)
+    return (
+        -u * (1.5 * math.log(math.pi) + math.log(2.0))
+        + _loggamma((u + 1.0) / 2.0)
+        + _loggamma(u + (k - 1.0))
+    )
+
+
+def _sym2_log_gamma_three(u, k):
+    """log of pi^{-3u/2} G((u+1)/2) G((u+k-1)/2) G((u+k)/2), the three factors apart."""
+    u = np.asarray(u, dtype=complex)
+    return (
+        -1.5 * u * math.log(math.pi)
+        + _loggamma((u + 1.0) / 2.0)
+        + _loggamma((u + k - 1.0) / 2.0)
+        + _loggamma((u + k) / 2.0)
+    )
+
+
+def _sym2_afe(s, f, weights, log_gamma_factor=_sym2_log_gamma_two):
+    """The AFE assembly of ``sym2_L`` (on -1 < Re s < 2) with the weights
+    ``weights(log_ratio, length)`` and the given log gamma factor."""
     s = complex(s)
     k = f.k
-
-    def log_gamma_factor(u):
-        u = np.asarray(u, dtype=complex)
-        return (
-            -1.5 * u * math.log(math.pi)
-            + _loggamma((u + 1.0) / 2.0)
-            + _loggamma((u + k - 1.0) / 2.0)
-            + _loggamma((u + k) / 2.0)
-        )
-
-    base1 = complex(log_gamma_factor(s))
-    base2 = complex(log_gamma_factor(1.0 - s))
+    base = complex(log_gamma_factor(s, k))
     length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
     c = ls._sym2_coeffs(f, length)
     n = np.arange(1, length + 1, dtype=float)
-    w1 = weights(lambda w: log_gamma_factor(s + w) - base1, length)
-    w2 = weights(lambda w: log_gamma_factor(1.0 - s + w) - base2, length)
-    gr = complex(np.exp(base2 - base1))
+    w1 = weights(lambda w: log_gamma_factor(s + w, k) - base, length)
+    w2 = weights(lambda w: log_gamma_factor(1.0 - s + w, k) - base, length)
     first = np.sum(c * np.exp(-s * np.log(n)) * w1)
-    second = gr * np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
+    second = np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
     return complex(first + second)
 
 
@@ -322,6 +333,60 @@ class TestHoloL:
         assert abs(v - ls.holo_L(2.5, big, method="direct")) < 1e-8 * abs(v)
 
 
+class TestHoloLBatch:
+    def test_matches_scalar_calls(self, delta):
+        # one sum length for the batch and a (rows x contour) weight product
+        # move a value only within the AFE's own roundoff, which grows with
+        # |Im s| as its two sums cancel (measured 6e-13 here)
+        rng = np.random.default_rng(3)
+        s = rng.uniform(-0.5, 1.2, 120) + 1j * rng.uniform(-40.0, 40.0, 120)
+        batch = ls.holo_L(s, delta)
+        for si, b in zip(s, batch):
+            v = ls.holo_L(si, delta)
+            assert abs(b - v) < 2e-12 * max(abs(v), 1.0), si
+        # a lone s is the batch of one, bit for bit
+        for si in s[:10]:
+            assert ls.holo_L(np.array([si]), delta)[0] == ls.holo_L(si, delta)
+
+    def test_afe_matches_direct(self, delta):
+        s = 3.0 + 1j * np.linspace(-30.0, 30.0, 13)
+        for si, b in zip(s, ls.holo_L(s, delta, method="afe")):
+            d = ls.holo_L(si, delta, method="direct")
+            assert abs(b - d) < 1e-8 * abs(d), si
+
+    def test_functional_equation_in_the_strip(self, delta):
+        rng = np.random.default_rng(4)
+        s = rng.uniform(-0.2, 1.2, 60) + 1j * rng.uniform(-40.0, 40.0, 60)
+        a0 = (delta.k - 1) / 2.0
+
+        def lam(z):
+            return np.exp(-(z + a0) * math.log(2 * math.pi) + _loggamma(z + a0)) * ls.holo_L(z, delta)
+
+        l1 = lam(s)
+        l2 = (1j) ** delta.k * lam(1.0 - s)
+        assert np.all(np.abs(l1 - l2) < 1e-12 * np.abs(l1))
+
+    def test_domain(self, delta):
+        with pytest.raises(DomainError):
+            ls.holo_L(np.array([0.5 + 1j, 1.3]), delta)  # Re s > 1.2 under auto
+        with pytest.raises(DomainError):
+            ls.holo_L(np.array([2.5]), delta, method="direct")
+        with pytest.raises(DomainError):
+            ls.holo_L(np.full((2, 2), 0.5 + 1j), delta)
+        assert ls.holo_L(np.array([], dtype=complex), delta).shape == (0,)
+
+    def test_memory_stays_flat(self, delta):
+        # blocks of rows keep the temporaries near 1 MB each
+        s = 0.5 + 1j * np.linspace(-60.0, 60.0, 2000)
+        tracemalloc.start()
+        try:
+            ls.holo_L(s, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestSym2:
     def test_value_against_tabulated_petersson_norm(self, delta):
         # <delta, delta> = 1.0353620568043209e-6 (standard tabulated value);
@@ -370,6 +435,41 @@ class TestSym2:
         fresh = ls.selfdual_rs_constants(delta)
         for key in ("residue", "finite_part", "linear"):
             assert fresh[key].hex() == first[key].hex()
+
+    def test_two_factor_gamma_matches_three_factor(self, delta):
+        # Legendre: G((u+k-1)/2) G((u+k)/2) = 2^{2-u-k} sqrt(pi) G(u+k-1)
+        u0 = 1.3 + 0.2j
+        u = np.array([0.5 + 3j, 2.7 - 40j, -0.4 + 12j, 3.1 + 0.5j])
+        two = _sym2_log_gamma_two(u, 12) - _sym2_log_gamma_two(u0, 12)
+        three = _sym2_log_gamma_three(u, 12) - _sym2_log_gamma_three(u0, 12)
+        assert np.all(np.abs(np.exp(two - three) - 1.0) < 1e-13)
+        for s in (1.0, 0.5 + 2j, 1.37, -0.5 + 1j, 1.9 - 4j):
+            v3 = _sym2_afe(s, delta, _cached_weights(1.0, 4.0, 0.35), _sym2_log_gamma_three)
+            assert abs(ls.sym2_L(s, delta) - v3) < 1e-13 * abs(v3), s
+
+    def test_right_of_the_strip_against_direct_series(self, delta):
+        # on the contour Re w = 2 these were nan (s = 2) and off by 4.2e-6
+        # (s = 3) and 1.8e-2 (s = 3.5); the 20,000-term direct series has a
+        # tail near 1e-8 at Re s = 2 and below 1e-11 from Re s = 3
+        c = ls._sym2_coeffs(delta, 20000)
+        log_n = np.log(np.arange(1, 20001, dtype=float))
+        for s, tol in ((2.0, 1e-7), (2.5 + 1j, 1e-8), (3.0, 1e-10), (3.5, 1e-10), (3.9 - 6j, 1e-10)):
+            direct = complex(np.sum(c * np.exp(-s * log_n)))
+            assert abs(ls.sym2_L(s, delta) - direct) < tol * abs(direct), s
+
+    def test_left_of_the_strip_by_functional_equation(self, delta):
+        # Lambda(s) = Lambda(1 - s) carries Re s = -1 (main_term_breakdown
+        # at Re s = 5/2) and s = -1.5 over to the right of the strip
+        for s in (-1.0 + 0.3j, -1.5, -1.5 + 2j, -2.5 + 1j):
+            lhs = np.exp(_sym2_log_gamma_two(s, 12)) * ls.sym2_L(s, delta)
+            rhs = np.exp(_sym2_log_gamma_two(1.0 - s, 12)) * ls.sym2_L(1.0 - s, delta)
+            assert abs(lhs - rhs) < 1e-11 * abs(rhs), s
+
+    def test_domain(self, delta):
+        assert ls.sym2_L(-1.0, delta) == 0.0  # the gamma factor's pole: a trivial zero
+        for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j):
+            with pytest.raises(DomainError):
+                ls.sym2_L(s, delta)
 
     def test_laurent_constants(self, delta):
         c = ls.selfdual_rs_constants(delta)

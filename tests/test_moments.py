@@ -261,6 +261,28 @@ class TestContinuous:
         # same node layout mirrored: agreement is the evenness of the integrand
         assert abs(full.value - half.value) < 1e-10 * abs(full.value)
 
+    def test_each_distinct_argument_evaluated_once(self, delta, monkeypatch):
+        # the mirrored full line meets every f- and g-side argument twice;
+        # each batch holds it once, so both layouts make the same AFE work
+        kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
+        ctx = mo.MomentContext(
+            t=0.4, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=0.4, k=12), s=0.5 - 0.4j
+        )
+        sizes = []
+
+        def counting(s, f, method):
+            assert len(np.unique(s)) == len(s)
+            sizes.append(len(s))
+            return ls.holo_L(s, f, method=method)
+
+        monkeypatch.setattr(mo, "holo_L", counting)
+        full = mo.continuous_part(ctx, points_per_unit=1.0)
+        n_full = sum(sizes)
+        sizes.clear()
+        half = mo.continuous_part(ctx, points_per_unit=1.0, half_line=True)
+        assert sum(sizes) == n_full
+        assert abs(full.value - half.value) < 1e-10 * abs(full.value)
+
     def test_real_at_symmetric_point(self, continuous_result):
         full, _ = continuous_result
         assert abs(full.value.imag) < 1e-8 * abs(full.value)
