@@ -77,10 +77,21 @@ class TestFunctionParams:
         w = WINDOW_UNITS * self.bump_width
         return (max(0.0, self.T - w), self.T + w)
 
+    def window_edges(self) -> np.ndarray:
+        """window() cut into equal panels at most one bump width wide, the
+        starting panels of every H0-type quadrature."""
+        lo, hi = self.window()
+        # the window's width in bump widths, free of the roundoff of (hi - lo) / w
+        units = WINDOW_UNITS + min(self.T / self.bump_width, WINDOW_UNITS)
+        return np.linspace(lo, hi, math.ceil(units) + 1)
 
-@dataclass
+
+@dataclass(frozen=True)
 class KernelContext:
-    """Everything H0-type integrals need: bump params, t, weight k, tolerances."""
+    """Everything H0-type integrals need: bump params, t, weight k, tolerances.
+
+    Frozen, so that the H0 values it caches always belong to its fields.
+    """
 
     params: TestFunctionParams
     t: float
@@ -90,12 +101,13 @@ class KernelContext:
     def __post_init__(self):
         if self.k < 4 or self.k % 2:
             raise ValueError("weight k must be an even integer >= 4")
-        self._h0_cache = {}
+        object.__setattr__(self, "_h0_cache", {})
 
     def cached_H0(self, ix) -> complex:
-        key = (round(complex(ix).real, 14), round(complex(ix).imag, 14))
+        """H0(ix), computed once per exact argument."""
+        key = complex(ix)
         if key not in self._h0_cache:
-            self._h0_cache[key] = H0(ix, self)
+            self._h0_cache[key] = H0(key, self)
         return self._h0_cache[key]
 
 
@@ -172,7 +184,7 @@ def H0(ix, ctx: KernelContext) -> complex:
     lo, hi = ctx.params.window()
     _gamma_ratio_pole_check(ix, ctx, lo, hi)
     f = _h0_integrand_factory(ix, ctx)
-    val, _ = integrate_line(f, ctx.quad, interval=(lo, hi))
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
     # everything below the window: |h| <= e^{-144} (plus the mirrored bump,
     # which on [0, lo] is smaller still), ratio growth is polynomial.
     return 2.0 * val / math.pi**2
@@ -263,8 +275,7 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
 
         scale = 1.0 / math.pi**2
 
-    lo, hi = p.window()
-    val, _ = integrate_line(f, ctx.quad, interval=(lo, hi))
+    val, _ = integrate_line(f, ctx.quad, interval=p.window_edges())
     return scale * 2.0 * val
 
 

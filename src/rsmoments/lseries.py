@@ -31,7 +31,8 @@ Evaluators
   powers the accurate self-dual Rankin-Selberg values
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and the residue /
   finite-part constants needed near s = 1.  Its coefficients are cached
-  read-only per (k, digest of the whole a array, length).
+  read-only per (k, digest of the whole a array, length), and its values
+  per (N, k, digest, exact bits of s).
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
   factorisation of the twisted series
       zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} conj(coeff(m)) m^{-s},
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -625,6 +627,8 @@ def _holo_afe(s, f: NewformData):
 
 # (k, digest of a, length) -> read-only c(1..length), least recently used first
 _SYM2_CACHE: dict = {}
+# (N, k, digest of a, bits of s) -> L(s, sym^2 f), the same order
+_SYM2_VALUES: dict = {}
 # (N, k, digest of a) -> read-only Laurent data of L(s, f x f~) at 1, the same order
 _RS_CONSTANTS_CACHE: dict = {}
 
@@ -703,12 +707,22 @@ def sym2_L(s, f: NewformData) -> complex:
     series at Re s = 3.99); outside it a :class:`DomainError` is raised.
     Both sums' weights are taken relative to the gamma factor at s: the
     ratio of the factors at 1 - s and s is infinite at s = 2.
+
+    Each value is kept in a 64-entry LRU under (N, k, f.digest, the bits of
+    s), so +0.0 and -0.0 parts of s, on which loggamma's branch cut acts
+    at real s < -1, never share an entry.
     """
     if f.N != 1:
         raise DomainError("sym2_L implemented for level 1")
     s = complex(s)
     if not -3.0 < s.real < 4.0:
         raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
+    key = (f.N, f.k, f.digest, struct.pack("<2d", s.real, s.imag))
+    return _lru_get(_SYM2_VALUES, key, lambda: _sym2_L(s, f))
+
+
+def _sym2_L(s: complex, f: NewformData) -> complex:
+    """L(s, sym^2 f) by the smoothed AFE, computed afresh (see sym2_L)."""
     sigma0 = max(2.0, math.floor(max(s.real, 1.0 - s.real)) + 1.0)
     k = f.k
 

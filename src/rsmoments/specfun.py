@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import bernoulli as _bernoulli_table
 from scipy.special import loggamma as _scipy_loggamma
 
 __all__ = [
@@ -111,11 +110,19 @@ class QuadratureSpec:
             raise ValueError("cutoff_radius must be positive")
 
 
-# Bernoulli numbers B_2, B_4, ..., B_28 (B_0 and odd indices dropped).
-_B2N = _bernoulli_table(28)[2::2].copy()
+# Bernoulli numbers B_2, B_4, ..., B_28 as exact (numerator, denominator)
+# pairs (B_0 and odd indices dropped)
+_B2N_EXACT = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+)
+# Python's int / int is correctly rounded, so each value below is the
+# exact rational rounded once to double
+_B2N = tuple(n / d for n, d in _B2N_EXACT)
 # B_2j / (2j)! for j = 1..12 as Python floats, so that the Euler-Maclaurin
 # tail of a scalar zeta runs on Python complex arithmetic throughout
-_B2N_OVER_FACT = tuple(float(_B2N[j - 1] / math.factorial(2 * j)) for j in range(1, 13))
+_B2N_OVER_FACT = tuple(n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(_B2N_EXACT[:12], 1))
 
 # Stieltjes constants gamma_0..gamma_11 (mpmath.stieltjes, rounded to double)
 _STIELTJES = (
@@ -736,18 +743,22 @@ def _split_key(err: float, a: float, seq: int):
 def integrate_line(
     f: Callable,
     spec: QuadratureSpec,
-    interval: tuple | None = None,
+    interval: Sequence[float] | None = None,
     tail_bound: Callable[[float], float] | None = None,
 ) -> ValueWithError:
     """Adaptive complex quadrature of ``f`` over a line segment.
 
     ``f`` must accept a numpy array of real abscissae and return complex
-    values.  When ``interval`` is omitted the segment is
-    [-cutoff_radius, cutoff_radius]; ``tail_bound``, if given, is called with
-    the cutoff radius and must return a certified bound on the discarded
-    tails, which is added to the reported error.  Subdivision is
-    worst-interval-first with a deterministic tie-break, from a heap; both
-    halves of a split panel come from one call of ``f``.
+    values.  ``interval`` is a strictly increasing sequence of two or more
+    edges; each pair of consecutive edges is a starting panel, and all of
+    them come from one call of ``f``.  A single starting panel can miss
+    features narrower than its node spacing, so a caller that knows the
+    integrand's scale should pass edges that resolve it.  When ``interval``
+    is omitted the segment is [-cutoff_radius, cutoff_radius]; ``tail_bound``,
+    if given, is called with the cutoff radius and must return a certified
+    bound on the discarded tails, which is added to the reported error.
+    Subdivision is worst-interval-first with a deterministic tie-break, from
+    a heap; both halves of a split panel come from one call of ``f``.
 
     The value and error are running totals between steps.  The convergence
     test runs on exact re-sums over the panels in creation order, made
@@ -755,23 +766,28 @@ def integrate_line(
     twice the tolerance or a running total is not finite, and before
     returning or raising.
 
-    Raises :class:`NonConvergenceError` when ``max_subdivisions`` panels do
+    Raises :class:`NonConvergenceError` when ``max_subdivisions`` splits do
     not reach max(abs_tol, rel_tol * |value|).
     """
     if interval is None:
-        a, b = -spec.cutoff_radius, spec.cutoff_radius
+        edges = (-spec.cutoff_radius, spec.cutoff_radius)
     else:
-        a, b = interval
+        edges = tuple(map(float, interval))
+        if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValueError("interval must be two or more strictly increasing edges")
     tail = float(tail_bound(spec.cutoff_radius)) if tail_bound is not None else 0.0
 
-    [(val, err)] = _gk15(f, a, b)
-    panels = {0: (a, b, val, err)}  # live panels by creation number
+    # live panels by creation number: the starting panels are 0..n0-1
+    panels = {i: (a, b, val, err)
+              for i, (a, b, (val, err)) in enumerate(zip(edges, edges[1:], _gk15(f, *edges)))}
+    n0 = len(panels)
 
     def resum():
         return sum(p[2] for p in panels.values()), sum(p[3] for p in panels.values())
 
-    heap = [_split_key(err, a, 0)]
-    total, total_err, slack = val, err, 0.0
+    heap = [_split_key(err, a, i) for i, (a, _b, _val, err) in panels.items()]
+    heapq.heapify(heap)
+    (total, total_err), slack = resum(), 0.0
     for step in range(spec.max_subdivisions):
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if not (math.isfinite(total_err) and np.isfinite(total)) or total_err <= 2.0 * tol + slack:
@@ -783,10 +799,11 @@ def integrate_line(
         pa, pb, pval, perr = panels.pop(i)
         pm = 0.5 * (pa + pb)
         (v1, e1), (v2, e2) = _gk15(f, pa, pm, pb)
-        panels[2 * step + 1] = (pa, pm, v1, e1)
-        panels[2 * step + 2] = (pm, pb, v2, e2)
-        heapq.heappush(heap, _split_key(e1, pa, 2 * step + 1))
-        heapq.heappush(heap, _split_key(e2, pm, 2 * step + 2))
+        n1, n2 = n0 + 2 * step, n0 + 2 * step + 1
+        panels[n1] = (pa, pm, v1, e1)
+        panels[n2] = (pm, pb, v2, e2)
+        heapq.heappush(heap, _split_key(e1, pa, n1))
+        heapq.heappush(heap, _split_key(e2, pm, n2))
         total += v1 + v2 - pval
         # three roundings, each at most eps/2 of a partial sum below this bound
         slack += 2.0 * _EPS * (total_err + e1 + e2 + perr)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from rsmoments.specfun import (
     PoleError,
     QuadratureSpec,
     complex_gamma,
+    gk15_panel_nodes,
     integrate_line,
 )
 
@@ -152,10 +154,68 @@ class TestH0:
         sizes = [abs(kn.H0(1j * 300.0**b, ctx)) for b in (0.7, 0.74, 0.78)]
         assert sizes[0] > sizes[1] > sizes[2]
 
+    def test_window_edges_one_bump_width_apart(self):
+        for T, alpha in ((30.0, 0.4), (80.0, 0.5), (300.0, 0.6), (12.0, 0.6)):
+            p = kn.TestFunctionParams(T=T, alpha=alpha, R=1.0)
+            edges = p.window_edges()
+            lo, hi = p.window()
+            assert (edges[0], edges[-1]) == (lo, hi)
+            assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= p.bump_width * (1 + 1e-12))
+            if lo > 0.0:
+                assert edges.size == 25  # 24 bump widths, whatever the roundoff of hi - lo
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.6])
+    def test_against_fixed_panel_reference(self, alpha, monkeypatch):
+        # a fixed 480-panel GK15 rule over the window (within 5e-14 of 960
+        # panels on this grid); H0 starts from bump-width panels and needs
+        # few integrand calls
+        calls = []
+
+        def counted(f, spec, interval):
+            n = [0]
+
+            def g(x):
+                n[0] += 1
+                return f(x)
+
+            out = integrate_line(g, spec, interval=interval)
+            calls.append(n[0])
+            return out
+
+        monkeypatch.setattr(kn, "integrate_line", counted)
+        s = 0.75 + 0.9j
+        for T in (30.0, 100.0, 300.0):
+            p = kn.TestFunctionParams(T=T, alpha=alpha, R=1.0)
+            x, w = gk15_panel_nodes(np.linspace(*p.window(), 481))
+            for t in (0.1, 0.5, 1.6):
+                ctx = kn.KernelContext(p, t=t, k=12)
+                for ix in (0.0, -2j * t, -2 * s + 1, -2 * s + 1 - 2j * t):
+                    f = kn._h0_integrand_factory(complex(ix), ctx)
+                    ref = 2.0 * complex(np.sum(w * f(x))) / math.pi**2
+                    assert abs(kn.H0(ix, ctx) - ref) <= 1e-12 * abs(ref), (T, t, ix)
+        assert len(calls) == 36 and max(calls) <= 8
+
     def test_pole_detection(self):
         ctx = kn.KernelContext(PARAMS, t=0.0, k=4)
         with pytest.raises(PoleError):
             kn.H0(-2.0 - 80.0j + 0j, ctx)  # k/2 + Re(ix) = 0, crossing in window
+
+
+class TestKernelContext:
+    def test_frozen(self):
+        ctx = kn.KernelContext(PARAMS, t=0.3, k=12)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.t = 0.4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.params = kn.TestFunctionParams(T=90.0, alpha=0.5)
+
+    def test_cache_keys_on_exact_argument(self):
+        ctx = kn.KernelContext(PARAMS, t=0.3, k=12)
+        at_zero = ctx.cached_H0(0)
+        assert ctx.cached_H0(0.0) is at_zero
+        near = ctx.cached_H0(1e-15j)
+        assert near == kn.H0(1e-15j, ctx) and near is not at_zero
+        assert len(ctx._h0_cache) == 2
 
 
 class TestH0Derivative:

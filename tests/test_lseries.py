@@ -311,6 +311,7 @@ class TestHoloL:
         # the cache grows (or is only sliced) between the two points, with
         # the sym^2 contour filled in between; values match a fresh E exactly
         ls._CONTOURS.clear()
+        ls._SYM2_VALUES.clear()
         for tau in taus:
             s = 0.5 + 1j * tau
             assert ls.holo_L(s, delta) == _holo_afe(s, delta, _fresh_weights(2.0 * math.pi, 3.0, 0.4))
@@ -400,7 +401,7 @@ class TestSym2:
         # (4, 0.35); this also shows the contour cache keys on (c, h)
         for s in (1.37, 1.0, 0.5 + 2j, 0.5 + 0.3j, 1.1 - 3.5j):
             v = ls.sym2_L(s, delta)
-            assert ls.sym2_L(s, delta) == v  # deterministic
+            assert ls._sym2_L(complex(s), delta) == v  # deterministic
             for c, h in ((3.5, 0.3), (3.0, 0.25)):
                 other = _sym2_afe(s, delta, _cached_weights(1.0, c, h))
                 assert abs(other - v) < 1e-12 * abs(v), (s, c, h)
@@ -415,8 +416,36 @@ class TestSym2:
         v_other = ls.sym2_L(1.37, other)
         assert v_other != v_delta
         ls._SYM2_CACHE.clear()
+        ls._SYM2_VALUES.clear()
         assert ls.sym2_L(1.37, other) == v_other
         assert ls.sym2_L(1.37, delta) == v_delta
+
+    def test_values_memoised_per_form_and_exact_s(self, delta):
+        ls._SYM2_VALUES.clear()
+        s = 0.5 + 2.3j
+        first = ls.sym2_L(s, delta)
+        assert ls.sym2_L(s, delta) == first == ls._sym2_L(s, delta)  # a hit is a fresh value's bits
+        assert len(ls._SYM2_VALUES) == 1
+        # same weight, another digest: its own entry and its own value
+        a = delta.a.copy()
+        a[16] *= 0.5
+        other = ls.NewformData(N=1, k=12, a=a, label=delta.label)
+        assert other.k == delta.k and other.digest != delta.digest
+        assert ls.sym2_L(s, other) == ls._sym2_L(s, other) != first
+        assert len(ls._SYM2_VALUES) == 2
+        # +0.0 and -0.0 imaginary parts (loggamma's branch cut at real s < -1)
+        for x in (-1.5, 1.37):
+            plus, minus = complex(x, 0.0), complex(x, -0.0)
+            n = len(ls._SYM2_VALUES)
+            assert ls.sym2_L(plus, delta) == ls._sym2_L(plus, delta)
+            assert ls.sym2_L(minus, delta) == ls._sym2_L(minus, delta)
+            assert len(ls._SYM2_VALUES) == n + 2
+
+    def test_value_memo_stays_bounded(self, delta):
+        for j in range(80):
+            ls.sym2_L(0.5 + 0.05j * j, delta)
+        assert len(ls._SYM2_VALUES) <= 64
+        assert ls.sym2_L(0.5 + 0.05j * 79, delta) == ls._sym2_L(0.5 + 0.05j * 79, delta)
 
     def test_laurent_constants_cached_read_only(self, delta, monkeypatch):
         ls._RS_CONSTANTS_CACHE.clear()

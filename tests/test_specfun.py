@@ -161,6 +161,19 @@ class TestZeta:
                 ref = mp.stieltjes(n)
                 assert abs(g - ref) <= 1e-15 * abs(ref), n
 
+    def test_bernoulli_table_matches_mpmath(self):
+        # B_2 .. B_28 are exact reduced fractions; each double and each B_2j / (2j)!
+        # lies within 1 ulp of the 30-digit value
+        assert len(sf._B2N) == 14 and len(sf._B2N_OVER_FACT) == 12
+        with mp.workdps(30):
+            for j, (exact, b) in enumerate(zip(sf._B2N_EXACT, sf._B2N), 1):
+                assert exact == tuple(int(x) for x in mp.bernfrac(2 * j)), 2 * j
+                ref = float(mp.bernoulli(2 * j))
+                assert abs(b - ref) <= math.ulp(ref), 2 * j
+            for j, b in enumerate(sf._B2N_OVER_FACT, 1):
+                ref = float(mp.bernoulli(2 * j) / mp.factorial(2 * j))
+                assert abs(b - ref) <= math.ulp(ref), 2 * j
+
     def test_hurwitz(self):
         for (s, a) in ((2.5 + 3j, 0.3), (0.2 - 40j, 1.0), (6.0, 0.125)):
             assert abs(sf.hurwitz_zeta(s, a) - complex(mp.zeta(s, a))) < 1e-11 * (
@@ -344,6 +357,93 @@ class TestIntegrateLine:
             lambda r: np.exp(-r * r), spec, tail_bound=lambda R: math.exp(-R * R)
         )
         assert err >= math.exp(-36.0)
+
+    @staticmethod
+    def _linear_scan_from(f, spec, edges):
+        """The adaptive loop as a linear scan with full re-sums every step,
+        from one starting panel per pair of consecutive edges, all of them
+        evaluated in one call of ``f``."""
+
+        def gk15(lo, hi):
+            lo, hi = np.asarray(lo), np.asarray(hi)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            y = np.asarray(f((mid[:, None] + half[:, None] * sf._NODES).ravel()), dtype=complex)
+            out = []
+            for h, row in zip(half.tolist(), y.reshape(-1, 15)):
+                i15 = h * complex(np.sum(sf._W15 * row))
+                i7 = h * complex(np.sum(sf._W7 * row))
+                out.append((i15, abs(i15 - i7)))
+            return out
+
+        panels = [(e, pa, pb, v) for pa, pb, (v, e) in zip(edges, edges[1:], gk15(edges[:-1], edges[1:]))]
+        for _ in range(spec.max_subdivisions):
+            total = sum(p[3] for p in panels)
+            total_err = sum(p[0] for p in panels)
+            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+                return total, total_err
+            worst = max(range(len(panels)), key=lambda i: (panels[i][0], -panels[i][1]))
+            _, pa, pb, _ = panels.pop(worst)
+            pm = 0.5 * (pa + pb)
+            (v1, e1), (v2, e2) = gk15([pa, pm], [pm, pb])
+            panels.append((e1, pa, pm, v1))
+            panels.append((e2, pm, pb, v2))
+        raise AssertionError("the reference loop did not converge")
+
+    @pytest.mark.parametrize("f, edges", [
+        (lambda r: 1.0 / (r * r + 1e-4), (-4.0, -0.5, 4.0)),  # Lorentzian, uneven panels
+        (lambda r: 1.0 / (r * r + 1e-4), (-4.0, -2.0, 0.0, 2.0, 4.0)),  # mirror panels
+        (lambda r: np.exp(-r * r / 8.0 + 7j * r), (-20.0, -7.0, 1.0, 20.0)),  # oscillatory Gaussian
+        (lambda r: np.abs(r - 0.3137) + 0j, (-1.0, -0.25, 0.5, 1.25, 2.0)),  # kink
+    ])
+    def test_multi_edge_start_matches_linear_scan(self, f, edges):
+        spec = sf.QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=2000)
+        first_nodes = []  # one per 15-node panel, in evaluation order
+        call_sizes = []
+
+        def recorded(x):
+            first_nodes.extend(x[::15])
+            call_sizes.append(x.size)
+            return f(x)
+
+        ref = self._linear_scan_from(recorded, spec, edges)
+        ref_nodes = list(first_nodes)
+        first_nodes.clear()
+        call_sizes.clear()
+        val, err = sf.integrate_line(recorded, spec, interval=edges)
+        assert first_nodes == ref_nodes and len(ref_nodes) > 20
+        assert (val, err) == ref
+        # every starting panel in the first call, then one split per call
+        assert call_sizes[0] == 15 * (len(edges) - 1)
+        assert set(call_sizes[1:]) == {30}
+
+    @pytest.mark.parametrize("edges", [(), (1.0,), (0.0, 0.0), (1.0, 0.0), (0.0, 2.0, 1.0, 3.0),
+                                       (0.0, 1.0, 1.0), (0.0, math.nan, 1.0)])
+    def test_edges_must_increase_strictly(self, edges):
+        with pytest.raises(ValueError):
+            sf.integrate_line(np.exp, sf.QuadratureSpec(), interval=edges)
+
+    @pytest.mark.parametrize("T, bumps", [
+        # the three points bench/README.md records, as T and then
+        # (centre, sigma, b) per bump: seed 6 fm-0-1, seed 8 fm-0-1, seed 9 fm-0-2
+        (13.333, [(6.369, 0.465, -0.252), (-5.840, 0.290, -0.439), (-6.864, 0.520, 1.521)]),
+        (13.434, [(-4.599, 0.334, -1.173), (7.032, 0.506, 0.016), (-7.448, 0.307, 0.032)]),
+        (15.100, [(-12.767, 0.216, -0.187), (10.202, 0.326, 2.783), (-5.234, 0.218, 0.398)]),
+    ])
+    def test_narrow_bumps_resolved_by_scale_edges(self, T, bumps):
+        # one starting panel over the window (about +-57) put all 15 nodes
+        # where these bumps are below 1e-19; edges at the narrowest bump's
+        # sigma resolve them at the first-moment pieces' tolerances
+        def bump_sum(x):
+            return sum(np.exp(-((x - c0) ** 2) / (2.0 * sg * sg) + 1j * b * x) for c0, sg, b in bumps)
+
+        exact = sum(sg * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (b * sg) ** 2 + 1j * b * c0)
+                    for c0, sg, b in bumps)
+        edge = T + 12.0 * math.sqrt(T)
+        sigma = min(sg for _, sg, _ in bumps)
+        edges = np.linspace(-edge, edge, math.ceil(2.0 * edge / sigma) + 1)
+        spec = sf.QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)
+        val, _ = sf.integrate_line(bump_sum, spec, interval=edges)
+        assert abs(val - exact) <= 1e-8 * max(abs(exact), 1.0)
 
 
 class TestIntegrateAlignedLattice:
