@@ -68,7 +68,6 @@ from .specfun import (
     ValueWithError,
     riemann_zeta,
     EULER_GAMMA,
-    _STIELTJES,
     central_difference,
 )
 
@@ -402,14 +401,14 @@ def synthetic_maass_form(
 # Rankin-Selberg convolutions (direct region)
 
 
-def rankin_selberg_tail(sigma: float, m_from: int, scale: float = 1.0) -> float:
+def rankin_selberg_tail(sigma: float, m_from: int) -> float:
     """Bound on sum_{n > m_from} d(n)^2 n^{-sigma} (Nicolas-Robin exponent)."""
     if m_from < 8:
         m_from = 8
     eps = 2.0 * 1.5379 * math.log(2.0) / math.log(math.log(m_from))
     if sigma - eps <= 1.0:
         return math.inf
-    return scale * m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
+    return m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
 
 
 def rankin_selberg_L(
@@ -420,14 +419,12 @@ def rankin_selberg_L(
     fcusp: CuspExpansionData | None = None,
     gcusp: CuspExpansionData | None = None,
     m_max: int | None = None,
-    tol: float | None = None,
 ) -> ValueWithError:
     """L_a(s, f x g~) = zeta^(N)(2s) sum a_a(n) conj(b_a(n)) n^{-k+1-s}, truncated.
 
     At the infinity-class cusp (``cusp`` None or a = N) the newform
     coefficients are used directly; otherwise both ingested cusp expansions
-    are required.  The reported error is a divisor-bound tail certificate;
-    with ``tol`` set, a certificate above it raises.
+    are required.  The reported error is a divisor-bound tail certificate.
     """
     s = complex(s)
     if f.N != g.N or f.k != g.k:
@@ -458,16 +455,10 @@ def rankin_selberg_L(
     series = complex(np.sum(an * np.conj(bn) * np.exp(-s * np.log(n))))
     zN = arith.zeta_depleted(2.0 * s, N)
     tail = abs(zN) * rankin_selberg_tail(s.real, m_cap)
-    if tol is not None and tail > tol:
-        raise NonConvergenceError(
-            f"tail certificate {tail:.2e} exceeds tolerance {tol:.2e}",
-            complex(zN * series),
-            tail,
-        )
     return ValueWithError(complex(zN * series), tail)
 
 
-def residue_at_1(f: NewformData, m_max: int | None = None) -> tuple:
+def residue_at_1(f: NewformData) -> tuple:
     """Res_{s=1} L(s, f x f~) by Richardson extrapolation of (s-1) L(s).
 
     Returns (value, error estimate); the estimate combines the extrapolation
@@ -477,7 +468,7 @@ def residue_at_1(f: NewformData, m_max: int | None = None) -> tuple:
     hs = (0.1, 0.05, 0.025)
     vals, tails = [], []
     for h in hs:
-        v, tail = rankin_selberg_L(1.0 + h, f, f, m_max=m_max)
+        v, tail = rankin_selberg_L(1.0 + h, f, f)
         vals.append(h * v)
         tails.append(h * tail)
     from .specfun import extrapolate_to_zero
@@ -539,11 +530,11 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: flo
 _AFE_BLOCK = 256
 
 
-def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto"):
+def holo_L(s, f: NewformData, method: str = "auto"):
     """L(s, f) = sum A(n) n^{-s}: direct for Re s > 1.2, else smoothed AFE.
 
     The direct tail is sized by square-root cancellation of the coefficient
-    partial sums (~ M^{1/2 - sigma}); if that estimate exceeds ``tol`` an
+    partial sums (~ M^{1/2 - sigma}); if that estimate exceeds 1e-8 an
     insufficient-coefficients error reports the horizon it would take.  The
     AFE path is the level-1 functional equation with root number i^k; for
     N > 1 in the strip an error is raised rather than guessing the
@@ -570,11 +561,9 @@ def holo_L(s, f: NewformData, tol: float = 1e-8, method: str = "auto"):
     if method != "afe" and s.real > 1.2:
         sig = s.real
         tail_est = f.M ** (0.5 - sig) * 3.0
-        if tail_est > tol:
+        if tail_est > 1e-8:
             if method == "direct" or f.N != 1:
-                raise InsufficientCoefficientsError(
-                    int(math.ceil((tol / 3.0) ** (1.0 / (0.5 - sig))))
-                )
+                raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - sig)))))
             # fall through to the AFE, which is exact at any argument
         else:
             n = np.arange(1, f.M + 1, dtype=float)
@@ -765,24 +754,20 @@ def selfdual_rs_L(w, f: NewformData) -> complex:
 def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
     """Laurent data of L(s, f x f~) at s = 1 for a level-1 form.
 
-    Returns {"residue": R, "finite_part": c0, "linear": c1} in
-    L(1 + x) = R/x + c0 + c1 x + O(x^2), computed from
-    zeta(1+x) = 1/x + gamma - gamma_1 x + ... and the entire sym^2 factor,
-    whose derivatives are central differences of its AFE values.  The
-    mapping is read-only and cached under (N, k, f.digest), so a form of
-    another level with the same coefficients still reaches sym2_L's level
-    check.
+    Returns {"residue": R, "finite_part": c0} in L(1 + x) = R/x + c0 + O(x),
+    the two constants the f = g displays of the main term take.  They come
+    from zeta(1+x) = 1/x + gamma + O(x) and the entire sym^2 factor, whose
+    derivative is a central difference of its AFE values.  The mapping is
+    read-only and cached under (N, k, f.digest), so a form of another level
+    with the same coefficients still reaches sym2_L's level check.
     """
 
     def build():
         L1 = sym2_L(1.0, f)
-        L1p = central_difference(lambda w: sym2_L(w, f), 1.0, 1)
-        L1pp = central_difference(lambda w: sym2_L(w, f), 1.0, 2)
-        g1 = _STIELTJES[1]
+        L1p = central_difference(lambda w: sym2_L(w, f), 1.0)
         return MappingProxyType({
             "residue": complex(L1).real,
             "finite_part": complex(EULER_GAMMA * L1 + L1p).real,
-            "linear": complex(-g1 * L1 + EULER_GAMMA * L1p + 0.5 * L1pp).real,
         })
 
     return _lru_get(_RS_CONSTANTS_CACHE, (f.N, f.k, f.digest), build)
@@ -919,7 +904,7 @@ def _lift_local_factor(u: MaassFormData, d: int, s, t) -> complex:
     return out
 
 
-def maass_L(s, u: MaassFormData, tol: float = 1e-9) -> complex:
+def maass_L(s, u: MaassFormData) -> complex:
     """L(s, u) = sum lambda(m) m^{-s} by direct summation (Re s > 1)."""
     s = complex(s)
     if s.real <= 1.0:
@@ -927,7 +912,7 @@ def maass_L(s, u: MaassFormData, tol: float = 1e-9) -> complex:
     m = np.arange(1, u.M + 1, dtype=float)
     val = complex(np.sum(u.lam * np.exp(-s * np.log(m))))
     tail = rankin_selberg_tail(2.0 * s.real - 1.0, u.M)
-    if tail > tol * max(1.0, abs(val)):
+    if tail > 1e-9 * max(1.0, abs(val)):
         raise InsufficientCoefficientsError(4 * u.M)
     return val
 

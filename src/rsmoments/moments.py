@@ -387,21 +387,17 @@ def _selfdual_constants(ctx: MomentContext) -> dict:
 _DISPLAYS = ("fneq_minus", "fneq_plus", "feq_minus", "feq_plus")
 
 
-def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_part") -> complex:
+def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     """The closed-form value of the main term at s = 1/2 -+ t'.
 
     ``which`` is one of fneq_minus / fneq_plus / feq_minus / feq_plus (the
-    f != g and f = g displays at s = 1/2 - it and s = 1/2 + it).  For the
-    f = g displays, ``l_slot`` selects which Laurent coefficient of
-    L(s, f x f~) at 1 feeds the derivative slot: the finite part c0 of
-    R/x + c0 + c1 x (default; this is what the generic-path limit
-    reproduces) or "linear" for c1.  Any other ``l_slot`` raises
-    :class:`DomainError`.
+    f != g and f = g displays at s = 1/2 - it and s = 1/2 + it).  The f = g
+    displays take the residue R and the finite part c0 of
+    L(1 + x, f x f~) = R/x + c0 + O(x), which is what the generic-path
+    limit reproduces.
     """
     if which not in _DISPLAYS:
         raise DomainError(f"unknown specialisation {which!r}")
-    if l_slot not in ("finite_part", "linear"):
-        raise DomainError(f"l_slot must be 'finite_part' or 'linear', not {l_slot!r}")
     t = ctx.t
     it = 1j * t
     N = ctx.N
@@ -454,7 +450,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
 
     consts = _selfdual_constants(ctx)
     res = consts["residue"]
-    lder = consts[l_slot]
+    c0 = consts["finite_part"]
 
     if which == "feq_minus":
         h0_0 = ctx.H0(0.0)
@@ -488,7 +484,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
             + math.log(N)
         )
         t3 = zz * h0_0 * prod_sym() * brace * res
-        t4 = 2.0 * zz * h0_0 * prod_sym() * lder
+        t4 = 2.0 * zz * h0_0 * prod_sym() * c0
         t5, t6 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4 + t5 + t6)
 
@@ -517,7 +513,7 @@ def main_term_specialized(ctx: MomentContext, which: str, l_slot: str = "finite_
     )
     h0m = ctx.H0(-2.0 * it)
     v2 = two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * brace * res
-    v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * lder
+    v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * c0
     v4, v5 = _plus_tail_terms(ctx, it, zp, zm)
     return complex(v1 + v2 + v3 + v4 + v5)
 
@@ -620,7 +616,6 @@ def main_term_t0_limit(
     ctx_builder: Callable[[float], MomentContext],
     which: str = "feq_minus",
     t_nodes=(0.04, 0.02, 0.01),
-    l_slot: str = "finite_part",
 ) -> complex:
     """M(1/2, 0) as the Richardson limit of the specialised closed form over t.
 
@@ -628,7 +623,7 @@ def main_term_t0_limit(
     the (vanishing) imaginary part odd, so the extrapolation runs on the
     real part in the variable t^2; the returned value is real.
     """
-    vals = [main_term_specialized(ctx_builder(t), which, l_slot=l_slot) for t in t_nodes]
+    vals = [main_term_specialized(ctx_builder(t), which) for t in t_nodes]
     lim = extrapolate_to_zero([t * t for t in t_nodes], [v.real for v in vals])
     return complex(lim.real, 0.0)
 

@@ -203,6 +203,23 @@ def _sigma_weights(N: int, t: float, m_max: int) -> np.ndarray:
     return arith.sigma_twisted_array(N, t, m_max) * np.exp(1j * t * np.log(m))
 
 
+def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
+    """sum_m sig(m) m^exponent value(m) over the shifts ``ms``, in order, and its tail.
+
+    The tail is the inner tails weighted by |sig(m) m^exponent| plus the
+    envelope tail of the outer terms; both rearranged paths sum this way.
+    """
+    total = 0.0 + 0.0j
+    inner_tail_total = 0.0
+    outer_abs = np.zeros(len(sig))
+    for m, value, err in zip(ms.tolist(), values.tolist(), errors.tolist()):
+        weight = sig[m - 1] * m ** exponent
+        total += weight * value
+        outer_abs[m - 1] = abs(weight * value)
+        inner_tail_total += abs(weight) * err
+    return total, inner_tail_total + _envelope_tail(outer_abs)
+
+
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
     """Z as the raw truncated double sum (n inner, m outer)."""
     req.require_region(f.k)
@@ -247,18 +264,9 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
         raise InsufficientCoefficientsError(Mi + Mo)
     sig = _sigma_weights(N, t, Mo)
     ms = np.flatnonzero(sig) + 1
-    d_vals, d_errs = _shift_rows(w, ms, f, g, Mi, lower=False)
-    total = 0.0 + 0.0j
-    inner_tail_total = 0.0
-    outer_abs = np.zeros(Mo)
-    for m, d_val, d_err in zip(ms.tolist(), d_vals.tolist(), d_errs.tolist()):
-        weight = sig[m - 1] * m ** (-complex(v))
-        total += weight * d_val
-        outer_abs[m - 1] = abs(weight * d_val)
-        inner_tail_total += abs(weight) * d_err
+    total, tail = _weighted_outer_sum(ms, *_shift_rows(w, ms, f, g, Mi, lower=False), sig, -v)
     zN = arith.zeta_depleted(2.0 * s, N)
-    tail = abs(zN) * (inner_tail_total + _envelope_tail(outer_abs))
-    return ValueWithError(complex(zN * total), tail)
+    return ValueWithError(complex(zN * total), abs(zN) * tail)
 
 
 def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
@@ -301,17 +309,10 @@ def M3_series_rearranged(s, w, t: float, f: NewformData, g: NewformData, N: int,
     sp = s + w + k / 2.0 - 1.0
     sig = _sigma_weights(N, t, M_outer)
     ms = np.flatnonzero(sig) + 1
-    inner_vals, inner_errs = _shift_rows(w, ms, f, g, M_inner, lower=True)
-    total = 0.0 + 0.0j
-    inner_tail_total = 0.0
-    outer_abs = np.zeros(M_outer)
-    for m, inner, inner_err in zip(ms.tolist(), inner_vals.tolist(), inner_errs.tolist()):
-        weight = sig[m - 1] * m ** (-(s + (k - 1) / 2.0))
-        total += weight * inner
-        outer_abs[m - 1] = abs(weight * inner)
-        inner_tail_total += abs(weight) * inner_err
+    total, tail = _weighted_outer_sum(
+        ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), sig, -(s + (k - 1) / 2.0)
+    )
     pref = np.exp(
         _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
     ) * arith.zeta_depleted(2.0 * sp, N)
-    tail = abs(pref) * (inner_tail_total + _envelope_tail(outer_abs))
-    return ValueWithError(complex(pref * total), tail)
+    return ValueWithError(complex(pref * total), abs(pref) * tail)

@@ -10,16 +10,16 @@ series) is built on the functions in this module:
   arguments (scipy only covers the complex case for order 0).
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
   functional-equation fallback on the left half plane.
-* ``central_difference`` -- the fourth-order 4- and 5-point stencils, the
-  one route to numerical first and second derivatives (zeta here, the
-  symmetric-square L-function in ``lseries``).
+* ``central_difference`` -- the fourth-order 4-point stencil, the one route
+  to numerical first derivatives (zeta here, the symmetric-square
+  L-function in ``lseries``).
 * ``dirichlet_L`` / ``gauss_sum`` -- character L-values via Hurwitz zeta.
 * ``bessel_K`` -- K-Bessel of complex (notably purely imaginary) order
   through the integral 1/2 * int_0^oo exp(-y/2 (t+1/t)) t^nu dt/t, computed
   on the cosh line with a doubly-exponentially convergent trapezoid mesh.
 * ``integrate_line`` -- adaptive Gauss-Kronrod for complex integrands on a
-  finite or truncated line, returning a value together with an error
-  estimate.
+  finite segment given by its edges, returning a value together with an
+  error estimate.
 * ``integrate_aligned_lattice`` -- the same GK15 rule on equal u-panels
   aligned with fixed v-panels, for double integrals whose kernels depend on
   g - y and g + y only (tabulated once per lattice).
@@ -92,12 +92,11 @@ class ValueWithError(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation limits for the adaptive line quadrature."""
+    """Tolerances and the subdivision limit for the adaptive line quadrature."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 4000
-    cutoff_radius: float = 50.0
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -106,8 +105,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
-        if self.cutoff_radius <= 0:
-            raise ValueError("cutoff_radius must be positive")
 
 
 # Bernoulli numbers B_2, B_4, ..., B_28 as exact (numerator, denominator)
@@ -350,31 +347,24 @@ def riemann_zeta(s):
     return hurwitz_zeta(s, 1.0)
 
 
-def central_difference(f: Callable, x, order: int):
-    """f^(m)(x) for m = 1 or 2 by the fourth-order central stencils of step 1e-3."""
+def central_difference(f: Callable, x):
+    """f'(x) by the fourth-order 4-point central stencil of step 1e-3."""
     h = 1e-3
-    if order == 1:
-        vals = [f(x + k * h) for k in (-2, -1, 1, 2)]
-        return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-    if order == 2:
-        vals = [f(x + k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (
-            12 * h * h
-        )
-    raise DomainError("central differences support orders 1 and 2")
+    vals = [f(x + k * h) for k in (-2, -1, 1, 2)]
+    return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
 
 
-def zeta_derivative(s, order: int = 1):
-    """zeta^(m)(s) by high-order central differences (m = 1 or 2)."""
+def zeta_derivative(s):
+    """zeta'(s): the Stieltjes expansion near s = 1, else a central difference."""
     s = complex(s)
-    if order == 1 and abs(s - 1.0) < 0.2:
+    if abs(s - 1.0) < 0.2:
         return zeta_laurent(s - 1.0, 1)
-    return central_difference(riemann_zeta, s, order)
+    return central_difference(riemann_zeta, s)
 
 
 def log_zeta_derivative(s):
     """zeta'/zeta(s)."""
-    return zeta_derivative(s, 1) / riemann_zeta(s)
+    return zeta_derivative(s) / riemann_zeta(s)
 
 
 @dataclass(frozen=True)
@@ -740,12 +730,7 @@ def _split_key(err: float, a: float, seq: int):
     return (-err if err == err else -math.inf, a, seq)
 
 
-def integrate_line(
-    f: Callable,
-    spec: QuadratureSpec,
-    interval: Sequence[float] | None = None,
-    tail_bound: Callable[[float], float] | None = None,
-) -> ValueWithError:
+def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float]) -> ValueWithError:
     """Adaptive complex quadrature of ``f`` over a line segment.
 
     ``f`` must accept a numpy array of real abscissae and return complex
@@ -753,10 +738,8 @@ def integrate_line(
     edges; each pair of consecutive edges is a starting panel, and all of
     them come from one call of ``f``.  A single starting panel can miss
     features narrower than its node spacing, so a caller that knows the
-    integrand's scale should pass edges that resolve it.  When ``interval``
-    is omitted the segment is [-cutoff_radius, cutoff_radius]; ``tail_bound``,
-    if given, is called with the cutoff radius and must return a certified
-    bound on the discarded tails, which is added to the reported error.
+    integrand's scale should pass edges that resolve it.  A caller that
+    truncates an infinite line chooses the edges and owns the tails.
     Subdivision is worst-interval-first with a deterministic tie-break, from
     a heap; both halves of a split panel come from one call of ``f``.
 
@@ -769,13 +752,9 @@ def integrate_line(
     Raises :class:`NonConvergenceError` when ``max_subdivisions`` splits do
     not reach max(abs_tol, rel_tol * |value|).
     """
-    if interval is None:
-        edges = (-spec.cutoff_radius, spec.cutoff_radius)
-    else:
-        edges = tuple(map(float, interval))
-        if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
-            raise ValueError("interval must be two or more strictly increasing edges")
-    tail = float(tail_bound(spec.cutoff_radius)) if tail_bound is not None else 0.0
+    edges = tuple(map(float, interval))
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("interval must be two or more strictly increasing edges")
 
     # live panels by creation number: the starting panels are 0..n0-1
     panels = {i: (a, b, val, err)
@@ -794,7 +773,7 @@ def integrate_line(
             total, total_err = resum()
             slack = 0.0
             if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-                return ValueWithError(total, total_err + tail)
+                return ValueWithError(total, total_err)
         i = heapq.heappop(heap)[2]
         pa, pb, pval, perr = panels.pop(i)
         pm = 0.5 * (pa + pb)
@@ -809,9 +788,7 @@ def integrate_line(
         slack += 2.0 * _EPS * (total_err + e1 + e2 + perr)
         total_err += e1 + e2 - perr
     total, total_err = resum()
-    raise NonConvergenceError(
-        "integrate_line exhausted max_subdivisions", total, total_err + tail
-    )
+    raise NonConvergenceError("integrate_line exhausted max_subdivisions", total, total_err)
 
 
 def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> complex:

@@ -40,7 +40,7 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         nums = ", ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in self.measured.items())
-        return f"[{status}] {self.name}: {nums} ({self.seconds:.1f}s)"
+        return f"[{status}] {self.name}: {nums}"
 
 
 def _delta(m: int = 20000):

@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import pytest
 
-from rsmoments import cli
+from rsmoments import cli, verify
 
 
 def run_cli(args, capsys):
@@ -94,6 +95,17 @@ class TestDeterminism:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_stdout_has_no_wall_clock(self, capsys, monkeypatch):
+        # each run sees a clock that advances by a different step per reading
+        outs = []
+        for step in (0.01, 7.3):
+            clock = itertools.count(0.0, step)
+            monkeypatch.setattr(verify.time, "time", lambda clock=clock: next(clock))
+            code, out, _ = run_cli(["verify", "--suite", "identities"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestErrors:

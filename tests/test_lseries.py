@@ -3,14 +3,17 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import loggamma as _loggamma
 
 from rsmoments import arith as ar
 from rsmoments import lseries as ls
 from rsmoments.arith import CuspLabel
-from rsmoments.specfun import DomainError, NonConvergenceError, riemann_zeta
+from rsmoments.specfun import DomainError, NonConvergenceError, extrapolate_to_zero, riemann_zeta
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,30 @@ def _holo_afe(s, f, weights):
         * np.sum(A * np.exp((s - 1.0) * np.log(n)) * w2)
     )
     return complex(first + second)
+
+
+def _holo_incomplete_gamma(s, f, terms=80):
+    """L(s, f) from the sharp-cutoff AFE in incomplete gamma functions, in mpmath at 60 digits.
+
+    Lambda(z) = sum a(n) [G(z, 2 pi n) (2 pi n)^{-z} + i^k G(k - z, 2 pi n) (2 pi n)^{z-k}]
+    at z = s + (k-1)/2 shares no weights, contour or sum length with
+    holo_L's smoothed AFE.  At the points below it agrees with 160 terms at
+    100 digits to every bit of the double.
+    """
+    with mp.workdps(60):
+        z = mp.mpc(s.real, s.imag) + mp.mpf(f.k - 1) / 2
+        root = (-1) ** (f.k // 2)
+        lam = mp.fsum(
+            a * (mp.gammainc(z, x) * x ** (-z) + root * mp.gammainc(f.k - z, x) * x ** (z - f.k))
+            for a, x in ((f.a_exact[n - 1], 2 * mp.pi * n) for n in range(1, terms + 1))
+        )
+        return complex(lam * (2 * mp.pi) ** z / mp.gamma(z))
+
+
+# Property tests draw a fixed sequence (derandomize), so tier-1 runs are
+# reproducible: a fresh draw that landed next to a zero of L would fail a
+# relative bound by luck, not through a fault.
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _sym2_log_gamma_two(u, k):
@@ -275,8 +302,6 @@ class TestRankinSelberg:
         for h in hs:
             v, _ = ls.rankin_selberg_L(1.0 + h, delta, delta)
             vals.append(h * v)
-        from rsmoments.specfun import extrapolate_to_zero
-
         two_node = extrapolate_to_zero(hs, vals).real
         assert abs(two_node - res) <= err
         # and the accurate route lands inside the reported error too
@@ -325,13 +350,34 @@ class TestHoloL:
     def test_insufficient_coefficients_reports_horizon(self):
         small = ls.delta_newform(256)
         with pytest.raises(ls.InsufficientCoefficientsError) as err:
-            ls.holo_L(2.5, small, tol=1e-10, method="direct")
+            ls.holo_L(2.5, small, method="direct")
         assert err.value.needed > 256
         # in auto mode level 1 falls back to the (exact) functional-equation
         # route instead of failing
-        v = ls.holo_L(2.5, small, tol=1e-10)
+        v = ls.holo_L(2.5, small)
         big = ls.delta_newform(20000)
         assert abs(v - ls.holo_L(2.5, big, method="direct")) < 1e-8 * abs(v)
+
+    @pytest.mark.parametrize("s, tol", [
+        (0.5 + 10j, 1e-10),  # measured 4.7e-14
+        (0.3 + 30j, 1e-10),  # 2.7e-12
+        (1.1 - 40j, 1e-10),  # 3.7e-11
+        pytest.param(0.5 + 55.21j, 1e-8, marks=pytest.mark.xfail(
+            strict=True, reason="the smoothed AFE loses digits with height: 1.5e-8 here, "
+                                "where |L| = 0.024 (ROADMAP item 9)")),
+    ])
+    def test_against_incomplete_gamma_afe(self, delta, s, tol):
+        # the functional-equation tests build both sides from the same two
+        # sums and cannot see this error; this route shares nothing with them
+        ref = _holo_incomplete_gamma(s, delta)
+        assert abs(ls.holo_L(s, delta) - ref) < tol * abs(ref)
+
+    @_PROPERTY
+    @given(st.floats(-0.5, 1.5), st.floats(-40.0, 40.0))
+    def test_conjugation_symmetry(self, delta, re, im):
+        s = complex(re, im)
+        v = ls.holo_L(s, delta)
+        assert abs(ls.holo_L(s.conjugate(), delta) - v.conjugate()) < 1e-9 * abs(v)
 
 
 class TestHoloLBatch:
@@ -462,7 +508,7 @@ class TestSym2:
         monkeypatch.undo()
         ls._RS_CONSTANTS_CACHE.clear()
         fresh = ls.selfdual_rs_constants(delta)
-        for key in ("residue", "finite_part", "linear"):
+        for key in ("residue", "finite_part"):
             assert fresh[key].hex() == first[key].hex()
 
     def test_two_factor_gamma_matches_three_factor(self, delta):
@@ -494,6 +540,21 @@ class TestSym2:
             rhs = np.exp(_sym2_log_gamma_two(1.0 - s, 12)) * ls.sym2_L(1.0 - s, delta)
             assert abs(lhs - rhs) < 1e-11 * abs(rhs), s
 
+    @_PROPERTY
+    @given(st.floats(-0.9, 1.9), st.floats(-15.0, 15.0))
+    def test_conjugation_symmetry(self, delta, re, im):
+        s = complex(re, im)
+        v = ls.sym2_L(s, delta)
+        assert abs(ls.sym2_L(s.conjugate(), delta) - v.conjugate()) < 1e-9 * abs(v)
+
+    @_PROPERTY
+    @given(st.floats(-0.9, 1.9), st.floats(-12.0, 12.0))
+    def test_functional_equation_property(self, delta, re, im):
+        s = complex(re, im)
+        lhs = np.exp(_sym2_log_gamma_two(s, 12)) * ls.sym2_L(s, delta)
+        rhs = np.exp(_sym2_log_gamma_two(1.0 - s, 12)) * ls.sym2_L(1.0 - s, delta)
+        assert abs(lhs - rhs) < 1e-11 * abs(rhs)
+
     def test_domain(self, delta):
         assert ls.sym2_L(-1.0, delta) == 0.0  # the gamma factor's pole: a trivial zero
         for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j):
@@ -502,11 +563,12 @@ class TestSym2:
 
     def test_laurent_constants(self, delta):
         c = ls.selfdual_rs_constants(delta)
-        # L(1 + x) ~ R/x + c0 + c1 x reproduced by actual values
-        for x in (0.05, 0.025):
-            lhs = ls.selfdual_rs_L(1.0 + x, delta)
-            rhs = c["residue"] / x + c["finite_part"] + c["linear"] * x
-            assert abs(lhs - rhs) < 5e-3 * abs(lhs) * x  # O(x^2) remainder
+        # L(1 + x) - R/x = c0 + c1 x + O(x^2): Richardson over two steps
+        # cancels the linear term and leaves c0
+        xs = (0.05, 0.025)
+        regular = [ls.selfdual_rs_L(1.0 + x, delta) - c["residue"] / x for x in xs]
+        c0 = extrapolate_to_zero(xs, regular)
+        assert abs(c0 - c["finite_part"]) < 5e-3 * c["residue"]
 
 
 class TestCurlyLEisenstein:
