@@ -28,6 +28,7 @@ from .specfun import (
     PoleError,
     QuadratureSpec,
     digamma_family,
+    gk15_panel_nodes,
     integrate_line,
 )
 
@@ -90,7 +91,8 @@ class TestFunctionParams:
 class KernelContext:
     """Everything H0-type integrals need: bump params, t, weight k, tolerances.
 
-    Frozen, so that the H0 values it caches always belong to its fields.
+    Frozen, so that what it caches always belongs to its fields: the H0
+    values, and the half of H0's integrand that does not depend on ix.
     """
 
     params: TestFunctionParams
@@ -102,6 +104,7 @@ class KernelContext:
         if self.k < 4 or self.k % 2:
             raise ValueError("weight k must be an even integer >= 4")
         object.__setattr__(self, "_h0_cache", {})
+        object.__setattr__(self, "_h0_start", None)
 
     def cached_H0(self, ix) -> complex:
         """H0(ix), computed once per exact argument."""
@@ -109,6 +112,18 @@ class KernelContext:
         if key not in self._h0_cache:
             self._h0_cache[key] = H0(key, self)
         return self._h0_cache[key]
+
+    def _h0_start_factors(self):
+        """(r, log G(ir + a), log G(-ir + a), h(r) r tanh(pi r)), a = k/2 + it,
+        on the GK15 nodes of ``params.window_edges()``, where every H0
+        quadrature starts; built on first use, read-only."""
+        if self._h0_start is None:
+            r = gk15_panel_nodes(self.params.window_edges())[0]
+            factors = (r, *_h0_ix_free(r, self))
+            for x in factors:
+                x.flags.writeable = False
+            object.__setattr__(self, "_h0_start", factors)
+        return self._h0_start
 
 
 def h_eval(r, p: TestFunctionParams, enforce_strip: bool = True):
@@ -158,17 +173,22 @@ def _gamma_ratio_pole_check(ix: complex, ctx: KernelContext, lo: float, hi: floa
             raise PoleError("gamma pole inside the H0 integration window")
 
 
+def _h0_ix_free(r, ctx: KernelContext):
+    """log G(ir + a), log G(-ir + a) (a = k/2 + it) and h(r) r tanh(pi r):
+    the factors of H0's integrand that do not depend on ix."""
+    a = ctx.k / 2.0 + 1j * ctx.t
+    return _loggamma(1j * r + a), _loggamma(-1j * r + a), _spectral_weight(r, ctx)
+
+
 def _h0_integrand_factory(ix: complex, ctx: KernelContext):
     a = ctx.k / 2.0 + 1j * ctx.t
 
     def f(r):
-        ratio = np.exp(
-            _loggamma(1j * r + ix + a)
-            + _loggamma(-1j * r + ix + a)
-            - _loggamma(1j * r + a)
-            - _loggamma(-1j * r + a)
-        )
-        return _spectral_weight(r, ctx) * ratio
+        start, lg_plus, lg_minus, weight = ctx._h0_start_factors()
+        if r.shape != start.shape or not np.array_equal(r, start):
+            lg_plus, lg_minus, weight = _h0_ix_free(r, ctx)
+        ratio = np.exp(_loggamma(1j * r + ix + a) + _loggamma(-1j * r + ix + a) - lg_plus - lg_minus)
+        return weight * ratio
 
     return f
 
@@ -178,7 +198,11 @@ def H0(ix, ctx: KernelContext) -> complex:
 
     ``ix`` is the complex argument occupying the ix slot (e.g. 0, -2it,
     -2s+1).  Integration runs over twice the positive bump window; the
-    dropped region carries a certified exp(-144)-size bound.
+    dropped region carries a certified exp(-144)-size bound.  On the
+    starting nodes the integrand reads its ix-free factors from the
+    context, which builds them once; nodes of split panels compute them
+    afresh.  Either way the logs add in one order, so the value has the
+    same bits as an integrand that computes everything afresh.
     """
     ix = complex(ix)
     lo, hi = ctx.params.window()

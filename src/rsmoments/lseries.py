@@ -543,8 +543,10 @@ def holo_L(s, f: NewformData, method: str = "auto"):
 
     A 1-D array of s runs on the AFE route as one batch and gives an array;
     "direct", or any Re s > 1.2 under "auto", raises :class:`DomainError`.
-    A scalar s on the AFE route is the batch of one, so it gets the same
-    bits whether it comes alone or not.
+    The batch sums each of its AFE's first sums once per distinct value of
+    s and 1 - s (see ``_holo_afe``), so a batch closed under s -> 1 - s
+    costs half of one without pairs.  A scalar s on the AFE route is the
+    batch {s, 1 - s}.
     """
     if method not in ("auto", "direct", "afe"):
         raise DomainError("method must be auto, direct or afe")
@@ -572,18 +574,28 @@ def holo_L(s, f: NewformData, method: str = "auto"):
 
 
 def _holo_afe(s, f: NewformData):
-    """holo_L's smoothed AFE at a 1-D array of s, ``_AFE_BLOCK`` rows at a time.
+    """holo_L's smoothed AFE at a 1-D array of s.
+
+    L(s) = D(s) + i^k (2 pi)^{2s-1} G(1 - s + a0)/G(s + a0) D(1 - s), with
+    a0 = (k - 1)/2 and the first sum D(u) = sum A(n) n^{-u} W(u; n).  The
+    dual sum at s is the first sum at 1 - s: both halves of a smoothed AFE
+    are one incomplete Mellin transform, at s and at 1 - s (Rubinstein,
+    Computational methods and experiments in analytic number theory, 2005).
+    So D is summed once per distinct u of S and 1 - S, and a batch closed
+    under s -> 1 - s does half the work of one without pairs.
 
     The batch shares one sum length, the one its largest |Im s| needs.  Each
-    row's weights are one row of a (rows x contour) @ E product, and its two
-    Dirichlet sums are row-wise sums, which add in the order a single row's
-    sum does.
+    D(u) has its weights from one row of a (rows x contour) @ E product and
+    its sum from a row-wise sum, so it gets the same bits in any batch of
+    the same length, bar the smallest: for a product of one row, or of two
+    short ones, BLAS may take a kernel that sums in another order.  So the
+    u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one row
+    unless the batch has only one u.
     """
     if f.N != 1:
         raise DomainError("holo_L inside the strip is implemented for level 1")
-    out = np.empty(s.shape, dtype=complex)
     if not s.size:
-        return out
+        return np.empty(s.shape, dtype=complex)
     a0 = (f.k - 1) / 2.0
     root = (1j) ** f.k  # (-1)^{k/2} for even k
     length = int(math.ceil((np.max(np.abs(s.imag)) + f.k + 60.0) * 1.6))
@@ -591,27 +603,22 @@ def _holo_afe(s, f: NewformData):
         raise InsufficientCoefficientsError(length)
     log_n = np.log(np.arange(1, length + 1, dtype=float))
     A = f.A(length)
-    for b0 in range(0, s.size, _AFE_BLOCK):
-        sb = s[b0:b0 + _AFE_BLOCK]
-        col = sb[:, None]
+    u, inv = np.unique(np.concatenate([s, 1.0 - s]), return_inverse=True)
+    d = np.empty(u.shape, dtype=complex)
+    for rows in np.array_split(np.arange(u.size), -(-u.size // _AFE_BLOCK)):
+        col = u[rows, None]
 
-        def ratio1(w):
+        def ratio(w):
             return _loggamma(col + a0 + w) - _loggamma(col + a0)
 
-        def ratio2(w):
-            return _loggamma(1.0 - col + a0 + w) - _loggamma(1.0 - col + a0)
-
-        w1 = _mellin_weights(ratio1, 2.0 * math.pi, length)
-        w2 = _mellin_weights(ratio2, 2.0 * math.pi, length)
-        first = np.sum(A * np.exp(-col * log_n) * w1, axis=1)
-        gr = np.exp(_loggamma(1.0 - sb + a0) - _loggamma(sb + a0))
-        scale = np.exp((2.0 * sb - 1.0) * math.log(2.0 * math.pi))
-        dual = np.sum(A * np.exp((col - 1.0) * log_n) * w2, axis=1)
-        # these products run on numpy scalars, as for a lone s: numpy's
-        # complex array loop may fuse a multiply-add that its scalars do not
-        second = [root * e * g * d for e, g, d in zip(scale, gr, dual)]
-        out[b0:b0 + _AFE_BLOCK] = first + np.array(second)
-    return out
+        wts = _mellin_weights(ratio, 2.0 * math.pi, length)
+        d[rows] = np.sum(A * np.exp(-col * log_n) * wts, axis=1)
+    gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
+    scale = np.exp((2.0 * s - 1.0) * math.log(2.0 * math.pi))
+    # these products run on numpy scalars, as for a lone s: numpy's complex
+    # array loop may fuse a multiply-add that its scalars do not
+    second = [root * e * g * dual for e, g, dual in zip(scale, gr, d[inv[s.size:]])]
+    return d[inv[:s.size]] + np.array(second)
 
 
 # (k, digest of a, length) -> read-only c(1..length), least recently used first

@@ -666,7 +666,8 @@ def continuous_part(
     """The r-integral of the continuous-spectrum piece at level 1.
 
     Integrand: h(r) L(1/2+it+ir, f) L(1/2+it-ir, f) L(s+ir, g~) L(s-ir, g~)
-    / (pi zeta(1+2ir) zeta(1-2ir)) -- the identity
+    / (pi zeta(1+2ir) zeta(1-2ir)), the denominator taken as
+    pi |zeta(1+2ir)|^2 -- the identity
     Gamma(1/2+ir) Gamma(1/2-ir) cosh(pi r) = pi absorbs the weight.
 
     Composite Gauss-Kronrod panels on the h-support window; the reported
@@ -688,12 +689,21 @@ def continuous_part(
         live = np.abs(r_arr) >= 1e-12
         r = r_arr[live]
         ir = 1j * r
-        # the f- and the g-side are separate batches: at s = 1/2 - it the
-        # g-side values are the f-side's conjugates only up to roundoff
-        lf1, lf2 = _distinct_holo_L(np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir]), ctx.f)
-        lg1, lg2 = _distinct_holo_L(np.concatenate([s + ir, s - ir]), ctx.g)
-        zz = np.array([riemann_zeta(1.0 + 2.0 * x) * riemann_zeta(1.0 - 2.0 * x) for x in ir.tolist()])
-        out[live] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
+        f_side = np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir])
+        g_side = np.concatenate([s + ir, s - ir])
+        # with f = g both sides are one batch; at s = 1/2 - it it is closed
+        # under s -> 1 - s, so the AFE sums each first sum D(u) once.
+        # Realness stays a real check: L(conj u) takes D(conj u) and
+        # D(1 - conj u), each its own sum, and these are the conjugates of
+        # L(u)'s two sums only up to roundoff
+        if ctx.f is ctx.g:
+            lf1, lf2, lg1, lg2 = _distinct_holo_L(np.concatenate([f_side, g_side]), ctx.f, 4)
+        else:
+            lf1, lf2 = _distinct_holo_L(f_side, ctx.f, 2)
+            lg1, lg2 = _distinct_holo_L(g_side, ctx.g, 2)
+        # zeta(1 - 2ir) = conj zeta(1 + 2ir) on the real line: one zeta per node
+        z = np.array([riemann_zeta(1.0 + 2.0 * x) for x in ir.tolist()])
+        out[live] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * (z.real * z.real + z.imag * z.imag))
         return out
 
     w = 12.0 * p.bump_width
@@ -718,11 +728,11 @@ def continuous_part(
     return ValueWithError(complex(total), err + tail)
 
 
-def _distinct_holo_L(w, form):
-    """holo_L at each entry of w, as two halves: one batched AFE (valid at any
-    s on level 1) over the distinct values of w."""
+def _distinct_holo_L(w, form, rows: int):
+    """holo_L at each entry of w, as ``rows`` equal rows: one batched AFE
+    (valid at any s on level 1) over the distinct values of w."""
     u, inv = np.unique(w, return_inverse=True)
-    return holo_L(u, form, method="afe")[inv].reshape(2, -1)
+    return holo_L(u, form, method="afe")[inv].reshape(rows, -1)
 
 
 def _weight_over_cosh(r: float, p) -> float:

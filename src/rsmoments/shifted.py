@@ -91,16 +91,17 @@ def _envelope_edges(M: int) -> np.ndarray:
     return np.unique(np.geomspace(max(8, M // 8), M, 13).astype(int))
 
 
-def _block_maxima(rows: np.ndarray) -> np.ndarray:
-    """The maximum of each row of |terms| over each envelope block."""
-    edges = _envelope_edges(rows.shape[1])
+def _block_maxima(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The maximum of each row of |terms| over each envelope block, the
+    blocks between ``edges = _envelope_edges(rows.shape[1])``."""
     if not edges.size:
         return np.zeros((len(rows), 0))
     return np.maximum.reduceat(rows, edges[:-1], axis=1)
 
 
-def _envelope_fit(peaks: np.ndarray, M: int) -> np.ndarray:
-    """Envelope tails of rows of M terms from their block maxima, one per row.
+def _envelope_fit(peaks: np.ndarray, edges: np.ndarray, M: int) -> np.ndarray:
+    """Envelope tails of rows of M terms from their block maxima over
+    ``edges = _envelope_edges(M)``, one per row.
 
     Fits |term(m)| <~ A m^{-c} to the block maxima and extends
     geometrically; recorded with a safety factor of 3.  This is an estimate
@@ -109,7 +110,6 @@ def _envelope_fit(peaks: np.ndarray, M: int) -> np.ndarray:
     four nonzero block maxima, or c <= 1.05, there is no envelope to extend
     and the estimate is infinite.
     """
-    edges = _envelope_edges(M)
     log_x = np.log(np.sqrt(edges[:-1] * edges[1:]))
     tails = np.full(len(peaks), math.inf)
     pos = peaks > 0
@@ -126,7 +126,8 @@ def _envelope_fit(peaks: np.ndarray, M: int) -> np.ndarray:
 
 def _envelope_tail(abs_terms: np.ndarray) -> float:
     """Tail estimate from the decay envelope of the computed outer terms."""
-    return float(_envelope_fit(_block_maxima(abs_terms[None, :]), len(abs_terms))[0])
+    edges = _envelope_edges(len(abs_terms))
+    return float(_envelope_fit(_block_maxima(abs_terms[None, :], edges), edges, len(abs_terms))[0])
 
 
 def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_max: int, lower: bool):
@@ -156,6 +157,7 @@ def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_ma
         fixed = np.conj(g.a[:n_max])
         rs = rankin_selberg_tail(w.real, n_max)
     values, bounds, peaks = [], [], []
+    edges = _envelope_edges(n_max)
     step = max(1, _BLOCK_TERMS // n_max)
     for lo in range(0, len(ms), step):
         block = ms[lo : lo + step]
@@ -167,8 +169,8 @@ def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_ma
             terms = slid[rows] * fixed * n_pow
             bounds += [(1.0 + m / n_max) ** ((k - 1) / 2.0) * rs for m in block.tolist()]
         values.append(np.sum(terms, axis=1))
-        peaks.append(_block_maxima(np.abs(terms)))
-    return np.concatenate(values), np.minimum(bounds, _envelope_fit(np.concatenate(peaks), n_max))
+        peaks.append(_block_maxima(np.abs(terms), edges))
+    return np.concatenate(values), np.minimum(bounds, _envelope_fit(np.concatenate(peaks), edges, n_max))
 
 
 def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:

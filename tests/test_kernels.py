@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from rsmoments import kernels as kn
 from rsmoments.specfun import (
@@ -216,6 +217,75 @@ class TestKernelContext:
         near = ctx.cached_H0(1e-15j)
         assert near == kn.H0(1e-15j, ctx) and near is not at_zero
         assert len(ctx._h0_cache) == 2
+
+
+def _fresh_h0(ix, ctx):
+    """H0 with every factor of its integrand computed on every call."""
+    a = ctx.k / 2.0 + 1j * ctx.t
+
+    def f(r):
+        ratio = np.exp(loggamma(1j * r + ix + a) + loggamma(-1j * r + ix + a)
+                       - loggamma(1j * r + a) - loggamma(-1j * r + a))
+        return kn.h_eval(r, ctx.params) * r * kn.tanh_pi(r) * ratio
+
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
+    return 2.0 * val / math.pi**2
+
+
+class TestH0StartFactors:
+    def test_bitwise_equal_to_fresh_integrand(self, monkeypatch):
+        ctx = kn.KernelContext(PARAMS, t=0.3, k=12)
+        calls = []
+        line = kn.integrate_line
+
+        def counting(f, spec, interval):
+            def g(r):
+                calls.append(len(r))
+                return f(r)
+
+            return line(g, spec, interval)
+
+        fresh = []
+        ix_free = kn._h0_ix_free
+
+        def counting_ix_free(r, c):
+            fresh.append(len(r))
+            return ix_free(r, c)
+
+        monkeypatch.setattr(kn, "integrate_line", counting)
+        monkeypatch.setattr(kn, "_h0_ix_free", counting_ix_free)
+        # the first call builds the starting nodes' factors, and 6i splits
+        # panels, whose nodes compute their own
+        for n, ix in enumerate((0.0, -0.6j, -1.8j, -3.0 - 0.6j, 6j)):
+            calls.clear()
+            fresh.clear()
+            assert kn.H0(ix, ctx) == _fresh_h0(complex(ix), ctx), ix
+            assert fresh == calls[:1 if n == 0 else 0] + calls[1:], ix
+        assert len(calls) > 1
+
+    def test_read_only_and_built_once(self):
+        ctx = kn.KernelContext(PARAMS, t=0.3, k=12)
+        kn.H0(0.4j, ctx)
+        factors = ctx._h0_start_factors()
+        assert ctx._h0_start_factors() is factors and len(factors) == 4
+        for x in factors:
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        assert len(ctx._h0_cache) == 0  # kept apart from the H0 values
+
+    def test_not_shared_across_t_or_T(self):
+        base = kn.KernelContext(PARAMS, t=0.3, k=12)
+        other_t = kn.KernelContext(PARAMS, t=0.31, k=12)
+        other_T = kn.KernelContext(kn.TestFunctionParams(T=81.0, alpha=0.5, R=1.0), t=0.3, k=12)
+        twin = kn.KernelContext(PARAMS, t=0.3, k=12)
+        for ctx in (base, other_t, other_T, twin):
+            assert ctx.cached_H0(-0.6j) == _fresh_h0(-0.6j, ctx)
+        mine = base._h0_start_factors()
+        for ctx in (other_t, other_T, twin):
+            theirs = ctx._h0_start_factors()
+            assert all(x is not y for x, y in zip(mine, theirs))
+        assert not np.array_equal(mine[1], other_t._h0_start_factors()[1])
+        assert not np.array_equal(mine[0], other_T._h0_start_factors()[0])
 
 
 class TestH0Derivative:

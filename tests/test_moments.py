@@ -22,6 +22,7 @@ from rsmoments.specfun import (
     gk15_panel_nodes,
     integrate_aligned_lattice,
     integrate_line,
+    riemann_zeta,
 )
 
 NU, MU = 0.52, 1.13
@@ -270,6 +271,60 @@ class TestContinuous:
         half = mo.continuous_part(ctx, points_per_unit=1.0, half_line=True)
         assert sum(sizes) == n_full
         assert abs(full.value - half.value) < 1e-10 * abs(full.value)
+
+    def test_one_batch_closed_under_reflection(self, delta, monkeypatch):
+        # with f is g each integrand evaluation makes one holo_L call; at
+        # s = 1/2 - it its arguments are closed under s -> 1 - s, so the AFE
+        # sums each of its first sums once
+        kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
+        ctx = mo.MomentContext(
+            t=0.4, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=0.4, k=12), s=0.5 - 0.4j
+        )
+        evaluations, batches = [], []
+        gk15 = mo._gk15
+
+        def counting_gk15(f, *edges):
+            def g(x):
+                evaluations.append(len(x))
+                return f(x)
+
+            return gk15(g, *edges)
+
+        def recording(s, f, method):
+            batches.append(s)
+            return ls.holo_L(s, f, method=method)
+
+        monkeypatch.setattr(mo, "_gk15", counting_gk15)
+        monkeypatch.setattr(mo, "holo_L", recording)
+        for half_line in (False, True):
+            evaluations.clear()
+            batches.clear()
+            mo.continuous_part(ctx, points_per_unit=1.0, half_line=half_line)
+            assert len(batches) == len(evaluations) == 1
+            assert np.array_equal(np.unique(batches[0]), np.unique(1.0 - batches[0]))
+
+    def test_matches_two_batch_transcription(self, delta):
+        # the f- and the g-side as two batches and zeta(1 + 2ir) zeta(1 - 2ir)
+        # as a product: the integral before the sides were paired
+        kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
+        t = 0.7
+        ctx = mo.MomentContext(
+            t=t, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=t, k=12), s=0.5 - 1j * t
+        )
+
+        def integrand(r):
+            ir = 1j * r
+            lf1, lf2 = ls.holo_L(np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir]), delta,
+                                 method="afe").reshape(2, -1)
+            lg1, lg2 = ls.holo_L(np.concatenate([ctx.s + ir, ctx.s - ir]), delta, method="afe").reshape(2, -1)
+            zz = np.array([riemann_zeta(1.0 + 2.0 * x) * riemann_zeta(1.0 - 2.0 * x) for x in ir.tolist()])
+            return h_eval(r, kp) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
+
+        hi = kp.T + 12.0 * kp.bump_width
+        edges = np.linspace(0.0, hi, max(8, int(math.ceil(hi * 2.0 / 4.0))) + 1)
+        want = 2.0 * sum(v for v, _ in mo._gk15(integrand, *edges))
+        got = mo.continuous_part(ctx, points_per_unit=2.0, half_line=True).value
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_real_at_symmetric_point(self, continuous_result):
         full, _ = continuous_result

@@ -198,7 +198,8 @@ def _envelope_reference(abs_terms):
 
 class TestEnvelopeTail:
     def _check_rows(self, rows):
-        got = sh._envelope_fit(sh._block_maxima(rows), rows.shape[1])
+        edges = sh._envelope_edges(rows.shape[1])
+        got = sh._envelope_fit(sh._block_maxima(rows, edges), edges, rows.shape[1])
         assert got.shape == (len(rows),)
         for row, tail in zip(rows, got):
             ref = _envelope_reference(row)
@@ -225,6 +226,17 @@ class TestEnvelopeTail:
     def test_short_rows(self):
         rows = np.arange(1, 21, dtype=float)[None, :] ** -np.array([[2.0], [3.0]])
         assert np.all(np.isinf(self._check_rows(rows)))
+
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_edges_built_once_per_call(self, delta, monkeypatch, lower):
+        # 300 shifts of 1,500 terms run in seven blocks; their maxima and the
+        # fit share one set of envelope edges
+        calls = []
+        edges = sh._envelope_edges
+        monkeypatch.setattr(sh, "_envelope_edges", lambda M: calls.append(M) or edges(M))
+        values, tails = sh._shift_rows(2.7 + 0.3j, np.arange(1, 301), delta, delta, 1500, lower)
+        assert calls == [1500]
+        assert values.shape == tails.shape == (300,) and np.all(np.isfinite(tails))
 
     def test_unsupported_tail_is_infinite_not_zero(self):
         row = np.zeros(1500)

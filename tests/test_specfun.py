@@ -135,6 +135,14 @@ class TestZeta:
             via = complex(np.exp(log_chi)) * sf.riemann_zeta(1.0 - s)
             assert abs(direct - via) < 1e-9 * abs(direct)
 
+    def test_abs_square_on_the_one_line(self):
+        # continuous_part divides by |zeta(1 + 2ir)|^2, one zeta per node, in
+        # place of zeta(1 + 2ir) zeta(1 - 2ir); the Laurent route included
+        for r in np.concatenate([np.geomspace(1e-6, 0.1, 20), np.linspace(0.1, 62.0, 400)]):
+            z = sf.riemann_zeta(1.0 + 2j * r)
+            prod = z * sf.riemann_zeta(1.0 - 2j * r)
+            assert abs(z.real * z.real + z.imag * z.imag - prod) <= 5e-16 * abs(prod), r
+
     def test_laurent_matches_mpmath_derivative(self):
         for x in (0.05, 0.02 + 0.03j, -0.04j):
             assert abs(sf.zeta_laurent(x, 0) - complex(mp.zeta(1 + x))) < 1e-11 * abs(complex(mp.zeta(1 + x)))
