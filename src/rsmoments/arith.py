@@ -37,6 +37,7 @@ __all__ = [
     "sigma_complex_coprime",
     "P_M",
     "sigma_twisted_N",
+    "sigma_twisted_weights",
     "zeta_depleted",
     "dirichlet_L_depleted",
     "enumerate_cusps",
@@ -425,6 +426,13 @@ def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     np.multiply((pref * pn)[combo], out, out=out)
     out[~support[combo]] = 0.0
     return out
+
+
+def sigma_twisted_weights(N: int, t: float, m_max: int) -> np.ndarray:
+    """sigma_{-2it}(m; N) m^{it} for m = 1..m_max (index m-1): the outer
+    weights of the twisted and shifted Dirichlet series."""
+    m = np.arange(1, m_max + 1, dtype=float)
+    return sigma_twisted_array(N, t, m_max) * np.exp(1j * t * np.log(m))
 
 
 def zeta_depleted(s, N: int) -> complex:

@@ -67,6 +67,11 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_pair(z) -> list:
+    """The re and im columns of a complex value."""
+    return [_fmt(z.real), _fmt(z.imag)]
+
+
 def cmd_cusps(args) -> int:
     rows = []
     for c in enumerate_cusps(args.N):
@@ -81,7 +86,7 @@ def cmd_tau(args) -> int:
     rows = []
     for n in args.n:
         val = eisenstein.tau_cusp(cusp, s, n)
-        row = [args.N, args.a, args.c, _fmt(s.real), _fmt(s.imag), n, _fmt(val.real), _fmt(val.imag)]
+        row = [args.N, args.a, args.c, *_fmt_pair(s), n, *_fmt_pair(val)]
         if args.oracle:
             trunc = eisenstein.LatticeTruncation(
                 max_height=args.max_height, fourier_y=0.5 / abs(n), fourier_points=128
@@ -90,7 +95,7 @@ def cmd_tau(args) -> int:
             # a coefficient that vanishes identically has no relative error:
             # report |oracle - tau| there, as acceptance criterion 3 judges it
             diff = abs(ov - val)
-            row += [_fmt(ov.real), _fmt(ov.imag), _fmt(diff if abs(val) < 1e-10 else diff / abs(val))]
+            row += [*_fmt_pair(ov), _fmt(diff if abs(val) < 1e-10 else diff / abs(val))]
         rows.append(row)
     header = ["N", "a", "c", "s_re", "s_im", "n", "tau_re", "tau_im"]
     if args.oracle:
@@ -112,7 +117,7 @@ def cmd_h0(args) -> int:
         peak = 2.0 * math.pi ** (-1.5) * args.T ** (1.0 + args.alpha)
         rows.append([
             _fmt(args.T), _fmt(args.alpha), _fmt(args.R), args.k, _fmt(args.t), _fmt(x),
-            _fmt(val.real), _fmt(val.imag), _fmt(abs(val) / peak),
+            *_fmt_pair(val), _fmt(abs(val) / peak),
         ])
     _write_rows(
         args,
@@ -122,9 +127,15 @@ def cmd_h0(args) -> int:
     return 0
 
 
-def _moment_ctx(args, s=None) -> moments.MomentContext:
+def _forms(args) -> tuple:
+    """(f, g) from --newform and --newform-g; g is f when --newform-g is unset or the same."""
     f = _load_form(args.newform, args.horizon)
     g = f if args.newform_g in (None, args.newform) else _load_form(args.newform_g, args.horizon)
+    return f, g
+
+
+def _moment_ctx(args, s=None) -> moments.MomentContext:
+    f, g = _forms(args)
     cusp_data = None
     if args.cusp_data:
         cusp_data = {}
@@ -149,7 +160,7 @@ def cmd_main_term(args) -> int:
         args,
         ["N", "T", "alpha", "t", "tprime_sign", "k", "which", "s_re", "s_im", "M_re", "M_im"],
         [[args.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), args.tprime_sign, args.k,
-          args.which, _fmt(s.real), _fmt(s.imag), _fmt(val.real), _fmt(val.imag)]],
+          args.which, *_fmt_pair(s), *_fmt_pair(val)]],
     )
     return 0
 
@@ -164,12 +175,8 @@ def cmd_breakdown(args) -> int:
         ["s_re", "s_im", "t", "M1_re", "M1_im", "MOmega_plus_re", "MOmega_plus_im",
          "MOmega_minus_re", "MOmega_minus_im", "assembled_re", "assembled_im",
          "generic_re", "generic_im", "rel_diff"],
-        [[_fmt(s.real), _fmt(s.imag), _fmt(args.t),
-          _fmt(bd.M1.real), _fmt(bd.M1.imag),
-          _fmt(bd.M_Omega_plus.real), _fmt(bd.M_Omega_plus.imag),
-          _fmt(bd.M_Omega_minus.real), _fmt(bd.M_Omega_minus.imag),
-          _fmt(bd.assembled.real), _fmt(bd.assembled.imag),
-          _fmt(total.real), _fmt(total.imag),
+        [[*_fmt_pair(s), _fmt(args.t), *_fmt_pair(bd.M1), *_fmt_pair(bd.M_Omega_plus),
+          *_fmt_pair(bd.M_Omega_minus), *_fmt_pair(bd.assembled), *_fmt_pair(total),
           _fmt(abs(total - bd.assembled) / abs(total))]],
     )
     return 0
@@ -182,14 +189,13 @@ def cmd_continuous(args) -> int:
         args,
         ["T", "alpha", "t", "S_inf_re", "S_inf_im", "error_estimate"],
         [[_fmt(args.T), _fmt(args.alpha), _fmt(args.t),
-          _fmt(val.value.real), _fmt(val.value.imag), _fmt(val.error)]],
+          *_fmt_pair(val.value), _fmt(val.error)]],
     )
     return 0
 
 
 def cmd_z_series(args) -> int:
-    f = _load_form(args.newform, args.horizon)
-    g = f if args.newform_g in (None, args.newform) else _load_form(args.newform_g, args.horizon)
+    f, g = _forms(args)
     req = ShiftedSeriesRequest(
         s=complex(args.s_re, args.s_im), v=complex(args.v_re, args.v_im),
         t=args.t, N=args.N, M_outer=args.M_outer, M_inner=args.M_inner,
@@ -202,7 +208,7 @@ def cmd_z_series(args) -> int:
          "Z_re", "Z_im", "tail_estimate", "double_sum_rel_diff"],
         [[_fmt(args.s_re), _fmt(args.s_im), _fmt(args.v_re), _fmt(args.v_im),
           _fmt(args.t), args.N, args.M_outer, args.M_inner,
-          _fmt(z_re.value.real), _fmt(z_re.value.imag), _fmt(z_re.error),
+          *_fmt_pair(z_re.value), _fmt(z_re.error),
           _fmt(abs(z_re.value - z_db.value) / abs(z_re.value))]],
     )
     return 0
@@ -223,7 +229,7 @@ def cmd_moment_table(args) -> int:
 
         val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
         ratio = val.real / (T ** (1.0 + args.alpha) * math.log(T) ** 3)
-        rows.append([_fmt(T), _fmt(val.real), _fmt(val.imag), _fmt(ratio), _fmt(ratio / c)])
+        rows.append([_fmt(T), *_fmt_pair(val), _fmt(ratio), _fmt(ratio / c)])
     _write_rows(args, ["T", "M_re", "M_im", "normalized_ratio", "ratio_over_leading_coeff"], rows)
     return 0
 
@@ -284,13 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, nargs="+", default=[0.0])
     p.set_defaults(func=cmd_h0)
 
-    def add_moment_args(p):
-        add_kernel_args(p)
+    def add_form_args(p, with_g=True, with_cusp_data=False):
         p.add_argument("--N", type=int, default=1)
         p.add_argument("--newform", default="builtin:delta")
-        p.add_argument("--newform-g", default=None)
-        p.add_argument("--cusp-data", nargs="*", default=None)
+        if with_g:
+            p.add_argument("--newform-g", default=None)
+        if with_cusp_data:
+            p.add_argument("--cusp-data", nargs="*", default=None)
         p.add_argument("--horizon", type=int, default=20000)
+
+    def add_moment_args(p):
+        add_kernel_args(p)
+        add_form_args(p, with_cusp_data=True)
         p.add_argument("--tprime-sign", type=int, choices=[1, -1], default=1)
 
     p = sub.add_parser("main-term", help="the main term at s = 1/2 + i s_im or a specialised display")
@@ -314,10 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_continuous)
 
     p = sub.add_parser("z-series", help="the shifted double Dirichlet series, both paths")
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--newform", default="builtin:delta")
-    p.add_argument("--newform-g", default=None)
-    p.add_argument("--horizon", type=int, default=20000)
+    add_form_args(p)
     p.add_argument("--s-re", type=float, default=8.3)
     p.add_argument("--s-im", type=float, default=0.5)
     p.add_argument("--v-re", type=float, default=7.1)
@@ -328,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_z_series)
 
     p = sub.add_parser("moment-table", help="M(1/2, 0) over a T grid with the normalised ratio")
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--newform", default="builtin:delta")
-    p.add_argument("--horizon", type=int, default=20000)
+    add_form_args(p, with_g=False)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--k", type=int, default=12)

@@ -27,6 +27,7 @@ from .specfun import (
     DomainError,
     PoleError,
     QuadratureSpec,
+    _near_nonpositive_integer,
     digamma_family,
     gk15_panel_nodes,
     integrate_line,
@@ -228,7 +229,9 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
     s = 1/2 + it (order 1) and H0(+2it') at t' = 0 (orders 2, 3).
 
     order 1 is valid for any context t; orders 2 and 3 are the t = 0
-    displays and require ctx.t == 0.
+    displays and require ctx.t == 0.  The "plus" order-1 integrand is H0's
+    own integrand at ix = -2it times its psi-sum, so on the starting panels
+    it reads the context's cached ix-free factors.
     """
     if variant not in ("minus", "plus"):
         raise DomainError("variant must be 'minus' or 'plus'")
@@ -247,17 +250,10 @@ def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
                 return _spectral_weight(r, ctx) * _psi_sum(r, 1j * t, k)
 
         else:
+            h0_at = _h0_integrand_factory(-2j * t, ctx)
 
             def f(r):
-                a_num = -1j * t + k / 2.0
-                a_den = 1j * t + k / 2.0
-                ratio = np.exp(
-                    _loggamma(1j * r + a_num)
-                    + _loggamma(-1j * r + a_num)
-                    - _loggamma(1j * r + a_den)
-                    - _loggamma(-1j * r + a_den)
-                )
-                return _spectral_weight(r, ctx) * _psi_sum(r, -1j * t, k) * ratio
+                return h0_at(r) * _psi_sum(r, -1j * t, k)
 
         scale = -2.0 / math.pi**2
     elif order == 2:
@@ -312,15 +308,12 @@ def M_kernel(s, z) -> complex:
     s = complex(s)
     z = complex(z)
 
-    def near_nonpos_int(w):
-        return w.real < 0.5 and abs(w.imag) < 1e-10 and abs(w.real - round(w.real)) < 1e-10
-
     for arg, name in (
         (s - 0.5 - z, "Gamma(s - 1/2 - z)"),
         (s - 0.5 + z, "Gamma(s - 1/2 + z)"),
         (1.0 - s, "Gamma(1 - s)"),
     ):
-        if near_nonpos_int(arg):
+        if _near_nonpositive_integer(arg, tol=1e-10):
             raise PoleError(f"M_kernel pole from {name}")
     log_val = (
         0.5 * math.log(math.pi)

@@ -69,6 +69,7 @@ from .specfun import (
     riemann_zeta,
     EULER_GAMMA,
     central_difference,
+    extrapolate_to_zero,
 )
 
 __all__ = [
@@ -217,6 +218,25 @@ class CuspExpansionData:
             raise InvariantViolation("cusp expansion needs at least one coefficient")
 
 
+def _indexed_lines(fh, M: int) -> list:
+    """The fields after n of the ``n value...`` lines left in ``fh``, in
+    index order.  Each n in 1..M must appear exactly once."""
+    rows = [None] * M
+    for line in fh:
+        if not line.strip():
+            continue
+        n_str, *values = line.split()
+        n = int(n_str)
+        if not 1 <= n <= M:
+            raise InvariantViolation(f"coefficient index {n} out of range 1..{M}")
+        if rows[n - 1] is not None:
+            raise InvariantViolation(f"coefficient index {n} repeated")
+        rows[n - 1] = values
+    if None in rows:
+        raise InvariantViolation(f"expected {M} coefficient lines, got {M - rows.count(None)}")
+    return rows
+
+
 def load_newform(path) -> NewformData:
     """Read the text format: line 1 ``N k M``, then M lines ``n a(n)``."""
     with open(path) as fh:
@@ -224,22 +244,8 @@ def load_newform(path) -> NewformData:
         if len(head) != 3:
             raise InvariantViolation("header must be 'N k M'")
         N, k, M = map(int, head)
-        a = np.zeros(M)
-        exact = [0] * M
-        seen = 0
-        for line in fh:
-            if not line.strip():
-                continue
-            n_str, v_str = line.split()
-            n, v = int(n_str), int(v_str)
-            if not 1 <= n <= M:
-                raise InvariantViolation(f"coefficient index {n} out of range")
-            a[n - 1] = float(v)
-            exact[n - 1] = v
-            seen += 1
-        if seen != M:
-            raise InvariantViolation(f"expected {M} coefficient lines, got {seen}")
-    return NewformData(N=N, k=k, a=a, a_exact=tuple(exact))
+        exact = [int(v) for (v,) in _indexed_lines(fh, M)]
+    return NewformData(N=N, k=k, a=np.array([float(v) for v in exact]), a_exact=tuple(exact))
 
 
 def load_maass_form(path) -> MaassFormData:
@@ -253,12 +259,7 @@ def load_maass_form(path) -> MaassFormData:
         if len(second) != 1 + len(ds):
             raise InvariantViolation("second line must be rho1 followed by lifts")
         rho1, lifts = second[0], dict(zip(ds, second[1:]))
-        lam = np.zeros(M)
-        for line in fh:
-            if not line.strip():
-                continue
-            n_str, v_str = line.split()
-            lam[int(n_str) - 1] = float(v_str)
+        lam = np.array([float(v) for (v,) in _indexed_lines(fh, M)])
     return MaassFormData(N=N, L=L, r=r, parity=eps, lam=lam, rho1=rho1, lifts=lifts)
 
 
@@ -266,12 +267,8 @@ def load_cusp_expansion(path) -> CuspExpansionData:
     """Line 1 ``N a c M``, then M lines ``n re im``."""
     with open(path) as fh:
         N, a, c, M = map(int, fh.readline().split())
-        coeffs = np.zeros(M, dtype=complex)
-        for line in fh:
-            if not line.strip():
-                continue
-            n_str, re_str, im_str = line.split()
-            coeffs[int(n_str) - 1] = complex(float(re_str), float(im_str))
+        rows = _indexed_lines(fh, M)
+    coeffs = np.array([complex(float(re), float(im)) for re, im in rows], dtype=complex)
     return CuspExpansionData(CuspLabel(N, a, c), coeffs)
 
 
@@ -471,8 +468,6 @@ def residue_at_1(f: NewformData) -> tuple:
         v, tail = rankin_selberg_L(1.0 + h, f, f)
         vals.append(h * v)
         tails.append(h * tail)
-    from .specfun import extrapolate_to_zero
-
     extrap = extrapolate_to_zero(hs, vals)
     extrap2 = extrapolate_to_zero(hs[:2], vals[:2])
     err = abs(extrap - extrap2) + max(tails)
@@ -701,8 +696,10 @@ def sym2_L(s, f: NewformData) -> complex:
     and -1.  The trapezoid's roundoff grows about tenfold per unit of
     sigma0, so the domain is -3 < Re s < 4 (within 5e-12 of the direct
     series at Re s = 3.99); outside it a :class:`DomainError` is raised.
-    Both sums' weights are taken relative to the gamma factor at s: the
-    ratio of the factors at 1 - s and s is infinite at s = 2.
+    The sums at u = s and u = 1 - s take their weights from one two-row
+    product, as ``_holo_afe``'s blocks do, with both rows relative to the
+    gamma factor at s: the ratio of the factors at 1 - s and s is infinite
+    at s = 2.
 
     Each value is kept in a 64-entry LRU under (N, k, f.digest, the bits of
     s), so +0.0 and -0.0 parts of s, on which loggamma's branch cut acts
@@ -737,19 +734,12 @@ def _sym2_L(s: complex, f: NewformData) -> complex:
     if not np.isfinite(base):
         return 0j  # the gamma factor's pole at s = -1: a trivial zero of L
 
-    def ratio1(w):
-        return log_gamma_factor(s + w) - base
-
-    def ratio2(w):
-        return log_gamma_factor(1.0 - s + w) - base
-
     length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
-    c = _sym2_coeffs(f, length)
-    n = np.arange(1, length + 1, dtype=float)
-    w1 = _mellin_weights(ratio1, 1.0, length, c=4.0, h=0.35, sigma0=sigma0)
-    w2 = _mellin_weights(ratio2, 1.0, length, c=4.0, h=0.35, sigma0=sigma0)
-    first = np.sum(c * np.exp(-s * np.log(n)) * w1)
-    second = np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
+    col = np.array([s, 1.0 - s])[:, None]
+    wts = _mellin_weights(lambda w: log_gamma_factor(col + w) - base, 1.0, length, c=4.0, h=0.35,
+                          sigma0=sigma0)
+    log_n = np.log(np.arange(1, length + 1, dtype=float))
+    first, second = np.sum(_sym2_coeffs(f, length) * np.exp(-col * log_n) * wts, axis=1)
     return complex(first + second)
 
 
@@ -795,9 +785,9 @@ def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int
         raise DomainError("direct twisted series needs Re s > 3/2")
     N = cusp.N
     tau = eisenstein.tau_cusp_array(cusp, 0.5 + 1j * r, m_max)
-    sig = arith.sigma_twisted_array(N, t, m_max)
+    sig = arith.sigma_twisted_weights(N, t, m_max)
     m = np.arange(1, m_max + 1, dtype=float)
-    series = complex(np.sum(sig * np.exp(1j * t * np.log(m)) * np.conj(tau) * m ** (-s)))
+    series = complex(np.sum(sig * np.conj(tau) * m ** (-s)))
     zN = arith.zeta_depleted(2.0 * s, N)
     # |tau(m)| <= C d(m) empirically on the computed range
     dm = divisor_count_upper(m)
@@ -837,9 +827,9 @@ def curly_L_maass_direct(s, t: float, u: MaassFormData, m_max: int | None = None
         raise DomainError("direct twisted series needs Re s > 3/2")
     m_max = u.M if m_max is None else m_max
     rho = u.rho(m_max)
-    sig = arith.sigma_twisted_array(u.N, t, m_max)
+    sig = arith.sigma_twisted_weights(u.N, t, m_max)
     m = np.arange(1, m_max + 1, dtype=float)
-    series = complex(np.sum(sig * np.exp(1j * t * np.log(m)) * rho * m ** (-s)))
+    series = complex(np.sum(sig * rho * m ** (-s)))
     zN = arith.zeta_depleted(2.0 * s, u.N)
     scale = abs(u.rho1) * (1.0 + sum(abs(c) * math.sqrt(d) for d, c in u.lifts.items()))
     tail = abs(zN) * scale * rankin_selberg_tail(s.real, m_max)

@@ -54,7 +54,9 @@ from .specfun import (
     QuadratureSpec,
     ValueWithError,
     _NODES,
+    _cot_pi,
     _gk15,
+    _log_sin_pi,
     extrapolate_to_zero,
     gk15_panel_nodes,
     integrate_aligned_lattice,
@@ -697,10 +699,10 @@ def continuous_part(
         # D(1 - conj u), each its own sum, and these are the conjugates of
         # L(u)'s two sums only up to roundoff
         if ctx.f is ctx.g:
-            lf1, lf2, lg1, lg2 = _distinct_holo_L(np.concatenate([f_side, g_side]), ctx.f, 4)
+            lf1, lf2, lg1, lg2 = holo_L(np.concatenate([f_side, g_side]), ctx.f, method="afe").reshape(4, -1)
         else:
-            lf1, lf2 = _distinct_holo_L(f_side, ctx.f, 2)
-            lg1, lg2 = _distinct_holo_L(g_side, ctx.g, 2)
+            lf1, lf2 = holo_L(f_side, ctx.f, method="afe").reshape(2, -1)
+            lg1, lg2 = holo_L(g_side, ctx.g, method="afe").reshape(2, -1)
         # zeta(1 - 2ir) = conj zeta(1 + 2ir) on the real line: one zeta per node
         z = np.array([riemann_zeta(1.0 + 2.0 * x) for x in ir.tolist()])
         out[live] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * (z.real * z.real + z.imag * z.imag))
@@ -726,13 +728,6 @@ def continuous_part(
         err *= 2.0
     tail = math.exp(-140.0) * (abs(hi) + 1.0) ** 3
     return ValueWithError(complex(total), err + tail)
-
-
-def _distinct_holo_L(w, form, rows: int):
-    """holo_L at each entry of w, as ``rows`` equal rows: one batched AFE
-    (valid at any s on level 1) over the distinct values of w."""
-    u, inv = np.unique(w, return_inverse=True)
-    return holo_L(u, form, method="afe")[inv].reshape(rows, -1)
 
 
 def _weight_over_cosh(r: float, p) -> float:
@@ -766,28 +761,6 @@ def discrete_moment_truncated(ctx: MomentContext, maass_list) -> complex:
         lg = rankin_selberg_maass(np.conj(s), ctx.g, u).value
         total += wt * lf * np.conj(lg)
     return complex(total)
-
-
-def _tan_pi_stable(u):
-    """tan(pi u) for complex u, stable for large |Im u|."""
-    x = np.real(u)
-    y = np.imag(u)
-    num = np.sin(2 * math.pi * x) + 1j * np.sinh(
-        np.clip(2 * math.pi * y, -700, 700)
-    )
-    den = np.cos(2 * math.pi * x) + np.cosh(np.clip(2 * math.pi * y, -700, 700))
-    out = num / den
-    big = np.abs(y) > 100.0
-    return np.where(big, 1j * np.sign(y), out)
-
-
-def _log_cos_pi(u):
-    """log cos(pi u) continuous off the real axis, overflow-safe."""
-    y = np.imag(u)
-    up = np.where(y >= 0, u, np.conj(u))
-    # cos(pi u) = e^{-i pi u} (1 + e^{2 i pi u}) / 2 for Im u >= 0
-    val = -1j * math.pi * up + np.log(1.0 + np.exp(2j * math.pi * up)) - math.log(2.0)
-    return np.where(y >= 0, val, np.conj(val))
 
 
 def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
@@ -903,8 +876,9 @@ def _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window) -> complex:
 
     def log_pref(gam):
         u = sigma_u + 1j * gam
+        # tan(pi u) = -cot(pi (u + 1/2)), which _cot_pi keeps finite at any |Im u|
         return (
-            np.log(h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u * _tan_pi_stable(u))
+            np.log(h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u * -_cot_pi(u + 0.5))
             - _loggamma(u + it + k / 2.0)
             - _loggamma(-u + it + k / 2.0)
         )
@@ -950,7 +924,8 @@ def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
         with np.errstate(divide="ignore"):  # h underflows to 0 far from its bumps
             log_h_u = np.log(h_eval(gam - 1j * sigma_u, p, enforce_strip=False) * u)
         return (
-            log_h_u - _log_cos_pi(u) - _loggamma(-u + it + k / 2.0) - _loggamma(u + it + k / 2.0)
+            # log cos(pi u) = log sin(pi (u + 1/2)), continuous in each half plane
+            log_h_u - _log_sin_pi(u + 0.5) - _loggamma(-u + it + k / 2.0) - _loggamma(u + it + k / 2.0)
         )
 
     # Gamma(u - v + k/2) / Gamma(u + v + 1 - k/2) = Gamma(a + i(gam - y)) /

@@ -200,11 +200,6 @@ def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -
     return ValueWithError(complex(values[0]), float(tails[0]))
 
 
-def _sigma_weights(N: int, t: float, m_max: int) -> np.ndarray:
-    m = np.arange(1, m_max + 1, dtype=float)
-    return arith.sigma_twisted_array(N, t, m_max) * np.exp(1j * t * np.log(m))
-
-
 def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
     """sum_m sig(m) m^exponent value(m) over the shifts ``ms``, in order, and its tail.
 
@@ -230,7 +225,7 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     Mo, Mi = req.M_outer, req.M_inner
     if Mi + Mo > f.M or Mi > g.M:
         raise InsufficientCoefficientsError(Mi + Mo)
-    sig = _sigma_weights(N, t, Mo)
+    sig = arith.sigma_twisted_weights(N, t, Mo)
     n = np.arange(1, Mi + 1, dtype=float)
     n_pow = np.exp(-(s - v - 0.5 + k) * np.log(n)) * np.conj(g.a[:Mi])
     total = 0.0 + 0.0j
@@ -264,7 +259,7 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
     Mo, Mi = req.M_outer, req.M_inner
     if Mi + Mo > f.M or Mi > g.M:
         raise InsufficientCoefficientsError(Mi + Mo)
-    sig = _sigma_weights(N, t, Mo)
+    sig = arith.sigma_twisted_weights(N, t, Mo)
     ms = np.flatnonzero(sig) + 1
     total, tail = _weighted_outer_sum(ms, *_shift_rows(w, ms, f, g, Mi, lower=False), sig, -v)
     zN = arith.zeta_depleted(2.0 * s, N)
@@ -280,7 +275,7 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     if M_inner > f.M or M_outer + M_inner > g.M:
         raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
-    sig = _sigma_weights(N, t, M_outer)
+    sig = arith.sigma_twisted_weights(N, t, M_outer)
     # n^{-w-k+1} for n = 1..M_outer+M_inner; row m reads n = m+1..m+M_inner
     n_pow = np.exp((-w - k + 1.0) * np.log(np.arange(1, M_outer + M_inner + 1, dtype=float)))
     total = 0.0 + 0.0j
@@ -309,7 +304,7 @@ def M3_series_rearranged(s, w, t: float, f: NewformData, g: NewformData, N: int,
     if M_inner > f.M or M_outer + M_inner > g.M:
         raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
-    sig = _sigma_weights(N, t, M_outer)
+    sig = arith.sigma_twisted_weights(N, t, M_outer)
     ms = np.flatnonzero(sig) + 1
     total, tail = _weighted_outer_sum(
         ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), sig, -(s + (k - 1) / 2.0)

@@ -513,6 +513,15 @@ _W7 = np.zeros(15)
 _W7[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
+def _panels(edges):
+    """The GK15 nodes of the panels between consecutive ``edges``, one row
+    per panel, and each panel's half width."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * _NODES, half
+
+
 def _gk15(f, *edges: float):
     """Gauss-Kronrod 7-15 on each panel between consecutive ``edges``.
 
@@ -521,11 +530,7 @@ def _gk15(f, *edges: float):
     a non-finite error estimate, which the adaptive driver treats as "not
     converged".
     """
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
+    x, half = _panels(edges)
     y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
     with np.errstate(invalid="ignore"):
         # row-wise sums add each panel's terms in the same order as a 1-D sum
@@ -536,17 +541,11 @@ def _gk15(f, *edges: float):
 
 
 def gk15_panel_nodes(edges):
-    """Composite GK15 nodes and weights on the given panel edges: the same
-    15-point rule as :func:`integrate_line`, for callers that apply it with
-    fixed panels."""
-    nodes = []
-    wts = []
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (aa + bb)
-        half = 0.5 * (bb - aa)
-        nodes.append(mid + half * _NODES)
-        wts.append(half * _W15)
-    return np.concatenate(nodes), np.concatenate(wts)
+    """Composite GK15 nodes and weights on the given panel edges, panel by
+    panel: the nodes :func:`_gk15` (and so :func:`integrate_line`) evaluates
+    on those edges, for callers that apply the rule with fixed panels."""
+    x, half = _panels(edges)
+    return x.ravel(), (half[:, None] * _W15).ravel()
 
 
 # u-panel width the aligned lattice starts from (it halves it until accepted)

@@ -23,8 +23,16 @@ import numpy as np
 
 from . import arith, eisenstein, lseries, moments, shifted
 from .arith import CuspLabel, enumerate_cusps
-from .kernels import H0, KernelContext, TestFunctionParams
-from .specfun import QuadratureSpec
+from .kernels import H0, KernelContext, TestFunctionParams, h_eval
+from .specfun import (
+    QuadratureSpec,
+    _log_sin_pi,
+    complex_gamma,
+    extrapolate_to_zero,
+    gauss_sum,
+    log_gamma,
+    riemann_zeta,
+)
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_suite", "SUITES"]
 
@@ -35,16 +43,11 @@ class CheckResult:
     passed: bool
     measured: dict = field(default_factory=dict)
     detail: str = ""
-    seconds: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         nums = ", ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in self.measured.items())
         return f"[{status}] {self.name}: {nums}"
-
-
-def _delta(m: int = 20000):
-    return lseries.delta_newform(m)
 
 
 def check_h0_peak() -> CheckResult:
@@ -59,7 +62,6 @@ def check_h0_peak() -> CheckResult:
         "h0-peak-asymptotic",
         0.9 <= ratio <= 1.1 and dt < 30.0,
         {"ratio": ratio, "H0": val},
-        seconds=dt,
     )
 
 
@@ -70,7 +72,6 @@ def check_h0_decay() -> CheckResult:
     these parameters (see the module docstring), so this check reports the
     honest measured value.
     """
-    t0 = time.time()
     p = TestFunctionParams(T=300.0, alpha=0.4, R=1.0)
     ctx = KernelContext(
         p, t=0.0, k=12, quad=QuadratureSpec(rel_tol=1e-8, abs_tol=1e-9)
@@ -83,7 +84,6 @@ def check_h0_decay() -> CheckResult:
         val < thresh,
         {"abs_H0": val, "threshold": thresh},
         detail="stretched exponent T^0.3 ~ 5.5 at T=300; bound unattainable as stated",
-        seconds=time.time() - t0,
     )
 
 
@@ -121,13 +121,11 @@ def check_eisenstein_oracle() -> CheckResult:
         "eisenstein-oracle",
         worst < 1e-4 and level1 < 1e-12 and dt < 300.0,
         {"worst_rel": worst, "level1_rel": level1, "worst_case": str(worst_case)},
-        seconds=dt,
     )
 
 
 def check_twisted_factorization() -> CheckResult:
     """Criterion 4: direct vs factored twisted series, N <= 4, m <= 1e5."""
-    t0 = time.time()
     worst = 0.0
     for N in (1, 2, 3, 4):
         for cusp in enumerate_cusps(N):
@@ -138,13 +136,11 @@ def check_twisted_factorization() -> CheckResult:
         "twisted-series-factorization",
         worst < 1e-6,
         {"worst_rel": worst},
-        seconds=time.time() - t0,
     )
 
 
 def check_euler_polynomial_zeros() -> CheckResult:
     """Criterion 5: euler_poly(s, it; 1-s+it) vanishes for a | N, a < N, N <= 30."""
-    t0 = time.time()
     worst = 0.0
     for N in range(2, 31):
         for a in arith.divisors(N):
@@ -154,28 +150,23 @@ def check_euler_polynomial_zeros() -> CheckResult:
                 for tau in (0.0, 0.6):
                     s = 0.8 + 1j * tau
                     worst = max(worst, abs(eisenstein.euler_poly(N, a, s, t, 1.0 - s + 1j * t)))
-    return CheckResult(
-        "euler-polynomial-zeros", worst < 1e-12, {"worst_abs": worst}, seconds=time.time() - t0
-    )
+    return CheckResult("euler-polynomial-zeros", worst < 1e-12, {"worst_abs": worst})
 
 
 def check_euler_identity() -> CheckResult:
     """Criterion 6: the divisor-sum Euler identity, N <= 60."""
-    t0 = time.time()
     worst = 0.0
     for N in range(1, 61):
         for t in (0.3, 1.7):
             lhs = moments.euler_identity_lhs(N, t)
             rhs = moments.euler_identity_rhs(N, t)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return CheckResult(
-        "euler-product-identity", worst < 1e-12, {"worst_rel": worst}, seconds=time.time() - t0
-    )
+    return CheckResult("euler-product-identity", worst < 1e-12, {"worst_rel": worst})
 
 
 def _assembly_contexts():
     """Grid contexts for the assembly and reduction checks."""
-    f_delta = _delta()
+    f_delta = lseries.delta_newform(20000)
     kp = TestFunctionParams(T=50.0, alpha=0.5, R=1.0)
     nu, mu = 0.52, 1.13
     out = []
@@ -209,7 +200,6 @@ def _assembly_contexts():
 
 def check_assembly() -> CheckResult:
     """Criterion 7: generic main term vs its three-piece breakdown."""
-    t0 = time.time()
     worst = 0.0
     for ctx in _assembly_contexts():
         m = moments.main_term(ctx)
@@ -224,15 +214,12 @@ def check_assembly() -> CheckResult:
             "four-term form distributes those Euler factors into the per-cusp "
             "products over p | N/a and p | a -- the conventions reconcile exactly"
         ),
-        seconds=time.time() - t0,
     )
 
 
 def check_level1_reduction() -> CheckResult:
     """Criterion 8: the four-term main term against its level-1 display, 20 points."""
-    t0 = time.time()
-    from .specfun import riemann_zeta as z
-
+    z = riemann_zeta
     nu, mu = 0.52, 1.13
     kp = TestFunctionParams(T=50.0, alpha=0.5, R=1.0)
     f = lseries.divisor_model_newform(nu, 12, 1, 400)
@@ -262,17 +249,12 @@ def check_level1_reduction() -> CheckResult:
                 + tp ** (4 * s - 2) * z(2 - 2 * s) * z(1 + 2 * it) * h(-2 * s + 1) * rsl(None, 1.5 - s + it) / z(3 - 2 * s + 2 * it)
             )
             worst = max(worst, abs(m - m1) / abs(m))
-    return CheckResult(
-        "level1-reduction", worst < 1e-12, {"worst_rel": worst}, seconds=time.time() - t0
-    )
+    return CheckResult("level1-reduction", worst < 1e-12, {"worst_rel": worst})
 
 
 def check_pole_cancellation() -> CheckResult:
     """Criterion 9: generic-path limit vs the f = g display at t in {1e-2, 1e-3}."""
-    t0 = time.time()
-    from .specfun import extrapolate_to_zero
-
-    f = _delta()
+    f = lseries.delta_newform(20000)
     kp = TestFunctionParams(T=50.0, alpha=0.5, R=1.0)
     worst = 0.0
     for t in (1e-2, 1e-3):
@@ -289,9 +271,7 @@ def check_pole_cancellation() -> CheckResult:
         lim = extrapolate_to_zero(hs, vals)
         spec_val = moments.main_term_specialized(ctx_at(None), "feq_minus")
         worst = max(worst, abs(lim - spec_val) / abs(lim))
-    return CheckResult(
-        "pole-cancellation", worst < 1e-3, {"worst_rel": worst}, seconds=time.time() - t0
-    )
+    return CheckResult("pole-cancellation", worst < 1e-3, {"worst_rel": worst})
 
 
 def check_leading_coeff_trend() -> CheckResult:
@@ -302,7 +282,7 @@ def check_leading_coeff_trend() -> CheckResult:
     log-polynomial close the remaining gap only slowly.
     """
     t0 = time.time()
-    f = _delta()
+    f = lseries.delta_newform(20000)
     c = moments.leading_coeff(3, 1, lseries.selfdual_rs_constants(f)["residue"])
     ratios = []
     for T in (100.0, 200.0, 400.0, 800.0):
@@ -332,14 +312,12 @@ def check_leading_coeff_trend() -> CheckResult:
             "monotone": monotone,
         },
         detail="lower-order log T terms keep the ratio ~0.84c at T=800",
-        seconds=dt,
     )
 
 
 def check_rearrangement() -> CheckResult:
     """Criterion 11: dual-path agreement for the shifted double series."""
-    t0 = time.time()
-    f = _delta()
+    f = lseries.delta_newform(20000)
     req = shifted.ShiftedSeriesRequest(
         s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=1500, M_inner=1500
     )
@@ -353,15 +331,14 @@ def check_rearrangement() -> CheckResult:
         "shifted-series-rearrangement",
         rz < 1e-9 and rm < 1e-9,
         {"Z_rel": rz, "M3_rel": rm},
-        seconds=time.time() - t0,
     )
 
 
 def check_first_moment_partial_sum() -> CheckResult:
     """Criterion 12: the weighted partial sums of the first-moment kernel
     converge to M1(s, t) at Re s = 2.5."""
-    t0 = time.time()
-    f = _delta()
+    z = riemann_zeta
+    f = lseries.delta_newform(20000)
     t = 0.7
     s = 2.5 + 0.4j
     kp = TestFunctionParams(T=40.0, alpha=0.5, R=1.0)
@@ -375,8 +352,6 @@ def check_first_moment_partial_sum() -> CheckResult:
     h0_0 = ctx.H0(0.0)
     h0_m = ctx.H0(-2j * t)
     it = 1j * t
-    from .specfun import riemann_zeta as z
-
     m_vals = (
         z(1 + 2 * it) * A * n ** (-0.5 - it) * h0_0
         + (2 * math.pi) ** (4 * it) * z(1 - 2 * it) * A * n ** (-0.5 + it) * h0_m
@@ -384,21 +359,16 @@ def check_first_moment_partial_sum() -> CheckResult:
     bsum = complex(np.sum(np.conj(f.a[:n_cut]) * n ** (-s - (f.k - 1) / 2.0) * m_vals))
     partial = z(2 * s) * bsum
     rel = abs(partial - m1) / abs(m1)
-    return CheckResult(
-        "first-moment-partial-sum", rel < 1e-4, {"rel_gap": rel}, seconds=time.time() - t0
-    )
+    return CheckResult("first-moment-partial-sum", rel < 1e-4, {"rel_gap": rel})
 
 
 def check_property_suites() -> CheckResult:
     """Criterion 13: the bundled identity properties (gamma, zeta, characters,
     h conditions, conjugation symmetry, sigma, cusps, cusp-sum symmetry)."""
-    t0 = time.time()
     failures = []
     rng = np.random.default_rng(11)
 
     # gamma recursion and reflection
-    from .specfun import complex_gamma, gauss_sum, riemann_zeta
-
     zs = rng.uniform(0.3, 6.0, 40) + 1j * rng.uniform(-20.0, 20.0, 40)
     rec = max(
         abs(complex_gamma(zz + 1) - zz * complex_gamma(zz)) / abs(complex_gamma(zz + 1))
@@ -419,8 +389,6 @@ def check_property_suites() -> CheckResult:
     for _ in range(12):
         s = rng.uniform(0.05, 0.95) + 1j * rng.uniform(-100.0, 100.0)
         direct = riemann_zeta(s)
-        from .specfun import _log_sin_pi, log_gamma
-
         log_chi = (
             s * math.log(2.0)
             + (s - 1.0) * math.log(math.pi)
@@ -445,8 +413,6 @@ def check_property_suites() -> CheckResult:
                 break
 
     # h conditions
-    from .kernels import h_eval
-
     p = TestFunctionParams(T=100.0, alpha=0.5, R=1.0)
     if abs(h_eval(0.5j, p)) > 1e-15 or abs(h_eval(-0.5j, p)) > 1e-15:
         failures.append("h(+-i/2) != 0")
@@ -514,7 +480,6 @@ def check_property_suites() -> CheckResult:
         "property-suites",
         not failures,
         {"failures": "; ".join(failures) if failures else "none", "cusp_sum_sym": worst_sym},
-        seconds=time.time() - t0,
     )
 
 

@@ -122,17 +122,18 @@ def _sym2_log_gamma_three(u, k):
 
 def _sym2_afe(s, f, weights, log_gamma_factor=_sym2_log_gamma_two):
     """The AFE assembly of ``sym2_L`` (on -1 < Re s < 2) with the weights
-    ``weights(log_ratio, length)`` and the given log gamma factor."""
+    ``weights(log_ratio, length)`` and the given log gamma factor: the sums
+    at u = s and 1 - s from one two-row weight product, both rows relative
+    to the gamma factor at s."""
     s = complex(s)
     k = f.k
     base = complex(log_gamma_factor(s, k))
     length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
     c = ls._sym2_coeffs(f, length)
     n = np.arange(1, length + 1, dtype=float)
-    w1 = weights(lambda w: log_gamma_factor(s + w, k) - base, length)
-    w2 = weights(lambda w: log_gamma_factor(1.0 - s + w, k) - base, length)
-    first = np.sum(c * np.exp(-s * np.log(n)) * w1)
-    second = np.sum(c * np.exp((s - 1.0) * np.log(n)) * w2)
+    u = np.array([s, 1.0 - s])[:, None]
+    wts = weights(lambda w: log_gamma_factor(u + w, k) - base, length)
+    first, second = np.sum(c * np.exp(-u * np.log(n)) * wts, axis=1)
     return complex(first + second)
 
 
@@ -263,6 +264,29 @@ class TestLoaders:
         ce = ls.load_cusp_expansion(path)
         assert ce.cusp == CuspLabel(4, 2, 1)
         assert ce.coeffs[1] == complex(-0.5, 0.25)
+
+    # (loader, header with M = 3, one "n value..." line)
+    LOADERS = {
+        "newform": (ls.load_newform, "1 12 3\n", "{n} 1\n"),
+        "maass": (ls.load_maass_form, "1 1 9.53 0 3\n1.0 1.0\n", "{n} 1.0\n"),
+        "cusp": (ls.load_cusp_expansion, "1 1 1 3\n", "{n} 1.0 0.0\n"),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize(
+        "indices", [(0, 1, 2), (1, 2, 3, 4), (1, 3), (1, 2, 2)],
+        ids=["zero", "past_M", "missing", "repeated"],
+    )
+    def test_rejects_corrupt_index_lines(self, tmp_path, loader, indices):
+        # n = 0 used to land in the last slot, a missing line read as 0 and
+        # a repeated line stood in for a missing one
+        load, header, line = self.LOADERS[loader]
+        path = tmp_path / "data.txt"
+        path.write_text(header + "".join(line.format(n=n) for n in (1, 2, 3)))
+        load(path)
+        path.write_text(header + "".join(line.format(n=n) for n in indices))
+        with pytest.raises(ls.InvariantViolation):
+            load(path)
 
 
 class TestReadOnlyCaches:

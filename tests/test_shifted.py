@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmoments import arith as ar
 from rsmoments import lseries as ls
 from rsmoments import shifted as sh
 from rsmoments.specfun import DomainError
@@ -64,11 +65,9 @@ class TestZSeries:
 
     def test_t_zero_weights_reduce_to_divisor_count(self):
         # at N = 1, t = 0 the outer weights are sigma_0(m)
-        from rsmoments import arith
-
-        w = sh._sigma_weights(1, 0.0, 200)
+        w = ar.sigma_twisted_weights(1, 0.0, 200)
         for m in (1, 2, 6, 60, 200):
-            assert abs(w[m - 1] - arith.sigma_complex(m, 0)) < 1e-12
+            assert abs(w[m - 1] - ar.sigma_complex(m, 0)) < 1e-12
 
     def test_monotone_tail(self, delta):
         r1 = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=1000, M_inner=1500)
@@ -93,7 +92,7 @@ class TestM3:
         # multiplicity conditions trivially), but at N = 4 odd m drop out
         f = ls.divisor_model_newform(0.52, 12, 4, 6000)
         g = ls.divisor_model_newform(1.13, 12, 4, 6000)
-        w4 = sh._sigma_weights(4, 0.7, 100)
+        w4 = ar.sigma_twisted_weights(4, 0.7, 100)
         assert np.all(w4[::2] == 0)  # odd m (index m-1 even) vanish
         m = sh.M3_series(2.2, 2.7, 0.7, f, g, 4, 100, 4_000)
         assert np.isfinite(m.value.real)
@@ -261,7 +260,7 @@ class TestCoefficientsCheckedFirst:
         def fail(*args, **kwargs):
             pytest.fail("work started before the coefficient check")
 
-        monkeypatch.setattr(sh, "_sigma_weights", fail)
+        monkeypatch.setattr(ar, "sigma_twisted_weights", fail)
         monkeypatch.setattr(sh, "_shift_rows", fail)
 
     @pytest.mark.parametrize("short", ["f", "g"])

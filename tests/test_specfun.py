@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmoments import specfun as sf
 from rsmoments import arith as ar
@@ -63,6 +65,30 @@ class TestLogGamma:
         ys = np.linspace(-40, 40, 3001)
         vals = sf.log_gamma(2.5 + 1j * ys)
         assert np.max(np.abs(np.diff(vals.imag))) < 0.2
+
+
+class TestTrigInLogs:
+    # tan(pi u) = -cot(pi (u + 1/2)) and log cos(pi u) = log sin(pi (u + 1/2))
+    # as the first-moment prefactors take them: on Re u = sigma_u (1.25 and
+    # 1.45) and on the L+ residue abscissa Re u = sigma_v - k/2 = 1.1, out to
+    # |Im u| = 300, where cos(pi u) ~ e^942 and tan(pi u) is i sign(Im u)
+    # to double precision
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(re=st.sampled_from([1.1, 1.25, 1.45]), im=st.floats(-300.0, 300.0))
+    def test_against_mpmath(self, re, im):
+        u = complex(re, im)
+        with mp.workdps(30):
+            um = mp.mpc(re, im)
+            tan = complex(mp.tan(mp.pi * um))
+            log_cos = complex(mp.log(mp.cos(mp.pi * um)))
+        assert abs(-sf._cot_pi(u + 0.5) - tan) <= 1e-13 * abs(tan)
+        # Re cos(pi u) < 0 on these lines, so the principal log jumps only
+        # across the real axis; the continuous branch sits 2 pi i below it
+        # in the upper half plane (Im -> -pi Re u as Im u -> oo) and above it
+        # in the lower
+        branch = -2j * math.pi if im >= 0.0 else 2j * math.pi
+        got = complex(sf._log_sin_pi(u + 0.5))
+        assert abs(got - (log_cos + branch)) <= 1e-14 * (1.0 + abs(log_cos))
 
 
 class TestDigamma:
