@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from . import arith, eisenstein, lseries, moments, verify
+from . import eisenstein, lseries, moments, verify
 from .arith import CuspLabel, enumerate_cusps
 from .kernels import H0, KernelContext, TestFunctionParams
 from .shifted import ShiftedSeriesRequest, Z_series, Z_series_double

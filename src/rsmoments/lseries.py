@@ -15,24 +15,18 @@ Evaluators
 ----------
 * ``rankin_selberg_L`` -- truncated Dirichlet series with a divisor-bound
   tail certificate (direct region Re s > 1).
-* ``holo_L`` -- direct sum for Re s > 1.2, otherwise a smoothed approximate
-  functional equation: the completed function is averaged against a
-  Gaussian-in-w Mellin kernel, giving weights
-      W(z, x) = 1/(2 pi i) int exp(logG(z+w) - logG(z)) x^{-w}
-                 e^{w^2/(2 c^2)} dw / w
-  on a fixed vertical contour; both sum lengths adapt until the weights are
-  negligible.  Level 1 only (the root number i^k is the level-1 one).
-  The contour matrix exp(-w log x) does not depend on s: ``_mellin_weights``
-  keeps one read-only copy per (x scale, c, h, sigma0), grown by doubling,
-  and each call reads its first ``length`` columns.  A 1-D array of s is one
-  batch: its weights are a (rows x contour) @ E product per block of rows.
-* ``sym2_L`` -- same machinery with the three-factor gamma of the symmetric
-  square (two log-gammas after Legendre's duplication), for -3 < Re s < 4;
-  powers the accurate self-dual Rankin-Selberg values
-  L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and the residue /
-  finite-part constants needed near s = 1.  Its coefficients are cached
-  read-only per (k, digest of the whole a array, length), and its values
-  per (N, k, digest, exact bits of s).
+* ``_smoothed_afe`` -- the one smoothed approximate functional equation.
+  An L-function is data (log gamma factor, x scale, root number,
+  coefficients, contour); its first sums carry the Mellin weights
+      W(u, x) = 1/(2 pi i) int exp(logG(u+w) - logG(u)) x^{-w} e^{w^2/(2c^2)} dw/w
+  from one (rows x contour) @ E product per block of rows, E kept read-only
+  per contour by ``_mellin_weights``, and a 1-D array of s sums one first
+  sum per distinct u of S and 1 - S.
+* ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on level-1 data.
+* ``sym2_L`` -- the AFE on the symmetric square's data, for -3 < Re s < 4;
+  powers L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent
+  constants at s = 1.  Coefficients are cached read-only per (k, digest of
+  a, length), values per (N, k, digest, exact bits of s).
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
   factorisation of the twisted series
       zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} conj(coeff(m)) m^{-s},
@@ -251,9 +245,10 @@ def load_newform(path) -> NewformData:
 def load_maass_form(path) -> MaassFormData:
     """Line 1 ``N L r epsilon M``; line 2 ``rho1 c_d ...``; then ``n lambda(n)``."""
     with open(path) as fh:
-        N, L, r, eps, M = fh.readline().split()
-        N, L, eps, M = int(N), int(L), int(eps), int(M)
-        r = float(r)
+        head = fh.readline().split()
+        if len(head) != 5:
+            raise InvariantViolation("header must be 'N L r epsilon M'")
+        N, L, r, eps, M = int(head[0]), int(head[1]), float(head[2]), int(head[3]), int(head[4])
         second = list(map(float, fh.readline().split()))
         ds = divisors(N // L)
         if len(second) != 1 + len(ds):
@@ -266,7 +261,10 @@ def load_maass_form(path) -> MaassFormData:
 def load_cusp_expansion(path) -> CuspExpansionData:
     """Line 1 ``N a c M``, then M lines ``n re im``."""
     with open(path) as fh:
-        N, a, c, M = map(int, fh.readline().split())
+        head = fh.readline().split()
+        if len(head) != 4:
+            raise InvariantViolation("header must be 'N a c M'")
+        N, a, c, M = map(int, head)
         rows = _indexed_lines(fh, M)
     coeffs = np.array([complex(float(re), float(im)) for re, im in rows], dtype=complex)
     return CuspExpansionData(CuspLabel(N, a, c), coeffs)
@@ -486,8 +484,7 @@ def residue_at_1(f: NewformData) -> tuple:
 _CONTOURS: dict = {}
 
 
-def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: float = 0.4,
-                    sigma0: float = 2.0):
+def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, sigma0: float):
     """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
 
     ``log_ratio(w)`` must accept a numpy array of contour points
@@ -520,9 +517,67 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float = 3.0, h: flo
     return kern @ E[:, :length]
 
 
-# rows of s that the batched AFE works on at once: its (rows x contour) and
+# rows of u that the AFE works on at once: its (rows x contour) and
 # (rows x length) temporaries stay near 1 MB each
 _AFE_BLOCK = 256
+
+
+def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
+    """L(s) = D(s) + root scale^{2s-1} g(1-s)/g(s) D(1-s) at a 1-D array of s.
+
+    An L-function is data (Dokchitser, Computing special values of motivic
+    L-functions, Exp. Math. 13, 2004): ``log_gamma(u, w)`` is log g(u + w)
+    for its gamma factor g up to a constant, ``scale`` the x scale, ``root``
+    the root number, ``coeffs`` c(1..length), ``contour`` (c, h, sigma0).
+    D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) - log g(u),
+    or of log g(u + w) - log g(1 - u) where u is a pole of g, which makes that
+    dual term's g(1 - s)/g(s) one; a pole of g(s) is a trivial zero.  The
+    dual sum at s is the first sum at 1 - s (Rubinstein, Computational
+    methods and experiments in analytic number theory, 2005), so D is summed
+    once per distinct u of S and 1 - S.
+
+    The batch shares one sum length.  Each D(u) takes its weights from one
+    row of a (rows x contour) @ E product and its sum from a row-wise sum,
+    so it has the same bits in any batch of the same length, unless BLAS
+    sums a product of one row, or of two short ones, in another order: so
+    the u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one
+    row unless the batch has only one u.
+    """
+    index = {}
+    inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
+    u = np.array(list(index), dtype=complex)
+    ref = log_gamma(u, 0.0)
+    pole = ~np.isfinite(ref)
+    if pole.any():
+        ref[pole] = log_gamma(1.0 - u[pole], 0.0)
+    log_n = np.log(np.arange(1, coeffs.size + 1, dtype=float))
+    d = np.empty(u.shape, dtype=complex)
+    blocks = -(-u.size // _AFE_BLOCK)
+    for b in range(blocks):
+        rows = slice(b * u.size // blocks, (b + 1) * u.size // blocks)
+        col, base = u[rows, None], ref[rows, None]
+        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour)
+        d[rows] = (coeffs * np.exp(-col * log_n) * wts).sum(axis=1)
+    at_s, at_dual = inv[:s.size], inv[s.size:]
+    gr = np.exp(ref[at_dual] - ref[at_s])
+    power = np.exp((2.0 * s - 1.0) * math.log(scale))
+    # these products run on numpy scalars, as for a lone s: numpy's complex
+    # array loop may fuse a multiply-add that its scalars do not
+    out = d[at_s] + np.array([root * e * g * dual for e, g, dual in zip(power, gr, d[at_dual])])
+    out[pole[at_s]] = 0.0
+    return out
+
+
+def _holo_data(s, f: NewformData):
+    """holo_L's level-1 AFE data at a 1-D array of s: g(u) = G(u + (k-1)/2),
+    x scale 2 pi, root number i^k, its own sum length and contour."""
+    if f.N != 1:
+        raise DomainError("holo_L inside the strip is implemented for level 1")
+    a0 = (f.k - 1) / 2.0
+    length = int(math.ceil((abs(s.imag).max(initial=0.0) + f.k + 60.0) * 1.6))
+    if length > f.M:
+        raise InsufficientCoefficientsError(length)
+    return (lambda u, w: _loggamma(u + a0 + w)), 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4, 2.0)
 
 
 def holo_L(s, f: NewformData, method: str = "auto"):
@@ -539,7 +594,7 @@ def holo_L(s, f: NewformData, method: str = "auto"):
     A 1-D array of s runs on the AFE route as one batch and gives an array;
     "direct", or any Re s > 1.2 under "auto", raises :class:`DomainError`.
     The batch sums each of its AFE's first sums once per distinct value of
-    s and 1 - s (see ``_holo_afe``), so a batch closed under s -> 1 - s
+    s and 1 - s (see ``_smoothed_afe``), so a batch closed under s -> 1 - s
     costs half of one without pairs.  A scalar s on the AFE route is the
     batch {s, 1 - s}.
     """
@@ -551,7 +606,7 @@ def holo_L(s, f: NewformData, method: str = "auto"):
             raise DomainError("holo_L takes a scalar or a 1-D array of s")
         if method == "direct" or (method == "auto" and np.any(s.real > 1.2)):
             raise DomainError("an array of s runs on the AFE route only, at Re s <= 1.2 under auto")
-        return _holo_afe(s, f)
+        return _smoothed_afe(s, *_holo_data(s, f))
     s = complex(s)
     if method == "direct" and s.real <= 1.2:
         raise DomainError("holo_L direct summation needs Re s > 1.2")
@@ -565,55 +620,8 @@ def holo_L(s, f: NewformData, method: str = "auto"):
         else:
             n = np.arange(1, f.M + 1, dtype=float)
             return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
-    return complex(_holo_afe(np.array([s]), f)[0])
-
-
-def _holo_afe(s, f: NewformData):
-    """holo_L's smoothed AFE at a 1-D array of s.
-
-    L(s) = D(s) + i^k (2 pi)^{2s-1} G(1 - s + a0)/G(s + a0) D(1 - s), with
-    a0 = (k - 1)/2 and the first sum D(u) = sum A(n) n^{-u} W(u; n).  The
-    dual sum at s is the first sum at 1 - s: both halves of a smoothed AFE
-    are one incomplete Mellin transform, at s and at 1 - s (Rubinstein,
-    Computational methods and experiments in analytic number theory, 2005).
-    So D is summed once per distinct u of S and 1 - S, and a batch closed
-    under s -> 1 - s does half the work of one without pairs.
-
-    The batch shares one sum length, the one its largest |Im s| needs.  Each
-    D(u) has its weights from one row of a (rows x contour) @ E product and
-    its sum from a row-wise sum, so it gets the same bits in any batch of
-    the same length, bar the smallest: for a product of one row, or of two
-    short ones, BLAS may take a kernel that sums in another order.  So the
-    u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one row
-    unless the batch has only one u.
-    """
-    if f.N != 1:
-        raise DomainError("holo_L inside the strip is implemented for level 1")
-    if not s.size:
-        return np.empty(s.shape, dtype=complex)
-    a0 = (f.k - 1) / 2.0
-    root = (1j) ** f.k  # (-1)^{k/2} for even k
-    length = int(math.ceil((np.max(np.abs(s.imag)) + f.k + 60.0) * 1.6))
-    if length > f.M:
-        raise InsufficientCoefficientsError(length)
-    log_n = np.log(np.arange(1, length + 1, dtype=float))
-    A = f.A(length)
-    u, inv = np.unique(np.concatenate([s, 1.0 - s]), return_inverse=True)
-    d = np.empty(u.shape, dtype=complex)
-    for rows in np.array_split(np.arange(u.size), -(-u.size // _AFE_BLOCK)):
-        col = u[rows, None]
-
-        def ratio(w):
-            return _loggamma(col + a0 + w) - _loggamma(col + a0)
-
-        wts = _mellin_weights(ratio, 2.0 * math.pi, length)
-        d[rows] = np.sum(A * np.exp(-col * log_n) * wts, axis=1)
-    gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
-    scale = np.exp((2.0 * s - 1.0) * math.log(2.0 * math.pi))
-    # these products run on numpy scalars, as for a lone s: numpy's complex
-    # array loop may fuse a multiply-add that its scalars do not
-    second = [root * e * g * dual for e, g, dual in zip(scale, gr, d[inv[s.size:]])]
-    return d[inv[:s.size]] + np.array(second)
+    s = np.array([s])
+    return complex(_smoothed_afe(s, *_holo_data(s, f))[0])
 
 
 # (k, digest of a, length) -> read-only c(1..length), least recently used first
@@ -696,10 +704,8 @@ def sym2_L(s, f: NewformData) -> complex:
     and -1.  The trapezoid's roundoff grows about tenfold per unit of
     sigma0, so the domain is -3 < Re s < 4 (within 5e-12 of the direct
     series at Re s = 3.99); outside it a :class:`DomainError` is raised.
-    The sums at u = s and u = 1 - s take their weights from one two-row
-    product, as ``_holo_afe``'s blocks do, with both rows relative to the
-    gamma factor at s: the ratio of the factors at 1 - s and s is infinite
-    at s = 2.
+    It is ``_smoothed_afe`` on ``_sym2_data``, whose pole rule covers s = 2
+    (the dual u = -1 is a pole of g) and the trivial zero at s = -1.
 
     Each value is kept in a 64-entry LRU under (N, k, f.digest, the bits of
     s), so +0.0 and -0.0 parts of s, on which loggamma's branch cut acts
@@ -716,31 +722,23 @@ def sym2_L(s, f: NewformData) -> complex:
 
 def _sym2_L(s: complex, f: NewformData) -> complex:
     """L(s, sym^2 f) by the smoothed AFE, computed afresh (see sym2_L)."""
-    sigma0 = max(2.0, math.floor(max(s.real, 1.0 - s.real)) + 1.0)
-    k = f.k
+    s = np.array([s])
+    return complex(_smoothed_afe(s, *_sym2_data(s, f))[0])
 
-    def log_gamma_factor(u):
-        """log of pi^{-3u/2} G((u+1)/2) G((u+k-1)/2) G((u+k)/2) up to a constant:
-        Legendre's duplication folds the last two factors into
-        2^{2-u-k} sqrt(pi) G(u+k-1), and every use is a difference."""
-        u = np.asarray(u, dtype=complex)
-        return (
-            -u * (1.5 * math.log(math.pi) + math.log(2.0))
-            + _loggamma((u + 1.0) / 2.0)
-            + _loggamma(u + (k - 1.0))
-        )
 
-    base = complex(log_gamma_factor(s))
-    if not np.isfinite(base):
-        return 0j  # the gamma factor's pole at s = -1: a trivial zero of L
+def _sym2_data(s, f: NewformData):
+    """sym2_L's AFE data at a 1-D array of s: g(u) = pi^{-3u/2} G((u+1)/2)
+    G((u+k-1)/2) G((u+k)/2), whose last two factors Legendre's duplication
+    folds into 2^{2-u-k} sqrt(pi) G(u+k-1); x scale 1, root number 1."""
 
-    length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
-    col = np.array([s, 1.0 - s])[:, None]
-    wts = _mellin_weights(lambda w: log_gamma_factor(col + w) - base, 1.0, length, c=4.0, h=0.35,
-                          sigma0=sigma0)
-    log_n = np.log(np.arange(1, length + 1, dtype=float))
-    first, second = np.sum(_sym2_coeffs(f, length) * np.exp(-col * log_n) * wts, axis=1)
-    return complex(first + second)
+    def log_gamma(u, w):
+        z = u + w
+        return (-z * (1.5 * math.log(math.pi) + math.log(2.0))
+                + _loggamma((z + 1.0) / 2.0) + _loggamma(z + (f.k - 1.0)))
+
+    sigma0 = max(2.0, math.floor(max(s.real.max(), 1.0 - s.real.min())) + 1.0)
+    length = int(math.ceil((abs(s.imag).max() + f.k + 40.0) ** 1.5 / 12.0)) + 120
+    return log_gamma, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35, sigma0)
 
 
 def selfdual_rs_L(w, f: NewformData) -> complex:
@@ -942,8 +940,10 @@ def curly_L_maass_factored(s, t: float, u: MaassFormData) -> complex:
 
 
 def rankin_selberg_maass(s, f: NewformData, u: MaassFormData, m_max: int | None = None) -> ValueWithError:
-    """zeta^(N)(2s) sum A(m) rho(m) m^{-s}, truncated with a tail certificate."""
+    """zeta^(N)(2s) sum A(m) rho(m) m^{-s}, truncated with a tail certificate (Re s > 1)."""
     s = complex(s)
+    if s.real <= 1.0:
+        raise DomainError("rankin_selberg_maass direct summation needs Re s > 1")
     m_max = min(f.M, u.M) if m_max is None else m_max
     A = f.A(m_max)
     rho = u.rho(m_max)
@@ -951,5 +951,5 @@ def rankin_selberg_maass(s, f: NewformData, u: MaassFormData, m_max: int | None 
     val = complex(np.sum(A * rho * np.exp(-s * np.log(m))))
     zN = arith.zeta_depleted(2.0 * s, f.N)
     scale = abs(u.rho1) * (1.0 + sum(abs(c) * math.sqrt(d) for d, c in u.lifts.items()))
-    tail = abs(zN) * scale * rankin_selberg_tail(max(s.real, 1.01), m_max)
+    tail = abs(zN) * scale * rankin_selberg_tail(s.real, m_max)
     return ValueWithError(complex(zN * val), tail)

@@ -35,11 +35,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from . import arith, eisenstein, lseries
+from . import arith, eisenstein
 from .arith import CuspLabel, _pp, divisors, enumerate_cusps, euler_phi, prime_divisors
-from .kernels import H0, H0_derivative, KernelContext, h_eval
+from .kernels import H0_derivative, KernelContext, h_eval
 from .lseries import (
-    CuspExpansionData,
     InsufficientCoefficientsError,
     NewformData,
     holo_L,
@@ -747,7 +746,8 @@ def _weight_over_cosh(r: float, p) -> float:
 def discrete_moment_truncated(ctx: MomentContext, maass_list) -> complex:
     """sum_j h(r_j)/cosh(pi r_j) L(1/2+it, f x u_j) conj(L(conj(s), g x u_j)).
 
-    Truncated: the supplied spectrum only.  Empty list gives 0.
+    Truncated: the supplied spectrum only.  Empty list gives 0.  L(1/2+it, f x u_j)
+    has only the direct series, so a form of nonzero weight raises :class:`DomainError`.
     """
     if ctx.s is None:
         raise DomainError("discrete_moment_truncated needs ctx.s")

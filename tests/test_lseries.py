@@ -35,26 +35,27 @@ def _fresh_weights(scale, c, h, sigma0=2.0):
     return weights
 
 
-def _cached_weights(scale, c, h):
-    return lambda log_ratio, length: ls._mellin_weights(log_ratio, scale, length, c=c, h=h)
-
-
-def _holo_afe(s, f, weights):
-    """The AFE assembly of ``holo_L`` at a scalar s with the weights
-    ``weights(log_ratio, length)``: the first sum D(u) at u = s and 1 - s from
-    one two-row weight product, then D(s) + i^k (2 pi)^{2s-1}
-    G(1 - s + a0)/G(s + a0) D(1 - s)."""
+def _fresh_afe(s, data):
+    """``_smoothed_afe`` at a scalar s on an L-function's ``data``, with the
+    weights of a fresh E: the first sums at u = s and 1 - s from one two-row
+    weight product, each relative to g(u), or to g(1 - u) at a pole of g,
+    then D(s) + root scale^{2s-1} g(1-s)/g(s) D(1-s)."""
+    log_gamma, scale, root, coeffs, (c, h, sigma0) = data
     s = complex(s)
-    a0 = (f.k - 1) / 2.0
-    length = int(math.ceil((abs(s.imag) + f.k + 60.0) * 1.6))
-    n = np.arange(1, length + 1, dtype=float)
-    u = np.array([s, 1.0 - s])[:, None]
-    w = weights(lambda w: _loggamma(u + a0 + w) - _loggamma(u + a0), length)
-    A = f.A(length)
-    first, dual = np.sum(A * np.exp(-u * np.log(n)) * w, axis=1)
-    gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
-    second = (1j) ** f.k * np.exp((2.0 * s - 1.0) * math.log(2.0 * math.pi)) * gr * dual
+    u = np.array([s, 1.0 - s])
+    ref = log_gamma(u, 0.0)
+    ref = np.where(np.isfinite(ref), ref, log_gamma(1.0 - u, 0.0))
+    n = np.arange(1, coeffs.size + 1, dtype=float)
+    w = _fresh_weights(scale, c, h, sigma0)(lambda w: log_gamma(u[:, None], w) - ref[:, None], coeffs.size)
+    first, dual = np.sum(coeffs * np.exp(-u[:, None] * np.log(n)) * w, axis=1)
+    second = root * np.exp((2.0 * s - 1.0) * math.log(scale)) * np.exp(ref[1] - ref[0]) * dual
     return complex(first + second)
+
+
+def _other_contour(s, data, f, c, h):
+    """The AFE on ``data(s, f)`` with its contour's (c, h) replaced: a second smoothing."""
+    log_gamma, scale, root, coeffs, (_, _, sigma0) = data(s, f)
+    return ls._smoothed_afe(s, log_gamma, scale, root, coeffs, (c, h, sigma0))
 
 
 def _first_plus_dual(s, f):
@@ -66,9 +67,10 @@ def _first_plus_dual(s, f):
     log_n = np.log(np.arange(1, length + 1, dtype=float))
     A = f.A(length)
     col = s[:, None]
-    w1 = ls._mellin_weights(lambda w: _loggamma(col + a0 + w) - _loggamma(col + a0), 2.0 * math.pi, length)
+    w1 = ls._mellin_weights(lambda w: _loggamma(col + a0 + w) - _loggamma(col + a0), 2.0 * math.pi, length,
+                            3.0, 0.4, 2.0)
     w2 = ls._mellin_weights(lambda w: _loggamma(1.0 - col + a0 + w) - _loggamma(1.0 - col + a0),
-                            2.0 * math.pi, length)
+                            2.0 * math.pi, length, 3.0, 0.4, 2.0)
     first = np.sum(A * np.exp(-col * log_n) * w1, axis=1)
     dual = np.sum(A * np.exp((col - 1.0) * log_n) * w2, axis=1)
     gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
@@ -118,23 +120,6 @@ def _sym2_log_gamma_three(u, k):
         + _loggamma((u + k - 1.0) / 2.0)
         + _loggamma((u + k) / 2.0)
     )
-
-
-def _sym2_afe(s, f, weights, log_gamma_factor=_sym2_log_gamma_two):
-    """The AFE assembly of ``sym2_L`` (on -1 < Re s < 2) with the weights
-    ``weights(log_ratio, length)`` and the given log gamma factor: the sums
-    at u = s and 1 - s from one two-row weight product, both rows relative
-    to the gamma factor at s."""
-    s = complex(s)
-    k = f.k
-    base = complex(log_gamma_factor(s, k))
-    length = int(math.ceil((abs(s.imag) + k + 40.0) ** 1.5 / 12.0)) + 120
-    c = ls._sym2_coeffs(f, length)
-    n = np.arange(1, length + 1, dtype=float)
-    u = np.array([s, 1.0 - s])[:, None]
-    wts = weights(lambda w: log_gamma_factor(u + w, k) - base, length)
-    first, second = np.sum(c * np.exp(-u * np.log(n)) * wts, axis=1)
-    return complex(first + second)
 
 
 class TestDeltaGenerator:
@@ -273,6 +258,20 @@ class TestLoaders:
     }
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("fields", [-1, 1], ids=["short", "long"])
+    def test_rejects_header_of_wrong_length(self, tmp_path, loader, fields):
+        # a header with a field too few or too many is an invariant
+        # violation, not a bare ValueError from unpacking it
+        load, header, line = self.LOADERS[loader]
+        first, _, rest = header.partition("\n")
+        head = first.split()
+        head = head[:-1] if fields < 0 else head + ["1"]
+        path = tmp_path / "data.txt"
+        path.write_text(" ".join(head) + "\n" + rest + "".join(line.format(n=n) for n in (1, 2, 3)))
+        with pytest.raises(ls.InvariantViolation):
+            load(path)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
     @pytest.mark.parametrize(
         "indices", [(0, 1, 2), (1, 2, 3, 4), (1, 3), (1, 2, 2)],
         ids=["zero", "past_M", "missing", "repeated"],
@@ -373,14 +372,16 @@ class TestHoloL:
 
     @pytest.mark.parametrize("taus", [(160.0, 0.5), (0.5, 160.0)])
     def test_cached_contours_match_fresh(self, delta, taus):
-        # the cache grows (or is only sliced) between the two points, with
-        # the sym^2 contour filled in between; values match a fresh E exactly
+        # each contour's E grows (or is only sliced) between the two points,
+        # with the other contour filled in between; values match a fresh E
+        # exactly.  sym^2 stays at heights where it is accurate (it returns
+        # roundoff from |Im s| ~ 40 up), and still grows its E from 0.5 to 10
         ls._CONTOURS.clear()
         ls._SYM2_VALUES.clear()
         for tau in taus:
-            s = 0.5 + 1j * tau
-            assert ls.holo_L(s, delta) == _holo_afe(s, delta, _fresh_weights(2.0 * math.pi, 3.0, 0.4))
-            assert ls.sym2_L(s, delta) == _sym2_afe(s, delta, _fresh_weights(1.0, 4.0, 0.35))
+            s, s2 = 0.5 + 1j * tau, 0.5 + 1j * min(tau, 10.0)
+            assert ls.holo_L(s, delta) == _fresh_afe(s, ls._holo_data(np.array([s]), delta))
+            assert ls.sym2_L(s2, delta) == _fresh_afe(s2, ls._sym2_data(np.array([s2]), delta))
 
     def test_direct_rejected_in_strip(self, delta):
         for s in (1.1 + 3j, 0.5 + 10j, 1.2):
@@ -496,6 +497,38 @@ class TestHoloLBatch:
         assert peak < 16e6
 
 
+class TestTwoSmoothings:
+    """Dokchitser's check: the AFE's value is free of the test function only
+    when the data (gamma factor, x scale, root number, coefficients) obey
+    the functional equation, so two smoothings of one L-function test its
+    data, not only the engine.  Unlike the functional-equation tests, the
+    two values share no weights."""
+
+    @pytest.mark.parametrize("data, contour, s", [
+        # measured alone: 4.3e-14 at Im s = 5.4, 8.6e-13 at 20.4, 8.8e-12 at
+        # 39.6; in this batch, whose sum length is set by its top, 1.0e-10 at -35.1
+        (ls._holo_data, (2.5, 0.35), 0.5 + 1j * np.arange(-39.6, 40.0, 1.5)),
+        # alone: 1.3e-14 at 5.4, 4.5e-12 at 10.4, 1.4e-10 at 15.3; in this batch 7.2e-12
+        (ls._sym2_data, (3.5, 0.3), 0.5 + 1j * np.arange(-14.0, 14.1, 0.7)),
+        pytest.param(ls._sym2_data, (3.5, 0.3), np.array([0.5 + 40.37j]), marks=pytest.mark.xfail(
+            strict=True, reason="sym2_L's two smoothings differ by 2.5e-3 here, and it returns "
+                                "roundoff from about this height up (ROADMAP item 9)")),
+    ], ids=["holo", "sym2", "sym2-height-40"])
+    def test_spread_over_smoothings(self, delta, data, contour, s):
+        one = ls._smoothed_afe(s, *data(s, delta))
+        other = _other_contour(s, data, delta, *contour)
+        assert np.all(np.abs(one - other) < 1e-9 * np.abs(one))
+
+    def test_flipped_root_number_fails(self, delta):
+        # the negative control: with -i^k in place of i^k the two smoothings
+        # of holo_L's data differ by 0.017 to 15 relative at these points
+        s = 0.5 + 1j * np.arange(-39.6, 40.0, 1.5)
+        log_gamma, scale, root, coeffs, (c, h, sigma0) = ls._holo_data(s, delta)
+        one = ls._smoothed_afe(s, log_gamma, scale, -root, coeffs, (c, h, sigma0))
+        other = ls._smoothed_afe(s, log_gamma, scale, -root, coeffs, (2.5, 0.35, sigma0))
+        assert np.all(np.abs(one - other) > 1e-3 * np.abs(one))
+
+
 class TestSym2:
     def test_value_against_tabulated_petersson_norm(self, delta):
         # <delta, delta> = 1.0353620568043209e-6 (standard tabulated value);
@@ -511,7 +544,7 @@ class TestSym2:
             v = ls.sym2_L(s, delta)
             assert ls._sym2_L(complex(s), delta) == v  # deterministic
             for c, h in ((3.5, 0.3), (3.0, 0.25)):
-                other = _sym2_afe(s, delta, _cached_weights(1.0, c, h))
+                other = _other_contour(np.array([complex(s)]), ls._sym2_data, delta, c, h)[0]
                 assert abs(other - v) < 1e-12 * abs(v), (s, c, h)
 
     def test_coefficients_keyed_on_whole_array(self, delta):
@@ -581,7 +614,10 @@ class TestSym2:
         three = _sym2_log_gamma_three(u, 12) - _sym2_log_gamma_three(u0, 12)
         assert np.all(np.abs(np.exp(two - three) - 1.0) < 1e-13)
         for s in (1.0, 0.5 + 2j, 1.37, -0.5 + 1j, 1.9 - 4j):
-            v3 = _sym2_afe(s, delta, _cached_weights(1.0, 4.0, 0.35), _sym2_log_gamma_three)
+            s_ = np.array([complex(s)])
+            _, scale, root, coeffs, contour = ls._sym2_data(s_, delta)
+            three = lambda u, w: _sym2_log_gamma_three(u + w, 12)  # noqa: E731
+            v3 = ls._smoothed_afe(s_, three, scale, root, coeffs, contour)[0]
             assert abs(ls.sym2_L(s, delta) - v3) < 1e-13 * abs(v3), s
 
     def test_right_of_the_strip_against_direct_series(self, delta):
