@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
@@ -93,19 +94,20 @@ class KernelContext:
     """Everything H0-type integrals need: bump params, t, weight k, tolerances.
 
     Frozen, so that what it caches always belongs to its fields: the H0
-    values, and the half of H0's integrand that does not depend on ix.
+    values in ``_h0_cache`` (left out of equality and the hash), and the
+    half of H0's integrand that does not depend on ix in
+    ``_h0_start_factors``.
     """
 
     params: TestFunctionParams
     t: float
     k: int
     quad: QuadratureSpec = field(default_factory=lambda: QuadratureSpec(rel_tol=1e-11))
+    _h0_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 4 or self.k % 2:
             raise ValueError("weight k must be an even integer >= 4")
-        object.__setattr__(self, "_h0_cache", {})
-        object.__setattr__(self, "_h0_start", None)
 
     def cached_H0(self, ix) -> complex:
         """H0(ix), computed once per exact argument."""
@@ -114,17 +116,16 @@ class KernelContext:
             self._h0_cache[key] = H0(key, self)
         return self._h0_cache[key]
 
-    def _h0_start_factors(self):
+    @cached_property
+    def _h0_start_factors(self) -> tuple:
         """(r, log G(ir + a), log G(-ir + a), h(r) r tanh(pi r)), a = k/2 + it,
         on the GK15 nodes of ``params.window_edges()``, where every H0
         quadrature starts; built on first use, read-only."""
-        if self._h0_start is None:
-            r = gk15_panel_nodes(self.params.window_edges())[0]
-            factors = (r, *_h0_ix_free(r, self))
-            for x in factors:
-                x.flags.writeable = False
-            object.__setattr__(self, "_h0_start", factors)
-        return self._h0_start
+        r = gk15_panel_nodes(self.params.window_edges())[0]
+        factors = (r, *_h0_ix_free(r, self))
+        for x in factors:
+            x.flags.writeable = False
+        return factors
 
 
 def h_eval(r, p: TestFunctionParams, enforce_strip: bool = True):
@@ -185,7 +186,7 @@ def _h0_integrand_factory(ix: complex, ctx: KernelContext):
     a = ctx.k / 2.0 + 1j * ctx.t
 
     def f(r):
-        start, lg_plus, lg_minus, weight = ctx._h0_start_factors()
+        start, lg_plus, lg_minus, weight = ctx._h0_start_factors
         if r.shape != start.shape or not np.array_equal(r, start):
             lg_plus, lg_minus, weight = _h0_ix_free(r, ctx)
         ratio = np.exp(_loggamma(1j * r + ix + a) + _loggamma(-1j * r + ix + a) - lg_plus - lg_minus)

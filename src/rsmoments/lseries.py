@@ -19,14 +19,17 @@ Evaluators
   An L-function is data (log gamma factor, x scale, root number,
   coefficients, contour); its first sums carry the Mellin weights
       W(u, x) = 1/(2 pi i) int exp(logG(u+w) - logG(u)) x^{-w} e^{w^2/(2c^2)} dw/w
-  from one (rows x contour) @ E product per block of rows, E kept read-only
-  per contour by ``_mellin_weights``, and a 1-D array of s sums one first
-  sum per distinct u of S and 1 - S.
-* ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on level-1 data.
+  on a contour Re w = sigma0 past max(Re s, 1 - Re s), from one
+  (rows x contour) @ E product per block of rows, E kept read-only per
+  contour by ``_mellin_weights``, and a 1-D array of s sums one first sum
+  per distinct u of S and 1 - S.
+* ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on level-1 data,
+  for -7 < Re s < 8.
 * ``sym2_L`` -- the AFE on the symmetric square's data, for -3 < Re s < 4;
   powers L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent
-  constants at s = 1.  Coefficients are cached read-only per (k, digest of
-  a, length), values per (N, k, digest, exact bits of s).
+  constants at s = 1.  Its coefficients (read-only), values and Laurent
+  constants are ``functools.lru_cache`` memos of 64 entries, keyed on the
+  form, whose equality and hash go by (N, k, digest of a).
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
   factorisation of the twisted series
       zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} conj(coeff(m)) m^{-s},
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -110,13 +112,15 @@ class InsufficientCoefficientsError(RuntimeError):
 # data types and loaders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewformData:
     """A holomorphic newform: level N, even weight k >= 4, coefficients a(1..M).
 
     Frozen, since ``delta_newform`` hands every caller the same instance.
     ``a`` is a private read-only copy of the input, and ``digest`` a SHA-256
-    of its bytes that keys the data derived from it.
+    of its bytes.  Equality and the hash go by (N, k, digest), so the
+    ``lru_cache`` memos of the data derived from a form key on the form
+    itself, and forms that differ in any coefficient never share an entry.
     """
 
     N: int
@@ -139,6 +143,17 @@ class NewformData:
         if bad.size:
             raise InvariantViolation(f"coefficient bound violated at n={bad[0] + 1}")
         object.__setattr__(self, "digest", hashlib.sha256(a.tobytes()).hexdigest())
+
+    def _key(self) -> tuple:
+        return (self.N, self.k, self.digest)
+
+    def __eq__(self, other):
+        if not isinstance(other, NewformData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def M(self) -> int:
@@ -528,13 +543,18 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
     An L-function is data (Dokchitser, Computing special values of motivic
     L-functions, Exp. Math. 13, 2004): ``log_gamma(u, w)`` is log g(u + w)
     for its gamma factor g up to a constant, ``scale`` the x scale, ``root``
-    the root number, ``coeffs`` c(1..length), ``contour`` (c, h, sigma0).
+    the root number, ``coeffs`` c(1..length), ``contour`` (c, h).
     D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) - log g(u),
     or of log g(u + w) - log g(1 - u) where u is a pole of g, which makes that
     dual term's g(1 - s)/g(s) one; a pole of g(s) is a trivial zero.  The
     dual sum at s is the first sum at 1 - s (Rubinstein, Computational
     methods and experiments in analytic number theory, 2005), so D is summed
     once per distinct u of S and 1 - S.
+
+    Both Dirichlet series converge absolutely on the contour Re w = sigma0
+    only for sigma0 > max(Re s, 1 - Re s), so sigma0 is 2 for
+    -1 < Re s < 2 and the next integer above the largest Re u outside that
+    strip.
 
     The batch shares one sum length.  Each D(u) takes its weights from one
     row of a (rows x contour) @ E product and its sum from a row-wise sum,
@@ -546,6 +566,7 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
     index = {}
     inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
     u = np.array(list(index), dtype=complex)
+    sigma0 = max(2.0, math.floor(u.real.max(initial=0.0)) + 1.0)
     ref = log_gamma(u, 0.0)
     pole = ~np.isfinite(ref)
     if pole.any():
@@ -556,7 +577,7 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
     for b in range(blocks):
         rows = slice(b * u.size // blocks, (b + 1) * u.size // blocks)
         col, base = u[rows, None], ref[rows, None]
-        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour)
+        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour, sigma0)
         d[rows] = (coeffs * np.exp(-col * log_n) * wts).sum(axis=1)
     at_s, at_dual = inv[:s.size], inv[s.size:]
     gr = np.exp(ref[at_dual] - ref[at_s])
@@ -577,7 +598,9 @@ def _holo_data(s, f: NewformData):
     length = int(math.ceil((abs(s.imag).max(initial=0.0) + f.k + 60.0) * 1.6))
     if length > f.M:
         raise InsufficientCoefficientsError(length)
-    return (lambda u, w: _loggamma(u + a0 + w)), 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4, 2.0)
+    if np.any(s.real <= -7.0) or np.any(s.real >= 8.0):
+        raise DomainError("holo_L's AFE is certified for -7 < Re s < 8")
+    return (lambda u, w: _loggamma(u + a0 + w)), 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4)
 
 
 def holo_L(s, f: NewformData, method: str = "auto"):
@@ -590,6 +613,14 @@ def holo_L(s, f: NewformData, method: str = "auto"):
     N > 1 in the strip an error is raised rather than guessing the
     Atkin-Lehner sign.  ``method`` forces a branch ("direct" / "afe");
     "direct" raises :class:`DomainError` for Re s <= 1.2.
+
+    The AFE's contour moves right with max(Re s, 1 - Re s) (see
+    ``_smoothed_afe``) and its roundoff grows with it, so its domain is
+    -7 < Re s < 8.  There it is within 5.2e-11 of the 20,000-term direct
+    series for |Im s| <= 7.5 (left of Re s = 1/2, of the direct series at
+    1 - s through the functional equation); at |Im s| = 15 that grows to
+    4.4e-11 at Re s = 6.9 and 7.6e-10 at 7.7.  Outside it a
+    :class:`DomainError` is raised.
 
     A 1-D array of s runs on the AFE route as one batch and gives an array;
     "direct", or any Re s > 1.2 under "auto", raises :class:`DomainError`.
@@ -616,7 +647,8 @@ def holo_L(s, f: NewformData, method: str = "auto"):
         if tail_est > 1e-8:
             if method == "direct" or f.N != 1:
                 raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - sig)))))
-            # fall through to the AFE, which is exact at any argument
+            # fall through to the AFE; from Re s = 8 on, where its domain
+            # ends, it needs more coefficients than the direct sum
         else:
             n = np.arange(1, f.M + 1, dtype=float)
             return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
@@ -624,52 +656,19 @@ def holo_L(s, f: NewformData, method: str = "auto"):
     return complex(_smoothed_afe(s, *_holo_data(s, f))[0])
 
 
-# (k, digest of a, length) -> read-only c(1..length), least recently used first
-_SYM2_CACHE: dict = {}
-# (N, k, digest of a, bits of s) -> L(s, sym^2 f), the same order
-_SYM2_VALUES: dict = {}
-# (N, k, digest of a) -> read-only Laurent data of L(s, f x f~) at 1, the same order
-_RS_CONSTANTS_CACHE: dict = {}
-
-
-def _lru_get(cache: dict, key, build):
-    """cache[key], from ``build()`` on a miss; the 64 most recently used stay."""
-    out = cache.pop(key, None)
-    if out is None:
-        out = build()
-    cache[key] = out
-    if len(cache) > 64:
-        del cache[next(iter(cache))]
-    return out
-
-
+@lru_cache(maxsize=64)
 def _sym2_coeffs(f: NewformData, m_max: int):
     """Symmetric-square coefficients c(1..m_max) of f, cached read-only.
-
-    The key is (k, f.digest, m_max), so forms that differ in any coefficient
-    never share an entry.
-    """
-
-    def build():
-        out = _sym2_table(f, m_max)
-        out.flags.writeable = False
-        return out
-
-    return _lru_get(_SYM2_CACHE, (f.k, f.digest, m_max), build)
-
-
-def _sym2_table(f: NewformData, ln: int):
-    """c(1..ln), computed afresh.
 
     c is multiplicative; at p the Satake parameters of f are {alpha, 1/alpha}
     with alpha + 1/alpha = A(p), and c(p^e) = sum_{i+j+l=e} alpha^{2i}
     alpha^{-2l} (complete homogeneous in {alpha^2, 1, alpha^-2}).
     """
-    if f.M < min(ln, 2):
-        raise InsufficientCoefficientsError(ln)
-    spf = smallest_prime_factors(ln).tolist()
+    if f.M < min(m_max, 2):
+        raise InsufficientCoefficientsError(m_max)
+    spf = smallest_prime_factors(m_max).tolist()
     vals = {1: 1.0}
-    for p in [q for q in range(2, ln + 1) if spf[q] == q]:
+    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
         if p > f.M:
             raise InsufficientCoefficientsError(p)
         ap = float(f.a[p - 1]) * p ** (-(f.k - 1) / 2.0)
@@ -678,7 +677,7 @@ def _sym2_table(f: NewformData, ln: int):
         b2 = 1.0 / a2
         pe = p
         e = 1
-        while pe <= ln:
+        while pe <= m_max:
             acc = 0.0 + 0.0j
             for i in range(e + 1):
                 for l in range(e - i + 1):
@@ -686,42 +685,40 @@ def _sym2_table(f: NewformData, ln: int):
             vals[pe] = acc.real
             pe *= p
             e += 1
-    out = np.ones(ln)
-    for n in range(2, ln + 1):
+    out = np.ones(m_max)
+    for n in range(2, m_max + 1):
         p = spf[n]
         pe = p ** ord_p(n, p)
         out[n - 1] = vals[pe] * out[n // pe - 1]
+    out.flags.writeable = False
     return out
 
 
 def sym2_L(s, f: NewformData) -> complex:
     """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1).
 
-    Both Dirichlet series of the AFE converge absolutely on the contour
-    Re w = sigma0 only for sigma0 > max(Re s, 1 - Re s).  sigma0 is 2 for
-    -1 < Re s < 2 and the next integer above max(Re s, 1 - Re s) outside
-    that strip: main_term_breakdown at Re s = 5/2 evaluates L at Re s = 3
-    and -1.  The trapezoid's roundoff grows about tenfold per unit of
-    sigma0, so the domain is -3 < Re s < 4 (within 5e-12 of the direct
-    series at Re s = 3.99); outside it a :class:`DomainError` is raised.
-    It is ``_smoothed_afe`` on ``_sym2_data``, whose pole rule covers s = 2
-    (the dual u = -1 is a pole of g) and the trivial zero at s = -1.
+    The trapezoid's roundoff grows about tenfold per unit of the contour's
+    sigma0 (see ``_smoothed_afe``), so the domain is -3 < Re s < 4 (within
+    5e-12 of the direct series at Re s = 3.99); outside it a
+    :class:`DomainError` is raised.  main_term_breakdown at Re s = 5/2
+    evaluates L at Re s = 3 and -1.  It is ``_smoothed_afe`` on
+    ``_sym2_data``, whose pole rule covers s = 2 (the dual u = -1 is a pole
+    of g) and the trivial zero at s = -1.
 
-    Each value is kept in a 64-entry LRU under (N, k, f.digest, the bits of
-    s), so +0.0 and -0.0 parts of s, on which loggamma's branch cut acts
-    at real s < -1, never share an entry.
+    Values are memoised by ``_sym2_L``, 64 of them, keyed on (f, s) as a
+    Python complex, so the +0.0 and -0.0 parts of s share one entry.
     """
     if f.N != 1:
         raise DomainError("sym2_L implemented for level 1")
     s = complex(s)
     if not -3.0 < s.real < 4.0:
         raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
-    key = (f.N, f.k, f.digest, struct.pack("<2d", s.real, s.imag))
-    return _lru_get(_SYM2_VALUES, key, lambda: _sym2_L(s, f))
+    return _sym2_L(s, f)
 
 
+@lru_cache(maxsize=64)
 def _sym2_L(s: complex, f: NewformData) -> complex:
-    """L(s, sym^2 f) by the smoothed AFE, computed afresh (see sym2_L)."""
+    """L(s, sym^2 f) by the smoothed AFE (see sym2_L)."""
     s = np.array([s])
     return complex(_smoothed_afe(s, *_sym2_data(s, f))[0])
 
@@ -736,9 +733,8 @@ def _sym2_data(s, f: NewformData):
         return (-z * (1.5 * math.log(math.pi) + math.log(2.0))
                 + _loggamma((z + 1.0) / 2.0) + _loggamma(z + (f.k - 1.0)))
 
-    sigma0 = max(2.0, math.floor(max(s.real.max(), 1.0 - s.real.min())) + 1.0)
     length = int(math.ceil((abs(s.imag).max() + f.k + 40.0) ** 1.5 / 12.0)) + 120
-    return log_gamma, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35, sigma0)
+    return log_gamma, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35)
 
 
 def selfdual_rs_L(w, f: NewformData) -> complex:
@@ -746,6 +742,7 @@ def selfdual_rs_L(w, f: NewformData) -> complex:
     return riemann_zeta(w) * sym2_L(w, f)
 
 
+@lru_cache(maxsize=64)
 def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
     """Laurent data of L(s, f x f~) at s = 1 for a level-1 form.
 
@@ -753,19 +750,15 @@ def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
     the two constants the f = g displays of the main term take.  They come
     from zeta(1+x) = 1/x + gamma + O(x) and the entire sym^2 factor, whose
     derivative is a central difference of its AFE values.  The mapping is
-    read-only and cached under (N, k, f.digest), so a form of another level
-    with the same coefficients still reaches sym2_L's level check.
+    read-only and memoised per form, 64 of them; sym2_L's level check
+    raises :class:`DomainError` for a form of level N > 1.
     """
-
-    def build():
-        L1 = sym2_L(1.0, f)
-        L1p = central_difference(lambda w: sym2_L(w, f), 1.0)
-        return MappingProxyType({
-            "residue": complex(L1).real,
-            "finite_part": complex(EULER_GAMMA * L1 + L1p).real,
-        })
-
-    return _lru_get(_RS_CONSTANTS_CACHE, (f.N, f.k, f.digest), build)
+    L1 = sym2_L(1.0, f)
+    L1p = central_difference(lambda w: sym2_L(w, f), 1.0)
+    return MappingProxyType({
+        "residue": complex(L1).real,
+        "finite_part": complex(EULER_GAMMA * L1 + L1p).real,
+    })
 
 
 # ---------------------------------------------------------------------------

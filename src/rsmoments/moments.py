@@ -118,10 +118,14 @@ class MomentContext:
         return self.kernel.k
 
     def rs_L(self, cusp: CuspLabel | None, w) -> complex:
+        """L_a(w, f x g~) at ``cusp``.  None and a cusp with a = N both name
+        the infinity class, which reaches ``rs_provider`` as None."""
         w = complex(w)
+        if cusp is not None and cusp.a == self.N:
+            cusp = None  # the infinity class
         if self.rs_provider is not None:
             return complex(self.rs_provider(cusp, w))
-        if cusp is None or cusp.a == self.N:
+        if cusp is None:
             if self.f is self.g and self.N == 1:
                 return selfdual_rs_L(w, self.f)
             m_max = min(RS_M_MAX, self.f.M, self.g.M)
@@ -222,8 +226,7 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
         for p in prime_divisors(a):
             if (N // a) % p:
                 loc *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -3 + 2 * s + 2 * it))
-        arg_cusp = None if a == N else cusp
-        cusp_sum += w * loc * ctx.rs_L(arg_cusp, 1.5 - s - it)
+        cusp_sum += w * loc * ctx.rs_L(cusp, 1.5 - s - it)
     term3 = (
         complex(np.exp((4 * s - 2 + 4 * it) * math.log(TWO_PI)))
         * z2ms
@@ -256,8 +259,7 @@ def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int) -> complex:
     zden = arith.zeta_depleted(3.0 - 2.0 * s + sign * 2j * t, N)
     for cusp in enumerate_cusps(N):
         pnorm = eisenstein.euler_poly_normalized(N, cusp.a, s, t, sign)
-        arg_cusp = None if cusp.a == N else cusp
-        acc += pnorm * ctx.rs_L(arg_cusp, 1.5 - s + sign * 1j * t)
+        acc += pnorm * ctx.rs_L(cusp, 1.5 - s + sign * 1j * t)
     return acc / zden
 
 
@@ -379,12 +381,6 @@ def euler_identity_rhs(N: int, t: float) -> complex:
     return out
 
 
-def _selfdual_constants(ctx: MomentContext) -> dict:
-    if ctx.N != 1:
-        raise DomainError("f = g specialisations require level 1 data here")
-    return selfdual_rs_constants(ctx.f)
-
-
 _DISPLAYS = ("fneq_minus", "fneq_plus", "feq_minus", "feq_plus")
 
 
@@ -395,7 +391,8 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     f != g and f = g displays at s = 1/2 - it and s = 1/2 + it).  The f = g
     displays take the residue R and the finite part c0 of
     L(1 + x, f x f~) = R/x + c0 + O(x), which is what the generic-path
-    limit reproduces.
+    limit reproduces; ``selfdual_rs_constants`` gives them for level 1 and
+    raises :class:`DomainError` at any other level.
     """
     if which not in _DISPLAYS:
         raise DomainError(f"unknown specialisation {which!r}")
@@ -428,8 +425,7 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
             for p in prime_divisors(a):
                 if (N // a) % p:
                     term *= (1.0 - 1.0 / p) / (1.0 + 1.0 / p)
-            arg_cusp = None if a == N else cusp
-            cusp_sum += term * ctx.rs_L(arg_cusp, 1.0)
+            cusp_sum += term * ctx.rs_L(cusp, 1.0)
         t2 = zp * zm * h0_0 / N * cusp_sum / z2
         t3, t4 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4)
@@ -449,7 +445,7 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
         u2, u3 = _plus_tail_terms(ctx, it, zp, zm)
         return complex(u1 + u2 + u3)
 
-    consts = _selfdual_constants(ctx)
+    consts = selfdual_rs_constants(ctx.f)
     res = consts["residue"]
     c0 = consts["finite_part"]
 
@@ -571,8 +567,7 @@ def _plus_tail_terms(ctx: MomentContext, it: complex, zp, zm):
         for p in prime_divisors(a):
             if (N // a) % p:
                 term *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -2 + 4 * it))
-        arg_cusp = None if a == N else cusp
-        cusp_sum += term * ctx.rs_L(arg_cusp, 1.0 - 2.0 * it)
+        cusp_sum += term * ctx.rs_L(cusp, 1.0 - 2.0 * it)
     cusp_term = complex(
         np.exp(8.0 * it * math.log(TWO_PI))
         * zm

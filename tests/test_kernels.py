@@ -217,6 +217,8 @@ class TestKernelContext:
         near = ctx.cached_H0(1e-15j)
         assert near == kn.H0(1e-15j, ctx) and near is not at_zero
         assert len(ctx._h0_cache) == 2
+        # the memo is no part of the context's value
+        assert ctx == kn.KernelContext(PARAMS, t=0.3, k=12) and "_h0_cache" not in repr(ctx)
 
 
 def _fresh_h0(ix, ctx):
@@ -266,8 +268,8 @@ class TestH0StartFactors:
     def test_read_only_and_built_once(self):
         ctx = kn.KernelContext(PARAMS, t=0.3, k=12)
         kn.H0(0.4j, ctx)
-        factors = ctx._h0_start_factors()
-        assert ctx._h0_start_factors() is factors and len(factors) == 4
+        factors = ctx._h0_start_factors
+        assert ctx._h0_start_factors is factors and len(factors) == 4
         for x in factors:
             with pytest.raises(ValueError):
                 x[0] = 0.0
@@ -280,12 +282,12 @@ class TestH0StartFactors:
         twin = kn.KernelContext(PARAMS, t=0.3, k=12)
         for ctx in (base, other_t, other_T, twin):
             assert ctx.cached_H0(-0.6j) == _fresh_h0(-0.6j, ctx)
-        mine = base._h0_start_factors()
+        mine = base._h0_start_factors
         for ctx in (other_t, other_T, twin):
-            theirs = ctx._h0_start_factors()
+            theirs = ctx._h0_start_factors
             assert all(x is not y for x, y in zip(mine, theirs))
-        assert not np.array_equal(mine[1], other_t._h0_start_factors()[1])
-        assert not np.array_equal(mine[0], other_T._h0_start_factors()[0])
+        assert not np.array_equal(mine[1], other_t._h0_start_factors[1])
+        assert not np.array_equal(mine[0], other_T._h0_start_factors[0])
 
 
 class TestH0Derivative:

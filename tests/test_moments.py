@@ -100,6 +100,31 @@ class TestMainTerm:
         with pytest.raises(mo.MissingCuspDataError):
             ctx.rs_L(ar.CuspLabel(2, 1, 1), 2.5)
 
+    def test_infinity_class_reaches_the_provider_as_none(self):
+        N, t = 6, 0.7
+        f = ls.divisor_model_newform(NU, 12, N, 400)
+        g = ls.divisor_model_newform(MU, 12, N, 400)
+        seen = []
+
+        def provider(cusp, w):
+            seen.append(cusp)
+            return ls.divisor_model_rs_L(w, NU, MU, N)
+
+        def ctx(s):
+            kernel = KernelContext(KP, t=t, k=12)
+            return mo.MomentContext(t=t, f=f, g=g, N=N, kernel=kernel, s=s, rs_provider=provider)
+
+        mo.main_term(ctx(0.5 + 0.9j))
+        mo.main_term_breakdown(ctx(0.5 + 0.9j))
+        for which in ("fneq_minus", "fneq_plus"):
+            mo.main_term_specialized(ctx(None), which)
+        cusps = ar.enumerate_cusps(N)
+        infinity = next(c for c in cusps if c.a == N)
+        ctx(None).rs_L(infinity, 2.5)
+        assert seen[-1] is None
+        assert [c for c in cusps if c in seen] == [c for c in cusps if c.a != N]
+        assert all(c is None or c.a != N for c in seen)
+
     def test_exponential_regime_dominance(self, delta):
         # at |t| = T^beta with beta > 1 - alpha only the two H0(0)-terms of
         # the s = 1/2 - it display survive; at level 1 they equal
@@ -154,6 +179,10 @@ class TestSpecialized:
             gen = mo.main_term(ctx)
             spec = mo.main_term_specialized(ctx, which)
             assert abs(gen - spec) < 1e-9 * abs(gen)
+        # the f = g displays take sym^2 data, which exists at level 1 only
+        for which in ("feq_minus", "feq_plus"):
+            with pytest.raises(DomainError):
+                mo.main_term_specialized(synthetic_ctx(2, None, 0.7), which)
 
     def test_feq_limits(self, delta):
         # Richardson limit of the generic path onto the displayed value

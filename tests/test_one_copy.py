@@ -1,11 +1,14 @@
 """One implementation per primitive: no two function bodies in the package
-are the same code.
+are the same code, and no module keeps a hand-rolled memo.
 
 Two bodies count as the same when their ASTs match once the docstring is
 dropped and the parameters are renamed by position, so a copy that only
 renames its arguments is caught.  Bodies whose AST dump is shorter than
 ``_MIN_DUMP`` characters (a bare ``return x``, a one-call wrapper) are too
 small to be worth sharing and are skipped.
+
+Memos are ``functools.lru_cache`` (or a field of the object they belong
+to), so a module-level name bound to an empty ``{}`` is a second memo idiom.
 """
 
 import ast
@@ -16,6 +19,11 @@ from pathlib import Path
 import rsmoments
 
 _MIN_DUMP = 120
+
+# module-level empty dicts that are not memos.  _CONTOURS is a growing
+# table: a contour's E widens by doubling its columns, which a memo keyed
+# by length would keep once per length
+_MODULE_DICTS = {"lseries:_CONTOURS"}
 
 
 class _RenameParams(ast.NodeTransformer):
@@ -64,3 +72,32 @@ def test_guard_catches_a_renamed_copy(tmp_path):
         "def other(y, m):\n" + body.replace("x", "y").replace("(n)", "(m)")
     )
     assert duplicate_bodies(tmp_path) == [["one:series", "two:other"]]
+
+
+def module_level_empty_dicts(package_dir: Path) -> list:
+    """``module:name`` for every module-level name bound to an empty ``{}``."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, ast.Dict) and not value.keys:
+                found += [f"{path.stem}:{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_no_hand_rolled_memos():
+    found = module_level_empty_dicts(Path(rsmoments.__file__).parent)
+    assert sorted(set(found) - _MODULE_DICTS) == []
+
+
+def test_guard_catches_a_module_level_memo(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "_CACHE: dict = {}\n_TABLE = {1: 2}\n\n\ndef f():\n    local = {}\n    return local\n"
+    )
+    (tmp_path / "two.py").write_text("_A = _B = {}\n")
+    assert module_level_empty_dicts(tmp_path) == ["one:_CACHE", "two:_A", "two:_B"]
