@@ -238,8 +238,9 @@ def ord_p(n: int, p: int) -> int:
     return e
 
 
-def _pp(p: int, expo) -> complex:
-    """p**expo for complex expo."""
+def _pp(p: float, expo) -> complex:
+    """p**expo for any positive real base p and complex expo: the package's
+    one scalar complex power, exp(expo * log p)."""
     return complex(np.exp(complex(expo) * math.log(p)))
 
 
@@ -304,20 +305,26 @@ def P_M(s, n: int, M: int) -> complex:
     s = complex(s)
     out = 1.0 + 0.0j
     for p, eM in factorize(M).factors:
-        lp = math.log(p)
-        x = np.exp((1.0 - 2.0 * s) * lp)  # p^(1-2s)
-        denom = 1.0 - x
-        if abs(denom) < 1e-12:
-            raise PoleError(f"P_M denominator vanishes at p={p}")
-        en = ord_p(n, p)
-        num = x ** (en + 1) * x ** (-(eM - 1)) * (1.0 - np.exp(2.0 * s * lp)) + p - 1.0
-        out *= num / denom
+        out *= _P_local(p, s, ord_p(n, p), eM)
     return complex(out)
 
 
-def _P_local_limit(p: int, ord_n: int, ord_M: int) -> float:
-    """t -> 0 limit of the local P factor: the zero of 1 - p^{-2it} is
-    removable, with value A(p-1) - p for A = ord_n + 2 - ord_M."""
+def _P_local(p: int, s: complex, ord_n, ord_M: int):
+    """The factor of P_M(s, n) at p | M, for an order ord_n = ord_p(n) or an
+    array of them."""
+    # a numpy scalar, so that a lone order rounds its powers and quotient as
+    # an array of orders does
+    x = np.complex128(_pp(p, 1.0 - 2.0 * s))
+    denom = 1.0 - x
+    if abs(denom) < 1e-12:
+        raise PoleError(f"P_M denominator vanishes at p={p}")
+    return (x ** (ord_n + 1) * x ** (-(ord_M - 1)) * (1.0 - _pp(p, 2.0 * s)) + p - 1.0) / denom
+
+
+def _P_local_limit(p: int, ord_n, ord_M: int):
+    """t -> 0 limit of the local P factor at s = 1/2 + it, for an order or an
+    array of them: the zero of 1 - p^{-2it} is removable, with value
+    A(p-1) - p for A = ord_n + 2 - ord_M."""
     a = ord_n + 2 - ord_M
     return a * (p - 1.0) - p
 
@@ -334,7 +341,9 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     rad = math.prod(prime_divisors(N))
     if m % (N // rad) != 0:
         return 0.0 + 0.0j
-    pref = np.exp(-2j * t * math.log(N)) / rad if N > 1 else 1.0
+    # times 1/rad, the rounding of numpy's complex-by-real quotient, which
+    # first_moment_pieces' L^- (a sum with heavy cancellation) keeps
+    pref = _pp(N, -2j * t) * (1.0 / rad) if N > 1 else 1.0
     if abs(t) < 1e-9:
         ploc = 1.0
         for p, eM in factorize(N).factors:
@@ -396,7 +405,6 @@ def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     # over those few order tuples and read off per m through a mixed-radix
     # index; at t = 0 the removable local limit takes over.  m is in the
     # support, (N / rad N) | m, iff ord_p(m) >= e_p - 1 for every p^e_p || N.
-    s_half = 0.5 + 1j * t
     pn = np.ones(1, dtype=complex)
     support = np.ones(1, dtype=bool)
     combo = np.zeros(m_max, dtype=np.int32)
@@ -409,19 +417,15 @@ def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
             q *= p
         ords = np.arange(top + 1)
         if abs(t) < 1e-9:
-            local = (ords + 2.0 - eM) * (p - 1.0) - p
+            local = _P_local_limit(p, ords, eM)
         else:
-            lp = math.log(p)
-            x = np.exp((1.0 - 2.0 * s_half) * lp)
-            num = (
-                x ** (ords + 1) * x ** (-(eM - 1)) * (1.0 - np.exp(2.0 * s_half * lp))
-                + p
-                - 1.0
-            )
-            local = num / (1.0 - x)
+            local = _P_local(p, 0.5 + 1j * t, ords, eM)
         # entry o_p * radix + (index over the earlier primes)
         pn = np.ravel(pn[None, :] * local[:, None])
         support = np.ravel(support[None, :] & (ords >= eM - 1)[:, None])
+    # numpy divides this complex scalar by the real rad through 1/rad, which
+    # _pp(N, -2it) / rad (a Python complex) does not: the pinned bits of
+    # test_sigma_twisted_array_bits_pinned keep numpy's rounding
     pref = np.exp(-2j * t * math.log(N)) / math.prod(prime_divisors(N))
     np.multiply((pref * pn)[combo], out, out=out)
     out[~support[combo]] = 0.0
@@ -442,7 +446,7 @@ def zeta_depleted(s, N: int) -> complex:
         raise PoleError("zeta_depleted pole at s = 1")
     out = riemann_zeta(s)
     for p in prime_divisors(N):
-        out *= 1.0 - np.exp(-s * math.log(p))
+        out *= 1.0 - _pp(p, -s)
     return complex(out)
 
 

@@ -528,7 +528,7 @@ def euler_poly(N: int, a: int, s, t, z) -> complex:
     rad = math.prod(prime_divisors(N))
     pref = (
         2.0
-        * complex(np.exp(-2j * t * math.log(N))) / rad
+        * _pp(N, -2j * t) / rad
         * complex((N / g) ** (-0.5 + z))
         * complex(a ** (-s + 0.5 + 1j * t))
         / euler_phi(g)
@@ -556,11 +556,14 @@ def euler_poly_normalized_closed_minus(N: int, a: int, s, t) -> complex:
 
     2 N^{-1/2-s-it} (a/gcd(a, N/a))^{-s+3/2-it}
     prod_{p | N/a} (1-p^{1-2s})(1-p^{-2it}) prod_{p|a, p ndiv N/a} (1-p^{-1})^2.
+
+    It is ``moments.main_term``'s cusp factor; ``main_term_breakdown`` takes
+    the same factor from :func:`euler_poly_normalized` instead.
     """
     s = complex(s)
     it = 1j * t
     g = math.gcd(a, N // a)
-    out = 2.0 * complex(N ** (-0.5 - s - it)) * complex((a / g) ** (-s + 1.5 - it))
+    out = 2.0 * _pp(N, -0.5 - s - it) * _pp(a / g, -s + 1.5 - it)
     for p in prime_divisors(N // a):
         out *= (1.0 - _pp(p, 1.0 - 2.0 * s)) * (1.0 - _pp(p, -2.0 * it))
     for p in prime_divisors(a):

@@ -370,7 +370,7 @@ def divisor_model_rs_L(w, nu: float, mu: float, N: int) -> complex:
         * riemann_zeta(w - 1j * (nu + mu))
     )
     for p in prime_divisors(N):
-        out *= 1.0 - np.exp(-2.0 * w * math.log(p))
+        out *= 1.0 - _pp(p, -2.0 * w)
     return complex(out)
 
 
@@ -443,25 +443,20 @@ def rankin_selberg_L(
     if s.real <= 1.0:
         raise DomainError("rankin_selberg_L direct summation needs Re s > 1")
     if cusp is None or cusp.a == N:
-        m_cap = min(f.M, g.M)
-        if m_max is not None:
-            if m_max > m_cap:
-                raise InsufficientCoefficientsError(m_max)
-            m_cap = m_max
-        an = f.A(m_cap)
-        bn = g.A(m_cap)
+        fa, ga = f.a, g.a
     else:
         if fcusp is None or gcusp is None or fcusp.cusp != cusp or gcusp.cusp != cusp:
             raise DomainError("cusp expansions for this cusp must be supplied")
-        m_cap = min(fcusp.coeffs.size, gcusp.coeffs.size)
-        if m_max is not None:
-            if m_max > m_cap:
-                raise InsufficientCoefficientsError(m_max)
-            m_cap = m_max
-        n = np.arange(1, m_cap + 1, dtype=float)
-        an = fcusp.coeffs[:m_cap] * n ** (-(k - 1) / 2.0)
-        bn = gcusp.coeffs[:m_cap] * n ** (-(k - 1) / 2.0)
+        fa, ga = fcusp.coeffs, gcusp.coeffs
+    m_cap = min(fa.size, ga.size)
+    if m_max is not None:
+        if m_max > m_cap:
+            raise InsufficientCoefficientsError(m_max)
+        m_cap = m_max
     n = np.arange(1, m_cap + 1, dtype=float)
+    norm = n ** (-(k - 1) / 2.0)
+    an = fa[:m_cap] * norm
+    bn = ga[:m_cap] * norm
     series = complex(np.sum(an * np.conj(bn) * np.exp(-s * np.log(n))))
     zN = arith.zeta_depleted(2.0 * s, N)
     tail = abs(zN) * rankin_selberg_tail(s.real, m_cap)
@@ -800,7 +795,7 @@ def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:
         * riemann_zeta(s - it - z)
     )
     den = (
-        np.exp((z - 0.5) * math.log(math.pi))
+        _pp(math.pi, z - 0.5)
         * np.exp(_loggamma(0.5 - z))
         * arith.zeta_depleted(1.0 - 2.0 * z, cusp.N)
     )
@@ -921,13 +916,13 @@ def curly_L_maass_factored(s, t: float, u: MaassFormData) -> complex:
         lift_sum += (
             u.lifts[d]
             * u.rho1
-            * complex(np.exp((0.5 - it) * math.log(d)))
+            * _pp(d, 0.5 - it)
             * _lift_local_factor(u, d, s, t)
         )
     return complex(
         maass_L(s + it, u)
         * maass_L(s - it, u)
-        * complex(np.exp((-s - it) * math.log(u.N)))
+        * _pp(u.N, -s - it)
         * lift_sum
     )
 

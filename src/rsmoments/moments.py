@@ -5,12 +5,16 @@ The generic four-term main term at level N reads
     M(s, t) = z(2s) z(1+2it) H0(0) P1 L(s+1/2+it) / z(2s+1+2it)
             + (2pi)^{4it} z(2s) z(1-2it) H0(-2it) N^{-2it} P2
               L(s+1/2-it) / z(2s+1-2it)
-            + (2pi)^{4s-2+4it} z(2-2s) z(1-2it) H0(-2s+1-2it) N^{-1/2-s-it}
-              sum_cusps (a/g)^{-s+3/2-it} P3(a) L_a(3/2-s-it) / z(3-2s-2it)
+            + (2pi)^{4s-2+4it} z(2-2s) z(1-2it) H0(-2s+1-2it)
+              (1/2) sum_cusps E_a(s, t) L_a(3/2-s-it) / z^(N)(3-2s-2it)
             + (2pi)^{4s-2} z(2-2s) z(1+2it) H0(-2s+1) N^{1-2s} P4
               L(3/2-s+it) / z(3-2s+2it)
 
-with Euler products P* over p | N, all Rankin-Selberg values L_a(w, f x g~)
+with Euler products P* over p | N, each written where it is used, the cusp
+factor E_a = 2 N^{-1/2-s-it} (a/g)^{-s+3/2-it} prod(...) of
+``eisenstein.euler_poly_normalized_closed_minus``, the depleted zeta
+z^(N) = ``arith.zeta_depleted``, and every complex power b^x from
+``arith._pp``.  All Rankin-Selberg values L_a(w, f x g~) are
 supplied by the context (truncated direct sums, the accurate self-dual
 zeta * sym^2 route at level 1, or a closed-form provider for synthetic
 divisor-model data -- the assembly identities are linear in each L-value, so
@@ -18,12 +22,14 @@ any consistent provider exercises them).
 
 An independent second path assembles the same quantity from its three
 construction pieces M1 + M_Omega^+ + M_Omega^-, each transcribed from its
-own display (with the cos/sin trigonometric prefactors); agreement of the
-two paths is one of the headline acceptance checks.
+own display (with the cos/sin trigonometric prefactors, and the cusp factor
+from ``eisenstein.euler_poly_normalized``); agreement of the two paths is
+one of the headline acceptance checks.
 
 The specialised displays at s = 1/2 -+ it (where f = g produces
 pole cancellations against the Rankin-Selberg pole at 1) are transcribed
-separately, including the psi-weighted kernel derivatives.
+separately, including the psi-weighted kernel derivatives; each divides by
+depleted zeta values and states only its own Euler factors.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .lseries import (
     NewformData,
     holo_L,
     rankin_selberg_L,
-    rankin_selberg_maass,
     selfdual_rs_constants,
     selfdual_rs_L,
 )
@@ -73,7 +78,6 @@ __all__ = [
     "main_term_t0_limit",
     "leading_coeff",
     "continuous_part",
-    "discrete_moment_truncated",
     "first_moment_pieces",
     "error_exponent",
     "euler_identity_lhs",
@@ -183,67 +187,56 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
     z2ms = riemann_zeta(2.0 - 2.0 * s)
     z1p = riemann_zeta(1.0 + 2.0 * it)
     z1m = riemann_zeta(1.0 - 2.0 * it)
-
-    p1 = p2 = p4 = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        p1 *= (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (
-            1 - _pp(p, -2 * s - 1 - 2 * it)
-        )
-        p2 *= (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
-        p4 *= (1 - _pp(p, -1 - 2 * it)) * (1 - 1.0 / p) / (
-            1 - _pp(p, -3 + 2 * s - 2 * it)
-        )
+    primes = prime_divisors(N)
 
     term1 = (
         z2s
         * z1p
         * ctx.H0(0.0)
-        * p1
+        * math.prod(
+            (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (1 - _pp(p, -2 * s - 1 - 2 * it))
+            for p in primes
+        )
         * ctx.rs_L(None, s + 0.5 + it)
         / riemann_zeta(2.0 * s + 1.0 + 2.0 * it)
     )
     term2 = (
-        np.exp(4.0 * it * math.log(TWO_PI))
+        _pp(TWO_PI, 4.0 * it)
         * z2s
         * z1m
         * ctx.H0(-2.0 * it)
-        * complex(np.exp(-2.0 * it * math.log(N)))
-        * p2
+        * _pp(N, -2.0 * it)
+        * math.prod(
+            (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
+            for p in primes
+        )
         * ctx.rs_L(None, s + 0.5 - it)
         / riemann_zeta(2.0 * s + 1.0 - 2.0 * it)
     )
-
-    cusp_sum = 0.0 + 0.0j
-    for cusp in enumerate_cusps(N):
-        a = cusp.a
-        g = cusp.gcd_a
-        w = complex(np.exp((-s + 1.5 - it) * math.log(a / g))) if a != g else 1.0
-        loc = 1.0 + 0.0j
-        for p in prime_divisors(N // a):
-            loc *= (1 - _pp(p, 1 - 2 * s)) * (1 - _pp(p, -2 * it)) / (
-                1 - _pp(p, -3 + 2 * s + 2 * it)
-            )
-        for p in prime_divisors(a):
-            if (N // a) % p:
-                loc *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -3 + 2 * s + 2 * it))
-        cusp_sum += w * loc * ctx.rs_L(cusp, 1.5 - s - it)
+    # euler_poly_normalized_closed_minus carries N^{-1/2-s-it} and a factor 2
+    cusp_sum = sum(
+        eisenstein.euler_poly_normalized_closed_minus(N, cusp.a, s, t) * ctx.rs_L(cusp, 1.5 - s - it)
+        for cusp in enumerate_cusps(N)
+    )
     term3 = (
-        complex(np.exp((4 * s - 2 + 4 * it) * math.log(TWO_PI)))
+        _pp(TWO_PI, 4 * s - 2 + 4 * it)
         * z2ms
         * z1m
         * ctx.H0(-2.0 * s + 1.0 - 2.0 * it)
-        * complex(np.exp((-0.5 - s - it) * math.log(N)))
+        * 0.5
         * cusp_sum
-        / riemann_zeta(3.0 - 2.0 * s - 2.0 * it)
+        / arith.zeta_depleted(3.0 - 2.0 * s - 2.0 * it, N)
     )
-
     term4 = (
-        complex(np.exp((4 * s - 2) * math.log(TWO_PI)))
+        _pp(TWO_PI, 4 * s - 2)
         * z2ms
         * z1p
         * ctx.H0(-2.0 * s + 1.0)
-        * complex(np.exp((1 - 2 * s) * math.log(N)))
-        * p4
+        * _pp(N, 1 - 2 * s)
+        * math.prod(
+            (1 - _pp(p, -1 - 2 * it)) * (1 - 1.0 / p) / (1 - _pp(p, -3 + 2 * s - 2 * it))
+            for p in primes
+        )
         * ctx.rs_L(None, 1.5 - s + it)
         / riemann_zeta(3.0 - 2.0 * s + 2.0 * it)
     )
@@ -275,25 +268,26 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
 
     # --- M1: the first-moment piece
     z2s = riemann_zeta(2.0 * s)
-    p1 = p2 = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        p1 *= (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (
-            1 - _pp(p, -2 * s - 1 - 2 * it)
-        )
-        p2 *= (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
+    primes = prime_divisors(N)
     m1 = (
         z2s
         * riemann_zeta(1.0 + 2.0 * it)
         / riemann_zeta(2.0 * s + 1.0 + 2.0 * it)
-        * p1
+        * math.prod(
+            (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (1 - _pp(p, -2 * s - 1 - 2 * it))
+            for p in primes
+        )
         * ctx.rs_L(None, s + 0.5 + it)
         * ctx.H0(0.0)
-        + np.exp(4.0 * it * math.log(TWO_PI))
+        + _pp(TWO_PI, 4.0 * it)
         * z2s
         * riemann_zeta(1.0 - 2.0 * it)
         / riemann_zeta(2.0 * s + 1.0 - 2.0 * it)
-        * complex(np.exp(-2.0 * it * math.log(N)))
-        * p2
+        * _pp(N, -2.0 * it)
+        * math.prod(
+            (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
+            for p in primes
+        )
         * ctx.rs_L(None, s + 0.5 - it)
         * ctx.H0(-2.0 * it)
     )
@@ -308,17 +302,17 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
     pref_plus = (
         0.25
         * z2ms
-        * complex(np.exp((2 * s - 1 + 2 * it) * math.log(TWO_PI)))
+        * _pp(TWO_PI, 2 * s - 1 + 2 * it)
         / np.cos(math.pi * (s + 0.5))
     )
     m_omega_plus = pref_plus * (
-        complex(np.exp((2 * s - 1 - 2 * it) * math.log(TWO_PI)))
+        _pp(TWO_PI, 2 * s - 1 - 2 * it)
         * riemann_zeta(1.0 + 2.0 * it)
         * np.cos(math.pi * (2 * s - it))
         / np.sin(math.pi * (s - it))
         * s_plus
         * h0_plus
-        + complex(np.exp((2 * s - 1 + 2 * it) * math.log(TWO_PI)))
+        + _pp(TWO_PI, 2 * s - 1 + 2 * it)
         * riemann_zeta(1.0 - 2.0 * it)
         * np.cos(math.pi * (2 * s + it))
         / np.sin(math.pi * (s + it))
@@ -330,18 +324,18 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
     pref_minus = (
         0.5
         * z2ms
-        * complex(np.exp((4 * s - 2 + 2 * it) * math.log(TWO_PI)))
+        * _pp(TWO_PI, 4 * s - 2 + 2 * it)
         * np.cos(math.pi * it)
         / np.sin(math.pi * s)
     )
     m_omega_minus = pref_minus * (
-        complex(np.exp(-2.0 * it * math.log(TWO_PI)))
+        _pp(TWO_PI, -2.0 * it)
         / np.sin(math.pi * (s - it))
         * riemann_zeta(1.0 + 2.0 * it)
         * 0.5
         * s_plus
         * h0_plus
-        + complex(np.exp(2.0 * it * math.log(TWO_PI)))
+        + _pp(TWO_PI, 2.0 * it)
         / np.sin(math.pi * (s + it))
         * riemann_zeta(1.0 - 2.0 * it)
         * 0.5
@@ -358,27 +352,29 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
 def euler_identity_lhs(N: int, t: float) -> complex:
     """sum_{a|N} a prod_{p|gcd(a,N/a)}(1-1/p) prod_{p|N/a}(1-p^{2it})(1-p^{-2it})
     prod_{p|a, p ndiv N/a}(1-1/p)^2."""
-    out = 0.0 + 0.0j
-    for a in divisors(N):
-        g = math.gcd(a, N // a)
-        term = a + 0.0j
-        for p in prime_divisors(g):
-            term *= 1.0 - 1.0 / p
-        for p in prime_divisors(N // a):
-            term *= (1.0 - _pp(p, 2j * t)) * (1.0 - _pp(p, -2j * t))
-        for p in prime_divisors(a):
-            if (N // a) % p:
-                term *= (1.0 - 1.0 / p) ** 2
-        out += term
-    return out
+    return complex(
+        sum(
+            a
+            * math.prod(1.0 - 1.0 / p for p in prime_divisors(math.gcd(a, N // a)))
+            * _cusp_weight(N, a, t)
+            for a in divisors(N)
+        )
+    )
 
 
 def euler_identity_rhs(N: int, t: float) -> complex:
     """N prod_{p|N} (1-p^{-1+2it})(1-p^{-1-2it})."""
-    out = N + 0.0j
-    for p in prime_divisors(N):
-        out *= (1.0 - _pp(p, -1.0 + 2j * t)) * (1.0 - _pp(p, -1.0 - 2j * t))
-    return out
+    return N * math.prod(
+        (1.0 - _pp(p, -1.0 + 2j * t)) * (1.0 - _pp(p, -1.0 - 2j * t)) for p in prime_divisors(N)
+    )
+
+
+def _cusp_weight(N: int, a: int, t: float) -> complex:
+    """The weight of the cusps 1/(ca) at s = 1/2 - it:
+    prod_{p|N/a} (1-p^{2it})(1-p^{-2it}) prod_{p|a, p ndiv N/a} (1-1/p)^2."""
+    return math.prod(
+        (1.0 - _pp(p, 2j * t)) * (1.0 - _pp(p, -2j * t)) for p in prime_divisors(N // a)
+    ) * math.prod((1.0 - 1.0 / p) ** 2 for p in prime_divisors(a) if (N // a) % p)
 
 
 _DISPLAYS = ("fneq_minus", "fneq_plus", "feq_minus", "feq_plus")
@@ -404,28 +400,20 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
 
     zp = riemann_zeta(1.0 + 2.0 * it)
     zm = riemann_zeta(1.0 - 2.0 * it)
-    z2 = riemann_zeta(2.0)
-    two_pi_4it = complex(np.exp(4.0 * it * math.log(TWO_PI)))
-
-    def prod_sym():
-        out = 1.0 + 0.0j
-        for p in prime_divisors(N):
-            out *= (1 - _pp(p, -1 + 2 * it)) * (1 - _pp(p, -1 - 2 * it)) / (1 - p**-2)
-        return out
+    z2 = arith.zeta_depleted(2.0, N)
+    two_pi_4it = _pp(TWO_PI, 4.0 * it)
+    primes = prime_divisors(N)
+    # the Euler products of the s = 1/2 - it and the s = 1/2 + it displays
+    prod_minus = math.prod((1 - _pp(p, -1 + 2 * it)) * (1 - _pp(p, -1 - 2 * it)) for p in primes)
+    prod_plus = math.prod((1 - 1.0 / p) * (1 - _pp(p, -1 - 2 * it)) for p in primes)
 
     if which == "fneq_minus":
         h0_0 = ctx.H0(0.0)
-        t1 = zm * zp * h0_0 * prod_sym() * ctx.rs_L(None, 1.0) / z2
-        cusp_sum = 0.0 + 0.0j
-        for cusp in enumerate_cusps(N):
-            a, g = cusp.a, cusp.gcd_a
-            term = (a / g) + 0.0j
-            for p in prime_divisors(N // a):
-                term *= (1 - _pp(p, 2 * it)) * (1 - _pp(p, -2 * it)) / (1 - p**-2)
-            for p in prime_divisors(a):
-                if (N // a) % p:
-                    term *= (1.0 - 1.0 / p) / (1.0 + 1.0 / p)
-            cusp_sum += term * ctx.rs_L(cusp, 1.0)
+        t1 = zm * zp * h0_0 * prod_minus * ctx.rs_L(None, 1.0) / z2
+        cusp_sum = sum(
+            cusp.a / cusp.gcd_a * _cusp_weight(N, cusp.a, t) * ctx.rs_L(cusp, 1.0)
+            for cusp in enumerate_cusps(N)
+        )
         t2 = zp * zm * h0_0 / N * cusp_sum / z2
         t3, t4 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4)
@@ -437,8 +425,8 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
             * zp
             * zm
             * ctx.H0(-2.0 * it)
-            * complex(np.exp(-2 * it * math.log(N)))
-            * _prod_u1(N, it)
+            * _pp(N, -2 * it)
+            * prod_plus
             * ctx.rs_L(None, 1.0)
             / z2
         )
@@ -452,48 +440,41 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     if which == "feq_minus":
         h0_0 = ctx.H0(0.0)
         zz = zm * zp / z2
-        t1 = -zz * H0_derivative("minus", 1, ctx.kernel) * prod_sym() * res
+        t1 = -zz * H0_derivative("minus", 1, ctx.kernel) * prod_minus * res
         inner = 0.0 + 0.0j
         for a in divisors(N):
             g = math.gcd(a, N // a)
-            term = a + 0.0j
-            for p in prime_divisors(N // a):
-                term *= (1 - _pp(p, 2 * it)) * (1 - _pp(p, -2 * it))
-            for p in prime_divisors(a):
-                if (N // a) % p:
-                    term *= (1 - 1.0 / p) ** 2
-            for p in prime_divisors(g):
-                term *= 1.0 - 1.0 / p
             log_fac = -math.log(a / g) + sum(
                 2.0 * math.log(p) for p in prime_divisors(N // a)
             )
-            inner += term * log_fac
-        pr_inv = 1.0 + 0.0j
-        for p in prime_divisors(N):
-            pr_inv /= 1 - p**-2
-        t2 = -zz * h0_0 / N * pr_inv * inner * res
+            inner += (
+                a
+                * math.prod(1.0 - 1.0 / p for p in prime_divisors(g))
+                * _cusp_weight(N, a, t)
+                * log_fac
+            )
+        t2 = -zz * h0_0 / N * inner * res
         brace = (
             2.0 * log_zeta_derivative(1.0 - 2.0 * it)
             + 2.0 * log_zeta_derivative(1.0 + 2.0 * it)
             - 4.0 * log_zeta_derivative(2.0)
             - 4.0 * math.log(TWO_PI)
-            + 2.0 * sum(math.log(p) / (1 - _pp(p, -1 + 2 * it)) for p in prime_divisors(N))
+            + 2.0 * sum(math.log(p) / (1 - _pp(p, -1 + 2 * it)) for p in primes)
             + math.log(N)
         )
-        t3 = zz * h0_0 * prod_sym() * brace * res
-        t4 = 2.0 * zz * h0_0 * prod_sym() * c0
+        t3 = zz * h0_0 * prod_minus * brace * res
+        t4 = 2.0 * zz * h0_0 * prod_minus * c0
         t5, t6 = _minus_shift_terms(ctx, it, zp, zm, two_pi_4it)
         return complex(t1 + t2 + t3 + t4 + t5 + t6)
 
     # which == "feq_plus"
     zz = zp * zm / z2
-    pr = _prod_u1(N, it)
     v1 = (
         -two_pi_4it
         * zz
         * H0_derivative("plus", 1, ctx.kernel)
-        * complex(np.exp(-2 * it * math.log(N)))
-        * pr
+        * _pp(N, -2 * it)
+        * prod_plus
         * res
     )
     brace = (
@@ -505,12 +486,12 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
         + 2.0
         * sum(
             math.log(p) * _pp(p, -1 - 2 * it) / (1 - _pp(p, -1 - 2 * it))
-            for p in prime_divisors(N)
+            for p in primes
         )
     )
     h0m = ctx.H0(-2.0 * it)
-    v2 = two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * brace * res
-    v3 = 2.0 * two_pi_4it * zz * h0m * complex(np.exp(-2 * it * math.log(N))) * pr * c0
+    v2 = two_pi_4it * zz * h0m * _pp(N, -2 * it) * prod_plus * brace * res
+    v3 = 2.0 * two_pi_4it * zz * h0m * _pp(N, -2 * it) * prod_plus * c0
     v4, v5 = _plus_tail_terms(ctx, it, zp, zm)
     return complex(v1 + v2 + v3 + v4 + v5)
 
@@ -526,20 +507,20 @@ def _minus_shift_terms(ctx: MomentContext, it: complex, zp, zm, two_pi_4it):
         * zm
         * zm
         * ctx.H0(-2.0 * it)
-        * complex(np.exp(-2 * it * math.log(N)))
-        * _prod_fneq(N, it, -1)
+        * _pp(N, -2 * it)
+        * math.prod((1 - 1.0 / p) * (1 - _pp(p, -1 + 2 * it)) for p in prime_divisors(N))
         * ctx.rs_L(None, 1.0 - 2.0 * it)
-        / riemann_zeta(2.0 - 4.0 * it)
+        / arith.zeta_depleted(2.0 - 4.0 * it, N)
     )
     shifted_p = (
-        complex(np.exp(-4.0 * it * math.log(TWO_PI)))
+        _pp(TWO_PI, -4.0 * it)
         * zp
         * zp
         * ctx.H0(2.0 * it)
-        * complex(np.exp(2 * it * math.log(N)))
-        * _prod_fneq(N, it, +1)
+        * _pp(N, 2 * it)
+        * math.prod((1 - 1.0 / p) * (1 - _pp(p, -1 - 2 * it)) for p in prime_divisors(N))
         * ctx.rs_L(None, 1.0 + 2.0 * it)
-        / riemann_zeta(2.0 + 4.0 * it)
+        / arith.zeta_depleted(2.0 + 4.0 * it, N)
     )
     return shifted_m, shifted_p
 
@@ -554,58 +535,29 @@ def _plus_tail_terms(ctx: MomentContext, it: complex, zp, zm):
         zp
         * zp
         * ctx.H0(0.0)
-        * _prod_u2(N, it)
+        * math.prod((1 - _pp(p, -1 - 2 * it)) ** 2 for p in prime_divisors(N))
         * ctx.rs_L(None, 1.0 + 2.0 * it)
-        / riemann_zeta(2.0 + 4.0 * it)
+        / arith.zeta_depleted(2.0 + 4.0 * it, N)
     )
     cusp_sum = 0.0 + 0.0j
     for cusp in enumerate_cusps(N):
-        a, g = cusp.a, cusp.gcd_a
-        term = complex(np.exp((1.0 - 2.0 * it) * math.log(a / g))) if a != g else 1.0
-        for p in prime_divisors(N // a):
-            term *= (1 - _pp(p, -2 * it)) ** 2 / (1 - _pp(p, -2 + 4 * it))
-        for p in prime_divisors(a):
-            if (N // a) % p:
-                term *= (1 - 1.0 / p) ** 2 / (1 - _pp(p, -2 + 4 * it))
-        cusp_sum += term * ctx.rs_L(cusp, 1.0 - 2.0 * it)
-    cusp_term = complex(
-        np.exp(8.0 * it * math.log(TWO_PI))
+        a = cusp.a
+        cusp_sum += (
+            _pp(a / cusp.gcd_a, 1.0 - 2.0 * it)
+            * math.prod((1 - _pp(p, -2 * it)) ** 2 for p in prime_divisors(N // a))
+            * math.prod((1 - 1.0 / p) ** 2 for p in prime_divisors(a) if (N // a) % p)
+            * ctx.rs_L(cusp, 1.0 - 2.0 * it)
+        )
+    cusp_term = (
+        _pp(TWO_PI, 8.0 * it)
         * zm
         * zm
         * ctx.H0(-4.0 * it)
-        * complex(np.exp((-1.0 - 2.0 * it) * math.log(N)))
+        * _pp(N, -1.0 - 2.0 * it)
         * cusp_sum
-        / riemann_zeta(2.0 - 4.0 * it)
+        / arith.zeta_depleted(2.0 - 4.0 * it, N)
     )
     return shifted, cusp_term
-
-
-def _prod_fneq(N: int, it: complex, sign: int) -> complex:
-    """prod (1-1/p)(1-p^{-1-sign*2it}) / (1-p^{-2-sign*4it}) over p | N.
-
-    With sign = -1 this is the -2it display product, with sign = +1 the
-    conjugate one.
-    """
-    out = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        out *= (1 - 1.0 / p) * (1 - _pp(p, -1 - sign * 2 * it)) / (
-            1 - _pp(p, -2 - sign * 4 * it)
-        )
-    return out
-
-
-def _prod_u1(N: int, it: complex) -> complex:
-    out = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        out *= (1 - 1.0 / p) * (1 - _pp(p, -1 - 2 * it)) / (1 - p**-2)
-    return out
-
-
-def _prod_u2(N: int, it: complex) -> complex:
-    out = 1.0 + 0.0j
-    for p in prime_divisors(N):
-        out *= (1 - _pp(p, -1 - 2 * it)) ** 2 / (1 - _pp(p, -2 - 4 * it))
-    return out
 
 
 def main_term_t0_limit(
@@ -653,7 +605,7 @@ def leading_coeff(d: int, N: int, special_value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# continuous part, discrete moment, first-moment pieces
+# continuous part, first-moment pieces
 
 
 def continuous_part(
@@ -724,40 +676,6 @@ def continuous_part(
     return ValueWithError(complex(total), err + tail)
 
 
-def _weight_over_cosh(r: float, p) -> float:
-    """h(r)/cosh(pi r), computed in log space for large r."""
-    hr = float(np.real(h_eval(r, p)))
-    x = math.pi * abs(r)
-    if x < 30.0:
-        return hr / math.cosh(x)
-    if hr == 0.0:
-        return 0.0
-    return math.copysign(
-        math.exp(math.log(abs(hr)) - x + math.log(2.0) - math.log1p(math.exp(-2 * x))),
-        hr,
-    )
-
-
-def discrete_moment_truncated(ctx: MomentContext, maass_list) -> complex:
-    """sum_j h(r_j)/cosh(pi r_j) L(1/2+it, f x u_j) conj(L(conj(s), g x u_j)).
-
-    Truncated: the supplied spectrum only.  Empty list gives 0.  L(1/2+it, f x u_j)
-    has only the direct series, so a form of nonzero weight raises :class:`DomainError`.
-    """
-    if ctx.s is None:
-        raise DomainError("discrete_moment_truncated needs ctx.s")
-    s = complex(ctx.s)
-    total = 0.0 + 0.0j
-    for u in maass_list:
-        wt = _weight_over_cosh(u.r, ctx.kernel.params)
-        if wt == 0.0:
-            continue
-        lf = rankin_selberg_maass(0.5 + 1j * ctx.t, ctx.f, u).value
-        lg = rankin_selberg_maass(np.conj(s), ctx.g, u).value
-        total += wt * lf * np.conj(lg)
-    return complex(total)
-
-
 def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
     """sum_m weights[m-1] m^{-v+it} at the GK15 nodes v = sigma_v + iy of the
     equal panels ``edges``, in :func:`gk15_panel_nodes`' panel-major order.
@@ -826,9 +744,9 @@ def first_moment_pieces(
     m_piece = arith.zeta_depleted(1.0 + 2.0 * it, N) * A_n * n ** (-0.5 - it) * ctx.H0(
         0.0
     ) + (
-        np.exp(4.0 * it * math.log(TWO_PI))
+        _pp(TWO_PI, 4.0 * it)
         * riemann_zeta(1.0 - 2.0 * it)
-        * complex(np.exp(-2.0 * it * math.log(N)))
+        * _pp(N, -2.0 * it)
         * (phiN / N)
         * A_n
         * n ** (-0.5 + it)
@@ -889,7 +807,7 @@ def _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window) -> complex:
         _FM_QUAD,
     ).value
     return complex(
-        -np.exp(2.0 * it * math.log(TWO_PI)) * np.cos(math.pi * it) / math.pi
+        -_pp(TWO_PI, 2.0 * it) * np.cos(math.pi * it) / math.pi
         * (2.0 / math.pi)
         * val
     )
@@ -949,7 +867,7 @@ def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
         _FM_QUAD,
         pole=(a, residues),
     ).value
-    return complex((1j) ** k * np.exp(2.0 * it * math.log(TWO_PI)) * (2.0 / math.pi) * val)
+    return complex((1j) ** k * _pp(TWO_PI, 2.0 * it) * (2.0 / math.pi) * val)
 
 
 def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int, delta=None):

@@ -343,6 +343,24 @@ class TestRankinSelberg:
         with pytest.raises(DomainError):
             ls.rankin_selberg_L(1.0, delta, delta)
 
+    def test_m_max_past_the_coefficients_raises(self):
+        # the infinity class: the shorter form has 400 coefficients
+        f = ls.divisor_model_newform(0.52, 12, 2, 400)
+        g = ls.divisor_model_newform(1.13, 12, 2, 600)
+        with pytest.raises(ls.InsufficientCoefficientsError) as exc:
+            ls.rankin_selberg_L(2.5, f, g, m_max=401)
+        assert exc.value.needed == 401
+        assert np.isfinite(ls.rankin_selberg_L(2.5, f, g, m_max=400).value)
+        # a cusp of Gamma_0(2): the shorter expansion has 30 coefficients
+        cusp = CuspLabel(2, 1, 1)
+        fc = ls.CuspExpansionData(cusp, np.ones(30))
+        gc = ls.CuspExpansionData(cusp, np.ones(50))
+        with pytest.raises(ls.InsufficientCoefficientsError) as exc:
+            ls.rankin_selberg_L(2.5, f, g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=31)
+        assert exc.value.needed == 31
+        v = ls.rankin_selberg_L(2.5, f, g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=30)
+        assert np.isfinite(v.value)
+
     def test_residue_positive_and_consistent(self, delta):
         res, err = ls.residue_at_1(delta)
         assert res > 0

