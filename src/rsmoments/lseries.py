@@ -19,15 +19,16 @@ Evaluators
   An L-function is data (log gamma factor, x scale, root number,
   coefficients, contour); its first sums carry the Mellin weights
       W(u, x) = 1/(2 pi i) int exp(logG(u+w) - logG(u)) x^{-w} e^{w^2/(2c^2)} dw/w
-  on a contour Re w = sigma0 past max(Re s, 1 - Re s), from one
-  (rows x contour) @ E product per block of rows, E kept read-only per
-  contour by ``_mellin_weights``, and a 1-D array of s sums one first sum
-  per distinct u of S and 1 - S.
+  on a contour Re w = sigma0 past max(Re s, 1 - Re s), cut to the batch's
+  height, from one (rows x contour) @ E product per block of rows, E kept
+  read-only per contour by ``_mellin_weights``, and a 1-D array of s sums
+  one first sum per distinct u of S and 1 - S.
 * ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on level-1 data,
   for -7 < Re s < 8.
-* ``sym2_L`` -- the AFE on the symmetric square's data, for -3 < Re s < 4;
-  powers L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent
-  constants at s = 1.  Its coefficients (read-only), values and Laurent
+* ``sym2_L`` -- the AFE on the symmetric square's data, for -3 < Re s < 4
+  and |Im s| < 18.8, at a scalar or a 1-D array of s; powers
+  L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent constants
+  at s = 1.  Its coefficients and value batches (read-only) and Laurent
   constants are ``functools.lru_cache`` memos of 64 entries, keyed on the
   form, whose equality and hash go by (N, k, digest of a).
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
@@ -494,21 +495,35 @@ def residue_at_1(f: NewformData) -> tuple:
 _CONTOURS: dict = {}
 
 
-def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, sigma0: float):
+def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, sigma0: float,
+                    growth: float):
     """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
 
     ``log_ratio(w)`` must accept a numpy array of contour points
     w = sigma0 + i v and return log of the gamma-factor ratio: one value per
     w, or a (rows x |w|) array for a batch of s, which gives one row of
-    weights per s.  The
-    trapezoid cut must outlast not just the Gaussian but also the transient
-    e^{pi |v|/2} growth of the gamma ratio while |v| < |Im z|, so it solves
-    v^2/(2c^2) - pi v/2 >= 42.
+    weights per s.
+
+    The trapezoid's nodes run over |v| <= vmax, which must outlast not just
+    the Gaussian but also the transient e^{pi |v|/2} growth of a degree-2
+    gamma ratio while |v| < |Im z|, at any height: v^2/(2c^2) - pi v/2 >= 42.
+    A batch of known height needs less.  ``growth`` is the log of the most
+    its gamma ratio can grow along the contour, (pi/4) degree max |Im u|,
+    since each Gamma(z/2)-type factor of g changes by at most e^{pi H/4}
+    between heights 0 and H (Stirling); the Gaussian then holds the
+    integrand below e^{-42} of its peak from v^2/(2c^2) = 42 + growth on.
+    So the weights take the centred slice of rows |v| <= c sqrt(2 (42 +
+    growth)) when that is below vmax, and every row otherwise, which keeps
+    the bits of the full contour wherever the cut would not bite.
+    Stirling's bound leaves out polynomial factors; with them, on 400 rows u
+    with |Im u| <= H at H = 0.5, 4.1, 10, 20 and 40, the nodes beyond the
+    cut hold at most 4e-32 of sum |kernel|, for holo_L's data and sym2_L's.
 
     Neither w nor E = exp(-w (x) log x) depends on s, so both are cached in
-    ``_CONTOURS`` under (scale, c, h, sigma0), read-only.  E's column count
-    doubles until it covers ``length``, and a call uses the first ``length``
-    columns, so the weights are those of a fresh E bit for bit.
+    ``_CONTOURS`` under (scale, c, h, sigma0), read-only, and a cut takes a
+    slice of the cached rows.  E's column count doubles until it covers
+    ``length``, and a call uses the first ``length`` columns, so the weights
+    are those of a fresh E bit for bit.
     """
     key = (scale, c, h, sigma0)
     w, E = _CONTOURS.get(key, (None, None))
@@ -523,8 +538,13 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, si
         E = np.exp(-np.outer(w, np.log(scale * np.arange(1, cap + 1, dtype=float))))
         E.flags.writeable = False
         _CONTOURS[key] = (w, E)
+    rows = slice(None)
+    cut = c * math.sqrt(2.0 * (42.0 + growth))
+    if cut < -w[0].imag:
+        rows = slice(np.searchsorted(w.imag, -cut), np.searchsorted(w.imag, cut, side="right"))
+    w = w[rows]
     kern = np.exp(log_ratio(w) + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
-    return kern @ E[:, :length]
+    return kern @ E[rows, :length]
 
 
 # rows of u that the AFE works on at once: its (rows x contour) and
@@ -532,13 +552,14 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, si
 _AFE_BLOCK = 256
 
 
-def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
+def _smoothed_afe(s, log_gamma, degree: int, scale: float, root, coeffs, contour):
     """L(s) = D(s) + root scale^{2s-1} g(1-s)/g(s) D(1-s) at a 1-D array of s.
 
     An L-function is data (Dokchitser, Computing special values of motivic
     L-functions, Exp. Math. 13, 2004): ``log_gamma(u, w)`` is log g(u + w)
-    for its gamma factor g up to a constant, ``scale`` the x scale, ``root``
-    the root number, ``coeffs`` c(1..length), ``contour`` (c, h).
+    for its gamma factor g up to a constant, ``degree`` the number of
+    Gamma(z/2)-type factors in g, ``scale`` the x scale, ``root`` the root
+    number, ``coeffs`` c(1..length), ``contour`` (c, h).
     D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) - log g(u),
     or of log g(u + w) - log g(1 - u) where u is a pole of g, which makes that
     dual term's g(1 - s)/g(s) one; a pole of g(s) is a trivial zero.  The
@@ -556,7 +577,9 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
     so it has the same bits in any batch of the same length, unless BLAS
     sums a product of one row, or of two short ones, in another order: so
     the u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one
-    row unless the batch has only one u.
+    row unless the batch has only one u.  Every block's contour is cut to
+    the batch's height H = max |Im u| (see ``_mellin_weights``), so a value
+    also depends on the batch through H, by roundoff where the cut bites.
     """
     index = {}
     inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
@@ -567,12 +590,13 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
     if pole.any():
         ref[pole] = log_gamma(1.0 - u[pole], 0.0)
     log_n = np.log(np.arange(1, coeffs.size + 1, dtype=float))
+    growth = math.pi / 4.0 * degree * abs(u.imag).max(initial=0.0)
     d = np.empty(u.shape, dtype=complex)
     blocks = -(-u.size // _AFE_BLOCK)
     for b in range(blocks):
         rows = slice(b * u.size // blocks, (b + 1) * u.size // blocks)
         col, base = u[rows, None], ref[rows, None]
-        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour, sigma0)
+        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour, sigma0, growth)
         d[rows] = (coeffs * np.exp(-col * log_n) * wts).sum(axis=1)
     at_s, at_dual = inv[:s.size], inv[s.size:]
     gr = np.exp(ref[at_dual] - ref[at_s])
@@ -585,8 +609,9 @@ def _smoothed_afe(s, log_gamma, scale: float, root, coeffs, contour):
 
 
 def _holo_data(s, f: NewformData):
-    """holo_L's level-1 AFE data at a 1-D array of s: g(u) = G(u + (k-1)/2),
-    x scale 2 pi, root number i^k, its own sum length and contour."""
+    """holo_L's level-1 AFE data at a 1-D array of s: g(u) = G(u + (k-1)/2)
+    of degree 2, x scale 2 pi, root number i^k, its own sum length and
+    contour."""
     if f.N != 1:
         raise DomainError("holo_L inside the strip is implemented for level 1")
     a0 = (f.k - 1) / 2.0
@@ -595,7 +620,7 @@ def _holo_data(s, f: NewformData):
         raise InsufficientCoefficientsError(length)
     if np.any(s.real <= -7.0) or np.any(s.real >= 8.0):
         raise DomainError("holo_L's AFE is certified for -7 < Re s < 8")
-    return (lambda u, w: _loggamma(u + a0 + w)), 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4)
+    return (lambda u, w: _loggamma(u + a0 + w)), 2, 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4)
 
 
 def holo_L(s, f: NewformData, method: str = "auto"):
@@ -689,47 +714,68 @@ def _sym2_coeffs(f: NewformData, m_max: int):
     return out
 
 
-def sym2_L(s, f: NewformData) -> complex:
+# |Im s| at which sym2_L's two smoothings first differ by more than 1e-8
+# (relative) on the grid Re s in {-2.5, -1, 0, 1/2, 1, 2, 3.5}, |Im s| in
+# 0, 0.1, ..., 22: 5.5e-8 at 1/2 + 18.8i, against at most 5.4e-9 below
+_SYM2_HEIGHT = 18.8
+
+
+def sym2_L(s, f: NewformData):
     """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1).
 
     The trapezoid's roundoff grows about tenfold per unit of the contour's
     sigma0 (see ``_smoothed_afe``), so the domain is -3 < Re s < 4 (within
-    5e-12 of the direct series at Re s = 3.99); outside it a
-    :class:`DomainError` is raised.  main_term_breakdown at Re s = 5/2
-    evaluates L at Re s = 3 and -1.  It is ``_smoothed_afe`` on
-    ``_sym2_data``, whose pole rule covers s = 2 (the dual u = -1 is a pole
-    of g) and the trivial zero at s = -1.
+    5e-12 of the direct series at Re s = 3.99).  Its two sums also cancel
+    more with height: the spread between two smoothings first passes 1e-8
+    at |Im s| = 18.8 (``_SYM2_HEIGHT``), reaches 1e-4 near 30, and from about
+    40 up the value is roundoff, so the domain is also |Im s| < 18.8.
+    Outside it a :class:`DomainError` is raised.
+    main_term_breakdown at Re s = 5/2 evaluates L at Re s = 3 and -1.  It is
+    ``_smoothed_afe`` on ``_sym2_data``, whose pole rule covers s = 2 (the
+    dual u = -1 is a pole of g) and the trivial zero at s = -1.
 
-    Values are memoised by ``_sym2_L``, 64 of them, keyed on (f, s) as a
-    Python complex, so the +0.0 and -0.0 parts of s share one entry.
+    A 1-D array of s runs as one batch and gives a read-only array; a scalar
+    is the batch of one s.  Batches are memoised by ``_sym2_L``, 64 of them,
+    keyed on f and the tuple of s as Python complex numbers, so the +0.0 and
+    -0.0 parts of s share one entry, and a value is the same bits whenever
+    the same tuple asks for it.
     """
     if f.N != 1:
         raise DomainError("sym2_L implemented for level 1")
-    s = complex(s)
-    if not -3.0 < s.real < 4.0:
-        raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
-    return _sym2_L(s, f)
+    if np.ndim(s) > 1:
+        raise DomainError("sym2_L takes a scalar or a 1-D array of s")
+    batch = tuple(np.atleast_1d(np.asarray(s, dtype=complex)).tolist())
+    for x in batch:
+        if not -3.0 < x.real < 4.0:
+            raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
+        if abs(x.imag) >= _SYM2_HEIGHT:
+            raise DomainError(f"sym2_L's AFE is certified for |Im s| < {_SYM2_HEIGHT:g}")
+    out = _sym2_L(batch, f)
+    return out if np.ndim(s) else complex(out[0])
 
 
 @lru_cache(maxsize=64)
-def _sym2_L(s: complex, f: NewformData) -> complex:
-    """L(s, sym^2 f) by the smoothed AFE (see sym2_L)."""
-    s = np.array([s])
-    return complex(_smoothed_afe(s, *_sym2_data(s, f))[0])
+def _sym2_L(s: tuple, f: NewformData) -> np.ndarray:
+    """L(s, sym^2 f) at a tuple of s by the smoothed AFE (see sym2_L), read-only."""
+    s = np.array(s, dtype=complex)
+    out = _smoothed_afe(s, *_sym2_data(s, f))
+    out.flags.writeable = False
+    return out
 
 
 def _sym2_data(s, f: NewformData):
     """sym2_L's AFE data at a 1-D array of s: g(u) = pi^{-3u/2} G((u+1)/2)
-    G((u+k-1)/2) G((u+k)/2), whose last two factors Legendre's duplication
-    folds into 2^{2-u-k} sqrt(pi) G(u+k-1); x scale 1, root number 1."""
+    G((u+k-1)/2) G((u+k)/2) of degree 3, whose last two factors Legendre's
+    duplication folds into 2^{2-u-k} sqrt(pi) G(u+k-1); x scale 1, root
+    number 1."""
 
     def log_gamma(u, w):
         z = u + w
         return (-z * (1.5 * math.log(math.pi) + math.log(2.0))
                 + _loggamma((z + 1.0) / 2.0) + _loggamma(z + (f.k - 1.0)))
 
-    length = int(math.ceil((abs(s.imag).max() + f.k + 40.0) ** 1.5 / 12.0)) + 120
-    return log_gamma, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35)
+    length = int(math.ceil((abs(s.imag).max(initial=0.0) + f.k + 40.0) ** 1.5 / 12.0)) + 120
+    return log_gamma, 3, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35)
 
 
 def selfdual_rs_L(w, f: NewformData) -> complex:

@@ -51,6 +51,7 @@ from .lseries import (
     rankin_selberg_L,
     selfdual_rs_constants,
     selfdual_rs_L,
+    sym2_L,
 )
 from .specfun import (
     DomainError,
@@ -144,6 +145,23 @@ class MomentContext:
             w, self.f, self.g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=m_max
         ).value
 
+    def _rs_L_infinity(self, s: complex) -> tuple:
+        """The infinity-class L(w, f x g~) of the point s, at
+        w = s + 1/2 + it, s + 1/2 - it, 3/2 - s - it and 3/2 - s + it, in
+        that order: the values ``main_term`` and ``main_term_breakdown``
+        both take, each into its own assembly.
+
+        When f is g at level 1 (no provider) the four sym^2 values are one
+        ``sym2_L`` batch.  Both routes pass the same tuple, so the second
+        reads the first's memo entry.  Otherwise each value is ``rs_L``.
+        """
+        it = 1j * self.t
+        ws = (s + 0.5 + it, s + 0.5 - it, 1.5 - s - it, 1.5 - s + it)
+        if self.rs_provider is None and self.f is self.g and self.N == 1:
+            sym2 = sym2_L(np.array(ws), self.f)
+            return tuple(riemann_zeta(w) * complex(v) for w, v in zip(ws, sym2))
+        return tuple(self.rs_L(None, w) for w in ws)
+
     def H0(self, ix) -> complex:
         return self.kernel.cached_H0(ix)
 
@@ -183,6 +201,7 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
     N = ctx.N
     _pole_guard(ctx, s, pole_guard)
 
+    l_plus, l_minus, l_dual_minus, l_dual_plus = ctx._rs_L_infinity(s)
     z2s = riemann_zeta(2.0 * s)
     z2ms = riemann_zeta(2.0 - 2.0 * s)
     z1p = riemann_zeta(1.0 + 2.0 * it)
@@ -197,7 +216,7 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
             (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (1 - _pp(p, -2 * s - 1 - 2 * it))
             for p in primes
         )
-        * ctx.rs_L(None, s + 0.5 + it)
+        * l_plus
         / riemann_zeta(2.0 * s + 1.0 + 2.0 * it)
     )
     term2 = (
@@ -210,12 +229,13 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
             (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
             for p in primes
         )
-        * ctx.rs_L(None, s + 0.5 - it)
+        * l_minus
         / riemann_zeta(2.0 * s + 1.0 - 2.0 * it)
     )
     # euler_poly_normalized_closed_minus carries N^{-1/2-s-it} and a factor 2
     cusp_sum = sum(
-        eisenstein.euler_poly_normalized_closed_minus(N, cusp.a, s, t) * ctx.rs_L(cusp, 1.5 - s - it)
+        eisenstein.euler_poly_normalized_closed_minus(N, cusp.a, s, t)
+        * (l_dual_minus if cusp.a == N else ctx.rs_L(cusp, 1.5 - s - it))
         for cusp in enumerate_cusps(N)
     )
     term3 = (
@@ -237,22 +257,23 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
             (1 - _pp(p, -1 - 2 * it)) * (1 - 1.0 / p) / (1 - _pp(p, -3 + 2 * s - 2 * it))
             for p in primes
         )
-        * ctx.rs_L(None, 1.5 - s + it)
+        * l_dual_plus
         / riemann_zeta(3.0 - 2.0 * s + 2.0 * it)
     )
     return complex(term1 + term2 + term3 + term4)
 
 
-def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int) -> complex:
+def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int, l_infinity: complex) -> complex:
     """sum over cusps of euler_poly(s, it; 1-s+sign*it)/prod(1-p^{1-2s+sign*2it})
-    times L_a(3/2 - s + sign*it) / zeta^(N)(3 - 2s + sign*2it)."""
+    times L_a(3/2 - s + sign*it) / zeta^(N)(3 - 2s + sign*2it), where the
+    infinity class's L_a is ``l_infinity``."""
     t = ctx.t
     N = ctx.N
     acc = 0.0 + 0.0j
     zden = arith.zeta_depleted(3.0 - 2.0 * s + sign * 2j * t, N)
     for cusp in enumerate_cusps(N):
         pnorm = eisenstein.euler_poly_normalized(N, cusp.a, s, t, sign)
-        acc += pnorm * ctx.rs_L(cusp, 1.5 - s + sign * 1j * t)
+        acc += pnorm * (l_infinity if cusp.a == N else ctx.rs_L(cusp, 1.5 - s + sign * 1j * t))
     return acc / zden
 
 
@@ -265,6 +286,7 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
     it = 1j * t
     N = ctx.N
     _pole_guard(ctx, s, pole_guard)
+    l_plus, l_minus, l_dual_minus, l_dual_plus = ctx._rs_L_infinity(s)
 
     # --- M1: the first-moment piece
     z2s = riemann_zeta(2.0 * s)
@@ -277,7 +299,7 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
             (1 - _pp(p, -2 * s)) * (1 - _pp(p, -1 - 2 * it)) / (1 - _pp(p, -2 * s - 1 - 2 * it))
             for p in primes
         )
-        * ctx.rs_L(None, s + 0.5 + it)
+        * l_plus
         * ctx.H0(0.0)
         + _pp(TWO_PI, 4.0 * it)
         * z2s
@@ -288,12 +310,12 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
             (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
             for p in primes
         )
-        * ctx.rs_L(None, s + 0.5 - it)
+        * l_minus
         * ctx.H0(-2.0 * it)
     )
 
-    s_plus = _cusp_euler_poly_sum(ctx, s, +1)
-    s_minus = _cusp_euler_poly_sum(ctx, s, -1)
+    s_plus = _cusp_euler_poly_sum(ctx, s, +1, l_dual_plus)
+    s_minus = _cusp_euler_poly_sum(ctx, s, -1, l_dual_minus)
     h0_plus = ctx.H0(-2.0 * s + 1.0)
     h0_minus = ctx.H0(-2.0 * s + 1.0 - 2.0 * it)
     z2ms = riemann_zeta(2.0 - 2.0 * s)

@@ -25,7 +25,8 @@ series) is built on the functions in this module:
   g - y and g + y only (tabulated once per lattice).
 
 All functions are pure.  Cached tables (Bernoulli numbers, Gauss-Kronrod
-nodes) are built once at import time and never mutated.  Nothing here knows
+nodes) are built once at import time and never mutated, and ``riemann_zeta``
+memoises its values in a bounded ``functools.lru_cache``.  Nothing here knows
 about primes or divisors: integer arithmetic, and every L-value with Euler
 factors removed, lives in ``arith``, which imports this module.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -327,8 +329,18 @@ def riemann_zeta(s):
 
     Near s = 1 the Stieltjes expansion takes over, which keeps values (and
     the derivative path) fully accurate right up against the pole.
+
+    Values are memoised by ``_riemann_zeta``, 1024 of them, keyed on s as a
+    Python complex: a main-term point asks for zeta(2s), zeta(1 -+ 2it) and
+    zeta(2s + 1 -+ 2it) on both of its routes.  The +0.0 and -0.0 imaginary
+    parts of a real s share one entry; their values have the same bits.
     """
-    s = complex(s)
+    return _riemann_zeta(complex(s))
+
+
+@lru_cache(maxsize=1024)
+def _riemann_zeta(s: complex) -> complex:
+    """zeta(s) (see riemann_zeta)."""
     if abs(s - 1.0) < 1e-14:
         raise PoleError("zeta pole at s = 1")
     if abs(s - 1.0) < 0.2:

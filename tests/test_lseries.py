@@ -21,12 +21,16 @@ def delta():
     return ls.delta_newform(20000)
 
 
-def _fresh_weights(scale, c, h, sigma0=2.0):
-    """``_mellin_weights`` without the contour cache: E built on every call."""
+def _fresh_weights(scale, c, h, sigma0, growth):
+    """``_mellin_weights`` without the contour cache: E built on every call,
+    on the nodes |v| <= c sqrt(2 (42 + growth)) of the full contour."""
 
     def weights(log_ratio, length):
         vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
         v = np.arange(-vmax, vmax + h, h)
+        cut = c * math.sqrt(2.0 * (42.0 + growth))
+        if cut < vmax:
+            v = v[np.abs(v) <= cut]
         w = sigma0 + 1j * v
         kern = np.exp(log_ratio(w) + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
         x = scale * np.arange(1, length + 1, dtype=float)
@@ -35,29 +39,37 @@ def _fresh_weights(scale, c, h, sigma0=2.0):
     return weights
 
 
-def _fresh_afe(s, data):
+def _fresh_afe(s, data, full=False):
     """``_smoothed_afe`` at a scalar s on an L-function's ``data``, with the
     weights of a fresh E: the first sums at u = s and 1 - s from one two-row
     weight product, each relative to g(u), or to g(1 - u) at a pole of g,
     then D(s) + root scale^{2s-1} g(1-s)/g(s) D(1-s), on the contour
-    Re w = sigma0 past max(2, Re s, 1 - Re s)."""
-    log_gamma, scale, root, coeffs, (c, h) = data
+    Re w = sigma0 past max(2, Re s, 1 - Re s), cut to the height |Im s| of
+    a degree-d gamma factor (growth (pi/4) d |Im s|), or uncut if ``full``."""
+    log_gamma, degree, scale, root, coeffs, (c, h) = data
     s = complex(s)
     sigma0 = max(2.0, math.floor(max(s.real, 1.0 - s.real)) + 1.0)
+    growth = math.inf if full else math.pi / 4.0 * degree * abs(s.imag)
     u = np.array([s, 1.0 - s])
     ref = log_gamma(u, 0.0)
     ref = np.where(np.isfinite(ref), ref, log_gamma(1.0 - u, 0.0))
     n = np.arange(1, coeffs.size + 1, dtype=float)
-    w = _fresh_weights(scale, c, h, sigma0)(lambda w: log_gamma(u[:, None], w) - ref[:, None], coeffs.size)
+    w = _fresh_weights(scale, c, h, sigma0, growth)(lambda w: log_gamma(u[:, None], w) - ref[:, None],
+                                                    coeffs.size)
     first, dual = np.sum(coeffs * np.exp(-u[:, None] * np.log(n)) * w, axis=1)
     second = root * np.exp((2.0 * s - 1.0) * math.log(scale)) * np.exp(ref[1] - ref[0]) * dual
     return complex(first + second)
 
 
+def _fresh_sym2(s, f):
+    """sym2_L at a scalar s, computed afresh past its memo (the batch of one s)."""
+    return complex(ls._sym2_L.__wrapped__((complex(s),), f)[0])
+
+
 def _other_contour(s, data, f, c, h):
     """The AFE on ``data(s, f)`` with its contour's (c, h) replaced: a second smoothing."""
-    log_gamma, scale, root, coeffs, _ = data(s, f)
-    return ls._smoothed_afe(s, log_gamma, scale, root, coeffs, (c, h))
+    log_gamma, degree, scale, root, coeffs, _ = data(s, f)
+    return ls._smoothed_afe(s, log_gamma, degree, scale, root, coeffs, (c, h))
 
 
 def _first_plus_dual(s, f):
@@ -69,10 +81,11 @@ def _first_plus_dual(s, f):
     log_n = np.log(np.arange(1, length + 1, dtype=float))
     A = f.A(length)
     col = s[:, None]
+    growth = math.pi / 2.0 * np.max(np.abs(s.imag))  # degree 2, at the batch's height
     w1 = ls._mellin_weights(lambda w: _loggamma(col + a0 + w) - _loggamma(col + a0), 2.0 * math.pi, length,
-                            3.0, 0.4, 2.0)
+                            3.0, 0.4, 2.0, growth)
     w2 = ls._mellin_weights(lambda w: _loggamma(1.0 - col + a0 + w) - _loggamma(1.0 - col + a0),
-                            2.0 * math.pi, length, 3.0, 0.4, 2.0)
+                            2.0 * math.pi, length, 3.0, 0.4, 2.0, growth)
     first = np.sum(A * np.exp(-col * log_n) * w1, axis=1)
     dual = np.sum(A * np.exp((col - 1.0) * log_n) * w2, axis=1)
     gr = np.exp(_loggamma(1.0 - s + a0) - _loggamma(s + a0))
@@ -551,7 +564,7 @@ class TestTwoSmoothings:
         # measured alone: 4.3e-14 at Im s = 5.4, 8.6e-13 at 20.4, 8.8e-12 at
         # 39.6; in this batch, whose sum length is set by its top, 1.0e-10 at -35.1
         (ls._holo_data, (2.5, 0.35), 0.5 + 1j * np.arange(-39.6, 40.0, 1.5)),
-        # alone: 1.3e-14 at 5.4, 4.5e-12 at 10.4, 1.4e-10 at 15.3; in this batch 7.2e-12
+        # alone: 1.3e-14 at 5.4, 5.5e-12 at 10.4, 1.3e-10 at 15.3; in this batch 7.3e-12
         (ls._sym2_data, (3.5, 0.3), 0.5 + 1j * np.arange(-14.0, 14.1, 0.7)),
         pytest.param(ls._sym2_data, (3.5, 0.3), np.array([0.5 + 40.37j]), marks=pytest.mark.xfail(
             strict=True, reason="sym2_L's two smoothings differ by 2.5e-3 here, and it returns "
@@ -566,9 +579,9 @@ class TestTwoSmoothings:
         # the negative control: with -i^k in place of i^k the two smoothings
         # of holo_L's data differ by 0.017 to 15 relative at these points
         s = 0.5 + 1j * np.arange(-39.6, 40.0, 1.5)
-        log_gamma, scale, root, coeffs, contour = ls._holo_data(s, delta)
-        one = ls._smoothed_afe(s, log_gamma, scale, -root, coeffs, contour)
-        other = ls._smoothed_afe(s, log_gamma, scale, -root, coeffs, (2.5, 0.35))
+        log_gamma, degree, scale, root, coeffs, contour = ls._holo_data(s, delta)
+        one = ls._smoothed_afe(s, log_gamma, degree, scale, -root, coeffs, contour)
+        other = ls._smoothed_afe(s, log_gamma, degree, scale, -root, coeffs, (2.5, 0.35))
         assert np.all(np.abs(one - other) > 1e-3 * np.abs(one))
 
 
@@ -585,7 +598,7 @@ class TestSym2:
         # (4, 0.35); this also shows the contour cache keys on (c, h)
         for s in (1.37, 1.0, 0.5 + 2j, 0.5 + 0.3j, 1.1 - 3.5j):
             v = ls.sym2_L(s, delta)
-            assert ls._sym2_L.__wrapped__(complex(s), delta) == v  # deterministic
+            assert _fresh_sym2(s, delta) == v  # deterministic
             for c, h in ((3.5, 0.3), (3.0, 0.25)):
                 other = _other_contour(np.array([complex(s)]), ls._sym2_data, delta, c, h)[0]
                 assert abs(other - v) < 1e-12 * abs(v), (s, c, h)
@@ -605,7 +618,7 @@ class TestSym2:
         assert ls.sym2_L(1.37, delta) == v_delta
 
     def test_values_memoised_per_form_and_exact_s(self, delta):
-        fresh = ls._sym2_L.__wrapped__
+        fresh = _fresh_sym2
         ls._sym2_L.cache_clear()
         s = 0.5 + 2.3j
         first = ls.sym2_L(s, delta)
@@ -637,7 +650,7 @@ class TestSym2:
             ls.sym2_L(0.5 + 0.05j * j, delta)
         assert ls._sym2_L.cache_info().currsize == 64
         s = 0.5 + 0.05j * 79
-        assert ls.sym2_L(s, delta) == ls._sym2_L.__wrapped__(s, delta)
+        assert ls.sym2_L(s, delta) == _fresh_sym2(s, delta)
 
     def test_laurent_constants_cached_read_only(self, delta, monkeypatch):
         ls.selfdual_rs_constants.cache_clear()
@@ -666,9 +679,9 @@ class TestSym2:
         assert np.all(np.abs(np.exp(two - three) - 1.0) < 1e-13)
         for s in (1.0, 0.5 + 2j, 1.37, -0.5 + 1j, 1.9 - 4j):
             s_ = np.array([complex(s)])
-            _, scale, root, coeffs, contour = ls._sym2_data(s_, delta)
+            _, degree, scale, root, coeffs, contour = ls._sym2_data(s_, delta)
             three = lambda u, w: _sym2_log_gamma_three(u + w, 12)  # noqa: E731
-            v3 = ls._smoothed_afe(s_, three, scale, root, coeffs, contour)[0]
+            v3 = ls._smoothed_afe(s_, three, degree, scale, root, coeffs, contour)[0]
             assert abs(ls.sym2_L(s, delta) - v3) < 1e-13 * abs(v3), s
 
     def test_right_of_the_strip_against_direct_series(self, delta):
@@ -706,7 +719,9 @@ class TestSym2:
 
     def test_domain(self, delta):
         assert ls.sym2_L(-1.0, delta) == 0.0  # the gamma factor's pole: a trivial zero
-        for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j):
+        ls.sym2_L(0.5 + 18.7j, delta)
+        # the two smoothings first differ by more than 1e-8 at 1/2 + 18.8i
+        for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j, 0.5 + 18.8j, 1.0 - 25j, 0.5 + 40.37j):
             with pytest.raises(DomainError):
                 ls.sym2_L(s, delta)
 
@@ -718,6 +733,85 @@ class TestSym2:
         regular = [ls.selfdual_rs_L(1.0 + x, delta) - c["residue"] / x for x in xs]
         c0 = extrapolate_to_zero(xs, regular)
         assert abs(c0 - c["finite_part"]) < 5e-3 * c["residue"]
+
+
+class TestSym2Batch:
+    def test_main_term_batches_match_scalar_calls(self, delta):
+        # the four infinity-class arguments of a main-term point, at the
+        # bench's heights: measured at most 7e-16 apart
+        rng = np.random.default_rng(8)
+        for tau, t in zip(rng.uniform(-2.4, 2.4, 12), rng.uniform(0.3, 1.7, 12)):
+            s, it = complex(0.5, tau), 1j * t
+            ws = np.array([s + 0.5 + it, s + 0.5 - it, 1.5 - s - it, 1.5 - s + it])
+            for w, b in zip(ws, ls.sym2_L(ws, delta)):
+                v = ls.sym2_L(w, delta)
+                assert abs(b - v) <= 1e-14 * abs(v), w
+
+    def test_any_batch_matches_scalar_calls(self, delta):
+        # a batch shares one sum length, set by its height, so a value moves
+        # by the AFE's roundoff (measured 1.9e-13 at -0.75 + 0.02i, |L| = 0.09)
+        rng = np.random.default_rng(9)
+        for _ in range(6):
+            s = rng.uniform(-0.9, 1.9, 6) + 1j * rng.uniform(-4.2, 4.2, 6)
+            for w, b in zip(s, ls.sym2_L(s, delta)):
+                v = ls.sym2_L(w, delta)
+                assert abs(b - v) <= 1e-12 * abs(v), w
+
+    def test_batch_is_one_read_only_memo_entry(self, delta):
+        ls._sym2_L.cache_clear()
+        s = np.array([1.2 + 0.7j, 0.3 - 2.1j, 1.2 + 0.7j])
+        first = ls.sym2_L(s, delta)
+        assert not first.flags.writeable
+        assert first[0] == first[2]
+        assert ls.sym2_L(list(s), delta) is first  # the same tuple of s: a hit
+        assert ls._sym2_L.cache_info()[:2] == (1, 1)
+        assert ls.sym2_L(np.array([], dtype=complex), delta).shape == (0,)
+        with pytest.raises(DomainError):
+            ls.sym2_L(np.full((2, 2), 0.5 + 1j), delta)
+        for bad in (4.5, 0.5 - 19j):  # one s outside the domain fails the batch
+            with pytest.raises(DomainError):
+                ls.sym2_L(np.array([0.5 + 1j, bad]), delta)
+
+
+class TestContourCut:
+    @pytest.mark.parametrize("data, height, tol", [
+        # measured at Re s = 0.2, 1/2, 1: holo at most 1.7e-15 (10i) and 0
+        # from 20i; sym2 6.6e-16 (0), 4.3e-16 (4i), 2.5e-13 (10i), 9.1e-10
+        # (20i) and 1.9e-4 (40i), each below its two-smoothing spread
+        (ls._holo_data, 0.0, 1e-14), (ls._holo_data, 4.0, 1e-14), (ls._holo_data, 10.0, 1e-14),
+        (ls._holo_data, 20.0, 1e-14), (ls._holo_data, 40.0, 1e-14),
+        (ls._sym2_data, 0.0, 1e-14), (ls._sym2_data, 4.0, 1e-14), (ls._sym2_data, 10.0, 1e-12),
+        (ls._sym2_data, 20.0, 5e-9), (ls._sym2_data, 40.0, 1e-3),
+    ], ids=lambda p: getattr(p, "__name__", p))
+    def test_cut_matches_full_contour(self, delta, data, height, tol):
+        for re in (0.2, 0.5, 1.0):
+            s = complex(re, height)
+            cut = ls._smoothed_afe(np.array([s]), *data(np.array([s]), delta))[0]
+            full = _fresh_afe(s, data(np.array([s]), delta), full=True)
+            assert abs(cut - full) <= tol * abs(full), s
+
+    def test_rows_follow_the_batch_height(self, delta):
+        # c sqrt(2 (42 + (pi/4) d H)) against the contour's vmax: sym^2
+        # (c = 4, d = 3) keeps 232 of its 399 nodes at the main term's
+        # H = 4.1, and holo_L (c = 3, d = 2) all of them from H = 45.1 on
+        seen = []
+
+        def rows(data, s):
+            log_gamma, degree, scale, root, coeffs, contour = data(s, delta)
+
+            def recording(u, w):
+                seen.append(np.size(w))
+                return log_gamma(u, w)
+
+            seen.clear()
+            ls._smoothed_afe(s, recording, degree, scale, root, coeffs, contour)
+            return max(seen)
+
+        assert rows(ls._sym2_data, np.array([1.0 + 4.1j])) == 232
+        assert rows(ls._sym2_data, np.array([1.0 + 4.1j, 0.2 - 300j])) == 399
+        full = rows(ls._holo_data, np.array([0.5 + 100j]))
+        assert rows(ls._holo_data, np.array([0.5 + 45.2j])) == full
+        assert rows(ls._holo_data, np.array([0.5 + 44.9j])) < full
 
 
 class TestCurlyLEisenstein:

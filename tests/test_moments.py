@@ -164,6 +164,37 @@ class TestMainTerm:
         assert abs(full - simple) < 1e-8 * abs(full)
 
 
+class TestInfinityBatch:
+    """At level 1 with f = g a point's four sym^2 values are one batch, which
+    main_term and main_term_breakdown both read; their assemblies stay apart."""
+
+    def test_one_weight_product_per_point(self, delta, monkeypatch):
+        calls = []
+        weights = ls._mellin_weights
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return weights(*args, **kwargs)
+
+        monkeypatch.setattr(ls, "_mellin_weights", counting)
+        ls._sym2_L.cache_clear()
+        ctx = delta_ctx(0.5 + 0.83j, 0.61, delta_form=delta)
+        mo.main_term(ctx)
+        assert len(calls) == 1  # four distinct u, closed under u -> 1 - u: one block
+        mo.main_term_breakdown(ctx)
+        assert len(calls) == 1
+
+    def test_main_term_bits_do_not_depend_on_the_breakdown(self, delta):
+        ctx = delta_ctx(0.5 - 1.37j, 0.94, delta_form=delta)
+        ls._sym2_L.cache_clear()
+        alone = mo.main_term(ctx)
+        ls._sym2_L.cache_clear()
+        mo.main_term_breakdown(ctx)
+        after = mo.main_term(ctx)
+        assert (alone.real.hex(), alone.imag.hex()) == (after.real.hex(), after.imag.hex())
+        assert abs(alone - mo.main_term_breakdown(ctx).assembled) < 1e-9 * abs(alone)
+
+
 class TestSpecialized:
     def test_fneq_agrees_with_generic(self):
         for t in (0.7, 1.3):

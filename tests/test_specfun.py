@@ -215,6 +215,36 @@ class TestZeta:
             )
 
 
+class TestZetaMemo:
+    def test_signed_zero_imaginary_parts_have_the_same_bits(self):
+        # the memo keys on s as a Python complex, where x + 0.0j == x - 0.0j;
+        # both sides of the functional equation and the pole's neighbourhood
+        fresh = sf._riemann_zeta.__wrapped__
+        for x in (-12.5, -3.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.1, 1.19, 2.0, 3.7, 25.0):
+            plus, minus = fresh(complex(x, 0.0)), fresh(complex(x, -0.0))
+            assert (plus.real.hex(), plus.imag.hex()) == (minus.real.hex(), minus.imag.hex()), x
+
+    def test_counts_hits_and_misses(self):
+        sf._riemann_zeta.cache_clear()
+        s = 0.5 + 14.134725j
+        first = sf.riemann_zeta(s)
+        assert sf._riemann_zeta.cache_info()[:2] == (0, 1)
+        assert sf.riemann_zeta(s) == first == sf._riemann_zeta.__wrapped__(s)
+        assert sf.riemann_zeta(np.complex128(s)) == first
+        assert sf._riemann_zeta.cache_info()[:2] == (2, 1)
+        # the functional-equation branch fills a second entry for zeta(1 - s)
+        sf.riemann_zeta(-2.5 + 1j)
+        info = sf._riemann_zeta.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+
+    def test_memo_stays_bounded(self):
+        maxsize = sf._riemann_zeta.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 4096
+        for j in range(maxsize + 50):
+            sf.riemann_zeta(2.0 + 0.01j * j)
+        assert sf._riemann_zeta.cache_info().currsize == maxsize
+
+
 class TestDirichletL:
     def test_modulus_one_reduces_to_zeta(self):
         chi = ar.characters_mod(1)[0]
