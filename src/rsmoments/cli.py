@@ -104,13 +104,13 @@ def cmd_tau(args) -> int:
     return 0
 
 
-def _kernel_ctx(args) -> KernelContext:
+def _kernel_ctx(args, k: int) -> KernelContext:
     p = TestFunctionParams(T=args.T, alpha=args.alpha, R=args.R)
-    return KernelContext(p, t=args.t, k=args.k)
+    return KernelContext(p, t=args.t, k=k)
 
 
 def cmd_h0(args) -> int:
-    ctx = _kernel_ctx(args)
+    ctx = _kernel_ctx(args, args.k)
     rows = []
     for x in args.x:
         val = H0(1j * x, ctx)
@@ -128,45 +128,39 @@ def cmd_h0(args) -> int:
 
 
 def _forms(args) -> tuple:
-    """(f, g) from --newform and --newform-g; g is f when --newform-g is unset or the same."""
+    """(f, g) from --newform and --newform-g; g is f when --newform-g is unset."""
     f = _load_form(args.newform, args.horizon)
-    g = f if args.newform_g in (None, args.newform) else _load_form(args.newform_g, args.horizon)
+    g = f if args.newform_g is None else _load_form(args.newform_g, args.horizon)
     return f, g
 
 
 def _moment_ctx(args, s=None) -> moments.MomentContext:
+    """The context of the named forms, with a kernel of their weight."""
     f, g = _forms(args)
-    cusp_data = None
-    if args.cusp_data:
-        cusp_data = {}
-        for path in args.cusp_data:
-            ce = lseries.load_cusp_expansion(_resolve(path))
-            cusp_data.setdefault((ce.cusp.a, ce.cusp.c), (ce, ce))
-    ker = _kernel_ctx(args)
-    return moments.MomentContext(
-        t=args.t, f=f, g=g, N=args.N, kernel=ker, s=s, cusp_data=cusp_data
-    )
+    return moments.MomentContext(t=args.t, f=f, g=g, N=args.N, kernel=_kernel_ctx(args, f.k), s=s)
 
 
 def cmd_main_term(args) -> int:
-    s = complex(0.5, args.s_im) if args.s_im is not None else complex(0.5 - 1j * args.tprime_sign * args.t)
     if args.which == "generic":
+        s = complex(0.5, args.s_im)
         ctx = _moment_ctx(args, s=s)
         val = moments.main_term(ctx)
     else:
+        # the displays sit at s = 1/2 - it (*_minus) and 1/2 + it (*_plus)
+        s = complex(0.5, args.t if args.which.endswith("_plus") else -args.t)
         ctx = _moment_ctx(args, s=None)
         val = moments.main_term_specialized(ctx, args.which)
     _write_rows(
         args,
-        ["N", "T", "alpha", "t", "tprime_sign", "k", "which", "s_re", "s_im", "M_re", "M_im"],
-        [[args.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), args.tprime_sign, args.k,
+        ["N", "T", "alpha", "t", "k", "which", "s_re", "s_im", "M_re", "M_im"],
+        [[args.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), ctx.k,
           args.which, *_fmt_pair(s), *_fmt_pair(val)]],
     )
     return 0
 
 
 def cmd_breakdown(args) -> int:
-    s = complex(0.5, args.s_im if args.s_im is not None else 0.9)
+    s = complex(0.5, args.s_im)
     ctx = _moment_ctx(args, s=s)
     bd = moments.main_term_breakdown(ctx)
     total = moments.main_term(ctx)
@@ -224,7 +218,7 @@ def cmd_moment_table(args) -> int:
 
         def builder(t, kp=kp):
             return moments.MomentContext(
-                t=t, f=f, g=f, N=args.N, kernel=KernelContext(kp, t=t, k=args.k), s=None
+                t=t, f=f, g=f, N=args.N, kernel=KernelContext(kp, t=t, k=f.k), s=None
             )
 
         val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
@@ -277,36 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-height", type=int, default=800)
     p.set_defaults(func=cmd_tau)
 
-    def add_kernel_args(p, with_t=True):
+    def add_kernel_args(p):
         p.add_argument("--T", type=float, required=True)
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--R", type=float, default=1.0)
-        p.add_argument("--k", type=int, default=12)
-        if with_t:
-            p.add_argument("--t", type=float, default=0.0)
+        p.add_argument("--t", type=float, default=0.0)
 
     p = sub.add_parser("h0", help="the gamma-ratio kernel H0(ix)")
     add_kernel_args(p)
+    p.add_argument("--k", type=int, default=12)
     p.add_argument("--x", type=float, nargs="+", default=[0.0])
     p.set_defaults(func=cmd_h0)
 
-    def add_form_args(p, with_g=True, with_cusp_data=False):
+    def add_form_args(p, with_g=True):
         p.add_argument("--N", type=int, default=1)
         p.add_argument("--newform", default="builtin:delta")
         if with_g:
             p.add_argument("--newform-g", default=None)
-        if with_cusp_data:
-            p.add_argument("--cusp-data", nargs="*", default=None)
         p.add_argument("--horizon", type=int, default=20000)
 
     def add_moment_args(p):
         add_kernel_args(p)
-        add_form_args(p, with_cusp_data=True)
-        p.add_argument("--tprime-sign", type=int, choices=[1, -1], default=1)
+        add_form_args(p)
 
     p = sub.add_parser("main-term", help="the main term at s = 1/2 + i s_im or a specialised display")
     add_moment_args(p)
-    p.add_argument("--s-im", type=float, default=None)
+    p.add_argument("--s-im", type=float, default=None, help="required by --which generic")
     p.add_argument(
         "--which",
         choices=["generic", "fneq_minus", "fneq_plus", "feq_minus", "feq_plus"],
@@ -321,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuous", help="the continuous-spectrum integral (level 1)")
     add_moment_args(p)
+    p.add_argument("--tprime-sign", type=int, choices=[1, -1], default=1)
     p.add_argument("--points-per-unit", type=float, default=2.0)
     p.set_defaults(func=cmd_continuous)
 
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_form_args(p, with_g=False)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=12)
     p.add_argument("--T-grid", type=float, nargs="+", default=[100.0, 200.0, 400.0, 800.0])
     p.set_defaults(func=cmd_moment_table)
 
@@ -355,9 +345,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "horizon", 1) < 1:
         ap.error("--horizon must be at least 1")
-    if getattr(args, "cusp_data", None) and args.newform_g not in (None, args.newform):
-        ap.error("--cusp-data pairs each expansion with itself, so --newform-g must be unset "
-                 "or equal to --newform")
+    if args.command == "main-term" and (args.which == "generic") != (args.s_im is not None):
+        ap.error("--s-im is required by --which generic; a display's s is 1/2 -+ it")
     try:
         return args.func(args)
     except Exception as exc:  # deterministic machine-readable failure

@@ -529,8 +529,8 @@ def euler_poly(N: int, a: int, s, t, z) -> complex:
     pref = (
         2.0
         * _pp(N, -2j * t) / rad
-        * complex((N / g) ** (-0.5 + z))
-        * complex(a ** (-s + 0.5 + 1j * t))
+        * _pp(N / g, -0.5 + z)
+        * _pp(a, -s + 0.5 + 1j * t)
         / euler_phi(g)
     )
     out = pref

@@ -8,13 +8,14 @@ Data types
   12 from exact eta-power arithmetic.
 * :class:`MaassFormData` -- spectral parameter, Hecke eigenvalues, lift
   coefficients of an oldform living above an inner level L | N.
-* :class:`CuspExpansionData` -- ingested Fourier coefficients of f at a cusp
-  (the package never derives these symbolically).
 
 Evaluators
 ----------
-* ``rankin_selberg_L`` -- truncated Dirichlet series with a divisor-bound
-  tail certificate (direct region Re s > 1).
+* ``rankin_selberg_L`` -- the infinity-class truncated Dirichlet series with
+  a divisor-bound tail certificate (direct region Re s > 1).  The main term
+  takes L(w, f x g~) on and left of Re w = 1, so it does not use it: its
+  two sources are a caller's provider and, for f = g at level 1,
+  ``selfdual_rs_L`` = zeta(w) L(w, sym^2 f).
 * ``_smoothed_afe`` -- the one smoothed approximate functional equation.
   An L-function is data (log gamma factor, x scale, root number,
   coefficients, contour); its first sums carry the Mellin weights
@@ -74,10 +75,8 @@ __all__ = [
     "InsufficientCoefficientsError",
     "NewformData",
     "MaassFormData",
-    "CuspExpansionData",
     "load_newform",
     "load_maass_form",
-    "load_cusp_expansion",
     "delta_newform",
     "divisor_model_newform",
     "synthetic_maass_form",
@@ -211,23 +210,6 @@ class MaassFormData:
         return out
 
 
-@dataclass
-class CuspExpansionData:
-    """Ingested Fourier coefficients of f | sigma_a at the cusp 1/(c a).
-
-    ``coeffs`` is a private read-only copy of the input.
-    """
-
-    cusp: CuspLabel
-    coeffs: np.ndarray  # complex, index n-1
-
-    def __post_init__(self):
-        self.coeffs = np.array(self.coeffs, dtype=complex)
-        self.coeffs.flags.writeable = False
-        if self.coeffs.size < 1:
-            raise InvariantViolation("cusp expansion needs at least one coefficient")
-
-
 def _indexed_lines(fh, M: int) -> list:
     """The fields after n of the ``n value...`` lines left in ``fh``, in
     index order.  Each n in 1..M must appear exactly once."""
@@ -272,18 +254,6 @@ def load_maass_form(path) -> MaassFormData:
         rho1, lifts = second[0], dict(zip(ds, second[1:]))
         lam = np.array([float(v) for (v,) in _indexed_lines(fh, M)])
     return MaassFormData(N=N, L=L, r=r, parity=eps, lam=lam, rho1=rho1, lifts=lifts)
-
-
-def load_cusp_expansion(path) -> CuspExpansionData:
-    """Line 1 ``N a c M``, then M lines ``n re im``."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 4:
-            raise InvariantViolation("header must be 'N a c M'")
-        N, a, c, M = map(int, head)
-        rows = _indexed_lines(fh, M)
-    coeffs = np.array([complex(float(re), float(im)) for re, im in rows], dtype=complex)
-    return CuspExpansionData(CuspLabel(N, a, c), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +392,10 @@ def rankin_selberg_tail(sigma: float, m_from: int) -> float:
     return m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
 
 
-def rankin_selberg_L(
-    s,
-    f: NewformData,
-    g: NewformData,
-    cusp: CuspLabel | None = None,
-    fcusp: CuspExpansionData | None = None,
-    gcusp: CuspExpansionData | None = None,
-    m_max: int | None = None,
-) -> ValueWithError:
-    """L_a(s, f x g~) = zeta^(N)(2s) sum a_a(n) conj(b_a(n)) n^{-k+1-s}, truncated.
-
-    At the infinity-class cusp (``cusp`` None or a = N) the newform
-    coefficients are used directly; otherwise both ingested cusp expansions
-    are required.  The reported error is a divisor-bound tail certificate.
+def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None) -> ValueWithError:
+    """L(s, f x g~) = zeta^(N)(2s) sum a(n) conj(b(n)) n^{-k+1-s} at the
+    infinity class, truncated.  The reported error is a divisor-bound tail
+    certificate.
     """
     s = complex(s)
     if f.N != g.N or f.k != g.k:
@@ -443,21 +403,15 @@ def rankin_selberg_L(
     N, k = f.N, f.k
     if s.real <= 1.0:
         raise DomainError("rankin_selberg_L direct summation needs Re s > 1")
-    if cusp is None or cusp.a == N:
-        fa, ga = f.a, g.a
-    else:
-        if fcusp is None or gcusp is None or fcusp.cusp != cusp or gcusp.cusp != cusp:
-            raise DomainError("cusp expansions for this cusp must be supplied")
-        fa, ga = fcusp.coeffs, gcusp.coeffs
-    m_cap = min(fa.size, ga.size)
+    m_cap = min(f.M, g.M)
     if m_max is not None:
         if m_max > m_cap:
             raise InsufficientCoefficientsError(m_max)
         m_cap = m_max
     n = np.arange(1, m_cap + 1, dtype=float)
     norm = n ** (-(k - 1) / 2.0)
-    an = fa[:m_cap] * norm
-    bn = ga[:m_cap] * norm
+    an = f.a[:m_cap] * norm
+    bn = g.a[:m_cap] * norm
     series = complex(np.sum(an * np.conj(bn) * np.exp(-s * np.log(n))))
     zN = arith.zeta_depleted(2.0 * s, N)
     tail = abs(zN) * rankin_selberg_tail(s.real, m_cap)

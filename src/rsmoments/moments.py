@@ -14,11 +14,11 @@ with Euler products P* over p | N, each written where it is used, the cusp
 factor E_a = 2 N^{-1/2-s-it} (a/g)^{-s+3/2-it} prod(...) of
 ``eisenstein.euler_poly_normalized_closed_minus``, the depleted zeta
 z^(N) = ``arith.zeta_depleted``, and every complex power b^x from
-``arith._pp``.  All Rankin-Selberg values L_a(w, f x g~) are
-supplied by the context (truncated direct sums, the accurate self-dual
-zeta * sym^2 route at level 1, or a closed-form provider for synthetic
-divisor-model data -- the assembly identities are linear in each L-value, so
-any consistent provider exercises them).
+``arith._pp``.  The Rankin-Selberg values L_a(w, f x g~), taken on and
+left of Re w = 1, come from one of two sources: the context's
+``rs_provider`` (a closed form for synthetic divisor-model data -- the
+assembly identities are linear in each L-value, so any consistent provider
+exercises them), or zeta(w) L(w, sym^2 f) when f = g at level 1.
 
 An independent second path assembles the same quantity from its three
 construction pieces M1 + M_Omega^+ + M_Omega^-, each transcribed from its
@@ -48,7 +48,6 @@ from .lseries import (
     InsufficientCoefficientsError,
     NewformData,
     holo_L,
-    rankin_selberg_L,
     selfdual_rs_constants,
     selfdual_rs_L,
     sym2_L,
@@ -70,7 +69,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "MissingCuspDataError",
     "MomentContext",
     "MainTermBreakdown",
     "main_term",
@@ -86,21 +84,18 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-RS_M_MAX = 100_000  # cap on the terms of a truncated Rankin-Selberg sum
-
-
-class MissingCuspDataError(RuntimeError):
-    """A composite-level cusp term needs ingested expansion data."""
 
 
 @dataclass
 class MomentContext:
     """Everything a main-term evaluation needs.
 
-    ``rs_provider(cusp, w)`` overrides every Rankin-Selberg value (cusp is
-    None for the infinity class); without it, infinity-class values use the
-    accurate zeta * sym^2 route when f is g at level 1, and truncated direct
-    sums otherwise (which require Re w > 1).
+    L(w, f x g~) has two sources.  ``rs_provider(cusp, w)``, when given,
+    supplies every value (cusp is None for the infinity class).  Without
+    it, f = g at level 1 takes zeta(w) L(w, sym^2 f); any other context
+    raises :class:`DomainError`.  f = g is decided once, by
+    :class:`NewformData` equality (level, weight and coefficient digest).
+    The kernel's weight and t are the form's and the context's.
     """
 
     t: float
@@ -109,7 +104,6 @@ class MomentContext:
     N: int
     kernel: KernelContext
     s: complex | None = None
-    cusp_data: dict | None = None  # (a, c) -> (CuspExpansionData f, ... g)
     rs_provider: Callable | None = None
 
     def __post_init__(self):
@@ -117,10 +111,21 @@ class MomentContext:
             raise ValueError("forms must live at the context level")
         if self.f.k != self.g.k:
             raise ValueError("forms must share a weight")
+        if self.kernel.k != self.f.k or self.kernel.t != self.t:
+            raise ValueError("the kernel must take the forms' weight and the context's t")
 
     @property
     def k(self) -> int:
         return self.kernel.k
+
+    @property
+    def f_eq_g(self) -> bool:
+        """f = g: the rule of the f = g poles, displays and L-value route."""
+        return self.f == self.g
+
+    @property
+    def _sym2_route(self) -> bool:
+        return self.rs_provider is None and self.N == 1 and self.f_eq_g
 
     def rs_L(self, cusp: CuspLabel | None, w) -> complex:
         """L_a(w, f x g~) at ``cusp``.  None and a cusp with a = N both name
@@ -130,20 +135,10 @@ class MomentContext:
             cusp = None  # the infinity class
         if self.rs_provider is not None:
             return complex(self.rs_provider(cusp, w))
-        if cusp is None:
-            if self.f is self.g and self.N == 1:
-                return selfdual_rs_L(w, self.f)
-            m_max = min(RS_M_MAX, self.f.M, self.g.M)
-            return rankin_selberg_L(w, self.f, self.g, m_max=m_max).value
-        if not self.cusp_data or (cusp.a, cusp.c) not in self.cusp_data:
-            raise MissingCuspDataError(
-                f"no expansion data for cusp a={cusp.a}, c={cusp.c} at level {self.N}"
-            )
-        fc, gc = self.cusp_data[(cusp.a, cusp.c)]
-        m_max = min(RS_M_MAX, fc.coeffs.size, gc.coeffs.size)
-        return rankin_selberg_L(
-            w, self.f, self.g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=m_max
-        ).value
+        if self._sym2_route:  # level 1 has only the infinity class
+            return selfdual_rs_L(w, self.f)
+        raise DomainError(f"L(w, f x g~) at level {self.N} needs an rs_provider: "
+                          "only f = g at level 1 has its own route")
 
     def _rs_L_infinity(self, s: complex) -> tuple:
         """The infinity-class L(w, f x g~) of the point s, at
@@ -151,13 +146,13 @@ class MomentContext:
         that order: the values ``main_term`` and ``main_term_breakdown``
         both take, each into its own assembly.
 
-        When f is g at level 1 (no provider) the four sym^2 values are one
+        When f = g at level 1 (no provider) the four sym^2 values are one
         ``sym2_L`` batch.  Both routes pass the same tuple, so the second
         reads the first's memo entry.  Otherwise each value is ``rs_L``.
         """
         it = 1j * self.t
         ws = (s + 0.5 + it, s + 0.5 - it, 1.5 - s - it, 1.5 - s + it)
-        if self.rs_provider is None and self.f is self.g and self.N == 1:
+        if self._sym2_route:
             sym2 = sym2_L(np.array(ws), self.f)
             return tuple(riemann_zeta(w) * complex(v) for w, v in zip(ws, sym2))
         return tuple(self.rs_L(None, w) for w in ws)
@@ -182,7 +177,7 @@ class MainTermBreakdown:
 def _pole_guard(ctx: MomentContext, s: complex, guard: float):
     if abs(s - 0.5) < guard:
         raise PoleError("main term: zeta(2s) pole at s = 1/2; use the limit path")
-    if ctx.f is ctx.g or ctx.f.label == ctx.g.label != "":
+    if ctx.f_eq_g:
         for sgn in (+1.0, -1.0):
             if abs(s - (0.5 + sgn * 1j * ctx.t)) < guard:
                 raise PoleError(
@@ -410,7 +405,8 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     displays take the residue R and the finite part c0 of
     L(1 + x, f x f~) = R/x + c0 + O(x), which is what the generic-path
     limit reproduces; ``selfdual_rs_constants`` gives them for level 1 and
-    raises :class:`DomainError` at any other level.
+    raises :class:`DomainError` at any other level, as these displays do
+    for f != g.
     """
     if which not in _DISPLAYS:
         raise DomainError(f"unknown specialisation {which!r}")
@@ -455,6 +451,8 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
         u2, u3 = _plus_tail_terms(ctx, it, zp, zm)
         return complex(u1 + u2 + u3)
 
+    if not ctx.f_eq_g:
+        raise DomainError(f"{which} is the f = g display; f and g differ")
     consts = selfdual_rs_constants(ctx.f)
     res = consts["residue"]
     c0 = consts["finite_part"]
@@ -666,7 +664,7 @@ def continuous_part(
         # Realness stays a real check: L(conj u) takes D(conj u) and
         # D(1 - conj u), each its own sum, and these are the conjugates of
         # L(u)'s two sums only up to roundoff
-        if ctx.f is ctx.g:
+        if ctx.f_eq_g:
             lf1, lf2, lg1, lg2 = holo_L(np.concatenate([f_side, g_side]), ctx.f, method="afe").reshape(4, -1)
         else:
             lf1, lf2 = holo_L(f_side, ctx.f, method="afe").reshape(2, -1)
@@ -676,8 +674,7 @@ def continuous_part(
         out[live] = h_eval(r, p) * lf1 * lf2 * lg1 * lg2 / (math.pi * (z.real * z.real + z.imag * z.imag))
         return out
 
-    w = 12.0 * p.bump_width
-    hi = p.T + w
+    hi = p.window()[1]
     # fixed composite GK15 panels on [0, hi], mirrored for the full line so
     # that half-line x 2 versus full-line compares the same node layout
     n_panels = max(8, int(math.ceil(hi * points_per_unit / 4.0)))
@@ -774,9 +771,8 @@ def first_moment_pieces(
         * n ** (-0.5 + it)
         * ctx.H0(-2.0 * it)
     )
-    p = ctx.kernel.params
-    wwin = 12.0 * p.bump_width
-    window = (-(p.T + wwin), p.T + wwin)
+    hi = ctx.kernel.params.window()[1]
+    window = (-hi, hi)
     l_minus = _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window)
     l_plus = _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window)
     return complex(m_piece), l_minus, l_plus

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -115,20 +117,6 @@ class TestErrors:
         payload = json.loads(err)
         assert "error" in payload and "message" in payload
 
-    def test_cusp_data_with_other_newform_g_rejected(self, capsys, tmp_path):
-        # each ingested expansion stands for both f and g, so a different g
-        # would be computed with f's cusp data
-        form = tmp_path / "g.txt"
-        form.write_text("4 12 2\n1 1\n2 -24\n")
-        cusp = tmp_path / "cusp.txt"
-        cusp.write_text("4 2 1 3\n1 1.0 0.0\n2 -0.5 0.25\n3 0.125 0.0\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["main-term", "--T", "40", "--alpha", "0.5", "--N", "4",
-                      "--newform-g", str(form), "--cusp-data", str(cusp)])
-        assert exc.value.code == 2
-        assert "--cusp-data" in capsys.readouterr().err
-
-
     @pytest.mark.parametrize(
         "command",
         [["main-term", "--T", "40", "--alpha", "0.5"], ["breakdown", "--T", "40", "--alpha", "0.5"],
@@ -139,6 +127,25 @@ class TestErrors:
             cli.main(command + ["--horizon", "0"])
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
+
+
+class TestMainTermCommand:
+    @pytest.mark.parametrize("which, sign", [("feq_minus", -1), ("feq_plus", 1)])
+    def test_display_writes_its_point(self, capsys, which, sign):
+        # a display's s is 1/2 - it (*_minus) or 1/2 + it (*_plus)
+        code, out, _ = run_cli(["main-term", "--T", "40", "--alpha", "0.5", "--t", "0.7",
+                                "--which", which, "--horizon", "4000"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert float(cols["s_re"]) == 0.5 and float(cols["s_im"]) == sign * 0.7
+
+    def test_generic_needs_s_im(self, capsys):
+        # its old default s = 1/2 - it' is the f = g pole
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["main-term", "--T", "40", "--alpha", "0.5", "--t", "0.7"])
+        assert exc.value.code == 2
+        assert "--s-im" in capsys.readouterr().err
 
 
 class TestZSeriesCommand:
@@ -172,3 +179,23 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def _readme_cli_commands() -> list:
+    """The argument lists of the rsmoments lines in README.md's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv[1:] for argv in lines if argv and argv[0] == "rsmoments"]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys):
+        # the README names only options the CLI has, with values it accepts
+        commands = _readme_cli_commands()
+        assert len(commands) >= 9
+        for argv in commands:
+            if argv == ["verify", "--suite", "all"]:
+                continue  # tests/test_acceptance.py runs the whole suite
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv, err)

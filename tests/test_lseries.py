@@ -267,18 +267,10 @@ class TestLoaders:
         assert v.N == 2 and v.L == 1 and abs(v.r - 9.53) < 1e-12
         assert np.allclose(v.lam, u.lam)
 
-    def test_cusp_expansion_roundtrip(self, tmp_path):
-        path = tmp_path / "cusp.txt"
-        path.write_text("4 2 1 3\n1 1.0 0.0\n2 -0.5 0.25\n3 0.125 0.0\n")
-        ce = ls.load_cusp_expansion(path)
-        assert ce.cusp == CuspLabel(4, 2, 1)
-        assert ce.coeffs[1] == complex(-0.5, 0.25)
-
     # (loader, header with M = 3, one "n value..." line)
     LOADERS = {
         "newform": (ls.load_newform, "1 12 3\n", "{n} 1\n"),
         "maass": (ls.load_maass_form, "1 1 9.53 0 3\n1.0 1.0\n", "{n} 1.0\n"),
-        "cusp": (ls.load_cusp_expansion, "1 1 1 3\n", "{n} 1.0 0.0\n"),
     }
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -330,15 +322,10 @@ class TestReadOnlyCaches:
     def test_form_data_holds_private_read_only_copies(self):
         lam = np.array([1.0, -0.5, 0.25, 0.75])
         u = ls.MaassFormData(N=1, L=1, r=9.53, parity=0, lam=lam, rho1=1.0, lifts={1: 1.0})
-        coeffs = np.array([1.0, -0.5 + 0.25j, 0.125])
-        ce = ls.CuspExpansionData(CuspLabel(4, 2, 1), coeffs)
-        lam[1] = 5.0  # the caller's later writes do not reach the forms
-        coeffs[1] = 5.0
+        lam[1] = 5.0  # the caller's later writes do not reach the form
         assert u.lam[1] == -0.5
-        assert ce.coeffs[1] == -0.5 + 0.25j
-        for arr in (u.lam, ce.coeffs):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        with pytest.raises(ValueError):
+            u.lam[0] = 0.0
 
 
 class TestRankinSelberg:
@@ -357,22 +344,13 @@ class TestRankinSelberg:
             ls.rankin_selberg_L(1.0, delta, delta)
 
     def test_m_max_past_the_coefficients_raises(self):
-        # the infinity class: the shorter form has 400 coefficients
+        # the shorter form has 400 coefficients
         f = ls.divisor_model_newform(0.52, 12, 2, 400)
         g = ls.divisor_model_newform(1.13, 12, 2, 600)
         with pytest.raises(ls.InsufficientCoefficientsError) as exc:
             ls.rankin_selberg_L(2.5, f, g, m_max=401)
         assert exc.value.needed == 401
         assert np.isfinite(ls.rankin_selberg_L(2.5, f, g, m_max=400).value)
-        # a cusp of Gamma_0(2): the shorter expansion has 30 coefficients
-        cusp = CuspLabel(2, 1, 1)
-        fc = ls.CuspExpansionData(cusp, np.ones(30))
-        gc = ls.CuspExpansionData(cusp, np.ones(50))
-        with pytest.raises(ls.InsufficientCoefficientsError) as exc:
-            ls.rankin_selberg_L(2.5, f, g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=31)
-        assert exc.value.needed == 31
-        v = ls.rankin_selberg_L(2.5, f, g, cusp=cusp, fcusp=fc, gcusp=gc, m_max=30)
-        assert np.isfinite(v.value)
 
     def test_residue_positive_and_consistent(self, delta):
         res, err = ls.residue_at_1(delta)

@@ -98,13 +98,57 @@ class TestMainTerm:
             assert abs(m2 - np.conj(m1)) < 1e-10 * abs(m1)
 
     def test_missing_cusp_data(self, delta):
+        # past level 1 every L-value, at every cusp, is the provider's
         f2 = ls.divisor_model_newform(NU, 12, 2, 400)
         g2 = ls.divisor_model_newform(MU, 12, 2, 400)
         ctx = mo.MomentContext(
             t=0.7, f=f2, g=g2, N=2, kernel=KernelContext(KP, t=0.7, k=12), s=0.5 + 0.9j
         )
-        with pytest.raises(mo.MissingCuspDataError):
+        with pytest.raises(DomainError, match="rs_provider"):
             ctx.rs_L(ar.CuspLabel(2, 1, 1), 2.5)
+
+    @pytest.mark.parametrize("N, same", [(1, False), (2, True), (2, False)])
+    def test_without_a_provider_only_f_eq_g_at_level_one(self, N, same):
+        # L(w, f x g~) has two sources: the provider, and zeta * sym^2 for
+        # f = g at level 1; anything else is one DomainError naming the first
+        f = ls.divisor_model_newform(NU, 12, N, 400)
+        g = f if same else ls.divisor_model_newform(MU, 12, N, 400)
+        ctx = mo.MomentContext(t=0.7, f=f, g=g, N=N, kernel=KernelContext(KP, t=0.7, k=12), s=0.5 + 0.9j)
+        with pytest.raises(DomainError, match="rs_provider"):
+            ctx.rs_L(None, 0.5 + 0.2j)
+        with pytest.raises(DomainError, match="rs_provider"):
+            mo.main_term(ctx)
+
+    def test_equal_copy_routes_like_the_form(self, delta):
+        # f = g is NewformData equality, not identity: a copy of delta takes
+        # delta's sym^2 route, bit for bit
+        copy = ls.NewformData(1, 12, delta.a)
+        assert copy is not delta
+        kernel = KernelContext(KP, t=0.7, k=12)
+        s = 0.5 + 0.35j
+        want = mo.main_term(mo.MomentContext(t=0.7, f=delta, g=delta, N=1, kernel=kernel, s=s))
+        got = mo.main_term(mo.MomentContext(t=0.7, f=delta, g=copy, N=1, kernel=kernel, s=s))
+        assert got == want
+
+    def test_shared_label_is_not_f_eq_g(self):
+        # a form with f's label but other coefficients is another form: the
+        # f = g pole at s = 1/2 - it does not apply
+        t = 0.7
+        f = ls.divisor_model_newform(NU, 12, 1, 400)
+        g = ls.NewformData(1, 12, ls.divisor_model_newform(MU, 12, 1, 400).a, label=f.label)
+
+        def provider(cusp, w):
+            return ls.divisor_model_rs_L(w, NU, MU, 1)
+
+        ctx = mo.MomentContext(t=t, f=f, g=g, N=1, kernel=KernelContext(KP, t=t, k=12),
+                               s=0.5 - 1j * t, rs_provider=provider)
+        assert np.isfinite(mo.main_term(ctx))
+
+    @pytest.mark.parametrize("k, kernel_t", [(16, 0.7), (12, 0.5)])
+    def test_kernel_takes_the_forms_weight_and_t(self, delta, k, kernel_t):
+        with pytest.raises(ValueError):
+            mo.MomentContext(t=0.7, f=delta, g=delta, N=1,
+                             kernel=KernelContext(KP, t=kernel_t, k=k), s=0.5 + 0.9j)
 
     def test_infinity_class_reaches_the_provider_as_none(self):
         N, t = 6, 0.7
@@ -221,6 +265,12 @@ class TestSpecialized:
         for which in ("feq_minus", "feq_plus"):
             with pytest.raises(DomainError):
                 mo.main_term_specialized(synthetic_ctx(N, None, 0.7), which)
+
+    @pytest.mark.parametrize("which", ["feq_minus", "feq_plus"])
+    def test_feq_displays_refuse_f_neq_g(self, which):
+        # f's self-dual Laurent constants say nothing about L(w, f x g~), g != f
+        with pytest.raises(DomainError, match="f = g"):
+            mo.main_term_specialized(synthetic_ctx(1, None, 0.7), which)
 
     def test_feq_limits(self, delta):
         # Richardson limit of the generic path onto the displayed value
@@ -342,7 +392,7 @@ class TestContinuous:
         assert abs(full.value - half.value) < 1e-10 * abs(full.value)
 
     def test_one_batch_closed_under_reflection(self, delta, monkeypatch):
-        # with f is g each integrand evaluation makes one holo_L call; at
+        # with f = g each integrand evaluation makes one holo_L call; at
         # s = 1/2 - it its arguments are closed under s -> 1 - s, so the AFE
         # sums each of its first sums once
         kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
