@@ -405,8 +405,9 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     displays take the residue R and the finite part c0 of
     L(1 + x, f x f~) = R/x + c0 + O(x), which is what the generic-path
     limit reproduces; ``selfdual_rs_constants`` gives them for level 1 and
-    raises :class:`DomainError` at any other level, as these displays do
-    for f != g.
+    raises :class:`DomainError` at any other level.  Each display raises
+    :class:`DomainError` for the other case: f != g for the f = g displays,
+    f = g for the f != g ones (L(w, f x f~) has its pole at w = 1).
     """
     if which not in _DISPLAYS:
         raise DomainError(f"unknown specialisation {which!r}")
@@ -415,6 +416,10 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     N = ctx.N
     if abs(t) < 1e-12:
         raise PoleError("specialised displays are singular at t = 0; use the limit")
+    if which.startswith("fneq") and ctx.f_eq_g:
+        raise DomainError(f"{which} is the f != g display; f and g are the same form")
+    if which.startswith("feq") and not ctx.f_eq_g:
+        raise DomainError(f"{which} is the f = g display; f and g differ")
 
     zp = riemann_zeta(1.0 + 2.0 * it)
     zm = riemann_zeta(1.0 - 2.0 * it)
@@ -451,8 +456,6 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
         u2, u3 = _plus_tail_terms(ctx, it, zp, zm)
         return complex(u1 + u2 + u3)
 
-    if not ctx.f_eq_g:
-        raise DomainError(f"{which} is the f = g display; f and g differ")
     consts = selfdual_rs_constants(ctx.f)
     res = consts["residue"]
     c0 = consts["finite_part"]

@@ -17,10 +17,12 @@ Poincare series, not the same series as D).  At matched truncations the
 two paths traverse the same index set, so agreement tests the
 rearrangement bookkeeping at floating precision.
 
-The rearranged paths are evaluated a block of shifts at a time: one power
-table per call, each block of rows formed from sliding windows onto it and
-the coefficients and summed row by row, one envelope fit for all rows, and
-the weighted outer sum accumulated over m in order.  ``shifted_D`` and
+The rearranged paths form the factor that carries n once per call, and
+each shift's row is the dot of a sliding window onto it (or onto the
+coefficients) with a fixed vector, every row at once, with no array of the
+terms; the envelope's block maxima come from the moduli of the same two
+factors, one fit serves all rows, and the weighted outer sum is accumulated
+over m in order.  ``shifted_D`` and
 ``shifted_inner_lower`` are the one-row case of the same evaluation.
 
 The spectral expansions of Z and M3 need triple-product data that is out
@@ -51,7 +53,11 @@ __all__ = [
     "M3_series_rearranged",
 ]
 
-_BLOCK_TERMS = 1 << 16  # terms per block of shifts: 1 MB of complex terms
+# |terms| per block of rows whose envelope maxima are taken: 512 kB of floats
+_BLOCK_TERMS = 1 << 16
+# columns per partial dot of a window: numpy sums a strided matrix-vector
+# product term by term, so its rounding grows with the columns summed at once
+_DOT_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ def _envelope_edges(M: int) -> np.ndarray:
 
 def _block_maxima(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The maximum of each row of |terms| over each envelope block, the
-    blocks between ``edges = _envelope_edges(rows.shape[1])``."""
+    blocks between the columns ``edges`` and the last one to the row's end:
+    ``_envelope_edges`` of the row length, less the first column's index
+    when the rows start later."""
     if not edges.size:
         return np.zeros((len(rows), 0))
     return np.maximum.reduceat(rows, edges[:-1], axis=1)
@@ -130,47 +138,61 @@ def _envelope_tail(abs_terms: np.ndarray) -> float:
     return float(_envelope_fit(_block_maxima(abs_terms[None, :], edges), edges, len(abs_terms))[0])
 
 
+def _window_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j x[r + j] v[j] for every window start r, as dots of at most
+    ``_DOT_COLUMNS`` columns whose partial sums are added pairwise."""
+    windows = sliding_window_view(x, len(v))
+    parts = [windows[:, c : c + _DOT_COLUMNS] @ v[c : c + _DOT_COLUMNS]
+             for c in range(0, len(v), _DOT_COLUMNS)]
+    return np.stack(parts, axis=1).sum(axis=1)
+
+
 def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_max: int, lower: bool):
     """Values and tail bounds of the shifted series at the increasing shifts ``ms``.
 
-    Upper (D):  row m is sum_{n <= n_max} a(n+m) conj(b(n)) n^{-w-k+1};
-    lower:      row m is sum_{n = m+1}^{m+n_max} a(n-m) conj(b(n)) n^{-w-k+1}.
-    The power table is built once, and each block of at most
-    ``_BLOCK_TERMS // n_max`` rows is formed from sliding windows onto it and
-    the coefficients and summed row by row.  The caller checks w, ms and the
-    coefficient lengths.
+    Upper (D):  row m is sum_{n <= n_max} a(n+m) G(n),       G(n) = conj(b(n)) n^{-w-k+1};
+    lower:      row m is sum_{j <= n_max} a(j) h(m+j),      h(n) = conj(b(n)) n^{-w-k+1}.
+    The factor that carries n is formed once, over n = 1..n_max (G) or
+    n = ms[0]+1..ms[-1]+n_max (h), and the rows are the sliding windows of h
+    (or of a) dotted with the fixed vector a (or G) by :func:`_window_dots`,
+    with no array of the terms.  The envelope's block maxima come
+    from |h| |a| (or |a| |G|) over the columns from n_max/8 on, which are the
+    ones :func:`_envelope_edges` reads, at most ``_BLOCK_TERMS`` at a time.
+    Rows between the shifts are computed too and dropped.  The caller
+    checks w, ms and the coefficient lengths.
     """
     k = f.k
     if not len(ms):
         return np.zeros(0, dtype=complex), np.zeros(0)
     first, last = int(ms[0]), int(ms[-1])
+    span = last - first + 1
     if lower:
-        # n^{-w-k+1} for n = first+1..last+n_max; row m reads n = m+1..m+n_max
         n = np.arange(first + 1, last + n_max + 1, dtype=float)
-        pow_rows = sliding_window_view(np.exp((-w - k + 1.0) * np.log(n)), n_max)
-        slid = sliding_window_view(np.conj(g.a[first : last + n_max]), n_max)
-        fixed = f.a[:n_max]
+        h = np.conj(g.a[first : last + n_max]) * np.exp((-w - k + 1.0) * np.log(n))
+        values = _window_dots(h, f.a[:n_max])
+        abs_slid, abs_fixed = np.abs(h), np.abs(f.a[:n_max])
+        bounds = [rankin_selberg_tail(w.real, n_max + m) for m in ms.tolist()]
     else:
         n = np.arange(1, n_max + 1, dtype=float)
-        n_pow = np.exp((-w - k + 1.0) * np.log(n))
-        slid = sliding_window_view(f.a[first : last + n_max], n_max)
-        fixed = np.conj(g.a[:n_max])
+        G = np.conj(g.a[:n_max]) * np.exp((-w - k + 1.0) * np.log(n))
+        # real windows against a complex vector, as two real products, so
+        # that no complex copy of the windows is made
+        values = np.empty(span, dtype=complex)
+        values.real = _window_dots(f.a[first : last + n_max], G.real)
+        values.imag = _window_dots(f.a[first : last + n_max], G.imag)
+        abs_slid, abs_fixed = np.abs(f.a[first : last + n_max]), np.abs(G)
         rs = rankin_selberg_tail(w.real, n_max)
-    values, bounds, peaks = [], [], []
+        bounds = [(1.0 + m / n_max) ** ((k - 1) / 2.0) * rs for m in ms.tolist()]
     edges = _envelope_edges(n_max)
-    step = max(1, _BLOCK_TERMS // n_max)
-    for lo in range(0, len(ms), step):
-        block = ms[lo : lo + step]
-        rows = block - first
-        if lower:
-            terms = fixed * slid[rows] * pow_rows[rows]
-            bounds += [rankin_selberg_tail(w.real, n_max + m) for m in block.tolist()]
-        else:
-            terms = slid[rows] * fixed * n_pow
-            bounds += [(1.0 + m / n_max) ** ((k - 1) / 2.0) * rs for m in block.tolist()]
-        values.append(np.sum(terms, axis=1))
-        peaks.append(_block_maxima(np.abs(terms), edges))
-    return np.concatenate(values), np.minimum(bounds, _envelope_fit(np.concatenate(peaks), edges, n_max))
+    peaks = np.zeros((span, max(0, edges.size - 1)))
+    if edges.size:
+        e0 = int(edges[0])
+        abs_rows = sliding_window_view(abs_slid, n_max)[:, e0:]
+        step = max(1, _BLOCK_TERMS // (n_max - e0))
+        for lo in range(0, span, step):
+            peaks[lo : lo + step] = _block_maxima(abs_rows[lo : lo + step] * abs_fixed[e0:], edges - e0)
+    rows = ms - first
+    return values[rows], np.minimum(bounds, _envelope_fit(peaks[rows], edges, n_max))
 
 
 def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:

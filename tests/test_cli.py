@@ -140,6 +140,16 @@ class TestMainTermCommand:
         cols = dict(zip(header.split(","), row.split(",")))
         assert float(cols["s_re"]) == 0.5 and float(cols["s_im"]) == sign * 0.7
 
+    @pytest.mark.parametrize("which", ["fneq_minus", "fneq_plus"])
+    def test_fneq_display_refuses_one_form(self, capsys, which):
+        # with --newform-g unset, g is f: the f != g displays refuse by name
+        code, out, err = run_cli(["main-term", "--T", "40", "--alpha", "0.5", "--t", "0.7",
+                                  "--which", which, "--horizon", "4000"], capsys)
+        assert code == 2 and out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "DomainError"
+        assert failure["message"] == f"{which} is the f != g display; f and g are the same form"
+
     def test_generic_needs_s_im(self, capsys):
         # its old default s = 1/2 - it' is the f = g pole
         with pytest.raises(SystemExit) as exc:

@@ -272,6 +272,20 @@ class TestSpecialized:
         with pytest.raises(DomainError, match="f = g"):
             mo.main_term_specialized(synthetic_ctx(1, None, 0.7), which)
 
+    @pytest.mark.parametrize("which", ["fneq_minus", "fneq_plus"])
+    def test_fneq_displays_refuse_f_eq_g(self, delta, which, monkeypatch):
+        # L(w, f x f~) has its pole at w = 1, where these displays read it;
+        # the refusal names the display before any H0 or L-value work
+        ctx = delta_ctx(None, 0.7, delta_form=delta)
+
+        def no_work(*args):
+            pytest.fail("work started before f = g was refused")
+
+        monkeypatch.setattr(ctx, "H0", no_work)
+        monkeypatch.setattr(ctx, "rs_L", no_work)
+        with pytest.raises(DomainError, match="f != g display"):
+            mo.main_term_specialized(ctx, which)
+
     def test_feq_limits(self, delta):
         # Richardson limit of the generic path onto the displayed value
         for t, tol in ((0.1, 1e-5), (0.01, 1e-6)):

@@ -143,17 +143,17 @@ class TestRawAgainstRearranged:
 
 
 # Values at criterion 11's points as hex floats (value re, value im, tail),
-# recorded from the term-by-term evaluation that preceded the blocked one
-# (numpy 2.4, x86-64).  Values must match bit for bit; tails, which come from
-# a least-squares fit, within 1e-13 relative.
+# recorded from the windowed-dot evaluation (numpy 2.4, x86-64).  Values
+# must match bit for bit; tails, which come from a least-squares fit, within
+# 1e-13 relative.
 CRIT11_Z = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=1500, M_inner=1500)
 PINNED = {
-    "Z": ("-0x1.689a6319ce256p+4", "0x1.48e6e72e1c2eep-1", "0x1.75bc4b9b17414p+1"),
-    "M3": ("-0x1.a83c7fe4ad963p-26", "-0x1.486672a805415p-90", "0x1.770bb4cc02c67p-40"),
-    "D1": ("-0x1.94ed5f740397bp+4", "0x1.560578142b879p-1", "0x1.18ea205751a89p-4"),
-    "D1500": ("0x1.6964000587ea4p+58", "-0x1.3fef845093797p+47", "0x1.3954a4d7087b9p-2"),
-    "L1": ("-0x1.43d6da2b5c7b0p-7", "0x0.0p+0", "0x1.1a04eae433bf4p-21"),
-    "L1000": ("-0x1.d9e73d8ab453dp-31", "0x0.0p+0", "0x1.11e8778bab65cp-17"),
+    "Z": ("-0x1.689a6319ce253p+4", "0x1.48e6e72e1c2e9p-1", "0x1.75bc4b9b1740dp+1"),
+    "M3": ("-0x1.a83c7fe4ad95dp-26", "-0x1.486672a805416p-90", "0x1.770bb4cc02c67p-40"),
+    "D1": ("-0x1.94ed5f740397dp+4", "0x1.560578142b877p-1", "0x1.18ea205751a91p-4"),
+    "D1500": ("0x1.6964000587ea8p+58", "-0x1.3fef845093799p+47", "0x1.3954a4d7087b9p-2"),
+    "L1": ("-0x1.43d6da2b5c7adp-7", "0x0.0p+0", "0x1.1a04eae433bf4p-21"),
+    "L1000": ("-0x1.d9e73d8ab4542p-31", "0x0.0p+0", "0x1.11e8778bab65cp-17"),
 }
 
 

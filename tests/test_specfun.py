@@ -604,6 +604,146 @@ class TestIntegrateAlignedLattice:
         val, _ = sf.integrate_line(f, coarse, interval=interval)
         assert abs(val - exact) <= 1e-8 * abs(exact)
 
+    def test_asymmetric_window_builds_rows_without_partner(self):
+        # on (-7, 12) the table rows reach further right than left: the
+        # rows past the leftmost row's mirror have no partner and are
+        # evaluated, the rest of the right half are conjugates of rows on the
+        # left.  abs_tol 0 leaves out only blocks whose bound is exactly 0
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=2000)
+        args, exact, _ = self._gaussian_case(2.0, 3.0, np.linspace(-3.0, 3.0, 7))
+        centres = {"minus": [], "plus": []}
+
+        def recording(key, log_k):
+            def f(x):
+                if x.ndim == 3:  # table rows, not the two-point row bounds
+                    centres[key].append(x[:, 7, 7])
+                return log_k(x)
+            return f
+
+        log_pref, log_c, log_km, log_kp, v_edges = args
+        val, err = sf.integrate_aligned_lattice(
+            log_pref, log_c, recording("minus", log_km), recording("plus", log_kp), v_edges,
+            (-7.0, 12.0), spec)
+        assert abs(val - exact) <= 1e-12 * abs(exact)
+        assert err <= 1e-12 * abs(val)
+        for key in centres:
+            x = np.concatenate(centres[key])  # the row centres, g -+ y at node pair (7, 7)
+            assert x.min() < -9.0 and x.max() > 14.0
+            assert x[x > 0.0].min() > -x.min()  # right half: only the rows without partner
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("outer", [np.subtract.outer, np.add.outer])
+    def test_row_bounds_are_the_row_maxima(self, sign, outer):
+        # Re log K monotone in |x| (decreasing for log Gamma(c + ix), growing
+        # for its negative): a row's largest Re log K sits at its entry
+        # nearest 0 or farthest from 0, the two the bound evaluates
+        h, m = 0.25, 4
+        pair = 0.5 * h * outer(sf._NODES, m * sf._NODES)
+        base = (np.arange(-400, 401) + 0.5) * h
+
+        def log_k(x):
+            return sign * sf.log_gamma(0.7 + 1j * x)
+
+        rows = log_k(base[:, None, None] + pair).real.reshape(len(base), -1).max(axis=1)
+        assert np.allclose(sf._row_bounds(log_k, base, pair), rows, rtol=0.0, atol=1e-12)
+
+    def test_skipped_blocks_go_to_the_error(self):
+        # abs_tol below rel_tol |I| keeps the accepted width; its budget, a
+        # share of abs_tol, leaves out the far blocks, and the error carries it
+        args, exact, calls = self._gaussian_case(2.0, 3.0, np.linspace(-3.0, 3.0, 7))
+        rows = []
+        log_pref, log_c, log_km, log_kp, v_edges = args
+
+        def counting(x):
+            if x.ndim == 3:
+                rows.append(len(x))
+            return log_km(x)
+
+        out = {}
+        for abs_tol in (0.0, 1e-12):
+            spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=abs_tol, max_subdivisions=2000)
+            rows.clear()
+            out[abs_tol] = sf.integrate_aligned_lattice(
+                log_pref, log_c, counting, log_kp, v_edges, (-12.0, 12.0), spec), sum(rows)
+        (full, full_rows), (cut, cut_rows) = out[0.0], out[1e-12]
+        assert calls == [96, 96] and abs(exact) > 1.0
+        assert cut_rows < full_rows
+        added = cut.error - full.error
+        assert 0.0 < added <= sf._LATTICE_SKIP * 1e-12 * (1.0 + 1e-9)
+        assert abs(cut.value - full.value) <= added
+        assert abs(cut.value - exact) <= cut.error + 1e-12 * abs(exact)
+
+    def test_bench_point_evaluates_under_half_the_tables(self, monkeypatch):
+        # the first-moment pieces at a bench point (n = 8, T = 14.8,
+        # t = 0.4, 24 v-panels): each lattice evaluates log K- and log K+
+        # on fewer than half of the n_rows x 225 entries of its tables
+        from rsmoments import kernels, lseries, moments
+
+        seen = []
+
+        def counting(log_pref, log_c, log_km, log_kp, v_edges, window, spec, pole=None):
+            count = {"panels": [], "minus": 0, "plus": 0}
+
+            def counted(key, f):
+                def g(x):
+                    count[key] += x.size
+                    return f(x)
+                return g
+
+            def pref(g):
+                count["panels"].append(g.size // 15)
+                return log_pref(g)
+
+            out = sf.integrate_aligned_lattice(pref, log_c, counted("minus", log_km),
+                                               counted("plus", log_kp), v_edges, window, spec, pole)
+            n_v = len(v_edges) - 1
+            m = math.ceil((v_edges[-1] - v_edges[0]) / n_v / sf._LATTICE_START_WIDTH - 1e-9)
+            count["entries"] = sum((n_u + m * 2**i * (n_v - 1)) * 225
+                                   for i, n_u in enumerate(count["panels"]))
+            seen.append(count)
+            return out
+
+        monkeypatch.setattr(moments, "integrate_aligned_lattice", counting)
+        delta = lseries.delta_newform(20000)
+        kp = kernels.TestFunctionParams(T=14.8, alpha=0.5, R=1.0)
+        ctx = moments.MomentContext(t=0.4, f=delta, g=delta, N=1,
+                                    kernel=kernels.KernelContext(kp, t=0.4, k=12), s=2.5 + 0j)
+        moments.first_moment_pieces(8, ctx, inner_panels=24)
+        assert len(seen) == 2  # L^- and L^+
+        for count in seen:
+            assert count["minus"] < 0.5 * count["entries"]
+            assert count["plus"] < 0.5 * count["entries"]
+
+    def test_first_moment_gamma_lines_are_conjugate_even_and_monotone(self, monkeypatch):
+        # the lattice's preconditions on the four log Gamma(c + ix) lines the
+        # first-moment pieces pass: K(-x) = conj K(x) to the bit, also after
+        # the row shift and exp the mirror copies, and Re log K monotone in |x|
+        from rsmoments import kernels, lseries, moments
+
+        lines = []
+
+        def recording(log_pref, log_c, log_km, log_kp, *args, **kwargs):
+            lines.extend((log_km, log_kp))
+            return sf.ValueWithError(0.0j, 0.0)
+
+        monkeypatch.setattr(moments, "integrate_aligned_lattice", recording)
+        delta = lseries.delta_newform(400)
+        kp = kernels.TestFunctionParams(T=14.8, alpha=0.5, R=1.0)
+        ctx = moments.MomentContext(t=0.4, f=delta, g=delta, N=1,
+                                    kernel=kernels.KernelContext(kp, t=0.4, k=12), s=2.5 + 0j)
+        moments.first_moment_pieces(2, ctx, m_inner=100, inner_panels=6)
+        assert len(lines) == 4
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.linspace(0.0, 600.0, 60001), rng.uniform(0.0, 600.0, 40000)])
+        for log_k in lines:
+            up, down = log_k(x), log_k(-x)
+            assert np.array_equal(down.view(float), np.conj(up).view(float))
+            shift = up.real.max()
+            assert np.array_equal(np.exp(down - shift).view(float), np.conj(np.exp(up - shift)).view(float))
+            re = up.real[:60001]
+            steps = np.diff(re)
+            assert np.all(steps <= 0.0) or np.all(steps >= 0.0)
+
 
 def test_extrapolate_to_zero():
     h = [0.4, 0.2, 0.1, 0.05]
