@@ -34,7 +34,6 @@ __all__ = [
     "mobius",
     "ord_p",
     "sigma_complex",
-    "sigma_complex_coprime",
     "P_M",
     "sigma_twisted_N",
     "sigma_twisted_weights",
@@ -257,34 +256,17 @@ def divisor_count_upper(n) -> float:
 # divisor sums and local polynomials
 
 
-def sigma_complex(n: int, z) -> complex:
-    """sum_{d | n} d^z."""
+def sigma_complex(n: int, z, N: int = 1) -> complex:
+    """sum_{d | n} d^z over the d prime to N (every d | n at N = 1)."""
     if n < 1:
         raise ValueError("sigma_complex requires n >= 1")
     z = complex(z)
     out = 1.0 + 0.0j
     for p, e in factorize(n).factors:
-        x = p**z if z != 0 else 1.0
-        # geometric sum 1 + x + ... + x^e
-        acc = 1.0 + 0.0j
-        term = 1.0 + 0.0j
-        for _ in range(e):
-            term *= x
-            acc += term
-        out *= acc
-    return out
-
-
-def sigma_complex_coprime(n: int, z, N: int) -> complex:
-    """sum over d | n with gcd(d, N) = 1 of d^z."""
-    if n < 1:
-        raise ValueError("sigma_complex_coprime requires n >= 1")
-    z = complex(z)
-    out = 1.0 + 0.0j
-    for p, e in factorize(n).factors:
         if N % p == 0:
             continue
-        x = p**z
+        x = p**z if z != 0 else 1.0
+        # geometric sum 1 + x + ... + x^e
         acc = 1.0 + 0.0j
         term = 1.0 + 0.0j
         for _ in range(e):
@@ -350,7 +332,7 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
             ploc *= _P_local_limit(p, ord_p(m, p), eM)
     else:
         ploc = P_M(0.5 + 1j * t, m, N)
-    return complex(pref * ploc * sigma_complex_coprime(m, -2j * t, N))
+    return complex(pref * ploc * sigma_complex(m, -2j * t, N))
 
 
 _SIEVE_PAIRS = 1 << 16  # (multiple, d) pairs per block of the divisor-sum sieve: 2 MB

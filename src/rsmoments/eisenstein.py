@@ -168,30 +168,35 @@ def _inner_pairs(a: int, Na: int, q: int):
     return out
 
 
+def _character_terms(cusp: CuspLabel, s: complex):
+    """The outer sum of tau at ``cusp``: for each primitive chi mod q, q | gcd(a, N/a),
+    the triple (chi, conj(chi(-c)) q^{-s} tau(chi) / (pi^{-s} Gamma(s) L^{(N)}(2s, chi^2)),
+    ``_inner_pairs`` of q)."""
+    for q in divisors(cusp.gcd_a):
+        pairs = _inner_pairs(cusp.a, cusp.N // cusp.a, q)
+        for chi in arith.characters_mod(q):
+            if chi.is_primitive:
+                yield chi, np.conj(chi(-cusp.c)) * _chi_prefactor(s, chi, cusp.N), pairs
+
+
 def tau_cusp(cusp: CuspLabel, s, n: int) -> complex:
     """tau_{1/(c a)}(s, n) for n != 0 via the explicit character-sum formula."""
     if n == 0:
         raise DomainError("tau_cusp needs n != 0")
     s = complex(s)
-    N, a, c = cusp.N, cusp.a, cusp.c
-    g = cusp.gcd_a
-    Na = N // a
     total = 0.0 + 0.0j
-    for q in divisors(g):
-        for chi in arith.characters_mod(q):
-            if not chi.is_primitive:
+    for chi, pref, pairs in _character_terms(cusp, s):
+        inner = 0.0 + 0.0j
+        for ell, b, mu, e in pairs:
+            if n % e != 0:
                 continue
-            pref = np.conj(chi(-c)) * _chi_prefactor(s, chi, N)
-            inner = 0.0 + 0.0j
-            for ell, b, mu, e in _inner_pairs(a, Na, q):
-                if n % e != 0:
-                    continue
-                lam = lambda_chi(n // e, s, chi)
-                if lam == 0:
-                    continue
-                inner += mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e) * lam
-            total += pref * inner
-    return complex((N / g) ** (-s) / euler_phi(g) * total)
+            lam = lambda_chi(n // e, s, chi)
+            if lam == 0:
+                continue
+            inner += mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e) * lam
+        total += pref * inner
+    g = cusp.gcd_a
+    return complex((cusp.N / g) ** (-s) / euler_phi(g) * total)
 
 
 def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
@@ -201,29 +206,23 @@ def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
     arithmetic progressions e | m.
     """
     s = complex(s)
-    N, a, c = cusp.N, cusp.a, cusp.c
-    g = cusp.gcd_a
-    Na = N // a
     m = np.arange(1, m_max + 1)
     out = np.zeros(m_max, dtype=complex)
-    for q in divisors(g):
-        for chi in arith.characters_mod(q):
-            if not chi.is_primitive:
-                continue
-            pref = np.conj(chi(-c)) * _chi_prefactor(s, chi, N)
-            # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max;
-            # d^{1-2s} is Python's complex power, as in lambda_chi: numpy's
-            # differs from it in the last bits
-            divsum = chi.squared().value_array(m)
-            powers = np.fromiter(map((1.0 - 2.0 * s).__rpow__, range(1, m_max + 1)), complex, m_max)
-            np.multiply(divsum, powers, out=divsum, where=divsum != 0)
-            del powers
-            divsum = arith.divisor_sum_array(divsum)
-            lam = chi.value_array(m).conj() * m ** (s - 0.5) * divsum
-            for ell, b, mu, e in _inner_pairs(a, Na, q):
-                w = pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e)
-                out[e - 1 :: e] += w * lam[: m_max // e]
-    return (N / g) ** (-s) / euler_phi(g) * out
+    for chi, pref, pairs in _character_terms(cusp, s):
+        # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max;
+        # d^{1-2s} is Python's complex power, as in lambda_chi: numpy's
+        # differs from it in the last bits
+        divsum = chi.squared().value_array(m)
+        powers = np.fromiter(map((1.0 - 2.0 * s).__rpow__, range(1, m_max + 1)), complex, m_max)
+        np.multiply(divsum, powers, out=divsum, where=divsum != 0)
+        del powers
+        divsum = arith.divisor_sum_array(divsum)
+        lam = chi.value_array(m).conj() * m ** (s - 0.5) * divsum
+        for ell, b, mu, e in pairs:
+            w = pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e)
+            out[e - 1 :: e] += w * lam[: m_max // e]
+    g = cusp.gcd_a
+    return (cusp.N / g) ** (-s) / euler_phi(g) * out
 
 
 def tau_level_one(s, n: int) -> complex:

@@ -7,12 +7,18 @@ Data types
   A built-in generator produces the discriminant form of level 1 and weight
   12 from exact eta-power arithmetic.
 * :class:`MaassFormData` -- spectral parameter, Hecke eigenvalues, lift
-  coefficients of an oldform living above an inner level L | N.
+  coefficients of an oldform living above an inner level L | N, generated
+  by ``synthetic_maass_form``.
 
 Evaluators
 ----------
-* ``rankin_selberg_L`` -- the infinity-class truncated Dirichlet series with
-  a divisor-bound tail certificate (direct region Re s > 1).  The main term
+* ``_depleted_series`` -- the one truncated series
+      zeta^(N)(2s) sum_{m <= M} c(m) m^{-s}
+  with the divisor-bound tail certificate
+  |zeta^(N)(2s)| scale sum_{n > M} d(n)^2 n^{-Re s} (``rankin_selberg_tail``,
+  Nicolas-Robin), behind the Rankin-Selberg and direct twisted series.
+* ``rankin_selberg_L`` -- the infinity-class truncated Dirichlet series
+  (direct region Re s > 1).  The main term
   takes L(w, f x g~) on and left of Re w = 1, so it does not use it: its
   two sources are a caller's provider and, for f = g at level 1,
   ``selfdual_rs_L`` = zeta(w) L(w, sym^2 f).
@@ -76,7 +82,6 @@ __all__ = [
     "NewformData",
     "MaassFormData",
     "load_newform",
-    "load_maass_form",
     "delta_newform",
     "divisor_model_newform",
     "synthetic_maass_form",
@@ -200,6 +205,12 @@ class MaassFormData:
     def M(self) -> int:
         return self.lam.size
 
+    @property
+    def scale(self) -> float:
+        """|rho1| (1 + sum_d |c_d| sqrt d): |rho(m)| is at most this times
+        the largest |lambda(m/d)|."""
+        return abs(self.rho1) * (1.0 + sum(abs(c) * math.sqrt(d) for d, c in self.lifts.items()))
+
     def rho(self, m_max: int) -> np.ndarray:
         """Fourier coefficients rho(1..m_max) of the lifted form."""
         if m_max > self.M:
@@ -238,22 +249,6 @@ def load_newform(path) -> NewformData:
         N, k, M = map(int, head)
         exact = [int(v) for (v,) in _indexed_lines(fh, M)]
     return NewformData(N=N, k=k, a=np.array([float(v) for v in exact]), a_exact=tuple(exact))
-
-
-def load_maass_form(path) -> MaassFormData:
-    """Line 1 ``N L r epsilon M``; line 2 ``rho1 c_d ...``; then ``n lambda(n)``."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 5:
-            raise InvariantViolation("header must be 'N L r epsilon M'")
-        N, L, r, eps, M = int(head[0]), int(head[1]), float(head[2]), int(head[3]), int(head[4])
-        second = list(map(float, fh.readline().split()))
-        ds = divisors(N // L)
-        if len(second) != 1 + len(ds):
-            raise InvariantViolation("second line must be rho1 followed by lifts")
-        rho1, lifts = second[0], dict(zip(ds, second[1:]))
-        lam = np.array([float(v) for (v,) in _indexed_lines(fh, M)])
-    return MaassFormData(N=N, L=L, r=r, parity=eps, lam=lam, rho1=rho1, lifts=lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +378,25 @@ def synthetic_maass_form(
 
 
 def rankin_selberg_tail(sigma: float, m_from: int) -> float:
-    """Bound on sum_{n > m_from} d(n)^2 n^{-sigma} (Nicolas-Robin exponent)."""
-    if m_from < 8:
-        m_from = 8
+    """Bound on sum_{n > m_from} d(n)^2 n^{-sigma}: its terms up to n = 8
+    exactly, and past max(m_from, 8) the integral of the Nicolas-Robin
+    bound d(n)^2 <= n^eps, with eps taken where it is largest."""
+    head = sum(len(divisors(n)) ** 2 * n ** -sigma for n in range(max(m_from, 0) + 1, 9))
+    m_from = max(m_from, 8)
     eps = 2.0 * 1.5379 * math.log(2.0) / math.log(math.log(m_from))
     if sigma - eps <= 1.0:
         return math.inf
-    return m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
+    return head + m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
+
+
+def _depleted_series(coeffs, s: complex, N: int, scale: float) -> ValueWithError:
+    """zeta^(N)(2s) sum_{m <= M} c(m) m^{-s} for c = ``coeffs`` of length M,
+    the terms summed as c(m) exp(-s log m), with the error
+    |zeta^(N)(2s)| scale rankin_selberg_tail(Re s, M) for |c(m)| <= scale d(m)^2."""
+    m = np.arange(1, coeffs.size + 1, dtype=float)
+    series = complex(np.sum(coeffs * np.exp(-s * np.log(m))))
+    zN = arith.zeta_depleted(2.0 * s, N)
+    return ValueWithError(complex(zN * series), abs(zN) * scale * rankin_selberg_tail(s.real, coeffs.size))
 
 
 def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None) -> ValueWithError:
@@ -400,7 +407,6 @@ def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None
     s = complex(s)
     if f.N != g.N or f.k != g.k:
         raise InvariantViolation("f and g must share level and weight")
-    N, k = f.N, f.k
     if s.real <= 1.0:
         raise DomainError("rankin_selberg_L direct summation needs Re s > 1")
     m_cap = min(f.M, g.M)
@@ -408,14 +414,7 @@ def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None
         if m_max > m_cap:
             raise InsufficientCoefficientsError(m_max)
         m_cap = m_max
-    n = np.arange(1, m_cap + 1, dtype=float)
-    norm = n ** (-(k - 1) / 2.0)
-    an = f.a[:m_cap] * norm
-    bn = g.a[:m_cap] * norm
-    series = complex(np.sum(an * np.conj(bn) * np.exp(-s * np.log(n))))
-    zN = arith.zeta_depleted(2.0 * s, N)
-    tail = abs(zN) * rankin_selberg_tail(s.real, m_cap)
-    return ValueWithError(complex(zN * series), tail)
+    return _depleted_series(f.A(m_cap) * np.conj(g.A(m_cap)), s, f.N, 1.0)
 
 
 def residue_at_1(f: NewformData) -> tuple:
@@ -769,17 +768,12 @@ def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int
     s = complex(s)
     if s.real <= 1.5:
         raise DomainError("direct twisted series needs Re s > 3/2")
-    N = cusp.N
     tau = eisenstein.tau_cusp_array(cusp, 0.5 + 1j * r, m_max)
-    sig = arith.sigma_twisted_weights(N, t, m_max)
-    m = np.arange(1, m_max + 1, dtype=float)
-    series = complex(np.sum(sig * np.conj(tau) * m ** (-s)))
-    zN = arith.zeta_depleted(2.0 * s, N)
+    sig = arith.sigma_twisted_weights(cusp.N, t, m_max)
     # |tau(m)| <= C d(m) empirically on the computed range
-    dm = divisor_count_upper(m)
+    dm = divisor_count_upper(np.arange(1, m_max + 1, dtype=float))
     cbound = float(np.max(np.abs(tau) / dm)) if m_max else 1.0
-    tail = abs(zN) * cbound * rankin_selberg_tail(s.real, m_max)
-    return ValueWithError(complex(zN * series), tail)
+    return _depleted_series(sig * np.conj(tau), s, cusp.N, cbound)
 
 
 def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:
@@ -812,14 +806,7 @@ def curly_L_maass_direct(s, t: float, u: MaassFormData, m_max: int | None = None
     if s.real <= 1.5:
         raise DomainError("direct twisted series needs Re s > 3/2")
     m_max = u.M if m_max is None else m_max
-    rho = u.rho(m_max)
-    sig = arith.sigma_twisted_weights(u.N, t, m_max)
-    m = np.arange(1, m_max + 1, dtype=float)
-    series = complex(np.sum(sig * rho * m ** (-s)))
-    zN = arith.zeta_depleted(2.0 * s, u.N)
-    scale = abs(u.rho1) * (1.0 + sum(abs(c) * math.sqrt(d) for d, c in u.lifts.items()))
-    tail = abs(zN) * scale * rankin_selberg_tail(s.real, m_max)
-    return ValueWithError(complex(zN * series), tail)
+    return _depleted_series(arith.sigma_twisted_weights(u.N, t, m_max) * u.rho(m_max), s, u.N, u.scale)
 
 
 def _lam_at(u: MaassFormData, idx: int) -> float:
@@ -933,11 +920,4 @@ def rankin_selberg_maass(s, f: NewformData, u: MaassFormData, m_max: int | None 
     if s.real <= 1.0:
         raise DomainError("rankin_selberg_maass direct summation needs Re s > 1")
     m_max = min(f.M, u.M) if m_max is None else m_max
-    A = f.A(m_max)
-    rho = u.rho(m_max)
-    m = np.arange(1, m_max + 1, dtype=float)
-    val = complex(np.sum(A * rho * np.exp(-s * np.log(m))))
-    zN = arith.zeta_depleted(2.0 * s, f.N)
-    scale = abs(u.rho1) * (1.0 + sum(abs(c) * math.sqrt(d) for d, c in u.lifts.items()))
-    tail = abs(zN) * scale * rankin_selberg_tail(s.real, m_max)
-    return ValueWithError(complex(zN * val), tail)
+    return _depleted_series(f.A(m_max) * u.rho(m_max), s, f.N, u.scale)

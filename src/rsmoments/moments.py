@@ -140,22 +140,34 @@ class MomentContext:
         raise DomainError(f"L(w, f x g~) at level {self.N} needs an rs_provider: "
                           "only f = g at level 1 has its own route")
 
-    def _rs_L_infinity(self, s: complex) -> tuple:
-        """The infinity-class L(w, f x g~) of the point s, at
-        w = s + 1/2 + it, s + 1/2 - it, 3/2 - s - it and 3/2 - s + it, in
-        that order: the values ``main_term`` and ``main_term_breakdown``
-        both take, each into its own assembly.
+    def _point(self, guard: float) -> tuple:
+        """The point s = ``ctx.s`` of ``main_term`` and ``main_term_breakdown``
+        and its infinity-class L(w, f x g~) at w = s + 1/2 + it,
+        s + 1/2 - it, 3/2 - s - it and 3/2 - s + it, in that order, which
+        each route takes into its own assembly.
 
-        When f = g at level 1 (no provider) the four sym^2 values are one
+        s must be set and at least ``guard`` from the zeta(2s) pole at 1/2
+        and, for f = g, from the Rankin-Selberg poles at 1/2 -+ it.  When
+        f = g at level 1 (no provider) the four sym^2 values are one
         ``sym2_L`` batch.  Both routes pass the same tuple, so the second
         reads the first's memo entry.  Otherwise each value is ``rs_L``.
         """
+        if self.s is None:
+            raise DomainError("the main term needs ctx.s")
+        s = complex(self.s)
+        if abs(s - 0.5) < guard:
+            raise PoleError("main term: zeta(2s) pole at s = 1/2; use the limit path")
         it = 1j * self.t
+        if self.f_eq_g and min(abs(s - 0.5 - it), abs(s - 0.5 + it)) < guard:
+            raise PoleError(
+                "main term: Rankin-Selberg pole at s = 1/2 -+ it for f = g; "
+                "use main_term_specialized"
+            )
         ws = (s + 0.5 + it, s + 0.5 - it, 1.5 - s - it, 1.5 - s + it)
         if self._sym2_route:
             sym2 = sym2_L(np.array(ws), self.f)
-            return tuple(riemann_zeta(w) * complex(v) for w, v in zip(ws, sym2))
-        return tuple(self.rs_L(None, w) for w in ws)
+            return s, tuple(riemann_zeta(w) * complex(v) for w, v in zip(ws, sym2))
+        return s, tuple(self.rs_L(None, w) for w in ws)
 
     def H0(self, ix) -> complex:
         return self.kernel.cached_H0(ix)
@@ -174,29 +186,12 @@ class MainTermBreakdown:
         return self.M1 + self.M_Omega_plus + self.M_Omega_minus
 
 
-def _pole_guard(ctx: MomentContext, s: complex, guard: float):
-    if abs(s - 0.5) < guard:
-        raise PoleError("main term: zeta(2s) pole at s = 1/2; use the limit path")
-    if ctx.f_eq_g:
-        for sgn in (+1.0, -1.0):
-            if abs(s - (0.5 + sgn * 1j * ctx.t)) < guard:
-                raise PoleError(
-                    "main term: Rankin-Selberg pole at s = 1/2 -+ it for f = g; "
-                    "use main_term_specialized"
-                )
-
-
 def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
     """The generic four-term main term at the context's (s, t)."""
-    if ctx.s is None:
-        raise DomainError("main_term needs ctx.s")
-    s = complex(ctx.s)
+    s, (l_plus, l_minus, l_dual_minus, l_dual_plus) = ctx._point(pole_guard)
     t = ctx.t
     it = 1j * t
     N = ctx.N
-    _pole_guard(ctx, s, pole_guard)
-
-    l_plus, l_minus, l_dual_minus, l_dual_plus = ctx._rs_L_infinity(s)
     z2s = riemann_zeta(2.0 * s)
     z2ms = riemann_zeta(2.0 - 2.0 * s)
     z1p = riemann_zeta(1.0 + 2.0 * it)
@@ -274,18 +269,12 @@ def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int, l_infinity: 
 
 def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTermBreakdown:
     """M1, M_Omega^+ and M_Omega^- from their own displays, plus the sum."""
-    if ctx.s is None:
-        raise DomainError("main_term_breakdown needs ctx.s")
-    s = complex(ctx.s)
-    t = ctx.t
-    it = 1j * t
-    N = ctx.N
-    _pole_guard(ctx, s, pole_guard)
-    l_plus, l_minus, l_dual_minus, l_dual_plus = ctx._rs_L_infinity(s)
+    s, (l_plus, l_minus, l_dual_minus, l_dual_plus) = ctx._point(pole_guard)
+    it = 1j * ctx.t
 
     # --- M1: the first-moment piece
     z2s = riemann_zeta(2.0 * s)
-    primes = prime_divisors(N)
+    primes = prime_divisors(ctx.N)
     m1 = (
         z2s
         * riemann_zeta(1.0 + 2.0 * it)
@@ -300,7 +289,7 @@ def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTer
         * z2s
         * riemann_zeta(1.0 - 2.0 * it)
         / riemann_zeta(2.0 * s + 1.0 - 2.0 * it)
-        * _pp(N, -2.0 * it)
+        * _pp(ctx.N, -2.0 * it)
         * math.prod(
             (1 - 1.0 / p) * (1 - _pp(p, -2 * s)) / (1 - _pp(p, -2 * s - 1 + 2 * it))
             for p in primes

@@ -15,7 +15,11 @@ M3 both as the raw double sum and through its inner lower-shifted series
 sum_{n > m} a(n-m) conj(b(n)) n^{-w-k+1} (an inner product against a
 Poincare series, not the same series as D).  At matched truncations the
 two paths traverse the same index set, so agreement tests the
-rearrangement bookkeeping at floating precision.
+rearrangement bookkeeping at floating precision.  Each series' two paths
+share their set-up and sum their own terms: Z's request checks its region
+and the coefficient lengths (``ShiftedSeriesRequest.require_region``), and
+``_m3_setup`` gives both M3 paths their checked (s, w), outer weights and
+prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s').
 
 The rearranged paths form the factor that carries n once per call, and
 each shift's row is the dot of a sliding window onto it (or onto the
@@ -78,12 +82,16 @@ class ShiftedSeriesRequest:
     def region_ok(self, k: int) -> bool:
         return self.s.real > self.v.real + 1.0 and self.v.real > 1.0 + k / 2.0
 
-    def require_region(self, k: int):
-        if not self.region_ok(k):
+    def require_region(self, f: NewformData, g: NewformData):
+        """Raise unless (s, v) is in ``region_ok``'s region for f's weight
+        and f and g have the coefficients of the truncation."""
+        if not self.region_ok(f.k):
             raise DomainError(
                 "outside the absolute-convergence region: need "
                 "Re(s) > Re(v)+1 and Re(v) > 1 + k/2"
             )
+        if self.M_inner + self.M_outer > f.M or self.M_inner > g.M:
+            raise InsufficientCoefficientsError(self.M_inner + self.M_outer)
 
 
 def _envelope_edges(M: int) -> np.ndarray:
@@ -241,13 +249,11 @@ def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
 
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
     """Z as the raw truncated double sum (n inner, m outer)."""
-    req.require_region(f.k)
-    s, v, t, N = complex(req.s), complex(req.v), req.t, req.N
+    req.require_region(f, g)
+    s, v, N = complex(req.s), complex(req.v), req.N
     k = f.k
     Mo, Mi = req.M_outer, req.M_inner
-    if Mi + Mo > f.M or Mi > g.M:
-        raise InsufficientCoefficientsError(Mi + Mo)
-    sig = arith.sigma_twisted_weights(N, t, Mo)
+    sig = arith.sigma_twisted_weights(N, req.t, Mo)
     n = np.arange(1, Mi + 1, dtype=float)
     n_pow = np.exp(-(s - v - 0.5 + k) * np.log(n)) * np.conj(g.a[:Mi])
     total = 0.0 + 0.0j
@@ -275,21 +281,20 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
     (the production path; at matched truncations it traverses the same
     finite index set as the double sum).
     """
-    req.require_region(f.k)
-    s, v, t, N = complex(req.s), complex(req.v), req.t, req.N
-    w = s - v + 0.5
-    Mo, Mi = req.M_outer, req.M_inner
-    if Mi + Mo > f.M or Mi > g.M:
-        raise InsufficientCoefficientsError(Mi + Mo)
-    sig = arith.sigma_twisted_weights(N, t, Mo)
+    req.require_region(f, g)
+    s, v = complex(req.s), complex(req.v)
+    sig = arith.sigma_twisted_weights(req.N, req.t, req.M_outer)
     ms = np.flatnonzero(sig) + 1
-    total, tail = _weighted_outer_sum(ms, *_shift_rows(w, ms, f, g, Mi, lower=False), sig, -v)
-    zN = arith.zeta_depleted(2.0 * s, N)
+    rows = _shift_rows(s - v + 0.5, ms, f, g, req.M_inner, lower=False)
+    total, tail = _weighted_outer_sum(ms, *rows, sig, -v)
+    zN = arith.zeta_depleted(2.0 * s, req.N)
     return ValueWithError(complex(zN * total), abs(zN) * tail)
 
 
-def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
-    """The double series with prefactor Gamma(k+w-1)/(4 pi)^{k+w-1}."""
+def _m3_setup(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int):
+    """M3's checked (s, w), its outer weights sigma_{-2it}(m; N) for
+    m <= M_outer and its prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s'),
+    s' = s + w + k/2 - 1."""
     s, w = complex(s), complex(w)
     if s.real <= 1.0 or w.real <= 1.0:
         raise DomainError("M3_series needs Re s > 1 and Re w > 1")
@@ -298,6 +303,16 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
         raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
     sig = arith.sigma_twisted_weights(N, t, M_outer)
+    pref = np.exp(
+        _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
+    ) * arith.zeta_depleted(2.0 * sp, N)
+    return s, w, sig, pref
+
+
+def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
+    """The double series with prefactor Gamma(k+w-1)/(4 pi)^{k+w-1}."""
+    s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
+    k = f.k
     # n^{-w-k+1} for n = 1..M_outer+M_inner; row m reads n = m+1..m+M_inner
     n_pow = np.exp((-w - k + 1.0) * np.log(np.arange(1, M_outer + M_inner + 1, dtype=float)))
     total = 0.0 + 0.0j
@@ -310,28 +325,15 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
         )
         total += term
         outer_abs[m - 1] = abs(term)
-    pref = np.exp(
-        _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
-    ) * arith.zeta_depleted(2.0 * sp, N)
     tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + _envelope_tail(outer_abs))
     return ValueWithError(complex(pref * total), tail)
 
 
 def M3_series_rearranged(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
     """M3 through the inner lower-shifted series, summed over m in order."""
-    s, w = complex(s), complex(w)
-    if s.real <= 1.0 or w.real <= 1.0:
-        raise DomainError("M3_series needs Re s > 1 and Re w > 1")
-    k = f.k
-    if M_inner > f.M or M_outer + M_inner > g.M:
-        raise InsufficientCoefficientsError(M_outer + M_inner)
-    sp = s + w + k / 2.0 - 1.0
-    sig = arith.sigma_twisted_weights(N, t, M_outer)
+    s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
     ms = np.flatnonzero(sig) + 1
     total, tail = _weighted_outer_sum(
-        ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), sig, -(s + (k - 1) / 2.0)
+        ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), sig, -(s + (f.k - 1) / 2.0)
     )
-    pref = np.exp(
-        _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
-    ) * arith.zeta_depleted(2.0 * sp, N)
     return ValueWithError(complex(pref * total), abs(pref) * tail)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -153,28 +153,35 @@ def _near_nonpositive_integer(z, tol=1e-12):
     return (zr < 0.5) & (np.abs(zi) < tol) & (np.abs(zr - np.round(zr)) < tol)
 
 
+def _mirrored(fn):
+    """fn taken on Im z >= 0 and carried to Im z < 0 by fn(z) = conj(fn(conj z))."""
+
+    @wraps(fn)
+    def mirrored(z):
+        z = np.asarray(z, dtype=complex)
+        upper = z.imag >= 0.0
+        val = fn(np.where(upper, z, np.conj(z)))
+        return np.where(upper, val, np.conj(val))
+
+    return mirrored
+
+
+@_mirrored
 def _log_sin_pi(z):
     """log(sin(pi z)), continuous in each open half plane, principal on (0,1)."""
-    z = np.asarray(z, dtype=complex)
-    upper = z.imag >= 0.0
-    zu = np.where(upper, z, np.conj(z))
     # sin(pi z) = exp(-i pi z) (1 - exp(2 i pi z)) * i/2 for Im z >= 0
-    val = (
-        -1j * math.pi * zu
-        + np.log(1.0 - np.exp(2j * math.pi * zu))
+    return (
+        -1j * math.pi * z
+        + np.log(1.0 - np.exp(2j * math.pi * z))
         + (1j * math.pi / 2.0 - math.log(2.0))
     )
-    return np.where(upper, val, np.conj(val))
 
 
+@_mirrored
 def _cot_pi(z):
     """cot(pi z), overflow-safe for large |Im z|."""
-    z = np.asarray(z, dtype=complex)
-    upper = z.imag >= 0.0
-    zu = np.where(upper, z, np.conj(z))
-    u = np.exp(2j * math.pi * zu)  # |u| <= 1
-    val = -1j * (1.0 + u) / (1.0 - u)
-    return np.where(upper, val, np.conj(val))
+    u = np.exp(2j * math.pi * z)  # |u| <= 1
+    return -1j * (1.0 + u) / (1.0 - u)
 
 
 def log_gamma(z):
@@ -419,21 +426,15 @@ def dirichlet_L(s, chi: DirichletCharacter):
     q = chi.modulus
     if q == 1:
         return riemann_zeta(s)
-    if abs(s - 1.0) < 1e-12:
-        if chi.is_trivial:
-            raise PoleError("L(s, chi_0) pole at s = 1")
-        acc = 0.0 + 0.0j
-        for a in range(1, q + 1):
-            v = chi.values[a % q]
-            if v != 0:
-                acc += v * digamma_family(a / q, 0)
-        return -acc / q
+    at_one = abs(s - 1.0) < 1e-12
+    if at_one and chi.is_trivial:
+        raise PoleError("L(s, chi_0) pole at s = 1")
     acc = 0.0 + 0.0j
     for a in range(1, q + 1):
         v = chi.values[a % q]
         if v != 0:
-            acc += v * hurwitz_zeta(s, a / q)
-    return q ** (-s) * acc
+            acc += v * (digamma_family(a / q, 0) if at_one else hurwitz_zeta(s, a / q))
+    return -acc / q if at_one else q ** (-s) * acc
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

@@ -83,8 +83,8 @@ class TestSigma:
 
     def test_coprime_filter(self):
         # only divisors coprime to N survive
-        assert abs(ar.sigma_complex_coprime(12, 1.0, 6) - 1.0) < 1e-14
-        assert abs(ar.sigma_complex_coprime(12, 1.0, 2) - (1 + 3)) < 1e-14
+        assert abs(ar.sigma_complex(12, 1.0, 6) - 1.0) < 1e-14
+        assert abs(ar.sigma_complex(12, 1.0, 2) - (1 + 3)) < 1e-14
 
 
 class TestPM:

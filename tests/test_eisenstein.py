@@ -274,7 +274,7 @@ class TestRowPhaseSums:
     def test_oracle_independent_of_character_formula(self):
         # follow, by name, every module function the oracle entry points reach
         forbidden = {"characters_mod", "_inner_pairs", "lambda_chi", "tau_cusp",
-                     "tau_cusp_array", "_chi_prefactor"}
+                     "tau_cusp_array", "_chi_prefactor", "_character_terms"}
 
         def code_names(code):
             out = set(code.co_names)

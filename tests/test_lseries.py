@@ -257,20 +257,9 @@ class TestLoaders:
         with pytest.raises(ls.InvariantViolation):
             ls.load_newform(path)
 
-    def test_maass_roundtrip(self, tmp_path):
-        u = ls.synthetic_maass_form(N=2, L=1, r=9.53, m_max=64, seed=3)
-        path = tmp_path / "maass.txt"
-        lines = [f"2 1 {u.r} 0 64", f"{u.rho1} {u.lifts[1]} {u.lifts[2]}"]
-        lines += [f"{n} {float(u.lam[n - 1])!r}" for n in range(1, 65)]
-        path.write_text("\n".join(lines) + "\n")
-        v = ls.load_maass_form(path)
-        assert v.N == 2 and v.L == 1 and abs(v.r - 9.53) < 1e-12
-        assert np.allclose(v.lam, u.lam)
-
     # (loader, header with M = 3, one "n value..." line)
     LOADERS = {
         "newform": (ls.load_newform, "1 12 3\n", "{n} 1\n"),
-        "maass": (ls.load_maass_form, "1 1 9.53 0 3\n1.0 1.0\n", "{n} 1.0\n"),
     }
 
     @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -338,6 +327,16 @@ class TestRankinSelberg:
     def test_real_symmetry(self, delta):
         v, _ = ls.rankin_selberg_L(2.3, delta, delta)
         assert abs(v.imag) < 1e-13 * abs(v)
+
+    @pytest.mark.parametrize("sigma", [5.0, 8.0])
+    @pytest.mark.parametrize("m_from", [0, 1, 2, 4, 7, 8, 20])
+    def test_tail_bounds_the_true_tail(self, m_from, sigma):
+        # sum_{n > M} d(n)^2 n^{-sigma} = zeta(sigma)^4 / zeta(2 sigma) - sum_{n <= M};
+        # below M = 8 the bound once skipped the terms M < n <= 8
+        with mp.workdps(30):
+            head = mp.fsum(len(ar.divisors(n)) ** 2 * mp.mpf(n) ** -sigma for n in range(1, m_from + 1))
+            true = float(mp.zeta(sigma) ** 4 / mp.zeta(2 * sigma) - head)
+        assert ls.rankin_selberg_tail(sigma, m_from) >= true
 
     def test_pole_path_at_one(self, delta):
         with pytest.raises(DomainError):
@@ -811,6 +810,7 @@ class TestCurlyLEisenstein:
                 d = ls.curly_L_eisenstein_direct(2.5, 0.7, 0.3, cusp, m_max=40_000)
                 fa = ls.curly_L_eisenstein_factored(2.5, 0.7, 0.3j, cusp)
                 assert abs(d.value - fa) < 2e-6 * abs(fa), (N, cusp)
+                assert abs(d.value - fa) <= d.error, (N, cusp)
 
     def test_direct_region_check(self):
         with pytest.raises(DomainError):
@@ -841,6 +841,7 @@ class TestCurlyLMaass:
         d = ls.curly_L_maass_direct(2.5, 0.7, u)
         fa = ls.curly_L_maass_factored(2.5, 0.7, u)
         assert abs(d.value - fa) < 1e-8 * abs(fa)
+        assert abs(d.value - fa) <= d.error
 
     def test_t_zero_composite_level(self):
         u = ls.synthetic_maass_form(N=2, L=1, r=9.53, m_max=100_000, seed=3)
@@ -859,6 +860,7 @@ class TestDivisorModel:
             direct, tail = ls.rankin_selberg_L(w, f, g, m_max=4000)
             closed = ls.divisor_model_rs_L(w, nu, mu, N)
             assert abs(direct - closed) < 1e-5 * abs(closed)
+            assert abs(direct - closed) <= tail
 
     def test_hecke_and_bounds(self):
         f = ls.divisor_model_newform(0.52, 12, 1, 500)

@@ -7,6 +7,12 @@ renames its arguments is caught.  Bodies whose AST dump is shorter than
 ``_MIN_DUMP`` characters (a bare ``return x``, a one-call wrapper) are too
 small to be worth sharing and are skipped.
 
+A copy can also hide inside bodies that differ elsewhere, so a run of
+``_MIN_RUN`` or more consecutive statements of one block that appears in two
+functions, after the same parameter renaming, is flagged too when its AST
+dump is at least ``_MIN_RUN_DUMP`` characters long.  A function's runs stop
+at its nested functions, which are functions of their own.
+
 Memos are ``functools.lru_cache`` (or a field of the object they belong
 to), so a module-level name bound to an empty ``{}`` is a second memo idiom.
 
@@ -22,6 +28,8 @@ from pathlib import Path
 import rsmoments
 
 _MIN_DUMP = 120
+_MIN_RUN = 3
+_MIN_RUN_DUMP = 500
 
 # module-level empty dicts that are not memos.  _CONTOURS is a growing
 # table: a contour's E widens by doubling its columns, which a memo keyed
@@ -50,15 +58,19 @@ class _RenameParams(ast.NodeTransformer):
         return node
 
 
+def _renamer(fn) -> _RenameParams:
+    a = fn.args
+    params = a.posonlyargs + a.args + ([a.vararg] if a.vararg else []) + a.kwonlyargs
+    params += [a.kwarg] if a.kwarg else []
+    return _RenameParams({p.arg: f"_p{i}" for i, p in enumerate(params)})
+
+
 def _normalised_body(fn) -> str:
     body = fn.body
     if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
         if isinstance(body[0].value.value, str):
             body = body[1:]
-    a = fn.args
-    params = a.posonlyargs + a.args + ([a.vararg] if a.vararg else []) + a.kwonlyargs
-    params += [a.kwarg] if a.kwarg else []
-    renamer = _RenameParams({p.arg: f"_p{i}" for i, p in enumerate(params)})
+    renamer = _renamer(fn)
     return "".join(ast.dump(renamer.visit(copy.deepcopy(stmt))) for stmt in body)
 
 
@@ -86,6 +98,81 @@ def test_guard_catches_a_renamed_copy(tmp_path):
         "def other(y, m):\n" + body.replace("x", "y").replace("(n)", "(m)")
     )
     assert duplicate_bodies(tmp_path) == [["one:series", "two:other"]]
+
+
+_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def _blocks(node):
+    """The statement lists under ``node``, not entering nested functions or
+    classes."""
+    for field in ("body", "orelse", "finalbody"):
+        block = getattr(node, field, None)
+        if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
+            yield block
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _NESTED):
+            yield from _blocks(child)
+
+
+def repeated_statement_runs(package_dir: Path) -> list:
+    """Groups of ``module:function`` names that share a run of at least
+    ``_MIN_RUN`` consecutive statements of one block, parameters renamed by
+    position, whose AST dump has at least ``_MIN_RUN_DUMP`` characters."""
+    seen = defaultdict(set)
+    for path in sorted(package_dir.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            renamer = _renamer(fn)
+            for block in _blocks(fn):
+                dumps = [ast.dump(renamer.visit(copy.deepcopy(stmt))) for stmt in block]
+                for lo in range(len(dumps)):
+                    for hi in range(lo + _MIN_RUN, len(dumps) + 1):
+                        run = "".join(dumps[lo:hi])
+                        if len(run) >= _MIN_RUN_DUMP:
+                            seen[run].add(f"{path.stem}:{fn.name}")
+    return sorted({tuple(sorted(names)) for names in seen.values() if len(names) > 1})
+
+
+def test_no_repeated_statement_runs():
+    assert repeated_statement_runs(Path(rsmoments.__file__).parent) == []
+
+
+_RUN = """\
+total = 0.0 + 0.0j
+for j in range(1, {n} + 1):
+    total += weights[j - 1] * j ** (-{x})
+if abs(total) > 1e300:
+    raise OverflowError("the series overflows at n = " + str({n}))
+scale = math.exp(-{x} * math.log({n} + 1.0)) / ({x} - 1.0)
+"""
+
+
+def _indented(text: str, depth: int) -> str:
+    return "".join("    " * depth + line + "\n" for line in text.splitlines())
+
+
+def test_guard_catches_a_repeated_run(tmp_path):
+    run = _RUN.format(x="x", n="n")
+    (tmp_path / "one.py").write_text(
+        "def first(x, n, weights):\n    '''Doc.'''\n    n = n + 1\n"
+        + _indented(run, 1) + "    return total, scale\n\n\n"
+        "def nested(x):\n    def inner(x, n, weights):\n"
+        + _indented(run, 2) + "        return total\n"
+        "    return inner(x, 3, [1.0] * 4)\n"
+    )
+    # the same run inside an if block of a function whose parameters have
+    # other names; a run of two statements, or a short one, is not flagged
+    (tmp_path / "two.py").write_text(
+        "def second(y, m, weights):\n    if y > 1.0:\n        m += 1\n"
+        + _indented(_RUN.format(x="y", n="m"), 2) + "    return 0.0\n\n\n"
+        "def pair(x, n, weights):\n" + _indented("\n".join(run.splitlines()[-3:]), 1)
+        + "    return scale\n\n\n"
+        "def short(x, n, weights):\n    a = x\n    b = n\n    c = weights\n    return a, b, c\n\n\n"
+        "def short_copy(x, n, weights):\n    a = x\n    b = n\n    c = weights\n    return a\n"
+    )
+    assert repeated_statement_runs(tmp_path) == [("one:first", "one:inner", "two:second")]
 
 
 def module_level_empty_dicts(package_dir: Path) -> list:
