@@ -10,9 +10,10 @@ with the rational factor forcing h(+-i/2) = 0.  The kernel
              G(ir+ix+it+k/2) G(-ir+ix+it+k/2) /
              [G(ir+it+k/2) G(-ir+it+k/2)] dr
 
-and its t-derivatives drive every main-term evaluation.  The integrand is
-even in r, so the integral is taken as twice the bump window around +T with
-a certified Gaussian bound for whatever is dropped.
+and its first s-derivative at s = 1/2 -+ it drive every main-term
+evaluation.  The integrand is even in r, so the integral is taken as twice
+the bump window around +T with a certified Gaussian bound for whatever is
+dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .specfun import (
     DomainError,
     PoleError,
     QuadratureSpec,
-    _near_nonpositive_integer,
     digamma_family,
     gk15_panel_nodes,
     integrate_line,
@@ -41,7 +41,6 @@ __all__ = [
     "h_eval",
     "H0",
     "H0_derivative",
-    "M_kernel",
 ]
 
 # Half-width of the integration window in units of T^alpha.  At 12 units the
@@ -216,113 +215,34 @@ def H0(ix, ctx: KernelContext) -> complex:
     return 2.0 * val / math.pi**2
 
 
-def _psi_sum(r, shift, k, order: int = 0):
-    """psi^(order)(ir + shift + k/2) + psi^(order)(-ir + shift + k/2) on a real grid r."""
+def _psi_sum(r, shift, k):
+    """psi(ir + shift + k/2) + psi(-ir + shift + k/2) on a real grid r."""
     a = k / 2.0 + shift
-    return digamma_family(1j * r + a, order) + digamma_family(-1j * r + a, order)
+    return digamma_family(1j * r + a) + digamma_family(-1j * r + a)
 
 
-def H0_derivative(variant: str, order: int, ctx: KernelContext) -> complex:
-    """Displayed psi-weighted integrals for d^m/ds^m (m=1) / d^m/dt^m (m=2,3).
+def H0_derivative(variant: str, ctx: KernelContext) -> complex:
+    """The displayed psi-weighted integral for the first s-derivative of H0.
 
-    variant "minus": derivatives of H0(-2s+1-2it) at s = 1/2 - it, i.e. of
-    H0(-2it') in t' at 0; variant "plus": the same for H0(-2s+1) at
-    s = 1/2 + it (order 1) and H0(+2it') at t' = 0 (orders 2, 3).
-
-    order 1 is valid for any context t; orders 2 and 3 are the t = 0
-    displays and require ctx.t == 0.  The "plus" order-1 integrand is H0's
-    own integrand at ix = -2it times its psi-sum, so on the starting panels
-    it reads the context's cached ix-free factors.
+    variant "minus": d/ds of H0(-2s+1-2it) at s = 1/2 - it; variant "plus":
+    d/ds of H0(-2s+1) at s = 1/2 + it.  The "plus" integrand is H0's own
+    integrand at ix = -2it times its psi-sum, so on the starting panels it
+    reads the context's cached ix-free factors.
     """
     if variant not in ("minus", "plus"):
         raise DomainError("variant must be 'minus' or 'plus'")
-    if order not in (1, 2, 3):
-        raise DomainError("order must be 1, 2 or 3")
-    if order > 1 and abs(ctx.t) > 1e-14:
-        raise DomainError("orders 2 and 3 are the t = 0 displays")
-    p = ctx.params
     k = ctx.k
     t = ctx.t
+    if variant == "minus":
 
-    if order == 1:
-        if variant == "minus":
+        def f(r):
+            return _spectral_weight(r, ctx) * _psi_sum(r, 1j * t, k)
 
-            def f(r):
-                return _spectral_weight(r, ctx) * _psi_sum(r, 1j * t, k)
-
-        else:
-            h0_at = _h0_integrand_factory(-2j * t, ctx)
-
-            def f(r):
-                return h0_at(r) * _psi_sum(r, -1j * t, k)
-
-        scale = -2.0 / math.pi**2
-    elif order == 2:
-        if variant == "minus":
-
-            def f(r):
-                return _spectral_weight(r, ctx) * _psi_sum(r, 0.0, k) ** 2
-
-            scale = -4.0 / math.pi**2
-        else:
-
-            def f(r):
-                psi = _psi_sum(r, 0.0, k)
-                return _spectral_weight(r, ctx) * (
-                    psi * psi + 2.0 * _psi_sum(r, 0.0, k, 1)
-                )
-
-            scale = -4.0 / math.pi**2
     else:
-        # third t-derivatives at t = 0 of H0(-2it) / H0(+2it); obtained by
-        # expanding the log of the gamma ratio to third order in t.
-        if variant == "minus":
+        h0_at = _h0_integrand_factory(-2j * t, ctx)
 
-            def f(r):
-                psi = _psi_sum(r, 0.0, k)
-                return (
-                    _spectral_weight(r, ctx) * (8j * psi**3 + 2j * _psi_sum(r, 0.0, k, 2))
-                )
+        def f(r):
+            return h0_at(r) * _psi_sum(r, -1j * t, k)
 
-        else:
-
-            def f(r):
-                psi = _psi_sum(r, 0.0, k)
-                return _spectral_weight(r, ctx) * (
-                    -8j * psi**3
-                    - 48j * psi * _psi_sum(r, 0.0, k, 1)
-                    - 26j * _psi_sum(r, 0.0, k, 2)
-                )
-
-        scale = 1.0 / math.pi**2
-
-    val, _ = integrate_line(f, ctx.quad, interval=p.window_edges())
-    return scale * 2.0 * val
-
-
-def M_kernel(s, z) -> complex:
-    """sqrt(pi) 2^(1/2-s) G(s-1/2-z) G(s-1/2+z) G(1-s) / [G(1/2-z) G(1/2+z)].
-
-    Poles sit at s = 1/2 +- z - l (l >= 0) and at positive integers s; the
-    raised error names the offending factor.
-    """
-    s = complex(s)
-    z = complex(z)
-
-    for arg, name in (
-        (s - 0.5 - z, "Gamma(s - 1/2 - z)"),
-        (s - 0.5 + z, "Gamma(s - 1/2 + z)"),
-        (1.0 - s, "Gamma(1 - s)"),
-    ):
-        if _near_nonpositive_integer(arg, tol=1e-10):
-            raise PoleError(f"M_kernel pole from {name}")
-    log_val = (
-        0.5 * math.log(math.pi)
-        + (0.5 - s) * math.log(2.0)
-        + _loggamma(s - 0.5 - z)
-        + _loggamma(s - 0.5 + z)
-        + _loggamma(1.0 - s)
-        - _loggamma(0.5 - z)
-        - _loggamma(0.5 + z)
-    )
-    return complex(np.exp(log_val))
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
+    return -4.0 / math.pi**2 * val

@@ -221,33 +221,42 @@ class MaassFormData:
         return out
 
 
+def _integer_fields(line: str, count: int, what: str) -> list:
+    """The ``count`` integer fields of ``line``; anything else is an
+    invariant violation."""
+    try:
+        values = [int(v) for v in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise InvariantViolation(f"{what} must be {count} integers, got {line.strip()!r}")
+    return values
+
+
 def _indexed_lines(fh, M: int) -> list:
-    """The fields after n of the ``n value...`` lines left in ``fh``, in
-    index order.  Each n in 1..M must appear exactly once."""
+    """The value of each ``n a(n)`` line left in ``fh``, in index order.
+    Each n in 1..M must appear exactly once."""
     rows = [None] * M
     for line in fh:
         if not line.strip():
             continue
-        n_str, *values = line.split()
-        n = int(n_str)
+        n, value = _integer_fields(line, 2, "a coefficient line 'n a(n)'")
         if not 1 <= n <= M:
             raise InvariantViolation(f"coefficient index {n} out of range 1..{M}")
         if rows[n - 1] is not None:
             raise InvariantViolation(f"coefficient index {n} repeated")
-        rows[n - 1] = values
+        rows[n - 1] = value
     if None in rows:
         raise InvariantViolation(f"expected {M} coefficient lines, got {M - rows.count(None)}")
     return rows
 
 
 def load_newform(path) -> NewformData:
-    """Read the text format: line 1 ``N k M``, then M lines ``n a(n)``."""
+    """Read the text format: line 1 ``N k M``, then M lines ``n a(n)``, all
+    integers; a malformed line raises :class:`InvariantViolation`."""
     with open(path) as fh:
-        head = fh.readline().split()
-        if len(head) != 3:
-            raise InvariantViolation("header must be 'N k M'")
-        N, k, M = map(int, head)
-        exact = [int(v) for (v,) in _indexed_lines(fh, M)]
+        N, k, M = _integer_fields(fh.readline(), 3, "the header 'N k M'")
+        exact = _indexed_lines(fh, M)
     return NewformData(N=N, k=k, a=np.array([float(v) for v in exact]), a_exact=tuple(exact))
 
 

@@ -452,7 +452,7 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     if which == "feq_minus":
         h0_0 = ctx.H0(0.0)
         zz = zm * zp / z2
-        t1 = -zz * H0_derivative("minus", 1, ctx.kernel) * prod_minus * res
+        t1 = -zz * H0_derivative("minus", ctx.kernel) * prod_minus * res
         inner = 0.0 + 0.0j
         for a in divisors(N):
             g = math.gcd(a, N // a)
@@ -484,7 +484,7 @@ def main_term_specialized(ctx: MomentContext, which: str) -> complex:
     v1 = (
         -two_pi_4it
         * zz
-        * H0_derivative("plus", 1, ctx.kernel)
+        * H0_derivative("plus", ctx.kernel)
         * _pp(N, -2 * it)
         * prod_plus
         * res

@@ -70,6 +70,7 @@ class ShiftedSeriesRequest:
 
     ``region_ok`` records the absolute-convergence flags: Re(s) > Re(v) + 1
     with Re(v) = 1 + k/2 + eps for Z; Re(w) > 1 for the single series.
+    Both truncations must keep at least one term.
     """
 
     s: complex
@@ -78,6 +79,9 @@ class ShiftedSeriesRequest:
     N: int
     M_outer: int
     M_inner: int
+
+    def __post_init__(self):
+        _require_counts(M_outer=self.M_outer, M_inner=self.M_inner)
 
     def region_ok(self, k: int) -> bool:
         return self.s.real > self.v.real + 1.0 and self.v.real > 1.0 + k / 2.0
@@ -92,6 +96,12 @@ class ShiftedSeriesRequest:
             )
         if self.M_inner + self.M_outer > f.M or self.M_inner > g.M:
             raise InsufficientCoefficientsError(self.M_inner + self.M_outer)
+
+
+def _require_counts(**counts):
+    """Raise unless every named shift and truncation is at least 1."""
+    if min(counts.values()) < 1:
+        raise DomainError(f"{' and '.join(counts)} must be >= 1")
 
 
 def _envelope_edges(M: int) -> np.ndarray:
@@ -206,13 +216,13 @@ def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_ma
 def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
     """D(w; m) = sum_{n <= n_max} a(n+m) conj(b(n)) n^{-w-k+1} + tail bound.
 
-    Needs Re w > 1 (terms are <= d(n+m) d(n) (1+m/n)^{(k-1)/2} n^{-Re w}).
+    Needs Re w > 1 (terms are <= d(n+m) d(n) (1+m/n)^{(k-1)/2} n^{-Re w}),
+    m >= 1 and n_max >= 1.
     """
     w = complex(w)
     if w.real <= 1.0:
         raise DomainError("shifted_D needs Re w > 1")
-    if m < 1:
-        raise DomainError("shift m must be >= 1")
+    _require_counts(m=m, n_max=n_max)
     if n_max + m > f.M or n_max > g.M:
         raise InsufficientCoefficientsError(n_max + m)
     values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=False)
@@ -220,10 +230,14 @@ def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWit
 
 
 def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
-    """sum_{n = m+1}^{m + n_max} a(n-m) conj(b(n)) n^{-w-k+1} + tail bound."""
+    """sum_{n = m+1}^{m + n_max} a(n-m) conj(b(n)) n^{-w-k+1} + tail bound.
+
+    Needs Re w > 1, m >= 1 and n_max >= 1.
+    """
     w = complex(w)
     if w.real <= 1.0:
         raise DomainError("shifted_inner_lower needs Re w > 1")
+    _require_counts(m=m, n_max=n_max)
     if n_max > f.M or n_max + m > g.M:
         raise InsufficientCoefficientsError(n_max + m)
     values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=True)
@@ -292,12 +306,13 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
 
 
 def _m3_setup(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int):
-    """M3's checked (s, w), its outer weights sigma_{-2it}(m; N) for
+    """M3's checked (s, w) and truncations, its outer weights sigma_{-2it}(m; N) for
     m <= M_outer and its prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s'),
     s' = s + w + k/2 - 1."""
     s, w = complex(s), complex(w)
     if s.real <= 1.0 or w.real <= 1.0:
         raise DomainError("M3_series needs Re s > 1 and Re w > 1")
+    _require_counts(M_outer=M_outer, M_inner=M_inner)
     k = f.k
     if M_inner > f.M or M_outer + M_inner > g.M:
         raise InsufficientCoefficientsError(M_outer + M_inner)

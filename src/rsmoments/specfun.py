@@ -6,8 +6,7 @@ series) is built on the functions in this module:
 * ``log_gamma`` / ``complex_gamma`` -- scipy's principal-branch log Gamma
   with a pole check, so that ratios of gamma functions with large imaginary
   parts can be formed in log space.
-* ``digamma_family`` -- psi and its first three derivatives for complex
-  arguments (scipy only covers the complex case for order 0).
+* ``digamma_family`` -- psi for complex arguments.
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
   functional-equation fallback on the left half plane.
 * ``central_difference`` -- the fourth-order 4-point stencil, the one route
@@ -144,7 +143,7 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
-# log-gamma, gamma, polygamma
+# log-gamma, gamma, digamma
 
 
 def _near_nonpositive_integer(z, tol=1e-12):
@@ -206,82 +205,46 @@ def complex_gamma(z):
 _PSI_SHIFT = 12.0
 
 
-def _cot_pi_derivative(z, m):
-    """d^m/dz^m of pi*cot(pi z) for m = 0..3."""
-    c = _cot_pi(z)
-    pi = math.pi
-    if m == 0:
-        return pi * c
-    if m == 1:
-        return -(pi**2) * (1.0 + c * c)
-    if m == 2:
-        return 2.0 * pi**3 * c * (1.0 + c * c)
-    return -2.0 * pi**4 * (1.0 + 3.0 * c * c) * (1.0 + c * c)
+def digamma_family(z):
+    """psi(z) for complex z (vectorised).
 
-
-def digamma_family(z, order: int = 0):
-    """psi^(m)(z) for m in {0, 1, 2, 3} and complex z (vectorised).
-
-    The downward recurrence psi^(m)(z) = psi^(m)(z+1) - (-1)^m m! z^-(m+1)
-    moves the argument to Re z >= 12, where the asymptotic series applies;
-    Re z < 0.5 is handled by the reflection formula.
+    The downward recurrence psi(z) = psi(z+1) - 1/z moves the argument to
+    Re z >= 12, where the asymptotic series applies; Re z < 0.5 is handled
+    by the reflection formula.
     """
-    if order not in (0, 1, 2, 3):
-        raise DomainError("digamma_family supports orders 0..3")
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     zf = np.atleast_1d(z_arr).astype(complex).ravel()
     if np.any(_near_nonpositive_integer(zf)):
-        raise PoleError("polygamma pole at non-positive integer argument")
+        raise PoleError("digamma pole at non-positive integer argument")
 
     out = np.empty_like(zf)
     refl = zf.real < 0.5
     if np.any(refl):
         zr = zf[refl]
-        out[refl] = (-1.0) ** order * _psi_right(1.0 - zr, order) - _cot_pi_derivative(
-            zr, order
-        )
+        out[refl] = _psi_right(1.0 - zr) - math.pi * _cot_pi(zr)
     if np.any(~refl):
-        out[~refl] = _psi_right(zf[~refl], order)
+        out[~refl] = _psi_right(zf[~refl])
     return complex(out[0]) if scalar else out.reshape(z_arr.shape)
 
 
-def _psi_right(w, m):
+def _psi_right(w):
     w = w.copy()
     rec = np.zeros_like(w)
-    sign = (-1.0) ** m * math.factorial(m)
     needs = (w.real < _PSI_SHIFT) & (np.abs(w.imag) < 30.0)
     while np.any(needs):
-        rec[needs] -= sign * w[needs] ** (-(m + 1))
+        # not 1.0 / w: numpy rounds the two differently, and psi's bits are pinned
+        rec[needs] -= w[needs] ** (-1)
         w[needs] += 1.0
         needs = (w.real < _PSI_SHIFT) & (np.abs(w.imag) < 30.0)
 
     inv = 1.0 / w
     inv2 = inv * inv
-    if m == 0:
-        out = np.log(w) - 0.5 * inv
-        term = inv2
-        for j in range(1, 11):
-            out -= _B2N[j - 1] / (2 * j) * term
-            term = term * inv2
-    elif m == 1:
-        out = inv + 0.5 * inv2
-        term = inv2 * inv
-        for j in range(1, 11):
-            out += _B2N[j - 1] * term
-            term = term * inv2
-    elif m == 2:
-        out = -inv2 - inv2 * inv
-        term = inv2 * inv2
-        for j in range(1, 11):
-            out -= (2 * j + 1) * _B2N[j - 1] * term
-            term = term * inv2
-    else:
-        out = 2.0 * inv2 * inv + 3.0 * inv2 * inv2
-        term = inv2 * inv2 * inv
-        for j in range(1, 11):
-            out += (2 * j + 1) * (2 * j + 2) * _B2N[j - 1] * term
-            term = term * inv2
+    out = np.log(w) - 0.5 * inv
+    term = inv2
+    for j in range(1, 11):
+        out -= _B2N[j - 1] / (2 * j) * term
+        term = term * inv2
     return out + rec
 
 
@@ -433,7 +396,7 @@ def dirichlet_L(s, chi: DirichletCharacter):
     for a in range(1, q + 1):
         v = chi.values[a % q]
         if v != 0:
-            acc += v * (digamma_family(a / q, 0) if at_one else hurwitz_zeta(s, a / q))
+            acc += v * (digamma_family(a / q) if at_one else hurwitz_zeta(s, a / q))
     return -acc / q if at_one else q ** (-s) * acc
 
 

@@ -115,7 +115,6 @@ class TestSigmaTwisted:
             for t in (0.3, 0.7, 1.9):
                 assert abs(ar.sigma_twisted_N(m, 1, t) - ar.sigma_complex(m, -2j * t)) < 1e-12
 
-    @pytest.mark.slow
     def test_level_one_reduction_full_range(self):
         t = 0.7
         arr = ar.sigma_twisted_array(1, t, 10_000)

@@ -169,6 +169,15 @@ class TestZSeriesCommand:
         idx = header.split(",").index("double_sum_rel_diff")
         assert float(row.split(",")[idx]) < 1e-10
 
+    @pytest.mark.parametrize("M_outer, M_inner", [("0", "10"), ("10", "0"), ("-5", "10")])
+    def test_empty_truncation_refused(self, capsys, M_outer, M_inner):
+        code, out, err = run_cli(
+            ["z-series", "--M-outer", M_outer, "--M-inner", M_inner, "--horizon", "100"], capsys
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "M_outer and M_inner must be >= 1"}
+
 
 class TestMomentTableCommand:
     def test_ratio_normalised_by_alpha(self, capsys):

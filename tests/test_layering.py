@@ -5,10 +5,13 @@
 
 so special functions never reach into arithmetic, arithmetic never into the
 L-series layer, and so on.  Function-local imports count as well.  And every
-module-level import has a reader, so no module claims a dependency it lacks.
+module-level import has a reader, so no module claims a dependency it lacks,
+and every public name outside the roots ``verify`` and ``cli`` has a reader in
+the package or a stated reason to stay.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,77 @@ def test_reader_guard_sees_unread_names(tmp_path):
         "        return os.sep\n"
     )
     assert unread_imports(path) == {"np", "dv", "H0"}
+
+
+# the roots: their public names are commands and checks, read by no module
+ROOTS = {"verify", "cli"}
+
+# public names that no module reads, each kept for the reason given
+UNREAD_PUBLIC = {
+    "eisenstein:eisenstein_oracle": "the lattice route to E_a(z, s), checked in the tests",
+    "eisenstein:eisenstein_constant_term": "the x-average of that route, checked against tau",
+    "shifted:shifted_D": "the one-row D(w; m), whose criterion-11 values the tests pin",
+    "shifted:shifted_inner_lower": "the one-row lower-shifted series, pinned the same way",
+    "lseries:synthetic_maass_form": "the Maass form data the Maass-side tests are built on",
+    "lseries:residue_at_1": "the Richardson route to Res L(s, f x f~), checked against "
+                            "selfdual_rs_constants in the tests",
+    "lseries:curly_L_maass_direct": "one of the two Maass twisted-series routes the tests compare",
+    "lseries:curly_L_maass_factored": "the other of those two routes",
+    "lseries:rankin_selberg_maass": "the direct L(s, f x u) of the discrete-moment tests",
+    "moments:first_moment_pieces": "read by bench/ only, the first-moment-oracle workload",
+    "moments:error_exponent": "the paper's piecewise error exponent, pinned by the tests",
+}
+
+
+def unread_public_names(paths, roots=ROOTS) -> set:
+    """``module:name`` of each module-level function or class without a
+    leading underscore, outside ``roots``, that nothing in ``paths`` reads.
+
+    A read is a load of the bare name or an attribute of that name, anywhere
+    but inside the definition itself; ``__all__`` is not a read.
+    """
+    defined, readers = set(), defaultdict(set)  # name -> {(module, enclosing definition)}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.stem not in roots and not node.name.startswith("_"):
+                    defined.add((path.stem, node.name))
+                owner.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers[node.id].add((path.stem, owner.get(id(node))))
+            elif isinstance(node, ast.Attribute):
+                readers[node.attr].add((path.stem, owner.get(id(node))))
+    return {f"{module}:{name}" for module, name in defined if not readers[name] - {(module, name)}}
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_public_names(sorted(PACKAGE.glob("*.py"))) == set(UNREAD_PUBLIC)
+
+
+def test_public_reader_guard_sees_unread_names(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "__all__ = ['unused']\n"
+        "def used():\n"
+        "    return 1\n"
+        "def unused():\n"
+        "    return unused()\n"
+        "def _private():\n"
+        "    return 2\n"
+        "class Shape:\n"
+        "    pass\n"
+        "class Orphan:\n"
+        "    def area(self):\n"
+        "        return Orphan\n"
+    )
+    (tmp_path / "app.py").write_text(
+        "from . import lib\n"
+        "from .lib import Shape\n"
+        "def main():\n"
+        "    return lib.used(), Shape()\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_public_names(paths, roots={"app"}) == {"lib:unused", "lib:Orphan"}
+    assert unread_public_names(paths, roots=set()) == {"lib:unused", "lib:Orphan", "app:main"}

@@ -292,6 +292,19 @@ class TestLoaders:
         with pytest.raises(ls.InvariantViolation):
             load(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 12 2\n1 1\n2\n", "1 12 2\n1 1\n2 -24 7\n", "1 12 2\n1 1\n2 -24.5\n",
+         "1 12 x\n1 1\n2 -24\n"],
+        ids=["no_value", "two_values", "not_integer", "header_not_integer"],
+    )
+    def test_rejects_malformed_line(self, tmp_path, text):
+        # each of these used to escape as a bare ValueError
+        path = tmp_path / "form.txt"
+        path.write_text(text)
+        with pytest.raises(ls.InvariantViolation, match="integers"):
+            ls.load_newform(path)
+
 
 class TestReadOnlyCaches:
     def test_cached_arrays_reject_writes(self, delta):
@@ -792,7 +805,6 @@ class TestContourCut:
 
 
 class TestCurlyLEisenstein:
-    @pytest.mark.slow
     def test_direct_vs_factored_grid(self):
         # the spec grid: t in {0, 0.7}, r in {0.3, 1.1} (t = 0 exercises the
         # removable singularity of the local factors)

@@ -737,7 +737,6 @@ class TestFirstMoment:
         assert got.shape == direct.shape
         assert np.max(np.abs(got - direct)) <= 64.0 * np.finfo(float).eps * scale
 
-    @pytest.mark.slow
     def test_quadrature_consistency(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
         _, lm1, lp1 = mo.first_moment_pieces(6, ctx, m_inner=20000)
@@ -747,7 +746,6 @@ class TestFirstMoment:
 
 
 class TestGrowthTrend:
-    @pytest.mark.slow
     def test_trend_invariant(self, delta):
         # the ratio sequence varies by < 20% between consecutive T and moves
         # monotonically toward the leading coefficient (the acceptance

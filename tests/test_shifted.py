@@ -277,3 +277,37 @@ class TestCoefficientsCheckedFirst:
         f, g = (cut, delta) if short == "f" else (delta, cut)
         with pytest.raises(ls.InsufficientCoefficientsError):
             sh.M3_series_rearranged(2.2, 2.7, 0.7, f, g, 1, 300, 500)
+
+
+class TestEmptyTruncationsRejected:
+    # a truncation that keeps no term is refused before any work, not summed
+    # to 0 with an infinite tail or left to fail inside numpy
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("work started before the truncation check")
+
+        monkeypatch.setattr(ar, "sigma_twisted_weights", fail)
+        monkeypatch.setattr(sh, "_shift_rows", fail)
+
+    @pytest.mark.parametrize("M_outer, M_inner", [(0, 10), (10, 0), (-5, 10), (10, -3)])
+    def test_request(self, M_outer, M_inner):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1,
+                                    M_outer=M_outer, M_inner=M_inner)
+
+    @pytest.mark.parametrize("path", ["M3_series", "M3_series_rearranged"])
+    @pytest.mark.parametrize("M_outer, M_inner", [(0, 10), (10, 0), (-5, 10), (10, -3)])
+    def test_M3(self, delta, path, M_outer, M_inner):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            getattr(sh, path)(2.2, 2.7, 0.7, delta, delta, 1, M_outer, M_inner)
+
+    @pytest.mark.parametrize("m, n_max", [(1, 0), (3, -4)])
+    def test_shifted_D(self, delta, m, n_max):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            sh.shifted_D(2.5, m, delta, delta, n_max)
+
+    @pytest.mark.parametrize("m, n_max", [(1, 0), (2, -4), (0, 10), (-4, 10)])
+    def test_shifted_inner_lower(self, delta, m, n_max):
+        with pytest.raises(DomainError, match="must be >= 1"):
+            sh.shifted_inner_lower(2.5, m, delta, delta, n_max)
