@@ -8,8 +8,9 @@ artifacts, so repeated runs are bit-identical.
 
 Newform arguments accept either a coefficient file path (format: header
 ``N k M`` then ``n a(n)`` lines) or ``builtin:delta`` for the level-1
-weight-12 discriminant form.  The default data directory for bare
-filenames is taken from ``RSMOMENTS_DATA_DIR``.
+weight-12 discriminant form.  A command that takes a form computes at
+its level, and ``--newform-g`` must share it.  The default data directory
+for bare filenames is taken from ``RSMOMENTS_DATA_DIR``.
 """
 
 from __future__ import annotations
@@ -128,16 +129,19 @@ def cmd_h0(args) -> int:
 
 
 def _forms(args) -> tuple:
-    """(f, g) from --newform and --newform-g; g is f when --newform-g is unset."""
+    """(f, g) from --newform and --newform-g; g is f when --newform-g is
+    unset.  The level is the forms', which must agree."""
     f = _load_form(args.newform, args.horizon)
     g = f if args.newform_g is None else _load_form(args.newform_g, args.horizon)
+    if g.N != f.N:
+        raise lseries.InvariantViolation(f"--newform has level {f.N} and --newform-g level {g.N}")
     return f, g
 
 
 def _moment_ctx(args, s=None) -> moments.MomentContext:
-    """The context of the named forms, with a kernel of their weight."""
+    """The context of the named forms at their level, with a kernel of their weight."""
     f, g = _forms(args)
-    return moments.MomentContext(t=args.t, f=f, g=g, N=args.N, kernel=_kernel_ctx(args, f.k), s=s)
+    return moments.MomentContext(t=args.t, f=f, g=g, N=f.N, kernel=_kernel_ctx(args, f.k), s=s)
 
 
 def cmd_main_term(args) -> int:
@@ -153,7 +157,7 @@ def cmd_main_term(args) -> int:
     _write_rows(
         args,
         ["N", "T", "alpha", "t", "k", "which", "s_re", "s_im", "M_re", "M_im"],
-        [[args.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), ctx.k,
+        [[ctx.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), ctx.k,
           args.which, *_fmt_pair(s), *_fmt_pair(val)]],
     )
     return 0
@@ -192,7 +196,7 @@ def cmd_z_series(args) -> int:
     f, g = _forms(args)
     req = ShiftedSeriesRequest(
         s=complex(args.s_re, args.s_im), v=complex(args.v_re, args.v_im),
-        t=args.t, N=args.N, M_outer=args.M_outer, M_inner=args.M_inner,
+        t=args.t, N=f.N, M_outer=args.M_outer, M_inner=args.M_inner,
     )
     z_re = Z_series(req, f, g)
     z_db = Z_series_double(req, f, g)
@@ -201,7 +205,7 @@ def cmd_z_series(args) -> int:
         ["s_re", "s_im", "v_re", "v_im", "t", "N", "M_outer", "M_inner",
          "Z_re", "Z_im", "tail_estimate", "double_sum_rel_diff"],
         [[_fmt(args.s_re), _fmt(args.s_im), _fmt(args.v_re), _fmt(args.v_im),
-          _fmt(args.t), args.N, args.M_outer, args.M_inner,
+          _fmt(args.t), f.N, args.M_outer, args.M_inner,
           *_fmt_pair(z_re.value), _fmt(z_re.error),
           _fmt(abs(z_re.value - z_db.value) / abs(z_re.value))]],
     )
@@ -211,14 +215,14 @@ def cmd_z_series(args) -> int:
 def cmd_moment_table(args) -> int:
     f = _load_form(args.newform, args.horizon)
     const = lseries.selfdual_rs_constants(f)
-    c = moments.leading_coeff(3, args.N, const["residue"])
+    c = moments.leading_coeff(3, f.N, const["residue"])
     rows = []
     for T in args.T_grid:
         kp = TestFunctionParams(T=T, alpha=args.alpha, R=args.R)
 
         def builder(t, kp=kp):
             return moments.MomentContext(
-                t=t, f=f, g=f, N=args.N, kernel=KernelContext(kp, t=t, k=f.k), s=None
+                t=t, f=f, g=f, N=f.N, kernel=KernelContext(kp, t=t, k=f.k), s=None
             )
 
         val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
@@ -284,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_h0)
 
     def add_form_args(p, with_g=True):
-        p.add_argument("--N", type=int, default=1)
-        p.add_argument("--newform", default="builtin:delta")
+        p.add_argument("--newform", default="builtin:delta", help="its header sets the level N")
         if with_g:
             p.add_argument("--newform-g", default=None)
         p.add_argument("--horizon", type=int, default=20000)

@@ -23,16 +23,18 @@ Evaluators
   two sources are a caller's provider and, for f = g at level 1,
   ``selfdual_rs_L`` = zeta(w) L(w, sym^2 f).
 * ``_smoothed_afe`` -- the one smoothed approximate functional equation.
-  An L-function is data (log gamma factor, x scale, root number,
-  coefficients, contour); its first sums carry the Mellin weights
+  An L-function is its Gamma_R shifts lambda_j (gamma factor
+  prod_j Gamma_R(s + lambda_j), Gamma_R(s) = pi^{-s/2} G(s/2)), root number,
+  coefficients and contour (c, h); the engine derives log gamma (each pair
+  lambda, lambda + 1 folded into one log G), the x scale
+  (2 pi)^{pairs} pi^{singles/2}, the degree (the number of shifts), the
+  contour's growth and the sum length.  Its first sums carry the weights
       W(u, x) = 1/(2 pi i) int exp(logG(u+w) - logG(u)) x^{-w} e^{w^2/(2c^2)} dw/w
-  on a contour Re w = sigma0 past max(Re s, 1 - Re s), cut to the batch's
-  height, from one (rows x contour) @ E product per block of rows, E kept
-  read-only per contour by ``_mellin_weights``, and a 1-D array of s sums
-  one first sum per distinct u of S and 1 - S.
-* ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on level-1 data,
-  for -7 < Re s < 8.
-* ``sym2_L`` -- the AFE on the symmetric square's data, for -3 < Re s < 4
+  on Re w = sigma0 past max(Re s, 1 - Re s), one (rows x contour) @ E
+  product per block of rows, once per distinct u of S and 1 - S.
+* ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on the shifts
+  (k-1)/2, (k+1)/2, for -7 < Re s < 8.
+* ``sym2_L`` -- the AFE on the shifts 1, k - 1, k, for -3 < Re s < 4
   and |Im s| < 18.8, at a scalar or a 1-D array of s; powers
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent constants
   at s = 1.  Its coefficients and value batches (read-only) and Laurent
@@ -48,8 +50,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -67,13 +70,11 @@ from .arith import (
 )
 from .specfun import (
     DomainError,
-    NonConvergenceError,
     PoleError,
     ValueWithError,
     riemann_zeta,
     EULER_GAMMA,
     central_difference,
-    extrapolate_to_zero,
 )
 
 __all__ = [
@@ -87,7 +88,6 @@ __all__ = [
     "synthetic_maass_form",
     "rankin_selberg_L",
     "rankin_selberg_tail",
-    "residue_at_1",
     "holo_L",
     "sym2_L",
     "selfdual_rs_L",
@@ -138,6 +138,8 @@ class NewformData:
         a = np.array(self.a, dtype=float)
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
+        if self.N < 1:
+            raise InvariantViolation("level must be an integer >= 1")
         if self.k < 4 or self.k % 2:
             raise InvariantViolation("weight must be an even integer >= 4")
         if self.a.size < 1 or abs(self.a[0] - 1.0) > 1e-12:
@@ -426,30 +428,52 @@ def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None
     return _depleted_series(f.A(m_cap) * np.conj(g.A(m_cap)), s, f.N, 1.0)
 
 
-def residue_at_1(f: NewformData) -> tuple:
-    """Res_{s=1} L(s, f x f~) by Richardson extrapolation of (s-1) L(s).
-
-    Returns (value, error estimate); the estimate combines the extrapolation
-    spread with the truncation certificates (which dominate: the direct
-    series converges slowly this close to the pole).
-    """
-    hs = (0.1, 0.05, 0.025)
-    vals, tails = [], []
-    for h in hs:
-        v, tail = rankin_selberg_L(1.0 + h, f, f)
-        vals.append(h * v)
-        tails.append(h * tail)
-    extrap = extrapolate_to_zero(hs, vals)
-    extrap2 = extrapolate_to_zero(hs[:2], vals[:2])
-    err = abs(extrap - extrap2) + max(tails)
-    val = extrap.real
-    if val <= 0:
-        raise NonConvergenceError("extrapolated residue not positive", val, err)
-    return val, err
-
-
 # ---------------------------------------------------------------------------
 # smoothed approximate functional equations
+
+
+# an L-function of conductor 1 for _smoothed_afe: gamma factor
+# prod_j Gamma_R(s + shifts[j]), Gamma_R(s) = pi^{-s/2} G(s/2); root number;
+# coefficients c(1..length) as a function of length; contour (c, h)
+_LData = namedtuple("_LData", "shifts root coeffs contour")
+
+
+def _log_gamma(shifts):
+    """(log g, x scale X) of g = prod_j Gamma_R(s + shifts[j]).
+
+    Gamma_R(z) Gamma_R(z + 1) = 2 (2 pi)^{-z} G(z) folds each pair of shifts
+    lambda, lambda + 1 into one log G((u + lambda) + w); each shift left
+    gives log G(((u + lambda) + w)/2).  log g(u, w) is log g(u + w) without
+    a constant and the linear part, which X = (2 pi)^{pairs} pi^{rest/2}
+    carries.
+    """
+    rest, pairs = list(shifts), []
+    for lam in shifts:
+        if lam in rest and lam + 1 in rest:
+            rest.remove(lam)
+            rest.remove(lam + 1)
+            pairs.append(lam)
+
+    def log_gamma(u, w):
+        terms = [_loggamma(u + lam + w) for lam in pairs] + [_loggamma((u + lam + w) / 2.0) for lam in rest]
+        return sum(terms[1:], terms[0])
+
+    return log_gamma, (2.0 * math.pi) ** len(pairs) * math.pi ** (len(rest) / 2.0)
+
+
+def _afe_length(u, desc: _LData) -> int:
+    """max over u of ceil(prod_j ((|u + lambda_j| + 6)/(2 pi))^{1/2} e^{sqrt(2D)/c}), D = 40.
+
+    Stirling's saddle point: Gamma_R(z + sigma)/Gamma_R(z) ~ (|z|/(2 pi))^{sigma/2},
+    so the weight at n is about (Q/n)^sigma e^{sigma^2/(2c^2)} with
+    Q = prod_j (|u + lambda_j|/(2 pi))^{1/2}, below e^{-D} at
+    sigma = c^2 log(n/Q) from n = Q e^{sqrt(2D)/c} on; + 6 covers small
+    |u + lambda|, where Stirling runs low.
+    """
+    size = np.ones(u.shape)
+    for lam in desc.shifts:
+        size = size * ((np.abs(u + lam) + 6.0) / (2.0 * math.pi))
+    return max(1, math.ceil(math.sqrt(size.max(initial=0.0)) * math.exp(math.sqrt(80.0) / desc.contour[0])))
 
 
 # (x scale, c, h, sigma0) -> (w, E): the contour and E = exp(-w (x) log x)
@@ -461,31 +485,23 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, si
                     growth: float):
     """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
 
-    ``log_ratio(w)`` must accept a numpy array of contour points
-    w = sigma0 + i v and return log of the gamma-factor ratio: one value per
-    w, or a (rows x |w|) array for a batch of s, which gives one row of
-    weights per s.
+    ``log_ratio`` maps the nodes w = sigma0 + i v to the log gamma ratio
+    without its linear part (``_log_gamma``), one row per s.  The nodes run
+    over |v| <= vmax, which outlasts the Gaussian and the transient
+    e^{pi |v|/2} growth of a degree-2 gamma ratio at any height:
+    v^2/(2c^2) - pi v/2 >= 42.  ``growth`` = (pi/4) degree max |Im u| bounds
+    that growth's log at a known height (each Gamma_R factor changes by at
+    most e^{pi H/4} up to height H), so the kernel is zero past
+    v^2/(2c^2) = 42 + growth (those nodes held at most 4e-32 of sum |kernel|
+    on 400 rows u with |Im u| <= H at H = 0.5 to 40, for holo_L and sym2_L).
+    The product still runs over every node, since BLAS rounds differently as
+    the inner dimension changes: with E's rows cut too, holo_L moved by up
+    to 1.9e-13 at |Im s| = 40 on one BLAS thread.
 
-    The trapezoid's nodes run over |v| <= vmax, which must outlast not just
-    the Gaussian but also the transient e^{pi |v|/2} growth of a degree-2
-    gamma ratio while |v| < |Im z|, at any height: v^2/(2c^2) - pi v/2 >= 42.
-    A batch of known height needs less.  ``growth`` is the log of the most
-    its gamma ratio can grow along the contour, (pi/4) degree max |Im u|,
-    since each Gamma(z/2)-type factor of g changes by at most e^{pi H/4}
-    between heights 0 and H (Stirling); the Gaussian then holds the
-    integrand below e^{-42} of its peak from v^2/(2c^2) = 42 + growth on.
-    So the weights take the centred slice of rows |v| <= c sqrt(2 (42 +
-    growth)) when that is below vmax, and every row otherwise, which keeps
-    the bits of the full contour wherever the cut would not bite.
-    Stirling's bound leaves out polynomial factors; with them, on 400 rows u
-    with |Im u| <= H at H = 0.5, 4.1, 10, 20 and 40, the nodes beyond the
-    cut hold at most 4e-32 of sum |kernel|, for holo_L's data and sym2_L's.
-
-    Neither w nor E = exp(-w (x) log x) depends on s, so both are cached in
-    ``_CONTOURS`` under (scale, c, h, sigma0), read-only, and a cut takes a
-    slice of the cached rows.  E's column count doubles until it covers
-    ``length``, and a call uses the first ``length`` columns, so the weights
-    are those of a fresh E bit for bit.
+    w and E = exp(-w (x) log x) do not depend on s, so both are cached in
+    ``_CONTOURS`` under (scale, c, h, sigma0), read-only; E's column count
+    doubles until it covers ``length``, and a call uses its first ``length``
+    columns, the weights of a fresh E bit for bit.
     """
     key = (scale, c, h, sigma0)
     w, E = _CONTOURS.get(key, (None, None))
@@ -504,9 +520,11 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, si
     cut = c * math.sqrt(2.0 * (42.0 + growth))
     if cut < -w[0].imag:
         rows = slice(np.searchsorted(w.imag, -cut), np.searchsorted(w.imag, cut, side="right"))
-    w = w[rows]
-    kern = np.exp(log_ratio(w) + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
-    return kern @ E[rows, :length]
+    wk = w[rows]
+    part = np.exp(log_ratio(wk) + wk * wk / (2.0 * c * c)) / wk * (h / (2.0 * math.pi))
+    kern = np.zeros(part.shape[:-1] + w.shape, dtype=complex)
+    kern[..., rows] = part
+    return kern @ E[:, :length]
 
 
 # rows of u that the AFE works on at once: its (rows x contour) and
@@ -514,75 +532,67 @@ def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, si
 _AFE_BLOCK = 256
 
 
-def _smoothed_afe(s, log_gamma, degree: int, scale: float, root, coeffs, contour):
-    """L(s) = D(s) + root scale^{2s-1} g(1-s)/g(s) D(1-s) at a 1-D array of s.
+def _smoothed_afe(s, desc: _LData):
+    """L(s) = D(s) + root X^{2s-1} g(1-s)/g(s) D(1-s) at a 1-D array of s.
 
-    An L-function is data (Dokchitser, Computing special values of motivic
-    L-functions, Exp. Math. 13, 2004): ``log_gamma(u, w)`` is log g(u + w)
-    for its gamma factor g up to a constant, ``degree`` the number of
-    Gamma(z/2)-type factors in g, ``scale`` the x scale, ``root`` the root
-    number, ``coeffs`` c(1..length), ``contour`` (c, h).
-    D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) - log g(u),
-    or of log g(u + w) - log g(1 - u) where u is a pole of g, which makes that
-    dual term's g(1 - s)/g(s) one; a pole of g(s) is a trivial zero.  The
-    dual sum at s is the first sum at 1 - s (Rubinstein, Computational
-    methods and experiments in analytic number theory, 2005), so D is summed
-    once per distinct u of S and 1 - S.
+    An L-function is a description (Dokchitser, Computing special values of
+    motivic L-functions, Exp. Math. 13, 2004; ``_LData``); the engine
+    derives log g and the x scale X (``_log_gamma``), the degree d (the
+    number of shifts), the kernel's growth (pi/4) d H (``_mellin_weights``)
+    and the sum length (``_afe_length``: 40 to 219 terms for holo_L on
+    Re s in {-6.9, -3, 1/2, 1.2, 4, 7.9} by |Im s| in {0, 3, 10, 30, 45, 62},
+    30 to 91 for sym2_L on {-2.9, -1.2, 1/2, 2, 3.9} by {0, 2, 5, 10, 14,
+    18.7}, where doubling it moves a value only at its floor).
+    D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) -
+    log g(u), or of log g(u + w) - log g(1 - u) where u is a pole of g,
+    which makes that dual term's g(1 - s)/g(s) one; a pole of g(s) is a
+    trivial zero.  The dual sum at s is the first sum at 1 - s (Rubinstein,
+    Computational methods and experiments in analytic number theory, 2005),
+    so D is summed once per distinct u of S and 1 - S, on Re w = sigma0 >
+    max(Re s, 1 - Re s), where both series converge absolutely: 2 for
+    -1 < Re s < 2, else the next integer above the largest Re u.
 
-    Both Dirichlet series converge absolutely on the contour Re w = sigma0
-    only for sigma0 > max(Re s, 1 - Re s), so sigma0 is 2 for
-    -1 < Re s < 2 and the next integer above the largest Re u outside that
-    strip.
-
-    The batch shares one sum length.  Each D(u) takes its weights from one
+    The batch shares one sum length, the largest its u need, and one kernel
+    cut, at its height H = max |Im u|.  Each D(u) takes its weights from one
     row of a (rows x contour) @ E product and its sum from a row-wise sum,
     so it has the same bits in any batch of the same length, unless BLAS
     sums a product of one row, or of two short ones, in another order: so
     the u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one
-    row unless the batch has only one u.  Every block's contour is cut to
-    the batch's height H = max |Im u| (see ``_mellin_weights``), so a value
-    also depends on the batch through H, by roundoff where the cut bites.
+    row unless the batch has only one u.
     """
     index = {}
     inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
     u = np.array(list(index), dtype=complex)
     sigma0 = max(2.0, math.floor(u.real.max(initial=0.0)) + 1.0)
+    log_gamma, scale = _log_gamma(desc.shifts)
     ref = log_gamma(u, 0.0)
     pole = ~np.isfinite(ref)
     if pole.any():
         ref[pole] = log_gamma(1.0 - u[pole], 0.0)
+    coeffs = desc.coeffs(_afe_length(u, desc))
     log_n = np.log(np.arange(1, coeffs.size + 1, dtype=float))
-    growth = math.pi / 4.0 * degree * abs(u.imag).max(initial=0.0)
+    growth = math.pi / 4.0 * len(desc.shifts) * abs(u.imag).max(initial=0.0)
     d = np.empty(u.shape, dtype=complex)
     blocks = -(-u.size // _AFE_BLOCK)
     for b in range(blocks):
         rows = slice(b * u.size // blocks, (b + 1) * u.size // blocks)
         col, base = u[rows, None], ref[rows, None]
-        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *contour, sigma0, growth)
+        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *desc.contour, sigma0,
+                              growth)
         d[rows] = (coeffs * np.exp(-col * log_n) * wts).sum(axis=1)
     at_s, at_dual = inv[:s.size], inv[s.size:]
     gr = np.exp(ref[at_dual] - ref[at_s])
     power = np.exp((2.0 * s - 1.0) * math.log(scale))
     # these products run on numpy scalars, as for a lone s: numpy's complex
     # array loop may fuse a multiply-add that its scalars do not
-    out = d[at_s] + np.array([root * e * g * dual for e, g, dual in zip(power, gr, d[at_dual])])
+    out = d[at_s] + np.array([desc.root * e * g * dual for e, g, dual in zip(power, gr, d[at_dual])])
     out[pole[at_s]] = 0.0
     return out
 
 
-def _holo_data(s, f: NewformData):
-    """holo_L's level-1 AFE data at a 1-D array of s: g(u) = G(u + (k-1)/2)
-    of degree 2, x scale 2 pi, root number i^k, its own sum length and
-    contour."""
-    if f.N != 1:
-        raise DomainError("holo_L inside the strip is implemented for level 1")
-    a0 = (f.k - 1) / 2.0
-    length = int(math.ceil((abs(s.imag).max(initial=0.0) + f.k + 60.0) * 1.6))
-    if length > f.M:
-        raise InsufficientCoefficientsError(length)
-    if np.any(s.real <= -7.0) or np.any(s.real >= 8.0):
-        raise DomainError("holo_L's AFE is certified for -7 < Re s < 8")
-    return (lambda u, w: _loggamma(u + a0 + w)), 2, 2.0 * math.pi, (1j) ** f.k, f.A(length), (3.0, 0.4)
+def _holo_data(f: NewformData) -> _LData:
+    """holo_L's L-function: Gamma_C(s + (k-1)/2), root number i^k, A(n)."""
+    return _LData(((f.k - 1) / 2.0, (f.k + 1) / 2.0), (1j) ** f.k, f.A, (3.0, 0.4))
 
 
 def holo_L(s, f: NewformData, method: str = "auto"):
@@ -591,51 +601,48 @@ def holo_L(s, f: NewformData, method: str = "auto"):
     The direct tail is sized by square-root cancellation of the coefficient
     partial sums (~ M^{1/2 - sigma}); if that estimate exceeds 1e-8 an
     insufficient-coefficients error reports the horizon it would take.  The
-    AFE path is the level-1 functional equation with root number i^k; for
-    N > 1 in the strip an error is raised rather than guessing the
-    Atkin-Lehner sign.  ``method`` forces a branch ("direct" / "afe");
-    "direct" raises :class:`DomainError` for Re s <= 1.2.
+    AFE is ``_smoothed_afe`` on ``_holo_data``, level 1 only: for N > 1 in
+    the strip an error is raised rather than guessing the Atkin-Lehner
+    sign.  ``method`` forces a branch ("direct" / "afe"); "direct" raises
+    :class:`DomainError` for Re s <= 1.2.
 
-    The AFE's contour moves right with max(Re s, 1 - Re s) (see
-    ``_smoothed_afe``) and its roundoff grows with it, so its domain is
-    -7 < Re s < 8.  There it is within 5.2e-11 of the 20,000-term direct
-    series for |Im s| <= 7.5 (left of Re s = 1/2, of the direct series at
-    1 - s through the functional equation); at |Im s| = 15 that grows to
-    4.4e-11 at Re s = 6.9 and 7.6e-10 at 7.7.  Outside it a
-    :class:`DomainError` is raised.
+    The AFE's contour moves right with max(Re s, 1 - Re s) and its roundoff
+    grows with it, so its domain is -7 < Re s < 8, outside which a
+    :class:`DomainError` is raised.  There it is within 5.2e-11 of the
+    20,000-term direct series for |Im s| <= 7.5 (left of Re s = 1/2, of the
+    direct series at 1 - s through the functional equation); at
+    |Im s| = 15 that grows to 4.4e-11 at Re s = 6.9 and 7.6e-10 at 7.7.
 
     A 1-D array of s runs on the AFE route as one batch and gives an array;
     "direct", or any Re s > 1.2 under "auto", raises :class:`DomainError`.
-    The batch sums each of its AFE's first sums once per distinct value of
-    s and 1 - s (see ``_smoothed_afe``), so a batch closed under s -> 1 - s
-    costs half of one without pairs.  A scalar s on the AFE route is the
-    batch {s, 1 - s}.
+    A batch closed under s -> 1 - s costs half of one without pairs (see
+    ``_smoothed_afe``); a scalar s on the AFE route is the batch {s, 1 - s}.
     """
     if method not in ("auto", "direct", "afe"):
         raise DomainError("method must be auto, direct or afe")
-    if np.ndim(s):
-        s = np.asarray(s, dtype=complex)
-        if s.ndim != 1:
-            raise DomainError("holo_L takes a scalar or a 1-D array of s")
-        if method == "direct" or (method == "auto" and np.any(s.real > 1.2)):
-            raise DomainError("an array of s runs on the AFE route only, at Re s <= 1.2 under auto")
-        return _smoothed_afe(s, *_holo_data(s, f))
-    s = complex(s)
-    if method == "direct" and s.real <= 1.2:
-        raise DomainError("holo_L direct summation needs Re s > 1.2")
-    if method != "afe" and s.real > 1.2:
-        sig = s.real
-        tail_est = f.M ** (0.5 - sig) * 3.0
-        if tail_est > 1e-8:
+    if np.ndim(s) > 1:
+        raise DomainError("holo_L takes a scalar or a 1-D array of s")
+    if np.ndim(s) and (method == "direct" or (method == "auto" and np.any(np.real(s) > 1.2))):
+        raise DomainError("an array of s runs on the AFE route only, at Re s <= 1.2 under auto")
+    if not np.ndim(s):
+        s = complex(s)
+        if method == "direct" and s.real <= 1.2:
+            raise DomainError("holo_L direct summation needs Re s > 1.2")
+        if method != "afe" and s.real > 1.2:
+            if f.M ** (0.5 - s.real) * 3.0 <= 1e-8:
+                n = np.arange(1, f.M + 1, dtype=float)
+                return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
             if method == "direct" or f.N != 1:
-                raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - sig)))))
-            # fall through to the AFE; from Re s = 8 on, where its domain
-            # ends, it needs more coefficients than the direct sum
-        else:
-            n = np.arange(1, f.M + 1, dtype=float)
-            return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
-    s = np.array([s])
-    return complex(_smoothed_afe(s, *_holo_data(s, f))[0])
+                raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - s.real)))))
+            # else the AFE; from Re s = 8 on, where its domain ends, it needs
+            # more coefficients than the direct sum
+    batch = np.atleast_1d(np.asarray(s, dtype=complex))
+    if f.N != 1:
+        raise DomainError("holo_L inside the strip is implemented for level 1")
+    if np.any(batch.real <= -7.0) or np.any(batch.real >= 8.0):
+        raise DomainError("holo_L's AFE is certified for -7 < Re s < 8")
+    out = _smoothed_afe(batch, _holo_data(f))
+    return out if np.ndim(s) else complex(out[0])
 
 
 @lru_cache(maxsize=64)
@@ -678,23 +685,22 @@ def _sym2_coeffs(f: NewformData, m_max: int):
 
 # |Im s| at which sym2_L's two smoothings first differ by more than 1e-8
 # (relative) on the grid Re s in {-2.5, -1, 0, 1/2, 1, 2, 3.5}, |Im s| in
-# 0, 0.1, ..., 22: 5.5e-8 at 1/2 + 18.8i, against at most 5.4e-9 below
+# 0, 0.1, ..., 22: 3.2e-8 at 1/2 + 18.8i, against at most 8.3e-9 below
 _SYM2_HEIGHT = 18.8
 
 
 def sym2_L(s, f: NewformData):
-    """L(s, sym^2 f) for a level-1 newform by the smoothed AFE (entire, root +1).
+    """L(s, sym^2 f) for a level-1 newform: ``_smoothed_afe`` on ``_sym2_data``.
 
     The trapezoid's roundoff grows about tenfold per unit of the contour's
-    sigma0 (see ``_smoothed_afe``), so the domain is -3 < Re s < 4 (within
-    5e-12 of the direct series at Re s = 3.99).  Its two sums also cancel
-    more with height: the spread between two smoothings first passes 1e-8
-    at |Im s| = 18.8 (``_SYM2_HEIGHT``), reaches 1e-4 near 30, and from about
-    40 up the value is roundoff, so the domain is also |Im s| < 18.8.
-    Outside it a :class:`DomainError` is raised.
-    main_term_breakdown at Re s = 5/2 evaluates L at Re s = 3 and -1.  It is
-    ``_smoothed_afe`` on ``_sym2_data``, whose pole rule covers s = 2 (the
-    dual u = -1 is a pole of g) and the trivial zero at s = -1.
+    sigma0, so the domain is -3 < Re s < 4 (within 5e-12 of the direct
+    series at Re s = 3.99; main_term_breakdown at Re s = 5/2 evaluates L at
+    Re s = 3 and -1).  Its two sums also cancel more with height: the spread
+    between two smoothings first passes 1e-8 at |Im s| = 18.8
+    (``_SYM2_HEIGHT``), reaches 1e-4 near 30, and from about 40 up the value
+    is roundoff, so the domain is also |Im s| < 18.8.  Outside it a
+    :class:`DomainError` is raised.  The engine's pole rule covers s = 2
+    (the dual u = -1 is a pole of g) and the trivial zero at s = -1.
 
     A 1-D array of s runs as one batch and gives a read-only array; a scalar
     is the batch of one s.  Batches are memoised by ``_sym2_L``, 64 of them,
@@ -719,25 +725,14 @@ def sym2_L(s, f: NewformData):
 @lru_cache(maxsize=64)
 def _sym2_L(s: tuple, f: NewformData) -> np.ndarray:
     """L(s, sym^2 f) at a tuple of s by the smoothed AFE (see sym2_L), read-only."""
-    s = np.array(s, dtype=complex)
-    out = _smoothed_afe(s, *_sym2_data(s, f))
+    out = _smoothed_afe(np.array(s, dtype=complex), _sym2_data(f))
     out.flags.writeable = False
     return out
 
 
-def _sym2_data(s, f: NewformData):
-    """sym2_L's AFE data at a 1-D array of s: g(u) = pi^{-3u/2} G((u+1)/2)
-    G((u+k-1)/2) G((u+k)/2) of degree 3, whose last two factors Legendre's
-    duplication folds into 2^{2-u-k} sqrt(pi) G(u+k-1); x scale 1, root
-    number 1."""
-
-    def log_gamma(u, w):
-        z = u + w
-        return (-z * (1.5 * math.log(math.pi) + math.log(2.0))
-                + _loggamma((z + 1.0) / 2.0) + _loggamma(z + (f.k - 1.0)))
-
-    length = int(math.ceil((abs(s.imag).max(initial=0.0) + f.k + 40.0) ** 1.5 / 12.0)) + 120
-    return log_gamma, 3, 1.0, 1.0, _sym2_coeffs(f, length), (4.0, 0.35)
+def _sym2_data(f: NewformData) -> _LData:
+    """sym2_L's L-function: shifts 1, k - 1 and k, root number 1."""
+    return _LData((1.0, f.k - 1.0, float(f.k)), 1.0, partial(_sym2_coeffs, f), (4.0, 0.35))
 
 
 def selfdual_rs_L(w, f: NewformData) -> complex:

@@ -218,3 +218,24 @@ class TestReadme:
                 continue  # tests/test_acceptance.py runs the whole suite
             code, _, err = run_cli(argv, capsys)
             assert code == 0, (argv, err)
+
+
+class TestFormLevel:
+    @pytest.mark.parametrize("command", ["main-term", "breakdown", "continuous", "z-series", "moment-table"])
+    def test_form_commands_take_no_level_option(self, capsys, command):
+        # the level is the form's own: a --N beside a form could disagree with it
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--N" not in capsys.readouterr().out
+
+    def test_second_form_of_another_level_refused(self, capsys, tmp_path):
+        # Delta's first coefficients under a level-2 header
+        path = tmp_path / "level2.txt"
+        a = (1, -24, 252, -1472, 4830)
+        path.write_text("2 12 5\n" + "".join(f"{n} {v}\n" for n, v in enumerate(a, 1)))
+        code, out, err = run_cli(["z-series", "--newform-g", str(path), "--M-outer", "2",
+                                  "--M-inner", "4", "--horizon", "100"], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "InvariantViolation",
+                                   "message": "--newform has level 1 and --newform-g level 2"}

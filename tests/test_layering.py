@@ -117,8 +117,8 @@ UNREAD_PUBLIC = {
     "shifted:shifted_D": "the one-row D(w; m), whose criterion-11 values the tests pin",
     "shifted:shifted_inner_lower": "the one-row lower-shifted series, pinned the same way",
     "lseries:synthetic_maass_form": "the Maass form data the Maass-side tests are built on",
-    "lseries:residue_at_1": "the Richardson route to Res L(s, f x f~), checked against "
-                            "selfdual_rs_constants in the tests",
+    "lseries:rankin_selberg_L": "the direct L(s, f x g~) at Re s > 1, held against the divisor "
+                                "models' closed form in the tests; bench/spans.py wraps it by name",
     "lseries:curly_L_maass_direct": "one of the two Maass twisted-series routes the tests compare",
     "lseries:curly_L_maass_factored": "the other of those two routes",
     "lseries:rankin_selberg_maass": "the direct L(s, f x u) of the discrete-moment tests",
