@@ -552,14 +552,15 @@ class TestTwoSmoothings:
     the two values share no weights.  Each description has its negative
     control: with the root number flipped, the two smoothings must differ."""
 
+    _HOLO = (ls._holo_data, (2.5, 0.35), 0.5 + 1j * np.arange(-39.6, 40.0, 1.5))
+    _SYM2 = (ls._sym2_data, (3.5, 0.3), 0.5 + 1j * np.arange(-14.0, 14.1, 0.7))
+
     @pytest.mark.parametrize("data, contour, s", [
         # measured alone: 4.3e-14 at Im s = 5.4, 8.6e-13 at 20.4, 8.8e-12 at
-        # 39.6; in this batch, whose sum length is set by its top, 1.0e-10 at
-        # -35.1; flipped, the two differ by 0.017 to 15 relative
-        (ls._holo_data, (2.5, 0.35), 0.5 + 1j * np.arange(-39.6, 40.0, 1.5)),
-        # alone: 1.3e-14 at 5.4, 5.5e-12 at 10.4, 1.3e-10 at 15.3; in this
-        # batch 7.3e-12; flipped, 0.035 to 0.67
-        (ls._sym2_data, (3.5, 0.3), 0.5 + 1j * np.arange(-14.0, 14.1, 0.7)),
+        # 39.6; in this batch, whose sum length is set by its top, 1.0e-10 at -35.1
+        _HOLO,
+        # alone: 1.3e-14 at 5.4, 5.5e-12 at 10.4, 1.3e-10 at 15.3; in this batch 7.3e-12
+        _SYM2,
         pytest.param(ls._sym2_data, (3.5, 0.3), np.array([0.5 + 40.37j]), marks=pytest.mark.xfail(
             strict=True, reason="sym2_L's two smoothings differ by 2.5e-3 here, and it returns "
                                 "roundoff from about this height up (ROADMAP item 9)")),
@@ -569,10 +570,17 @@ class TestTwoSmoothings:
         one = ls._smoothed_afe(s, desc)
         other = _other_contour(s, desc, *contour)
         assert np.all(np.abs(one - other) < 1e-9 * np.abs(one))
-        flipped = desc._replace(root=-desc.root)
-        one = ls._smoothed_afe(s, flipped)
-        other = _other_contour(s, flipped, *contour)
-        assert np.all(np.abs(one - other) > 1e-3 * np.abs(one))
+
+    def test_flipped_root_number_fails(self, delta):
+        # the negative control, on each description's batch above: with the
+        # root number flipped the two smoothings differ by 0.017 to 15
+        # relative (holo) and 0.035 to 0.67 (sym2)
+        for data, contour, s in (self._HOLO, self._SYM2):
+            desc = data(delta)
+            flipped = desc._replace(root=-desc.root)
+            one = ls._smoothed_afe(s, flipped)
+            other = _other_contour(s, flipped, *contour)
+            assert np.all(np.abs(one - other) > 1e-3 * np.abs(one)), data.__name__
 
 
 class TestSym2:
