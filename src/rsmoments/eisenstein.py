@@ -203,17 +203,29 @@ def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
     """tau_{1/(c a)}(s, m) for m = 1..m_max as a vector (index m-1).
 
     Sieve-based: one divisor-sum sieve per character, then scatter over the
-    arithmetic progressions e | m.
+    arithmetic progressions e | m.  The powers d^z, z = 1 - 2s, are
+    d^{Re z} (cos + i sin)(Im z log d) with log d from ``arith.log_table``:
+    CPython's complex power for a positive real base, so on the line
+    Re s = 1/2 (Re z = 0, where d^{Re z} is not formed) they have its bits,
+    and elsewhere numpy's real power moves them by about an ulp.
     """
     s = complex(s)
+    z = 1.0 - 2.0 * s
     m = np.arange(1, m_max + 1)
     out = np.zeros(m_max, dtype=complex)
     for chi, pref, pairs in _character_terms(cusp, s):
-        # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max;
-        # d^{1-2s} is Python's complex power, as in lambda_chi: numpy's
-        # differs from it in the last bits
+        # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max,
+        # with the phase, its sine and its cosine formed in place
         divsum = chi.squared().value_array(m)
-        powers = np.fromiter(map((1.0 - 2.0 * s).__rpow__, range(1, m_max + 1)), complex, m_max)
+        powers = np.empty(m_max, dtype=complex)
+        np.multiply(arith.log_table(m_max), z.imag, out=powers.real)
+        np.sin(powers.real, out=powers.imag)
+        np.cos(powers.real, out=powers.real)
+        if z.real != 0.0:
+            modulus = np.power(m, z.real)
+            powers.real *= modulus
+            powers.imag *= modulus
+            del modulus
         np.multiply(divsum, powers, out=divsum, where=divsum != 0)
         del powers
         divsum = arith.divisor_sum_array(divsum)

@@ -27,7 +27,9 @@ coefficients) with a fixed vector, every row at once, with no array of the
 terms; the envelope's block maxima come from the moduli of the same two
 factors, one fit serves all rows, and the weighted outer sum is accumulated
 over m in order.  ``shifted_D`` and
-``shifted_inner_lower`` are the one-row case of the same evaluation.
+``shifted_inner_lower`` are the one-row case of the same evaluation.  The
+raw paths instead form every term, a block of rows at a time
+(``_raw_rows``), and reach neither ``_window_dots`` nor ``_shift_rows``.
 
 The spectral expansions of Z and M3 need triple-product data that is out
 of scope here; the region flags on :class:`ShiftedSeriesRequest` record
@@ -59,6 +61,8 @@ __all__ = [
 
 # |terms| per block of rows whose envelope maxima are taken: 512 kB of floats
 _BLOCK_TERMS = 1 << 16
+# terms per block of rows of a raw double series: its real products are 1 MB
+_RAW_TERMS = 1 << 17
 # columns per partial dot of a window: numpy sums a strided matrix-vector
 # product term by term, so its rounding grows with the columns summed at once
 _DOT_COLUMNS = 128
@@ -213,6 +217,34 @@ def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_ma
     return values[rows], np.minimum(bounds, _envelope_fit(peaks[rows], edges, n_max))
 
 
+def _raw_rows(slid: np.ndarray, fixed: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum_j slid[r + j] fixed[j] powers[r + j] for r = 0..len(slid) - len(fixed).
+
+    ``powers`` has the length of ``slid``, or that of ``fixed``, and then
+    every row reads powers[j] in place of powers[r + j].  These are the
+    inner sums of the raw double series, one row per outer index, term by
+    term: each block of about ``_RAW_TERMS`` terms forms its rows' real
+    products slid[r + j] fixed[j] and dots each row with the real and the
+    imaginary part of its powers.
+    """
+    n = len(fixed)
+    windows = sliding_window_view(slid, n)
+    rows = len(windows)
+    parts = [np.ascontiguousarray(p) for p in (powers.real, powers.imag)]
+    if len(powers) == len(slid):
+        parts = [sliding_window_view(p, n) for p in parts]
+    else:
+        parts = [np.broadcast_to(p, (rows, n)) for p in parts]
+    out = np.empty(rows, dtype=complex)
+    step = max(1, _RAW_TERMS // n)
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        terms = windows[block] * fixed
+        out.real[block] = np.einsum("ij,ij->i", terms, parts[0][block])
+        out.imag[block] = np.einsum("ij,ij->i", terms, parts[1][block])
+    return out
+
+
 def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
     """D(w; m) = sum_{n <= n_max} a(n+m) conj(b(n)) n^{-w-k+1} + tail bound.
 
@@ -262,20 +294,26 @@ def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
 
 
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
-    """Z as the raw truncated double sum (n inner, m outer)."""
+    """Z as the raw truncated double sum (n inner, m outer).
+
+    Row m is sum_{n <= M_inner} a(n+m) conj(b(n)) n^{-(s-v-1/2+k)}, term by
+    term in blocks of rows (``_raw_rows``); the rows are weighted and summed
+    over m in order.
+    """
     req.require_region(f, g)
     s, v, N = complex(req.s), complex(req.v), req.N
     k = f.k
     Mo, Mi = req.M_outer, req.M_inner
     sig = arith.sigma_twisted_weights(N, req.t, Mo)
     n = np.arange(1, Mi + 1, dtype=float)
-    n_pow = np.exp(-(s - v - 0.5 + k) * np.log(n)) * np.conj(g.a[:Mi])
+    n_pow = np.exp(-(s - v - 0.5 + k) * np.log(n))
+    rows = _raw_rows(f.a[1 : Mo + Mi], np.conj(g.a[:Mi]), n_pow)
     total = 0.0 + 0.0j
     outer_abs = np.zeros(Mo)
-    for m in range(1, Mo + 1):
+    for m, row in enumerate(rows.tolist(), start=1):
         if sig[m - 1] == 0:
             continue
-        term = sig[m - 1] * m ** (-v) * np.dot(f.a[m : m + Mi], n_pow)
+        term = sig[m - 1] * m ** (-v) * row
         total += term
         outer_abs[m - 1] = abs(term)
     zN = arith.zeta_depleted(2.0 * s, N)
@@ -325,19 +363,24 @@ def _m3_setup(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
 
 
 def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
-    """The double series with prefactor Gamma(k+w-1)/(4 pi)^{k+w-1}."""
+    """The double series with prefactor Gamma(k+w-1)/(4 pi)^{k+w-1}.
+
+    Row m is sum_{j <= M_inner} a(j) conj(b(m+j)) (m+j)^{-w-k+1}, term by
+    term in blocks of rows (``_raw_rows``); the rows are weighted and summed
+    over m in order.
+    """
     s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
     k = f.k
-    # n^{-w-k+1} for n = 1..M_outer+M_inner; row m reads n = m+1..m+M_inner
-    n_pow = np.exp((-w - k + 1.0) * np.log(np.arange(1, M_outer + M_inner + 1, dtype=float)))
+    # n^{-w-k+1} for n = 2..M_outer+M_inner; row m reads n = m+1..m+M_inner
+    n_pow = np.log(np.arange(2, M_outer + M_inner + 1, dtype=float)) * (-w - k + 1.0)
+    np.exp(n_pow, out=n_pow)
+    rows = _raw_rows(np.conj(g.a[1 : M_outer + M_inner]), f.a[:M_inner], n_pow)
     total = 0.0 + 0.0j
     outer_abs = np.zeros(M_outer)
-    for m in range(1, M_outer + 1):
+    for m, row in enumerate(rows.tolist(), start=1):
         if sig[m - 1] == 0:
             continue
-        term = sig[m - 1] * m ** (-(s + (k - 1) / 2.0)) * np.dot(
-            f.a[:M_inner] * np.conj(g.a[m : m + M_inner]), n_pow[m : m + M_inner]
-        )
+        term = sig[m - 1] * m ** (-(s + (k - 1) / 2.0)) * row
         total += term
         outer_abs[m - 1] = abs(term)
     tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + _envelope_tail(outer_abs))

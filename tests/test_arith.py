@@ -61,6 +61,27 @@ class TestSieve:
         assert list(phi[1:]) == [ar.euler_phi(m) for m in range(1, 5001)]
 
 
+class TestLogTable:
+    def test_values_are_math_log(self):
+        logs = ar.log_table(100_000)
+        assert logs.shape == (100_000,)
+        # bit for bit: np.log differs from math.log at some of these m
+        assert logs.tolist() == [math.log(m) for m in range(1, 100_001)]
+        assert ar.log_table(0).size == 0
+
+    def test_table_grows_and_rejects_writes(self):
+        small = ar.log_table(10)
+        size = ar._LOGS.size
+        big = ar.log_table(size + 5)
+        assert ar._LOGS.size >= 2 * size
+        after = ar.log_table(10)
+        assert np.array_equal(big, np.fromiter(map(math.log, range(1, size + 6)), float))
+        assert np.array_equal(after, small) and np.array_equal(big[:10], small)
+        for arr in (small, big, after, big[3:7], ar._LOGS):
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
+
+
 class TestSigma:
     def test_examples(self):
         assert abs(ar.sigma_complex(6, 0) - 4) < 1e-14

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -140,6 +141,89 @@ class TestRawAgainstRearranged:
         args = (complex(s_re, s_im), complex(w_re, w_im), t, f, g, N, M_outer, M_inner)
         raw = sh.M3_series(*args).value
         assert abs(sh.M3_series_rearranged(*args).value - raw) < 1e-12 * abs(raw)
+
+
+def _Z_per_row(req, f, g):
+    """Z's raw double sum as a loop over m, each row one dot of f's
+    coefficients against the fixed conj(b(n)) n^{-(s-v-1/2+k)}."""
+    s, v, k = complex(req.s), complex(req.v), f.k
+    Mo, Mi = req.M_outer, req.M_inner
+    sig = ar.sigma_twisted_weights(req.N, req.t, Mo)
+    n_pow = np.exp(-(s - v - 0.5 + k) * np.log(np.arange(1, Mi + 1, dtype=float))) * np.conj(g.a[:Mi])
+    total = 0.0 + 0.0j
+    for m in range(1, Mo + 1):
+        if sig[m - 1] != 0:
+            total += sig[m - 1] * m ** (-v) * np.dot(f.a[m : m + Mi], n_pow)
+    return ar.zeta_depleted(2.0 * s, req.N) * total
+
+
+def _M3_per_row(s, w, t, f, g, N, M_outer, M_inner):
+    """M3's raw double sum as a loop over m, each row one dot of its own
+    product a(j) conj(b(m+j)) against (m+j)^{-w-k+1}."""
+    s, w, sig, pref = sh._m3_setup(s, w, t, f, g, N, M_outer, M_inner)
+    k = f.k
+    n_pow = np.exp((-w - k + 1.0) * np.log(np.arange(1, M_outer + M_inner + 1, dtype=float)))
+    total = 0.0 + 0.0j
+    for m in range(1, M_outer + 1):
+        if sig[m - 1] != 0:
+            row = np.dot(f.a[:M_inner] * np.conj(g.a[m : m + M_inner]), n_pow[m : m + M_inner])
+            total += sig[m - 1] * m ** (-(s + (k - 1) / 2.0)) * row
+    return pref * total
+
+
+class TestRawAgainstPerRowLoop:
+    # the raw routes form their rows in blocks; a loop that dots one row at
+    # a time sums the same terms, so the two agree to roundoff (measured
+    # <= 1.2e-15).  With 1,000 terms a block holds three of the 40 rows, so
+    # the blocks' seams and a short last block are crossed too.
+    @pytest.fixture(params=[sh._RAW_TERMS, 1000], autouse=True)
+    def raw_terms(self, request, monkeypatch):
+        monkeypatch.setattr(sh, "_RAW_TERMS", request.param)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize("s, v, t", [(8.3 + 0.5j, 7.1 + 0j, 0.7), (8.6 - 1.2j, 7.4 + 0.8j, -1.3)])
+    def test_Z(self, delta, N, s, v, t):
+        f, g = _forms(N, delta)
+        req = sh.ShiftedSeriesRequest(s=s, v=v, t=t, N=N, M_outer=40, M_inner=300)
+        ref = _Z_per_row(req, f, g)
+        assert abs(sh.Z_series_double(req, f, g).value - ref) < 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize("s, w, t", [(2.2, 2.7, 0.7), (1.6 + 2.1j, 2.3 - 3.4j, -0.4)])
+    def test_M3(self, delta, N, s, w, t):
+        f, g = _forms(N, delta)
+        ref = _M3_per_row(s, w, t, f, g, N, 40, 300)
+        assert abs(sh.M3_series(s, w, t, f, g, N, 40, 300).value - ref) < 1e-14 * abs(ref)
+
+    def test_routes_share_no_row_evaluation(self):
+        # follow, by name, every module function each entry point reaches:
+        # the raw routes never reach the windowed dots of the rearranged ones,
+        # nor these the raw rows, so raw against rearranged compares two routes
+        def code_names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if inspect.iscode(const):
+                    out |= code_names(const)
+            return out
+
+        def own_function(name):
+            fn = getattr(sh, name, None)
+            return fn if inspect.isfunction(fn) and fn.__module__ == sh.__name__ else None
+
+        def reached(*entries):
+            todo, seen = list(entries), set()
+            while todo:
+                name = todo.pop()
+                if name not in seen:
+                    seen.add(name)
+                    todo += [n for n in code_names(own_function(name).__code__) if own_function(n)]
+            return seen
+
+        raw = reached("M3_series", "Z_series_double")
+        rearranged = reached("M3_series_rearranged", "Z_series")
+        assert "_raw_rows" in raw and {"_window_dots", "_shift_rows"} <= rearranged
+        assert not raw & {"_window_dots", "_shift_rows"}
+        assert "_raw_rows" not in rearranged
 
 
 # Values at criterion 11's points as hex floats (value re, value im, tail),
