@@ -1,8 +1,13 @@
 """Integer and multiplicative arithmetic.
 
-Factorisation, the one smallest-prime-factor sieve of the package (every
-prime listing, least-prime-factor lookup and mu / phi table reads it; p is
-prime iff its entry is p), twisted divisor sums, the local Euler
+Factorisation, and the package's one builder for each arithmetic array over
+m = 1..M: the smallest-prime-factor sieve (p is prime iff its entry is p),
+the one table of log m (``log_table``), multiplicative
+arrays from their values at prime powers (``multiplicative_array``: mu,
+phi, the sym^2 and synthetic Maass coefficients) and divisor sums
+sum_{d | m} c_d by Dirichlet's hyperbola split (``divisor_sum_array``: the
+twisted divisor sums, tau's divisor sums, the divisor model).  Also the
+scalar divisor sums that the arrays are held to, the local Euler
 polynomials attached to a modulus, depleted zeta and depleted Dirichlet
 L-values, the cusps of Gamma_0(N) in the 1/(c*a) parameterisation, and
 Dirichlet character enumeration from the unit-group structure.
@@ -28,6 +33,7 @@ __all__ = [
     "is_prime",
     "smallest_prime_factors",
     "log_table",
+    "multiplicative_array",
     "mobius_phi_arrays",
     "divisors",
     "prime_divisors",
@@ -188,7 +194,9 @@ def log_table(n: int) -> np.ndarray:
     powers built from this table keep math.log's bits.  One table serves
     every caller: it grows to at least twice its size when a request runs
     past its end, keeping the entries it has, and each call returns a view
-    of its first n entries.
+    of its first n entries.  The twisted weights, the direct and smoothed
+    Dirichlet series, the divisor model, the L+ inner sums and the shifted
+    and raw double series all read their log m from it.
     """
     global _LOGS
     if n > _LOGS.size:
@@ -201,31 +209,50 @@ def log_table(n: int) -> np.ndarray:
     return _LOGS[:n]
 
 
-def mobius_phi_arrays(n: int):
-    """(mu, phi) as int64 arrays over m = 0..n at index m, entry 0 being 0.
+def multiplicative_array(local, n: int, dtype=float) -> np.ndarray:
+    """f(m) for m = 0..n at index m (entry 0 is 0, f(1) = 1) of the
+    multiplicative f with f(p^e) = ``local(p, e)``.
 
-    Built from the shared sieve: every m is divided by its smallest prime
-    factor until 1 is left, all m at once, in at most log2(n) steps.  A prime
-    met twice in a row is a square factor and zeroes mu; a new prime p
-    multiplies mu by -1 and phi by (p - 1) / p.
+    ``local`` is called once per prime power p^e <= n, in increasing p and,
+    for each p, in increasing e, so it may draw or recur in that order.
+    From the shared sieve, m = q r with q the full power of m's smallest
+    prime, and f(m) = f(q) f(r): one vectorised pass per distinct prime of
+    m, each over the m whose r is already filled.
     """
     spf = smallest_prime_factors(n)
-    rest = np.arange(n + 1)
-    mu = np.ones(n + 1, dtype=np.int64)
-    phi = rest.copy()
-    mu[0] = 0
-    last = np.zeros(n + 1, dtype=np.int64)
-    live = np.flatnonzero(rest > 1)
-    while live.size:
-        p = spf[rest[live]]
-        again = p == last[live]
-        mu[live[again]] = 0
-        new, p_new = live[~again], p[~again]
-        mu[new] = -mu[new]
-        phi[new] = phi[new] // p_new * (p_new - 1)
-        last[live] = p
-        rest[live] //= p
-        live = live[rest[live] > 1]
+    m, p = np.arange(2, n + 1), spf[2:]
+    out = np.zeros(n + 1, dtype=dtype)
+    out[1:2] = 1
+    for prime in m[p == m].tolist():
+        q, e = prime, 1
+        while q <= n:
+            out[q] = local(prime, e)
+            q *= prime
+            e += 1
+    q, r = p.copy(), m // p
+    more = np.flatnonzero(spf[r] == p)
+    while more.size:
+        q[more] *= p[more]
+        r[more] //= p[more]
+        more = more[spf[r[more]] == p[more]]
+    done = np.ones(n + 1, dtype=bool)  # filled: m < 2 and the prime powers
+    done[2:] = r == 1
+    todo = np.flatnonzero(r > 1)
+    while todo.size:
+        ready = done[r[todo]]
+        fill = todo[ready]
+        out[m[fill]] = out[q[fill]] * out[r[fill]]
+        done[m[fill]] = True
+        todo = todo[~ready]
+    return out
+
+
+def mobius_phi_arrays(n: int):
+    """(mu, phi) as int64 arrays over m = 0..n at index m, entry 0 being 0:
+    two ``multiplicative_array`` calls, from mu(p^e) = -[e = 1] and
+    phi(p^e) = p^(e-1) (p - 1)."""
+    mu = multiplicative_array(lambda p, e: -1 if e == 1 else 0, n, np.int64)
+    phi = multiplicative_array(lambda p, e: p ** (e - 1) * (p - 1), n, np.int64)
     return mu, phi
 
 
@@ -285,7 +312,8 @@ def divisor_count_upper(n) -> float:
 
 
 def sigma_complex(n: int, z, N: int = 1) -> complex:
-    """sum_{d | n} d^z over the d prime to N (every d | n at N = 1)."""
+    """sum_{d | n} d^z over the d prime to N (every d | n at N = 1), with
+    p^z = ``_pp(p, z)``, summed geometrically over each prime power."""
     if n < 1:
         raise ValueError("sigma_complex requires n >= 1")
     z = complex(z)
@@ -293,7 +321,7 @@ def sigma_complex(n: int, z, N: int = 1) -> complex:
     for p, e in factorize(n).factors:
         if N % p == 0:
             continue
-        x = p**z if z != 0 else 1.0
+        x = _pp(p, z) if z != 0 else 1.0
         # geometric sum 1 + x + ... + x^e
         acc = 1.0 + 0.0j
         term = 1.0 + 0.0j
@@ -363,38 +391,25 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     return complex(pref * ploc * sigma_complex(m, -2j * t, N))
 
 
-_SIEVE_PAIRS = 1 << 15  # (multiple, d) pairs per block of the divisor-sum sieve: 1 MB
-
-
 def divisor_sum_array(coeffs) -> np.ndarray:
     """sum_{d | m} c_d for m = 1..len(coeffs) (index m-1), with c_d = coeffs[d-1].
 
-    Each multiple j*d of a d with c_d != 0 gets c_d.  c_1 goes to every m at
-    once; the other (multiple, d) pairs go to ``np.add.at`` in increasing d,
-    in blocks of about _SIEVE_PAIRS pairs, so every sum adds its terms in
-    increasing d.
+    Dirichlet's hyperbola split at r = isqrt(M), all by strided adds in
+    place: each nonzero c_d with d <= r goes to the multiples of d, in
+    increasing d; then for j = M // (r + 1) down to 1 the run c_{r+1..M//j}
+    goes to j (r+1), ..., j (M//j).  So every sum adds its terms in
+    increasing d, as a per-d loop does; the zero c_d of a run add +-0 to a
+    sum that is never -0, which leaves its bits alone.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m_max = coeffs.size
-    ds = np.flatnonzero(coeffs) + 1
+    root = math.isqrt(m_max)
     out = np.zeros(m_max, dtype=complex)
-    if ds.size and ds[0] == 1:
-        out += coeffs[0]
-        ds = ds[1:]
-    ends = np.cumsum(m_max // ds)  # pairs up to and including each d
-    lo = 0
-    while lo < ds.size:
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _SIEVE_PAIRS, "right")))
-        d = ds[lo:hi]
-        c = m_max // d
-        # index j*d - 1 for j = 1..c, d by d
-        idx = np.arange(1, ends[hi - 1] - base + 1)
-        idx -= np.repeat(ends[lo:hi] - c - base, c)
-        idx *= np.repeat(d, c)
-        idx -= 1
-        np.add.at(out, idx, np.repeat(coeffs[d - 1], c))
-        lo = hi
+    for d in (np.flatnonzero(coeffs[:root]) + 1).tolist():
+        out[d - 1 :: d] += coeffs[d - 1]
+    for j in range(m_max // (root + 1), 0, -1):
+        top = m_max // j
+        out[j * (root + 1) - 1 : j * top : j] += coeffs[root:top]
     return out
 
 
@@ -449,7 +464,7 @@ def sigma_twisted_weights(N: int, t: float, m_max: int) -> np.ndarray:
     """sigma_{-2it}(m; N) m^{it} for m = 1..m_max (index m-1): the outer
     weights of the twisted and shifted Dirichlet series."""
     out = sigma_twisted_array(N, t, m_max)
-    phases = np.log(np.arange(1, m_max + 1, dtype=float)) * (1j * t)
+    phases = log_table(m_max) * (1j * t)
     np.exp(phases, out=phases)
     out *= phases
     return out

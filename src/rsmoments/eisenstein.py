@@ -435,17 +435,6 @@ def eisenstein_constant_term(cusp: CuspLabel, y: float, s, trunc: LatticeTruncat
 # the Euler polynomial euler_poly of the factored twisted series
 
 
-def _sigma_power(p: int, z, e: int) -> complex:
-    """sigma_{2z}(p^e) = sum_{j=0..e} p^{2 z j}."""
-    x = _pp(p, 2.0 * z)
-    acc = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for _ in range(e):
-        term *= x
-        acc += term
-    return acc
-
-
 def _euler_poly_local(p: int, eN: int, ea: int, s, t, z) -> complex:
     """Local factor of euler_poly at p | N for the cusp parameter a with ord_p(a)=ea."""
     s = complex(s)
@@ -462,7 +451,7 @@ def _euler_poly_local(p: int, eN: int, ea: int, s, t, z) -> complex:
             * (1.0 - _pp(p, -s - it + z))
             * (1.0 - _pp(p, -s + it + z))
         )
-        sig = _sigma_power(p, z, eNa)
+        sig = arith.sigma_complex(p**eNa, 2.0 * z)  # sigma_{2z}(p^eNa)
         brace1 = -1.0 + (
             1.0
             - _pp(p, -1.0 + 2.0 * z)

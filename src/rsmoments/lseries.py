@@ -66,7 +66,6 @@ from .arith import (
     divisors,
     ord_p,
     prime_divisors,
-    smallest_prime_factors,
 )
 from .specfun import (
     DomainError,
@@ -316,19 +315,17 @@ def delta_newform(m_max: int = 20000) -> NewformData:
 
 
 def divisor_model_newform(nu: float, k: int, N: int, m_max: int) -> NewformData:
-    """Synthetic Hecke-consistent data A(n) = sum_{ad=n} (a/d)^{i nu} (real).
+    """Synthetic Hecke-consistent data A(n) = sum_{ad=n} (a/d)^{i nu} (real),
+    formed as Re n^{-i nu} sum_{d|n} d^{2 i nu} by ``arith.divisor_sum_array``.
 
     Satisfies a(1) = 1, |A(n)| <= d(n) and full multiplicativity, and all its
     Rankin-Selberg convolutions against another such form reduce to products
     of zeta values, which makes it the natural test vehicle for the
     assembly identities at composite level.
     """
+    logs = arith.log_table(m_max)
+    lam = np.real(np.exp(-1j * nu * logs) * arith.divisor_sum_array(np.exp(2j * nu * logs)))
     n = np.arange(1, m_max + 1, dtype=float)
-    lam = np.zeros(m_max)
-    for d in range(1, m_max + 1):
-        # contribution of the divisor pair (d, n/d): (d^2/n)^{i nu}
-        idx = np.arange(d, m_max + 1, d, dtype=float)
-        lam[d - 1 :: d] += np.real(np.exp(1j * nu * np.log(d * d / idx)))
     a = lam * n ** ((k - 1) / 2.0)
     return NewformData(N=N, k=k, a=a, label=f"divisor-model nu={nu}")
 
@@ -356,28 +353,22 @@ def synthetic_maass_form(
 ) -> MaassFormData:
     """Hecke-consistent synthetic Maass data from deterministic Satake angles."""
     rng = np.random.default_rng(seed)
-    spf = smallest_prime_factors(m_max).tolist()
-    lam_p = {}
-    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
-        theta = 2.0 * math.pi * rng.random()
-        if L % p == 0:
-            lam_p[p] = (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(p)
-        else:
-            lam_p[p] = 2.0 * math.cos(theta)
-    vals = np.ones(m_max + 1)
-    for n in range(2, m_max + 1):
-        p = spf[n]
-        e = ord_p(n, p)
-        pe = p**e
-        if pe == n:
-            if e == 1:
-                vals[n] = lam_p[p]
-            elif L % p == 0:
-                vals[n] = lam_p[p] ** e
+    hecke = []  # lambda(p^e), e = 0, 1, ..., at the current p
+
+    def local(p, e):
+        if e == 1:
+            theta = 2.0 * math.pi * rng.random()
+            if L % p == 0:
+                hecke[:] = [1.0, (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(p)]
             else:
-                vals[n] = lam_p[p] * vals[pe // p] - vals[pe // (p * p)]
+                hecke[:] = [1.0, 2.0 * math.cos(theta)]
+        elif L % p == 0:
+            hecke.append(hecke[1] ** e)
         else:
-            vals[n] = vals[pe] * vals[n // pe]
+            hecke.append(hecke[1] * hecke[-1] - hecke[-2])
+        return hecke[-1]
+
+    vals = arith.multiplicative_array(local, m_max)
     lifts = {d: (0.83 if d == 1 else -0.41 / math.sqrt(d)) for d in divisors(N // L)}
     return MaassFormData(
         N=N, L=L, r=r, parity=parity, lam=vals[1:], rho1=1.37, lifts=lifts
@@ -404,8 +395,7 @@ def _depleted_series(coeffs, s: complex, N: int, scale: float) -> ValueWithError
     """zeta^(N)(2s) sum_{m <= M} c(m) m^{-s} for c = ``coeffs`` of length M,
     the terms summed as c(m) exp(-s log m), with the error
     |zeta^(N)(2s)| scale rankin_selberg_tail(Re s, M) for |c(m)| <= scale d(m)^2."""
-    m = np.arange(1, coeffs.size + 1, dtype=float)
-    series = complex(np.sum(coeffs * np.exp(-s * np.log(m))))
+    series = complex(np.sum(coeffs * np.exp(-s * arith.log_table(coeffs.size))))
     zN = arith.zeta_depleted(2.0 * s, N)
     return ValueWithError(complex(zN * series), abs(zN) * scale * rankin_selberg_tail(s.real, coeffs.size))
 
@@ -570,7 +560,7 @@ def _smoothed_afe(s, desc: _LData):
     if pole.any():
         ref[pole] = log_gamma(1.0 - u[pole], 0.0)
     coeffs = desc.coeffs(_afe_length(u, desc))
-    log_n = np.log(np.arange(1, coeffs.size + 1, dtype=float))
+    log_n = arith.log_table(coeffs.size)
     growth = math.pi / 4.0 * len(desc.shifts) * abs(u.imag).max(initial=0.0)
     d = np.empty(u.shape, dtype=complex)
     blocks = -(-u.size // _AFE_BLOCK)
@@ -630,8 +620,7 @@ def holo_L(s, f: NewformData, method: str = "auto"):
             raise DomainError("holo_L direct summation needs Re s > 1.2")
         if method != "afe" and s.real > 1.2:
             if f.M ** (0.5 - s.real) * 3.0 <= 1e-8:
-                n = np.arange(1, f.M + 1, dtype=float)
-                return complex(np.sum(f.A() * np.exp(-s * np.log(n))))
+                return complex(np.sum(f.A() * np.exp(-s * arith.log_table(f.M))))
             if method == "direct" or f.N != 1:
                 raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - s.real)))))
             # else the AFE; from Re s = 8 on, where its domain ends, it needs
@@ -655,32 +644,23 @@ def _sym2_coeffs(f: NewformData, m_max: int):
     """
     if f.M < min(m_max, 2):
         raise InsufficientCoefficientsError(m_max)
-    spf = smallest_prime_factors(m_max).tolist()
-    vals = {1: 1.0}
-    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
+
+    def local(p, e):
         if p > f.M:
             raise InsufficientCoefficientsError(p)
         ap = float(f.a[p - 1]) * p ** (-(f.k - 1) / 2.0)
         alpha = (ap + np.sqrt(complex(ap * ap - 4.0))) / 2.0
         a2 = alpha * alpha
         b2 = 1.0 / a2
-        pe = p
-        e = 1
-        while pe <= m_max:
-            acc = 0.0 + 0.0j
-            for i in range(e + 1):
-                for l in range(e - i + 1):
-                    acc += a2**i * b2**l
-            vals[pe] = acc.real
-            pe *= p
-            e += 1
-    out = np.ones(m_max)
-    for n in range(2, m_max + 1):
-        p = spf[n]
-        pe = p ** ord_p(n, p)
-        out[n - 1] = vals[pe] * out[n // pe - 1]
+        acc = 0.0 + 0.0j
+        for i in range(e + 1):
+            for l in range(e - i + 1):
+                acc += a2**i * b2**l
+        return acc.real
+
+    out = arith.multiplicative_array(local, m_max)
     out.flags.writeable = False
-    return out
+    return out[1:]
 
 
 # |Im s| at which sym2_L's two smoothings first differ by more than 1e-8
@@ -883,8 +863,7 @@ def maass_L(s, u: MaassFormData) -> complex:
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("maass_L direct summation needs Re s > 1")
-    m = np.arange(1, u.M + 1, dtype=float)
-    val = complex(np.sum(u.lam * np.exp(-s * np.log(m))))
+    val = complex(np.sum(u.lam * np.exp(-s * arith.log_table(u.M))))
     tail = rankin_selberg_tail(2.0 * s.real - 1.0, u.M)
     if tail > 1e-9 * max(1.0, abs(val)):
         raise InsufficientCoefficientsError(4 * u.M)

@@ -697,7 +697,7 @@ def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
     panels + 15 complex exp per m instead of 15 * panels, and P, the
     largest array, takes panels x m x 16 bytes.
     """
-    log_m = np.log(np.arange(1, len(weights) + 1))
+    log_m = arith.log_table(len(weights))
     mids = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1] - edges[0])
     P = np.multiply.outer(-1j * mids, log_m)

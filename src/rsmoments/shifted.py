@@ -189,14 +189,12 @@ def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_ma
     first, last = int(ms[0]), int(ms[-1])
     span = last - first + 1
     if lower:
-        n = np.arange(first + 1, last + n_max + 1, dtype=float)
-        h = np.conj(g.a[first : last + n_max]) * np.exp((-w - k + 1.0) * np.log(n))
+        h = np.conj(g.a[first : last + n_max]) * np.exp((-w - k + 1.0) * arith.log_table(last + n_max)[first:])
         values = _window_dots(h, f.a[:n_max])
         abs_slid, abs_fixed = np.abs(h), np.abs(f.a[:n_max])
         bounds = [rankin_selberg_tail(w.real, n_max + m) for m in ms.tolist()]
     else:
-        n = np.arange(1, n_max + 1, dtype=float)
-        G = np.conj(g.a[:n_max]) * np.exp((-w - k + 1.0) * np.log(n))
+        G = np.conj(g.a[:n_max]) * np.exp((-w - k + 1.0) * arith.log_table(n_max))
         # real windows against a complex vector, as two real products, so
         # that no complex copy of the windows is made
         values = np.empty(span, dtype=complex)
@@ -305,8 +303,7 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     k = f.k
     Mo, Mi = req.M_outer, req.M_inner
     sig = arith.sigma_twisted_weights(N, req.t, Mo)
-    n = np.arange(1, Mi + 1, dtype=float)
-    n_pow = np.exp(-(s - v - 0.5 + k) * np.log(n))
+    n_pow = np.exp(-(s - v - 0.5 + k) * arith.log_table(Mi))
     rows = _raw_rows(f.a[1 : Mo + Mi], np.conj(g.a[:Mi]), n_pow)
     total = 0.0 + 0.0j
     outer_abs = np.zeros(Mo)
@@ -372,7 +369,7 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
     k = f.k
     # n^{-w-k+1} for n = 2..M_outer+M_inner; row m reads n = m+1..m+M_inner
-    n_pow = np.log(np.arange(2, M_outer + M_inner + 1, dtype=float)) * (-w - k + 1.0)
+    n_pow = arith.log_table(M_outer + M_inner)[1:] * (-w - k + 1.0)
     np.exp(n_pow, out=n_pow)
     rows = _raw_rows(np.conj(g.a[1 : M_outer + M_inner]), f.a[:M_inner], n_pow)
     total = 0.0 + 0.0j

@@ -61,6 +61,47 @@ class TestSieve:
         assert list(phi[1:]) == [ar.euler_phi(m) for m in range(1, 5001)]
 
 
+class TestMultiplicativeArray:
+    @staticmethod
+    def per_m_product(local, n, dtype):
+        out = np.zeros(n + 1, dtype=dtype)
+        for m in range(1, n + 1):
+            value = dtype(1)
+            for p, e in ar.factorize(m).factors:
+                value *= local(p, e)
+            out[m] = value
+        return out
+
+    def test_float_local_against_factorize(self):
+        # f(p^e) = e / p + cos(p e): no closed form the fill could shortcut
+        def local(p, e):
+            return e / p + math.cos(p * e)
+
+        got = ar.multiplicative_array(local, 3000)
+        assert got.dtype == np.float64 and got[0] == 0.0 and got[1] == 1.0
+        assert np.allclose(got, self.per_m_product(local, 3000, np.float64), rtol=1e-14, atol=0.0)
+
+    def test_int64_local_against_factorize(self):
+        # the sum of the divisors, sigma(p^e) = (p^(e+1) - 1) / (p - 1)
+        def local(p, e):
+            return (p ** (e + 1) - 1) // (p - 1)
+
+        got = ar.multiplicative_array(local, 3000, np.int64)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.per_m_product(local, 3000, np.int64))
+        assert got[12] == 28 and got[2999] == sum(ar.divisors(2999))
+
+    def test_local_called_once_per_prime_power_in_order(self):
+        calls = []
+        ar.multiplicative_array(lambda p, e: calls.append((p, e)) or 1.0, 30)
+        assert calls == [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                         (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1)]
+
+    def test_smallest(self):
+        assert np.array_equal(ar.multiplicative_array(lambda p, e: 2.0, 0), [0.0])
+        assert np.array_equal(ar.multiplicative_array(lambda p, e: 2.0, 1), [0.0, 1.0])
+
+
 class TestLogTable:
     def test_values_are_math_log(self):
         logs = ar.log_table(100_000)
@@ -164,9 +205,18 @@ class TestSigmaTwisted:
                 v = ar.sigma_twisted_N(m, N, 0.7)
                 assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v))
 
+    @pytest.mark.parametrize("t", [0.0, 1e-10])
+    def test_array_matches_scalar_at_t_zero(self, t):
+        # both take the removable local limits in place of P_N below |t| = 1e-9
+        for N in (2, 4, 6, 8, 9, 12, 18):
+            arr = ar.sigma_twisted_array(N, t, 300)
+            for m in range(1, 301):
+                v = ar.sigma_twisted_N(m, N, t)
+                assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v)), (N, m)
+
 # SHA-256 of sigma_twisted_array(N, t, 10**5).tobytes(), recorded from the
 # sieve that added d^{-2it} to the multiples of one d at a time (numpy 2.4,
-# x86-64); the pair sieve adds the same phases in the same order
+# x86-64); the hyperbola split adds the same phases in the same order
 SIGMA_TWISTED_SHA256 = {
     (1, 0.0): "d367f9ff035b83ec3c2008d06ac52eb71fe5f193cf92d003f926bc4ef46db94c",
     (1, 0.7): "192693c15a6e2b1fb27b36e00d86b6b445bc9e898f8167c1ccf505f7f938ff7d",
@@ -210,14 +260,27 @@ class TestDivisorSumArray:
                 out[d - 1 :: d] += coeffs[d - 1]
         return out
 
-    def test_matches_per_d_loop_across_blocks(self):
+    @staticmethod
+    def random_coeffs(m_max):
         rng = np.random.default_rng(11)
-        m_max = 20_000  # about 2e5 (multiple, d) pairs: several sieve blocks
-        assert sum(m_max // d for d in range(1, m_max + 1)) > 2 * ar._SIEVE_PAIRS
         coeffs = rng.normal(size=m_max) + 1j * rng.normal(size=m_max)
         coeffs[rng.random(m_max) < 0.3] = 0.0
-        # both add each m's terms in increasing d, so the bits agree
-        assert np.array_equal(ar.divisor_sum_array(coeffs), self.naive(coeffs))
+        coeffs[rng.random(m_max) < 0.05] = -0.0 - 0.0j
+        return coeffs
+
+    def test_matches_per_d_loop_across_blocks(self):
+        # the j = 1 pass alone adds a run of about 70,000 coefficients
+        coeffs = self.random_coeffs(70_000)
+        # both add each m's terms in increasing d, so the bits agree; the
+        # zeros (+0 and -0) that the runs add leave them alone
+        assert ar.divisor_sum_array(coeffs).tobytes() == self.naive(coeffs).tobytes()
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 4, 9, 10])
+    def test_matches_per_d_loop_around_the_root(self, m_max):
+        # m_max at, just below and just above a square
+        coeffs = self.random_coeffs(m_max)
+        coeffs[0] = 0.5 - 2.0j  # kept even where the draw zeroes it
+        assert ar.divisor_sum_array(coeffs).tobytes() == self.naive(coeffs).tobytes()
 
     def test_smallest_and_empty(self):
         assert np.array_equal(ar.divisor_sum_array([2.5 - 1j]), [2.5 - 1j])

@@ -97,6 +97,10 @@ class TestDeterminism:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+        files = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path in files:
+            assert run_cli(["--output", str(path)] + args, capsys) == (0, "", "")
+        assert files[0].read_bytes() == files[1].read_bytes() == out1.encode()
 
     def test_verify_stdout_has_no_wall_clock(self, capsys, monkeypatch):
         # each run sees a clock that advances by a different step per reading
@@ -108,6 +112,31 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_equals_stdout(self, capsys, tmp_path, fmt):
+        args = ["--format", fmt, "cusps", "--N", "12"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        path = tmp_path / f"cusps.{fmt}"
+        assert run_cli(["--output", str(path)] + args, capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_verify_writes_its_checks(self, capsys, tmp_path):
+        path = tmp_path / "verify.json"
+        code, out, _ = run_cli(["--output", str(path), "verify", "--suite", "shifted"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed"
+        (check,) = json.loads(path.read_text())
+        assert check["name"] == "shifted-series-rearrangement" and check["passed"] is True
+        assert sorted(check["measured"]) == ["M3_rel", "Z_rel"]
+        # the measured values, in full, of the check that stdout reports
+        line = next(x for x in out.splitlines() if check["name"] in x)
+        for key, value in check["measured"].items():
+            assert 0.0 <= float(value) < 1e-9
+            assert f"{key}={float(value):.4g}" in line
 
 
 class TestErrors:

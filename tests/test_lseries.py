@@ -950,3 +950,80 @@ class TestDivisorModel:
         A = f.A(500)
         assert abs(A[0] - 1.0) < 1e-14
         assert abs(A[5] - A[1] * A[2]) < 1e-12  # multiplicativity at 6 = 2*3
+
+
+def _sym2_coeffs_per_n(f, m_max):
+    """The symmetric-square coefficients as a per-n loop over the sieve."""
+    spf = ar.smallest_prime_factors(m_max).tolist()
+    vals = {1: 1.0}
+    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
+        ap = float(f.a[p - 1]) * p ** (-(f.k - 1) / 2.0)
+        alpha = (ap + np.sqrt(complex(ap * ap - 4.0))) / 2.0
+        a2 = alpha * alpha
+        b2 = 1.0 / a2
+        pe, e = p, 1
+        while pe <= m_max:
+            acc = 0.0 + 0.0j
+            for i in range(e + 1):
+                for l in range(e - i + 1):
+                    acc += a2**i * b2**l
+            vals[pe] = acc.real
+            pe *= p
+            e += 1
+    out = np.ones(m_max)
+    for n in range(2, m_max + 1):
+        p = spf[n]
+        pe = p ** ar.ord_p(n, p)
+        out[n - 1] = vals[pe] * out[n // pe - 1]
+    return out
+
+
+def _maass_hecke_per_n(L, m_max, seed):
+    """synthetic_maass_form's lambda(1..m_max) as a per-n loop over the sieve."""
+    rng = np.random.default_rng(seed)
+    spf = ar.smallest_prime_factors(m_max).tolist()
+    lam_p = {}
+    for p in [q for q in range(2, m_max + 1) if spf[q] == q]:
+        theta = 2.0 * math.pi * rng.random()
+        if L % p == 0:
+            lam_p[p] = (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(p)
+        else:
+            lam_p[p] = 2.0 * math.cos(theta)
+    vals = np.ones(m_max + 1)
+    for n in range(2, m_max + 1):
+        p = spf[n]
+        e = ar.ord_p(n, p)
+        pe = p**e
+        if pe == n:
+            if e == 1:
+                vals[n] = lam_p[p]
+            elif L % p == 0:
+                vals[n] = lam_p[p] ** e
+            else:
+                vals[n] = lam_p[p] * vals[pe // p] - vals[pe // (p * p)]
+        else:
+            vals[n] = vals[pe] * vals[n // pe]
+    return vals[1:]
+
+
+class TestMultiplicativeCoefficients:
+    """The coefficient arrays that ``arith.multiplicative_array`` fills keep
+    the bits of a per-n loop over the sieve."""
+
+    def test_sym2_coeffs_bit_for_bit(self, delta):
+        assert np.array_equal(ls._sym2_coeffs(delta, 2000), _sym2_coeffs_per_n(delta, 2000))
+
+    @pytest.mark.parametrize("N, L", [(1, 1), (6, 2)])
+    def test_synthetic_maass_bit_for_bit(self, N, L):
+        u = ls.synthetic_maass_form(N=N, L=L, r=7.7, m_max=5000, seed=11)
+        assert np.array_equal(u.lam, _maass_hecke_per_n(L, 5000, 11))
+
+    def test_divisor_model_against_per_d_loop(self):
+        # lambda(n) = sum_{d | n} (d^2 / n)^{i nu}, one divisor d at a time
+        nu, m_max = 0.52, 3000
+        lam = np.zeros(m_max)
+        for d in range(1, m_max + 1):
+            idx = np.arange(d, m_max + 1, d, dtype=float)
+            lam[d - 1 :: d] += np.real(np.exp(1j * nu * np.log(d * d / idx)))
+        got = ls.divisor_model_newform(nu, 12, 1, m_max).A(m_max)
+        assert np.allclose(got, lam, rtol=0.0, atol=1e-13)

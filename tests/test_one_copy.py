@@ -18,6 +18,10 @@ to), so a module-level name bound to an empty ``{}`` is a second memo idiom.
 
 A scalar complex power b^x is ``arith._pp(b, x)``, so a function that writes
 ``np.exp(x * math.log(b))`` itself keeps a private copy of it.
+
+log m over m = 1..n is ``arith.log_table(n)``, so a function outside
+``arith`` that calls ``np.log`` on an ``np.arange(...)``, or on a name it
+binds to one, builds a private log table.
 """
 
 import ast
@@ -252,3 +256,56 @@ def test_guard_catches_a_private_complex_power(tmp_path):
     )
     (tmp_path / "two.py").write_text("def left(N, t):\n    return np.exp(math.log(N) * -2j * t)\n")
     assert private_complex_powers(tmp_path) == ["one:inner", "one:power", "one:term", "two:left"]
+
+
+def _unwrap_astype(node):
+    """``x`` for ``x.astype(...)``, else the node itself."""
+    f = getattr(node, "func", None)
+    if isinstance(node, ast.Call) and isinstance(f, ast.Attribute) and f.attr == "astype":
+        return f.value
+    return node
+
+
+def private_log_tables(package_dir: Path) -> list:
+    """``module:function`` for every function outside ``arith`` that calls
+    ``np.log`` on an ``np.arange(...)`` or on a name bound to one in that
+    function.  A scaled or shifted range (``scale * np.arange(...)``) is not
+    one."""
+    found = set()
+    for path in sorted(package_dir.glob("*.py")):
+        if path.stem == "arith":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            ranges = {
+                t.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and _is_call(_unwrap_astype(node.value), "np", "arange")
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if _is_call(node, "np", "log") and node.args:
+                    arg = _unwrap_astype(node.args[0])
+                    if _is_call(arg, "np", "arange") or (isinstance(arg, ast.Name) and arg.id in ranges):
+                        found.add(f"{path.stem}:{fn.name}")
+    return sorted(found)
+
+
+def test_no_private_log_tables():
+    assert private_log_tables(Path(rsmoments.__file__).parent) == []
+
+
+def test_guard_catches_a_private_log_table(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "def direct(n):\n    return np.log(np.arange(1, n + 1))\n\n\n"
+        "def bound(n, s):\n    m = np.arange(1, n + 1, dtype=float)\n    return np.exp(-s * np.log(m))\n\n\n"
+        "def cast(n):\n    return np.log(np.arange(1, n + 1).astype(float))\n\n\n"
+        "def scaled(n, scale):\n    return np.log(scale * np.arange(1, n + 1))\n\n\n"
+        "def shifted(n, a):\n    x = np.arange(n, dtype=float) + a\n    return np.log(x)\n\n\n"
+        "def elsewhere(m):\n    return np.log(m)\n"
+    )
+    # arith builds the one table
+    (tmp_path / "arith.py").write_text("def log_table(n):\n    return np.log(np.arange(1, n + 1))\n")
+    assert private_log_tables(tmp_path) == ["one:bound", "one:cast", "one:direct"]
