@@ -49,6 +49,7 @@ __all__ = [
     "enumerate_cusps",
     "characters_mod",
     "divisor_count_upper",
+    "divisor_bound_table",
 ]
 
 # Witness set proving compositeness deterministically for all n < 3.3e24,
@@ -305,6 +306,27 @@ def divisor_count_upper(n) -> float:
     safe = np.where(small, 3.0, n)
     expo = 1.5379 * math.log(2.0) / np.log(np.log(safe))
     return np.where(small, 2.0, safe**expo)
+
+
+# divisor_count_upper(m) at index m - 1, read-only; grown by doubling when a
+# caller asks past its end
+_DIVISOR_BOUNDS = np.zeros(0)
+_DIVISOR_BOUNDS.flags.writeable = False
+
+
+def divisor_bound_table(n: int) -> np.ndarray:
+    """Read-only table of ``divisor_count_upper(m)`` at index m - 1, m = 1..n.
+
+    One table serves every caller: it is rebuilt at least twice as large
+    when a request runs past its end, and each call returns a view of its
+    first n entries, the bits of ``divisor_count_upper`` on m = 1..n.
+    """
+    global _DIVISOR_BOUNDS
+    if n > _DIVISOR_BOUNDS.size:
+        bounds = divisor_count_upper(np.arange(1, max(n, 2 * _DIVISOR_BOUNDS.size) + 1, dtype=float))
+        bounds.flags.writeable = False
+        _DIVISOR_BOUNDS = bounds
+    return _DIVISOR_BOUNDS[:n]
 
 
 # ---------------------------------------------------------------------------

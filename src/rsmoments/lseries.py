@@ -62,7 +62,6 @@ from . import arith, eisenstein
 from .arith import (
     CuspLabel,
     _pp,
-    divisor_count_upper,
     divisors,
     ord_p,
     prime_divisors,
@@ -144,7 +143,7 @@ class NewformData:
         if self.a.size < 1 or abs(self.a[0] - 1.0) > 1e-12:
             raise InvariantViolation("newform normalisation a(1) = 1 violated at n=1")
         n = np.arange(1, self.a.size + 1, dtype=float)
-        bound = divisor_count_upper(n) * n ** ((self.k - 1) / 2.0)
+        bound = arith.divisor_bound_table(self.a.size) * n ** ((self.k - 1) / 2.0)
         bad = np.nonzero(np.abs(self.a) > bound * (1.0 + 1e-9))[0]
         if bad.size:
             raise InvariantViolation(f"coefficient bound violated at n={bad[0] + 1}")
@@ -466,60 +465,48 @@ def _afe_length(u, desc: _LData) -> int:
     return max(1, math.ceil(math.sqrt(size.max(initial=0.0)) * math.exp(math.sqrt(80.0) / desc.contour[0])))
 
 
-# (x scale, c, h, sigma0) -> (w, E): the contour and E = exp(-w (x) log x)
-# at x = scale * (1..cap), both read-only
+# (x scale X, h, sigma0) -> E(m, n) = (X n)^{-sigma0 - i h m} at row m and
+# column n - 1 for m = 0..reach and n = 1..length, read-only
 _CONTOURS: dict = {}
 
 
-def _mellin_weights(log_ratio, scale: float, length: int, c: float, h: float, sigma0: float,
-                    growth: float):
-    """W = 1/(2 pi i) int exp(log_ratio(w)) x^{-w} e^{w^2/(2c^2)} dw/w at x = scale * (1..length).
+def _lattice_series(a, scale: float, h: float, sigma0: float, lo: int, hi: int) -> np.ndarray:
+    """F(m) = sum_n a(n) (Xn)^{-sigma0 - ihm} at X = ``scale`` for m = lo..hi
+    and real a(1..length).
 
-    ``log_ratio`` maps the nodes w = sigma0 + i v to the log gamma ratio
-    without its linear part (``_log_gamma``), one row per s.  The nodes run
-    over |v| <= vmax, which outlasts the Gaussian and the transient
-    e^{pi |v|/2} growth of a degree-2 gamma ratio at any height:
-    v^2/(2c^2) - pi v/2 >= 42.  ``growth`` = (pi/4) degree max |Im u| bounds
-    that growth's log at a known height (each Gamma_R factor changes by at
-    most e^{pi H/4} up to height H), so the kernel is zero past
-    v^2/(2c^2) = 42 + growth (those nodes held at most 4e-32 of sum |kernel|
-    on 400 rows u with |Im u| <= H at H = 0.5 to 40, for holo_L and sym2_L).
-    The product still runs over every node, since BLAS rounds differently as
-    the inner dimension changes: with E's rows cut too, holo_L moved by up
-    to 1.9e-13 at |Im s| = 40 on one BLAS thread.
-
-    w and E = exp(-w (x) log x) do not depend on s, so both are cached in
-    ``_CONTOURS`` under (scale, c, h, sigma0), read-only; E's column count
-    doubles until it covers ``length``, and a call uses its first ``length``
-    columns, the weights of a fresh E bit for bit.
+    E(m, n) = (Xn)^{-sigma0-ihm} does not depend on s, so its rows m >= 0
+    are cached in ``_CONTOURS`` under (X, h, sigma0), read-only; the reach
+    and the length double until they cover a request, and the old table is
+    dropped before the new one is built in place.  An entry is
+    exp(-(sigma0 + ihm) log(Xn)), log n from ``arith.log_table``, so a
+    slice of a grown table has a fresh table's bits.  As a is real,
+    F(-m) = conj F(m), and F(m) is summed for m >= 0 only.
     """
-    key = (scale, c, h, sigma0)
-    w, E = _CONTOURS.get(key, (None, None))
-    if E is None or E.shape[1] < length:
-        if w is None:
-            vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
-            w = sigma0 + 1j * np.arange(-vmax, vmax + h, h)
-            w.flags.writeable = False
-        cap = length if E is None else E.shape[1]
-        while cap < length:
-            cap *= 2
-        E = np.exp(-np.outer(w, np.log(scale * np.arange(1, cap + 1, dtype=float))))
+    top = max(-lo, hi)
+    bottom = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    key = (scale, h, sigma0)
+    E = _CONTOURS.get(key)
+    if E is None or E.shape[0] <= top or E.shape[1] < a.size:
+        reach, cols = (max(top, 1), a.size) if E is None else (E.shape[0] - 1, E.shape[1])
+        while reach < top:
+            reach *= 2
+        while cols < a.size:
+            cols *= 2
+        _CONTOURS.pop(key, None)
+        del E  # the old table goes before the new one is built
+        E = np.multiply.outer(-(sigma0 + 1j * h * np.arange(reach + 1)), math.log(scale) + arith.log_table(cols))
+        np.exp(E, out=E)
         E.flags.writeable = False
-        _CONTOURS[key] = (w, E)
-    rows = slice(None)
-    cut = c * math.sqrt(2.0 * (42.0 + growth))
-    if cut < -w[0].imag:
-        rows = slice(np.searchsorted(w.imag, -cut), np.searchsorted(w.imag, cut, side="right"))
-    wk = w[rows]
-    part = np.exp(log_ratio(wk) + wk * wk / (2.0 * c * c)) / wk * (h / (2.0 * math.pi))
-    kern = np.zeros(part.shape[:-1] + w.shape, dtype=complex)
-    kern[..., rows] = part
-    return kern @ E[:, :length]
+        _CONTOURS[key] = E
+    f = (E[bottom : top + 1, : a.size] * a).sum(axis=1)
+    m = np.arange(lo, hi + 1)
+    return np.where(m < 0, np.conj(f[abs(m) - bottom]), f[abs(m) - bottom])
 
 
-# rows of u that the AFE works on at once: its (rows x contour) and
-# (rows x length) temporaries stay near 1 MB each
-_AFE_BLOCK = 256
+# rows of u that the AFE works on at once: its (rows x slots) temporaries
+# stay near 0.5 MB each (at 256 rows a 1,740-row holo_L batch peaked at
+# 6.1 MB in tracemalloc, at 128 at 3.3 MB, and ran as fast)
+_AFE_BLOCK = 128
 
 
 def _smoothed_afe(s, desc: _LData):
@@ -528,27 +515,42 @@ def _smoothed_afe(s, desc: _LData):
     An L-function is a description (Dokchitser, Computing special values of
     motivic L-functions, Exp. Math. 13, 2004; ``_LData``); the engine
     derives log g and the x scale X (``_log_gamma``), the degree d (the
-    number of shifts), the kernel's growth (pi/4) d H (``_mellin_weights``)
-    and the sum length (``_afe_length``: 40 to 219 terms for holo_L on
-    Re s in {-6.9, -3, 1/2, 1.2, 4, 7.9} by |Im s| in {0, 3, 10, 30, 45, 62},
-    30 to 91 for sym2_L on {-2.9, -1.2, 1/2, 2, 3.9} by {0, 2, 5, 10, 14,
-    18.7}, where doubling it moves a value only at its floor).
-    D(u) = sum c(n) n^{-u} W(u; n) takes the weights of log g(u + w) -
-    log g(u), or of log g(u + w) - log g(1 - u) where u is a pole of g,
-    which makes that dual term's g(1 - s)/g(s) one; a pole of g(s) is a
-    trivial zero.  The dual sum at s is the first sum at 1 - s (Rubinstein,
+    number of shifts) and the sum length (``_afe_length``: 40 to 219 terms
+    for holo_L on Re s in {-6.9, -3, 1/2, 1.2, 4, 7.9} by |Im s| in {0, 3,
+    10, 30, 45, 62}, 30 to 91 for sym2_L on {-2.9, -1.2, 1/2, 2, 3.9} by
+    {0, 2, 5, 10, 14, 18.7}, where doubling it moves a value only at its
+    floor).  The dual sum at s is the first sum at 1 - s (Rubinstein,
     Computational methods and experiments in analytic number theory, 2005),
     so D is summed once per distinct u of S and 1 - S, on Re w = sigma0 >
     max(Re s, 1 - Re s), where both series converge absolutely: 2 for
     -1 < Re s < 2, else the next integer above the largest Re u.
 
-    The batch shares one sum length, the largest its u need, and one kernel
-    cut, at its height H = max |Im u|.  Each D(u) takes its weights from one
-    row of a (rows x contour) @ E product and its sum from a row-wise sum,
-    so it has the same bits in any batch of the same length, unless BLAS
-    sums a product of one row, or of two short ones, in another order: so
-    the u run in equal blocks of at most ``_AFE_BLOCK`` rows, none of one
-    row unless the batch has only one u.
+    D(u) = sum c(n) n^{-u} W(u, n) with the trapezoid weights
+        W(u, n) = h/(2 pi) sum_w exp(log g(u + w) - log g(u)) (Xn)^{-w} e^{w^2/(2c^2)}/w,
+    relative to g(1 - u) instead where u is a pole of g, which makes that
+    dual term's g(1 - s)/g(s) one; a pole of g(s) is a trivial zero.  Row
+    u = x + iy takes the nodes w = sigma0 + i(hm - y) of one absolute
+    lattice, m from ceil((y - V)/h) to floor((y + V)/h), so u + w =
+    x + sigma0 + ihm and n^{-u} (Xn)^{-w} = X^{iy} n^{-x} (Xn)^{-sigma0-ihm}:
+        D(u) = X^{iy} sum_m K_u(m) F_x(m),   F_x(m) = sum c(n) n^{-x} (Xn)^{-sigma0-ihm}
+    (``_lattice_series``).  Each distinct Re u takes one log g table over
+    its rows' m and one F_x; the trapezoid keeps its accuracy
+    for any shift of its nodes (Trefethen and Weideman, SIAM Review 56,
+    2014).  The nodes reach V = min(c sqrt(2 (42 + (pi/4) d H)), vmax) from
+    y, at the batch's height H = max |Im u|: vmax outlasts the Gaussian and
+    the transient e^{pi |v|/2} growth of a degree-2 gamma ratio at any
+    height, v^2/(2c^2) - pi v/2 >= 42, and each Gamma_R factor changes by
+    at most e^{pi H/4} up to height H, so past the first bound the kernel
+    is zero (those nodes held at most 4e-32 of sum |kernel| on 400 rows u
+    with |Im u| <= H at H = 0.5 to 40, for holo_L and sym2_L).
+
+    The batch shares one sum length, the largest its u need, and one V.
+    Every row sums its terms by a row-wise numpy sum over the slots of its
+    full contour, m from ceil((y - vmax)/h) on, int(2 vmax/h) + 2 of them,
+    zero where a slot is not a node.  So the cut to V changes which terms
+    are zero, but not how the sum groups them, and each D(u) has the same
+    bits in any batch of the same length and height, in any split of its
+    rows into blocks of at most ``_AFE_BLOCK``, and at any thread count.
     """
     index = {}
     inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
@@ -561,15 +563,34 @@ def _smoothed_afe(s, desc: _LData):
         ref[pole] = log_gamma(1.0 - u[pole], 0.0)
     coeffs = desc.coeffs(_afe_length(u, desc))
     log_n = arith.log_table(coeffs.size)
+    c, h = desc.contour
     growth = math.pi / 4.0 * len(desc.shifts) * abs(u.imag).max(initial=0.0)
+    vmax = max(9.7 * c, 0.5 * (math.pi * c * c + math.sqrt((math.pi * c * c) ** 2 + 336.0 * c * c)))
+    reach = min(c * math.sqrt(2.0 * (42.0 + growth)), vmax)
+    y = u.imag
+    first = np.ceil((y - reach) / h).astype(int)
+    last = np.floor((y + reach) / h).astype(int)
+    # a row's slots start + j, j < slots, span its full contour, and only
+    # those with k0 <= j < k1 can hold a node within the reach
+    start = np.ceil((y - vmax) / h).astype(int)
+    slots = int(2.0 * vmax / h) + 2
+    k0, k1 = max(0, int((vmax - reach) / h) - 1), min(slots, int((vmax + reach) / h) + 2)
     d = np.empty(u.shape, dtype=complex)
-    blocks = -(-u.size // _AFE_BLOCK)
-    for b in range(blocks):
-        rows = slice(b * u.size // blocks, (b + 1) * u.size // blocks)
-        col, base = u[rows, None], ref[rows, None]
-        wts = _mellin_weights(lambda w: log_gamma(col, w) - base, scale, coeffs.size, *desc.contour, sigma0,
-                              growth)
-        d[rows] = (coeffs * np.exp(-col * log_n) * wts).sum(axis=1)
+    for x in np.unique(u.real):
+        rows = np.flatnonzero(u.real == x)
+        lo, hi = int(first[rows].min()), int(last[rows].max())
+        table = log_gamma(x, sigma0 + 1j * h * np.arange(lo, hi + 1))
+        sums = _lattice_series(coeffs * np.exp(-x * log_n), scale, h, sigma0, lo, hi)
+        for b in range(0, rows.size, _AFE_BLOCK):
+            block = rows[b : b + _AFE_BLOCK]
+            m = start[block, None] + np.arange(k0, k1)
+            live = (m >= first[block, None]) & (m <= last[block, None])
+            at = np.clip(m, lo, hi) - lo
+            w = sigma0 + 1j * (h * m - y[block, None])
+            kern = np.exp(table[at] - ref[block, None] + w * w / (2.0 * c * c)) / w * (h / (2.0 * math.pi))
+            terms = np.zeros((block.size, slots), dtype=complex)
+            np.multiply(kern, sums[at], out=terms[:, k0:k1], where=live)
+            d[block] = np.exp(1j * y[block] * math.log(scale)) * terms.sum(axis=1)
     at_s, at_dual = inv[:s.size], inv[s.size:]
     gr = np.exp(ref[at_dual] - ref[at_s])
     power = np.exp((2.0 * s - 1.0) * math.log(scale))
@@ -755,8 +776,7 @@ def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int
     tau = eisenstein.tau_cusp_array(cusp, 0.5 + 1j * r, m_max)
     sig = arith.sigma_twisted_weights(cusp.N, t, m_max)
     # |tau(m)| <= C d(m) empirically on the computed range
-    dm = divisor_count_upper(np.arange(1, m_max + 1, dtype=float))
-    cbound = float(np.max(np.abs(tau) / dm)) if m_max else 1.0
+    cbound = float(np.max(np.abs(tau) / arith.divisor_bound_table(m_max))) if m_max else 1.0
     return _depleted_series(sig * np.conj(tau), s, cusp.N, cbound)
 
 

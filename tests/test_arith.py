@@ -102,6 +102,24 @@ class TestMultiplicativeArray:
         assert np.array_equal(ar.multiplicative_array(lambda p, e: 2.0, 1), [0.0, 1.0])
 
 
+class TestDivisorBoundTable:
+    def test_values_are_divisor_count_upper(self):
+        for n in (0, 1, 2, 3, 100_000, 7):
+            table = ar.divisor_bound_table(n)
+            assert table.tobytes() == ar.divisor_count_upper(np.arange(1, n + 1, dtype=float)).tobytes()
+
+    def test_table_grows_and_rejects_writes(self):
+        small = ar.divisor_bound_table(10)
+        size = ar._DIVISOR_BOUNDS.size
+        big = ar.divisor_bound_table(size + 5)
+        assert ar._DIVISOR_BOUNDS.size >= 2 * size
+        assert big.tobytes() == ar.divisor_count_upper(np.arange(1, size + 6, dtype=float)).tobytes()
+        assert np.array_equal(ar.divisor_bound_table(10), small)
+        for arr in (small, big, ar._DIVISOR_BOUNDS):
+            with pytest.raises(ValueError):
+                arr[1] = 0.5
+
+
 class TestLogTable:
     def test_values_are_math_log(self):
         logs = ar.log_table(100_000)

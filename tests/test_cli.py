@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +104,22 @@ class TestDeterminism:
         for path in files:
             assert run_cli(["--output", str(path)] + args, capsys) == (0, "", "")
         assert files[0].read_bytes() == files[1].read_bytes() == out1.encode()
+
+    def test_afe_output_does_not_depend_on_the_blas_thread_count(self):
+        # two fresh processes, so neither reads the other's memos.  With the
+        # AFE's weights from a BLAS product, S_inf_re read 49.881996776066671
+        # on one OpenBLAS thread and 49.881996776066707 on two
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-m", "rsmoments.cli", "continuous", "--T", "12", "--alpha", "0.5", "--t", "0.4"],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_verify_stdout_has_no_wall_clock(self, capsys, monkeypatch):
         # each run sees a clock that advances by a different step per reading

@@ -212,19 +212,19 @@ class TestInfinityBatch:
     """At level 1 with f = g a point's four sym^2 values are one batch, which
     main_term and main_term_breakdown both read; their assemblies stay apart."""
 
-    def test_one_weight_product_per_point(self, delta, monkeypatch):
+    def test_one_afe_batch_per_point(self, delta, monkeypatch):
         calls = []
-        weights = ls._mellin_weights
+        afe = ls._smoothed_afe
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return weights(*args, **kwargs)
+            return afe(*args, **kwargs)
 
-        monkeypatch.setattr(ls, "_mellin_weights", counting)
+        monkeypatch.setattr(ls, "_smoothed_afe", counting)
         ls._sym2_L.cache_clear()
         ctx = delta_ctx(0.5 + 0.83j, 0.61, delta_form=delta)
         mo.main_term(ctx)
-        assert len(calls) == 1  # four distinct u, closed under u -> 1 - u: one block
+        assert len(calls) == 1  # four distinct u, closed under u -> 1 - u: one batch
         mo.main_term_breakdown(ctx)
         assert len(calls) == 1
 
@@ -390,14 +390,19 @@ class TestContinuous:
             t=0.4, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=0.4, k=12), s=0.5 - 0.4j
         )
         rows = []
-        weights = ls._mellin_weights
+        fold = ls._log_gamma
 
-        def counting(*args, **kwargs):
-            out = weights(*args, **kwargs)
-            rows.append(out.shape[0])
-            return out
+        def counting_fold(shifts):
+            log_gamma, scale = fold(shifts)
 
-        monkeypatch.setattr(ls, "_mellin_weights", counting)
+            def counting(u, w):
+                if np.ndim(w) == 0:  # the reference log g(u), once per summed u
+                    rows.append(np.size(u))
+                return log_gamma(u, w)
+
+            return counting, scale
+
+        monkeypatch.setattr(ls, "_log_gamma", counting_fold)
         full = mo.continuous_part(ctx, points_per_unit=1.0)
         n_full = sum(rows)
         rows.clear()
