@@ -106,9 +106,10 @@ class TestDeterminism:
         assert files[0].read_bytes() == files[1].read_bytes() == out1.encode()
 
     def test_afe_output_does_not_depend_on_the_blas_thread_count(self):
-        # two fresh processes, so neither reads the other's memos.  With the
-        # AFE's weights from a BLAS product, S_inf_re read 49.881996776066671
-        # on one OpenBLAS thread and 49.881996776066707 on two
+        # two fresh processes, so neither reads the other's memos.  An AFE
+        # whose weights came from a BLAS product printed S_inf_re
+        # 49.881996776066671 on one OpenBLAS thread and 49.881996776066707
+        # on two
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = []

@@ -630,7 +630,7 @@ class TestSym2:
 
     def test_parameter_stability(self, delta):
         # independent smoothing parameters (c, h) must agree with sym2_L's
-        # (4, 0.35); this also shows the contour cache keys on (c, h)
+        # (4, 0.35); this also shows the lattice cache keys on h
         for s in (1.37, 1.0, 0.5 + 2j, 0.5 + 0.3j, 1.1 - 3.5j):
             v = ls.sym2_L(s, delta)
             assert _fresh_sym2(s, delta) == v  # deterministic
@@ -840,12 +840,11 @@ class TestSumLength:
     roundoff floor at that point.
 
     Each L(m) sums the first m terms of one set of weights, computed once
-    to 2n, so BLAS's rounding of the product, which changes with its size,
-    stays out of the comparison.  The step is h/2: the trapezoid's weights
-    level off at its alias e^{-2 pi sigma0/h} times the residues left of
-    the contour (2.3e-14 for holo_L at sigma0 = 2) instead of decaying, so
-    on the description's own h every term past the cutoff adds that much,
-    and L(2n) drifts from L(n) by up to 9.7e-12 at sym2's -2.9 + 18.7i."""
+    to 2n.  The step is h/2: the trapezoid's weights level off at its alias
+    e^{-2 pi sigma0/h} times the residues left of the contour (2.3e-14 for
+    holo_L at sigma0 = 2) instead of decaying, so on the description's own
+    h every term past the cutoff adds that much, and L(2n) drifts from L(n)
+    by up to 9.5e-12 at sym2's -2.9 + 18.7i."""
 
     @pytest.mark.parametrize("data, res, ims", [
         (ls._holo_data, (-6.9, -3.0, 0.5, 1.2, 4.0, 7.9), (0.0, 3.0, 10.0, 30.0, 45.0, 62.0)),
