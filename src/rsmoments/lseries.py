@@ -33,15 +33,18 @@ Evaluators
   on Re w = sigma0 past max(Re s, 1 - Re s), once per distinct u of S and
   1 - S, each by the trapezoid on one absolute lattice of nodes u + w =
   Re u + sigma0 + ihm: one log G table and one Dirichlet sum per distinct
-  Re u, and a row-wise numpy sum per u.
+  Re u, and a row-wise numpy sum per u.  The sums read (Xn)^{-sigma0-ihm}
+  from one ``arith.SharedTable`` per (X, h, sigma0), sized to the largest
+  request.
 * ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on the shifts
   (k-1)/2, (k+1)/2, for -7 < Re s < 8.
 * ``sym2_L`` -- the AFE on the shifts 1, k - 1, k, for -3 < Re s < 4
   and |Im s| < 18.8, at a scalar or a 1-D array of s; powers
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent constants
-  at s = 1.  Its coefficients and value batches (read-only) and Laurent
-  constants are ``functools.lru_cache`` memos of 64 entries, keyed on the
-  form, whose equality and hash go by (N, k, digest of a).
+  at s = 1.  Its value batches (read-only) and Laurent constants are
+  ``functools.lru_cache`` memos of 64 entries, keyed on the form, whose
+  equality and hash go by (N, k, digest of a); its coefficients are one
+  ``arith.SharedTable`` per form, from a memo of the same kind.
 * ``curly_L_eisenstein`` / ``curly_L_maass`` -- both sides of the
   factorisation of the twisted series
       zeta^(N)(2s) sum sigma_{-2it}(m; N) m^{it} conj(coeff(m)) m^{-s},
@@ -467,9 +470,22 @@ def _afe_length(u, desc: _LData) -> int:
     return max(1, math.ceil(math.sqrt(size.max(initial=0.0)) * math.exp(math.sqrt(80.0) / desc.contour[0])))
 
 
-# (x scale X, h, sigma0) -> E(m, n) = (X n)^{-sigma0 - i h m} at row m and
-# column n - 1 for m = 0..reach and n = 1..length, read-only
-_CONTOURS: dict = {}
+@lru_cache(maxsize=64)
+def _lattice_table(scale: float, h: float, sigma0: float) -> arith.SharedTable:
+    """The lattice table E(m, n) = (Xn)^{-sigma0 - ihm} at X = ``scale``, at
+    row m and column n - 1 for m = 0, 1, ... and n = 1, 2, ...
+
+    An entry is exp(-(sigma0 + ihm) log(Xn)), log n from ``arith.log_table``,
+    so it depends on (m, n) alone and a slice of a grown table has a fresh
+    table's bits.
+    """
+
+    def build(rows: int, cols: int) -> np.ndarray:
+        E = np.multiply.outer(-(sigma0 + 1j * h * np.arange(rows)), math.log(scale) + arith.log_table(cols))
+        np.exp(E, out=E)
+        return E
+
+    return arith.SharedTable(build)
 
 
 def _lattice_series(a, scale: float, h: float, sigma0: float, lo: int, hi: int) -> np.ndarray:
@@ -477,29 +493,12 @@ def _lattice_series(a, scale: float, h: float, sigma0: float, lo: int, hi: int) 
     and real a(1..length).
 
     E(m, n) = (Xn)^{-sigma0-ihm} does not depend on s, so its rows m >= 0
-    are cached in ``_CONTOURS`` under (X, h, sigma0), read-only; the reach
-    and the length double until they cover a request, and the old table is
-    dropped before the new one is built in place.  An entry is
-    exp(-(sigma0 + ihm) log(Xn)), log n from ``arith.log_table``, so a
-    slice of a grown table has a fresh table's bits.  As a is real,
-    F(-m) = conj F(m), and F(m) is summed for m >= 0 only.
+    are read from the shared table of (X, h, sigma0) (``_lattice_table``).
+    As a is real, F(-m) = conj F(m), and F(m) is summed for m >= 0 only.
     """
     top = max(-lo, hi)
     bottom = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    key = (scale, h, sigma0)
-    E = _CONTOURS.get(key)
-    if E is None or E.shape[0] <= top or E.shape[1] < a.size:
-        reach, cols = (max(top, 1), a.size) if E is None else (E.shape[0] - 1, E.shape[1])
-        while reach < top:
-            reach *= 2
-        while cols < a.size:
-            cols *= 2
-        _CONTOURS.pop(key, None)
-        del E  # the old table goes before the new one is built
-        E = np.multiply.outer(-(sigma0 + 1j * h * np.arange(reach + 1)), math.log(scale) + arith.log_table(cols))
-        np.exp(E, out=E)
-        E.flags.writeable = False
-        _CONTOURS[key] = E
+    E = _lattice_table(scale, h, sigma0).covering(top + 1, a.size)
     f = (E[bottom : top + 1, : a.size] * a).sum(axis=1)
     m = np.arange(lo, hi + 1)
     return np.where(m < 0, np.conj(f[abs(m) - bottom]), f[abs(m) - bottom])
@@ -669,15 +668,13 @@ def holo_L(s, f: NewformData, method: str = "auto"):
 
 
 @lru_cache(maxsize=64)
-def _sym2_coeffs(f: NewformData, m_max: int):
-    """Symmetric-square coefficients c(1..m_max) of f, cached read-only.
+def _sym2_table(f: NewformData) -> arith.SharedTable:
+    """The symmetric-square coefficients of f, c(m) at index m - 1.
 
     c is multiplicative; at p the Satake parameters of f are {alpha, 1/alpha}
     with alpha + 1/alpha = A(p), and c(p^e) = sum_{i+j+l=e} alpha^{2i}
     alpha^{-2l} (complete homogeneous in {alpha^2, 1, alpha^-2}).
     """
-    if f.M < min(m_max, 2):
-        raise InsufficientCoefficientsError(m_max)
 
     def local(p, e):
         if p > f.M:
@@ -692,9 +689,15 @@ def _sym2_coeffs(f: NewformData, m_max: int):
                 acc += a2**i * b2**l
         return acc.real
 
-    out = arith.multiplicative_array(local, m_max)
-    out.flags.writeable = False
-    return out[1:]
+    return arith.SharedTable(lambda size: arith.multiplicative_array(local, size)[1:])
+
+
+def _sym2_coeffs(f: NewformData, m_max: int) -> np.ndarray:
+    """Symmetric-square coefficients c(1..m_max) of f, read-only, from the
+    form's one shared table (``_sym2_table``)."""
+    if f.M < min(m_max, 2):
+        raise InsufficientCoefficientsError(m_max)
+    return _sym2_table(f).covering(m_max)[:m_max]
 
 
 # |Im s| at which sym2_L's two smoothings first differ by more than 1e-8

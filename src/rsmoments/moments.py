@@ -785,7 +785,7 @@ def _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window) -> complex:
     nodes, wts = gk15_panel_nodes(edges)
     v = sigma_0 + 1j * nodes
     # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
-    inner = np.exp(np.multiply.outer(-v + it - k / 2.0, np.log(n - ms).astype(float))) @ (
+    inner = np.exp(np.multiply.outer(-v + it - k / 2.0, arith.log_table(n - 1)[::-1])) @ (
         am * sig_nm
     )
     with np.errstate(divide="ignore"):

@@ -47,10 +47,12 @@ class TestSieve:
 
     def test_table_grows_and_rejects_writes(self):
         small = ar.smallest_prime_factors(10)
-        big = ar.smallest_prime_factors(3 * ar._SPF.size)
+        size = ar._spf.table.size
+        big = ar.smallest_prime_factors(size + 5)
+        assert ar._spf.table.size == size + 6  # exactly m = 0..size + 5
         assert list(small) == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2]
         assert np.array_equal(big[: small.size], small)
-        for arr in (small, big, ar._SPF):
+        for arr in (small, big, ar._spf.table):
             with pytest.raises(ValueError):
                 arr[4] = 3
 
@@ -110,12 +112,12 @@ class TestDivisorBoundTable:
 
     def test_table_grows_and_rejects_writes(self):
         small = ar.divisor_bound_table(10)
-        size = ar._DIVISOR_BOUNDS.size
+        size = ar._divisor_bounds.table.size
         big = ar.divisor_bound_table(size + 5)
-        assert ar._DIVISOR_BOUNDS.size >= 2 * size
+        assert ar._divisor_bounds.table.size == size + 5
         assert big.tobytes() == ar.divisor_count_upper(np.arange(1, size + 6, dtype=float)).tobytes()
         assert np.array_equal(ar.divisor_bound_table(10), small)
-        for arr in (small, big, ar._DIVISOR_BOUNDS):
+        for arr in (small, big, ar._divisor_bounds.table):
             with pytest.raises(ValueError):
                 arr[1] = 0.5
 
@@ -130,13 +132,13 @@ class TestLogTable:
 
     def test_table_grows_and_rejects_writes(self):
         small = ar.log_table(10)
-        size = ar._LOGS.size
+        size = ar._logs.table.size
         big = ar.log_table(size + 5)
-        assert ar._LOGS.size >= 2 * size
+        assert ar._logs.table.size == size + 5
         after = ar.log_table(10)
         assert np.array_equal(big, np.fromiter(map(math.log, range(1, size + 6)), float))
         assert np.array_equal(after, small) and np.array_equal(big[:10], small)
-        for arr in (small, big, after, big[3:7], ar._LOGS):
+        for arr in (small, big, after, big[3:7], ar._logs.table):
             with pytest.raises(ValueError):
                 arr[1] = 0.5
 

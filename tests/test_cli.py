@@ -168,6 +168,17 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "command",
+        [["tau", "--N", "4", "--a", "0"], ["tau", "--N", "0", "--a", "1"],
+         ["tau", "--N", "-4", "--a", "2"], ["cusps", "--N", "0"]],
+    )
+    def test_bad_cusp_label_refused(self, capsys, command):
+        # these escaped as a ZeroDivisionError and as bare ValueErrors
+        code, out, err = run_cli(command, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "command",
         [["main-term", "--T", "40", "--alpha", "0.5"], ["breakdown", "--T", "40", "--alpha", "0.5"],
          ["continuous", "--T", "11", "--alpha", "0.5"], ["z-series"], ["moment-table"]],
     )

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -101,6 +102,12 @@ def _fresh_afe(s, desc, full=False):
 def _fresh_sym2(s, f):
     """sym2_L at a scalar s, computed afresh past its memo (the batch of one s)."""
     return complex(ls._sym2_L.__wrapped__((complex(s),), f)[0])
+
+
+def _holo_lattice(f, sigma0=2.0):
+    """The shared lattice table of holo_L's contour at sigma0."""
+    desc = ls._holo_data(f)
+    return ls._lattice_table(ls._log_gamma(desc.shifts)[1], desc.contour[1], sigma0)
 
 
 def _other_contour(s, desc, c, h):
@@ -350,7 +357,7 @@ class TestReadOnlyCaches:
         assert f.a[1] == -24.0
         ls.holo_L(0.5 + 3j, delta)
         arrays = [f.a, ls.delta_newform(20000).a, ls._sym2_coeffs(delta, 200)]
-        arrays += list(ls._CONTOURS.values())
+        arrays.append(_holo_lattice(delta).table)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -362,6 +369,65 @@ class TestReadOnlyCaches:
         assert u.lam[1] == -0.5
         with pytest.raises(ValueError):
             u.lam[0] = 0.0
+
+
+def _fresh_arith_table(monkeypatch, name):
+    """An empty copy of arith's shared table ``name``, put in its place."""
+    table = ar.SharedTable(getattr(ar, name).build)
+    monkeypatch.setattr(ar, name, table)
+    return table
+
+
+class TestSharedTables:
+    @pytest.fixture(params=["sieve", "log", "divisor_bound", "lattice", "sym2"])
+    def table(self, request, monkeypatch, delta):
+        """(the empty shared table, the view a caller takes of a shape, two
+        shapes); the lattice table's second shape is wider in one axis and
+        narrower in the other."""
+        which = request.param
+        if which == "sieve":
+            return _fresh_arith_table(monkeypatch, "_spf"), lambda n: ar.smallest_prime_factors(n - 1), (40,), (300,)
+        if which == "log":
+            return _fresh_arith_table(monkeypatch, "_logs"), ar.log_table, (40,), (300,)
+        if which == "divisor_bound":
+            return _fresh_arith_table(monkeypatch, "_divisor_bounds"), ar.divisor_bound_table, (40,), (300,)
+        if which == "lattice":
+            ls._lattice_table.cache_clear()
+            table = _holo_lattice(delta)
+            return table, lambda rows, cols: table.covering(rows, cols)[:rows, :cols], (30, 200), (50, 100)
+        ls._sym2_table.cache_clear()
+        return ls._sym2_table(delta), partial(ls._sym2_coeffs, delta), (40,), (300,)
+
+    def test_grows_to_the_covering_shape(self, table):
+        shared, view, first, second = table
+        before = view(*first)
+        bits = before.tobytes()
+        after = view(*second)
+        grown = shared.table
+        assert grown.shape == tuple(map(max, first, second))
+        assert before.tobytes() == bits == view(*first).tobytes() == shared.build(*first).tobytes()
+        assert after.tobytes() == shared.build(*second).tobytes()
+        assert shared.table is grown  # a covered request builds nothing
+        for arr in (before, after, grown):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
+
+    @pytest.mark.parametrize("heights", [(40.0, 10.0), (10.0, 40.0)])
+    def test_lattice_table_is_its_largest_request(self, delta, monkeypatch, heights):
+        # grown by doubling, it once held rows m <= 474 where m <= 269 were read
+        requests = []
+        lattice_series = ls._lattice_series
+
+        def spy(a, scale, h, sigma0, lo, hi):
+            requests.append((max(-lo, hi) + 1, a.size))
+            return lattice_series(a, scale, h, sigma0, lo, hi)
+
+        monkeypatch.setattr(ls, "_lattice_series", spy)
+        ls._lattice_table.cache_clear()
+        for y in heights:
+            ls.holo_L(0.5 + 1j * y, delta)
+        assert len(set(requests)) > 1
+        assert _holo_lattice(delta).table.shape == tuple(map(max, *requests))
 
 
 class TestRankinSelberg:
@@ -446,13 +512,13 @@ class TestHoloL:
         def both(tau):
             return ls.holo_L(0.5 + 1j * tau, delta), ls.sym2_L(0.5 + 1j * min(tau, 10.0), delta)
 
-        ls._CONTOURS.clear()
+        ls._lattice_table.cache_clear()
         ls._sym2_L.cache_clear()
         grown = [both(tau) for tau in taus]
         for tau, (v, v2) in zip(taus, grown):
             assert v == _fresh_afe(0.5 + 1j * tau, ls._holo_data(delta))
             assert v2 == _fresh_afe(0.5 + 1j * min(tau, 10.0), ls._sym2_data(delta))
-            ls._CONTOURS.clear()
+            ls._lattice_table.cache_clear()
             ls._sym2_L.cache_clear()
             assert both(tau) == (v, v2)
 
@@ -647,7 +713,7 @@ class TestSym2:
         v_delta = ls.sym2_L(1.37, delta)
         v_other = ls.sym2_L(1.37, other)
         assert v_other != v_delta
-        ls._sym2_coeffs.cache_clear()
+        ls._sym2_table.cache_clear()
         ls._sym2_L.cache_clear()
         assert ls.sym2_L(1.37, other) == v_other
         assert ls.sym2_L(1.37, delta) == v_delta
