@@ -269,7 +269,14 @@ def _unit_inverse(u, g, order: int):
     return out % g
 
 
-@lru_cache(maxsize=32)
+# Sized to its reuse: one entry is a complex (rows x 80) table, up to
+# 2.07 MB at max_height 1600.  Over the bench's oracle part (24 calls a
+# seed), the LRU reuse distances at seeds 0, 1, 2, 3, 7, 17, 31 and 45 were
+# 0 for 8-9 reuses a seed (a cusp's three requests in a row), 1-5 for 1-4
+# more, and 9 and 10 at seed 17.  Four entries kept 9-13 hits a seed against
+# 10-13 at 32, where the memo held 11-14 entries (8.5-10.0 MB); a lost hit
+# is one 8-15 ms rebuild.  Criterion 3 keeps its 80 hits and 16 misses.
+@lru_cache(maxsize=4)
 def _row_phase_sums(N: int, a: int, c: int, max_height: int):
     """(ct, row size, S) over the coset rows 0 < ct <= max_height, read-only.
 

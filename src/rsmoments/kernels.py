@@ -81,11 +81,17 @@ class TestFunctionParams:
 
     def window_edges(self) -> np.ndarray:
         """window() cut into equal panels at most one bump width wide, the
-        starting panels of every H0-type quadrature."""
+        starting panels of every H0-type quadrature; built once, read-only."""
+        return self._window_edges
+
+    @cached_property
+    def _window_edges(self) -> np.ndarray:
         lo, hi = self.window()
         # the window's width in bump widths, free of the roundoff of (hi - lo) / w
         units = WINDOW_UNITS + min(self.T / self.bump_width, WINDOW_UNITS)
-        return np.linspace(lo, hi, math.ceil(units) + 1)
+        edges = np.linspace(lo, hi, math.ceil(units) + 1)
+        edges.flags.writeable = False
+        return edges
 
 
 @dataclass(frozen=True)

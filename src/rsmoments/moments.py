@@ -687,25 +687,53 @@ def continuous_part(
     return ValueWithError(complex(total), err + tail)
 
 
+# bytes of the L^+ inner sums' largest array, the panels x m factor P, per
+# block of m: at 512 KiB one block is 1,365 m at 24 v-panels and 204 at 160,
+# and the sums' memory stays near 2 MB at any panel count or m_inner
+_INNER_BLOCK_BYTES = 1 << 19
+
+
 def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
     """sum_m weights[m-1] m^{-v+it} at the GK15 nodes v = sigma_v + iy of the
     equal panels ``edges``, in :func:`gk15_panel_nodes`' panel-major order.
 
-    Node (p, j) is y = mid_p + h x_j, so m^{-v+it} = m^{-i mid_p} times
-    m^{-sigma_v + it - i h x_j}: a panels x m factor P (weights folded in)
-    and a 15 x m factor Q, and the sums are the product P Q^T.  That is
-    panels + 15 complex exp per m instead of 15 * panels, and P, the
-    largest array, takes panels x m x 16 bytes.
+    Node (p, j) is y = mid_p + h x_j, so m^{-v+it} = m^{-sigma_v + it - i mid_p}
+    times m^{-i h x_j}: a panels x m factor P (weights folded in) and a
+    15 x m factor Q, and the sums are the product P Q^T.  Each factor is
+    built from the v-grid's structure:
+
+    * mid_p = mid_{Fa} + 2hb for p = F a + b, with F about sqrt(panels),
+      so P's row p is C_a D_b with C_a = m^{-sigma_v + it - i mid_{Fa}} and
+      D_b = m^{-2ihb};
+    * the nodes come in pairs x_{14-j} = -x_j with x_7 = 0, so Q's rows are
+      7 exps, a row of ones and their conjugates.
+
+    That is about 2 sqrt(panels) + 7 complex exp per m instead of
+    15 * panels.  P, the largest array, takes panels x m x 16 bytes, so the
+    sums run over blocks of m that keep it within ``_INNER_BLOCK_BYTES``.
     """
-    log_m = arith.log_table(len(weights))
+    n_p = len(edges) - 1
+    logs = arith.log_table(len(weights))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1] - edges[0])
-    P = np.multiply.outer(-1j * mids, log_m)
-    np.exp(P, out=P)
-    P *= weights
-    Q = np.multiply.outer(-sigma_v + 1j * (t - h * _NODES), log_m)
-    np.exp(Q, out=Q)
-    return (P @ Q.T).ravel()
+    # from the whole span: edges[1] - edges[0] would carry the roundoff of
+    # the edges, relative 1e-14 at 160 panels, into every 2hb
+    h = 0.5 * (edges[-1] - edges[0]) / n_p
+    n_fine = math.isqrt(n_p)
+    coarse = -sigma_v + 1j * (t - mids[::n_fine])
+    fine = -2j * h * np.arange(n_fine)
+    half = -1j * h * _NODES[:7]
+    step = max(1, _INNER_BLOCK_BYTES // (16 * n_p))
+    out = np.zeros((n_p, 15), dtype=complex)
+    for m0 in range(0, len(weights), step):
+        log_m = logs[m0:m0 + step]
+        C = np.exp(np.multiply.outer(coarse, log_m))
+        C *= weights[m0:m0 + step]
+        D = np.exp(np.multiply.outer(fine, log_m))
+        P = (C[:, None, :] * D).reshape(-1, log_m.size)[:n_p]
+        E = np.exp(np.multiply.outer(half, log_m))
+        Q = np.concatenate([E, np.ones((1, log_m.size)), np.conj(E[::-1])])
+        out += P @ Q.T
+    return out.ravel()
 
 
 # the first-moment outer quadratures' tolerances

@@ -559,30 +559,36 @@ def _row_bounds(log_k, base, pair):
 
 
 def _scaled_rows(log_k, base, pair, read, mirror):
-    """:func:`_row_scaled` of log_k(base[r] + pair) on the rows ``read``
-    (the other rows are left unset, with -inf scales), ``_LATTICE_BLOCK``
-    rows at a time.  With ``mirror`` = R, row R - r holds the negated
+    """:func:`_row_scaled` of log_k(base[r] + pair) on the rows ``read``,
+    ``_LATTICE_BLOCK`` rows at a time, as (tab, slot, scale): row r is
+    tab[slot[r]] with scale[r].  Only the rows read are stored, so tab
+    takes 3,600 bytes per row read; the other rows are left unset, with
+    -inf scales.  With ``mirror`` = R, row R - r holds the negated
     abscissae of row r, so it is the conjugate of row r with (i, j)
     reversed: a row whose partner below it is built is filled that way."""
     n_rows = len(base)
-    tab = np.empty((n_rows, 15, 15), dtype=complex)
     scale = np.full(n_rows, -np.inf)
     need = np.zeros(n_rows, dtype=bool)
     need[read] = True
     rows = np.flatnonzero(need)
+    slot = np.zeros(n_rows, dtype=np.intp)
+    slot[rows] = np.arange(rows.size)
+    tab = np.empty((rows.size, 15, 15), dtype=complex)
     mirrored = np.zeros(rows.size, dtype=bool)
     if mirror is not None:
         partner = mirror - rows
         inside = (partner >= 0) & (partner < rows)
         mirrored[inside] = need[partner[inside]]
-    evaluated = rows[~mirrored]
+    evaluated = np.flatnonzero(~mirrored)
     for b0 in range(0, evaluated.size, _LATTICE_BLOCK):
-        r = evaluated[b0:b0 + _LATTICE_BLOCK]
-        tab[r], scale[r] = _row_scaled(log_k(base[r][:, None, None] + pair))
-    r = rows[mirrored]
-    tab[r] = np.conj(tab[mirror - r, ::-1, ::-1])
+        s = evaluated[b0:b0 + _LATTICE_BLOCK]
+        r = rows[s]
+        tab[s], scale[r] = _row_scaled(log_k(base[r][:, None, None] + pair))
+    s = np.flatnonzero(mirrored)
+    r = rows[s]
+    tab[s] = np.conj(tab[slot[mirror - r], ::-1, ::-1])
     scale[r] = scale[mirror - r]
-    return tab, scale
+    return tab, slot, scale
 
 
 def integrate_aligned_lattice(
@@ -719,10 +725,10 @@ def integrate_aligned_lattice(
         skipped = float(spent[n_skip - 1]) if n_skip else 0.0
         keep = np.ones(bound.shape, dtype=bool)
         keep.ravel()[order[:n_skip]] = False
-        km_t, km_scale = _scaled_rows(log_k_minus, base_minus, pair_minus, rows_minus[keep],
-                                      round(-2.0 * off_minus))
-        kp_t, kp_scale = _scaled_rows(log_k_plus, base_plus, pair_plus, rows_plus[keep],
-                                      round(-2.0 * off_plus) if c == 0.0 else None)
+        km_t, km_slot, km_scale = _scaled_rows(log_k_minus, base_minus, pair_minus, rows_minus[keep],
+                                               round(-2.0 * off_minus))
+        kp_t, kp_slot, kp_scale = _scaled_rows(log_k_plus, base_plus, pair_plus, rows_plus[keep],
+                                               round(-2.0 * off_plus) if c == 0.0 else None)
         with np.errstate(invalid="ignore"):
             scales = (pref_scale[:, None] + c_scale[None, :]
                       + km_scale[rows_minus] + kp_scale[rows_plus])
@@ -734,7 +740,7 @@ def integrate_aligned_lattice(
             kept = np.flatnonzero(keep[:, q])
             for b0 in range(0, kept.size, _LATTICE_BLOCK):
                 p = kept[b0:b0 + _LATTICE_BLOCK]
-                w = km_t[p + dq] * kp_t[p + eq]
+                w = km_t[km_slot[p + dq]] * kp_t[kp_slot[p + eq]]
                 f[p] += scales[p, q, None] * (w.reshape(-1, 15) @ c_t[q]).reshape(-1, 15)
         del km_t, kp_t
         f *= pref_t
@@ -786,7 +792,8 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     test runs on exact re-sums over the panels in creation order, made
     whenever the running error (with a bound on its rounding) is within
     twice the tolerance or a running total is not finite, and before
-    returning or raising.
+    returning or raising.  Starting panels that already pass return before
+    any panel is split, with the sums that test would have made.
 
     Raises :class:`NonConvergenceError` when ``max_subdivisions`` splits do
     not reach max(abs_tol, rel_tol * |value|).
@@ -795,9 +802,15 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("interval must be two or more strictly increasing edges")
 
+    start = _gk15(f, *edges)
+    # the starting panels' sums in creation order, as the exact re-sum makes them
+    total, total_err = sum(v for v, _ in start), sum(e for _, e in start)
+    if (math.isfinite(total_err) and np.isfinite(total)
+            and total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))):
+        return ValueWithError(total, total_err)
+
     # live panels by creation number: the starting panels are 0..n0-1
-    panels = {i: (a, b, val, err)
-              for i, (a, b, (val, err)) in enumerate(zip(edges, edges[1:], _gk15(f, *edges)))}
+    panels = {i: (a, b, val, err) for i, (a, b, (val, err)) in enumerate(zip(edges, edges[1:], start))}
     n0 = len(panels)
 
     def resum():
@@ -805,7 +818,7 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
 
     heap = [_split_key(err, a, i) for i, (a, _b, _val, err) in panels.items()]
     heapq.heapify(heap)
-    (total, total_err), slack = resum(), 0.0
+    slack = 0.0
     for step in range(spec.max_subdivisions):
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if not (math.isfinite(total_err) and np.isfinite(total)) or total_err <= 2.0 * tol + slack:

@@ -158,6 +158,9 @@ class TestH0:
         for T, alpha in ((30.0, 0.4), (80.0, 0.5), (300.0, 0.6), (12.0, 0.6)):
             p = kn.TestFunctionParams(T=T, alpha=alpha, R=1.0)
             edges = p.window_edges()
+            # built once per params, read-only, and the same as a fresh build
+            assert p.window_edges() is edges and not edges.flags.writeable
+            assert np.array_equal(edges, kn.TestFunctionParams(T=T, alpha=alpha, R=1.0).window_edges())
             lo, hi = p.window()
             assert (edges[0], edges[-1]) == (lo, hi)
             assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= p.bump_width * (1 + 1e-12))

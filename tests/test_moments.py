@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -718,12 +719,16 @@ class TestFirstMoment:
             mo.first_moment_pieces(2, ctx, m_inner=0)
         mo.first_moment_pieces(399, ctx, m_inner=1, inner_panels=4)
 
-    @pytest.mark.parametrize("panels", [24, 72])
+    # 25 panels have a middle panel at y = 0, and at 160 the coarse x fine
+    # grid of the panel mids (14 x 12) runs past the last panel
+    @pytest.mark.parametrize("panels", [24, 25, 72, 160])
     @pytest.mark.parametrize("t", [0.4, -0.4])
     def test_factored_inner_sums_match_direct_exp(self, panels, t):
         # the L^+ inner sums at the bench's T, against one exp per (node, m);
         # the bound is float64 rounding of the sum's absolute terms
-        n, m_inner = 2, 20_000
+        n, m_inner = 2, 19_999
+        # the last block of m is a partial one
+        assert m_inner % (mo._INNER_BLOCK_BYTES // (16 * panels)) != 0
         delta = ls.delta_newform(n + m_inner)
         k = delta.k
         sigma_v = 1.0 + k / 2.0 + 0.1
@@ -735,12 +740,28 @@ class TestFirstMoment:
         log_m = np.log(np.arange(1, m_inner + 1))
         direct = np.concatenate([  # 60 nodes at a time: 19 MB of exp
             np.exp(np.multiply.outer(-(sigma_v + 1j * y - 1j * t), log_m)) @ w
-            for y in np.split(nodes, len(nodes) // 60)
+            for y in np.array_split(nodes, -(-len(nodes) // 60))
         ])
         got = mo._lplus_inner_sums(edges, sigma_v, t, w)
         scale = np.abs(w) @ np.exp(-sigma_v * log_m)
         assert got.shape == direct.shape
         assert np.max(np.abs(got - direct)) <= 64.0 * np.finfo(float).eps * scale
+
+    def test_traced_peak_flat_in_panel_count(self, delta):
+        # the L^+ inner series runs over blocks of m and the lattice stores
+        # only the table rows it reads, so one call's traced peak stays put as
+        # the v-panels grow: 7.8, 9.3 and 11.6 MB at 24, 72 and 160 panels,
+        # where the whole inner factor P and full-height tables took 13.1,
+        # 28.3 and 56.6 MB
+        ctx = delta_ctx(2.5 + 0j, 0.5, T=15.07, delta_form=delta)
+        for panels in (24, 72, 160):
+            tracemalloc.start()
+            try:
+                mo.first_moment_pieces(8, ctx, inner_panels=panels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6, panels
 
     def test_quadrature_consistency(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
