@@ -83,7 +83,7 @@ class PrimeFactorization:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -693,20 +693,9 @@ def characters_mod(q: int) -> tuple:
         trivial = all(e == 0 for e in exps)
         # primitivity: chi is imprimitive iff chi(n) = 1 whenever
         # n = 1 mod q/p and gcd(n, q) = 1, for some prime p | q.
-        primitive = True
-        for p in prime_divisors(q):
-            qp = q // p
-            factors_through = all(
-                abs(values[n % q] - 1.0) < 1e-9
-                for n in range(1, q, qp if qp > 0 else 1)
-                if n % qp == 1 % qp and math.gcd(n, q) == 1
-            ) if qp > 1 else all(
-                abs(values[n % q] - 1.0) < 1e-9
-                for n in range(1, q)
-                if math.gcd(n, q) == 1
-            )
-            if factors_through:
-                primitive = False
-                break
+        primitive = not any(
+            all(abs(values[n] - 1.0) < 1e-9 for n in range(1, q, q // p) if math.gcd(n, q) == 1)
+            for p in prime_divisors(q)
+        )
         chars.append(DirichletCharacter(q, values, primitive, trivial))
     return tuple(chars)

@@ -240,20 +240,21 @@ def _integer_fields(line: str, count: int, what: str) -> list:
 
 def _indexed_lines(fh, M: int) -> list:
     """The value of each ``n a(n)`` line left in ``fh``, in index order.
-    Each n in 1..M must appear exactly once."""
-    rows = [None] * M
+    Each n in 1..M must appear exactly once; nothing is sized by M before
+    the lines are read."""
+    rows = {}
     for line in fh:
         if not line.strip():
             continue
         n, value = _integer_fields(line, 2, "a coefficient line 'n a(n)'")
         if not 1 <= n <= M:
             raise InvariantViolation(f"coefficient index {n} out of range 1..{M}")
-        if rows[n - 1] is not None:
+        if n in rows:
             raise InvariantViolation(f"coefficient index {n} repeated")
-        rows[n - 1] = value
-    if None in rows:
-        raise InvariantViolation(f"expected {M} coefficient lines, got {M - rows.count(None)}")
-    return rows
+        rows[n] = value
+    if len(rows) != M:
+        raise InvariantViolation(f"expected {M} coefficient lines, got {len(rows)}")
+    return [rows[n] for n in range(1, M + 1)]
 
 
 def load_newform(path) -> NewformData:

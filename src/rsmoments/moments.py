@@ -763,6 +763,8 @@ def first_moment_pieces(
         raise DomainError("n must be a positive integer")
     if m_inner < 1:
         raise DomainError("m_inner must be a positive integer")
+    if inner_panels < 1:
+        raise DomainError("inner_panels must be a positive integer")
     if n >= ctx.f.M:  # the L^+ inner series needs a(n + 1) at least
         raise InsufficientCoefficientsError(n + 1)
     k = ctx.k

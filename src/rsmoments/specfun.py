@@ -6,7 +6,8 @@ series) is built on the functions in this module:
 * ``log_gamma`` / ``complex_gamma`` -- scipy's principal-branch log Gamma
   with a pole check, so that ratios of gamma functions with large imaginary
   parts can be formed in log space.
-* ``digamma_family`` -- psi for complex arguments.
+* ``digamma_family`` -- scipy's psi for complex arguments, with the same
+  pole check.
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
   functional-equation fallback on the left half plane.
 * ``central_difference`` -- the fourth-order 4-point stencil, the one route
@@ -41,6 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
+from scipy.special import psi as _scipy_psi
 
 __all__ = [
     "PoleError",
@@ -109,19 +111,16 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be a positive integer")
 
 
-# Bernoulli numbers B_2, B_4, ..., B_28 as exact (numerator, denominator)
+# Bernoulli numbers B_2, B_4, ..., B_24 as exact (numerator, denominator)
 # pairs (B_0 and odd indices dropped)
 _B2N_EXACT = (
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-    (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
 )
-# Python's int / int is correctly rounded, so each value below is the
-# exact rational rounded once to double
-_B2N = tuple(n / d for n, d in _B2N_EXACT)
-# B_2j / (2j)! for j = 1..12 as Python floats, so that the Euler-Maclaurin
-# tail of a scalar zeta runs on Python complex arithmetic throughout
-_B2N_OVER_FACT = tuple(n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(_B2N_EXACT[:12], 1))
+# B_2j / (2j)! for j = 1..12 as Python floats (int / int is correctly
+# rounded), so that the Euler-Maclaurin tail of a scalar zeta runs on Python
+# complex arithmetic throughout
+_B2N_OVER_FACT = tuple(n / (d * math.factorial(2 * j)) for j, (n, d) in enumerate(_B2N_EXACT, 1))
 
 # Stieltjes constants gamma_0..gamma_11 (mpmath.stieltjes, rounded to double)
 _STIELTJES = (
@@ -202,50 +201,17 @@ def complex_gamma(z):
     return np.exp(log_gamma(z))
 
 
-_PSI_SHIFT = 12.0
-
-
 def digamma_family(z):
     """psi(z) for complex z (vectorised).
 
-    The downward recurrence psi(z) = psi(z+1) - 1/z moves the argument to
-    Re z >= 12, where the asymptotic series applies; Re z < 0.5 is handled
-    by the reflection formula.
+    ``scipy.special.psi`` with a :class:`PoleError` at the non-positive
+    integers.  Returns a ``complex`` for a scalar and an array for an array.
     """
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf = np.atleast_1d(z_arr).astype(complex).ravel()
-    if np.any(_near_nonpositive_integer(zf)):
+    if np.any(_near_nonpositive_integer(z_arr)):
         raise PoleError("digamma pole at non-positive integer argument")
-
-    out = np.empty_like(zf)
-    refl = zf.real < 0.5
-    if np.any(refl):
-        zr = zf[refl]
-        out[refl] = _psi_right(1.0 - zr) - math.pi * _cot_pi(zr)
-    if np.any(~refl):
-        out[~refl] = _psi_right(zf[~refl])
-    return complex(out[0]) if scalar else out.reshape(z_arr.shape)
-
-
-def _psi_right(w):
-    w = w.copy()
-    rec = np.zeros_like(w)
-    needs = (w.real < _PSI_SHIFT) & (np.abs(w.imag) < 30.0)
-    while np.any(needs):
-        # not 1.0 / w: numpy rounds the two differently, and psi's bits are pinned
-        rec[needs] -= w[needs] ** (-1)
-        w[needs] += 1.0
-        needs = (w.real < _PSI_SHIFT) & (np.abs(w.imag) < 30.0)
-
-    inv = 1.0 / w
-    inv2 = inv * inv
-    out = np.log(w) - 0.5 * inv
-    term = inv2
-    for j in range(1, 11):
-        out -= _B2N[j - 1] / (2 * j) * term
-        term = term * inv2
-    return out + rec
+    out = _scipy_psi(z_arr)
+    return complex(out) if z_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

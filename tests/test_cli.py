@@ -210,6 +210,23 @@ class TestMainTermCommand:
         assert failure["error"] == "DomainError"
         assert failure["message"] == f"{which} is the f != g display; f and g are the same form"
 
+    def test_generic_writes_main_term(self, capsys):
+        # the generic branch writes moments.main_term of the named context,
+        # digit for digit
+        from rsmoments import lseries, moments
+        from rsmoments.kernels import KernelContext, TestFunctionParams
+
+        code, out, _ = run_cli(["main-term", "--which", "generic", "--s-im", "0.3", "--T", "40",
+                                "--alpha", "0.5", "--t", "0.7"], capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        f = lseries.delta_newform(20000)
+        kernel = KernelContext(TestFunctionParams(T=40.0, alpha=0.5, R=1.0), t=0.7, k=12)
+        want = moments.main_term(moments.MomentContext(t=0.7, f=f, g=f, N=1, kernel=kernel, s=0.5 + 0.3j))
+        assert float(cols["s_re"]) == 0.5 and float(cols["s_im"]) == 0.3
+        assert (cols["M_re"], cols["M_im"]) == (f"{want.real:.17g}", f"{want.imag:.17g}")
+
     def test_generic_needs_s_im(self, capsys):
         # its old default s = 1/2 - it' is the f = g pole
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +305,25 @@ class TestFormLevel:
             cli.main([command, "--help"])
         assert exc.value.code == 0
         assert "--N" not in capsys.readouterr().out
+
+    def test_bare_form_name_read_from_data_dir(self, capsys, tmp_path, monkeypatch):
+        # a --newform name that is neither absolute nor in the working
+        # directory is looked up in RSMOMENTS_DATA_DIR
+        data, work = tmp_path / "data", tmp_path / "work"
+        data.mkdir()
+        work.mkdir()
+        a = (1, -24, 252, -1472, 4830, -6048, -16744, 84480)
+        (data / "delta8.txt").write_text("1 12 8\n" + "".join(f"{n} {v}\n" for n, v in enumerate(a, 1)))
+        monkeypatch.chdir(work)
+        args = ["z-series", "--M-outer", "2", "--M-inner", "4", "--horizon", "100", "--newform"]
+        code, by_path, _ = run_cli(args + [str(data / "delta8.txt")], capsys)
+        assert code == 0
+        monkeypatch.setenv("RSMOMENTS_DATA_DIR", str(data))
+        code, by_name, _ = run_cli(args + ["delta8.txt"], capsys)
+        assert code == 0 and by_name == by_path
+        monkeypatch.delenv("RSMOMENTS_DATA_DIR")
+        code, out, err = run_cli(args + ["delta8.txt"], capsys)
+        assert code == 2 and out == "" and json.loads(err)["error"] == "FileNotFoundError"
 
     def test_second_form_of_another_level_refused(self, capsys, tmp_path):
         # Delta's first coefficients under a level-2 header

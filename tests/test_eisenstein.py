@@ -177,6 +177,22 @@ class TestOracle:
         w = eis.tau_cusp(cusp, 1.4, 2)
         assert abs(v - w) < 1e-4 * abs(w)
 
+    @pytest.mark.parametrize("N", [1, 4, 6, 9])
+    def test_complex_s_against_formula(self, N):
+        # off the real axis K_{s-1/2} has complex order and comes from
+        # bessel_K, not scipy's kv; criterion 3's truncation and 1e-4
+        # (measured worst 2.8e-6, at the cusp 6/6 and s = 1.3 + 0.6i)
+        for cusp in ar.enumerate_cusps(N):
+            for s in (1.3 + 0.6j, 1.45 - 0.9j):
+                for n in (1, -2):
+                    trunc = eis.LatticeTruncation(max_height=1600, fourier_y=0.5 / abs(n), fourier_points=128)
+                    v = eis.tau_oracle(cusp, s, n, trunc)
+                    w = eis.tau_cusp(cusp, s, n)
+                    if abs(w) < 1e-10:  # a coefficient that vanishes identically
+                        assert abs(v) < 1e-5, (cusp, s, n)
+                    else:
+                        assert abs(v - w) < 1e-4 * abs(w), (cusp, s, n)
+
     def test_sign_of_n_symmetry_real_s(self):
         cusp = CuspLabel(2, 2, 1)
         a = eis.tau_oracle(cusp, 1.5, 1, self.TR)

@@ -299,6 +299,14 @@ class TestLoaders:
         with pytest.raises(ls.InvariantViolation):
             ls.load_newform(path)
 
+    def test_header_count_allocates_nothing(self, tmp_path):
+        # a header claiming 2^62 lines used to build a list of that many
+        # slots first, and a bare MemoryError escaped
+        path = tmp_path / "huge.txt"
+        path.write_text("1 12 4611686018427387904\n1 1\n")
+        with pytest.raises(ls.InvariantViolation, match="expected 4611686018427387904 coefficient lines, got 1"):
+            ls.load_newform(path)
+
     # (loader, header with M = 3, one "n value..." line)
     LOADERS = {
         "newform": (ls.load_newform, "1 12 3\n", "{n} 1\n"),

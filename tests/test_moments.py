@@ -444,26 +444,28 @@ class TestContinuous:
 
     def test_matches_two_batch_transcription(self, delta):
         # the f- and the g-side as two batches and zeta(1 + 2ir) zeta(1 - 2ir)
-        # as a product: the integral before the sides were paired
+        # as a product: the integral before the sides were paired.  With
+        # f != g continuous_part itself takes the sides as two batches
         kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
         t = 0.7
-        ctx = mo.MomentContext(
-            t=t, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=t, k=12), s=0.5 - 1j * t
-        )
-
-        def integrand(r):
-            ir = 1j * r
-            lf1, lf2 = ls.holo_L(np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir]), delta,
-                                 method="afe").reshape(2, -1)
-            lg1, lg2 = ls.holo_L(np.concatenate([ctx.s + ir, ctx.s - ir]), delta, method="afe").reshape(2, -1)
-            zz = np.array([riemann_zeta(1.0 + 2.0 * x) * riemann_zeta(1.0 - 2.0 * x) for x in ir.tolist()])
-            return h_eval(r, kp) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
-
         hi = kp.T + 12.0 * kp.bump_width
         edges = np.linspace(0.0, hi, max(8, int(math.ceil(hi * 2.0 / 4.0))) + 1)
-        want = 2.0 * sum(v for v, _ in mo._gk15(integrand, *edges))
-        got = mo.continuous_part(ctx, points_per_unit=2.0, half_line=True).value
-        assert abs(got - want) <= 1e-15 * abs(want)
+        for g in (delta, ls.divisor_model_newform(1.13, 12, 1, 400)):
+            ctx = mo.MomentContext(
+                t=t, f=delta, g=g, N=1, kernel=KernelContext(kp, t=t, k=12), s=0.5 - 1j * t
+            )
+
+            def integrand(r):
+                ir = 1j * r
+                lf1, lf2 = ls.holo_L(np.concatenate([0.5 + 1j * t + ir, 0.5 + 1j * t - ir]), delta,
+                                     method="afe").reshape(2, -1)
+                lg1, lg2 = ls.holo_L(np.concatenate([ctx.s + ir, ctx.s - ir]), g, method="afe").reshape(2, -1)
+                zz = np.array([riemann_zeta(1.0 + 2.0 * x) * riemann_zeta(1.0 - 2.0 * x) for x in ir.tolist()])
+                return h_eval(r, kp) * lf1 * lf2 * lg1 * lg2 / (math.pi * zz)
+
+            want = 2.0 * sum(v for v, _ in mo._gk15(integrand, *edges))
+            got = mo.continuous_part(ctx, points_per_unit=2.0, half_line=True).value
+            assert abs(got - want) <= 1e-15 * abs(want), g is delta
 
     def test_real_at_symmetric_point(self, continuous_result):
         full, _ = continuous_result
@@ -718,6 +720,15 @@ class TestFirstMoment:
         with pytest.raises(DomainError):
             mo.first_moment_pieces(2, ctx, m_inner=0)
         mo.first_moment_pieces(399, ctx, m_inner=1, inner_panels=4)
+
+    @pytest.mark.parametrize("panels", [0, -3])
+    def test_refuses_fewer_than_one_panel(self, panels):
+        # these escaped as a ZeroDivisionError from the lattice's h_v and as
+        # numpy's ValueError from linspace
+        f = ls.divisor_model_newform(NU, 12, 1, 400)
+        ctx = delta_ctx(2.5 + 0j, 0.5, T=12.0, delta_form=f)
+        with pytest.raises(DomainError, match="inner_panels"):
+            mo.first_moment_pieces(2, ctx, inner_panels=panels)
 
     # 25 panels have a middle panel at y = 0, and at 160 the coarse x fine
     # grid of the panel mids (14 x 12) runs past the last panel
