@@ -6,8 +6,9 @@ the one table of log m (``log_table``), the one table of the divisor bound
 (``divisor_bound_table``), multiplicative
 arrays from their values at prime powers (``multiplicative_array``: mu,
 phi, the sym^2 and synthetic Maass coefficients) and divisor sums
-sum_{d | m} c_d by Dirichlet's hyperbola split (``divisor_sum_array``: the
-twisted divisor sums, tau's divisor sums, the divisor model).  Also the
+sum_{d | m} c_d by Dirichlet's hyperbola split (``divisor_sum_blocks``, in
+blocks of m with the bits of one block: the twisted divisor sums, tau's
+divisor sums, the divisor model).  Also the
 scalar divisor sums that the arrays are held to, the local Euler
 polynomials attached to a modulus, depleted zeta and depleted Dirichlet
 L-values, the cusps of Gamma_0(N) in the 1/(c*a) parameterisation, and
@@ -436,43 +437,91 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     return complex(pref * ploc * sigma_complex(m, -2j * t, N))
 
 
-def divisor_sum_array(coeffs) -> np.ndarray:
-    """sum_{d | m} c_d for m = 1..len(coeffs) (index m-1), with c_d = coeffs[d-1].
+def divisor_sum_blocks(coeff_blocks, m_max: int):
+    """An iterator over the blocks of sum_{d | m} c_d for m = lo+1..hi (index
+    m-1-lo), one for each block c_{lo+1..hi} that ``coeff_blocks`` yields;
+    the blocks cover d = 1..m_max in order, and each block of sums is made
+    before the next block of c is drawn.
 
-    Dirichlet's hyperbola split at r = isqrt(M), all by strided adds in
-    place: each nonzero c_d with d <= r goes to the multiples of d, in
-    increasing d; then for j = M // (r + 1) down to 1 the run c_{r+1..M//j}
-    goes to j (r+1), ..., j (M//j).  So every sum adds its terms in
-    increasing d, as a per-d loop does; the zero c_d of a run add +-0 to a
-    sum that is never -0, which leaves its bits alone.
+    Dirichlet's hyperbola split at r = isqrt(hi), all by strided adds in
+    place: each nonzero c_d with d <= r goes to its multiples in the block,
+    in increasing d; then for j = hi // (r + 1) down to 1 the c_d with
+    r < d <= hi // j and j d in the block go to those j d.  So every sum adds
+    its terms in increasing d, as a per-d loop does, whatever the blocks;
+    the zero c_d of a run add +-0 to a sum that is never -0, which leaves
+    its bits alone.  Past the first block only j = 1 reads the block's own
+    c_d, and j >= 2 reads d <= hi // 2, so the c_d with d <= m_max // 2 are
+    kept for the blocks that follow (none when one block covers m_max).
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    m_max = coeffs.size
-    root = math.isqrt(m_max)
-    out = np.zeros(m_max, dtype=complex)
-    for d in (np.flatnonzero(coeffs[:root]) + 1).tolist():
-        out[d - 1 :: d] += coeffs[d - 1]
-    for j in range(m_max // (root + 1), 0, -1):
-        top = m_max // j
-        out[j * (root + 1) - 1 : j * top : j] += coeffs[root:top]
+    half = m_max // 2
+    kept = None
+    lo = 0
+
+    def sums(coeffs):
+        nonlocal kept, lo
+        coeffs = np.asarray(coeffs, dtype=complex)
+        hi = lo + coeffs.size
+        if kept is None and hi < m_max:
+            kept = np.empty(half, dtype=complex)
+        if kept is not None and lo < half:
+            kept[lo:min(hi, half)] = coeffs[: half - lo]
+        table = coeffs if lo == 0 else kept  # c_d at index d - 1, d <= hi // 2
+        out = _block_divisor_sums(coeffs, table, lo)
+        lo = hi
+        return out
+
+    return map(sums, coeff_blocks)  # map keeps no block alive once it is read
+
+
+def _block_divisor_sums(coeffs, table, lo: int) -> np.ndarray:
+    """One block of ``divisor_sum_blocks``: the sums for m = lo+1..hi from the
+    block's own c_{lo+1..hi} and ``table``, which holds c_d at index d - 1
+    for every d <= hi // 2 and d <= isqrt(hi)."""
+    hi = lo + coeffs.size
+    root = math.isqrt(hi)
+    out = np.zeros(coeffs.size, dtype=complex)
+    ds = np.flatnonzero(table[:root]) + 1
+    for d, start, c in zip(ds.tolist(), (-(lo + 1) % ds).tolist(), table[ds - 1].tolist()):
+        out[start::d] += c
+    # j >= 2: the run of d from max(r + 1, ceil((lo + 1) / j)) to hi // j
+    js = np.arange(hi // (root + 1), 1, -1)
+    firsts, lasts = np.maximum(root + 1, -(-(lo + 1) // js)), hi // js
+    runs = firsts <= lasts
+    for j, d0, d1 in zip(js[runs].tolist(), firsts[runs].tolist(), lasts[runs].tolist()):
+        out[j * d0 - 1 - lo : j * d1 - lo : j] += table[d0 - 1 : d1]
+    d0 = max(root + 1, lo + 1)  # j = 1: the term d = m
+    out[d0 - 1 - lo :] += coeffs[d0 - 1 - lo :]
     return out
 
 
-def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
-    """sigma_{-2it}(m; N) for m = 1..m_max (index m-1), sieve-based.
+def divisor_sum_array(coeffs) -> np.ndarray:
+    """sum_{d | m} c_d for m = 1..len(coeffs) (index m-1), with c_d =
+    coeffs[d-1]: ``divisor_sum_blocks`` over one block."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return next(divisor_sum_blocks([coeffs], coeffs.size))
+
+
+def sigma_twisted_blocks(N: int, t: float, m_max: int, block: int):
+    """Yield sigma_{-2it}(m; N) for m = 1..m_max in blocks of ``block``
+    values (the last may be shorter), sieve-based.
 
     The coefficients c_d = [(d, N) = 1] d^{-2it} are exp(-2it log d) with
-    log d read from ``log_table``, and ``divisor_sum_array`` adds them up;
-    for N > 1 the local factor P_N and the support condition follow.
+    log d read from ``log_table``, and ``divisor_sum_blocks`` adds them up;
+    for N > 1 the local factor P_N and the support condition follow.  Every
+    value has the same bits at any block size: the products are formed out
+    of place, since numpy's in-place complex product of a single value can
+    round differently.
     """
-    coeffs = log_table(m_max) * (-2j * t)
-    np.exp(coeffs, out=coeffs)
-    for p in prime_divisors(N):
-        coeffs[p - 1 :: p] = 0.0
-    out = divisor_sum_array(coeffs)
-    del coeffs
-    if N == 1:
-        return out
+    logs = log_table(m_max)
+    primes = prime_divisors(N)
+
+    def coeffs_from(lo):
+        coeffs = logs[lo : lo + block] * (-2j * t)
+        np.exp(coeffs, out=coeffs)
+        for p in primes:
+            coeffs[-(lo + 1) % p :: p] = 0.0
+        return coeffs
+
     # P_N(1/2+it, m) from the prime-local formula.  It depends on m only
     # through the orders ord_p(m) <= log_p(m_max), p | N, so it is tabulated
     # over those few order tuples and read off per m through a mixed-radix
@@ -480,12 +529,11 @@ def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
     # support, (N / rad N) | m, iff ord_p(m) >= e_p - 1 for every p^e_p || N.
     pn = np.ones(1, dtype=complex)
     support = np.ones(1, dtype=bool)
-    combo = np.zeros(m_max, dtype=np.int32)
+    radices = []
     for p, eM in factorize(N).factors:
-        top = 0
-        q = p
+        radices.append((p, pn.size))
+        top, q = 0, p  # ord_p(m) <= top for every m <= m_max
         while q <= m_max:
-            combo[q - 1 :: q] += pn.size  # ord_p(m) times the radix of p
             top += 1
             q *= p
         ords = np.arange(top + 1)
@@ -496,23 +544,51 @@ def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
         # entry o_p * radix + (index over the earlier primes)
         pn = np.ravel(pn[None, :] * local[:, None])
         support = np.ravel(support[None, :] & (ords >= eM - 1)[:, None])
-    # numpy divides this complex scalar by the real rad through 1/rad, which
-    # _pp(N, -2it) / rad (a Python complex) does not: the pinned bits of
-    # test_sigma_twisted_array_bits_pinned keep numpy's rounding
-    pref = np.exp(-2j * t * math.log(N)) / math.prod(prime_divisors(N))
-    np.multiply((pref * pn)[combo], out, out=out)
-    out[~support[combo]] = 0.0
-    return out
+    # N^{-2it} times 1/rad, the rounding of numpy's complex-by-real quotient,
+    # and that scalar times the table (not the table times it): the pinned
+    # bits of test_sigma_twisted_array_bits_pinned keep both
+    pn = _pp(N, -2j * t) * (1.0 / math.prod(primes)) * pn
+
+    def local_factor(lo, out):
+        combo = np.zeros(out.size, dtype=np.int32)
+        for p, radix in radices:
+            q = p
+            while q <= lo + out.size:
+                combo[-(lo + 1) % q :: q] += radix  # ord_p(m) times the radix of p
+                q *= p
+        out = pn[combo] * out
+        out[~support[combo]] = 0.0
+        return out
+
+    # map keeps no block alive once it is read
+    starts = range(0, m_max, block)
+    sums = divisor_sum_blocks(map(coeffs_from, starts), m_max)
+    yield from sums if N == 1 else map(local_factor, starts, sums)
+
+
+def sigma_twisted_array(N: int, t: float, m_max: int) -> np.ndarray:
+    """sigma_{-2it}(m; N) for m = 1..m_max (index m-1): ``sigma_twisted_blocks``
+    in one block."""
+    return next(sigma_twisted_blocks(N, t, m_max, max(m_max, 1)), np.zeros(0, dtype=complex))
+
+
+def twisted_weight_blocks(N: int, t: float, m_max: int, block: int):
+    """Yield sigma_{-2it}(m; N) m^{it} for m = 1..m_max in blocks of
+    ``block`` values: ``sigma_twisted_blocks`` times the phases m^{it}."""
+    logs = log_table(m_max)
+
+    def weighted(lo, out):
+        phases = logs[lo : lo + out.size] * (1j * t)
+        np.exp(phases, out=phases)
+        return out * phases
+
+    yield from map(weighted, range(0, m_max, block), sigma_twisted_blocks(N, t, m_max, block))
 
 
 def sigma_twisted_weights(N: int, t: float, m_max: int) -> np.ndarray:
     """sigma_{-2it}(m; N) m^{it} for m = 1..m_max (index m-1): the outer
-    weights of the twisted and shifted Dirichlet series."""
-    out = sigma_twisted_array(N, t, m_max)
-    phases = log_table(m_max) * (1j * t)
-    np.exp(phases, out=phases)
-    out *= phases
-    return out
+    weights of the twisted and shifted Dirichlet series, in one block."""
+    return next(twisted_weight_blocks(N, t, m_max, max(m_max, 1)), np.zeros(0, dtype=complex))
 
 
 def zeta_depleted(s, N: int) -> complex:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import kv as _kv_real
@@ -83,6 +83,7 @@ __all__ = [
     "lambda_chi",
     "tau_cusp",
     "tau_cusp_array",
+    "tau_cusp_blocks",
     "tau_level_one",
     "eisenstein_oracle",
     "tau_oracle",
@@ -199,42 +200,81 @@ def tau_cusp(cusp: CuspLabel, s, n: int) -> complex:
     return complex((cusp.N / g) ** (-s) / euler_phi(g) * total)
 
 
-def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
-    """tau_{1/(c a)}(s, m) for m = 1..m_max as a vector (index m-1).
+def tau_cusp_blocks(cusp: CuspLabel, s, m_max: int, block: int):
+    """Yield tau_{1/(c a)}(s, m) for m = 1..m_max in blocks of ``block``
+    values (the last may be shorter).
 
-    Sieve-based: one divisor-sum sieve per character, then scatter over the
-    arithmetic progressions e | m.  The powers d^z, z = 1 - 2s, are
-    d^{Re z} (cos + i sin)(Im z log d) with log d from ``arith.log_table``:
-    CPython's complex power for a positive real base, so on the line
-    Re s = 1/2 (Re z = 0, where d^{Re z} is not formed) they have its bits,
-    and elsewhere numpy's real power moves them by about an ulp.
+    Sieve-based: per character, the divisor sums of one
+    ``arith.divisor_sum_blocks`` give lam(m') = conj(chi(m')) m'^{s-1/2}
+    sum_{d|m'} chi(d)^2 d^{1-2s}, and each (l, b) pair of that character
+    adds its weight times lam(m/e) at the m with e | m.  Past the first
+    block, an e >= 2 reads lam at m' <= m_max // 2 from before, so those are
+    kept.  The powers d^z, z = 1 - 2s, are d^{Re z} (cos + i sin)(Im z
+    log d) with log d from ``arith.log_table``: CPython's complex power for a
+    positive real base, so on the line Re s = 1/2 (Re z = 0, where d^{Re z}
+    is not formed) they have its bits, and elsewhere numpy's real power
+    moves them by about an ulp.  Every value has the same bits at any block
+    size.
     """
     s = complex(s)
     z = 1.0 - 2.0 * s
-    m = np.arange(1, m_max + 1)
-    out = np.zeros(m_max, dtype=complex)
-    for chi, pref, pairs in _character_terms(cusp, s):
-        # divisor sums sum_{d|m'} chi(d)^2 d^{1-2s} for all m' <= m_max,
-        # with the phase, its sine and its cosine formed in place
-        divsum = chi.squared().value_array(m)
-        powers = np.empty(m_max, dtype=complex)
-        np.multiply(arith.log_table(m_max), z.imag, out=powers.real)
+    logs = arith.log_table(m_max)
+    half = m_max // 2
+
+    def coeffs_from(chi2, lo):
+        # chi(d)^2 d^{1-2s} for d = lo+1..lo+block, with the phase, its sine
+        # and its cosine formed in place
+        d = np.arange(lo + 1, min(lo + block, m_max) + 1)
+        coeffs = chi2.value_array(d)
+        powers = np.empty(d.size, dtype=complex)
+        np.multiply(logs[lo : lo + d.size], z.imag, out=powers.real)
         np.sin(powers.real, out=powers.imag)
         np.cos(powers.real, out=powers.real)
         if z.real != 0.0:
-            modulus = np.power(m, z.real)
+            modulus = np.power(d, z.real)
             powers.real *= modulus
             powers.imag *= modulus
-            del modulus
-        np.multiply(divsum, powers, out=divsum, where=divsum != 0)
-        del powers
-        divsum = arith.divisor_sum_array(divsum)
-        lam = chi.value_array(m).conj() * m ** (s - 0.5) * divsum
-        for ell, b, mu, e in pairs:
-            w = pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e)
-            out[e - 1 :: e] += w * lam[: m_max // e]
+        np.multiply(coeffs, powers, out=coeffs, where=coeffs != 0)
+        return coeffs
+
+    terms = []
+    for chi, pref, pairs in _character_terms(cusp, s):
+        weights = [(e, pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e))
+                   for ell, b, mu, e in pairs]
+        sums = arith.divisor_sum_blocks(map(partial(coeffs_from, chi.squared()), range(0, m_max, block)), m_max)
+        kept = np.empty(half, dtype=complex) if block < m_max and any(e > 1 for e, _ in weights) else None
+        terms.append((chi, weights, sums, kept))
     g = cusp.gcd_a
-    return (cusp.N / g) ** (-s) / euler_phi(g) * out
+    scale = (cusp.N / g) ** (-s) / euler_phi(g)
+
+    def tau_from(lo):
+        m = np.arange(lo + 1, min(lo + block, m_max) + 1)
+        out = None  # made after the first lam, whose temporaries come first
+        for chi, weights, sums, kept in terms:
+            sums_m = next(sums)  # made before the factors, which would wait in memory
+            lam = chi.value_array(m).conj() * m ** (s - 0.5) * sums_m
+            del sums_m
+            if out is None:
+                out = np.zeros(m.size, dtype=complex)
+            if kept is not None and lo < half:
+                kept[lo : lo + lam.size] = lam[: half - lo]
+            earlier = lam if lo == 0 else kept  # lam(m') at index m' - 1, m' <= m[-1] // 2
+            for e, w in weights:
+                if e == 1:
+                    out += w * lam
+                    continue
+                first = -(lo + 1) % e  # the block index of the first multiple of e
+                multiples, k0 = out[first::e], (lo + 1 + first) // e
+                multiples += w * earlier[k0 - 1 : k0 - 1 + multiples.size]
+        return scale * out
+
+    yield from map(tau_from, range(0, m_max, block))  # map keeps no block alive once it is read
+
+
+def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
+    """tau_{1/(c a)}(s, m) for m = 1..m_max as a vector (index m-1):
+    ``tau_cusp_blocks`` in one block."""
+    return next(tau_cusp_blocks(cusp, s, m_max, max(m_max, 1)), np.zeros(0, dtype=complex))
 
 
 def tau_level_one(s, n: int) -> complex:
@@ -254,6 +294,7 @@ def tau_level_one(s, n: int) -> complex:
 
 
 _PHASE_KMAX = 80  # frequencies m of the row phase sums and of the Bessel row weights
+_PHASE_ROWS = 256  # rows of the phase sums built at once: their temporaries stay near 1.3 MB
 
 
 def _unit_inverse(u, g, order: int):
@@ -316,8 +357,11 @@ def _row_phase_sums(N: int, a: int, c: int, max_height: int):
         rows, g, e = rows[keep], g[keep], e[keep]
         x = -c * _unit_inverse(k[rows] * e, g, order) % g
         j = np.arange(1, _PHASE_KMAX // L + 1)
-        phase = np.exp(2j * math.pi * (np.outer(x, j) % g[:, None]) / g[:, None])
-        ph[rows, L - 1 :: L] += (mu[e] * L)[:, None] * phase
+        # _PHASE_ROWS rows at a time, so the phases' temporaries stay small
+        for r0 in range(0, rows.size, _PHASE_ROWS):
+            b = slice(r0, r0 + _PHASE_ROWS)
+            phase = np.exp(2j * math.pi * (np.outer(x[b], j) % g[b, None]) / g[b, None])
+            ph[rows[b], L - 1 :: L] += (mu[e[b]] * L)[:, None] * phase
     for arr in (cts, sizes, ph):
         arr.flags.writeable = False
     return cts, sizes, ph

@@ -16,7 +16,9 @@ Evaluators
       zeta^(N)(2s) sum_{m <= M} c(m) m^{-s}
   with the divisor-bound tail certificate
   |zeta^(N)(2s)| scale sum_{n > M} d(n)^2 n^{-Re s} (``rankin_selberg_tail``,
-  Nicolas-Robin), behind the Rankin-Selberg and direct twisted series.
+  Nicolas-Robin, in ``_depleted_sum``), behind the Rankin-Selberg and direct
+  Maass-twisted series; the direct Eisenstein-twisted series sums its terms
+  in blocks and takes the same certificate from ``_depleted_sum``.
 * ``rankin_selberg_L`` -- the infinity-class truncated Dirichlet series
   (direct region Re s > 1).  The main term
   takes L(w, f x g~) on and left of Re w = 1, so it does not use it: its
@@ -262,6 +264,8 @@ def load_newform(path) -> NewformData:
     integers; a malformed line raises :class:`InvariantViolation`."""
     with open(path) as fh:
         N, k, M = _integer_fields(fh.readline(), 3, "the header 'N k M'")
+        if M < 1:  # a form has a(1) = 1 at least
+            raise InvariantViolation(f"the header's coefficient count M must be >= 1, got {M}")
         exact = _indexed_lines(fh, M)
     return NewformData(N=N, k=k, a=np.array([float(v) for v in exact]), a_exact=tuple(exact))
 
@@ -398,11 +402,16 @@ def rankin_selberg_tail(sigma: float, m_from: int) -> float:
 
 def _depleted_series(coeffs, s: complex, N: int, scale: float) -> ValueWithError:
     """zeta^(N)(2s) sum_{m <= M} c(m) m^{-s} for c = ``coeffs`` of length M,
-    the terms summed as c(m) exp(-s log m), with the error
-    |zeta^(N)(2s)| scale rankin_selberg_tail(Re s, M) for |c(m)| <= scale d(m)^2."""
+    the terms summed as c(m) exp(-s log m), with ``_depleted_sum``'s error."""
     series = complex(np.sum(coeffs * np.exp(-s * arith.log_table(coeffs.size))))
+    return _depleted_sum(series, s, N, scale, coeffs.size)
+
+
+def _depleted_sum(series: complex, s: complex, N: int, scale: float, M: int) -> ValueWithError:
+    """zeta^(N)(2s) times ``series``, the sum of c(m) m^{-s} over m <= M, with the
+    error |zeta^(N)(2s)| scale rankin_selberg_tail(Re s, M) for |c(m)| <= scale d(m)^2."""
     zN = arith.zeta_depleted(2.0 * s, N)
-    return ValueWithError(complex(zN * series), abs(zN) * scale * rankin_selberg_tail(s.real, coeffs.size))
+    return ValueWithError(complex(zN * series), abs(zN) * scale * rankin_selberg_tail(s.real, M))
 
 
 def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None) -> ValueWithError:
@@ -781,20 +790,43 @@ def selfdual_rs_constants(f: NewformData) -> MappingProxyType:
 # the factored twisted Dirichlet series: Eisenstein case
 
 
+# terms of the direct twisted series formed at once: a block's arrays take
+# 256 KiB each, so at 10^5 terms the series' memory stays near 3 MB, most of
+# it the divisor sums' kept coefficients (arith.divisor_sum_blocks)
+_TWIST_BLOCK = 1 << 14
+
+
 def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int = 100_000) -> ValueWithError:
     """zeta^(N)(2s) sum_m sigma_{-2it}(m;N) m^{it} conj(tau_a(1/2+ir, m)) m^{-s}.
 
     Direct summation; needs Re s > 3/2 and real r (the conjugated
-    coefficient array is only available there).
+    coefficient array is only available there).  The terms are formed
+    ``_TWIST_BLOCK`` at a time from weights and coefficients with the bits
+    of the whole arrays, and the series adds the blocks' sums in order.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise DomainError("direct twisted series needs Re s > 3/2")
-    tau = eisenstein.tau_cusp_array(cusp, 0.5 + 1j * r, m_max)
-    sig = arith.sigma_twisted_weights(cusp.N, t, m_max)
-    # |tau(m)| <= C d(m) empirically on the computed range
-    cbound = float(np.max(np.abs(tau) / arith.divisor_bound_table(m_max))) if m_max else 1.0
-    return _depleted_series(sig * np.conj(tau), s, cusp.N, cbound)
+    bounds = arith.divisor_bound_table(m_max)
+
+    def block_terms(lo, tau, sig):
+        # |tau(m)| <= C d(m) empirically on the computed range
+        bound = float(np.max(np.abs(tau) / bounds[lo : lo + tau.size]))
+        # the terms conj(tau) sig m^{-s}, formed in place over the block's tau
+        terms = np.conjugate(tau, out=tau)
+        terms *= sig
+        powers = arith.log_table(m_max)[lo : lo + tau.size] * -s
+        terms *= np.exp(powers, out=powers)
+        return complex(np.sum(terms)), bound
+
+    series, cbound = 0j, 1.0 if m_max == 0 else 0.0
+    # map holds no block of terms once it is summed
+    for block_sum, block_bound in map(block_terms, range(0, m_max, _TWIST_BLOCK),
+                                      eisenstein.tau_cusp_blocks(cusp, 0.5 + 1j * r, m_max, _TWIST_BLOCK),
+                                      arith.twisted_weight_blocks(cusp.N, t, m_max, _TWIST_BLOCK)):
+        series += block_sum
+        cbound = max(cbound, block_bound)
+    return _depleted_sum(series, s, cusp.N, cbound, m_max)
 
 
 def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:

@@ -871,6 +871,7 @@ def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
         + (v - k / 2.0) * math.log(n)
         + np.log(_lplus_inner_sums(edges, sigma_v, t, weights))
     )
+    del weights  # the lattice below does not read the inner series
 
     def log_pref(gam):
         u = sigma_u + 1j * gam

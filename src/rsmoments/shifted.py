@@ -59,8 +59,9 @@ __all__ = [
     "M3_series_rearranged",
 ]
 
-# |terms| per block of rows whose envelope maxima are taken: 512 kB of floats
-_BLOCK_TERMS = 1 << 16
+# |terms| per block of rows whose envelope maxima are taken (256 kB of
+# floats), and partial sums per block of windowed dots
+_BLOCK_TERMS = 1 << 15
 # terms per block of rows of a raw double series: its real products are 1 MB
 _RAW_TERMS = 1 << 17
 # columns per partial dot of a window: numpy sums a strided matrix-vector
@@ -162,11 +163,19 @@ def _envelope_tail(abs_terms: np.ndarray) -> float:
 
 def _window_dots(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_j x[r + j] v[j] for every window start r, as dots of at most
-    ``_DOT_COLUMNS`` columns whose partial sums are added pairwise."""
+    ``_DOT_COLUMNS`` columns whose partial sums are added pairwise, for
+    ``_BLOCK_TERMS`` partial sums at a time."""
     windows = sliding_window_view(x, len(v))
-    parts = [windows[:, c : c + _DOT_COLUMNS] @ v[c : c + _DOT_COLUMNS]
-             for c in range(0, len(v), _DOT_COLUMNS)]
-    return np.stack(parts, axis=1).sum(axis=1)
+    starts = range(0, len(v), _DOT_COLUMNS)
+    out = np.empty(len(windows), dtype=np.result_type(x, v))
+    step = max(1, _BLOCK_TERMS // len(starts))
+    for lo in range(0, len(windows), step):
+        rows = windows[lo : lo + step]
+        parts = np.empty((len(rows), len(starts)), dtype=out.dtype)
+        for i, c in enumerate(starts):
+            parts[:, i] = rows[:, c : c + _DOT_COLUMNS] @ v[c : c + _DOT_COLUMNS]
+        out[lo : lo + step] = parts.sum(axis=1)
+    return out
 
 
 def _shift_rows(w: complex, ms: np.ndarray, f: NewformData, g: NewformData, n_max: int, lower: bool):

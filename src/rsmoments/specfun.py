@@ -494,8 +494,9 @@ def gk15_panel_nodes(edges):
 # u-panel width the aligned lattice starts from (it halves it until accepted)
 _LATTICE_START_WIDTH = 0.25
 # table rows, and u-panels, the aligned lattice works on at once: its
-# temporaries stay this small, so its memory is the two tables at any width
-_LATTICE_BLOCK = 128
+# temporaries stay this small, so its memory is the table rows of the
+# v-panels in flight at any width
+_LATTICE_BLOCK = 64
 # the summed bound of the lattice blocks left out, as a share of abs_tol: at
 # 1e-3 the first-moment L^- moved by up to 4.7e-10 relative where |L^-| is
 # near 3e-6, and 1e-5 costs no measurable time
@@ -507,7 +508,8 @@ def _row_scaled(logs):
     overflows, and a row of -inf logs is zeros with a -inf scale."""
     scale = np.max(logs.real.reshape(len(logs), -1), axis=1)
     shift = np.where(np.isfinite(scale), scale, 0.0)
-    return np.exp(logs - shift.reshape((-1,) + (1,) * (logs.ndim - 1))), scale
+    out = logs - shift.reshape((-1,) + (1,) * (logs.ndim - 1))
+    return np.exp(out, out=out), scale
 
 
 def _row_bounds(log_k, base, pair):
@@ -524,37 +526,59 @@ def _row_bounds(log_k, base, pair):
         return np.max(log_k(np.stack([near, far])).real, axis=0)
 
 
-def _scaled_rows(log_k, base, pair, read, mirror):
-    """:func:`_row_scaled` of log_k(base[r] + pair) on the rows ``read``,
-    ``_LATTICE_BLOCK`` rows at a time, as (tab, slot, scale): row r is
-    tab[slot[r]] with scale[r].  Only the rows read are stored, so tab
-    takes 3,600 bytes per row read; the other rows are left unset, with
-    -inf scales.  With ``mirror`` = R, row R - r holds the negated
-    abscissae of row r, so it is the conjugate of row r with (i, j)
-    reversed: a row whose partner below it is built is filled that way."""
-    n_rows = len(base)
-    scale = np.full(n_rows, -np.inf)
-    need = np.zeros(n_rows, dtype=bool)
-    need[read] = True
-    rows = np.flatnonzero(need)
-    slot = np.zeros(n_rows, dtype=np.intp)
-    slot[rows] = np.arange(rows.size)
-    tab = np.empty((rows.size, 15, 15), dtype=complex)
-    mirrored = np.zeros(rows.size, dtype=bool)
+def _panel_rows(log_k, base, pair, offset, keep, mirror):
+    """Yield, for v-panel q = 0, 1, ..., the table rows that v-panel q reads
+    as (tab, slot, scale): row r = p + offset[q] of each kept (p, q) is
+    tab[slot[r]] with scale[r], :func:`_row_scaled` of log_k(base[r] + pair).
+
+    A row is built when the first v-panel that reads it comes, and its slot
+    is reused once the last one has passed, so tab holds only the rows of
+    the panels in flight, at 3,600 bytes a row.  With ``mirror`` = R, row
+    R - r holds the negated abscissae of row r, so it is the conjugate of
+    row r with (i, j) reversed: a read row whose partner below it is read
+    too is filled that way, so the partner is built by then and kept until
+    then.  Each row is thus evaluated or mirrored as a whole table of the
+    read rows would do it, and has that table's bits.
+    """
+    n_rows, n_v = len(base), len(offset)
+    first = np.full(n_rows, n_v)
+    last = np.full(n_rows, -1)
+    p, q = np.nonzero(keep)
+    np.minimum.at(first, p + offset[q], q)
+    np.maximum.at(last, p + offset[q], q)
+    del p, q
+    source = np.arange(n_rows)
     if mirror is not None:
-        partner = mirror - rows
-        inside = (partner >= 0) & (partner < rows)
-        mirrored[inside] = need[partner[inside]]
-    evaluated = np.flatnonzero(~mirrored)
-    for b0 in range(0, evaluated.size, _LATTICE_BLOCK):
-        s = evaluated[b0:b0 + _LATTICE_BLOCK]
-        r = rows[s]
-        tab[s], scale[r] = _row_scaled(log_k(base[r][:, None, None] + pair))
-    s = np.flatnonzero(mirrored)
-    r = rows[s]
-    tab[s] = np.conj(tab[slot[mirror - r], ::-1, ::-1])
-    scale[r] = scale[mirror - r]
-    return tab, slot, scale
+        r = np.flatnonzero(last >= 0)
+        r = r[(mirror - r >= 0) & (mirror - r < r)]
+        r = r[last[mirror - r] >= 0]
+        source[r] = mirror - r
+        first[mirror - r] = np.minimum(first[mirror - r], first[r])
+        last[mirror - r] = np.maximum(last[mirror - r], first[r])
+    built = np.flatnonzero(last >= 0)
+    born = built[np.argsort(first[built], kind="stable")]  # by first panel, then by row
+    dies = built[np.argsort(last[built], kind="stable")]
+    born_at = np.searchsorted(first[born], np.arange(n_v + 1))
+    dies_at = np.searchsorted(last[dies], np.arange(n_v + 1))
+    tab = np.empty((int(np.max(born_at[1:] - dies_at[:-1], initial=0)), 15, 15), dtype=complex)
+    free = list(range(len(tab)))
+    slot = np.zeros(n_rows, dtype=np.intp)
+    scale = np.full(n_rows, -np.inf)
+    for q in range(n_v):
+        if q:
+            free += slot[dies[dies_at[q - 1]:dies_at[q]]].tolist()
+        new = born[born_at[q]:born_at[q + 1]]
+        slot[new] = [free.pop() for _ in range(new.size)]
+        for mirrored in (False, True):
+            todo = new[(source[new] != new) == mirrored]
+            for b0 in range(0, todo.size, _LATTICE_BLOCK):
+                r = todo[b0:b0 + _LATTICE_BLOCK]
+                if mirrored:
+                    tab[slot[r]] = np.conj(tab[slot[source[r]], ::-1, ::-1])
+                    scale[r] = scale[source[r]]
+                else:
+                    tab[slot[r]], scale[r] = _row_scaled(log_k(base[r][:, None, None] + pair))
+        yield tab, slot, scale
 
 
 def integrate_aligned_lattice(
@@ -591,14 +615,16 @@ def integrate_aligned_lattice(
       15 H exp(its pref, c, K- and K+ row scales summed) to the value.
     * **The budget.**  The blocks with the smallest bounds are left out while
       their summed bound stays within 1e-5 abs_tol, and that sum is added to
-      the error.  Only the table rows the kept blocks read are built.  (The
+      the error.  Only the table rows the kept blocks read are built, each
+      when the first v-panel that reads it comes, and a row's memory is
+      reused once the last one has passed (:func:`_panel_rows`).  (The
       bounds can be loose by many orders, so the cut is absolute, never
       relative to the largest bound.)
     * **The mirror.**  By the second, where table row R - r holds the negated
       abscissae of row r (always for K-, and for K+ when the v-grid is
       centred on 0), it is the conjugate of row r with (i, j) reversed; a
-      needed row whose partner is built is filled that way, and any other is
-      evaluated, so one code path serves every window.
+      needed row whose partner below it is needed too is filled that way,
+      and any other is evaluated, so one code path serves every window.
 
     ``pole = (a, r)`` subtracts sum_qj r_qj / (a + i(g - y_qj)) from the
     integrand and adds its integral over the lattice window back in closed
@@ -665,6 +691,7 @@ def integrate_aligned_lattice(
         k_lo = p_lo - 0.5 * m * n_v  # the first u-panel's left edge is c + h k_lo
         gam = c + h * ((np.arange(n_u) + k_lo + 0.5)[:, None] + 0.5 * _NODES)
         pref_t, pref_scale = _row_scaled(np.asarray(log_pref(gam.ravel())).reshape(n_u, 15))
+        del gam
         # with p, q counted from the first v-edge, g - y sits on row
         # d - d_min for d = p - m q and g + y on row e - p_lo for e = p + m q;
         # row r's abscissae are base[r] + pair[i, j] for the node pair (i, j).
@@ -678,12 +705,12 @@ def integrate_aligned_lattice(
         base_minus = (np.arange(n_rows) + off_minus) * h
         base_plus = (np.arange(n_rows) + off_plus) * h + 2.0 * c
         # v-panel q reads rows p + m (n_v - 1 - q) of K- and p + m q of K+
-        rows_minus = np.arange(n_u)[:, None] + m * (n_v - 1 - np.arange(n_v))
-        rows_plus = np.arange(n_u)[:, None] + m * np.arange(n_v)
+        offset_minus = m * (n_v - 1 - np.arange(n_v))
+        offset_plus = m * np.arange(n_v)
         with np.errstate(invalid="ignore", over="ignore"):
             log_bound = (pref_scale[:, None] + c_scale[None, :]
-                         + _row_bounds(log_k_minus, base_minus, pair_minus)[rows_minus]
-                         + _row_bounds(log_k_plus, base_plus, pair_plus)[rows_plus])
+                         + _row_bounds(log_k_minus, base_minus, pair_minus)[np.arange(n_u)[:, None] + offset_minus]
+                         + _row_bounds(log_k_plus, base_plus, pair_plus)[np.arange(n_u)[:, None] + offset_plus])
             bound = 15.0 * h * np.exp(np.where(np.isnan(log_bound), -np.inf, log_bound))
         order = np.argsort(bound, axis=None)
         spent = np.cumsum(bound.ravel()[order])
@@ -691,24 +718,24 @@ def integrate_aligned_lattice(
         skipped = float(spent[n_skip - 1]) if n_skip else 0.0
         keep = np.ones(bound.shape, dtype=bool)
         keep.ravel()[order[:n_skip]] = False
-        km_t, km_slot, km_scale = _scaled_rows(log_k_minus, base_minus, pair_minus, rows_minus[keep],
-                                               round(-2.0 * off_minus))
-        kp_t, kp_slot, kp_scale = _scaled_rows(log_k_plus, base_plus, pair_plus, rows_plus[keep],
-                                               round(-2.0 * off_plus) if c == 0.0 else None)
-        with np.errstate(invalid="ignore"):
-            scales = (pref_scale[:, None] + c_scale[None, :]
-                      + km_scale[rows_minus] + kp_scale[rows_plus])
-        scales = np.exp(np.where(np.isnan(scales), -np.inf, scales))  # -inf + inf: a zero row
+        del log_bound, bound, order, spent
+        k_minus = _panel_rows(log_k_minus, base_minus, pair_minus, offset_minus, keep, round(-2.0 * off_minus))
+        k_plus = _panel_rows(log_k_plus, base_plus, pair_plus, offset_plus, keep,
+                             round(-2.0 * off_plus) if c == 0.0 else None)
         # every sum below runs over q in ascending order
         f = np.zeros((n_u, 15), dtype=complex)
-        for q in range(n_v):
-            dq, eq = m * (n_v - 1 - q), m * q
+        for q, (km_t, km_slot, km_scale), (kp_t, kp_slot, kp_scale) in zip(range(n_v), k_minus, k_plus):
+            dq, eq = offset_minus[q], offset_plus[q]
             kept = np.flatnonzero(keep[:, q])
+            with np.errstate(invalid="ignore"):
+                scales = pref_scale[kept] + c_scale[q] + km_scale[kept + dq] + kp_scale[kept + eq]
+            scales = np.exp(np.where(np.isnan(scales), -np.inf, scales))  # -inf + inf: a zero row
             for b0 in range(0, kept.size, _LATTICE_BLOCK):
                 p = kept[b0:b0 + _LATTICE_BLOCK]
-                w = km_t[km_slot[p + dq]] * kp_t[kp_slot[p + eq]]
-                f[p] += scales[p, q, None] * (w.reshape(-1, 15) @ c_t[q]).reshape(-1, 15)
-        del km_t, kp_t
+                w = km_t[km_slot[p + dq]]
+                w *= kp_t[kp_slot[p + eq]]
+                f[p] += scales[b0:b0 + _LATTICE_BLOCK, None] * (w.reshape(-1, 15) @ c_t[q]).reshape(-1, 15)
+        k_minus = k_plus = km_t = kp_t = w = None  # the tables go before the pole rows come
         f *= pref_t
         if pole is not None:
             # the pole rows are made a block at a time from the top down, so
@@ -723,6 +750,7 @@ def integrate_aligned_lattice(
                     if s0 < s1:
                         sub[s0:s1] += poles[s0 + dq - r0:s1 + dq - r0] @ r[q]
             f -= sub
+            poles = sub = None
         closed = closed_form(c + h * k_lo, c + h * (k_lo + n_u))
         last_err = err
         with np.errstate(invalid="ignore"):

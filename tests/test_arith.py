@@ -302,6 +302,25 @@ class TestDivisorSumArray:
         coeffs[0] = 0.5 - 2.0j  # kept even where the draw zeroes it
         assert ar.divisor_sum_array(coeffs).tobytes() == self.naive(coeffs).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, 999, 1000])
+    def test_blocks_match_one_block(self, block):
+        # past the first block the sums read the kept c_d, d <= m_max // 2,
+        # and still add each m's terms in increasing d
+        coeffs = self.random_coeffs(1000)
+        blocks = ar.divisor_sum_blocks((coeffs[lo : lo + block] for lo in range(0, 1000, block)), 1000)
+        assert np.concatenate(list(blocks)).tobytes() == self.naive(coeffs).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 999])
+    @pytest.mark.parametrize("N", [1, 4, 12])
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_sigma_blocks_match_the_arrays(self, N, t, block):
+        whole = ar.sigma_twisted_array(N, t, 1000)
+        blocks = list(ar.sigma_twisted_blocks(N, t, 1000, block))
+        assert [b.size for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        weights = np.concatenate(list(ar.twisted_weight_blocks(N, t, 1000, block)))
+        assert weights.tobytes() == ar.sigma_twisted_weights(N, t, 1000).tobytes()
+
     def test_smallest_and_empty(self):
         assert np.array_equal(ar.divisor_sum_array([2.5 - 1j]), [2.5 - 1j])
         assert np.array_equal(ar.divisor_sum_array([0.0]), [0.0])

@@ -92,34 +92,37 @@ class TestTauCommand:
         assert float(cols["rel_diff"]) == abs(oracle) < 1e-10
 
 
+def fresh_cli(args, **env) -> str:
+    """stdout of the CLI run in a fresh process, which reads no memo of this
+    one, with ``env`` added to the environment; its line ends are kept."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rsmoments.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True, timeout=300, check=True,
+    )
+    return done.stdout.decode()
+
+
 class TestDeterminism:
-    def test_bit_identical_output(self, capsys, tmp_path):
+    def test_bit_identical_output(self, tmp_path):
+        # two fresh processes, so the second run cannot read the first one's
+        # memos; the second writes its table to a file, which must hold the
+        # bytes the first printed
         args = ["breakdown", "--T", "40", "--alpha", "0.5", "--t", "0.7",
                 "--s-im", "0.9", "--horizon", "4000"]
-        code1, out1, _ = run_cli(args, capsys)
-        code2, out2, _ = run_cli(args, capsys)
-        assert code1 == code2 == 0
-        assert out1 == out2
-        files = [tmp_path / "first.csv", tmp_path / "second.csv"]
-        for path in files:
-            assert run_cli(["--output", str(path)] + args, capsys) == (0, "", "")
-        assert files[0].read_bytes() == files[1].read_bytes() == out1.encode()
+        out = fresh_cli(args)
+        path = tmp_path / "breakdown.csv"
+        assert fresh_cli(["--output", str(path)] + args) == ""
+        assert out and path.read_bytes() == out.encode()
 
     def test_afe_output_does_not_depend_on_the_blas_thread_count(self):
         # two fresh processes, so neither reads the other's memos.  An AFE
         # whose weights came from a BLAS product printed S_inf_re
         # 49.881996776066671 on one OpenBLAS thread and 49.881996776066707
         # on two
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            done = subprocess.run(
-                [sys.executable, "-m", "rsmoments.cli", "continuous", "--T", "12", "--alpha", "0.5", "--t", "0.4"],
-                env=env, capture_output=True, text=True, timeout=300, check=True,
-            )
-            outs.append(done.stdout)
+        args = ["continuous", "--T", "12", "--alpha", "0.5", "--t", "0.4"]
+        outs = [fresh_cli(args, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
         assert outs[0] and outs[0] == outs[1]
 
     def test_verify_stdout_has_no_wall_clock(self, capsys, monkeypatch):

@@ -157,6 +157,22 @@ def test_tau_cusp_array_bits_pinned(N, a, c):
     assert hashlib.sha256(arr.tobytes()).hexdigest() == TAU_CUSP_SHA256[N, a, c]
 
 
+@pytest.mark.parametrize("N, a, c", [(1, 1, 1), (4, 1, 1), (4, 2, 1), (12, 6, 1)])
+def test_tau_cusp_blocks_bits_pinned(N, a, c):
+    # the twisted series' block size: a block past the first reads lam at
+    # m / e from the kept half of the range
+    blocks = eis.tau_cusp_blocks(CuspLabel(N, a, c), 0.5 + 0.37j, 100_000, 1 << 14)
+    assert hashlib.sha256(np.concatenate(list(blocks)).tobytes()).hexdigest() == TAU_CUSP_SHA256[N, a, c]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("cusp", [CuspLabel(4, 2, 1), CuspLabel(9, 3, 1), CuspLabel(12, 6, 1)], ids=str)
+def test_tau_cusp_blocks_match_the_array(cusp, block):
+    # off the line Re s = 1/2 too, and with two characters at a = 3, N = 9
+    whole = eis.tau_cusp_array(cusp, 1.3 + 0.2j, 1000)
+    assert np.concatenate(list(eis.tau_cusp_blocks(cusp, 1.3 + 0.2j, 1000, block))).tobytes() == whole.tobytes()
+
+
 class TestOracle:
     TR = eis.LatticeTruncation(max_height=400, fourier_y=0.5, fourier_points=128)
 

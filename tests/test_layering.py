@@ -114,6 +114,7 @@ ROOTS = {"verify", "cli"}
 UNREAD_PUBLIC = {
     "eisenstein:eisenstein_oracle": "the lattice route to E_a(z, s), checked in the tests",
     "eisenstein:eisenstein_constant_term": "the x-average of that route, checked against tau",
+    "eisenstein:tau_cusp_array": "tau_cusp_blocks in one block, whose bits the tests pin by SHA-256",
     "shifted:shifted_D": "the one-row D(w; m), whose criterion-11 values the tests pin",
     "shifted:shifted_inner_lower": "the one-row lower-shifted series, pinned the same way",
     "lseries:synthetic_maass_form": "the Maass form data the Maass-side tests are built on",

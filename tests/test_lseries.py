@@ -299,6 +299,15 @@ class TestLoaders:
         with pytest.raises(ls.InvariantViolation):
             ls.load_newform(path)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_rejects_header_count_below_one(self, tmp_path, count):
+        # "1 12 0" used to fail the a(1) = 1 check and "1 12 -5" to expect
+        # -5 coefficient lines, where the header itself is at fault
+        path = tmp_path / "form.txt"
+        path.write_text(f"1 12 {count}\n")
+        with pytest.raises(ls.InvariantViolation, match=f"coefficient count M must be >= 1, got {count}"):
+            ls.load_newform(path)
+
     def test_header_count_allocates_nothing(self, tmp_path):
         # a header claiming 2^62 lines used to build a list of that many
         # slots first, and a bare MemoryError escaped
@@ -1011,6 +1020,22 @@ class TestCurlyLEisenstein:
     def test_direct_region_check(self):
         with pytest.raises(DomainError):
             ls.curly_L_eisenstein_direct(1.2, 0.7, 0.3, CuspLabel(1, 1, 1), m_max=100)
+
+    @pytest.mark.parametrize("cusp", [CuspLabel(1, 1, 1), CuspLabel(4, 2, 1)], ids=["N1", "N4"])
+    def test_traced_peak_at_full_length(self, cusp):
+        # the terms are formed _TWIST_BLOCK at a time: 2.7 MB at N = 1 and
+        # 3.5 MB at N = 4, most of it the divisor sums' kept coefficients,
+        # where the whole-length arrays took 8.0 MB; the shared log and
+        # divisor-bound tables are grown before the trace
+        ar.log_table(100_000)
+        ar.divisor_bound_table(100_000)
+        tracemalloc.start()
+        try:
+            ls.curly_L_eisenstein_direct(2.5, 0.7, 0.3, cusp, m_max=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
 
 
 class TestCurlyLMaass:

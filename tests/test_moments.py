@@ -774,6 +774,20 @@ class TestFirstMoment:
                 tracemalloc.stop()
             assert peak < 16e6, panels
 
+    def test_traced_peak_at_a_doubling_lattice(self, delta):
+        # the bench's seed-31 fm-0-2 point: its L^+ lattice doubles to 2,142
+        # table rows a table, and reads 558 K- and 1,490 K+ rows.  Built a
+        # v-panel at a time, the tables hold 558 and 1,074 rows at most, and
+        # the call peaks at 7.6 MB, where whole tables peaked at 15.7 MB
+        ctx = delta_ctx(2.5 + 0j, 0.617, T=14.65, delta_form=delta)
+        tracemalloc.start()
+        try:
+            mo.first_moment_pieces(8, ctx, inner_panels=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.0e6
+
     def test_quadrature_consistency(self, delta):
         ctx = delta_ctx(2.5 + 0j, 0.37, T=12.0, delta_form=delta)
         _, lm1, lp1 = mo.first_moment_pieces(6, ctx, m_inner=20000)

@@ -41,9 +41,6 @@ _COMPLEX_POWERS = {
     "arith:_pp",
     # s is an array there, and _pp takes a scalar exponent
     "lseries:_smoothed_afe",
-    # numpy divides that complex scalar by the real rad through 1/rad, and
-    # test_sigma_twisted_array_bits_pinned pins those bits
-    "arith:sigma_twisted_array",
 }
 
 
