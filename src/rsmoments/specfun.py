@@ -735,7 +735,8 @@ def integrate_aligned_lattice(
                 w = km_t[km_slot[p + dq]]
                 w *= kp_t[kp_slot[p + eq]]
                 f[p] += scales[b0:b0 + _LATTICE_BLOCK, None] * (w.reshape(-1, 15) @ c_t[q]).reshape(-1, 15)
-        k_minus = k_plus = km_t = kp_t = w = None  # the tables go before the pole rows come
+            w = None  # gone before the next v-panel's rows are built
+        k_minus = k_plus = km_t = kp_t = None  # the tables go before the pole rows come
         f *= pref_t
         if pole is not None:
             # the pole rows are made a block at a time from the top down, so
