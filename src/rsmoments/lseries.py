@@ -807,7 +807,7 @@ def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int
     s = complex(s)
     if s.real <= 1.5:
         raise DomainError("direct twisted series needs Re s > 3/2")
-    bounds = arith.divisor_bound_table(m_max)
+    bounds, logs = arith.divisor_bound_table(m_max), arith.log_table(m_max)
 
     def block_terms(lo, tau, sig):
         # |tau(m)| <= C d(m) empirically on the computed range
@@ -815,18 +815,18 @@ def curly_L_eisenstein_direct(s, t: float, r: float, cusp: CuspLabel, m_max: int
         # the terms conj(tau) sig m^{-s}, formed in place over the block's tau
         terms = np.conjugate(tau, out=tau)
         terms *= sig
-        powers = arith.log_table(m_max)[lo : lo + tau.size] * -s
+        powers = logs[lo : lo + tau.size] * -s
         terms *= np.exp(powers, out=powers)
         return complex(np.sum(terms)), bound
 
-    series, cbound = 0j, 1.0 if m_max == 0 else 0.0
+    series, cbound = 0j, 0.0
     # map holds no block of terms once it is summed
     for block_sum, block_bound in map(block_terms, range(0, m_max, _TWIST_BLOCK),
                                       eisenstein.tau_cusp_blocks(cusp, 0.5 + 1j * r, m_max, _TWIST_BLOCK),
                                       arith.twisted_weight_blocks(cusp.N, t, m_max, _TWIST_BLOCK)):
         series += block_sum
         cbound = max(cbound, block_bound)
-    return _depleted_sum(series, s, cusp.N, cbound, m_max)
+    return _depleted_sum(series, s, cusp.N, cbound if m_max else 1.0, m_max)
 
 
 def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:
