@@ -776,9 +776,9 @@ class TestFirstMoment:
 
     def test_traced_peak_at_a_doubling_lattice(self, delta):
         # the bench's seed-31 fm-0-2 point: its L^+ lattice doubles to 2,142
-        # table rows a table, and reads 558 K- and 1,490 K+ rows.  Built a
-        # v-panel at a time, the tables hold 558 and 1,074 rows at most, and
-        # the call peaks at 7.6 MB, where whole tables peaked at 15.7 MB
+        # rows a table and reads 558 K- and 1,490 K+ rows.  Built a v-panel
+        # at a time, the tables hold 558 and 1,074 rows at most, and the
+        # call peaks at 7.5 MB, where whole tables peaked at 15.7 MB
         ctx = delta_ctx(2.5 + 0j, 0.617, T=14.65, delta_form=delta)
         tracemalloc.start()
         try:
