@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--newform", default="builtin:delta", help="its header sets the level N")
         if with_g:
             p.add_argument("--newform-g", default=None)
-        p.add_argument("--horizon", type=int, default=20000)
+        p.add_argument("--horizon", type=int, default=20000,
+                       help=f"builtin:delta's coefficient count, 1 to {lseries.DELTA_HORIZON}")
 
     def add_moment_args(p):
         add_kernel_args(p)

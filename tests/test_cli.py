@@ -191,6 +191,19 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
 
+    def test_horizon_past_the_limit_rejected(self, capsys):
+        from rsmoments import lseries
+
+        limit = lseries.DELTA_HORIZON
+        code, out, err = run_cli(["main-term", "--T", "40", "--alpha", "0.5", "--which", "feq_plus",
+                                  "--horizon", str(limit + 1)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": f"delta_newform needs 1 <= m_max <= {limit}"}
+        with pytest.raises(SystemExit):
+            cli.main(["main-term", "--help"])
+        assert f"1 to {limit}" in capsys.readouterr().out
+
 
 class TestMainTermCommand:
     @pytest.mark.parametrize("which, sign", [("feq_minus", -1), ("feq_plus", 1)])
