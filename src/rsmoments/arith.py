@@ -33,33 +33,6 @@ import numpy as np
 
 from .specfun import DirichletCharacter, DomainError, PoleError, dirichlet_L, riemann_zeta
 
-__all__ = [
-    "PrimeFactorization",
-    "CuspLabel",
-    "SharedTable",
-    "factorize",
-    "is_prime",
-    "smallest_prime_factors",
-    "log_table",
-    "multiplicative_array",
-    "mobius_phi_arrays",
-    "divisors",
-    "prime_divisors",
-    "euler_phi",
-    "mobius",
-    "ord_p",
-    "sigma_complex",
-    "P_M",
-    "sigma_twisted_N",
-    "sigma_twisted_weights",
-    "zeta_depleted",
-    "dirichlet_L_depleted",
-    "enumerate_cusps",
-    "characters_mod",
-    "divisor_count_upper",
-    "divisor_bound_table",
-]
-
 # Witness set proving compositeness deterministically for all n < 3.3e24,
 # comfortably covering the 2^63 - 1 input cap.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -328,12 +301,17 @@ def _pp(p: float, expo) -> complex:
     return complex(np.exp(complex(expo) * math.log(p)))
 
 
+# c in Nicolas and Robin's bound d(n) <= n^(c / log log n) for n >= 3
+# (Canad. Math. Bull. 26, 1983)
+_NICOLAS_ROBIN = 1.5379 * math.log(2.0)
+
+
 def divisor_count_upper(n) -> float:
-    """Rigorous bound d(n) <= n^(1.5379 log 2 / log log n) for n >= 3."""
+    """Rigorous bound d(n) <= n^(c / log log n) for n >= 3, c = ``_NICOLAS_ROBIN``."""
     n = np.asarray(n, dtype=float)
     small = n < 3.0
     safe = np.where(small, 3.0, n)
-    expo = 1.5379 * math.log(2.0) / np.log(np.log(safe))
+    expo = _NICOLAS_ROBIN / np.log(np.log(safe))
     return np.where(small, 2.0, safe**expo)
 
 
@@ -405,12 +383,24 @@ def _P_local(p: int, s: complex, ord_n, ord_M: int):
     return (x ** (ord_n + 1) * x ** (-(ord_M - 1)) * (1.0 - _pp(p, 2.0 * s)) + p - 1.0) / denom
 
 
+# |t| below which the local factors at p | N, whose zeros of 1 - p^{-2it}
+# are removable, take their t -> 0 limit instead
+_T_ZERO = 1e-9
+
+
 def _P_local_limit(p: int, ord_n, ord_M: int):
     """t -> 0 limit of the local P factor at s = 1/2 + it, for an order or an
     array of them: the zero of 1 - p^{-2it} is removable, with value
     A(p-1) - p for A = ord_n + 2 - ord_M."""
     a = ord_n + 2 - ord_M
     return a * (p - 1.0) - p
+
+
+def _small_t_average(f) -> complex:
+    """The t -> 0 limit of ``f(t)`` where no closed form is at hand: the
+    symmetric average (f(h) + f(-h))/2 at h = 1e-5, which cancels the odd
+    error term."""
+    return 0.5 * (f(1e-5) + f(-1e-5))
 
 
 def sigma_twisted_N(m: int, N: int, t: float) -> complex:
@@ -428,7 +418,7 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     # times 1/rad, the rounding of numpy's complex-by-real quotient, which
     # first_moment_pieces' L^- (a sum with heavy cancellation) keeps
     pref = _pp(N, -2j * t) * (1.0 / rad) if N > 1 else 1.0
-    if abs(t) < 1e-9:
+    if abs(t) < _T_ZERO:
         ploc = 1.0
         for p, eM in factorize(N).factors:
             ploc *= _P_local_limit(p, ord_p(m, p), eM)
@@ -537,7 +527,7 @@ def sigma_twisted_blocks(N: int, t: float, m_max: int, block: int):
             top += 1
             q *= p
         ords = np.arange(top + 1)
-        if abs(t) < 1e-9:
+        if abs(t) < _T_ZERO:
             local = _P_local_limit(p, ords, eM)
         else:
             local = _P_local(p, 0.5 + 1j * t, ords, eM)

@@ -41,7 +41,7 @@ section 16.6, when G = 1):
 
 This module also houses the Euler polynomial euler_poly attached to the
 factorisation of the twisted Dirichlet series over tau_a (consumed by
-``lseries.curly_L_eisenstein``).
+``lseries.curly_L_eisenstein_factored``).
 """
 
 from __future__ import annotations
@@ -75,21 +75,6 @@ from .specfun import (
     gauss_sum,
     riemann_zeta,
 )
-
-__all__ = [
-    "LatticeTruncation",
-    "IllConditionedError",
-    "LSeriesZeroError",
-    "lambda_chi",
-    "tau_cusp",
-    "tau_cusp_array",
-    "tau_cusp_blocks",
-    "tau_level_one",
-    "eisenstein_oracle",
-    "tau_oracle",
-    "euler_poly",
-    "euler_poly_normalized",
-]
 
 
 class IllConditionedError(RuntimeError):
@@ -395,9 +380,8 @@ def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncat
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("lattice sum needs Re s > 1")
-    N, a = cusp.N, cusp.a
     w = cusp.width
-    cts, sizes, ph = _row_phase_sums(N, a, cusp.c, trunc.max_height)
+    cts, sizes, ph = _row_phase_sums(cusp.N, cusp.a, cusp.c, trunc.max_height)
 
     gam_s = complex_gamma(s)
     const_a = math.sqrt(math.pi) * complex_gamma(s - 0.5) / gam_s * y ** (1.0 - 2.0 * s)
@@ -405,9 +389,10 @@ def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncat
     n_freq = len(kw)
     ctp = cts.astype(float) ** (-2.0 * s)
     const_sum = complex(ctp @ sizes) * const_a
-    # the row phase sums sum_{d0} exp(2 pi i m d0 / ct), weighted by ct^{-2s}
+    # the row phase sums sum_{d0} exp(2 pi i m d0 / ct), weighted by ct^{-2s};
+    # coeff_neg conjugates their product, not a copy of the cached table
     coeff_pos = 0.5 * (ctp @ ph[:, :n_freq])
-    coeff_neg = 0.5 * (ctp @ np.conj(ph[:, :n_freq]))
+    coeff_neg = 0.5 * np.conj(np.conj(ctp) @ ph[:, :n_freq])
     b_fac = 4.0 * np.pi**s / gam_s * y ** (0.5 - s)
 
     osc = np.zeros(len(x), dtype=complex)
@@ -416,7 +401,7 @@ def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncat
         e_pos = np.exp(2j * math.pi * m * x)
         osc += kw[midx] * (coeff_pos[midx] * e_pos + coeff_neg[midx] * np.conj(e_pos))
     values = const_sum + b_fac * osc
-    if a == N:
+    if cusp.is_infinity_class:
         values = values + 1.0  # identity coset, w = 1 in that case
     values = values * (y / w) ** s
 
@@ -477,7 +462,7 @@ def eisenstein_constant_term(cusp: CuspLabel, y: float, s, trunc: LatticeTruncat
     P = trunc.fourier_points
     values, _ = _eisenstein_x_profile(cusp, np.arange(P) / P, y, s, trunc)
     c0 = complex(np.mean(values))
-    if cusp.a == cusp.N:
+    if cusp.is_infinity_class:
         c0 -= y ** complex(s)
     return c0
 
@@ -570,9 +555,8 @@ def euler_poly(N: int, a: int, s, t, z) -> complex:
     """
     if N % a != 0:
         raise ValueError("euler_poly needs a | N")
-    if N > 1 and abs(t) < 1e-9:
-        h = 1e-5
-        return 0.5 * (euler_poly(N, a, s, h, z) + euler_poly(N, a, s, -h, z))
+    if N > 1 and abs(t) < arith._T_ZERO:
+        return arith._small_t_average(lambda h: euler_poly(N, a, s, h, z))
     s = complex(s)
     z = complex(z)
     g = math.gcd(a, N // a)

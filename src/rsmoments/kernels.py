@@ -34,15 +34,6 @@ from .specfun import (
     integrate_line,
 )
 
-__all__ = [
-    "StripViolationError",
-    "TestFunctionParams",
-    "KernelContext",
-    "h_eval",
-    "H0",
-    "H0_derivative",
-]
-
 # Half-width of the integration window in units of T^alpha.  At 12 units the
 # Gaussian has decayed to exp(-144).
 WINDOW_UNITS = 12.0

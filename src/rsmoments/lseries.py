@@ -82,29 +82,6 @@ from .specfun import (
     central_difference,
 )
 
-__all__ = [
-    "InvariantViolation",
-    "InsufficientCoefficientsError",
-    "NewformData",
-    "MaassFormData",
-    "load_newform",
-    "delta_newform",
-    "divisor_model_newform",
-    "synthetic_maass_form",
-    "rankin_selberg_L",
-    "rankin_selberg_tail",
-    "holo_L",
-    "sym2_L",
-    "selfdual_rs_L",
-    "selfdual_rs_constants",
-    "curly_L_eisenstein_direct",
-    "curly_L_eisenstein_factored",
-    "curly_L_maass_direct",
-    "curly_L_maass_factored",
-    "maass_L",
-    "rankin_selberg_maass",
-]
-
 
 class InvariantViolation(ValueError):
     """Input data failed a structural invariant (reports the failing n)."""
@@ -396,7 +373,7 @@ def rankin_selberg_tail(sigma: float, m_from: int) -> float:
     bound d(n)^2 <= n^eps, with eps taken where it is largest."""
     head = sum(len(divisors(n)) ** 2 * n ** -sigma for n in range(max(m_from, 0) + 1, 9))
     m_from = max(m_from, 8)
-    eps = 2.0 * 1.5379 * math.log(2.0) / math.log(math.log(m_from))
+    eps = 2.0 * arith._NICOLAS_ROBIN / math.log(math.log(m_from))
     if sigma - eps <= 1.0:
         return math.inf
     return head + m_from ** (1.0 + eps - sigma) / (sigma - eps - 1.0)
@@ -764,9 +741,16 @@ def _sym2_data(f: NewformData) -> _LData:
     return _LData((1.0, f.k - 1.0, float(f.k)), 1.0, partial(_sym2_coeffs, f), (4.0, 0.35))
 
 
-def selfdual_rs_L(w, f: NewformData) -> complex:
-    """Accurate L(w, f x f~) = zeta(w) L(w, sym^2 f) for level 1."""
-    return riemann_zeta(w) * sym2_L(w, f)
+def selfdual_rs_L(w, f: NewformData):
+    """Accurate L(w, f x f~) = zeta(w) L(w, sym^2 f) for level 1.
+
+    A scalar w gives a complex; a 1-D array of w is one ``sym2_L`` batch and
+    gives a list of the products, each formed as for a scalar.
+    """
+    if not np.ndim(w):
+        return riemann_zeta(w) * sym2_L(w, f)
+    w = np.asarray(w, dtype=complex)
+    return [riemann_zeta(x) * v for x, v in zip(w.tolist(), sym2_L(w, f).tolist())]
 
 
 @lru_cache(maxsize=64)
@@ -947,9 +931,8 @@ def curly_L_maass_factored(s, t: float, u: MaassFormData) -> complex:
     The local factors have removable singularities at t = 0 for composite
     level; there the symmetric small-t average is returned.
     """
-    if u.N > 1 and abs(t) < 1e-9:
-        h = 1e-5
-        return 0.5 * (curly_L_maass_factored(s, h, u) + curly_L_maass_factored(s, -h, u))
+    if u.N > 1 and abs(t) < arith._T_ZERO:
+        return arith._small_t_average(lambda h: curly_L_maass_factored(s, h, u))
     s = complex(s)
     it = 1j * t
     lift_sum = 0.0 + 0.0j

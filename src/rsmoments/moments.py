@@ -50,7 +50,6 @@ from .lseries import (
     holo_L,
     selfdual_rs_constants,
     selfdual_rs_L,
-    sym2_L,
 )
 from .specfun import (
     DomainError,
@@ -67,21 +66,6 @@ from .specfun import (
     log_zeta_derivative,
     riemann_zeta,
 )
-
-__all__ = [
-    "MomentContext",
-    "MainTermBreakdown",
-    "main_term",
-    "main_term_breakdown",
-    "main_term_specialized",
-    "main_term_t0_limit",
-    "leading_coeff",
-    "continuous_part",
-    "first_moment_pieces",
-    "error_exponent",
-    "euler_identity_lhs",
-    "euler_identity_rhs",
-]
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,7 +115,7 @@ class MomentContext:
         """L_a(w, f x g~) at ``cusp``.  None and a cusp with a = N both name
         the infinity class, which reaches ``rs_provider`` as None."""
         w = complex(w)
-        if cusp is not None and cusp.a == self.N:
+        if cusp is not None and cusp.is_infinity_class:
             cusp = None  # the infinity class
         if self.rs_provider is not None:
             return complex(self.rs_provider(cusp, w))
@@ -148,9 +132,9 @@ class MomentContext:
 
         s must be set and at least ``guard`` from the zeta(2s) pole at 1/2
         and, for f = g, from the Rankin-Selberg poles at 1/2 -+ it.  When
-        f = g at level 1 (no provider) the four sym^2 values are one
-        ``sym2_L`` batch.  Both routes pass the same tuple, so the second
-        reads the first's memo entry.  Otherwise each value is ``rs_L``.
+        f = g at level 1 (no provider) the four values are one
+        ``selfdual_rs_L`` batch, so both routes read one sym^2 memo entry.
+        Otherwise each value is ``rs_L``.
         """
         if self.s is None:
             raise DomainError("the main term needs ctx.s")
@@ -165,8 +149,7 @@ class MomentContext:
             )
         ws = (s + 0.5 + it, s + 0.5 - it, 1.5 - s - it, 1.5 - s + it)
         if self._sym2_route:
-            sym2 = sym2_L(np.array(ws), self.f)
-            return s, tuple(riemann_zeta(w) * complex(v) for w, v in zip(ws, sym2))
+            return s, tuple(selfdual_rs_L(np.array(ws), self.f))
         return s, tuple(self.rs_L(None, w) for w in ws)
 
     def H0(self, ix) -> complex:
@@ -225,7 +208,7 @@ def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
     # euler_poly_normalized_closed_minus carries N^{-1/2-s-it} and a factor 2
     cusp_sum = sum(
         eisenstein.euler_poly_normalized_closed_minus(N, cusp.a, s, t)
-        * (l_dual_minus if cusp.a == N else ctx.rs_L(cusp, 1.5 - s - it))
+        * (l_dual_minus if cusp.is_infinity_class else ctx.rs_L(cusp, 1.5 - s - it))
         for cusp in enumerate_cusps(N)
     )
     term3 = (
@@ -263,7 +246,7 @@ def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int, l_infinity: 
     zden = arith.zeta_depleted(3.0 - 2.0 * s + sign * 2j * t, N)
     for cusp in enumerate_cusps(N):
         pnorm = eisenstein.euler_poly_normalized(N, cusp.a, s, t, sign)
-        acc += pnorm * (l_infinity if cusp.a == N else ctx.rs_L(cusp, 1.5 - s + sign * 1j * t))
+        acc += pnorm * (l_infinity if cusp.is_infinity_class else ctx.rs_L(cusp, 1.5 - s + sign * 1j * t))
     return acc / zden
 
 
@@ -753,8 +736,10 @@ def first_moment_pieces(
     M is the two-kernel closed form; L^-+ are the double contour quadratures
     over Re u = sigma_u and the v-lines Re v = sigma_0 (L^-) and
     Re v = sigma_v = 1 + k/2 + 0.1 (L^+), with ``inner_panels`` fixed
-    composite GK15 panels in v, the inner m-series truncated at ``m_inner``,
-    and u on the aligned lattice of :func:`integrate_aligned_lattice`.
+    composite GK15 panels in v, and u on the aligned lattice of
+    :func:`integrate_aligned_lattice`.  The inner m-series reads a(n + m),
+    so it stops at m = min(``m_inner``, M - n) for the form's M coefficients:
+    19,998 terms for Delta at the horizon 20,000 and n = 2.
     Contour placement is validated: sigma_v - k/2 = 1.1 < sigma_u < 3/2
     (left of 1.1 the u-line has crossed the poles of Gamma(u - v + k/2))
     and -k/2 < sigma_0 < -sigma_u.

@@ -49,16 +49,6 @@ from . import arith
 from .lseries import InsufficientCoefficientsError, NewformData, rankin_selberg_tail
 from .specfun import DomainError, ValueWithError
 
-__all__ = [
-    "ShiftedSeriesRequest",
-    "shifted_D",
-    "shifted_inner_lower",
-    "Z_series",
-    "Z_series_double",
-    "M3_series",
-    "M3_series_rearranged",
-]
-
 # |terms| per block of rows whose envelope maxima are taken (256 kB of
 # floats), and partial sums per block of windowed dots
 _BLOCK_TERMS = 1 << 15
@@ -305,6 +295,20 @@ def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
     return total, inner_tail_total + _envelope_tail(outer_abs)
 
 
+def _raw_outer_sum(rows, sig: np.ndarray, exponent: complex):
+    """sum_m sig(m) m^exponent row(m) over the m with sig(m) != 0, in order,
+    and the envelope tail of its terms; both raw paths sum this way."""
+    total = 0.0 + 0.0j
+    outer_abs = np.zeros(len(sig))
+    for m, row in enumerate(rows.tolist(), start=1):
+        if sig[m - 1] == 0:
+            continue
+        term = sig[m - 1] * m ** exponent * row
+        total += term
+        outer_abs[m - 1] = abs(term)
+    return total, _envelope_tail(outer_abs)
+
+
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
     """Z as the raw truncated double sum (n inner, m outer).
 
@@ -319,20 +323,10 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     sig = arith.sigma_twisted_weights(N, req.t, Mo)
     n_pow = np.exp(-(s - v - 0.5 + k) * arith.log_table(Mi))
     rows = _raw_rows(f.a[1 : Mo + Mi], np.conj(g.a[:Mi]), n_pow)
-    total = 0.0 + 0.0j
-    outer_abs = np.zeros(Mo)
-    for m, row in enumerate(rows.tolist(), start=1):
-        if sig[m - 1] == 0:
-            continue
-        term = sig[m - 1] * m ** (-v) * row
-        total += term
-        outer_abs[m - 1] = abs(term)
+    total, outer_tail = _raw_outer_sum(rows, sig, -v)
     zN = arith.zeta_depleted(2.0 * s, N)
     k_half = (k - 1) / 2.0
-    tail = abs(zN) * (
-        rankin_selberg_tail(s.real - v.real - 0.5 + k - k_half, Mi)
-        + _envelope_tail(outer_abs)
-    )
+    tail = abs(zN) * (rankin_selberg_tail(s.real - v.real - 0.5 + k - k_half, Mi) + outer_tail)
     return ValueWithError(complex(zN * total), tail)
 
 
@@ -386,15 +380,8 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     n_pow = arith.log_table(M_outer + M_inner)[1:] * (-w - k + 1.0)
     np.exp(n_pow, out=n_pow)
     rows = _raw_rows(np.conj(g.a[1 : M_outer + M_inner]), f.a[:M_inner], n_pow)
-    total = 0.0 + 0.0j
-    outer_abs = np.zeros(M_outer)
-    for m, row in enumerate(rows.tolist(), start=1):
-        if sig[m - 1] == 0:
-            continue
-        term = sig[m - 1] * m ** (-(s + (k - 1) / 2.0)) * row
-        total += term
-        outer_abs[m - 1] = abs(term)
-    tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + _envelope_tail(outer_abs))
+    total, outer_tail = _raw_outer_sum(rows, sig, -(s + (k - 1) / 2.0))
+    tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + outer_tail)
     return ValueWithError(complex(pref * total), tail)
 
 

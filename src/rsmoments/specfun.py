@@ -44,31 +44,6 @@ import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
 from scipy.special import psi as _scipy_psi
 
-__all__ = [
-    "PoleError",
-    "DomainError",
-    "NonConvergenceError",
-    "ValueWithError",
-    "QuadratureSpec",
-    "DirichletCharacter",
-    "log_gamma",
-    "complex_gamma",
-    "digamma_family",
-    "riemann_zeta",
-    "hurwitz_zeta",
-    "zeta_laurent",
-    "central_difference",
-    "zeta_derivative",
-    "log_zeta_derivative",
-    "dirichlet_L",
-    "gauss_sum",
-    "bessel_K",
-    "integrate_line",
-    "gk15_panel_nodes",
-    "integrate_aligned_lattice",
-    "extrapolate_to_zero",
-]
-
 
 class PoleError(ValueError):
     """Evaluation was requested at (or too close to) a pole."""
@@ -96,7 +71,9 @@ class ValueWithError(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and the subdivision limit for the adaptive line quadrature."""
+    """Tolerances and the subdivision limit for the adaptive quadratures, and
+    their acceptance rule (QUADPACK's, Piessens et al. 1983): an error passes
+    when it is at most ``tolerance(value)``; one that is not a number fails."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
@@ -109,6 +86,10 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
+
+    def tolerance(self, value) -> float:
+        """max(abs_tol, rel_tol |value|), the largest error accepted for ``value``."""
+        return max(self.abs_tol, self.rel_tol * abs(value))
 
 
 # Bernoulli numbers B_2, B_4, ..., B_24 as exact (numerator, denominator)
@@ -631,7 +612,7 @@ def integrate_aligned_lattice(
     form.
 
     m starts at ceil(H_v / 0.25) and doubles until the u-panels' summed
-    |I15 - I7| plus the budget used is within max(abs_tol, rel_tol |I|).
+    |I15 - I7| plus the budget used is within ``spec.tolerance(I)``.
     Raises :class:`NonConvergenceError` once the u-panel count would pass
     ``spec.max_subdivisions``.  A doubling that does not halve that sum has
     met the integrand's roundoff floor, which finer lattices sit on too.  The
@@ -757,7 +738,7 @@ def integrate_aligned_lattice(
         with np.errstate(invalid="ignore"):
             val = complex(0.5 * h * np.sum(f @ _W15)) + closed
             err = float(0.5 * h * np.sum(np.abs(f @ (_W15 - _W7)))) + skipped
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(val)):
+        if err <= spec.tolerance(val):
             return ValueWithError(val, err)
         if last_err is not None and err > 0.5 * last_err:
             return integrate_line(integrand, spec, interval=window)
@@ -791,7 +772,7 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     any panel is split, with the sums that test would have made.
 
     Raises :class:`NonConvergenceError` when ``max_subdivisions`` splits do
-    not reach max(abs_tol, rel_tol * |value|).
+    not bring the error within ``spec.tolerance(value)``.
     """
     edges = tuple(map(float, interval))
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
@@ -800,8 +781,7 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     start = _gk15(f, *edges)
     # the starting panels' sums in creation order, as the exact re-sum makes them
     total, total_err = sum(v for v, _ in start), sum(e for _, e in start)
-    if (math.isfinite(total_err) and np.isfinite(total)
-            and total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))):
+    if math.isfinite(total_err) and np.isfinite(total) and total_err <= spec.tolerance(total):
         return ValueWithError(total, total_err)
 
     # live panels by creation number: the starting panels are 0..n0-1
@@ -815,11 +795,11 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     heapq.heapify(heap)
     slack = 0.0
     for step in range(spec.max_subdivisions):
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if not (math.isfinite(total_err) and np.isfinite(total)) or total_err <= 2.0 * tol + slack:
+        if (not (math.isfinite(total_err) and np.isfinite(total))
+                or total_err <= 2.0 * spec.tolerance(total) + slack):
             total, total_err = resum()
             slack = 0.0
-            if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            if total_err <= spec.tolerance(total):
                 return ValueWithError(total, total_err)
         i = heapq.heappop(heap)[2]
         pa, pb, pval, perr = panels.pop(i)

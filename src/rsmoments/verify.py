@@ -34,8 +34,6 @@ from .specfun import (
     riemann_zeta,
 )
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_suite", "SUITES"]
-
 
 @dataclass
 class CheckResult:

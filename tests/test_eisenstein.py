@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,20 @@ class TestOracle:
         assert eis.eisenstein_oracle(mid, 0.3 + 1j, 1.5, trunc) == (0.0, tail)
         with pytest.raises(NonConvergenceError):
             eis.eisenstein_oracle(mid, 0.3 + 0.01j, 1.5, trunc)
+
+    def test_memo_hit_copies_no_phase_table(self):
+        # a copy of the cached phase sums' columns for n = 3 at y = 1/6 and
+        # max_height 1600 takes 1.2 MB; a hit that reads them in place peaks
+        # near 0.07 MB
+        trunc = eis.LatticeTruncation(max_height=1600, fourier_y=0.5 / 3)
+        eis.tau_oracle(LEVEL1, 1.3 + 0.2j, 3, trunc)
+        tracemalloc.start()
+        try:
+            eis.tau_oracle(LEVEL1, 1.3 + 0.2j, 3, trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):

@@ -7,10 +7,15 @@ so special functions never reach into arithmetic, arithmetic never into the
 L-series layer, and so on.  Function-local imports count as well.  And every
 module-level import has a reader, so no module claims a dependency it lacks,
 and every public name outside the roots ``verify`` and ``cli`` has a reader in
-the package or a stated reason to stay.
+the package or a stated reason to stay.  Those names are the one declaration
+of the public surface: no module keeps an ``__all__`` list beside them.  The
+third-party modules the package imports are the runtime dependencies that
+``pyproject.toml`` declares, no more and no fewer.
 """
 
 import ast
+import re
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -71,19 +76,16 @@ def test_guard_sees_every_import_form(tmp_path):
 def unread_imports(path: Path) -> set:
     """Names that module-level imports of ``path`` bind and nothing reads.
 
-    A read is a load of the bare name anywhere in the module; a name listed
-    in ``__all__`` counts as read, as it is exported.
+    A read is a load of the bare name anywhere in the module.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
-    bound, read = set(), set()
+    bound = set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
-    read.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return bound - read
 
 
@@ -99,10 +101,9 @@ def test_reader_guard_sees_unread_names(tmp_path):
         "import os, numpy as np\n"
         "from .arith import factorize, divisors as dv\n"
         "from .kernels import H0\n"
-        "__all__ = ['factorize']\n"
         "class C:\n"
         "    def H0(self):\n"
-        "        return os.sep\n"
+        "        return os.sep, factorize\n"
     )
     assert unread_imports(path) == {"np", "dv", "H0"}
 
@@ -180,3 +181,67 @@ def test_public_reader_guard_sees_unread_names(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_public_names(paths, roots={"app"}) == {"lib:unused", "lib:Orphan"}
     assert unread_public_names(paths, roots=set()) == {"lib:unused", "lib:Orphan", "app:main"}
+
+
+def declares_all(path: Path) -> bool:
+    """Whether ``path`` binds the name ``__all__`` anywhere."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return any(isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+               for n in ast.walk(tree))
+
+
+@pytest.mark.parametrize("module", ORDER + ["__init__"])
+def test_no_module_declares_all(module):
+    assert not declares_all(PACKAGE / f"{module}.py")
+
+
+def test_all_guard_sees_each_binding(tmp_path):
+    texts = ("__all__ = ['f']\n", "__all__: list = []\n", "__all__ += ['g']\n",
+             '"""No __all__ here."""\nprint(__all__)\n')
+    for i, text in enumerate(texts):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(text)
+        assert declares_all(path) == (i < 3)
+
+
+def third_party_imports(paths) -> set:
+    """Top-level names of the modules that ``paths`` import at any nesting
+    depth, leaving out the standard library, relative imports and rsmoments."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                out.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.partition(".")[0])
+    return out - set(sys.stdlib_module_names) - {"rsmoments"}
+
+
+def runtime_dependencies(pyproject: Path) -> set:
+    """The distribution names in ``[project] dependencies`` of ``pyproject``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in deps}
+
+
+def test_runtime_dependencies_are_the_imports():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert third_party_imports(sorted(PACKAGE.glob("*.py"))) == runtime_dependencies(pyproject)
+
+
+def test_dependency_guard_sees_a_test_only_import(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "import os.path\n"
+        "import numpy as np\n"
+        "from scipy.special import kv\n"
+        "from . import arith\n"
+        "from rsmoments import lseries\n"
+        "def f():\n"
+        "    import mpmath\n"
+    )
+    (tmp_path / "pyproject.toml").write_text(
+        '[project]\nname = "lib"\ndependencies = ["NumPy>=1.24", "scipy >= 1.10"]\n'
+    )
+    imports = third_party_imports([tmp_path / "lib.py"])
+    assert imports == {"numpy", "scipy", "mpmath"}
+    assert imports != runtime_dependencies(tmp_path / "pyproject.toml") == {"numpy", "scipy"}

@@ -514,6 +514,66 @@ class TestIntegrateLine:
         assert abs(val - exact) <= 1e-8 * max(abs(exact), 1.0)
 
 
+class TestToleranceRule:
+    """QuadratureSpec's acceptance rule at its edges: an error equal to
+    ``tolerance(value)`` passes, one ulp above it fails, and an error that is
+    not a number fails, on the abs_tol side and on the rel_tol side."""
+
+    @staticmethod
+    def _rel_tol_for(tol, value):
+        """A rel_tol whose product with |value| is exactly ``tol``."""
+        lo = hi = tol / abs(value)
+        for _ in range(4):  # the quotient's ulps on either side
+            for cand in (lo, hi):
+                if cand * abs(value) == tol:
+                    return cand
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        raise AssertionError("no rel_tol gives this tolerance exactly")
+
+    def test_method_at_its_edges(self):
+        spec = sf.QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
+        for value in (0.0, 3e-3j, 3.0 + 4.0j, -7e4):
+            tol = spec.tolerance(value)
+            assert tol == max(1e-10, 1e-8 * abs(value))
+            assert tol <= spec.tolerance(value)
+            assert not math.nextafter(tol, math.inf) <= spec.tolerance(value)
+            assert not math.nan <= spec.tolerance(value)
+
+    @staticmethod
+    def _calls(spec):
+        """integrate_line's calls of 1/(r^2 + 0.1) on (0, 1), and its result."""
+        calls = []
+
+        def f(r):
+            calls.append(r.size)
+            return 1.0 / (r * r + 0.1) + 0j
+
+        result = sf.integrate_line(f, spec, interval=(0.0, 1.0))
+        return len(calls), result
+
+    def test_integrate_line_at_its_edges(self):
+        # the one starting panel's value and error, which it returns at once
+        # when they pass, and splits otherwise
+        calls, (v, e) = self._calls(sf.QuadratureSpec(abs_tol=1.0))
+        assert calls == 1 and 0.0 < e < 1e-3 * abs(v)
+        below = math.nextafter(e, 0.0)
+        for at, above in (
+            (sf.QuadratureSpec(rel_tol=1e-300, abs_tol=e), sf.QuadratureSpec(rel_tol=1e-300, abs_tol=below)),
+            (sf.QuadratureSpec(rel_tol=self._rel_tol_for(e, v), abs_tol=0.0),
+             sf.QuadratureSpec(rel_tol=self._rel_tol_for(below, v), abs_tol=0.0)),
+        ):
+            assert at.tolerance(v) == e and above.tolerance(v) == below
+            assert self._calls(at) == (1, (v, e))
+            assert self._calls(above)[0] > 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_integrate_line_refuses_a_nan_error(self):
+        spec = sf.QuadratureSpec(rel_tol=1e-300, abs_tol=math.inf, max_subdivisions=3)
+        with pytest.raises(sf.NonConvergenceError) as info:
+            sf.integrate_line(lambda r: np.full(r.shape, math.nan + 0j), spec, interval=(0.0, 1.0))
+        assert math.isnan(info.value.error)
+
+
 class TestIntegrateAlignedLattice:
     # int sum_qj c_qj exp(-(g - y)^2 / al - (g + y)^2 / be) dg over the line
     # is sum_qj c_qj sqrt(pi al be / (al + be)) exp(-4 y^2 / (al + be))
