@@ -12,19 +12,22 @@ divisor sums, the divisor model).  Also the
 scalar divisor sums that the arrays are held to, the local Euler
 polynomials attached to a modulus, depleted zeta and depleted Dirichlet
 L-values, the cusps of Gamma_0(N) in the 1/(c*a) parameterisation, and
-Dirichlet character enumeration from the unit-group structure.
+the Dirichlet characters mod q, each unit's exponents read off the
+generators of the cyclic factors of (Z/q)^* (``characters_mod``).
 
 Every table that grows on demand (the sieve, log m and the divisor bound
 here, the smoothed AFE's lattice tables and sym^2 coefficients in
 ``lseries``) is a ``SharedTable``: read-only, rebuilt at the smallest shape
 that covers both its old shape and a request past it.
 
-``factorize`` (trial division with a Pollard rho fallback) and the sieve are
-independent routes to the same primes; the tests hold one against the other.
+``factorize`` (trial division with a Pollard rho fallback, returning the
+pairs (p, e)) and the sieve are independent routes to the same primes; the
+tests hold one against the other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,22 +39,6 @@ from .specfun import DirichletCharacter, DomainError, PoleError, dirichlet_L, ri
 # Witness set proving compositeness deterministically for all n < 3.3e24,
 # comfortably covering the 2^63 - 1 input cap.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Exact factorisation n = prod p^e with strictly increasing primes."""
-
-    factors: tuple  # tuple of (p, e)
-
-    def n(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-    def as_dict(self) -> dict:
-        return dict(self.factors)
 
 
 def is_prime(n: int) -> bool:
@@ -95,8 +82,9 @@ def _pollard_rho(n: int) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def factorize(n: int) -> PrimeFactorization:
-    """Exact factorisation; trial division with a rho fallback.
+def factorize(n: int) -> tuple:
+    """Exact factorisation n = prod p^e as the tuple of its pairs (p, e), in
+    increasing p (empty at n = 1); trial division with a rho fallback.
 
     Accepts 1 <= n <= 2^63 - 1.
     """
@@ -130,7 +118,7 @@ def factorize(n: int) -> PrimeFactorization:
             continue
         d = _pollard_rho(v)
         stack.extend([d, v // d])
-    return PrimeFactorization(tuple(sorted(fac.items())))
+    return tuple(sorted(fac.items()))
 
 
 class SharedTable:
@@ -260,27 +248,27 @@ def mobius_phi_arrays(n: int):
 
 
 def prime_divisors(n: int) -> tuple:
-    return tuple(p for p, _ in factorize(n).factors)
+    return tuple(p for p, _ in factorize(n))
 
 
 def divisors(n: int) -> list:
     """All divisors of n, ascending."""
     out = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out = [d * p**j for d in out for j in range(e + 1)]
     return sorted(out)
 
 
 def euler_phi(n: int) -> int:
     out = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
 
 
 def mobius(n: int) -> int:
     mu = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         if e > 1:
             return 0
         mu = -mu
@@ -342,7 +330,7 @@ def sigma_complex(n: int, z, N: int = 1) -> complex:
         raise ValueError("sigma_complex requires n >= 1")
     z = complex(z)
     out = 1.0 + 0.0j
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         if N % p == 0:
             continue
         x = _pp(p, z) if z != 0 else 1.0
@@ -366,7 +354,7 @@ def P_M(s, n: int, M: int) -> complex:
         raise ValueError("P_M requires M >= 1")
     s = complex(s)
     out = 1.0 + 0.0j
-    for p, eM in factorize(M).factors:
+    for p, eM in factorize(M):
         out *= _P_local(p, s, ord_p(n, p), eM)
     return complex(out)
 
@@ -420,7 +408,7 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
     pref = _pp(N, -2j * t) * (1.0 / rad) if N > 1 else 1.0
     if abs(t) < _T_ZERO:
         ploc = 1.0
-        for p, eM in factorize(N).factors:
+        for p, eM in factorize(N):
             ploc *= _P_local_limit(p, ord_p(m, p), eM)
     else:
         ploc = P_M(0.5 + 1j * t, m, N)
@@ -520,7 +508,7 @@ def sigma_twisted_blocks(N: int, t: float, m_max: int, block: int):
     pn = np.ones(1, dtype=complex)
     support = np.ones(1, dtype=bool)
     radices = []
-    for p, eM in factorize(N).factors:
+    for p, eM in factorize(N):
         radices.append((p, pn.size))
         top, q = 0, p  # ord_p(m) <= top for every m <= m_max
         while q <= m_max:
@@ -662,7 +650,7 @@ def enumerate_cusps(N: int) -> list:
 def _primitive_root(p: int, e: int) -> int:
     """Generator of (Z/p^e)^* for odd prime p."""
     phi_p = p - 1
-    fac = [q for q, _ in factorize(phi_p).factors]
+    fac = prime_divisors(phi_p)
     g = 2
     while True:
         if math.gcd(g, p) == 1 and all(pow(g, phi_p // q, p) != 1 for q in fac):
@@ -679,7 +667,7 @@ def _primitive_root(p: int, e: int) -> int:
 def _unit_group(q: int):
     """Generators and orders of (Z/q)^* via CRT over prime powers."""
     gens, orders = [], []
-    for p, e in factorize(q).factors:
+    for p, e in factorize(q):
         pe = p**e
         rest = q // pe
         inv_rest = pow(rest, -1, pe) if pe > 1 else 1
@@ -704,58 +692,32 @@ def _unit_group(q: int):
     return gens, orders
 
 
-def _discrete_logs(q: int, gens, orders):
-    """Exponent vector of every unit mod q with respect to ``gens``."""
-    logs = {1: (0,) * len(gens)}
-    frontier = {1: (0,) * len(gens)}
-    # BFS over the abelian group: multiply by generators
-    while frontier:
-        new = {}
-        for u, vec in frontier.items():
-            for i, g in enumerate(gens):
-                v = u * g % q
-                if v not in logs:
-                    nv = list(vec)
-                    nv[i] = (nv[i] + 1) % orders[i]
-                    logs[v] = tuple(nv)
-                    new[v] = tuple(nv)
-        frontier = new
-    return logs
-
-
-def _character_from_exponents(q, gens, orders, logs, exps) -> tuple:
-    values = [0.0 + 0.0j] * q
-    for u, vec in logs.items():
-        phase = sum(e * v / o for e, v, o in zip(exps, vec, orders))
-        values[u] = complex(np.exp(2j * math.pi * phase))
-    return tuple(values)
-
-
 @lru_cache(maxsize=512)
 def characters_mod(q: int) -> tuple:
     """All phi(q) Dirichlet characters mod q, with primitivity flags.
 
-    Characters are built from the unit-group structure; chi is primitive iff
-    it does not factor through (Z/(q/p))^* for any prime p | q.
+    The generators g_i of orders o_i of ``_unit_group`` make (Z/q)^* the
+    direct product of their cyclic groups, so each unit is prod g_i^(v_i)
+    mod q for exactly one v in prod [0, o_i).  The character of exponents e
+    takes the value exp(2 pi i sum_i e_i v_i / o_i) there; the characters
+    come in lexicographic order of e, the trivial one first.  chi is
+    primitive iff it does not factor through (Z/(q/p))^* for any prime
+    p | q.
     """
     if q < 1:
         raise ValueError("characters_mod requires q >= 1")
     if q == 1:
         return (DirichletCharacter(1, (1.0 + 0.0j,), True, True),)
     gens, orders = _unit_group(q)
-    logs = _discrete_logs(q, gens, orders)
-
-    def all_exps(i=0):
-        if i == len(orders):
-            yield ()
-            return
-        for rest in all_exps(i + 1):
-            for e in range(orders[i]):
-                yield (e,) + rest
-
+    exponents = list(itertools.product(*map(range, orders)))
+    units = [math.prod(pow(g, v, q) for g, v in zip(gens, vec)) % q for vec in exponents]
     chars = []
-    for exps in sorted(all_exps()):
-        values = _character_from_exponents(q, gens, orders, logs, exps)
+    for exps in exponents:
+        values = [0.0 + 0.0j] * q
+        for u, vec in zip(units, exponents):
+            phase = sum(e * v / o for e, v, o in zip(exps, vec, orders))
+            values[u] = complex(np.exp(2j * math.pi * phase))
+        values = tuple(values)
         trivial = all(e == 0 for e in exps)
         # primitivity: chi is imprimitive iff chi(n) = 1 whenever
         # n = 1 mod q/p and gcd(n, q) = 1, for some prime p | q.

@@ -70,13 +70,10 @@ class TestFunctionParams:
         w = WINDOW_UNITS * self.bump_width
         return (max(0.0, self.T - w), self.T + w)
 
+    @cached_property
     def window_edges(self) -> np.ndarray:
         """window() cut into equal panels at most one bump width wide, the
         starting panels of every H0-type quadrature; built once, read-only."""
-        return self._window_edges
-
-    @cached_property
-    def _window_edges(self) -> np.ndarray:
         lo, hi = self.window()
         # the window's width in bump widths, free of the roundoff of (hi - lo) / w
         units = WINDOW_UNITS + min(self.T / self.bump_width, WINDOW_UNITS)
@@ -115,9 +112,9 @@ class KernelContext:
     @cached_property
     def _h0_start_factors(self) -> tuple:
         """(r, log G(ir + a), log G(-ir + a), h(r) r tanh(pi r)), a = k/2 + it,
-        on the GK15 nodes of ``params.window_edges()``, where every H0
+        on the GK15 nodes of ``params.window_edges``, where every H0
         quadrature starts; built on first use, read-only."""
-        r = gk15_panel_nodes(self.params.window_edges())[0]
+        r = gk15_panel_nodes(self.params.window_edges)[0]
         factors = (r, *_h0_ix_free(r, self))
         for x in factors:
             x.flags.writeable = False
@@ -163,12 +160,9 @@ def _gamma_ratio_pole_check(ix: complex, ctx: KernelContext, lo: float, hi: floa
         return
     if abs(a - round(a)) > 1e-9:
         return
-    # argument imag part: +-r + Im(ix) + t sweeps through zero?
-    b = complex(ix).imag + ctx.t
-    for sign in (1.0, -1.0):
-        r0 = -b / sign
-        if lo - 1e-9 <= abs(r0) <= hi + 1e-9:
-            raise PoleError("gamma pole inside the H0 integration window")
+    # argument imag part +-r + Im(ix) + t vanishes at |r| = |Im(ix) + t|
+    if lo - 1e-9 <= abs(complex(ix).imag + ctx.t) <= hi + 1e-9:
+        raise PoleError("gamma pole inside the H0 integration window")
 
 
 def _h0_ix_free(r, ctx: KernelContext):
@@ -206,7 +200,7 @@ def H0(ix, ctx: KernelContext) -> complex:
     lo, hi = ctx.params.window()
     _gamma_ratio_pole_check(ix, ctx, lo, hi)
     f = _h0_integrand_factory(ix, ctx)
-    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges)
     # everything below the window: |h| <= e^{-144} (plus the mirrored bump,
     # which on [0, lo] is smaller still), ratio growth is polynomial.
     return 2.0 * val / math.pi**2
@@ -241,5 +235,5 @@ def H0_derivative(variant: str, ctx: KernelContext) -> complex:
         def f(r):
             return h0_at(r) * _psi_sum(r, -1j * t, k)
 
-    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges)
     return -4.0 / math.pi**2 * val

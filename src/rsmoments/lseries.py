@@ -27,7 +27,9 @@ Evaluators
 * ``_smoothed_afe`` -- the one smoothed approximate functional equation.
   An L-function is its Gamma_R shifts lambda_j (gamma factor
   prod_j Gamma_R(s + lambda_j), Gamma_R(s) = pi^{-s/2} G(s/2)), root number,
-  coefficients and contour (c, h); the engine derives log gamma (each pair
+  coefficients, contour (c, h) and the box of s where its values are
+  certified; ``_afe_batch`` holds s to the box, to a scalar or a 1-D
+  array and the form to level 1.  The engine derives log gamma (each pair
   lambda, lambda + 1 folded into one log G), the x scale
   (2 pi)^{pairs} pi^{singles/2}, the degree (the number of shifts), the
   contour's growth and the sum length.  Its first sums carry the weights
@@ -39,9 +41,9 @@ Evaluators
   from one ``arith.SharedTable`` per (X, h, sigma0), sized to the largest
   request.
 * ``holo_L`` -- direct sum for Re s > 1.2, else the AFE on the shifts
-  (k-1)/2, (k+1)/2, for -7 < Re s < 8.
-* ``sym2_L`` -- the AFE on the shifts 1, k - 1, k, for -3 < Re s < 4
-  and |Im s| < 18.8, at a scalar or a 1-D array of s; powers
+  (k-1)/2, (k+1)/2, in the box -7 < Re s < 8.
+* ``sym2_L`` -- the AFE on the shifts 1, k - 1, k, in the box
+  -3 < Re s < 4, |Im s| < 18.8, at a scalar or a 1-D array of s; powers
   L(s, f x f~) = zeta(s) L(s, sym^2 f) at level 1 and its Laurent constants
   at s = 1.  Its value batches (read-only) and Laurent constants are
   ``functools.lru_cache`` memos of 64 entries, keyed on the form, whose
@@ -417,8 +419,9 @@ def rankin_selberg_L(s, f: NewformData, g: NewformData, m_max: int | None = None
 
 # an L-function of conductor 1 for _smoothed_afe: gamma factor
 # prod_j Gamma_R(s + shifts[j]), Gamma_R(s) = pi^{-s/2} G(s/2); root number;
-# coefficients c(1..length) as a function of length; contour (c, h)
-_LData = namedtuple("_LData", "shifts root coeffs contour")
+# coefficients c(1..length) as a function of length; contour (c, h); box
+# (lo, hi, height), where lo < Re s < hi and |Im s| < height, of its values
+_LData = namedtuple("_LData", "shifts root coeffs contour box")
 
 
 def _log_gamma(shifts):
@@ -601,9 +604,24 @@ def _smoothed_afe(s, desc: _LData):
     return out
 
 
+def _afe_batch(s, f: NewformData, desc: _LData, name: str) -> np.ndarray:
+    """s as the 1-D complex batch of ``_smoothed_afe`` on ``desc``, after the
+    AFE's three rules: s is a scalar or a 1-D array, f has level 1, and
+    every s lies in ``desc.box``; a :class:`DomainError` otherwise."""
+    if np.ndim(s) > 1:
+        raise DomainError(f"{name} takes a scalar or a 1-D array of s")
+    if f.N != 1:
+        raise DomainError(f"{name}'s AFE is implemented for level 1")
+    batch = np.atleast_1d(np.asarray(s, dtype=complex))
+    lo, hi, height = desc.box
+    if not np.all((lo < batch.real) & (batch.real < hi) & (abs(batch.imag) < height)):
+        raise DomainError(f"{name}'s AFE is certified for {lo:g} < Re s < {hi:g}, |Im s| < {height:g}")
+    return batch
+
+
 def _holo_data(f: NewformData) -> _LData:
     """holo_L's L-function: Gamma_C(s + (k-1)/2), root number i^k, A(n)."""
-    return _LData(((f.k - 1) / 2.0, (f.k + 1) / 2.0), (1j) ** f.k, f.A, (3.0, 0.4))
+    return _LData(((f.k - 1) / 2.0, (f.k + 1) / 2.0), (1j) ** f.k, f.A, (3.0, 0.4), (-7.0, 8.0, math.inf))
 
 
 def holo_L(s, f: NewformData, method: str = "auto"):
@@ -632,8 +650,6 @@ def holo_L(s, f: NewformData, method: str = "auto"):
     """
     if method not in ("auto", "direct", "afe"):
         raise DomainError("method must be auto, direct or afe")
-    if np.ndim(s) > 1:
-        raise DomainError("holo_L takes a scalar or a 1-D array of s")
     if np.ndim(s) and (method == "direct" or (method == "auto" and np.any(np.real(s) > 1.2))):
         raise DomainError("an array of s runs on the AFE route only, at Re s <= 1.2 under auto")
     if not np.ndim(s):
@@ -647,12 +663,8 @@ def holo_L(s, f: NewformData, method: str = "auto"):
                 raise InsufficientCoefficientsError(int(math.ceil((1e-8 / 3.0) ** (1.0 / (0.5 - s.real)))))
             # else the AFE; from Re s = 8 on, where its domain ends, it needs
             # more coefficients than the direct sum
-    batch = np.atleast_1d(np.asarray(s, dtype=complex))
-    if f.N != 1:
-        raise DomainError("holo_L inside the strip is implemented for level 1")
-    if np.any(batch.real <= -7.0) or np.any(batch.real >= 8.0):
-        raise DomainError("holo_L's AFE is certified for -7 < Re s < 8")
-    out = _smoothed_afe(batch, _holo_data(f))
+    desc = _holo_data(f)
+    out = _smoothed_afe(_afe_batch(s, f, desc, "holo_L"), desc)
     return out if np.ndim(s) else complex(out[0])
 
 
@@ -714,17 +726,7 @@ def sym2_L(s, f: NewformData):
     -0.0 parts of s share one entry, and a value is the same bits whenever
     the same tuple asks for it.
     """
-    if f.N != 1:
-        raise DomainError("sym2_L implemented for level 1")
-    if np.ndim(s) > 1:
-        raise DomainError("sym2_L takes a scalar or a 1-D array of s")
-    batch = tuple(np.atleast_1d(np.asarray(s, dtype=complex)).tolist())
-    for x in batch:
-        if not -3.0 < x.real < 4.0:
-            raise DomainError("sym2_L's AFE is certified for -3 < Re s < 4")
-        if abs(x.imag) >= _SYM2_HEIGHT:
-            raise DomainError(f"sym2_L's AFE is certified for |Im s| < {_SYM2_HEIGHT:g}")
-    out = _sym2_L(batch, f)
+    out = _sym2_L(tuple(_afe_batch(s, f, _sym2_data(f), "sym2_L").tolist()), f)
     return out if np.ndim(s) else complex(out[0])
 
 
@@ -738,7 +740,8 @@ def _sym2_L(s: tuple, f: NewformData) -> np.ndarray:
 
 def _sym2_data(f: NewformData) -> _LData:
     """sym2_L's L-function: shifts 1, k - 1 and k, root number 1."""
-    return _LData((1.0, f.k - 1.0, float(f.k)), 1.0, partial(_sym2_coeffs, f), (4.0, 0.35))
+    box = (-3.0, 4.0, _SYM2_HEIGHT)
+    return _LData((1.0, f.k - 1.0, float(f.k)), 1.0, partial(_sym2_coeffs, f), (4.0, 0.35), box)
 
 
 def selfdual_rs_L(w, f: NewformData):

@@ -16,8 +16,8 @@ sum_{n > m} a(n-m) conj(b(n)) n^{-w-k+1} (an inner product against a
 Poincare series, not the same series as D).  At matched truncations the
 two paths traverse the same index set, so agreement tests the
 rearrangement bookkeeping at floating precision.  Each series' two paths
-share their set-up and sum their own terms: Z's request checks its region
-and the coefficient lengths (``ShiftedSeriesRequest.require_region``), and
+share their set-up and sum their own terms: ``_z_setup`` gives both Z
+paths their checked (s, v), outer weights and zeta^(N)(2s), and
 ``_m3_setup`` gives both M3 paths their checked (s, w), outer weights and
 prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s').
 
@@ -80,17 +80,6 @@ class ShiftedSeriesRequest:
 
     def region_ok(self, k: int) -> bool:
         return self.s.real > self.v.real + 1.0 and self.v.real > 1.0 + k / 2.0
-
-    def require_region(self, f: NewformData, g: NewformData):
-        """Raise unless (s, v) is in ``region_ok``'s region for f's weight
-        and f and g have the coefficients of the truncation."""
-        if not self.region_ok(f.k):
-            raise DomainError(
-                "outside the absolute-convergence region: need "
-                "Re(s) > Re(v)+1 and Re(v) > 1 + k/2"
-            )
-        if self.M_inner + self.M_outer > f.M or self.M_inner > g.M:
-            raise InsufficientCoefficientsError(self.M_inner + self.M_outer)
 
 
 def _require_counts(**counts):
@@ -309,6 +298,19 @@ def _raw_outer_sum(rows, sig: np.ndarray, exponent: complex):
     return total, _envelope_tail(outer_abs)
 
 
+def _z_setup(req: ShiftedSeriesRequest, f: NewformData, g: NewformData):
+    """Z's checked (s, v), in ``region_ok``'s region for f's weight and with
+    the coefficients of the truncation, its outer weights
+    sigma_{-2it}(m; N) m^{it} for m <= M_outer and zeta^(N)(2s)."""
+    if not req.region_ok(f.k):
+        raise DomainError("outside the absolute-convergence region: need Re(s) > Re(v)+1 and Re(v) > 1 + k/2")
+    if req.M_inner + req.M_outer > f.M or req.M_inner > g.M:
+        raise InsufficientCoefficientsError(req.M_inner + req.M_outer)
+    s, v = complex(req.s), complex(req.v)
+    sig = arith.sigma_twisted_weights(req.N, req.t, req.M_outer)
+    return s, v, sig, arith.zeta_depleted(2.0 * s, req.N)
+
+
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
     """Z as the raw truncated double sum (n inner, m outer).
 
@@ -316,15 +318,12 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     term in blocks of rows (``_raw_rows``); the rows are weighted and summed
     over m in order.
     """
-    req.require_region(f, g)
-    s, v, N = complex(req.s), complex(req.v), req.N
+    s, v, sig, zN = _z_setup(req, f, g)
     k = f.k
     Mo, Mi = req.M_outer, req.M_inner
-    sig = arith.sigma_twisted_weights(N, req.t, Mo)
     n_pow = np.exp(-(s - v - 0.5 + k) * arith.log_table(Mi))
     rows = _raw_rows(f.a[1 : Mo + Mi], np.conj(g.a[:Mi]), n_pow)
     total, outer_tail = _raw_outer_sum(rows, sig, -v)
-    zN = arith.zeta_depleted(2.0 * s, N)
     k_half = (k - 1) / 2.0
     tail = abs(zN) * (rankin_selberg_tail(s.real - v.real - 0.5 + k - k_half, Mi) + outer_tail)
     return ValueWithError(complex(zN * total), tail)
@@ -338,13 +337,10 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
     (the production path; at matched truncations it traverses the same
     finite index set as the double sum).
     """
-    req.require_region(f, g)
-    s, v = complex(req.s), complex(req.v)
-    sig = arith.sigma_twisted_weights(req.N, req.t, req.M_outer)
+    s, v, sig, zN = _z_setup(req, f, g)
     ms = np.flatnonzero(sig) + 1
     rows = _shift_rows(s - v + 0.5, ms, f, g, req.M_inner, lower=False)
     total, tail = _weighted_outer_sum(ms, *rows, sig, -v)
-    zN = arith.zeta_depleted(2.0 * s, req.N)
     return ValueWithError(complex(zN * total), abs(zN) * tail)
 
 

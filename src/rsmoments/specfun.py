@@ -258,23 +258,24 @@ def riemann_zeta(s):
 
 @lru_cache(maxsize=1024)
 def _riemann_zeta(s: complex) -> complex:
-    """zeta(s) (see riemann_zeta)."""
-    if abs(s - 1.0) < 1e-14:
-        raise PoleError("zeta pole at s = 1")
+    """zeta(s) (see riemann_zeta); ``zeta_laurent`` raises at the pole."""
     if abs(s - 1.0) < 0.2:
         return zeta_laurent(s - 1.0, 0)
     if s.real < 0.0:
-        # zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s); formed in
-        # log space so the sine growth cancels against the gamma decay.
-        w = 1.0 - s
-        log_chi = (
-            s * math.log(2.0)
-            + (s - 1.0) * math.log(math.pi)
-            + complex(_log_sin_pi(s / 2.0))
-            + log_gamma(w)
-        )
-        return complex(np.exp(log_chi)) * riemann_zeta(w)
+        return complex(np.exp(_log_zeta_chi(s))) * riemann_zeta(1.0 - s)
     return hurwitz_zeta(s, 1.0)
+
+
+def _log_zeta_chi(s: complex) -> complex:
+    """log chi(s) in zeta(s) = chi(s) zeta(1 - s), chi(s) = 2^s pi^(s-1)
+    sin(pi s/2) Gamma(1-s); formed in log space so the sine growth cancels
+    against the gamma decay."""
+    return (
+        s * math.log(2.0)
+        + (s - 1.0) * math.log(math.pi)
+        + complex(_log_sin_pi(s / 2.0))
+        + log_gamma(1.0 - s)
+    )
 
 
 def central_difference(f: Callable, x):

@@ -157,10 +157,10 @@ class TestH0:
     def test_window_edges_one_bump_width_apart(self):
         for T, alpha in ((30.0, 0.4), (80.0, 0.5), (300.0, 0.6), (12.0, 0.6)):
             p = kn.TestFunctionParams(T=T, alpha=alpha, R=1.0)
-            edges = p.window_edges()
+            edges = p.window_edges
             # built once per params, read-only, and the same as a fresh build
-            assert p.window_edges() is edges and not edges.flags.writeable
-            assert np.array_equal(edges, kn.TestFunctionParams(T=T, alpha=alpha, R=1.0).window_edges())
+            assert p.window_edges is edges and not edges.flags.writeable
+            assert np.array_equal(edges, kn.TestFunctionParams(T=T, alpha=alpha, R=1.0).window_edges)
             lo, hi = p.window()
             assert (edges[0], edges[-1]) == (lo, hi)
             assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= p.bump_width * (1 + 1e-12))
@@ -203,6 +203,16 @@ class TestH0:
         with pytest.raises(PoleError):
             kn.H0(-2.0 - 80.0j + 0j, ctx)  # k/2 + Re(ix) = 0, crossing in window
 
+    def test_pole_check_at_both_signs(self):
+        # the poles of the ir and the -ir factor sit at r = -/+ Im(ix): both
+        # signs of Im(ix) cross the window, and past its top neither does
+        ctx = kn.KernelContext(PARAMS, t=0.0, k=4)
+        lo, hi = PARAMS.window()
+        assert hi < 200.0
+        with pytest.raises(PoleError):
+            kn._gamma_ratio_pole_check(-2.0 + 80.0j, ctx, lo, hi)
+        kn._gamma_ratio_pole_check(-2.0 - 200.0j, ctx, lo, hi)
+
 
 class TestKernelContext:
     def test_frozen(self):
@@ -232,7 +242,7 @@ def _fresh_h0(ix, ctx):
                        - loggamma(1j * r + a) - loggamma(-1j * r + a))
         return kn.h_eval(r, ctx.params) * r * kn.tanh_pi(r) * ratio
 
-    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges())
+    val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges)
     return 2.0 * val / math.pi**2
 
 

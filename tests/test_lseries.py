@@ -696,6 +696,10 @@ class TestHoloLBatch:
             ls.holo_L(np.array([2.5]), delta, method="direct")
         with pytest.raises(DomainError):
             ls.holo_L(np.full((2, 2), 0.5 + 1j), delta)
+        # the box -7 < Re s < 8; a NaN part compares false with its bounds
+        for bad in (-7.0, 8.0 + 1j, complex(math.nan, 1.0), complex(0.5, math.nan)):
+            with pytest.raises(DomainError):
+                ls.holo_L(bad, delta, method="afe")
         assert ls.holo_L(np.array([], dtype=complex), delta).shape == (0,)
 
     def test_memory_stays_flat(self, delta):
@@ -896,7 +900,8 @@ class TestSym2:
         assert ls.sym2_L(-1.0, delta) == 0.0  # the gamma factor's pole: a trivial zero
         ls.sym2_L(0.5 + 18.7j, delta)
         # the two smoothings first differ by more than 1e-8 at 1/2 + 18.8i
-        for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j, 0.5 + 18.8j, 1.0 - 25j, 0.5 + 40.37j):
+        for s in (4.0, 12.0, 5.0 + 2j, -3.0, -3.5 + 1j, 0.5 + 18.8j, 1.0 - 25j, 0.5 + 40.37j,
+                  complex(math.nan, 1.0), complex(0.5, math.nan)):
             with pytest.raises(DomainError):
                 ls.sym2_L(s, delta)
 

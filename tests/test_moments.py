@@ -120,6 +120,17 @@ class TestMainTerm:
         with pytest.raises(DomainError, match="rs_provider"):
             mo.main_term(ctx)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 25: the divisor model at level 1 takes "
+                       "the sym^2 route of a holomorphic form and returns a wrong value")
+    def test_without_a_provider_a_divisor_model_raises_at_level_one(self):
+        # f = g, N = 1 and no provider: the value zeta(w) L(w, sym^2 f) reads
+        # the divisor model as a cusp form, and misses divisor_model_rs_L by
+        # 250 %, 45 % and 280 % at w = 1/2 + 0.3i, 1 - 1.4i and 1/2 + 2i
+        f = ls.divisor_model_newform(MU, 12, 1, 4000)
+        ctx = mo.MomentContext(t=0.7, f=f, g=f, N=1, kernel=KernelContext(KP, t=0.7, k=12), s=0.5 + 0.9j)
+        with pytest.raises(DomainError):
+            ctx.rs_L(None, 0.5 + 0.3j)
+
     def test_equal_copy_routes_like_the_form(self, delta):
         # f = g is NewformData equality, not identity: a copy of delta takes
         # delta's sym^2 route, bit for bit
