@@ -670,19 +670,16 @@ def _unit_group(q: int):
     for p, e in factorize(q):
         pe = p**e
         rest = q // pe
-        inv_rest = pow(rest, -1, pe) if pe > 1 else 1
+        inv_rest = pow(rest, -1, pe)
         def lift(x, pe=pe, rest=rest, inv_rest=inv_rest):
             # CRT: image x mod pe, 1 mod rest
             return (1 + rest * ((x - 1) * inv_rest % pe)) % q
         if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                gens.append(lift(3))
-                orders.append(2)
-            else:
+            # -1 generates (Z/4)^*, and -1 and 5 generate (Z/2^e)^* for e >= 3
+            if e >= 2:
                 gens.append(lift(pe - 1))
                 orders.append(2)
+            if e >= 3:
                 gens.append(lift(5))
                 orders.append(2 ** (e - 2))
         else:

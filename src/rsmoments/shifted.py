@@ -303,7 +303,10 @@ def _z_setup(req: ShiftedSeriesRequest, f: NewformData, g: NewformData):
     the coefficients of the truncation, its outer weights
     sigma_{-2it}(m; N) m^{it} for m <= M_outer and zeta^(N)(2s)."""
     if not req.region_ok(f.k):
-        raise DomainError("outside the absolute-convergence region: need Re(s) > Re(v)+1 and Re(v) > 1 + k/2")
+        raise DomainError(
+            "outside the absolute-convergence region: need "
+            "Re(s) > Re(v)+1 and Re(v) > 1 + k/2"
+        )
     if req.M_inner + req.M_outer > f.M or req.M_inner > g.M:
         raise InsufficientCoefficientsError(req.M_inner + req.M_outer)
     s, v = complex(req.s), complex(req.v)

@@ -13,8 +13,9 @@ _spec.loader.exec_module(ledger)
 
 
 def _ledger():
-    check = {"label": "L+", "value": [0.25, -1.5], "route": [0.25, -1.5000000001], "tol": 1e-8}
-    return {"workload": "first-moment-oracle", "seed": 0, "seconds": 40.0, "items": [
+    check = {"label": "L+", "value": [0.25, -1.5], "route": [0.25, -1.5000000001],
+             "tol": 1e-8, "floor": 0.0, "ref_tol": None}
+    return {"workload": "first-moment-oracle", "seed": 0, "items": [
         {"id": "fm-0-0", "checks": [check, dict(check, label="tau", value=[3.0, 0.0], route=[3.0, 0.0])]},
         {"id": "fm-0-1", "checks": [dict(check, value=[-0.0, 2.0])]},
         {"id": "or-0-0", "raised": {"type": "PoleError", "message": "zeta pole at s = 1"}},
@@ -56,10 +57,13 @@ def test_a_moved_value_and_a_one_sided_raise_fail(tmp_path, capsys):
     assert printed.splitlines()[-1] == "DIFFERENT: 4/6 values kept their bits, 1 other differences"
 
 
-def test_missing_items_changed_tolerances_and_nan_are_differences():
+def test_missing_items_changed_gates_and_nan_are_differences():
     a = _ledger()
+    a["items"].insert(2, {"id": "fm-0-2", "checks": [dict(a["items"][1]["checks"][0])]})
     b = copy.deepcopy(a)
     b["items"][0]["checks"][1]["tol"] = 1e-6
+    b["items"][0]["checks"][0]["floor"] = 1e-5
+    b["items"][2]["checks"][0]["ref_tol"] = 4e-8
     b["items"][1]["checks"][0]["route"] = [math.nan, 2.0]
     b["items"].pop()
     b["items"].append({"id": "or-0-1", "raised": {"type": "DomainError", "message": "box"}})
@@ -67,7 +71,9 @@ def test_missing_items_changed_tolerances_and_nan_are_differences():
     assert not out["identical"]
     assert out["labels"]["L+"]["max_abs"] == math.inf
     assert sorted(out["notes"]) == [
-        "fm-0-0: check tau (tol 1e-08) on A is tau (tol 1e-06) on B",
+        "fm-0-0: check L+ (tol 1e-08, floor 0.0, ref_tol None) on A is L+ (tol 1e-08, floor 1e-05, ref_tol None) on B",
+        "fm-0-0: check tau (tol 1e-08, floor 0.0, ref_tol None) on A is tau (tol 1e-06, floor 0.0, ref_tol None) on B",
+        "fm-0-2: check L+ (tol 1e-08, floor 0.0, ref_tol None) on A is L+ (tol 1e-08, floor 0.0, ref_tol 4e-08) on B",
         "or-0-0: only in A",
         "or-0-1: only in B",
     ]

@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
 """A ledger of every bench check value, and the comparison of two ledgers.
 
-    python3 tools/ledger.py record --workload W --seed S --out PATH [--seconds 40]
+    python3 tools/ledger.py record --workload W --seed S --out PATH
     python3 tools/ledger.py compare A B
 
-``record`` builds the batch of ``bench/run.py --workload W --seed S`` from
-the checkout the tool sits in (the library from its ``src/``, BLAS threads
-capped at min(CPUs, 2) before numpy loads, as ``bench/run.py`` does) and
-runs its items in order.  For each item it writes each check's label,
-value, route and tolerance, or the type and message of the exception the
-item raised.
+``record`` builds the batch of ``bench/run.py --workload W --seed S
+--seconds 40`` from the checkout the tool sits in (the library from its
+``src/``, BLAS threads capped at min(CPUs, 2) before numpy loads, as
+``bench/run.py`` does) and runs its items in order.  For each item it
+writes each check's label, value, route and gate (``tol``, ``floor`` and
+``ref_tol``), or the type and message of the exception the item raised.
 
 ``compare`` pairs the items of two ledgers by id and their checks by
 position, and prints, per check label, how many values (each check's value
 and route) kept every bit, and the largest absolute and relative move of
 the rest; then every item that raises on one side only, raises differently
 on the two sides, or is in one ledger only, and every check whose label or
-tolerance differs.  It exits 0 only when every value kept its bits and
+gate differs.  It exits 0 only when every value kept its bits and
 nothing else differs.
 """
 
@@ -29,6 +29,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 40  # BENCHMARK.json's run_seconds
+GATE = ("tol", "floor", "ref_tol")  # bench.workloads.Check's bounds
 
 
 def _bench_run():
@@ -40,11 +42,11 @@ def _bench_run():
     return run
 
 
-def record(workload: str, seed: int, seconds: float) -> dict:
+def record(workload: str, seed: int) -> dict:
     """The ledger of one batch, as ``bench/run.py`` builds and runs it."""
     run = _bench_run()
     sys.path.insert(0, str(ROOT / "src"))
-    _, items = run.setup(workload, seed, seconds)
+    _, items = run.setup(workload, seed, SECONDS)
     entries = []
     for item in items:
         try:
@@ -53,9 +55,10 @@ def record(workload: str, seed: int, seconds: float) -> dict:
             entries.append({"id": item.id, "raised": {"type": type(exc).__name__, "message": str(exc)}})
             continue
         entries.append({"id": item.id, "checks": [
-            {"label": c.label, "value": _pair(c.value), "route": _pair(c.route), "tol": c.tol}
+            {"label": c.label, "value": _pair(c.value), "route": _pair(c.route),
+             **{key: getattr(c, key) for key in GATE}}
             for c in checks]})
-    return {"workload": workload, "seed": seed, "seconds": seconds, "items": entries}
+    return {"workload": workload, "seed": seed, "items": entries}
 
 
 def _pair(z) -> list:
@@ -65,6 +68,10 @@ def _pair(z) -> list:
 
 def _bits(pair) -> bytes:
     return struct.pack("<2d", *pair)
+
+
+def _gate(check) -> str:
+    return ", ".join(f"{key} {check[key]}" for key in GATE)
 
 
 def _move(a, b):
@@ -99,9 +106,9 @@ def compare(a: dict, b: dict) -> dict:
         if len(entry["checks"]) != len(other["checks"]):
             notes.append(f"{entry['id']}: {len(entry['checks'])} checks on A, {len(other['checks'])} on B")
         for x, y in zip(entry["checks"], other["checks"]):
-            if x["label"] != y["label"] or x["tol"] != y["tol"]:
-                notes.append(f"{entry['id']}: check {x['label']} (tol {x['tol']:g}) on A is "
-                             f"{y['label']} (tol {y['tol']:g}) on B")
+            if x["label"] != y["label"] or any(x[key] != y[key] for key in GATE):
+                notes.append(f"{entry['id']}: check {x['label']} ({_gate(x)}) on A is "
+                             f"{y['label']} ({_gate(y)}) on B")
                 continue
             stat = labels.setdefault(x["label"], {"values": 0, "kept": 0, "max_abs": 0.0, "max_rel": 0.0})
             for key in ("value", "route"):
@@ -122,7 +129,6 @@ def main(argv=None) -> int:
     rec = sub.add_parser("record", help="run one bench batch and write its ledger")
     rec.add_argument("--workload", required=True)
     rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--seconds", type=float, default=40.0)
     rec.add_argument("--out", required=True)
     cmp_ = sub.add_parser("compare", help="compare two ledgers bit for bit")
     cmp_.add_argument("a")
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.command == "record":
-        ledger = record(args.workload, args.seed, args.seconds)
+        ledger = record(args.workload, args.seed)
         with open(args.out, "w") as fh:
             json.dump(ledger, fh, indent=1)
             fh.write("\n")
