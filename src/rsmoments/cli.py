@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -28,56 +29,53 @@ from .kernels import H0, KernelContext, TestFunctionParams
 from .shifted import ShiftedSeriesRequest, Z_series, Z_series_double
 
 
-def _resolve(path: str) -> str:
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
-    base = os.environ.get("RSMOMENTS_DATA_DIR", "")
-    cand = os.path.join(base, path) if base else path
-    return cand
-
-
 def _load_form(spec: str, m_max: int) -> lseries.NewformData:
     if spec == "builtin:delta":
         return lseries.delta_newform(m_max)
-    return lseries.load_newform(_resolve(spec))
+    base = os.environ.get("RSMOMENTS_DATA_DIR", "")
+    if base and not (os.path.isabs(spec) or os.path.exists(spec)):
+        spec = os.path.join(base, spec)
+    return lseries.load_newform(spec)
 
 
-def _write_rows(args, header, rows):
-    """Write rows as CSV (default) or JSON to args.output or stdout."""
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
+def _row(**columns) -> dict:
+    """A table row: a complex value is its ``name_re`` and ``name_im``
+    columns, a float is written ``%.17g``, and any other value as it is."""
+    row = {}
+    for name, value in columns.items():
+        if isinstance(value, complex):
+            row |= _row(**{f"{name}_re": value.real, f"{name}_im": value.imag})
+        elif isinstance(value, float):
+            row[name] = f"{value:.17g}"
         else:
-            sys.stdout.write(text)
-        return
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-    finally:
-        if args.output:
-            out.close()
+            row[name] = value
+    return row
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
-def _fmt_pair(z) -> list:
-    """The re and im columns of a complex value."""
-    return [_fmt(z.real), _fmt(z.imag)]
+def _write_rows(args, rows):
+    """Write ``_row`` rows as CSV (default) or JSON to args.output or stdout;
+    the first row's columns are the header."""
+    if args.format == "json":
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        w = csv.DictWriter(buf, fieldnames=rows[0])
+        w.writeheader()
+        w.writerows(rows)
+        text = buf.getvalue()
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_cusps(args) -> int:
-    rows = []
-    for c in enumerate_cusps(args.N):
-        rows.append([args.N, c.a, c.c, c.gcd_a, c.width, int(c.is_infinity_class)])
-    _write_rows(args, ["N", "a", "c", "gcd_a_N_over_a", "width", "infinity_class"], rows)
+    _write_rows(args, [
+        _row(N=args.N, a=c.a, c=c.c, gcd_a_N_over_a=c.gcd_a, width=c.width,
+             infinity_class=int(c.is_infinity_class))
+        for c in enumerate_cusps(args.N)
+    ])
     return 0
 
 
@@ -86,22 +84,14 @@ def cmd_tau(args) -> int:
     s = complex(args.s_re, args.s_im)
     rows = []
     for n in args.n:
-        val = eisenstein.tau_cusp(cusp, s, n)
-        row = [args.N, args.a, args.c, *_fmt_pair(s), n, *_fmt_pair(val)]
+        row = _row(N=args.N, a=args.a, c=args.c, s=s, n=n)
         if args.oracle:
-            trunc = eisenstein.LatticeTruncation(
-                max_height=args.max_height, fourier_y=0.5 / abs(n), fourier_points=128
-            )
-            ov = eisenstein.tau_oracle(cusp, s, n, trunc)
-            # a coefficient that vanishes identically has no relative error:
-            # report |oracle - tau| there, as acceptance criterion 3 judges it
-            diff = abs(ov - val)
-            row += [*_fmt_pair(ov), _fmt(diff if abs(val) < 1e-10 else diff / abs(val))]
+            tau, oracle, _, rel_diff = verify.tau_against_oracle(cusp, s, n, args.max_height)
+            row |= _row(tau=tau, oracle=oracle, rel_diff=rel_diff)
+        else:
+            row |= _row(tau=eisenstein.tau_cusp(cusp, s, n))
         rows.append(row)
-    header = ["N", "a", "c", "s_re", "s_im", "n", "tau_re", "tau_im"]
-    if args.oracle:
-        header += ["oracle_re", "oracle_im", "rel_diff"]
-    _write_rows(args, header, rows)
+    _write_rows(args, rows)
     return 0
 
 
@@ -112,19 +102,13 @@ def _kernel_ctx(args, k: int) -> KernelContext:
 
 def cmd_h0(args) -> int:
     ctx = _kernel_ctx(args, args.k)
+    peak = 2.0 * math.pi ** (-1.5) * args.T ** (1.0 + args.alpha)
     rows = []
     for x in args.x:
         val = H0(1j * x, ctx)
-        peak = 2.0 * math.pi ** (-1.5) * args.T ** (1.0 + args.alpha)
-        rows.append([
-            _fmt(args.T), _fmt(args.alpha), _fmt(args.R), args.k, _fmt(args.t), _fmt(x),
-            *_fmt_pair(val), _fmt(abs(val) / peak),
-        ])
-    _write_rows(
-        args,
-        ["T", "alpha", "R", "k", "t", "x", "H0_re", "H0_im", "ratio_to_peak_scale"],
-        rows,
-    )
+        rows.append(_row(T=args.T, alpha=args.alpha, R=args.R, k=args.k, t=args.t, x=x, H0=val,
+                         ratio_to_peak_scale=abs(val) / peak))
+    _write_rows(args, rows)
     return 0
 
 
@@ -154,12 +138,8 @@ def cmd_main_term(args) -> int:
         s = complex(0.5, args.t if args.which.endswith("_plus") else -args.t)
         ctx = _moment_ctx(args, s=None)
         val = moments.main_term_specialized(ctx, args.which)
-    _write_rows(
-        args,
-        ["N", "T", "alpha", "t", "k", "which", "s_re", "s_im", "M_re", "M_im"],
-        [[ctx.N, _fmt(args.T), _fmt(args.alpha), _fmt(args.t), ctx.k,
-          args.which, *_fmt_pair(s), *_fmt_pair(val)]],
-    )
+    _write_rows(args, [_row(N=ctx.N, T=args.T, alpha=args.alpha, t=args.t, k=ctx.k,
+                            which=args.which, s=s, M=val)])
     return 0
 
 
@@ -168,27 +148,17 @@ def cmd_breakdown(args) -> int:
     ctx = _moment_ctx(args, s=s)
     bd = moments.main_term_breakdown(ctx)
     total = moments.main_term(ctx)
-    _write_rows(
-        args,
-        ["s_re", "s_im", "t", "M1_re", "M1_im", "MOmega_plus_re", "MOmega_plus_im",
-         "MOmega_minus_re", "MOmega_minus_im", "assembled_re", "assembled_im",
-         "generic_re", "generic_im", "rel_diff"],
-        [[*_fmt_pair(s), _fmt(args.t), *_fmt_pair(bd.M1), *_fmt_pair(bd.M_Omega_plus),
-          *_fmt_pair(bd.M_Omega_minus), *_fmt_pair(bd.assembled), *_fmt_pair(total),
-          _fmt(abs(total - bd.assembled) / abs(total))]],
-    )
+    _write_rows(args, [_row(s=s, t=args.t, M1=bd.M1, MOmega_plus=bd.M_Omega_plus,
+                            MOmega_minus=bd.M_Omega_minus, assembled=bd.assembled, generic=total,
+                            rel_diff=abs(total - bd.assembled) / abs(total))])
     return 0
 
 
 def cmd_continuous(args) -> int:
     ctx = _moment_ctx(args, s=complex(0.5, -args.tprime_sign * args.t))
     val = moments.continuous_part(ctx, points_per_unit=args.points_per_unit, half_line=True)
-    _write_rows(
-        args,
-        ["T", "alpha", "t", "S_inf_re", "S_inf_im", "error_estimate"],
-        [[_fmt(args.T), _fmt(args.alpha), _fmt(args.t),
-          *_fmt_pair(val.value), _fmt(val.error)]],
-    )
+    _write_rows(args, [_row(T=args.T, alpha=args.alpha, t=args.t, S_inf=val.value,
+                            error_estimate=val.error)])
     return 0
 
 
@@ -200,35 +170,17 @@ def cmd_z_series(args) -> int:
     )
     z_re = Z_series(req, f, g)
     z_db = Z_series_double(req, f, g)
-    _write_rows(
-        args,
-        ["s_re", "s_im", "v_re", "v_im", "t", "N", "M_outer", "M_inner",
-         "Z_re", "Z_im", "tail_estimate", "double_sum_rel_diff"],
-        [[_fmt(args.s_re), _fmt(args.s_im), _fmt(args.v_re), _fmt(args.v_im),
-          _fmt(args.t), f.N, args.M_outer, args.M_inner,
-          *_fmt_pair(z_re.value), _fmt(z_re.error),
-          _fmt(abs(z_re.value - z_db.value) / abs(z_re.value))]],
-    )
+    _write_rows(args, [_row(s=req.s, v=req.v, t=args.t, N=f.N, M_outer=args.M_outer,
+                            M_inner=args.M_inner, Z=z_re.value, tail_estimate=z_re.error,
+                            double_sum_rel_diff=abs(z_re.value - z_db.value) / abs(z_re.value))])
     return 0
 
 
 def cmd_moment_table(args) -> int:
     f = _load_form(args.newform, args.horizon)
-    const = lseries.selfdual_rs_constants(f)
-    c = moments.leading_coeff(3, f.N, const["residue"])
-    rows = []
-    for T in args.T_grid:
-        kp = TestFunctionParams(T=T, alpha=args.alpha, R=args.R)
-
-        def builder(t, kp=kp):
-            return moments.MomentContext(
-                t=t, f=f, g=f, N=f.N, kernel=KernelContext(kp, t=t, k=f.k), s=None
-            )
-
-        val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
-        ratio = val.real / (T ** (1.0 + args.alpha) * math.log(T) ** 3)
-        rows.append([_fmt(T), *_fmt_pair(val), _fmt(ratio), _fmt(ratio / c)])
-    _write_rows(args, ["T", "M_re", "M_im", "normalized_ratio", "ratio_over_leading_coeff"], rows)
+    c, table = verify.moment_table(f, args.T_grid, args.alpha, args.R)
+    _write_rows(args, [_row(T=T, M=val, normalized_ratio=ratio, ratio_over_leading_coeff=ratio / c)
+                       for T, val, ratio in table])
     return 0
 
 
@@ -236,11 +188,8 @@ def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
     ok = all(r.passed for r in results)
     if args.output:
-        payload = [
-            {"name": r.name, "passed": r.passed, "measured": {k: str(v) for k, v in r.measured.items()},
-             "detail": r.detail}
-            for r in results
-        ]
+        # each check's fields, its measured values in full
+        payload = [{**vars(r), "measured": {k: str(v) for k, v in r.measured.items()}} for r in results]
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")

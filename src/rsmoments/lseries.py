@@ -60,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from types import MappingProxyType
 
@@ -101,7 +101,7 @@ class InsufficientCoefficientsError(RuntimeError):
 # data types and loaders
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NewformData:
     """A holomorphic newform: level N, even weight k >= 4, coefficients a(1..M).
 
@@ -114,9 +114,10 @@ class NewformData:
 
     N: int
     k: int
-    a: np.ndarray  # float64, index n-1
-    a_exact: tuple | None = None  # exact integers when available
-    label: str = ""
+    a: np.ndarray = field(compare=False)  # float64, index n-1
+    a_exact: tuple | None = field(default=None, compare=False)  # exact integers when available
+    label: str = field(default="", compare=False)
+    digest: str = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=float)
@@ -134,17 +135,6 @@ class NewformData:
         if bad.size:
             raise InvariantViolation(f"coefficient bound violated at n={bad[0] + 1}")
         object.__setattr__(self, "digest", hashlib.sha256(a.tobytes()).hexdigest())
-
-    def _key(self) -> tuple:
-        return (self.N, self.k, self.digest)
-
-    def __eq__(self, other):
-        if not isinstance(other, NewformData):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def M(self) -> int:
@@ -169,7 +159,6 @@ class MaassFormData:
     N: int
     L: int
     r: float
-    parity: int
     lam: np.ndarray  # Hecke eigenvalues lambda(1..M) of the inner newform
     rho1: float
     lifts: dict  # d | N/L -> c_L(r; d)
@@ -179,8 +168,6 @@ class MaassFormData:
         self.lam.flags.writeable = False
         if self.N % self.L:
             raise InvariantViolation("inner level must divide the level")
-        if self.parity not in (0, 1):
-            raise InvariantViolation("parity must be 0 or 1")
         if abs(self.lam[0] - 1.0) > 1e-12:
             raise InvariantViolation("lambda(1) = 1 violated at n=1")
         for d in divisors(self.N // self.L):
@@ -339,7 +326,7 @@ def divisor_model_rs_L(w, nu: float, mu: float, N: int) -> complex:
 
 
 def synthetic_maass_form(
-    N: int, L: int, r: float, m_max: int, seed: int = 1, parity: int = 0
+    N: int, L: int, r: float, m_max: int, seed: int = 1
 ) -> MaassFormData:
     """Hecke-consistent synthetic Maass data from deterministic Satake angles."""
     rng = np.random.default_rng(seed)
@@ -361,7 +348,7 @@ def synthetic_maass_form(
     vals = arith.multiplicative_array(local, m_max)
     lifts = {d: (0.83 if d == 1 else -0.41 / math.sqrt(d)) for d in divisors(N // L)}
     return MaassFormData(
-        N=N, L=L, r=r, parity=parity, lam=vals[1:], rho1=1.37, lifts=lifts
+        N=N, L=L, r=r, lam=vals[1:], rho1=1.37, lifts=lifts
     )
 
 
@@ -842,19 +829,16 @@ def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:
 # the factored twisted Dirichlet series: Maass case
 
 
-def curly_L_maass_direct(s, t: float, u: MaassFormData, m_max: int | None = None) -> ValueWithError:
+def curly_L_maass_direct(s, t: float, u: MaassFormData) -> ValueWithError:
     """zeta^(N)(2s) sum_m sigma_{-2it}(m;N) m^{it} conj(rho(m)) m^{-s}."""
     s = complex(s)
     if s.real <= 1.5:
         raise DomainError("direct twisted series needs Re s > 3/2")
-    m_max = u.M if m_max is None else m_max
-    return _depleted_series(arith.sigma_twisted_weights(u.N, t, m_max) * u.rho(m_max), s, u.N, u.scale)
+    return _depleted_series(arith.sigma_twisted_weights(u.N, t, u.M) * u.rho(u.M), s, u.N, u.scale)
 
 
 def _lam_at(u: MaassFormData, idx: int) -> float:
-    """lambda(p^j) with the convention lambda at negative powers = 0."""
-    if idx < 1:
-        return 0.0
+    """lambda(idx) for idx >= 1."""
     if idx > u.M:
         raise InsufficientCoefficientsError(idx)
     return float(u.lam[idx - 1])
@@ -954,10 +938,10 @@ def curly_L_maass_factored(s, t: float, u: MaassFormData) -> complex:
     )
 
 
-def rankin_selberg_maass(s, f: NewformData, u: MaassFormData, m_max: int | None = None) -> ValueWithError:
+def rankin_selberg_maass(s, f: NewformData, u: MaassFormData) -> ValueWithError:
     """zeta^(N)(2s) sum A(m) rho(m) m^{-s}, truncated with a tail certificate (Re s > 1)."""
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError("rankin_selberg_maass direct summation needs Re s > 1")
-    m_max = min(f.M, u.M) if m_max is None else m_max
+    m_max = min(f.M, u.M)
     return _depleted_series(f.A(m_max) * u.rho(m_max), s, f.N, u.scale)

@@ -169,7 +169,12 @@ class MainTermBreakdown:
         return self.M1 + self.M_Omega_plus + self.M_Omega_minus
 
 
-def main_term(ctx: MomentContext, pole_guard: float = 1e-4) -> complex:
+# the least distance from the poles of ``MomentContext._point``: main_term's
+# default, and main_term_breakdown's always
+_POLE_GUARD = 1e-4
+
+
+def main_term(ctx: MomentContext, pole_guard: float = _POLE_GUARD) -> complex:
     """The generic four-term main term at the context's (s, t)."""
     s, (l_plus, l_minus, l_dual_minus, l_dual_plus) = ctx._point(pole_guard)
     t = ctx.t
@@ -250,9 +255,9 @@ def _cusp_euler_poly_sum(ctx: MomentContext, s: complex, sign: int, l_infinity: 
     return acc / zden
 
 
-def main_term_breakdown(ctx: MomentContext, pole_guard: float = 1e-4) -> MainTermBreakdown:
+def main_term_breakdown(ctx: MomentContext) -> MainTermBreakdown:
     """M1, M_Omega^+ and M_Omega^- from their own displays, plus the sum."""
-    s, (l_plus, l_minus, l_dual_minus, l_dual_plus) = ctx._point(pole_guard)
+    s, (l_plus, l_minus, l_dual_minus, l_dual_plus) = ctx._point(_POLE_GUARD)
     it = 1j * ctx.t
 
     # --- M1: the first-moment piece

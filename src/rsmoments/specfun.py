@@ -126,10 +126,10 @@ EULER_GAMMA = 0.5772156649015328606
 # log-gamma, gamma, digamma
 
 
-def _near_nonpositive_integer(z, tol=1e-12):
+def _near_nonpositive_integer(z):
     zr = np.real(z)
     zi = np.imag(z)
-    return (zr < 0.5) & (np.abs(zi) < tol) & (np.abs(zr - np.round(zr)) < tol)
+    return (zr < 0.5) & (np.abs(zi) < 1e-12) & (np.abs(zr - np.round(zr)) < 1e-12)
 
 
 def _mirrored(fn):
@@ -768,9 +768,9 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     The value and error are running totals between steps.  The convergence
     test runs on exact re-sums over the panels in creation order, made
     whenever the running error (with a bound on its rounding) is within
-    twice the tolerance or a running total is not finite, and before
-    returning or raising.  Starting panels that already pass return before
-    any panel is split, with the sums that test would have made.
+    twice the tolerance or a running total is not finite, and always on the
+    starting panels and after the last split.  The heap is built at the
+    first split.
 
     Raises :class:`NonConvergenceError` when ``max_subdivisions`` splits do
     not bring the error within ``spec.tolerance(value)``.
@@ -779,29 +779,27 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
     if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValueError("interval must be two or more strictly increasing edges")
 
-    start = _gk15(f, *edges)
-    # the starting panels' sums in creation order, as the exact re-sum makes them
-    total, total_err = sum(v for v, _ in start), sum(e for _, e in start)
-    if math.isfinite(total_err) and np.isfinite(total) and total_err <= spec.tolerance(total):
-        return ValueWithError(total, total_err)
-
     # live panels by creation number: the starting panels are 0..n0-1
+    start = _gk15(f, *edges)
     panels = {i: (a, b, val, err) for i, (a, b, (val, err)) in enumerate(zip(edges, edges[1:], start))}
     n0 = len(panels)
-
-    def resum():
-        return sum(p[2] for p in panels.values()), sum(p[3] for p in panels.values())
-
-    heap = [_split_key(err, a, i) for i, (a, _b, _val, err) in panels.items()]
-    heapq.heapify(heap)
+    # running totals that are not numbers send the starting panels to the test
+    total = total_err = math.nan
     slack = 0.0
-    for step in range(spec.max_subdivisions):
-        if (not (math.isfinite(total_err) and np.isfinite(total))
+    for step in range(spec.max_subdivisions + 1):
+        last = step == spec.max_subdivisions
+        if (last or not (math.isfinite(total_err) and np.isfinite(total))
                 or total_err <= 2.0 * spec.tolerance(total) + slack):
-            total, total_err = resum()
+            total = sum(p[2] for p in panels.values())
+            total_err = sum(p[3] for p in panels.values())
             slack = 0.0
             if total_err <= spec.tolerance(total):
                 return ValueWithError(total, total_err)
+        if last:
+            raise NonConvergenceError("integrate_line exhausted max_subdivisions", total, total_err)
+        if step == 0:
+            heap = [_split_key(err, a, i) for i, (a, _b, _val, err) in panels.items()]
+            heapq.heapify(heap)
         i = heapq.heappop(heap)[2]
         pa, pb, pval, perr = panels.pop(i)
         pm = 0.5 * (pa + pb)
@@ -815,8 +813,6 @@ def integrate_line(f: Callable, spec: QuadratureSpec, interval: Sequence[float])
         # three roundings, each at most eps/2 of a partial sum below this bound
         slack += 2.0 * _EPS * (total_err + e1 + e2 + perr)
         total_err += e1 + e2 - perr
-    total, total_err = resum()
-    raise NonConvergenceError("integrate_line exhausted max_subdivisions", total, total_err)
 
 
 def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> complex:

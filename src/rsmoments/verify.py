@@ -4,7 +4,9 @@ Each check returns a :class:`CheckResult` carrying the measured numbers, the
 threshold it was held to, and a pass flag.  ``run_suite`` executes a list of
 checks and prints one PASS/FAIL line per criterion; the CLI ``verify``
 command and the pytest acceptance module both consume this registry, so the
-command line and the test suite can never drift apart.
+command line and the test suite can never drift apart.  The CLI's
+``tau --oracle`` and ``moment-table`` tables are ``tau_against_oracle`` and
+``moment_table``, the code criteria 3 and 10 run.
 
 One criterion is implemented exactly as stated although its stated desk
 parameters are not attainable (the measured value is reported alongside):
@@ -84,6 +86,18 @@ def check_h0_decay() -> CheckResult:
     )
 
 
+def tau_against_oracle(cusp: CuspLabel, s, n: int, max_height: int) -> tuple:
+    """Criterion 3 at one coefficient: tau_cusp(cusp, s, n), the lattice
+    oracle summed to ``max_height``, whether tau vanishes identically, and
+    |oracle - tau|, relative to |tau| where it does not vanish."""
+    trunc = eisenstein.LatticeTruncation(max_height=max_height, fourier_y=0.5 / abs(n), fourier_points=128)
+    oracle = eisenstein.tau_oracle(cusp, s, n, trunc)
+    tau = eisenstein.tau_cusp(cusp, s, n)
+    vanishes = abs(tau) < 1e-10
+    gap = abs(oracle - tau)
+    return tau, oracle, vanishes, (gap if vanishes else gap / abs(tau))
+
+
 def check_eisenstein_oracle() -> CheckResult:
     """Criterion 3: tau formula vs lattice oracle, all cusps N in {1,2,3,4,6,9}."""
     t0 = time.time()
@@ -94,20 +108,11 @@ def check_eisenstein_oracle() -> CheckResult:
         for cusp in enumerate_cusps(N):
             for s in (1.2, 1.5):
                 for n in (1, 2, 3):
-                    trunc = eisenstein.LatticeTruncation(
-                        max_height=1600, fourier_y=0.5 / n, fourier_points=128
-                    )
-                    v = eisenstein.tau_oracle(cusp, s, n, trunc)
-                    w = eisenstein.tau_cusp(cusp, s, n)
-                    if abs(w) < 1e-10:
-                        # identically vanishing coefficient: oracle must agree
-                        if abs(v) > 1e-5:
-                            worst = math.inf
-                            worst_case = (N, cusp.a, cusp.c, s, n)
-                        continue
-                    rel = abs(v - w) / abs(w)
-                    if rel > worst:
-                        worst, worst_case = rel, (N, cusp.a, cusp.c, s, n)
+                    _, _, vanishes, gap = tau_against_oracle(cusp, s, n, 1600)
+                    if vanishes:  # the oracle must vanish too
+                        gap = math.inf if gap > 1e-5 else 0.0
+                    if gap > worst:
+                        worst, worst_case = gap, (N, cusp.a, cusp.c, s, n)
     for s in (1.2, 1.5):
         for n in (1, 2, 3):
             v = eisenstein.tau_cusp(CuspLabel(1, 1, 1), s, n)
@@ -271,6 +276,25 @@ def check_pole_cancellation() -> CheckResult:
     return CheckResult("pole-cancellation", worst < 1e-3, {"worst_rel": worst})
 
 
+def moment_table(f: lseries.NewformData, T_grid, alpha: float, R: float) -> tuple:
+    """Criterion 10's table for f = g: c = ``leading_coeff(3, ...)`` and a row
+    (T, M, Re M / (T^{1+alpha} (log T)^3)) per T, the ratio that tends to c,
+    with M = M(1/2, 0) the t -> 0 limit of the feq_minus display."""
+    c = moments.leading_coeff(3, f.N, lseries.selfdual_rs_constants(f)["residue"])
+    rows = []
+    for T in T_grid:
+        kp = TestFunctionParams(T=T, alpha=alpha, R=R)
+
+        def builder(t, kp=kp):
+            return moments.MomentContext(
+                t=t, f=f, g=f, N=f.N, kernel=KernelContext(kp, t=t, k=f.k), s=None
+            )
+
+        val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
+        rows.append((T, val, val.real / (T ** (1.0 + alpha) * math.log(T) ** 3)))
+    return c, rows
+
+
 def check_leading_coeff_trend() -> CheckResult:
     """Criterion 10: M(1/2, 0)/(T^1.5 (log T)^3) trend toward the leading coefficient.
 
@@ -279,19 +303,8 @@ def check_leading_coeff_trend() -> CheckResult:
     log-polynomial close the remaining gap only slowly.
     """
     t0 = time.time()
-    f = lseries.delta_newform(20000)
-    c = moments.leading_coeff(3, 1, lseries.selfdual_rs_constants(f)["residue"])
-    ratios = []
-    for T in (100.0, 200.0, 400.0, 800.0):
-        kp = TestFunctionParams(T=T, alpha=0.5, R=1.0)
-
-        def builder(t, kp=kp):
-            return moments.MomentContext(
-                t=t, f=f, g=f, N=1, kernel=KernelContext(kp, t=t, k=12), s=None
-            )
-
-        val = moments.main_term_t0_limit(builder, "feq_minus", t_nodes=(0.04, 0.02, 0.01))
-        ratios.append(val.real / (T**1.5 * math.log(T) ** 3))
+    c, table = moment_table(lseries.delta_newform(20000), (100.0, 200.0, 400.0, 800.0), 0.5, 1.0)
+    ratios = [ratio for _, _, ratio in table]
     dists = [abs(r - c) for r in ratios]
     monotone = all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     steps_ok = all(
@@ -511,15 +524,15 @@ SUITES = {
 }
 
 
-def run_suite(suite: str = "all", out=print):
-    """Run a named suite of checks; returns the list of results."""
+def run_suite(suite: str = "all"):
+    """Run a named suite of checks, printing one line per check; returns the list of results."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     results = []
     for chk in SUITES[suite]:
         res = chk()
         results.append(res)
-        out(res.line())
+        print(res.line())
         if res.detail and not res.passed:
-            out(f"       note: {res.detail}")
+            print(f"       note: {res.detail}")
     return results

@@ -213,6 +213,14 @@ class TestH0:
             kn._gamma_ratio_pole_check(-2.0 + 80.0j, ctx, lo, hi)
         kn._gamma_ratio_pole_check(-2.0 - 200.0j, ctx, lo, hi)
 
+    def test_no_pole_at_a_non_integer_gamma_argument(self):
+        # k/2 + Re(ix) = -0.5 is not a pole of the gamma factors, though
+        # Im(ix) = 50 sits in the window, where -6 + 50j (a = 0) is one
+        ctx = kn.KernelContext(kn.TestFunctionParams(T=50.0, alpha=0.5, R=1.0), t=0.0, k=12)
+        assert np.isfinite(kn.H0(-6.5 + 50.0j, ctx))
+        with pytest.raises(PoleError):
+            kn.H0(-6.0 + 50.0j, ctx)
+
 
 class TestKernelContext:
     def test_frozen(self):

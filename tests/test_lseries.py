@@ -427,7 +427,7 @@ class TestReadOnlyCaches:
 
     def test_form_data_holds_private_read_only_copies(self):
         lam = np.array([1.0, -0.5, 0.25, 0.75])
-        u = ls.MaassFormData(N=1, L=1, r=9.53, parity=0, lam=lam, rho1=1.0, lifts={1: 1.0})
+        u = ls.MaassFormData(N=1, L=1, r=9.53, lam=lam, rho1=1.0, lifts={1: 1.0})
         lam[1] = 5.0  # the caller's later writes do not reach the form
         assert u.lam[1] == -0.5
         with pytest.raises(ValueError):

@@ -73,6 +73,12 @@ class TestZSeries:
         for m in (1, 2, 6, 60, 200):
             assert abs(w[m - 1] - ar.sigma_complex(m, 0)) < 1e-12
 
+    def test_no_outer_weight_gives_zero(self, delta):
+        # sigma(1; 4) = 0, so at N = 4 and M_outer = 1 no shift is left
+        req = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=4, M_outer=1, M_inner=100)
+        assert sh.Z_series(req, delta, delta).value == 0.0
+        assert sh.Z_series_double(req, delta, delta).value == 0.0
+
     def test_monotone_tail(self, delta):
         r1 = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=1000, M_inner=1500)
         r2 = sh.ShiftedSeriesRequest(s=8.3 + 0.5j, v=7.1 + 0j, t=0.7, N=1, M_outer=4000, M_inner=1500)

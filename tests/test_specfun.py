@@ -363,6 +363,20 @@ class TestIntegrateLine:
         with pytest.raises(sf.NonConvergenceError):
             sf.integrate_line(lambda r: 1.0 / (r - 0.37), spec, interval=(0.0, 1.0))
 
+    def test_state_after_the_last_split_is_tested(self):
+        # this Lorentzian passes after its 8th split: at max_subdivisions 8
+        # the state that split leaves is tested too, not refused untested
+        def f(r):
+            return np.exp(5j * r) / (1.0 + 25.0 * (r - 0.3) ** 2)
+
+        def at(max_subdivisions):
+            spec = sf.QuadratureSpec(rel_tol=1e-10, max_subdivisions=max_subdivisions)
+            return sf.integrate_line(f, spec, interval=(-1.0, 1.0))
+
+        with pytest.raises(sf.NonConvergenceError):
+            at(7)
+        assert at(8) == at(100)
+
     @staticmethod
     def _linear_scan(f, spec, a, b):
         """The adaptive loop as a linear scan with full re-sums every step."""

@@ -6,15 +6,16 @@
 
 PARENT and CHANGE are two checkouts.  Each pair runs
 
-    python3 bench/run.py --workload W --seed S --seconds 40 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds RUN_SECONDS --trace 0
 
-once in each, the parent first in even pairs and the change first in odd
-ones, with PYTHONDONTWRITEBYTECODE=1, so that every run compiles the package
-as a fresh checkout does.  For each end-to-end metric the summary gives each
-side's median and quartiles, the pairs the change won (ties count for
-neither side), the change's median against the parent's in percent, and
-whether the two medians differ by more than the parent's interquartile
-range; every run follows.  The summary is printed, or with --out stored as
+at BENCHMARK.json's ``run_seconds``, once in each, the parent first in even
+pairs and the change first in odd ones, with PYTHONDONTWRITEBYTECODE=1, so
+that every run compiles the package as a fresh checkout does.  For each
+end-to-end metric of BENCHMARK.json the summary gives each side's median and
+quartiles, the pairs the change won (ties count for neither side), the
+change's median against the parent's in percent, and whether the two medians
+differ by more than the parent's interquartile range; every run follows.
+The summary is printed, or with --out stored as
 ``workloads["W_seedS"]`` of that JSON file, which is created if need be.
 """
 
@@ -23,11 +24,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-METRICS = ("setup_s", "wall_s", "peak_rss_mb")  # all lower-is-better
-SECONDS = 40  # BENCHMARK.json's run_seconds
+_BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+SECONDS = _BENCHMARK["run_seconds"]
+METRICS = tuple(m["name"] for m in _BENCHMARK["end_to_end"])  # all lower-is-better
 
 
 def run_once(checkout, workload, seed):

@@ -4,11 +4,11 @@
     python3 tools/ledger.py record --workload W --seed S --out PATH
     python3 tools/ledger.py compare A B
 
-``record`` builds the batch of ``bench/run.py --workload W --seed S
---seconds 40`` from the checkout the tool sits in (the library from its
-``src/``, BLAS threads capped at min(CPUs, 2) before numpy loads, as
-``bench/run.py`` does) and runs its items in order.  For each item it
-writes each check's label, value, route and gate (``tol``, ``floor`` and
+``record`` builds the batch of ``bench/run.py --workload W --seed S`` at
+BENCHMARK.json's ``run_seconds`` from the checkout the tool sits in (the
+library from its ``src/``, BLAS threads capped at min(CPUs, 2) before numpy
+loads, as ``bench/run.py`` does) and runs its items in order.  For each item
+it writes each check's label, value, route and gate (``tol``, ``floor`` and
 ``ref_tol``), or the type and message of the exception the item raised.
 
 ``compare`` pairs the items of two ledgers by id and their checks by
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SECONDS = 40  # BENCHMARK.json's run_seconds
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 GATE = ("tol", "floor", "ref_tol")  # bench.workloads.Check's bounds
 
 
