@@ -396,15 +396,16 @@ def sigma_twisted_N(m: int, N: int, t: float) -> complex:
 
     Equals N^{-2it}/rad(N) * P_N(1/2 + it, m) * sigma^{(N)}_{-2it}(m) when
     N/rad(N) divides m, and 0 otherwise.  At t = 0 the removable local
-    limits replace the P factors.
+    limits replace the P factors.  One m at a time, from the definition:
+    the independent route to ``sigma_twisted_array``.
     """
     if m < 1 or N < 1:
         raise ValueError("sigma_twisted_N requires m, N >= 1")
     rad = math.prod(prime_divisors(N))
     if m % (N // rad) != 0:
         return 0.0 + 0.0j
-    # times 1/rad, the rounding of numpy's complex-by-real quotient, which
-    # first_moment_pieces' L^- (a sum with heavy cancellation) keeps
+    # times 1/rad, the rounding of numpy's complex-by-real quotient, as
+    # sigma_twisted_blocks forms it
     pref = _pp(N, -2j * t) * (1.0 / rad) if N > 1 else 1.0
     if abs(t) < _T_ZERO:
         ploc = 1.0

@@ -256,12 +256,6 @@ def tau_cusp_blocks(cusp: CuspLabel, s, m_max: int, block: int):
     yield from map(tau_from, range(0, m_max, block))  # map keeps no block alive once it is read
 
 
-def tau_cusp_array(cusp: CuspLabel, s, m_max: int) -> np.ndarray:
-    """tau_{1/(c a)}(s, m) for m = 1..m_max as a vector (index m-1):
-    ``tau_cusp_blocks`` in one block."""
-    return next(tau_cusp_blocks(cusp, s, m_max, max(m_max, 1)), np.zeros(0, dtype=complex))
-
-
 def tau_level_one(s, n: int) -> complex:
     """Classical level-1 coefficient 2 pi^s |n|^{s-1/2} sigma_{1-2s}(|n|) / (Gamma(s) zeta(2s))."""
     s = complex(s)

@@ -54,8 +54,8 @@ class TestFunctionParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.T < 10.0:
-            raise ValueError("need T >= 10")
+        if not 10.0 <= self.T < math.inf:
+            raise ValueError("need finite T >= 10")
         if not (1.0 / 3.0 < self.alpha < 2.0 / 3.0):
             raise ValueError("need 1/3 < alpha < 2/3")
         if not (1.0 <= self.R < self.T**2):
@@ -101,6 +101,8 @@ class KernelContext:
     def __post_init__(self):
         if self.k < 4 or self.k % 2:
             raise ValueError("weight k must be an even integer >= 4")
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
 
     def cached_H0(self, ix) -> complex:
         """H0(ix), computed once per exact argument."""
@@ -144,13 +146,8 @@ def h_eval(r, p: TestFunctionParams, enforce_strip: bool = True):
 
 
 def tanh_pi(r):
-    """tanh(pi r), saturating (overflow-free) for large |r|."""
-    return np.tanh(math.pi * np.asarray(r, dtype=float))
-
-
-def _spectral_weight(r, ctx: KernelContext):
-    """h(r) r tanh(pi r), the weight every H0-type integrand carries."""
-    return h_eval(r, ctx.params) * r * tanh_pi(r)
+    """tanh(pi r) for real or complex r, saturating (overflow-free) for large |Re r|."""
+    return np.tanh(math.pi * np.asarray(r))
 
 
 def _gamma_ratio_pole_check(ix: complex, ctx: KernelContext, lo: float, hi: float):
@@ -169,7 +166,7 @@ def _h0_ix_free(r, ctx: KernelContext):
     """log G(ir + a), log G(-ir + a) (a = k/2 + it) and h(r) r tanh(pi r):
     the factors of H0's integrand that do not depend on ix."""
     a = ctx.k / 2.0 + 1j * ctx.t
-    return _loggamma(1j * r + a), _loggamma(-1j * r + a), _spectral_weight(r, ctx)
+    return _loggamma(1j * r + a), _loggamma(-1j * r + a), h_eval(r, ctx.params) * r * tanh_pi(r)
 
 
 def _h0_integrand_factory(ix: complex, ctx: KernelContext):
@@ -206,34 +203,23 @@ def H0(ix, ctx: KernelContext) -> complex:
     return 2.0 * val / math.pi**2
 
 
-def _psi_sum(r, shift, k):
-    """psi(ir + shift + k/2) + psi(-ir + shift + k/2) on a real grid r."""
-    a = k / 2.0 + shift
-    return digamma_family(1j * r + a) + digamma_family(-1j * r + a)
-
-
 def H0_derivative(variant: str, ctx: KernelContext) -> complex:
     """The displayed psi-weighted integral for the first s-derivative of H0.
 
-    variant "minus": d/ds of H0(-2s+1-2it) at s = 1/2 - it; variant "plus":
-    d/ds of H0(-2s+1) at s = 1/2 + it.  The "plus" integrand is H0's own
-    integrand at ix = -2it times its psi-sum, so on the starting panels it
-    reads the context's cached ix-free factors.
+    variant "minus": d/ds of H0(-2s+1-2it) at s = 1/2 - it, where ix = 0;
+    variant "plus": d/ds of H0(-2s+1) at s = 1/2 + it, where ix = -2it.
+    The integrand is H0's own at that ix times psi(ir + b) + psi(-ir + b),
+    b = ix + k/2 + it, so on the starting panels it reads the context's
+    cached ix-free factors.
     """
     if variant not in ("minus", "plus"):
         raise DomainError("variant must be 'minus' or 'plus'")
-    k = ctx.k
-    t = ctx.t
-    if variant == "minus":
+    ix = 0j if variant == "minus" else -2j * ctx.t
+    h0_at = _h0_integrand_factory(ix, ctx)
+    b = ix + (ctx.k / 2.0 + 1j * ctx.t)
 
-        def f(r):
-            return _spectral_weight(r, ctx) * _psi_sum(r, 1j * t, k)
-
-    else:
-        h0_at = _h0_integrand_factory(-2j * t, ctx)
-
-        def f(r):
-            return h0_at(r) * _psi_sum(r, -1j * t, k)
+    def f(r):
+        return h0_at(r) * (digamma_family(1j * r + b) + digamma_family(-1j * r + b))
 
     val, _ = integrate_line(f, ctx.quad, interval=ctx.params.window_edges)
     return -4.0 / math.pi**2 * val

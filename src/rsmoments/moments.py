@@ -627,6 +627,8 @@ def continuous_part(
         raise DomainError("continuous_part is the level-1 integral")
     if ctx.s is None:
         raise DomainError("continuous_part needs ctx.s")
+    if not 0.0 < points_per_unit < math.inf:
+        raise DomainError("points_per_unit must be positive and finite")
     s = complex(ctx.s)
     t = ctx.t
     p = ctx.kernel.params
@@ -675,23 +677,24 @@ def continuous_part(
     return ValueWithError(complex(total), err + tail)
 
 
-# bytes of the L^+ inner sums' largest array, the panels x m factor P, per
+# bytes of the L^-+ inner sums' largest array, the panels x m factor P, per
 # block of m: at 512 KiB one block is 1,365 m at 24 v-panels and 204 at 160,
 # and the sums' memory stays near 2 MB at any panel count or m_inner
 _INNER_BLOCK_BYTES = 1 << 19
 
 
-def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
-    """sum_m weights[m-1] m^{-v+it} at the GK15 nodes v = sigma_v + iy of the
-    equal panels ``edges``, in :func:`gk15_panel_nodes`' panel-major order.
+def _inner_sums(edges, sigma: float, t: float, weights) -> np.ndarray:
+    """sum_m weights[m-1] m^{-v+it} at the GK15 nodes v = sigma + iy of the
+    equal panels ``edges``, in :func:`gk15_panel_nodes`' panel-major order:
+    the inner sums of L^+ (sigma = sigma_v) and of L^- (sigma = sigma_0 + k/2).
 
-    Node (p, j) is y = mid_p + h x_j, so m^{-v+it} = m^{-sigma_v + it - i mid_p}
+    Node (p, j) is y = mid_p + h x_j, so m^{-v+it} = m^{-sigma + it - i mid_p}
     times m^{-i h x_j}: a panels x m factor P (weights folded in) and a
     15 x m factor Q, and the sums are the product P Q^T.  Each factor is
     built from the v-grid's structure:
 
     * mid_p = mid_{Fa} + 2hb for p = F a + b, with F about sqrt(panels),
-      so P's row p is C_a D_b with C_a = m^{-sigma_v + it - i mid_{Fa}} and
+      so P's row p is C_a D_b with C_a = m^{-sigma + it - i mid_{Fa}} and
       D_b = m^{-2ihb};
     * the nodes come in pairs x_{14-j} = -x_j with x_7 = 0, so Q's rows are
       7 exps, a row of ones and their conjugates.
@@ -707,7 +710,7 @@ def _lplus_inner_sums(edges, sigma_v: float, t: float, weights) -> np.ndarray:
     # the edges, relative 1e-14 at 160 panels, into every 2hb
     h = 0.5 * (edges[-1] - edges[0]) / n_p
     n_fine = math.isqrt(n_p)
-    coarse = -sigma_v + 1j * (t - mids[::n_fine])
+    coarse = -sigma + 1j * (t - mids[::n_fine])
     fine = -2j * h * np.arange(n_fine)
     half = -1j * h * _NODES[:7]
     step = max(1, _INNER_BLOCK_BYTES // (16 * n_p))
@@ -796,25 +799,20 @@ def _l_minus(n, ctx, sigma_u, sigma_0, inner_panels, window) -> complex:
         return 0.0 + 0.0j
     k, t, p = ctx.k, ctx.t, ctx.kernel.params
     it = 1j * t
-    ms = np.arange(1, n)
-    sig_nm = np.array([arith.sigma_twisted_N(int(n - m), ctx.N, t) for m in ms])
-    am = ctx.f.a[: n - 1]
     # the v-integrand decays like exp(-pi(|Im v| - |t|)) here
     rv_max = abs(t) + 50.0 / math.pi
     edges = np.linspace(-rv_max, rv_max, int(inner_panels) + 1)
     nodes, wts = gk15_panel_nodes(edges)
     v = sigma_0 + 1j * nodes
-    # sum_m a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}
-    inner = np.exp(np.multiply.outer(-v + it - k / 2.0, arith.log_table(n - 1)[::-1])) @ (
-        am * sig_nm
-    )
+    # sum_{m < n} a(m) sigma(n-m; N) (n-m)^{-v+it-k/2}, over j = n - m
+    weights = arith.sigma_twisted_array(ctx.N, t, n - 1) * ctx.f.a[n - 2 :: -1]
     with np.errstate(divide="ignore"):
         log_c = (
             np.log(wts / TWO_PI)
             + _loggamma(k / 2.0 - it + v)
             + _loggamma(k / 2.0 + it + v)
             + v * math.log(n)
-            + np.log(inner)
+            + np.log(_inner_sums(edges, sigma_0 + k / 2.0, t, weights))
         )
 
     def log_pref(gam):
@@ -859,7 +857,7 @@ def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
         + _loggamma(v - it)
         + _loggamma(v + it)
         + (v - k / 2.0) * math.log(n)
-        + np.log(_lplus_inner_sums(edges, sigma_v, t, weights))
+        + np.log(_inner_sums(edges, sigma_v, t, weights))
     )
     del weights  # the lattice below does not read the inner series
 

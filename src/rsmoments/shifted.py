@@ -26,10 +26,9 @@ each shift's row is the dot of a sliding window onto it (or onto the
 coefficients) with a fixed vector, every row at once, with no array of the
 terms; the envelope's block maxima come from the moduli of the same two
 factors, one fit serves all rows, and the weighted outer sum is accumulated
-over m in order.  ``shifted_D`` and
-``shifted_inner_lower`` are the one-row case of the same evaluation.  The
-raw paths instead form every term, a block of rows at a time
-(``_raw_rows``), and reach neither ``_window_dots`` nor ``_shift_rows``.
+over m in order.  The raw paths instead form every term, a block of rows at
+a time (``_raw_rows``), and reach neither ``_window_dots`` nor
+``_shift_rows``.
 
 The spectral expansions of Z and M3 need triple-product data that is out
 of scope here; the region flags on :class:`ShiftedSeriesRequest` record
@@ -234,37 +233,6 @@ def _raw_rows(slid: np.ndarray, fixed: np.ndarray, powers: np.ndarray) -> np.nda
         out.real[block] = np.einsum("ij,ij->i", terms, parts[0][block])
         out.imag[block] = np.einsum("ij,ij->i", terms, parts[1][block])
     return out
-
-
-def shifted_D(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
-    """D(w; m) = sum_{n <= n_max} a(n+m) conj(b(n)) n^{-w-k+1} + tail bound.
-
-    Needs Re w > 1 (terms are <= d(n+m) d(n) (1+m/n)^{(k-1)/2} n^{-Re w}),
-    m >= 1 and n_max >= 1.
-    """
-    w = complex(w)
-    if w.real <= 1.0:
-        raise DomainError("shifted_D needs Re w > 1")
-    _require_counts(m=m, n_max=n_max)
-    if n_max + m > f.M or n_max > g.M:
-        raise InsufficientCoefficientsError(n_max + m)
-    values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=False)
-    return ValueWithError(complex(values[0]), float(tails[0]))
-
-
-def shifted_inner_lower(w, m: int, f: NewformData, g: NewformData, n_max: int) -> ValueWithError:
-    """sum_{n = m+1}^{m + n_max} a(n-m) conj(b(n)) n^{-w-k+1} + tail bound.
-
-    Needs Re w > 1, m >= 1 and n_max >= 1.
-    """
-    w = complex(w)
-    if w.real <= 1.0:
-        raise DomainError("shifted_inner_lower needs Re w > 1")
-    _require_counts(m=m, n_max=n_max)
-    if n_max > f.M or n_max + m > g.M:
-        raise InsufficientCoefficientsError(n_max + m)
-    values, tails = _shift_rows(w, np.array([m]), f, g, n_max, lower=True)
-    return ValueWithError(complex(values[0]), float(tails[0]))
 
 
 def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):

@@ -80,11 +80,11 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.abs_tol < 0:
+        if not self.abs_tol >= 0:
             raise ValueError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise ValueError("max_subdivisions must be a positive integer")
 
     def tolerance(self, value) -> float:
@@ -515,12 +515,12 @@ def _panel_rows(log_k, base, pair, offset, keep, mirror):
 
     A row is built when the first v-panel that reads it comes, and its slot
     is reused once the last one has passed, so tab holds only the rows of
-    the panels in flight, at 3,600 bytes a row.  With ``mirror`` = R, row
-    R - r holds the negated abscissae of row r, so it is the conjugate of
-    row r with (i, j) reversed: a read row whose partner below it is read
-    too is filled that way, so the partner is built by then and kept until
-    then.  Each row is thus evaluated or mirrored as a whole table of the
-    read rows would do it, and has that table's bits.
+    the panels in flight, at 3,600 bytes a row.  Row ``mirror`` - r holds
+    the negated abscissae of row r, so it is the conjugate of row r with
+    (i, j) reversed: a read row whose partner below it is read too is filled
+    that way, so the partner is built by then and kept until then.  Each row
+    is thus evaluated or mirrored as a whole table of the read rows would do
+    it, and has that table's bits.
     """
     n_rows, n_v = len(base), len(offset)
     first = np.full(n_rows, n_v)
@@ -530,13 +530,12 @@ def _panel_rows(log_k, base, pair, offset, keep, mirror):
     np.maximum.at(last, p + offset[q], q)
     del p, q
     source = np.arange(n_rows)
-    if mirror is not None:
-        r = np.flatnonzero(last >= 0)
-        r = r[(mirror - r >= 0) & (mirror - r < r)]
-        r = r[last[mirror - r] >= 0]
-        source[r] = mirror - r
-        first[mirror - r] = np.minimum(first[mirror - r], first[r])
-        last[mirror - r] = np.maximum(last[mirror - r], first[r])
+    r = np.flatnonzero(last >= 0)
+    r = r[(mirror - r >= 0) & (mirror - r < r)]
+    r = r[last[mirror - r] >= 0]
+    source[r] = mirror - r
+    first[mirror - r] = np.minimum(first[mirror - r], first[r])
+    last[mirror - r] = np.maximum(last[mirror - r], first[r])
     built = np.flatnonzero(last >= 0)
     born = built[np.argsort(first[built], kind="stable")]  # by first panel, then by row
     dies = built[np.argsort(last[built], kind="stable")]
@@ -575,10 +574,10 @@ def integrate_aligned_lattice(
 ) -> ValueWithError:
     """int pref(g) sum_{q,j} c_qj K-(g - y_qj) K+(g + y_qj) dg over ``window``.
 
-    The y_qj are the GK15 nodes of the equal v-panels ``v_edges``
-    (:func:`gk15_panel_nodes` order, which ``log_c`` follows).  The g-rule
-    is GK15 on u-panels of width H = H_v / m with edges on the v-panels'
-    grid, covering ``window``.  On that lattice g - y depends only on
+    The y_qj are the GK15 nodes of the equal v-panels ``v_edges``, a grid
+    centred on 0 (:func:`gk15_panel_nodes` order, which ``log_c`` follows).
+    The g-rule is GK15 on u-panels of width H = H_v / m with edges on the
+    v-panels' grid, covering ``window``.  On that lattice g - y depends only on
     (p - m q, i, j) and g + y only on (p + m q, i, j) for u-panel p, v-panel
     q and nodes i, j, so K- and K+ are tabulated over those rows, and
     v-panel q contracts a contiguous slice of each table.  ``log_pref``,
@@ -603,10 +602,11 @@ def integrate_aligned_lattice(
       bounds can be loose by many orders, so the cut is absolute, never
       relative to the largest bound.)
     * **The mirror.**  By the second, where table row R - r holds the negated
-      abscissae of row r (always for K-, and for K+ when the v-grid is
-      centred on 0), it is the conjugate of row r with (i, j) reversed; a
-      needed row whose partner below it is needed too is filled that way,
-      and any other is evaluated, so one code path serves every window.
+      abscissae of row r (in both tables, since the v-grid is centred on 0),
+      it is the conjugate of row r with (i, j) reversed; a needed row whose
+      partner below it is needed too is filled that way, and any other is
+      evaluated, so one code path serves every window.  A v-grid off the
+      centre has no such partners, and is refused with :class:`DomainError`.
 
     ``pole = (a, r)`` subtracts sum_qj r_qj / (a + i(g - y_qj)) from the
     integrand and adds its integral over the lattice window back in closed
@@ -626,10 +626,11 @@ def integrate_aligned_lattice(
     v_edges = np.asarray(v_edges, dtype=float)
     n_v = len(v_edges) - 1
     e0 = float(v_edges[0])
+    if e0 != -float(v_edges[-1]):
+        raise DomainError("integrate_aligned_lattice needs a v-grid centred on 0")
     h_v = (float(v_edges[-1]) - e0) / n_v
-    # positions are kept as c + h * (a multiple of 1/2) + node offsets, with
-    # c the grid centre, so mirror nodes of a symmetric grid are exact negatives
-    c = 0.5 * (e0 + float(v_edges[-1]))
+    # positions are kept as h * (a multiple of 1/2) + node offsets, so
+    # mirror nodes are exact negatives
     lo, hi = window
     log_c = np.asarray(log_c).ravel()
     c_t, c_scale = _row_scaled(log_c.reshape(n_v, 15))
@@ -670,22 +671,22 @@ def integrate_aligned_lattice(
             raise NonConvergenceError(
                 "integrate_aligned_lattice exceeded max_subdivisions u-panels", val, err
             )
-        k_lo = p_lo - 0.5 * m * n_v  # the first u-panel's left edge is c + h k_lo
-        gam = c + h * ((np.arange(n_u) + k_lo + 0.5)[:, None] + 0.5 * _NODES)
+        k_lo = p_lo - 0.5 * m * n_v  # the first u-panel's left edge is h k_lo
+        gam = h * ((np.arange(n_u) + k_lo + 0.5)[:, None] + 0.5 * _NODES)
         pref_t, pref_scale = _row_scaled(np.asarray(log_pref(gam.ravel())).reshape(n_u, 15))
         del gam
         # with p, q counted from the first v-edge, g - y sits on row
         # d - d_min for d = p - m q and g + y on row e - p_lo for e = p + m q;
         # row r's abscissae are base[r] + pair[i, j] for the node pair (i, j).
         # Both offsets are multiples of 1/2, so row R - r, R = -2 off, holds
-        # exactly the negated abscissae of row r (for K+ only when c = 0)
+        # exactly the negated abscissae of row r
         n_rows = n_u + m * (n_v - 1)
         pair_minus = 0.5 * h * np.subtract.outer(_NODES, m * _NODES)
         pair_plus = 0.5 * h * np.add.outer(_NODES, m * _NODES)
         off_minus = p_lo - m * (n_v - 1) + 0.5 * (1 - m)
         off_plus = k_lo + 0.5 * (1 - m * (n_v - 1))
         base_minus = (np.arange(n_rows) + off_minus) * h
-        base_plus = (np.arange(n_rows) + off_plus) * h + 2.0 * c
+        base_plus = (np.arange(n_rows) + off_plus) * h
         # v-panel q reads rows p + m (n_v - 1 - q) of K- and p + m q of K+
         offset_minus = m * (n_v - 1 - np.arange(n_v))
         offset_plus = m * np.arange(n_v)
@@ -702,8 +703,7 @@ def integrate_aligned_lattice(
         keep.ravel()[order[:n_skip]] = False
         del log_bound, bound, order, spent
         k_minus = _panel_rows(log_k_minus, base_minus, pair_minus, offset_minus, keep, round(-2.0 * off_minus))
-        k_plus = _panel_rows(log_k_plus, base_plus, pair_plus, offset_plus, keep,
-                             round(-2.0 * off_plus) if c == 0.0 else None)
+        k_plus = _panel_rows(log_k_plus, base_plus, pair_plus, offset_plus, keep, round(-2.0 * off_plus))
         # every sum below runs over q in ascending order
         f = np.zeros((n_u, 15), dtype=complex)
         for q, (km_t, km_slot, km_scale), (kp_t, kp_slot, kp_scale) in zip(range(n_v), k_minus, k_plus):
@@ -734,7 +734,7 @@ def integrate_aligned_lattice(
                         sub[s0:s1] += poles[s0 + dq - r0:s1 + dq - r0] @ r[q]
             f -= sub
             poles = sub = None
-        closed = closed_form(c + h * k_lo, c + h * (k_lo + n_u))
+        closed = closed_form(h * k_lo, h * (k_lo + n_u))
         last_err = err
         with np.errstate(invalid="ignore"):
             val = complex(0.5 * h * np.sum(f @ _W15)) + closed

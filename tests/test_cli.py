@@ -191,6 +191,14 @@ class TestErrors:
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ppu", ["-1", "0", "nan", "inf"])
+    def test_points_per_unit_refused(self, capsys, ppu):
+        code, out, err = run_cli(["continuous", "--T", "11", "--alpha", "0.5", "--t", "0.5",
+                                  "--points-per-unit", ppu], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "points_per_unit must be positive and finite"}
+
     def test_horizon_past_the_limit_rejected(self, capsys):
         from rsmoments import lseries
 

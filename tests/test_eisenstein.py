@@ -16,6 +16,11 @@ from rsmoments.specfun import DomainError, NonConvergenceError, complex_gamma, r
 LEVEL1 = CuspLabel(1, 1, 1)
 
 
+def _tau_array(cusp, s, m_max):
+    """tau_{1/(c a)}(s, m) for m = 1..m_max (index m-1): tau_cusp_blocks in one block."""
+    return next(eis.tau_cusp_blocks(cusp, s, m_max, m_max))
+
+
 def _valid_rows(N: int, a: int, c: int, max_height: int):
     """Valid bottom rows of sigma_a^{-1} Gamma_0(N): list of (ct, array-of-d0).
 
@@ -105,7 +110,7 @@ class TestTauCusp:
 
     def test_array_matches_scalar(self):
         for cusp in (CuspLabel(4, 2, 1), CuspLabel(9, 3, 1), CuspLabel(6, 3, 1)):
-            arr = eis.tau_cusp_array(cusp, 1.3 + 0.2j, 60)
+            arr = _tau_array(cusp, 1.3 + 0.2j, 60)
             for m in (1, 2, 3, 7, 24, 60):
                 v = eis.tau_cusp(cusp, 1.3 + 0.2j, m)
                 assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v))
@@ -124,14 +129,14 @@ class TestTauCusp:
     )
     def test_array_matches_scalar_property(self, cusp, m_max, data, re_s, im_s):
         s = complex(re_s, im_s)
-        arr = eis.tau_cusp_array(cusp, s, m_max)
+        arr = _tau_array(cusp, s, m_max)
         for m in data.draw(st.lists(st.integers(1, m_max), min_size=1, max_size=4)):
             v = eis.tau_cusp(cusp, s, m)
             assert abs(arr[m - 1] - v) < 1e-12 * (1 + abs(v))
 
 
-# SHA-256 of tau_cusp_array(CuspLabel(N, a, c), 1/2 + 0.37i, 10**5), recorded
-# from the per-d divisor-sum loop that the shared sieve replaced
+# SHA-256 of tau_cusp_blocks(CuspLabel(N, a, c), 1/2 + 0.37i, 10**5) in one
+# block, recorded from the per-d divisor-sum loop that the shared sieve replaced
 TAU_CUSP_SHA256 = {
     (1, 1, 1): "5812ee48ec4fdb3f8b06128227d27f4bd25b2a585c1d62aa0eaff44c4398dcab",
     (2, 1, 1): "8c4514baa01c36c0c2b1cab4baac732bdfd47adcea42da5b3e276d4cde054e7a",
@@ -154,7 +159,7 @@ TAU_CUSP_SHA256 = {
 
 @pytest.mark.parametrize("N, a, c", sorted(TAU_CUSP_SHA256))
 def test_tau_cusp_array_bits_pinned(N, a, c):
-    arr = eis.tau_cusp_array(CuspLabel(N, a, c), 0.5 + 0.37j, 100_000)
+    arr = _tau_array(CuspLabel(N, a, c), 0.5 + 0.37j, 100_000)
     assert hashlib.sha256(arr.tobytes()).hexdigest() == TAU_CUSP_SHA256[N, a, c]
 
 
@@ -170,7 +175,7 @@ def test_tau_cusp_blocks_bits_pinned(N, a, c):
 @pytest.mark.parametrize("cusp", [CuspLabel(4, 2, 1), CuspLabel(9, 3, 1), CuspLabel(12, 6, 1)], ids=str)
 def test_tau_cusp_blocks_match_the_array(cusp, block):
     # off the line Re s = 1/2 too, and with two characters at a = 3, N = 9
-    whole = eis.tau_cusp_array(cusp, 1.3 + 0.2j, 1000)
+    whole = _tau_array(cusp, 1.3 + 0.2j, 1000)
     assert np.concatenate(list(eis.tau_cusp_blocks(cusp, 1.3 + 0.2j, 1000, block))).tobytes() == whole.tobytes()
 
 
@@ -321,7 +326,7 @@ class TestRowPhaseSums:
     def test_oracle_independent_of_character_formula(self):
         # follow, by name, every module function the oracle entry points reach
         forbidden = {"characters_mod", "_inner_pairs", "lambda_chi", "tau_cusp",
-                     "tau_cusp_array", "_chi_prefactor", "_character_terms"}
+                     "tau_cusp_blocks", "_chi_prefactor", "_character_terms"}
 
         def code_names(code):
             out = set(code.co_names)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -53,6 +54,22 @@ class TestTestFunction:
             kn.h_eval(1.0j, PARAMS)
         # internal continuation is available with the check off
         assert np.isfinite(kn.h_eval(1.0j + 3.0, PARAMS, enforce_strip=False))
+
+    def test_tanh_pi_takes_complex_r(self):
+        # it cast r to float, dropping Im r; numpy's complex tanh saturates
+        points = [1.0 + 0.3j, -2.5 + 0.1j, 0.2 - 0.45j, 400.0 + 0.3j, -400.0 - 0.2j, 1000.0 + 0.25j]
+        got = kn.tanh_pi(np.array(points))
+        for r, value in zip(points, got):
+            expect = cmath.tanh(math.pi * r)
+            assert abs(value - expect) <= 4 * np.finfo(float).eps * abs(expect)
+            assert kn.tanh_pi(r) == value
+        real = np.linspace(-3.0, 3.0, 61)
+        assert np.array_equal(kn.tanh_pi(real), np.tanh(math.pi * real))
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_T_refused(self, T):
+        with pytest.raises(ValueError, match="finite T >= 10"):
+            kn.TestFunctionParams(T=T, alpha=0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +246,12 @@ class TestKernelContext:
             ctx.t = 0.4
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.params = kn.TestFunctionParams(T=90.0, alpha=0.5)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_t_must_be_finite(self, t):
+        # a NaN or infinite t ran H0 to max_subdivisions
+        with pytest.raises(ValueError, match="t must be finite"):
+            kn.KernelContext(PARAMS, t=t, k=12)
 
     def test_cache_keys_on_exact_argument(self):
         ctx = kn.KernelContext(PARAMS, t=0.3, k=12)

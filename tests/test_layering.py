@@ -8,8 +8,9 @@ L-series layer, and so on.  Function-local imports count as well.  And every
 module-level import has a reader, so no module claims a dependency it lacks,
 and every public name outside the roots ``verify`` and ``cli`` has a reader in
 the package or a stated reason to stay.  Those names are the one declaration
-of the public surface: no module keeps an ``__all__`` list beside them.  The
-third-party modules the package imports are the runtime dependencies that
+of the public surface: no module keeps an ``__all__`` list beside them.  Every
+parameter with a default there has a stated reason too: who passes it a second
+value.  The third-party modules the package imports are the runtime dependencies that
 ``pyproject.toml`` declares, no more and no fewer.
 """
 
@@ -115,9 +116,8 @@ ROOTS = {"verify", "cli"}
 UNREAD_PUBLIC = {
     "eisenstein:eisenstein_oracle": "the lattice route to E_a(z, s), checked in the tests",
     "eisenstein:eisenstein_constant_term": "the x-average of that route, checked against tau",
-    "eisenstein:tau_cusp_array": "tau_cusp_blocks in one block, whose bits the tests pin by SHA-256",
-    "shifted:shifted_D": "the one-row D(w; m), whose criterion-11 values the tests pin",
-    "shifted:shifted_inner_lower": "the one-row lower-shifted series, pinned the same way",
+    "arith:sigma_twisted_N": "sigma_{-2it}(m; N) one m at a time from the definition, the "
+                             "tests' reference route to sigma_twisted_array",
     "lseries:synthetic_maass_form": "the Maass form data the Maass-side tests are built on",
     "lseries:rankin_selberg_L": "the direct L(s, f x g~) at Re s > 1, held against the divisor "
                                 "models' closed form in the tests; bench/spans.py wraps it by name",
@@ -181,6 +181,85 @@ def test_public_reader_guard_sees_unread_names(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert unread_public_names(paths, roots={"app"}) == {"lib:unused", "lib:Orphan"}
     assert unread_public_names(paths, roots=set()) == {"lib:unused", "lib:Orphan", "app:main"}
+
+
+# every parameter with a default, of a module-level function or method
+# outside the roots, and who passes it a second value
+OPTIONS = {
+    "arith:multiplicative_array(dtype)": "arith's own Mobius and Euler phi tables pass np.int64",
+    "arith:sigma_complex(N)": "sigma_twisted_N passes the level",
+    "kernels:h_eval(enforce_strip)": "L^- and L^+ evaluate h off the strip on their u-lines",
+    "lseries:NewformData.A(m_max)": "the Rankin-Selberg series and criterion 12 pass a cut",
+    "lseries:delta_newform(m_max)": "the CLI's --horizon, bench/ and the tests pass their horizons",
+    "lseries:synthetic_maass_form(seed)": "the Maass-side tests draw several forms",
+    "lseries:rankin_selberg_L(m_max)": "the tests compare two truncations",
+    "lseries:holo_L(method)": "bench/ and continuous_part pass 'afe'",
+    "lseries:curly_L_eisenstein_direct(m_max)": "criterion 4 and bench/ pass 100,000",
+    "moments:main_term(pole_guard)": "criterion 9 and bench/ set it",
+    "moments:main_term_t0_limit(which)": "bench/ and the tests pass 'feq_plus'",
+    "moments:main_term_t0_limit(t_nodes)": "the tests hold two node sets against each other",
+    "moments:continuous_part(points_per_unit)": "the CLI's --points-per-unit and bench/ pass it",
+    "moments:continuous_part(half_line)": "the CLI and bench/ take the half line",
+    "moments:first_moment_pieces(sigma_u)": "an independent route in the tests: another u-contour",
+    "moments:first_moment_pieces(sigma_0)": "an independent route in the tests: another L^- contour",
+    "moments:first_moment_pieces(m_inner)": "an independent route in the tests: another inner cut",
+    "moments:first_moment_pieces(inner_panels)": "bench/ passes 24, and the tests other panel counts",
+    "moments:error_exponent(delta)": "the paper's delta; the tests pass one off alpha - (2 beta - 1)",
+    "specfun:NonConvergenceError.__init__(value)": "the quadratures pass their last value",
+    "specfun:NonConvergenceError.__init__(error)": "the quadratures pass their last error",
+    "specfun:zeta_laurent(order)": "riemann_zeta's value and derivative pass orders 0 and 1",
+    "specfun:bessel_K(rel_tol)": "an independent route in the tests: a tighter mesh",
+    "specfun:integrate_aligned_lattice(pole)": "L^+ subtracts its Gamma poles",
+}
+
+
+def defaulted_parameters(paths, roots=ROOTS) -> set:
+    """``module:function(parameter)``, or ``module:Class.method(parameter)``,
+    of each parameter with a default of a module-level function or of a
+    method of a module-level class, outside ``roots``."""
+    out = set()
+    for path in paths:
+        if path.stem in roots:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                functions += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                              if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, fn in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out.update(f"{path.stem}:{name}({a.arg})" for a in defaulted)
+    return out
+
+
+def test_every_option_has_a_reason():
+    assert defaulted_parameters(sorted(PACKAGE.glob("*.py"))) == set(OPTIONS)
+
+
+def test_option_guard_sees_every_default(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def f(a, b=1, *, c, d=2):\n"
+        "    def inner(e=3):\n"
+        "        return e\n"
+        "    return inner()\n"
+        "def _g(x, /, y=None):\n"
+        "    return x\n"
+        "class K:\n"
+        "    def m(self, z=0.5):\n"
+        "        return z\n"
+        "    def n(self, w):\n"
+        "        return w\n"
+    )
+    (tmp_path / "app.py").write_text("def main(argv=None):\n    return argv\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert defaulted_parameters(paths, roots={"app"}) == {"lib:f(b)", "lib:f(d)", "lib:_g(y)", "lib:K.m(z)"}
+    assert "app:main(argv)" in defaulted_parameters(paths, roots=set())
 
 
 def declares_all(path: Path) -> bool:

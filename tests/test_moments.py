@@ -389,6 +389,17 @@ def continuous_result(delta):
 
 
 class TestContinuous:
+    @pytest.mark.parametrize("ppu", [-1.0, 0.0, math.nan, math.inf])
+    def test_points_per_unit_must_be_positive_and_finite(self, delta, ppu, monkeypatch):
+        # -1 and 0 were raised to the 8-panel minimum; nan and inf failed in math.ceil
+        monkeypatch.setattr(mo, "holo_L", lambda *a, **k: pytest.fail("work started"))
+        kp = TestFunctionParams(T=11.0, alpha=0.5, R=1.0)
+        ctx = mo.MomentContext(
+            t=0.5, f=delta, g=delta, N=1, kernel=KernelContext(kp, t=0.5, k=12), s=0.5 - 0.5j
+        )
+        with pytest.raises(DomainError, match="points_per_unit"):
+            mo.continuous_part(ctx, points_per_unit=ppu)
+
     def test_half_line_doubling(self, continuous_result):
         full, half = continuous_result
         # same node layout mirrored: agreement is the evenness of the integrand
@@ -764,7 +775,7 @@ class TestFirstMoment:
             np.exp(np.multiply.outer(-(sigma_v + 1j * y - 1j * t), log_m)) @ w
             for y in np.array_split(nodes, -(-len(nodes) // 60))
         ])
-        got = mo._lplus_inner_sums(edges, sigma_v, t, w)
+        got = mo._inner_sums(edges, sigma_v, t, w)
         scale = np.abs(w) @ np.exp(-sigma_v * log_m)
         assert got.shape == direct.shape
         assert np.max(np.abs(got - direct)) <= 64.0 * np.finfo(float).eps * scale
@@ -846,6 +857,10 @@ class TestErrorExponent:
         delta = alpha - (2 * beta - 1)
         val = mo.error_exponent(alpha, beta, -1, 12)
         assert val == pytest.approx(1 - 1.5 * beta + delta * 6)
+        # a delta passed on alpha - (2 beta - 1) is the default; one off it
+        # leaves the third case
+        assert mo.error_exponent(alpha, beta, -1, 12, delta=delta) == val
+        assert mo.error_exponent(alpha, beta, -1, 12, delta=delta + 0.01) is None
 
     def test_undefined_marker(self):
         assert mo.error_exponent(0.5, 0.9, -1, 12) is None

@@ -580,6 +580,16 @@ class TestToleranceRule:
             assert self._calls(at) == (1, (v, e))
             assert self._calls(above)[0] > 1
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_subdivisions"])
+    def test_spec_refuses_a_nan_tolerance(self, field):
+        # a NaN rel_tol dropped out of max(abs_tol, nan); a NaN abs_tol ran
+        # every quadrature to max_subdivisions, and a NaN max_subdivisions
+        # bounded no loop
+        with pytest.raises(ValueError, match=field):
+            sf.QuadratureSpec(**{field: math.nan})
+        spec = sf.QuadratureSpec(abs_tol=math.inf)  # infinite abs_tol stays legal
+        assert sf.integrate_line(lambda x: np.exp(-x * x) + 0j, spec, interval=(-1.0, 1.0)).error >= 0.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integrate_line_refuses_a_nan_error(self):
         spec = sf.QuadratureSpec(rel_tol=1e-300, abs_tol=math.inf, max_subdivisions=3)
@@ -630,6 +640,15 @@ class TestIntegrateAlignedLattice:
             sf.integrate_aligned_lattice(*args, (-2.0, 2.0), spec)
         assert calls == [16]
         assert info.value.error > 1e-10 * abs(info.value.value)
+
+    def test_off_centre_v_grid_refused(self):
+        # the row mirror takes table row R - r for the negated abscissae of
+        # row r, which a v-grid off 0 does not give the K+ table
+        spec = sf.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2000)
+        args, _, calls = self._gaussian_case(2.0, 3.0, np.linspace(-2.0, 4.0, 7))
+        with pytest.raises(sf.DomainError, match="centred on 0"):
+            sf.integrate_aligned_lattice(*args, (-12.0, 12.0), spec)
+        assert calls == []
 
     def test_subtracted_pole_comes_back_in_closed_form(self):
         # any residues leave the value alone: what the integrand loses the
