@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DirichletCharacter, DomainError, PoleError, dirichlet_L, riemann_zeta
+from .specfun import DirichletCharacter, DomainError, PoleError, _pp, dirichlet_L, riemann_zeta
 
 # Witness set proving compositeness deterministically for all n < 3.3e24,
 # comfortably covering the 2^63 - 1 input cap.
@@ -281,12 +281,6 @@ def ord_p(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def _pp(p: float, expo) -> complex:
-    """p**expo for any positive real base p and complex expo: the package's
-    one scalar complex power, exp(expo * log p)."""
-    return complex(np.exp(complex(expo) * math.log(p)))
 
 
 # c in Nicolas and Robin's bound d(n) <= n^(c / log log n) for n >= 3
@@ -585,7 +579,7 @@ def dirichlet_L_depleted(s, chi: DirichletCharacter, N: int):
     """L^(N)(s, chi): the Euler factors at primes p | N removed."""
     val = dirichlet_L(s, chi)
     for p in prime_divisors(N):
-        val *= 1.0 - chi(p) * p ** (-complex(s))
+        val *= 1.0 - chi(p) * _pp(p, -s)
     return val
 
 

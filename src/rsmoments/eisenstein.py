@@ -56,7 +56,6 @@ from scipy.special import kv as _kv_real
 from . import arith
 from .arith import (
     CuspLabel,
-    _pp,
     dirichlet_L_depleted,
     divisors,
     euler_phi,
@@ -70,6 +69,7 @@ from .specfun import (
     NonConvergenceError,
     PoleError,
     ValueWithError,
+    _pp,
     bessel_K,
     complex_gamma,
     gauss_sum,
@@ -121,8 +121,8 @@ def lambda_chi(n: int, s, chi: DirichletCharacter):
     acc = 0.0 + 0.0j
     for d in divisors(abs(n)):
         cd = chi(d)
-        acc += cd * cd * d ** (1.0 - 2.0 * s)
-    return complex(top * abs(n) ** (s - 0.5) * acc)
+        acc += cd * cd * _pp(d, 1.0 - 2.0 * s)
+    return complex(top * _pp(abs(n), s - 0.5) * acc)
 
 
 def _chi_prefactor(s, chi: DirichletCharacter, N: int):
@@ -134,7 +134,7 @@ def _chi_prefactor(s, chi: DirichletCharacter, N: int):
     gam = complex_gamma(s)
     if not np.isfinite(gam) or abs(gam) == 0.0:
         raise PoleError("Gamma(s) not finite in tau_cusp prefactor")
-    return q ** (-s) * gauss_sum(chi) * np.pi**s / (gam * lval)
+    return _pp(q, -s) * gauss_sum(chi) * _pp(math.pi, s) / (gam * lval)
 
 
 def _inner_pairs(a: int, Na: int, q: int):
@@ -179,10 +179,10 @@ def tau_cusp(cusp: CuspLabel, s, n: int) -> complex:
             lam = lambda_chi(n // e, s, chi)
             if lam == 0:
                 continue
-            inner += mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e) * lam
+            inner += mu * chi(ell * b) * _pp(ell * b, -s) * 2.0 * math.sqrt(e) * lam
         total += pref * inner
     g = cusp.gcd_a
-    return complex((cusp.N / g) ** (-s) / euler_phi(g) * total)
+    return complex(_pp(cusp.N / g, -s) / euler_phi(g) * total)
 
 
 def tau_cusp_blocks(cusp: CuspLabel, s, m_max: int, block: int):
@@ -194,50 +194,38 @@ def tau_cusp_blocks(cusp: CuspLabel, s, m_max: int, block: int):
     sum_{d|m'} chi(d)^2 d^{1-2s}, and each (l, b) pair of that character
     adds its weight times lam(m/e) at the m with e | m.  Past the first
     block, an e >= 2 reads lam at m' <= m_max // 2 from before, so those are
-    kept.  The powers d^z, z = 1 - 2s, are d^{Re z} (cos + i sin)(Im z
-    log d) with log d from ``arith.log_table``: CPython's complex power for a
-    positive real base, so on the line Re s = 1/2 (Re z = 0, where d^{Re z}
-    is not formed) they have its bits, and elsewhere numpy's real power
-    moves them by about an ulp.  Every value has the same bits at any block
+    kept.  The powers d^{1-2s} and m^{s-1/2} are exp(z log d) with log d
+    from ``arith.log_table``.  Every value has the same bits at any block
     size.
     """
     s = complex(s)
-    z = 1.0 - 2.0 * s
     logs = arith.log_table(m_max)
     half = m_max // 2
 
     def coeffs_from(chi2, lo):
-        # chi(d)^2 d^{1-2s} for d = lo+1..lo+block, with the phase, its sine
-        # and its cosine formed in place
-        d = np.arange(lo + 1, min(lo + block, m_max) + 1)
-        coeffs = chi2.value_array(d)
-        powers = np.empty(d.size, dtype=complex)
-        np.multiply(logs[lo : lo + d.size], z.imag, out=powers.real)
-        np.sin(powers.real, out=powers.imag)
-        np.cos(powers.real, out=powers.real)
-        if z.real != 0.0:
-            modulus = np.power(d, z.real)
-            powers.real *= modulus
-            powers.imag *= modulus
-        np.multiply(coeffs, powers, out=coeffs, where=coeffs != 0)
+        # chi(d)^2 d^{1-2s} for d = lo+1..lo+block, the power formed in place
+        powers = logs[lo : lo + block] * (1.0 - 2.0 * s)
+        coeffs = chi2.value_array(np.arange(lo + 1, lo + powers.size + 1))
+        coeffs *= np.exp(powers, out=powers)
         return coeffs
 
     terms = []
     for chi, pref, pairs in _character_terms(cusp, s):
-        weights = [(e, pref * mu * chi(ell * b) * (ell * b) ** (-s) * 2.0 * math.sqrt(e))
+        weights = [(e, pref * mu * chi(ell * b) * _pp(ell * b, -s) * 2.0 * math.sqrt(e))
                    for ell, b, mu, e in pairs]
         sums = arith.divisor_sum_blocks(map(partial(coeffs_from, chi.squared()), range(0, m_max, block)), m_max)
         kept = np.empty(half, dtype=complex) if block < m_max and any(e > 1 for e, _ in weights) else None
         terms.append((chi, weights, sums, kept))
     g = cusp.gcd_a
-    scale = (cusp.N / g) ** (-s) / euler_phi(g)
+    scale = _pp(cusp.N / g, -s) / euler_phi(g)
 
     def tau_from(lo):
         m = np.arange(lo + 1, min(lo + block, m_max) + 1)
+        m_pow = np.exp((s - 0.5) * logs[lo : lo + m.size])
         out = None  # made after the first lam, whose temporaries come first
         for chi, weights, sums, kept in terms:
             sums_m = next(sums)  # made before the factors, which would wait in memory
-            lam = chi.value_array(m).conj() * m ** (s - 0.5) * sums_m
+            lam = chi.value_array(m).conj() * m_pow * sums_m
             del sums_m
             if out is None:
                 out = np.zeros(m.size, dtype=complex)
@@ -261,8 +249,8 @@ def tau_level_one(s, n: int) -> complex:
     s = complex(s)
     return complex(
         2.0
-        * np.pi**s
-        * abs(n) ** (s - 0.5)
+        * _pp(math.pi, s)
+        * _pp(abs(n), s - 0.5)
         * arith.sigma_complex(abs(n), 1.0 - 2.0 * s)
         / (complex_gamma(s) * riemann_zeta(2.0 * s))
     )
@@ -359,7 +347,7 @@ def _bessel_row_weights(s, y: float):
     vals = []
     for m in range(1, _PHASE_KMAX + 1):
         kval = _bessel_k(nu, 2.0 * math.pi * m * y)
-        vals.append(m**complex(s - 0.5) * kval)
+        vals.append(_pp(m, nu) * kval)
         if abs(vals[-1]) < 1e-19 * (1.0 + abs(vals[0])):
             break
     return np.asarray(vals)
@@ -378,16 +366,16 @@ def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncat
     cts, sizes, ph = _row_phase_sums(cusp.N, cusp.a, cusp.c, trunc.max_height)
 
     gam_s = complex_gamma(s)
-    const_a = math.sqrt(math.pi) * complex_gamma(s - 0.5) / gam_s * y ** (1.0 - 2.0 * s)
+    const_a = math.sqrt(math.pi) * complex_gamma(s - 0.5) / gam_s * _pp(y, 1.0 - 2.0 * s)
     kw = _bessel_row_weights(s, y)
     n_freq = len(kw)
-    ctp = cts.astype(float) ** (-2.0 * s)
+    ctp = np.exp(-2.0 * s * arith.log_table(trunc.max_height)[cts - 1])
     const_sum = complex(ctp @ sizes) * const_a
     # the row phase sums sum_{d0} exp(2 pi i m d0 / ct), weighted by ct^{-2s};
     # coeff_neg conjugates their product, not a copy of the cached table
     coeff_pos = 0.5 * (ctp @ ph[:, :n_freq])
     coeff_neg = 0.5 * np.conj(np.conj(ctp) @ ph[:, :n_freq])
-    b_fac = 4.0 * np.pi**s / gam_s * y ** (0.5 - s)
+    b_fac = 4.0 * _pp(math.pi, s) / gam_s * _pp(y, 0.5 - s)
 
     osc = np.zeros(len(x), dtype=complex)
     for midx in range(n_freq):
@@ -397,13 +385,13 @@ def _eisenstein_x_profile(cusp: CuspLabel, x, y: float, s, trunc: LatticeTruncat
     values = const_sum + b_fac * osc
     if cusp.is_infinity_class:
         values = values + 1.0  # identity coset, w = 1 in that case
-    values = values * (y / w) ** s
+    values = values * _pp(y / w, s)
 
     # rows ct > H: per row <= ct * |const_a| * ct^{-2 Re s} (+ small K part)
     sig = s.real
     H = trunc.max_height
     tail = (
-        abs((y / w) ** s)
+        (y / w) ** sig
         * (abs(const_a) + abs(b_fac) * float(np.sum(np.abs(kw))))
         * H ** (2.0 - 2.0 * sig)
         / (2.0 * sig - 2.0)
@@ -457,7 +445,7 @@ def eisenstein_constant_term(cusp: CuspLabel, y: float, s, trunc: LatticeTruncat
     values, _ = _eisenstein_x_profile(cusp, np.arange(P) / P, y, s, trunc)
     c0 = complex(np.mean(values))
     if cusp.is_infinity_class:
-        c0 -= y ** complex(s)
+        c0 -= _pp(y, s)
     return c0
 
 

@@ -70,7 +70,6 @@ from scipy.special import loggamma as _loggamma
 from . import arith, eisenstein
 from .arith import (
     CuspLabel,
-    _pp,
     divisors,
     ord_p,
     prime_divisors,
@@ -81,7 +80,9 @@ from .specfun import (
     ValueWithError,
     riemann_zeta,
     EULER_GAMMA,
+    _pp,
     central_difference,
+    complex_gamma,
 )
 
 
@@ -534,9 +535,7 @@ def _smoothed_afe(s, desc: _LData):
     """
     if not s.size:
         return np.zeros(0, dtype=complex)
-    index = {}
-    inv = np.fromiter((index.setdefault(v, len(index)) for v in np.concatenate([s, 1.0 - s]).tolist()), int)
-    u = np.array(list(index), dtype=complex)
+    u, inv = np.unique(np.concatenate([s, 1.0 - s]), return_inverse=True)
     sigma0 = max(2.0, math.floor(u.real.max(initial=0.0)) + 1.0)
     log_gamma, scale = _log_gamma(desc.shifts)
     ref = log_gamma(u, 0.0)
@@ -559,11 +558,10 @@ def _smoothed_afe(s, desc: _LData):
     k0, k1 = max(0, int((vmax - reach) / h) - 1), min(slots, int((vmax + reach) / h) + 2)
     # one log g table and one F_x per distinct Re u, laid end to end: a row
     # reads its node m at index m + shift
-    parts = {}
-    group = np.fromiter((parts.setdefault(x, len(parts)) for x in u.real.tolist()), int)
+    parts, group = np.unique(u.real, return_inverse=True)
     tables, sums, shift = [], [], np.empty(len(parts), dtype=int)
     size = 0
-    for i, x in enumerate(parts):
+    for i, x in enumerate(parts.tolist()):
         lo, hi = int(first[group == i].min()), int(last[group == i].max())
         tables.append(log_gamma(x, sigma0 + 1j * h * np.arange(lo, hi + 1)))
         sums.append(_lattice_series(coeffs * np.exp(-x * log_n), scale, h, sigma0, lo, hi))
@@ -709,18 +707,19 @@ def sym2_L(s, f: NewformData):
 
     A 1-D array of s runs as one batch and gives a read-only array; a scalar
     is the batch of one s.  Batches are memoised by ``_sym2_L``, 64 of them,
-    keyed on f and the tuple of s as Python complex numbers, so the +0.0 and
-    -0.0 parts of s share one entry, and a value is the same bits whenever
-    the same tuple asks for it.
+    keyed on f, the shape of s and its entries as Python numbers (+0.0 and
+    -0.0 share one entry), so a value is the same bits whenever the same s
+    asks for it.  The AFE's checks run on a miss: a refused s is never kept.
     """
-    out = _sym2_L(tuple(_afe_batch(s, f, _sym2_data(f), "sym2_L").tolist()), f)
+    out = _sym2_L(np.shape(s), tuple(np.ravel(s).tolist()), f)
     return out if np.ndim(s) else complex(out[0])
 
 
 @lru_cache(maxsize=64)
-def _sym2_L(s: tuple, f: NewformData) -> np.ndarray:
-    """L(s, sym^2 f) at a tuple of s by the smoothed AFE (see sym2_L), read-only."""
-    out = _smoothed_afe(np.array(s, dtype=complex), _sym2_data(f))
+def _sym2_L(shape: tuple, s: tuple, f: NewformData) -> np.ndarray:
+    """L(s, sym^2 f) at the s of that shape by the smoothed AFE (see sym2_L), read-only."""
+    desc = _sym2_data(f)
+    out = _smoothed_afe(_afe_batch(np.reshape(s, shape), f, desc, "sym2_L"), desc)
     out.flags.writeable = False
     return out
 
@@ -819,7 +818,7 @@ def curly_L_eisenstein_factored(s, t: float, z, cusp: CuspLabel) -> complex:
     )
     den = (
         _pp(math.pi, z - 0.5)
-        * np.exp(_loggamma(0.5 - z))
+        * complex_gamma(0.5 - z)
         * arith.zeta_depleted(1.0 - 2.0 * z, cusp.N)
     )
     return complex(eisenstein.euler_poly(cusp.N, cusp.a, s, t, z) * num / den)

@@ -14,7 +14,7 @@ with Euler products P* over p | N, each written where it is used, the cusp
 factor E_a = 2 N^{-1/2-s-it} (a/g)^{-s+3/2-it} prod(...) of
 ``eisenstein.euler_poly_normalized_closed_minus``, the depleted zeta
 z^(N) = ``arith.zeta_depleted``, and every complex power b^x from
-``arith._pp``.  The Rankin-Selberg values L_a(w, f x g~), taken on and
+``specfun._pp``.  The Rankin-Selberg values L_a(w, f x g~), taken on and
 left of Re w = 1, come from one of two sources: the context's
 ``rs_provider`` (a closed form for synthetic divisor-model data -- the
 assembly identities are linear in each L-value, so any consistent provider
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from . import arith, eisenstein
-from .arith import CuspLabel, _pp, divisors, enumerate_cusps, euler_phi, prime_divisors
+from .arith import CuspLabel, divisors, enumerate_cusps, euler_phi, prime_divisors
 from .kernels import H0_derivative, KernelContext, h_eval
 from .lseries import (
     InsufficientCoefficientsError,
@@ -60,6 +60,7 @@ from .specfun import (
     _cot_pi,
     _gk15,
     _log_sin_pi,
+    _pp,
     extrapolate_to_zero,
     gk15_panel_nodes,
     integrate_aligned_lattice,
@@ -775,7 +776,7 @@ def first_moment_pieces(
 
     A_n = float(ctx.f.A(n)[n - 1])
     phiN = euler_phi(N)
-    m_piece = arith.zeta_depleted(1.0 + 2.0 * it, N) * A_n * n ** (-0.5 - it) * ctx.H0(
+    m_piece = arith.zeta_depleted(1.0 + 2.0 * it, N) * A_n * _pp(n, -0.5 - it) * ctx.H0(
         0.0
     ) + (
         _pp(TWO_PI, 4.0 * it)
@@ -783,7 +784,7 @@ def first_moment_pieces(
         * _pp(N, -2.0 * it)
         * (phiN / N)
         * A_n
-        * n ** (-0.5 + it)
+        * _pp(n, -0.5 + it)
         * ctx.H0(-2.0 * it)
     )
     hi = ctx.kernel.params.window()[1]
@@ -899,7 +900,7 @@ def _l_plus(n, ctx, sigma_u, sigma_v, m_inner, inner_panels, window) -> complex:
     return complex((1j) ** k * _pp(TWO_PI, 2.0 * it) * (2.0 / math.pi) * val)
 
 
-def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int, delta=None):
+def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int):
     """The piecewise error exponent s(alpha, beta; t'); None when no case applies."""
     if not (1.0 / 3.0 < alpha < 2.0 / 3.0):
         raise DomainError("need 1/3 < alpha < 2/3")
@@ -910,7 +911,5 @@ def error_exponent(alpha: float, beta: float, tprime_sign: int, k: int, delta=No
     if 1.0 - alpha < beta < 2.0 * alpha and tprime_sign == +1:
         return (2.0 * alpha - beta) * (k + 1.0) / 2.0
     if tprime_sign == -1 and 1.0 - alpha < beta < (alpha + 1.0) / 2.0:
-        d = alpha - (2.0 * beta - 1.0) if delta is None else float(delta)
-        if d > 0.0 and alpha < 2.0 / 3.0 and abs((2.0 * beta - 1.0 + d) - alpha) < 1e-12:
-            return 1.0 - 1.5 * beta + d * k / 2.0
+        return 1.0 - 1.5 * beta + (alpha - (2.0 * beta - 1.0)) * k / 2.0
     return None

@@ -235,32 +235,32 @@ def _raw_rows(slid: np.ndarray, fixed: np.ndarray, powers: np.ndarray) -> np.nda
     return out
 
 
-def _weighted_outer_sum(ms, values, errors, sig: np.ndarray, exponent: complex):
-    """sum_m sig(m) m^exponent value(m) over the shifts ``ms``, in order, and its tail.
+def _weighted_outer_sum(ms, values, errors, weights: np.ndarray):
+    """sum_m weight(m) value(m) over the shifts ``ms``, in order, and its tail.
 
-    The tail is the inner tails weighted by |sig(m) m^exponent| plus the
-    envelope tail of the outer terms; both rearranged paths sum this way.
+    The tail is the inner tails weighted by |weight(m)| plus the envelope
+    tail of the outer terms; both rearranged paths sum this way.
     """
     total = 0.0 + 0.0j
     inner_tail_total = 0.0
-    outer_abs = np.zeros(len(sig))
+    outer_abs = np.zeros(len(weights))
     for m, value, err in zip(ms.tolist(), values.tolist(), errors.tolist()):
-        weight = sig[m - 1] * m ** exponent
+        weight = weights[m - 1]
         total += weight * value
         outer_abs[m - 1] = abs(weight * value)
         inner_tail_total += abs(weight) * err
     return total, inner_tail_total + _envelope_tail(outer_abs)
 
 
-def _raw_outer_sum(rows, sig: np.ndarray, exponent: complex):
-    """sum_m sig(m) m^exponent row(m) over the m with sig(m) != 0, in order,
+def _raw_outer_sum(rows, weights: np.ndarray):
+    """sum_m weight(m) row(m) over the m with weight(m) != 0, in order,
     and the envelope tail of its terms; both raw paths sum this way."""
     total = 0.0 + 0.0j
-    outer_abs = np.zeros(len(sig))
+    outer_abs = np.zeros(len(weights))
     for m, row in enumerate(rows.tolist(), start=1):
-        if sig[m - 1] == 0:
+        if weights[m - 1] == 0:
             continue
-        term = sig[m - 1] * m ** exponent * row
+        term = weights[m - 1] * row
         total += term
         outer_abs[m - 1] = abs(term)
     return total, _envelope_tail(outer_abs)
@@ -269,7 +269,7 @@ def _raw_outer_sum(rows, sig: np.ndarray, exponent: complex):
 def _z_setup(req: ShiftedSeriesRequest, f: NewformData, g: NewformData):
     """Z's checked (s, v), in ``region_ok``'s region for f's weight and with
     the coefficients of the truncation, its outer weights
-    sigma_{-2it}(m; N) m^{it} for m <= M_outer and zeta^(N)(2s)."""
+    sigma_{-2it}(m; N) m^{it} m^{-v} for m <= M_outer and zeta^(N)(2s)."""
     if not req.region_ok(f.k):
         raise DomainError(
             "outside the absolute-convergence region: need "
@@ -278,8 +278,8 @@ def _z_setup(req: ShiftedSeriesRequest, f: NewformData, g: NewformData):
     if req.M_inner + req.M_outer > f.M or req.M_inner > g.M:
         raise InsufficientCoefficientsError(req.M_inner + req.M_outer)
     s, v = complex(req.s), complex(req.v)
-    sig = arith.sigma_twisted_weights(req.N, req.t, req.M_outer)
-    return s, v, sig, arith.zeta_depleted(2.0 * s, req.N)
+    weights = arith.sigma_twisted_weights(req.N, req.t, req.M_outer) * np.exp(-v * arith.log_table(req.M_outer))
+    return s, v, weights, arith.zeta_depleted(2.0 * s, req.N)
 
 
 def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> ValueWithError:
@@ -289,12 +289,12 @@ def Z_series_double(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -
     term in blocks of rows (``_raw_rows``); the rows are weighted and summed
     over m in order.
     """
-    s, v, sig, zN = _z_setup(req, f, g)
+    s, v, weights, zN = _z_setup(req, f, g)
     k = f.k
     Mo, Mi = req.M_outer, req.M_inner
     n_pow = np.exp(-(s - v - 0.5 + k) * arith.log_table(Mi))
     rows = _raw_rows(f.a[1 : Mo + Mi], np.conj(g.a[:Mi]), n_pow)
-    total, outer_tail = _raw_outer_sum(rows, sig, -v)
+    total, outer_tail = _raw_outer_sum(rows, weights)
     k_half = (k - 1) / 2.0
     tail = abs(zN) * (rankin_selberg_tail(s.real - v.real - 0.5 + k - k_half, Mi) + outer_tail)
     return ValueWithError(complex(zN * total), tail)
@@ -308,17 +308,17 @@ def Z_series(req: ShiftedSeriesRequest, f: NewformData, g: NewformData) -> Value
     (the production path; at matched truncations it traverses the same
     finite index set as the double sum).
     """
-    s, v, sig, zN = _z_setup(req, f, g)
-    ms = np.flatnonzero(sig) + 1
+    s, v, weights, zN = _z_setup(req, f, g)
+    ms = np.flatnonzero(weights) + 1
     rows = _shift_rows(s - v + 0.5, ms, f, g, req.M_inner, lower=False)
-    total, tail = _weighted_outer_sum(ms, *rows, sig, -v)
+    total, tail = _weighted_outer_sum(ms, *rows, weights)
     return ValueWithError(complex(zN * total), abs(zN) * tail)
 
 
 def _m3_setup(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int):
-    """M3's checked (s, w) and truncations, its outer weights sigma_{-2it}(m; N) for
-    m <= M_outer and its prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s'),
-    s' = s + w + k/2 - 1."""
+    """M3's checked (s, w) and truncations, its outer weights
+    sigma_{-2it}(m; N) m^{it} m^{-(s+(k-1)/2)} for m <= M_outer and its
+    prefactor Gamma(k+w-1)/(4 pi)^{k+w-1} zeta^(N)(2s'), s' = s + w + k/2 - 1."""
     s, w = complex(s), complex(w)
     if s.real <= 1.0 or w.real <= 1.0:
         raise DomainError("M3_series needs Re s > 1 and Re w > 1")
@@ -327,11 +327,11 @@ def _m3_setup(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     if M_inner > f.M or M_outer + M_inner > g.M:
         raise InsufficientCoefficientsError(M_outer + M_inner)
     sp = s + w + k / 2.0 - 1.0
-    sig = arith.sigma_twisted_weights(N, t, M_outer)
+    weights = arith.sigma_twisted_weights(N, t, M_outer) * np.exp(-(s + (k - 1) / 2.0) * arith.log_table(M_outer))
     pref = np.exp(
         _loggamma(k + w - 1.0) - (k + w - 1.0) * math.log(4.0 * math.pi)
     ) * arith.zeta_depleted(2.0 * sp, N)
-    return s, w, sig, pref
+    return s, w, weights, pref
 
 
 def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
@@ -341,22 +341,20 @@ def M3_series(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: i
     term in blocks of rows (``_raw_rows``); the rows are weighted and summed
     over m in order.
     """
-    s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
+    s, w, weights, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
     k = f.k
     # n^{-w-k+1} for n = 2..M_outer+M_inner; row m reads n = m+1..m+M_inner
     n_pow = arith.log_table(M_outer + M_inner)[1:] * (-w - k + 1.0)
     np.exp(n_pow, out=n_pow)
     rows = _raw_rows(np.conj(g.a[1 : M_outer + M_inner]), f.a[:M_inner], n_pow)
-    total, outer_tail = _raw_outer_sum(rows, sig, -(s + (k - 1) / 2.0))
+    total, outer_tail = _raw_outer_sum(rows, weights)
     tail = abs(pref) * (rankin_selberg_tail(w.real, M_inner) + outer_tail)
     return ValueWithError(complex(pref * total), tail)
 
 
 def M3_series_rearranged(s, w, t: float, f: NewformData, g: NewformData, N: int, M_outer: int, M_inner: int) -> ValueWithError:
     """M3 through the inner lower-shifted series, summed over m in order."""
-    s, w, sig, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
-    ms = np.flatnonzero(sig) + 1
-    total, tail = _weighted_outer_sum(
-        ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), sig, -(s + (f.k - 1) / 2.0)
-    )
+    s, w, weights, pref = _m3_setup(s, w, t, f, g, N, M_outer, M_inner)
+    ms = np.flatnonzero(weights) + 1
+    total, tail = _weighted_outer_sum(ms, *_shift_rows(w, ms, f, g, M_inner, lower=True), weights)
     return ValueWithError(complex(pref * total), abs(pref) * tail)

@@ -8,6 +8,7 @@ series) is built on the functions in this module:
   parts can be formed in log space.
 * ``digamma_family`` -- scipy's psi for complex arguments, with the same
   pole check.
+* ``_pp`` -- the package's one scalar complex power b^z = exp(z log b), b > 0.
 * ``riemann_zeta`` / ``hurwitz_zeta`` -- Euler-Maclaurin with a
   functional-equation fallback on the left half plane.
 * ``central_difference`` -- the fourth-order 4-point stencil, the one route
@@ -196,7 +197,13 @@ def digamma_family(z):
 
 
 # ---------------------------------------------------------------------------
-# zeta and Dirichlet L
+# complex powers, zeta and Dirichlet L
+
+
+def _pp(b: float, z) -> complex:
+    """b**z for any positive real base b and complex z: the package's one
+    scalar complex power, exp(z log b)."""
+    return complex(np.exp(complex(z) * math.log(b)))
 
 
 def hurwitz_zeta(s, a: float):
@@ -210,9 +217,10 @@ def hurwitz_zeta(s, a: float):
     n = np.arange(n_terms, dtype=float) + a
     head = complex(np.sum(np.exp(-s * np.log(n))))
     big = n_terms + a
-    val = head + big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
+    big_s = _pp(big, -s)
+    val = head + big * big_s / (s - 1.0) + 0.5 * big_s
     poch = s  # (s)_{2j-1} for j = 1
-    binv = big ** (-s - 1.0)  # big^{-s-2j+1} for j = 1
+    binv = big_s / big  # big^{-s-2j+1} for j = 1
     for j, b in enumerate(_B2N_OVER_FACT, 1):
         val += b * poch * binv
         poch *= (s + 2 * j - 1) * (s + 2 * j)
@@ -345,7 +353,7 @@ def dirichlet_L(s, chi: DirichletCharacter):
         v = chi.values[a % q]
         if v != 0:
             acc += v * (digamma_family(a / q) if at_one else hurwitz_zeta(s, a / q))
-    return -acc / q if at_one else q ** (-s) * acc
+    return -acc / q if at_one else _pp(q, -s) * acc
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:

@@ -204,7 +204,6 @@ OPTIONS = {
     "moments:first_moment_pieces(sigma_0)": "an independent route in the tests: another L^- contour",
     "moments:first_moment_pieces(m_inner)": "an independent route in the tests: another inner cut",
     "moments:first_moment_pieces(inner_panels)": "bench/ passes 24, and the tests other panel counts",
-    "moments:error_exponent(delta)": "the paper's delta; the tests pass one off alpha - (2 beta - 1)",
     "specfun:NonConvergenceError.__init__(value)": "the quadratures pass their last value",
     "specfun:NonConvergenceError.__init__(error)": "the quadratures pass their last error",
     "specfun:zeta_laurent(order)": "riemann_zeta's value and derivative pass orders 0 and 1",

@@ -103,7 +103,7 @@ def _fresh_afe(s, desc, full=False):
 
 def _fresh_sym2(s, f):
     """sym2_L at a scalar s, computed afresh past its memo (the batch of one s)."""
-    return complex(ls._sym2_L.__wrapped__((complex(s),), f)[0])
+    return complex(ls._sym2_L.__wrapped__((), (complex(s),), f)[0])
 
 
 def _holo_lattice(f, sigma0=2.0):
@@ -965,6 +965,23 @@ class TestSym2Batch:
         for bad in (4.5, 0.5 - 19j):  # one s outside the domain fails the batch
             with pytest.raises(DomainError):
                 ls.sym2_L(np.array([0.5 + 1j, bad]), delta)
+
+    def test_checks_run_on_a_miss_only(self, delta, monkeypatch):
+        # a hit skips the AFE's checks, and a refused s is never kept, so it
+        # raises on every call
+        checked = []
+        checks = ls._afe_batch
+        monkeypatch.setattr(ls, "_afe_batch", lambda s, *rest: checked.append(s) or checks(s, *rest))
+        ls._sym2_L.cache_clear()
+        first = ls.sym2_L(0.5 + 1j, delta)
+        assert ls.sym2_L(0.5 + 1j, delta) == first
+        assert len(checked) == 1
+        for bad in (4.5, np.array([0.5 + 1j, 0.5 - 19j]), np.full((2, 2), 0.5 + 1j)):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    ls.sym2_L(bad, delta)
+        assert len(checked) == 7
+        assert ls._sym2_L.cache_info() == (1, 7, 64, 1)  # hits, misses, maxsize, size
 
 
 class TestSumLength:

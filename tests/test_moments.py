@@ -857,10 +857,6 @@ class TestErrorExponent:
         delta = alpha - (2 * beta - 1)
         val = mo.error_exponent(alpha, beta, -1, 12)
         assert val == pytest.approx(1 - 1.5 * beta + delta * 6)
-        # a delta passed on alpha - (2 beta - 1) is the default; one off it
-        # leaves the third case
-        assert mo.error_exponent(alpha, beta, -1, 12, delta=delta) == val
-        assert mo.error_exponent(alpha, beta, -1, 12, delta=delta + 0.01) is None
 
     def test_undefined_marker(self):
         assert mo.error_exponent(0.5, 0.9, -1, 12) is None

@@ -16,8 +16,13 @@ at its nested functions, which are functions of their own.
 Memos are ``functools.lru_cache`` (or a field of the object they belong
 to), so a module-level name bound to an empty ``{}`` is a second memo idiom.
 
-A scalar complex power b^x is ``arith._pp(b, x)``, so a function that writes
-``np.exp(x * math.log(b))`` itself keeps a private copy of it.
+A scalar complex power b^x is ``specfun._pp(b, x)``, so a function that writes
+``np.exp(x * math.log(b))`` itself keeps a private copy of it, and one that
+writes ``b ** x`` with a complex x takes CPython's complex power, which rounds
+otherwise.  An exponent counts as complex when it holds a complex literal or
+reads a name the package gives complex arguments (``_COMPLEX_NAMES``) other
+than through ``.real`` or ``.imag``; ``verify`` and ``cli`` are the roots,
+whose transcriptions and partial sums are independent routes, and may.
 
 log m over m = 1..n is ``arith.log_table(n)``, so a function outside
 ``arith`` that calls ``np.log`` on an ``np.arange(...)``, or on a name it
@@ -38,7 +43,7 @@ _MIN_RUN_DUMP = 500
 # functions that may write np.exp(x * math.log(b)) themselves
 _COMPLEX_POWERS = {
     # the primitive itself
-    "arith:_pp",
+    "specfun:_pp",
     # s is an array there, and _pp takes a scalar exponent
     "lseries:_smoothed_afe",
 }
@@ -300,3 +305,55 @@ def test_guard_catches_a_private_log_table(tmp_path):
     # arith builds the one table
     (tmp_path / "arith.py").write_text("def log_table(n):\n    return np.log(np.arange(1, n + 1))\n")
     assert private_log_tables(tmp_path) == ["one:bound", "one:cast", "one:direct"]
+
+
+# names the package gives complex arguments
+_COMPLEX_NAMES = {"s", "w", "z", "v", "it", "exponent"}
+# modules whose independent routes may take CPython's complex power
+_POWER_ROOTS = {"verify", "cli"}
+
+
+def _complex_exponent(node) -> bool:
+    """Whether ``node`` holds a complex literal or reads one of
+    ``_COMPLEX_NAMES`` other than through ``.real`` or ``.imag``."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, complex)
+    if isinstance(node, ast.Name):
+        return node.id in _COMPLEX_NAMES
+    if isinstance(node, ast.Attribute) and node.attr in ("real", "imag"):
+        return False
+    return any(map(_complex_exponent, ast.iter_child_nodes(node)))
+
+
+def cpython_complex_powers(package_dir: Path) -> list:
+    """``module:function`` for every function outside ``_POWER_ROOTS`` that
+    writes ``b ** x`` with a complex exponent x."""
+    found = set()
+    for path in sorted(package_dir.glob("*.py")):
+        if path.stem in _POWER_ROOTS:
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _complex_exponent(node.right):
+                    found.add(f"{path.stem}:{fn.name}")
+    return sorted(found)
+
+
+def test_no_cpython_complex_powers():
+    assert cpython_complex_powers(Path(rsmoments.__file__).parent) == []
+
+
+def test_guard_catches_a_cpython_complex_power(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "def factor(q, s):\n    return q ** (-s)\n\n\n"
+        "class Series:\n    def outer(self, m, exponent):\n"
+        "        def term(j):\n            return m ** exponent * j\n"
+        "        return term(2)\n\n\n"
+        "def literal(n, t):\n    return n ** (2j * t)\n\n\n"
+        "def fine(p, e, k, f, s):\n    return p ** (e - 1) + (1j) ** k + f.M ** (0.5 - s.real)\n"
+    )
+    # the roots keep their own transcriptions
+    (tmp_path / "verify.py").write_text("def check(q, s):\n    return q ** (-s)\n")
+    assert cpython_complex_powers(tmp_path) == ["one:factor", "one:literal", "one:outer", "one:term"]
